@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet, compose_terms
+from .constraints import ConstraintSet
 from .extended import compose_extended_terms
 from .filters import ClassKappaLinear, FilterResult, WeightFactor, apply_filter, lambda_smooth
 from .model import (
@@ -116,7 +116,6 @@ class BacksteppingRtaResult:
     u: ControlInput
     h_b: float
     h_e: float
-    per_member: list
     residual: float
     lam: float
     infeasible: bool
@@ -149,12 +148,10 @@ def rta_backstepping(
     row = dhdx @ G
     a = drift + float(row @ u_d_vec) + p.alpha(float(hb_d.v))
     res: FilterResult = apply_filter(u_d_vec, a, row, p.W, smooth_nu)
-    _, _, _, per, _ = compose_terms(state.r, t, cset)
     return BacksteppingRtaResult(
         u=ControlInput.from_array(res.u),
         h_b=float(hb_d.v),
         h_e=float(h_e_d.v),
-        per_member=[float(x) for x in per],
         residual=res.slack,
         lam=res.lam,
         infeasible=res.infeasible,

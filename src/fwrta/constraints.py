@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dual as dm
-from . import kernels
 from .errors import CoincidentPosition
 
 COINCIDENT_TOL = 1e-9  # m
@@ -166,8 +165,9 @@ def member_terms(r, t, member: Constraint):
     return q - member.rho, n, -dm.dot(n, v_i)
 
 
-def softmin(values, kappa: float):
-    """Smooth minimum ``-(1/kappa) ln sum(exp(-kappa h_i))``, stabilized.
+def softmin_weights(values, kappa: float):
+    """Smooth minimum ``-(1/kappa) ln sum(exp(-kappa h_i))`` plus the convex
+    weights ``exp(-kappa (h_i - h))``, stabilized and dual-capable.
 
     Under-approximates the true minimum by at most ``ln(N)/kappa``.
     """
@@ -176,31 +176,23 @@ def softmin(values, kappa: float):
         raise ValueError("softmin of empty list")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    if not any(isinstance(v, (dm.Dual, dm.Dual2)) for v in vals):
-        arr = np.asarray(vals, dtype=float)
-        h, _ = kernels.softmin_weights(arr, kappa)
-        return h
     floats = [float(dm.value(v)) for v in vals]
-    j = floats.index(min(floats))
+    m = vals[floats.index(min(floats))]
     acc = 0.0
     for v in vals:
-        acc = acc + dm.exp((vals[j] - v) * kappa)
-    return vals[j] - dm.log(acc) / kappa
+        acc = acc + dm.exp((m - v) * kappa)
+    h = m - dm.log(acc) / kappa
+    return h, [dm.exp((h - v) * kappa) for v in vals]
+
+
+def softmin(values, kappa: float):
+    """Smooth minimum of ``values`` (see :func:`softmin_weights`)."""
+    return softmin_weights(values, kappa)[0]
 
 
 def softmax(values, kappa: float):
     """Smooth maximum, over-approximating by at most ``ln(N)/kappa``."""
     return -softmin([-v for v in values], kappa)
-
-
-def softmin_weights(values, kappa: float):
-    """Smooth minimum plus the convex weights ``exp(-kappa (h_i - h))``."""
-    vals = list(values)
-    if not any(isinstance(v, (dm.Dual, dm.Dual2)) for v in vals):
-        h, w = kernels.softmin_weights(np.asarray(vals, dtype=float), kappa)
-        return h, list(w)
-    h = softmin(vals, kappa)
-    return h, [dm.exp((h - v) * kappa) for v in vals]
 
 
 def compose_terms(r, t, cset: ConstraintSet):

@@ -279,9 +279,9 @@ def dot(a, b):
     da, db = isinstance(a, Dual2), isinstance(b, Dual2)
     if da or db:
         if not da:
-            a = lift2_const(a, b)
+            a = lift_const(a, b)
         if not db:
-            b = lift2_const(b, a)
+            b = lift_const(b, a)
         v = float(a.v @ b.v)
         j = a.v @ b.j + b.v @ a.j
         h = (
@@ -342,10 +342,6 @@ def lift_const(c, like):
         k = like.j.shape[-1]
         return Dual2(c, np.zeros(shape + (k,)), np.zeros(shape + (k, k)))
     return c
-
-
-def lift2_const(c, like):
-    return lift_const(c, like)
 
 
 def seed_state_time(x, t):

@@ -128,19 +128,19 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, params: E
     check_pitch(state.theta)
     check_speed(state.V_T)
     v = velocity_vec(state.theta, state.psi, state.V_T)
-    h, gr, gv, dt, per, w = compose_extended_terms(state.r, v, t, cset, params.gamma_p)
+    h, gr, gv, dt, _, _ = compose_extended_terms(state.r, v, t, cset, params.gamma_p)
     c0, c1, c2 = euler_cols(state.phi, state.theta, state.psi)
     R = turn_rate_raw(state.phi, state.theta, state.V_T, g.g_d)
     V = state.V_T
     # acceleration map columns: A_T -> c0, Q -> -V c2, and the drift R -> V c1
     drift = float(dm.dot(gr, v) + dt + dm.dot(gv, c1) * (V * R))
     row = np.array([float(dm.dot(gv, c0)), 0.0, float(-V * dm.dot(gv, c2))])
-    return h, drift, row, per, w
+    return h, drift, row
 
 
 def hdot_e_affine(state: AircraftState, t: float, cset: ConstraintSet, params: ExtendedParams, g: GravityParam):
     """Barrier rate as ``drift + row . u``; the ``P`` entry of ``row`` is 0."""
-    _, drift, row, _, _ = _affine_terms(state, t, cset, params, g)
+    _, drift, row = _affine_terms(state, t, cset, params, g)
     return drift, row
 
 
@@ -150,7 +150,6 @@ class ExtendedRtaResult:
 
     u: ControlInput
     h_e: float
-    per_member: list
     residual: float
     lam: float
     infeasible: bool
@@ -166,7 +165,7 @@ def rta_extended(
     smooth_nu: float | None = None,
 ) -> ExtendedRtaResult:
     """Filter the desired input against the composed extended barrier."""
-    h, drift, row, per, _ = _affine_terms(state, t, cset, params, g)
+    h, drift, row = _affine_terms(state, t, cset, params, g)
     u_d_vec = u_d.as_array()
     a = drift + float(row @ u_d_vec) + params.alpha(h)
     res: FilterResult = apply_filter(u_d_vec, a, row, params.W, smooth_nu)
@@ -175,7 +174,6 @@ def rta_extended(
     return ExtendedRtaResult(
         u=u,
         h_e=float(h),
-        per_member=[float(x) for x in per],
         residual=res.slack,
         lam=res.lam,
         infeasible=res.infeasible,

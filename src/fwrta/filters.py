@@ -55,15 +55,6 @@ class WeightFactor:
         return self.W.shape[0]
 
 
-@dataclass(frozen=True)
-class FilterProblem:
-    """One filter instance: constraint offset, weighted row, desired input."""
-
-    a: float
-    b: np.ndarray
-    u_d: np.ndarray
-
-
 @dataclass
 class FilterResult:
     """Filtered input plus diagnostics.

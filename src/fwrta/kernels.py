@@ -1,38 +1,19 @@
-"""Hot numeric kernels: aircraft dynamics RHS, the RK4 step and the
-log-sum-exp reductions used once per control step.
+"""Plain-float dynamics RHS and RK4 step of the seven-state model.
 
-Each kernel has a pure-numpy implementation (the ``*_py`` names).  When
-numba is importable and the environment variable ``FWRTA_NUMBA`` is not
-set to ``0``/``false``/``off``, the module-level names are bound to
-``@njit``-compiled versions; otherwise they fall back to the numpy ones.
-``set_backend`` switches at runtime (used by the benchmark).
-
-The differentiable control-law math lives in the regular modules and is
-deliberately kept out of numba: it runs on dual numbers.
+``dubins_rhs`` is the one implementation of the state derivative: the
+integrator, the stage-controlled integrator and the control-affine split
+in :mod:`fwrta.model` all evaluate it.  The differentiable control-law
+math lives in the regular modules: it runs on dual numbers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("FWRTA_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off")
-
-
-def dubins_rhs_py(x, u, g_d):
+def dubins_rhs(x, u, g_d):
     """State derivative of the seven-state kinematic fixed-wing model."""
     phi, theta, psi, V_T = x[3], x[4], x[5], x[6]
     s_phi, c_phi = math.sin(phi), math.cos(phi)
@@ -51,68 +32,10 @@ def dubins_rhs_py(x, u, g_d):
     return out
 
 
-def rk4_step_py(x, u, dt, g_d):
+def rk4_step(x, u, dt, g_d):
     """Classic fourth-order step with the input held constant."""
-    k1 = dubins_rhs_py(x, u, g_d)
-    k2 = dubins_rhs_py(x + 0.5 * dt * k1, u, g_d)
-    k3 = dubins_rhs_py(x + 0.5 * dt * k2, u, g_d)
-    k4 = dubins_rhs_py(x + dt * k3, u, g_d)
+    k1 = dubins_rhs(x, u, g_d)
+    k2 = dubins_rhs(x + 0.5 * dt * k1, u, g_d)
+    k3 = dubins_rhs(x + 0.5 * dt * k2, u, g_d)
+    k4 = dubins_rhs(x + dt * k3, u, g_d)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def softmin_weights_py(values, kappa):
-    """Stabilized smooth minimum of ``values`` and its convex weights."""
-    m = values.min()
-    w = np.exp(-kappa * (values - m))
-    s = w.sum()
-    h = m - math.log(s) / kappa
-    return h, w / s
-
-
-if HAS_NUMBA:
-    dubins_rhs_jit = njit(cache=True)(dubins_rhs_py)
-
-    @njit(cache=True)
-    def rk4_step_jit(x, u, dt, g_d):
-        k1 = dubins_rhs_jit(x, u, g_d)
-        k2 = dubins_rhs_jit(x + 0.5 * dt * k1, u, g_d)
-        k3 = dubins_rhs_jit(x + 0.5 * dt * k2, u, g_d)
-        k4 = dubins_rhs_jit(x + dt * k3, u, g_d)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    softmin_weights_jit = njit(cache=True)(softmin_weights_py)
-else:  # pragma: no cover
-    dubins_rhs_jit = None
-    rk4_step_jit = None
-    softmin_weights_jit = None
-
-
-dubins_rhs = dubins_rhs_py
-rk4_step = rk4_step_py
-softmin_weights = softmin_weights_py
-BACKEND = "numpy"
-
-
-def set_backend(name: str) -> str:
-    """Bind the module-level kernels to ``"numba"`` or ``"numpy"``.
-
-    Returns the backend actually selected (``"numpy"`` when numba is
-    requested but unavailable).
-    """
-    global dubins_rhs, rk4_step, softmin_weights, BACKEND
-    if name == "numba" and HAS_NUMBA:
-        dubins_rhs = dubins_rhs_jit
-        rk4_step = rk4_step_jit
-        softmin_weights = softmin_weights_jit
-        BACKEND = "numba"
-    elif name in ("numba", "numpy"):
-        dubins_rhs = dubins_rhs_py
-        rk4_step = rk4_step_py
-        softmin_weights = softmin_weights_py
-        BACKEND = "numpy"
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return BACKEND
-
-
-set_backend("numba" if _env_wants_numba() else "numpy")

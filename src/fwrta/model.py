@@ -24,9 +24,11 @@ import numpy as np
 
 from . import dual as dm
 from .errors import SingularPitch, SingularSpeed
+from .kernels import dubins_rhs
 
 V_T_FLOOR = 1.0  # m/s, speed below which the model is treated as invalid
 PITCH_GUARD = 1e-3  # rad short of +-pi/2
+_ZERO_INPUT = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -187,24 +189,10 @@ def accel_to_rates_raw(phi, theta, psi, V_T, a):
 
 
 def f_vec(state: AircraftState, g: GravityParam) -> np.ndarray:
-    """Drift term of the control-affine dynamics."""
+    """Drift term of the control-affine dynamics: the RHS at zero input."""
     check_pitch(state.theta)
     check_speed(state.V_T)
-    s_ph, c_ph = math.sin(state.phi), math.cos(state.phi)
-    s_th, c_th = math.sin(state.theta), math.cos(state.theta)
-    v = velocity(state)
-    k = g.g_d / state.V_T
-    return np.array(
-        [
-            v[0],
-            v[1],
-            v[2],
-            k * s_ph * c_ph * s_th,
-            -k * s_ph * s_ph * c_th,
-            k * s_ph * c_ph,
-            0.0,
-        ]
-    )
+    return dubins_rhs(state.as_array(), _ZERO_INPUT, g.g_d)
 
 
 def g_mat(state: AircraftState) -> np.ndarray:
@@ -224,4 +212,6 @@ def g_mat(state: AircraftState) -> np.ndarray:
 
 def dynamics(state: AircraftState, u: ControlInput, g: GravityParam) -> np.ndarray:
     """State derivative ``f(x) + g(x) u`` of the seven-state model."""
-    return f_vec(state, g) + g_mat(state) @ u.as_array()
+    check_pitch(state.theta)
+    check_speed(state.V_T)
+    return dubins_rhs(state.as_array(), u.as_array(), g.g_d)

@@ -49,7 +49,6 @@ class Scenario:
     dt: float
     t_final: float
     mode: str
-    seed: int
     gravity: GravityParam
     x0: AircraftState
     goal: GoalTrajectory
@@ -135,7 +134,6 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     mode = _get(raw, "rta_mode", "")
     if mode not in MODES:
         raise ScenarioError(f"field 'rta_mode' must be one of {MODES}")
-    seed = int(raw.get("seed", 0))
     gravity = GravityParam(_num(raw, "gravity", "") if "gravity" in raw else 9.81)
 
     x0 = _state(_get(raw, "initial_state", ""), "initial_state.")
@@ -241,7 +239,6 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         dt=dt,
         t_final=t_final,
         mode=mode,
-        seed=seed,
         gravity=gravity,
         x0=x0,
         goal=goal,

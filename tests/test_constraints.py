@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_constraint_set
+from fwrta import dual as dm
 from fwrta.constraints import (
     BarrierEval,
     ConstraintSet,
@@ -126,9 +127,24 @@ class TestSoftmin:
     def test_weights_sum_to_one(self, rng):
         for _ in range(200):
             vals = list(rng.uniform(-100, 100, size=int(rng.integers(1, 7))))
-            _, w = softmin_weights(vals, float(rng.uniform(0.01, 1.0)))
+            kappa = float(rng.uniform(0.01, 1.0))
+            h, w = softmin_weights(vals, kappa)
             assert sum(w) == pytest.approx(1.0, abs=1e-12)
             assert all(x >= 0.0 for x in w)
+            # the same body on dual inputs: value unchanged, gradient = weights
+            E = np.eye(len(vals))
+            hd = softmin([dm.Dual(v, E[i]) for i, v in enumerate(vals)], kappa)
+            assert hd.v == h
+            np.testing.assert_allclose(hd.e, w, rtol=1e-12, atol=1e-12)
+
+    def test_matches_direct_formula(self, rng):
+        for _ in range(300):
+            vals = rng.uniform(-2000, 2000, size=int(rng.integers(1, 8)))
+            kappa = float(rng.uniform(0.005, 1.0))
+            h, w = softmin_weights(vals, kappa)
+            ref = -np.log(np.sum(np.exp(-kappa * (vals - vals.min())))) / kappa + vals.min()
+            assert h == pytest.approx(ref, rel=1e-12)
+            assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCompose:

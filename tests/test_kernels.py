@@ -24,59 +24,12 @@ def cases(rng):
     return xs
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_jit_matches_numpy_rhs(cases):
-    for x, u in cases:
-        np.testing.assert_allclose(
-            kernels.dubins_rhs_jit(x, u, 9.81), kernels.dubins_rhs_py(x, u, 9.81), rtol=1e-15, atol=1e-15
-        )
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_jit_matches_numpy_rk4(cases):
-    for x, u in cases[:50]:
-        np.testing.assert_allclose(
-            kernels.rk4_step_jit(x, u, 0.01, 9.81),
-            kernels.rk4_step_py(x, u, 0.01, 9.81),
-            rtol=1e-14,
-            atol=1e-12,
-        )
-
-
 def test_rk4_is_the_classic_tableau(cases):
     x, u = cases[0]
     dt = 0.02
-    k1 = kernels.dubins_rhs_py(x, u, 9.81)
-    k2 = kernels.dubins_rhs_py(x + 0.5 * dt * k1, u, 9.81)
-    k3 = kernels.dubins_rhs_py(x + 0.5 * dt * k2, u, 9.81)
-    k4 = kernels.dubins_rhs_py(x + dt * k3, u, 9.81)
+    k1 = kernels.dubins_rhs(x, u, 9.81)
+    k2 = kernels.dubins_rhs(x + 0.5 * dt * k1, u, 9.81)
+    k3 = kernels.dubins_rhs(x + 0.5 * dt * k2, u, 9.81)
+    k4 = kernels.dubins_rhs(x + dt * k3, u, 9.81)
     ref = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    np.testing.assert_allclose(kernels.rk4_step_py(x, u, dt, 9.81), ref, rtol=1e-15)
-
-
-def test_softmin_kernel_matches_direct_formula(rng):
-    for _ in range(300):
-        vals = rng.uniform(-2000, 2000, size=int(rng.integers(1, 8)))
-        kappa = float(rng.uniform(0.005, 1.0))
-        h, w = kernels.softmin_weights_py(vals, kappa)
-        ref = -np.log(np.sum(np.exp(-kappa * (vals - vals.min())))) / kappa + vals.min()
-        assert h == pytest.approx(ref, rel=1e-12)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        if kernels.HAS_NUMBA:
-            hj, wj = kernels.softmin_weights_jit(vals, kappa)
-            assert hj == pytest.approx(h, rel=1e-15)
-            np.testing.assert_allclose(wj, w, rtol=1e-15)
-
-
-def test_backend_switching():
-    before = kernels.BACKEND
-    try:
-        assert kernels.set_backend("numpy") == "numpy"
-        assert kernels.rk4_step is kernels.rk4_step_py
-        if kernels.HAS_NUMBA:
-            assert kernels.set_backend("numba") == "numba"
-            assert kernels.rk4_step is kernels.rk4_step_jit
-        with pytest.raises(ValueError):
-            kernels.set_backend("gpu")
-    finally:
-        kernels.set_backend(before)
+    np.testing.assert_allclose(kernels.rk4_step(x, u, dt, 9.81), ref, rtol=1e-15)

@@ -13,6 +13,8 @@ from fwrta.model import (
     accel_matrix,
     accel_matrix_inverse,
     dynamics,
+    f_vec,
+    g_mat,
     turn_rate,
     velocity,
     w_R_row,
@@ -107,6 +109,10 @@ class TestDynamics:
             got = dynamics(st, u, gravity)
             ref = spelled_out_rhs(st.as_array(), u.as_array(), gravity.g_d)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            # the control-affine split reproduces the one RHS
+            split = f_vec(st, gravity) + g_mat(st) @ u.as_array()
+            rhs = kernels.dubins_rhs(st.as_array(), u.as_array(), gravity.g_d)
+            np.testing.assert_allclose(split, rhs, rtol=1e-12, atol=1e-12)
 
     def test_pitch_guard(self, gravity):
         st = AircraftState(0, 0, 0, 0, math.pi / 2 - 1e-4, 0, 100.0)

@@ -32,6 +32,9 @@ class TestScenarioLoading:
         for name in ("fig3", "fig4", "fig5", "fig6", "step_offset"):
             scn = load_scenario(name)
             assert scn.name == name
+        # "seed" is not part of the schema: ignored like any unknown top-level key
+        for seed in ("abc", None):
+            assert scenario_from_dict(make_raw(seed=seed)).name == "step_offset"
 
     def test_missing_field_named(self):
         raw = make_raw()
