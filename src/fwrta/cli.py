@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import FwrtaError, ScenarioError
 from .export import export
-from .scenario import load_scenario
+from .scenario import load_scenario, scenario_from_dict
 from .simulate import check_scenario, run_scenario, sweep
 
 
@@ -24,10 +24,10 @@ def _default_out() -> str:
 
 def _cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
-    if args.dt is not None:
-        scn.dt = float(args.dt)
-    if args.horizon is not None:
-        scn.t_final = float(args.horizon)
+    overrides = {k: v for k, v in (("dt", args.dt), ("t_final", args.horizon)) if v is not None}
+    if overrides:
+        # rebuild so the overrides pass the loader's validation
+        scn = scenario_from_dict({**scn.raw, **overrides}, origin=args.scenario)
     log, met = run_scenario(scn)
     path = export(log, met, scn, args.format, args.out)
     print(f"wrote {path}")

@@ -9,6 +9,7 @@ initial states whose mode-relevant barriers start negative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -70,26 +71,36 @@ def _get(d: dict, key: str, path: str):
     return d[key]
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _num(d: dict, key: str, path: str) -> float:
     v = _get(d, key, path)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"field '{path}{key}' must be a number")
+    if not _is_finite_number(v):
+        raise ScenarioError(f"field '{path}{key}' must be a finite number")
     return float(v)
 
 
 def _vec3(d: dict, key: str, path: str) -> np.ndarray:
     v = _get(d, key, path)
-    if not (isinstance(v, list) and len(v) == 3 and all(isinstance(x, (int, float)) for x in v)):
-        raise ScenarioError(f"field '{path}{key}' must be a list of 3 numbers")
+    if not (isinstance(v, list) and len(v) == 3 and all(_is_finite_number(x) for x in v)):
+        raise ScenarioError(f"field '{path}{key}' must be a list of 3 finite numbers")
     return np.asarray(v, dtype=float)
 
 
 def _gain_matrix(v, name: str) -> np.ndarray:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _is_finite_number(v):
         return float(v) * np.eye(3)
-    if isinstance(v, list) and len(v) == 3 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 3 and all(_is_finite_number(x) for x in v):
         return np.diag(np.asarray(v, dtype=float))
-    raise ScenarioError(f"field '{name}' must be a scalar or a list of 3 diagonal entries")
+    raise ScenarioError(f"field '{name}' must be a finite scalar or a list of 3 finite diagonal entries")
 
 
 def _state(d: dict, path: str) -> AircraftState:

@@ -7,18 +7,22 @@ closed-form program that enforces decay of a composite certificate
 containing the turn-rate gap, which makes the commanded turn realizable
 through rolling.
 
-The rate coefficients of the turn-rate pair ("lengthy calculation") are
-obtained by forward-mode dual numbers: the turn rate and its desired
-counterpart are differentiated against state and time, then contracted
-with the closed-loop drift; the roll-rate coefficient is read off the
-roll row.  When the command being tracked is the model-free safe
-velocity, its command derivative needs first derivatives of a filtered
-quantity inside an outer derivative; a second-order forward pass over
+The rate coefficients of the turn-rate pair are written in closed form
+over plain floats: the turn rate ``R = g sin(phi) cos(theta) / V_T`` and
+its desired counterpart ``R_d = c1 . a_d / V_T`` are differentiated
+along the closed loop at zero roll rate, and against roll for the
+roll-rate coefficient, using ``d c1 / d phi = c2`` and
+``c1_dot = -R c0``.  Each command supplies its value, its rate and the
+rate of that rate as an affine function of the velocity rate (its
+"jet").  When the command being tracked is the model-free safe
+velocity, the jet needs first derivatives of a filtered quantity inside
+an outer derivative; a second-order forward pass (``Dual2``) over
 position and time supplies those pieces exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -33,12 +37,8 @@ from .model import (
     accel_to_rates_raw,
     check_pitch,
     check_speed,
-    euler_cols,
-    f_vec,
-    g_mat,
     turn_rate_raw,
     velocity,
-    velocity_vec,
 )
 from .modelfree import ModelFreeParams, safe_velocity_terms
 
@@ -111,26 +111,42 @@ def desired_velocity(r, t: float, goal: GoalTrajectory, params: TrackingParams) 
 
 
 class TrackContext:
-    """State-side dual quantities shared by every command at one (x, t).
+    """State-side quantities shared by every command at one (x, t).
 
-    Holds the 8-direction seeds, the dual velocity and rotation columns,
-    the dual turn rate and the drift/input matrices of the dynamics.
+    Holds the sines and cosines of the Euler angles, the body-to-earth
+    rotation columns, the inertial velocity and the coordinated turn
+    rate, all as plain floats and arrays.  The columns and the velocity
+    are the formulas of :func:`~fwrta.model.euler_cols` and
+    :func:`~fwrta.model.velocity_vec`, spelled out on the sines computed
+    once here (the dual-capable versions cost several times as much on
+    floats).
     """
 
-    __slots__ = ("state", "t", "parts", "v", "cols", "R_dual", "f", "G")
+    __slots__ = (
+        "t", "r", "V_T", "g_over_V",
+        "s_ph", "c_ph", "s_th", "c_th", "t_th",
+        "c0", "c1", "c2", "v", "R",
+    )
 
     def __init__(self, state: AircraftState, t: float, g: GravityParam):
         check_pitch(state.theta)
         check_speed(state.V_T)
-        self.state = state
         self.t = t
-        self.parts = dm.seed_state_time(state.as_array(), t)
-        _, phi_d, theta_d, psi_d, V_T_d, _ = self.parts
-        self.v = velocity_vec(theta_d, psi_d, V_T_d)
-        self.cols = euler_cols(phi_d, theta_d, psi_d)
-        self.R_dual = turn_rate_raw(phi_d, theta_d, V_T_d, g.g_d)
-        self.f = f_vec(state, g)
-        self.G = g_mat(state)
+        self.r = state.r
+        V_T = state.V_T
+        s_ph, c_ph = math.sin(state.phi), math.cos(state.phi)
+        s_th, c_th = math.sin(state.theta), math.cos(state.theta)
+        s_ps, c_ps = math.sin(state.psi), math.cos(state.psi)
+        self.V_T = V_T
+        self.g_over_V = g.g_d / V_T
+        self.s_ph, self.c_ph = s_ph, c_ph
+        self.s_th, self.c_th = s_th, c_th
+        self.t_th = s_th / c_th
+        self.c0 = np.array([c_ps * c_th, s_ps * c_th, -s_th])
+        self.c1 = np.array([c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph])
+        self.c2 = np.array([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
+        self.v = np.array([V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th])
+        self.R = self.g_over_V * s_ph * c_th
 
 
 class VelocityCommand(Protocol):
@@ -140,19 +156,9 @@ class VelocityCommand(Protocol):
         """Return ``(v_c, a_c)`` as plain arrays."""
         ...
 
-    def command_dual(self, ctx: TrackContext) -> tuple:
-        """Return ``(v_c, a_c)`` as dual vectors over the 8 state/time seeds."""
+    def command_jet(self, ctx: TrackContext) -> tuple:
+        """Return ``(v_c, a_c, J, j0)``: the rate of ``a_c`` along the loop is ``J v_dot + j0``."""
         ...
-
-
-def _lift_goal(goal: GoalTrajectory, t):
-    r_g, v_g, a_g = goal.eval(float(dm.value(t)))
-    zero = np.zeros(3)
-    return (
-        dm.lift_path(r_g, v_g, a_g, t),
-        dm.lift_path(v_g, a_g, zero, t),
-        dm.lift_path(a_g, zero, zero, t),
-    )
 
 
 @dataclass(frozen=True)
@@ -162,24 +168,20 @@ class GoalCommand:
     goal: GoalTrajectory
     params: TrackingParams
 
-    def command(self, state: AircraftState, t: float):
+    def _eval(self, r, v, t: float):
         r_g, v_g, a_g = self.goal.eval(t)
-        v_c = v_g + self.params.K_r @ (r_g - state.r)
-        a_c = a_g + self.params.K_r @ (v_g - velocity(state))
-        return v_c, a_c
-
-    def command_dual(self, ctx: TrackContext):
-        r, _, _, _, _, td = ctx.parts
-        r_g, v_g, a_g = _lift_goal(self.goal, td)
         K_r = self.params.K_r
-        v_c = v_g + dm.matvec(K_r, r_g - r)
-        a_c = a_g + dm.matvec(K_r, v_g - ctx.v)
+        return v_g + K_r @ (r_g - r), a_g + K_r @ (v_g - v), a_g
+
+    def command(self, state: AircraftState, t: float):
+        v_c, a_c, _ = self._eval(state.r, velocity(state), t)
         return v_c, a_c
 
-
-_POS_TIME_TO_STATE = np.zeros((4, 8))
-_POS_TIME_TO_STATE[0, 0] = _POS_TIME_TO_STATE[1, 1] = _POS_TIME_TO_STATE[2, 2] = 1.0
-_POS_TIME_TO_STATE[3, 7] = 1.0
+    def command_jet(self, ctx: TrackContext):
+        # the goal's own acceleration rate is zero (see GoalTrajectory)
+        v_c, a_c, a_g = self._eval(ctx.r, ctx.v, ctx.t)
+        K_r = self.params.K_r
+        return v_c, a_c, -K_r, K_r @ a_g
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,10 @@ class SafeVelocityCommand:
     def _pieces(self, r, t: float):
         """Value, Jacobian and Hessian of the safe velocity over (r, t)."""
         r2, t2 = dm.seed2_pos_time(r, t)
-        r_g, v_g, _ = _lift_goal(self.goal, t2)
-        v_d = v_g + dm.matvec(self.params.K_r, r_g - r2)
+        r_g, v_g, a_g = self.goal.eval(t)
+        r_g2 = dm.lift_path(r_g, v_g, a_g, t2)
+        v_g2 = dm.lift_path(v_g, a_g, np.zeros(3), t2)
+        v_d = v_g2 + dm.matvec(self.params.K_r, r_g2 - r2)
         v_s, _, _, _, _ = safe_velocity_terms(r2, t2, v_d, self.cset, self.mf)
         return v_s.v, v_s.j, v_s.h
 
@@ -204,23 +208,21 @@ class SafeVelocityCommand:
         w = np.append(velocity(state), 1.0)
         return val, J @ w
 
-    def command_dual(self, ctx: TrackContext):
-        r, _, _, _, _, td = ctx.parts
-        val, J, H = self._pieces(r.v, float(td.v))
-        v = ctx.v
-        v_c = dm.Dual(val.copy(), J @ _POS_TIME_TO_STATE)
-        w = np.append(v.v, 1.0)
-        w_eps = np.zeros((4, 8))
-        w_eps[:3] = v.e
-        a_c_eps = np.einsum("inm,n,ms->is", H, w, _POS_TIME_TO_STATE) + J @ w_eps
-        a_c = dm.Dual(J @ w, a_c_eps)
-        return v_c, a_c
+    def command_jet(self, ctx: TrackContext):
+        # (r, t) moves along w = (v, 1); v itself moves along v_dot
+        val, Jz, H = self._pieces(ctx.r, ctx.t)
+        w = np.append(ctx.v, 1.0)
+        return val, Jz @ w, Jz[:, :3], np.einsum("inm,n,m->i", H, w, w)
+
+
+def _desired_accel(a_c, e_v, params: TrackingParams) -> np.ndarray:
+    return a_c + 0.5 * params.K_v @ e_v
 
 
 def desired_accel(state: AircraftState, t: float, cmd: VelocityCommand, params: TrackingParams) -> np.ndarray:
     """Command rate plus half the weighted velocity error."""
     v_c, a_c = cmd.command(state, t)
-    return a_c + 0.5 * params.K_v @ (v_c - velocity(state))
+    return _desired_accel(a_c, v_c - velocity(state), params)
 
 
 def accel_to_inputs(state: AircraftState, a_d):
@@ -235,11 +237,10 @@ def accel_to_inputs(state: AircraftState, a_d):
 
 def clf_V(state: AircraftState, t: float, cmd: VelocityCommand, params: TrackingParams, g: GravityParam) -> float:
     """Certificate value: velocity error energy plus scaled turn-rate gap."""
-    v_c, _ = cmd.command(state, t)
-    a_d = desired_accel(state, t, cmd, params)
-    _, _, R_d = accel_to_inputs(state, a_d)
-    R = turn_rate_raw(state.phi, state.theta, state.V_T, g.g_d)
+    v_c, a_c = cmd.command(state, t)
     e_v = v_c - velocity(state)
+    _, _, R_d = accel_to_inputs(state, _desired_accel(a_c, e_v, params))
+    R = turn_rate_raw(state.phi, state.theta, state.V_T, g.g_d)
     return 0.5 * float(e_v @ e_v) + (R - R_d) ** 2 / (2.0 * params.mu)
 
 
@@ -258,52 +259,50 @@ class TrackResult:
 
 
 def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams) -> TrackResult:
-    state = ctx.state
-    c0, c1, c2 = ctx.cols
-    V_T_d = ctx.parts[4]
-    v_c_d, a_c_d = cmd.command_dual(ctx)
-    e_v_d = v_c_d - ctx.v
-    a_d_d = a_c_d + dm.matvec(0.5 * params.K_v, e_v_d)
-    A_T_d = dm.dot(c0, a_d_d)
-    Q_d = -dm.dot(c2, a_d_d) / V_T_d
-    R_d_d = dm.dot(c1, a_d_d) / V_T_d
-    R_dual = ctx.R_dual
-
-    A_T = float(A_T_d.v)
-    Q = float(Q_d.v)
-    R_d = float(R_d_d.v)
-    R = float(R_dual.v)
-    e_v = np.asarray(e_v_d.v, dtype=float)
+    v_c, a_c, J, j0 = cmd.command_jet(ctx)
+    c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
+    V_T = ctx.V_T
+    R = ctx.R
+    K_v = params.K_v
+    e_v = v_c - ctx.v
+    a_d = _desired_accel(a_c, e_v, params)
+    A_T = float(c0 @ a_d)
+    Q = -float(c2 @ a_d) / V_T
+    R_d = float(c1 @ a_d) / V_T
     gap = R_d - R
 
     # rate coefficients: total derivative along the loop with P = 0, and
-    # the roll-row sensitivity as the P coefficient
-    xdot0 = ctx.f + ctx.G @ np.array([A_T, 0.0, Q])
-    f_R = float(R_dual.e[:7] @ xdot0) + float(R_dual.e[7])
-    g_R = float(R_dual.e[3])
-    f_Rd = float(R_d_d.e[:7] @ xdot0) + float(R_d_d.e[7])
-    g_Rd = float(R_d_d.e[3])
+    # the roll sensitivity as the P coefficient (d c1/d phi = c2, and
+    # c1_dot = -R c0 at P = 0)
+    phi_dot = ctx.t_th * (ctx.s_ph * Q + ctx.c_ph * R)
+    theta_dot = ctx.c_ph * Q - ctx.s_ph * R
+    g_R = ctx.g_over_V * ctx.c_ph * ctx.c_th
+    f_R = g_R * phi_dot - ctx.g_over_V * ctx.s_ph * ctx.s_th * theta_dot - R * A_T / V_T
+    v_dot = a_d - (V_T * gap) * c1
+    a_d_dot = _desired_accel(J @ v_dot + j0, a_c - v_dot, params)
+    f_Rd = (float(c1 @ a_d_dot) - (R + R_d) * A_T) / V_T
+    g_Rd = -Q
 
-    M_R = state.V_T * np.asarray(c1.v, dtype=float)
-    K_v = params.K_v
+    M_R = V_T * c1
     mu = params.mu
     lam = params.lam
+    e_v_sq = float(e_v @ e_v)
     a_P = (
         -0.5 * float(e_v @ (K_v @ e_v))
         + float(e_v @ M_R) * gap
         + gap * (f_Rd - f_R) / mu
-        + 0.5 * lam * (float(e_v @ e_v) + gap * gap / mu)
+        + 0.5 * lam * (e_v_sq + gap * gap / mu)
     )
     b_P = gap * (g_Rd - g_R) / mu
     P = solve_roll_qp(a_P, b_P)
-    V = 0.5 * float(e_v @ e_v) + gap * gap / (2.0 * mu)
+    V = 0.5 * e_v_sq + gap * gap / (2.0 * mu)
     return TrackResult(
         u=ControlInput(A_T, P, Q),
         V=V,
         R_d=R_d,
         residual=a_P + b_P * P,
-        v_c=np.asarray(v_c_d.v, dtype=float),
-        a_c=np.asarray(a_c_d.v, dtype=float),
+        v_c=v_c,
+        a_c=a_c,
         a_P=a_P,
         b_P=b_P,
     )
@@ -331,8 +330,8 @@ def track(
 ) -> TrackResult:
     """Full control input ``(A_T, P, Q)`` tracking the velocity command.
 
-    Pass a prebuilt :class:`TrackContext` to share the state-side dual
-    work when tracking several commands at the same ``(x, t)``.
+    Pass a prebuilt :class:`TrackContext` to share the state-side work
+    when tracking several commands at the same ``(x, t)``.
     """
     if ctx is None:
         ctx = TrackContext(state, t, g)

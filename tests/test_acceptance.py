@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_constraint_set, random_state
+from conftest import certificate_duals, random_constraint_set, random_state
 from fwrta import dual as dm
 from fwrta.constraints import compose_h_p, compose_terms, softmin
 from fwrta.export import csv_header, write_csv
@@ -25,7 +25,6 @@ from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
     SafeVelocityCommand,
-    TrackContext,
     TrackingParams,
     clf_V,
     desired_velocity,
@@ -371,13 +370,8 @@ def test_criterion_7_gradient_certification(rng):
 
         # tracking certificate over (x, t)
         cmd = GoalCommand(goal, tp)
-        ctx = TrackContext(st, t0, G)
-        v_c_d, a_c_d = cmd.command_dual(ctx)
-        e_v = v_c_d - ctx.v
-        a_d = a_c_d + dm.matvec(0.5 * tp.K_v, e_v)
-        c0, c1, c2 = ctx.cols
-        R_d = dm.dot(c1, a_d) / ctx.parts[4]
-        gap = ctx.R_dual - R_d
+        e_v, _, _, R_d, R = certificate_duals(cmd, st, t0, tp, G)
+        gap = R - R_d
         V_dual = dm.dot(e_v, e_v) * 0.5 + gap * gap * (0.5 / tp.mu)
         fdV = np.zeros(8)
         for k in range(8):

@@ -226,6 +226,33 @@ class TestCli:
         bad.write_text("{\"schema\": \"fwrta-scenario/1\"}")
         assert cli_main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override", [("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"), ("--horizon", "0.01")]
+    )
+    def test_invalid_override_exit_code(self, override, tmp_path):
+        # fig3 steps at dt = 0.01, so a 0.01 s horizon does not exceed it
+        assert cli_main(["run", "--scenario", "fig3", "--out", str(tmp_path), *override]) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("t_final",), float("inf")),
+            (("dt",), float("nan")),
+            (("initial_state", "V_T"), float("nan")),
+            (("constraints", "members", 0, "center", 0), float("nan")),
+        ],
+    )
+    def test_non_finite_number_exit_code(self, path, value, tmp_path):
+        raw = json.loads(bundled_scenario_path("fig3").read_text())
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        assert cli_main(["check", "--scenario", str(src)]) == 2
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["check", "--scenario", str(tmp_path / "nope.json")]) == 2
 

@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import certificate_duals, random_state
 from fwrta import kernels
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
-from fwrta.model import AircraftState, ControlInput, accel_matrix, velocity
+from fwrta.model import (
+    AircraftState,
+    ControlInput,
+    accel_matrix,
+    dynamics,
+    euler_cols,
+    f_vec,
+    g_mat,
+    turn_rate,
+    velocity,
+)
 from fwrta.modelfree import ModelFreeParams
 from fwrta.tracking import (
     GoalCommand,
@@ -201,8 +211,9 @@ class TestCommandRates:
             assert np.linalg.norm(a_c - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
 
     @pytest.mark.parametrize("make_cmd", [lambda: GoalCommand(EAST_GOAL, TABLE), safe_cmd])
-    def test_dual_sensitivities_match_finite_differences(self, make_cmd, rng, gravity):
-        # certifies the second-order bridge used for the safe command
+    def test_command_jet_matches_finite_differences(self, make_cmd, rng, gravity):
+        # certifies the second-order bridge used for the safe command: the
+        # jet's rate of a_c along the flown loop, J v_dot + j0
         cmd = make_cmd()
         for _ in range(8):
             st = AircraftState(
@@ -215,24 +226,49 @@ class TestCommandRates:
                 V_T=float(rng.uniform(100, 220)),
             )
             t = 1.5
-            ctx = TrackContext(st, t, gravity)
-            v_c_d, a_c_d = cmd.command_dual(ctx)
+            u = track(st, t, cmd, TABLE, gravity).u
+            _, a_c, J, j0 = cmd.command_jet(TrackContext(st, t, gravity))
+            v_dot = accel_matrix(st) @ np.array([u.A_T, u.Q, turn_rate(st, gravity)])
             h = 1e-5
             x0 = st.as_array()
-            for k in range(8):
-                if k < 7:
-                    xp, xm = x0.copy(), x0.copy()
-                    xp[k] += h
-                    xm[k] -= h
-                    vp, ap = cmd.command(AircraftState.from_array(xp), t)
-                    vm, am = cmd.command(AircraftState.from_array(xm), t)
-                else:
-                    vp, ap = cmd.command(st, t + h)
-                    vm, am = cmd.command(st, t - h)
-                fd_v = (vp - vm) / (2 * h)
-                fd_a = (ap - am) / (2 * h)
-                np.testing.assert_allclose(v_c_d.e[:, k], fd_v, rtol=1e-5, atol=1e-6)
-                np.testing.assert_allclose(a_c_d.e[:, k], fd_a, rtol=1e-4, atol=5e-5)
+            x_dot = dynamics(st, u, gravity)
+            vp, ap = cmd.command(AircraftState.from_array(x0 + h * x_dot), t + h)
+            vm, am = cmd.command(AircraftState.from_array(x0 - h * x_dot), t - h)
+            np.testing.assert_allclose(a_c, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(J @ v_dot + j0, (ap - am) / (2 * h), rtol=1e-4, atol=5e-5)
+
+
+def dual_track_oracle(cmd, st, t, g):
+    """``(u, a_P, b_P)`` with the rate coefficients read off 8-seed duals."""
+    e_v_dual, A_T_dual, Q_dual, R_d_dual, R_dual = certificate_duals(cmd, st, t, TABLE, g)
+    A_T, Q, R_d, R = A_T_dual.v, Q_dual.v, R_d_dual.v, R_dual.v
+    e_v = e_v_dual.v
+    gap = R_d - R
+    xdot0 = f_vec(st, g) + g_mat(st) @ np.array([A_T, 0.0, Q])
+    f_R = float(R_dual.e[:7] @ xdot0) + float(R_dual.e[7])
+    f_Rd = float(R_d_dual.e[:7] @ xdot0) + float(R_d_dual.e[7])
+    g_R, g_Rd = float(R_dual.e[3]), float(R_d_dual.e[3])
+    M_R = st.V_T * euler_cols(st.phi, st.theta, st.psi)[1]
+    a_P = (
+        -0.5 * float(e_v @ (TABLE.K_v @ e_v))
+        + float(e_v @ M_R) * gap
+        + gap * (f_Rd - f_R) / TABLE.mu
+        + 0.5 * TABLE.lam * (float(e_v @ e_v) + gap * gap / TABLE.mu)
+    )
+    b_P = gap * (g_Rd - g_R) / TABLE.mu
+    return np.array([A_T, solve_roll_qp(a_P, b_P), Q]), a_P, b_P
+
+
+@pytest.mark.parametrize("make_cmd", [lambda: GoalCommand(EAST_GOAL, TABLE), safe_cmd])
+def test_closed_form_track_matches_dual_oracle(make_cmd, rng, gravity):
+    cmd = make_cmd()
+    for _ in range(200):
+        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
+        t = float(rng.uniform(0.0, 10.0))
+        res = track(st, t, cmd, TABLE, gravity)
+        u, a_P, b_P = dual_track_oracle(cmd, st, t, gravity)
+        np.testing.assert_allclose(res.u.as_array(), u, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose([res.a_P, res.b_P], [a_P, b_P], rtol=1e-9, atol=0.0)
 
 
 def test_tracking_params_validation():
