@@ -76,22 +76,6 @@ def _pipeline(r, phi, theta, psi, V_T, t, cset: ConstraintSet, p: BacksteppingPa
     return h_e, a_s, R_s, R, h_b
 
 
-def safe_accel(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam) -> np.ndarray:
-    """Smoothly filtered acceleration associated with zero desired accel."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    _, a_s, _, _, _ = _pipeline(state.r, state.phi, state.theta, state.psi, state.V_T, t, cset, p, g)
-    return np.asarray(a_s, dtype=float)
-
-
-def safe_turn_rate(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam) -> float:
-    """Turn rate that realizes the safe acceleration's lateral component."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    _, _, R_s, _, _ = _pipeline(state.r, state.phi, state.theta, state.psi, state.V_T, t, cset, p, g)
-    return float(R_s)
-
-
 def h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam) -> float:
     """Penalized barrier; never exceeds the composed extension."""
     check_pitch(state.theta)

@@ -7,7 +7,6 @@ abort.  ``RTA_OUT_DIR`` supplies the default output root.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path

@@ -3,12 +3,13 @@
 Two member kinds are supported: a moving spherical obstacle (keep the
 distance to its center above a radius) and a planar geofence (stay on
 the positive side of a plane with margin).  Multiple members are merged
-into a single barrier value by a stabilized log-sum-exp smooth minimum;
-the smooth maximum is provided for union-style compositions.
+into a single barrier value by a stabilized log-sum-exp smooth minimum
+(every member must hold, so there is no union-style smooth maximum).
 
-Member values, gradients and explicit time-partials are plain formulas
-over the dual-capable helpers, so every downstream construction can be
-differentiated by evaluation.
+Each member's value, gradient and explicit time-partial come from
+:func:`member_terms`, written over the dual-capable helpers so every
+downstream construction can be differentiated by evaluation.  The
+member's rate along a velocity ``v`` is ``gradient . v + time-partial``.
 """
 
 from __future__ import annotations
@@ -128,32 +129,9 @@ def _separation(r, t, obs: MovingObstacle):
     return diff, q, v_i, a_i
 
 
-def h_collision(r, t, obs: MovingObstacle):
-    """Signed distance to the obstacle sphere."""
-    _, q, _, _ = _separation(r, t, obs)
-    return q - obs.rho
-
-
-def grad_collision(r, t, obs: MovingObstacle):
-    """Unit vector from the obstacle center toward the aircraft."""
-    diff, q, _, _ = _separation(r, t, obs)
-    return diff / q
-
-
-def hdot_collision(r, t, v, obs: MovingObstacle):
-    """Distance rate: relative velocity projected on the separation line."""
-    diff, q, v_i, _ = _separation(r, t, obs)
-    return dm.dot(diff / q, v - v_i)
-
-
 def h_geofence(r, plane: GeofencePlane):
     """Signed distance to the geofence plane, less the margin."""
     return dm.dot(plane.normal, r - plane.point) - plane.rho
-
-
-def hdot_geofence(v, plane: GeofencePlane):
-    """Approach rate toward the plane (time-invariant constraint)."""
-    return dm.dot(plane.normal, v)
 
 
 def member_terms(r, t, member: Constraint):
@@ -188,11 +166,6 @@ def softmin_weights(values, kappa: float):
 def softmin(values, kappa: float):
     """Smooth minimum of ``values`` (see :func:`softmin_weights`)."""
     return softmin_weights(values, kappa)[0]
-
-
-def softmax(values, kappa: float):
-    """Smooth maximum, over-approximating by at most ``ln(N)/kappa``."""
-    return -softmin([-v for v in values], kappa)
 
 
 def compose_terms(r, t, cset: ConstraintSet):

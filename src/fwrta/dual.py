@@ -12,7 +12,9 @@ always carries the seed axis last, so a 3-vector with ``k`` seeds stores
 ``e`` with shape ``(3, k)``.  The math helpers at module level (``sin``,
 ``dot``, ``norm``, ...) accept plain numbers, arrays, ``Dual`` and
 ``Dual2`` interchangeably, which lets the barrier/controller formulas be
-written once and differentiated by evaluation.
+written once and differentiated by evaluation.  Neither type defines
+comparisons or powers: branches compare ``value(x)`` and squares are
+written as products.
 """
 
 from __future__ import annotations
@@ -82,24 +84,8 @@ class Dual:
         q = o / self.v
         return Dual(q, self.e * _vex(-q / self.v))
 
-    def __pow__(self, n):
-        return Dual(self.v ** n, self.e * _vex(n * self.v ** (n - 1)))
-
     def __neg__(self):
         return Dual(-self.v, -self.e)
-
-    # comparisons act on values only; used for branch selection
-    def __lt__(self, o):
-        return self.v < value(o)
-
-    def __le__(self, o):
-        return self.v <= value(o)
-
-    def __gt__(self, o):
-        return self.v > value(o)
-
-    def __ge__(self, o):
-        return self.v >= value(o)
 
 
 class Dual2:
@@ -166,25 +152,8 @@ class Dual2:
     def __rtruediv__(self, o):
         return self._inv() * o
 
-    def __pow__(self, n):
-        d1 = n * self.v ** (n - 1)
-        d2 = n * (n - 1) * self.v ** (n - 2)
-        return _chain2(self, self.v ** n, d1, d2)
-
     def __neg__(self):
         return Dual2(-self.v, -self.j, -self.h)
-
-    def __lt__(self, o):
-        return self.v < value(o)
-
-    def __le__(self, o):
-        return self.v <= value(o)
-
-    def __gt__(self, o):
-        return self.v > value(o)
-
-    def __ge__(self, o):
-        return self.v >= value(o)
 
 
 def _chain2(x, v, d1, d2):
@@ -221,12 +190,6 @@ def cos(x):
         c = _np_or_math(x.v, np.cos, math.cos)
         return _chain2(x, c, -s, -c)
     return _np_or_math(x, np.cos, math.cos)
-
-
-def tan(x):
-    if isinstance(x, (Dual, Dual2)):
-        return sin(x) / cos(x)
-    return _np_or_math(x, np.tan, math.tan)
 
 
 def exp(x):

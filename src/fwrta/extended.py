@@ -5,7 +5,10 @@ the barrier rate sees the acceleration channel; the composed extension
 drives the closed-form filter over ``(A_T, Q)``.  Roll rate ``P`` never
 enters: the extension depends on the velocity states only, so the input
 row carries a structural zero in the ``P`` slot and the filtered ``P``
-equals the desired one bit for bit.
+equals the desired one bit for bit.  The rate of the extension is
+assembled from the plain-float frame of :class:`~fwrta.model.TrackContext`
+(velocity, rotation columns and turn rate), the one the tracking
+controller reads.
 """
 
 from __future__ import annotations
@@ -17,16 +20,7 @@ import numpy as np
 from . import dual as dm
 from .constraints import ConstraintSet, GeofencePlane, _separation, softmin_weights
 from .filters import ClassKappaLinear, FilterResult, WeightFactor, apply_filter
-from .model import (
-    AircraftState,
-    ControlInput,
-    GravityParam,
-    check_pitch,
-    check_speed,
-    euler_cols,
-    turn_rate_raw,
-    velocity_vec,
-)
+from .model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
 @dataclass(frozen=True)
@@ -78,12 +72,6 @@ def member_extended_terms(r, v, t, member, gamma_p: float):
     return h, grad_r, n * inv_g, dt
 
 
-def h_e_member(r, v, t, member, gamma_p: float):
-    """Extended barrier value of a single member."""
-    h, _, _, _ = member_extended_terms(r, v, t, member, gamma_p)
-    return h
-
-
 def compose_extended_terms(r, v, t, cset: ConstraintSet, gamma_p: float):
     """Generic composed extension: (value, d/dr, d/dv, d/dt, per, weights)."""
     per = []
@@ -125,23 +113,18 @@ def h_e_composed(r, v, t, cset: ConstraintSet, params: ExtendedParams) -> Extend
 
 
 def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, params: ExtendedParams, g: GravityParam):
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    v = velocity_vec(state.theta, state.psi, state.V_T)
-    h, gr, gv, dt, _, _ = compose_extended_terms(state.r, v, t, cset, params.gamma_p)
-    c0, c1, c2 = euler_cols(state.phi, state.theta, state.psi)
-    R = turn_rate_raw(state.phi, state.theta, state.V_T, g.g_d)
-    V = state.V_T
+    """Composed extension ``h`` and its rate as ``drift + row . u``.
+
+    The ``P`` entry of ``row`` is a structural zero.
+    """
+    ctx = TrackContext(state, t, g)
+    v = ctx.v
+    h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, v, t, cset, params.gamma_p)
+    V = ctx.V_T
     # acceleration map columns: A_T -> c0, Q -> -V c2, and the drift R -> V c1
-    drift = float(dm.dot(gr, v) + dt + dm.dot(gv, c1) * (V * R))
-    row = np.array([float(dm.dot(gv, c0)), 0.0, float(-V * dm.dot(gv, c2))])
+    drift = float(dm.dot(gr, v) + dt + dm.dot(gv, ctx.c1) * (V * ctx.R))
+    row = np.array([float(dm.dot(gv, ctx.c0)), 0.0, float(-V * dm.dot(gv, ctx.c2))])
     return h, drift, row
-
-
-def hdot_e_affine(state: AircraftState, t: float, cset: ConstraintSet, params: ExtendedParams, g: GravityParam):
-    """Barrier rate as ``drift + row . u``; the ``P`` entry of ``row`` is 0."""
-    _, drift, row = _affine_terms(state, t, cset, params, g)
-    return drift, row
 
 
 @dataclass

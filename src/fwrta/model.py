@@ -10,9 +10,11 @@ input.
 The map from ``(A_T, Q, R)`` to inertial acceleration factors as
 ``M_a = R_eb(phi, theta, psi) @ C(V_T)`` with
 ``C = [[1, 0, 0], [0, 0, V_T], [0, -V_T, 0]]``, which gives closed-form
-columns, inverse and determinant (``det M_a = V_T^2``).  All core
-formulas are written over the generic dual-capable helpers so they can
-be differentiated by evaluation.
+columns and determinant (``det M_a = V_T^2``); its inverse has the rows
+``c0``, ``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns.  The
+core formulas are written over the generic dual-capable helpers so they
+can be differentiated by evaluation; :class:`TrackContext` spells the
+same formulas out once per step on plain floats.
 """
 
 from __future__ import annotations
@@ -149,6 +151,45 @@ def euler_cols(phi, theta, psi):
     return c0, c1, c2
 
 
+class TrackContext:
+    """Plain-float frame of one ``(x, t)``, shared by the per-step formulas.
+
+    Holds the sines and cosines of the Euler angles, the body-to-earth
+    rotation columns, the inertial velocity and the coordinated turn
+    rate.  The columns, the velocity and the turn rate are the formulas
+    of :func:`euler_cols`, :func:`velocity_vec` and :func:`turn_rate_raw`,
+    spelled out on sines computed once here (the dual-capable versions
+    cost several times as much on floats); the results are the same bit
+    for bit.
+    """
+
+    __slots__ = (
+        "t", "r", "V_T", "g_over_V",
+        "s_ph", "c_ph", "s_th", "c_th", "t_th",
+        "c0", "c1", "c2", "v", "R",
+    )
+
+    def __init__(self, state: AircraftState, t: float, g: GravityParam):
+        check_pitch(state.theta)
+        check_speed(state.V_T)
+        self.t = t
+        self.r = state.r
+        V_T = state.V_T
+        s_ph, c_ph = math.sin(state.phi), math.cos(state.phi)
+        s_th, c_th = math.sin(state.theta), math.cos(state.theta)
+        s_ps, c_ps = math.sin(state.psi), math.cos(state.psi)
+        self.V_T = V_T
+        self.g_over_V = g.g_d / V_T
+        self.s_ph, self.c_ph = s_ph, c_ph
+        self.s_th, self.c_th = s_th, c_th
+        self.t_th = s_th / c_th
+        self.c0 = np.array([c_ps * c_th, s_ps * c_th, -s_th])
+        self.c1 = np.array([c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph])
+        self.c2 = np.array([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
+        self.v = np.array([V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th])
+        self.R = self.g_over_V * s_ph * c_th
+
+
 def accel_matrix(state: AircraftState) -> np.ndarray:
     """3x3 map from (A_T, Q, R) to inertial acceleration."""
     check_pitch(state.theta)
@@ -156,36 +197,6 @@ def accel_matrix(state: AircraftState) -> np.ndarray:
     c0, c1, c2 = euler_cols(state.phi, state.theta, state.psi)
     V = state.V_T
     return np.column_stack([c0, -V * c2, V * c1])
-
-
-def accel_matrix_inverse(state: AircraftState) -> np.ndarray:
-    """Closed-form inverse of the acceleration map."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    c0, c1, c2 = euler_cols(state.phi, state.theta, state.psi)
-    V = state.V_T
-    return np.vstack([c0, -c2 / V, c1 / V])
-
-
-def w_r_row_raw(phi, theta, psi, V_T):
-    _, c1, _ = euler_cols(phi, theta, psi)
-    return c1 * (1.0 / V_T)
-
-
-def w_R_row(state: AircraftState) -> np.ndarray:
-    """Third row of the inverse acceleration map (turn-rate extractor)."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    return w_r_row_raw(state.phi, state.theta, state.psi, state.V_T)
-
-
-def accel_to_rates_raw(phi, theta, psi, V_T, a):
-    """Solve ``M_a (A_T, Q, R) = a`` in closed form (dual-capable)."""
-    c0, c1, c2 = euler_cols(phi, theta, psi)
-    A_T = dm.dot(c0, a)
-    Q = -dm.dot(c2, a) / V_T
-    R = dm.dot(c1, a) / V_T
-    return A_T, Q, R
 
 
 def f_vec(state: AircraftState, g: GravityParam) -> np.ndarray:

@@ -50,22 +50,13 @@ class SafeVelocityResult:
     infeasible: bool
 
 
-def velocity_weights(v_d, Gamma_v: float) -> np.ndarray:
-    """Velocity-deviation weight ``W_v = P_v + (I - P_v)/sqrt(Gamma_v)``.
-
-    ``P_v`` projects onto the desired velocity direction; eigenvalues
-    are ``1`` along it and ``1/sqrt(Gamma_v)`` across it.
-    """
-    v_d = np.asarray(v_d, dtype=float)
-    n2 = float(v_d @ v_d)
-    if math.sqrt(n2) < ZERO_VELOCITY_TOL:
-        raise ZeroDesiredVelocity("desired velocity too small for the direction projector")
-    P = np.outer(v_d, v_d) / n2
-    return P + (np.eye(3) - P) / math.sqrt(Gamma_v)
-
-
 def _wv_apply(v_d, Gamma_v: float, z):
-    """Apply the (symmetric) velocity weight to ``z`` without a matrix."""
+    """Apply the velocity-deviation weight ``W_v`` to ``z`` without a matrix.
+
+    ``W_v = P_v + (I - P_v)/sqrt(Gamma_v)``, where ``P_v`` projects onto
+    the desired velocity direction: it is symmetric, with eigenvalue ``1``
+    along ``v_d`` and ``1/sqrt(Gamma_v)`` across it.
+    """
     inv_s = 1.0 / math.sqrt(Gamma_v)
     proj = dm.dot(v_d, z) / dm.dot(v_d, v_d)
     return z * inv_s + v_d * (proj * (1.0 - inv_s))

@@ -23,10 +23,11 @@ from .extended import ExtendedParams, h_e_composed
 from .filters import ClassKappaLinear, WeightFactor
 from .model import AircraftState, GravityParam, check_pitch, check_speed, velocity
 from .modelfree import ModelFreeParams, h_V
-from .tracking import GoalTrajectory, SafeVelocityCommand, TrackingParams, clf_V
+from .tracking import GoalTrajectory, SafeVelocityCommand, TrackingParams, track
 
 SCHEMA_ID = "fwrta-scenario/1"
 MODES = ("off", "extended", "backstepping", "modelfree")
+MAX_STEPS = 1_000_000  # control steps per run, t_final / dt
 
 CHECK_KEYS = (
     "min_h_p",
@@ -142,10 +143,15 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         raise ScenarioError("field 'dt' must be positive")
     if t_final <= dt:
         raise ScenarioError("field 't_final' must exceed 'dt'")
+    if t_final / dt > MAX_STEPS:
+        raise ScenarioError(f"fields 't_final' / 'dt' give more than {MAX_STEPS} steps")
     mode = _get(raw, "rta_mode", "")
     if mode not in MODES:
         raise ScenarioError(f"field 'rta_mode' must be one of {MODES}")
-    gravity = GravityParam(_num(raw, "gravity", "") if "gravity" in raw else 9.81)
+    try:
+        gravity = GravityParam(_num(raw, "gravity", "") if "gravity" in raw else 9.81)
+    except ValueError as exc:
+        raise ScenarioError(f"field 'gravity': {exc}") from exc
 
     x0 = _state(_get(raw, "initial_state", ""), "initial_state.")
 
@@ -288,7 +294,10 @@ def _validate_initial_barriers(scn: Scenario) -> None:
             raise ScenarioError(f"initial state violates the penalized barrier: h_b(0) = {hb:.6g}")
     if scn.mode == "modelfree":
         cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
-        V0 = clf_V(scn.x0, 0.0, cmd, scn.tracking, scn.gravity)
+        try:
+            V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity).V
+        except (FwrtaError, ValueError) as exc:
+            raise ScenarioError(f"initial tracking certificate cannot be evaluated: {exc}") from exc
         hv = h_V(V0, h_p0, scn.mf, scn.tracking.lam)
         if hv < 0.0:
             raise ScenarioError(f"initial state violates the monitor barrier: h_V(0) = {hv:.6g}")

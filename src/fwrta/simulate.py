@@ -19,10 +19,10 @@ from .backstepping import rta_backstepping
 from .constraints import compose_h_p
 from .errors import FwrtaError
 from .extended import rta_extended
-from .model import AircraftState
+from .model import AircraftState, TrackContext
 from .modelfree import h_V, safe_velocity_from_terms
 from .scenario import Scenario
-from .tracking import GoalCommand, SafeVelocityCommand, TrackContext, desired_velocity, track
+from .tracking import GoalCommand, SafeVelocityCommand, desired_velocity, track
 
 
 @dataclass

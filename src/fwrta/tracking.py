@@ -1,11 +1,14 @@
 """Velocity-tracking flight controller via backstepping.
 
 A desired acceleration drives the velocity error down exponentially; it
-is converted through the inverse acceleration map into ``(A_T, Q)`` and
-a desired turn rate.  The roll rate is then synthesized from a scalar
-closed-form program that enforces decay of a composite certificate
-containing the turn-rate gap, which makes the commanded turn realizable
-through rolling.
+is converted through the inverse acceleration map (the rows ``c0``,
+``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns held by
+:class:`~fwrta.model.TrackContext`) into ``(A_T, Q)`` and a desired
+turn rate.  The roll rate is then synthesized from a scalar closed-form
+program that enforces decay of a composite certificate containing the
+turn-rate gap, which makes the commanded turn realizable through
+rolling; :func:`track` returns that certificate's value ``V`` with the
+input.
 
 The rate coefficients of the turn-rate pair are written in closed form
 over plain floats: the turn rate ``R = g sin(phi) cos(theta) / V_T`` and
@@ -14,7 +17,7 @@ along the closed loop at zero roll rate, and against roll for the
 roll-rate coefficient, using ``d c1 / d phi = c2`` and
 ``c1_dot = -R c0``.  Each command supplies its value, its rate and the
 rate of that rate as an affine function of the velocity rate (its
-"jet").  When the command being tracked is the model-free safe
+"jet", the only interface of :class:`VelocityCommand`).  When the command being tracked is the model-free safe
 velocity, the jet needs first derivatives of a filtered quantity inside
 an outer derivative; a second-order forward pass (``Dual2``) over
 position and time supplies those pieces exactly.
@@ -22,7 +25,6 @@ position and time supplies those pieces exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -30,16 +32,7 @@ import numpy as np
 
 from . import dual as dm
 from .constraints import ConstraintSet
-from .model import (
-    AircraftState,
-    ControlInput,
-    GravityParam,
-    accel_to_rates_raw,
-    check_pitch,
-    check_speed,
-    turn_rate_raw,
-    velocity,
-)
+from .model import AircraftState, ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, safe_velocity_terms
 
 
@@ -110,51 +103,13 @@ def desired_velocity(r, t: float, goal: GoalTrajectory, params: TrackingParams) 
     return v_g + params.K_r @ (r_g - np.asarray(r, dtype=float))
 
 
-class TrackContext:
-    """State-side quantities shared by every command at one (x, t).
-
-    Holds the sines and cosines of the Euler angles, the body-to-earth
-    rotation columns, the inertial velocity and the coordinated turn
-    rate, all as plain floats and arrays.  The columns and the velocity
-    are the formulas of :func:`~fwrta.model.euler_cols` and
-    :func:`~fwrta.model.velocity_vec`, spelled out on the sines computed
-    once here (the dual-capable versions cost several times as much on
-    floats).
-    """
-
-    __slots__ = (
-        "t", "r", "V_T", "g_over_V",
-        "s_ph", "c_ph", "s_th", "c_th", "t_th",
-        "c0", "c1", "c2", "v", "R",
-    )
-
-    def __init__(self, state: AircraftState, t: float, g: GravityParam):
-        check_pitch(state.theta)
-        check_speed(state.V_T)
-        self.t = t
-        self.r = state.r
-        V_T = state.V_T
-        s_ph, c_ph = math.sin(state.phi), math.cos(state.phi)
-        s_th, c_th = math.sin(state.theta), math.cos(state.theta)
-        s_ps, c_ps = math.sin(state.psi), math.cos(state.psi)
-        self.V_T = V_T
-        self.g_over_V = g.g_d / V_T
-        self.s_ph, self.c_ph = s_ph, c_ph
-        self.s_th, self.c_th = s_th, c_th
-        self.t_th = s_th / c_th
-        self.c0 = np.array([c_ps * c_th, s_ps * c_th, -s_th])
-        self.c1 = np.array([c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph])
-        self.c2 = np.array([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
-        self.v = np.array([V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th])
-        self.R = self.g_over_V * s_ph * c_th
-
-
 class VelocityCommand(Protocol):
-    """Velocity command ``v_c(r, t)`` with its closed-loop rate ``a_c(x, t)``."""
+    """Velocity command ``v_c(r, t)`` with its closed-loop rate ``a_c(x, t)``.
 
-    def command(self, state: AircraftState, t: float) -> tuple:
-        """Return ``(v_c, a_c)`` as plain arrays."""
-        ...
+    ``command_jet`` is the only interface: the command's value and rate
+    at the context's ``(x, t)``, and the rate of that rate as an affine
+    function of the velocity rate.
+    """
 
     def command_jet(self, ctx: TrackContext) -> tuple:
         """Return ``(v_c, a_c, J, j0)``: the rate of ``a_c`` along the loop is ``J v_dot + j0``."""
@@ -168,19 +123,12 @@ class GoalCommand:
     goal: GoalTrajectory
     params: TrackingParams
 
-    def _eval(self, r, v, t: float):
-        r_g, v_g, a_g = self.goal.eval(t)
-        K_r = self.params.K_r
-        return v_g + K_r @ (r_g - r), a_g + K_r @ (v_g - v), a_g
-
-    def command(self, state: AircraftState, t: float):
-        v_c, a_c, _ = self._eval(state.r, velocity(state), t)
-        return v_c, a_c
-
     def command_jet(self, ctx: TrackContext):
         # the goal's own acceleration rate is zero (see GoalTrajectory)
-        v_c, a_c, a_g = self._eval(ctx.r, ctx.v, ctx.t)
+        r_g, v_g, a_g = self.goal.eval(ctx.t)
         K_r = self.params.K_r
+        v_c = v_g + K_r @ (r_g - ctx.r)
+        a_c = a_g + K_r @ (v_g - ctx.v)
         return v_c, a_c, -K_r, K_r @ a_g
 
 
@@ -203,45 +151,11 @@ class SafeVelocityCommand:
         v_s, _, _, _, _ = safe_velocity_terms(r2, t2, v_d, self.cset, self.mf)
         return v_s.v, v_s.j, v_s.h
 
-    def command(self, state: AircraftState, t: float):
-        val, J, _ = self._pieces(state.r, t)
-        w = np.append(velocity(state), 1.0)
-        return val, J @ w
-
     def command_jet(self, ctx: TrackContext):
         # (r, t) moves along w = (v, 1); v itself moves along v_dot
         val, Jz, H = self._pieces(ctx.r, ctx.t)
         w = np.append(ctx.v, 1.0)
         return val, Jz @ w, Jz[:, :3], np.einsum("inm,n,m->i", H, w, w)
-
-
-def _desired_accel(a_c, e_v, params: TrackingParams) -> np.ndarray:
-    return a_c + 0.5 * params.K_v @ e_v
-
-
-def desired_accel(state: AircraftState, t: float, cmd: VelocityCommand, params: TrackingParams) -> np.ndarray:
-    """Command rate plus half the weighted velocity error."""
-    v_c, a_c = cmd.command(state, t)
-    return _desired_accel(a_c, v_c - velocity(state), params)
-
-
-def accel_to_inputs(state: AircraftState, a_d):
-    """Closed-form ``(A_T, Q, R_d)`` realizing a desired acceleration."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    A_T, Q, R_d = accel_to_rates_raw(
-        state.phi, state.theta, state.psi, state.V_T, np.asarray(a_d, dtype=float)
-    )
-    return float(A_T), float(Q), float(R_d)
-
-
-def clf_V(state: AircraftState, t: float, cmd: VelocityCommand, params: TrackingParams, g: GravityParam) -> float:
-    """Certificate value: velocity error energy plus scaled turn-rate gap."""
-    v_c, a_c = cmd.command(state, t)
-    e_v = v_c - velocity(state)
-    _, _, R_d = accel_to_inputs(state, _desired_accel(a_c, e_v, params))
-    R = turn_rate_raw(state.phi, state.theta, state.V_T, g.g_d)
-    return 0.5 * float(e_v @ e_v) + (R - R_d) ** 2 / (2.0 * params.mu)
 
 
 @dataclass
@@ -265,7 +179,7 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     R = ctx.R
     K_v = params.K_v
     e_v = v_c - ctx.v
-    a_d = _desired_accel(a_c, e_v, params)
+    a_d = a_c + 0.5 * K_v @ e_v
     A_T = float(c0 @ a_d)
     Q = -float(c2 @ a_d) / V_T
     R_d = float(c1 @ a_d) / V_T
@@ -279,7 +193,7 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     g_R = ctx.g_over_V * ctx.c_ph * ctx.c_th
     f_R = g_R * phi_dot - ctx.g_over_V * ctx.s_ph * ctx.s_th * theta_dot - R * A_T / V_T
     v_dot = a_d - (V_T * gap) * c1
-    a_d_dot = _desired_accel(J @ v_dot + j0, a_c - v_dot, params)
+    a_d_dot = (J @ v_dot + j0) + 0.5 * K_v @ (a_c - v_dot)
     f_Rd = (float(c1 @ a_d_dot) - (R + R_d) * A_T) / V_T
     g_Rd = -Q
 
@@ -306,11 +220,6 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
         a_P=a_P,
         b_P=b_P,
     )
-
-
-def roll_rate(state: AircraftState, t: float, cmd: VelocityCommand, params: TrackingParams, g: GravityParam) -> float:
-    """Roll rate from the scalar closed-form decay program."""
-    return track(state, t, cmd, params, g).u.P
 
 
 def solve_roll_qp(a_P: float, b_P: float) -> float:

@@ -26,9 +26,9 @@ from fwrta.tracking import (
     GoalTrajectory,
     SafeVelocityCommand,
     TrackingParams,
-    clf_V,
     desired_velocity,
     solve_roll_qp,
+    track,
 )
 
 TOL_BARRIER = 1e-3
@@ -380,11 +380,11 @@ def test_criterion_7_gradient_certification(rng):
                 xp[k] += h_fd
                 xm[k] -= h_fd
                 fdV[k] = (
-                    clf_V(AircraftState.from_array(xp), t0, cmd, tp, G)
-                    - clf_V(AircraftState.from_array(xm), t0, cmd, tp, G)
+                    track(AircraftState.from_array(xp), t0, cmd, tp, G).V
+                    - track(AircraftState.from_array(xm), t0, cmd, tp, G).V
                 ) / (2 * h_fd)
             else:
-                fdV[k] = (clf_V(st, t0 + h_fd, cmd, tp, G) - clf_V(st, t0 - h_fd, cmd, tp, G)) / (2 * h_fd)
+                fdV[k] = (track(st, t0 + h_fd, cmd, tp, G).V - track(st, t0 - h_fd, cmd, tp, G).V) / (2 * h_fd)
         worst["V"] = max(worst["V"], _rel_err(V_dual.e, fdV, floor=1.0))
 
     ok = all(v <= 1e-5 for v in worst.values())
@@ -393,17 +393,21 @@ def test_criterion_7_gradient_certification(rng):
     assert ok
 
 
+def _clf_series(scn, log, cmd):
+    return np.array(
+        [
+            track(AircraftState.from_array(log.x[i]), log.t[i], cmd, scn.tracking, scn.gravity).V
+            for i in range(len(log.t))
+        ]
+    )
+
+
 def test_criterion_8_tracking_exponential_stability():
     scn = load_scenario("step_offset")
     log = integrate(scn)
     assert log.abort is None
     cmd = GoalCommand(scn.goal, scn.tracking)
-    V = np.array(
-        [
-            clf_V(AircraftState.from_array(log.x[i]), log.t[i], cmd, scn.tracking, scn.gravity)
-            for i in range(len(log.t))
-        ]
-    )
+    V = _clf_series(scn, log, cmd)
     lam = scn.tracking.lam
     resid = (V[1:] - V[:-1]) / scn.dt + lam * V[:-1]
     bound = 1e-3 * np.maximum(1.0, V[:-1])
@@ -454,15 +458,6 @@ def test_invariant_modelfree_proof_chain(fig6_run):
     hv = log.h_mode
     resid = (hv[1:] - hv[:-1]) / scn.dt + scn.mf.gamma_p * hv[:-1]
     assert float(resid.min()) >= -1e-4
-
-
-def _clf_series(scn, log, cmd):
-    return np.array(
-        [
-            clf_V(AircraftState.from_array(log.x[i]), log.t[i], cmd, scn.tracking, scn.gravity)
-            for i in range(len(log.t))
-        ]
-    )
 
 
 def test_invariant_clf_decrease_when_tracking(fig3_run, fig4_run, fig5_run, fig6_run):

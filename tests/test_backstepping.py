@@ -7,16 +7,15 @@ from conftest import random_constraint_set, random_state
 from fwrta import dual as dm
 from fwrta.backstepping import (
     BacksteppingParams,
+    _pipeline,
     grad_h_b,
     h_b,
     rta_backstepping,
-    safe_accel,
-    safe_turn_rate,
 )
 from fwrta.constraints import ConstraintSet, GeofencePlane
 from fwrta.extended import compose_extended_terms, h_e_composed
 from fwrta.filters import ClassKappaLinear, WeightFactor
-from fwrta.model import AircraftState, ControlInput, velocity, w_R_row
+from fwrta.model import AircraftState, ControlInput, TrackContext, velocity
 
 
 def table_params(mu_e=1e-4):
@@ -29,6 +28,18 @@ def table_params(mu_e=1e-4):
         alpha=ClassKappaLinear(0.1),
         W=WeightFactor.diagonal([6.0, 0.6, 0.1]),
     )
+
+
+def safe_pieces(st, t, cset, p, g):
+    """``(a_s, R_s)``: the safe acceleration and turn rate of the barrier chain."""
+    _, a_s, R_s, _, _ = _pipeline(st.r, st.phi, st.theta, st.psi, st.V_T, t, cset, p, g)
+    return a_s, R_s
+
+
+def turn_row(st, g):
+    """Turn-rate row ``c1 / V_T`` of the inverse acceleration map."""
+    ctx = TrackContext(st, 0.0, g)
+    return ctx.c1 / ctx.V_T
 
 
 def extended_view(p):
@@ -49,7 +60,7 @@ class TestSafeAccel:
     def test_zero_when_gradient_cancels(self, gravity):
         cset = canceling_planes()
         st = AircraftState(0.0, 0.0, 0.0, 0.2, 0.0, math.pi / 2, 150.0)
-        a_s = safe_accel(st, 0.0, cset, table_params(), gravity)
+        a_s, _ = safe_pieces(st, 0.0, cset, table_params(), gravity)
         np.testing.assert_array_equal(a_s, np.zeros(3))
 
     def test_exponentially_small_far_away(self, rng, gravity):
@@ -65,7 +76,7 @@ class TestSafeAccel:
             b_norm = np.linalg.norm(b_e)
             if a_e <= 5.0 * b_norm or b_norm == 0.0:
                 continue
-            a_s = safe_accel(st, 0.0, cset, p, gravity)
+            a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
             bound = math.exp(-p.nu_e * a_e / b_norm) / p.nu_e * np.linalg.norm(p.W_e.W @ b_e) / b_norm
             assert np.linalg.norm(a_s) <= bound * (1 + 1e-9)
 
@@ -78,7 +89,7 @@ class TestSafeAccel:
             out = h_e_composed(st.r, velocity(st), 0.0, cset, pe)
             v = velocity(st)
             a_e = float(out.grad_r @ v) + out.dt_partial + p.alpha_e(out.value)
-            a_s = safe_accel(st, 0.0, cset, p, gravity)
+            a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
             achieved = a_e + float(out.grad_v @ a_s)
             assert achieved >= -1e-9 * max(1.0, abs(a_e))
 
@@ -86,16 +97,15 @@ class TestSafeAccel:
 class TestSafeTurnRate:
     def test_zero_for_zero_accel(self, gravity):
         st = AircraftState(0.0, 0.0, 0.0, 0.1, 0.05, math.pi / 2, 150.0)
-        assert safe_turn_rate(st, 0.0, canceling_planes(), table_params(), gravity) == 0.0
+        assert safe_pieces(st, 0.0, canceling_planes(), table_params(), gravity)[1] == 0.0
 
     def test_is_projection_of_safe_accel(self, rng, gravity):
         p = table_params()
         for _ in range(100):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            a_s = safe_accel(st, 0.0, cset, p, gravity)
-            R_s = safe_turn_rate(st, 0.0, cset, p, gravity)
-            assert R_s == pytest.approx(float(w_R_row(st) @ a_s), rel=1e-12, abs=1e-14)
+            a_s, R_s = safe_pieces(st, 0.0, cset, p, gravity)
+            assert R_s == pytest.approx(float(turn_row(st, gravity) @ a_s), rel=1e-12, abs=1e-14)
 
     def test_level_flight_lateral_component(self, gravity):
         # east flight: safe east-axis acceleration maps through the
@@ -103,7 +113,7 @@ class TestSafeTurnRate:
         p = table_params()
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 120.0)
         a = np.array([0.0, 7.3, 0.0])
-        assert float(w_R_row(st) @ a) == pytest.approx(7.3 / 120.0, rel=1e-14)
+        assert float(turn_row(st, gravity) @ a) == pytest.approx(7.3 / 120.0, rel=1e-14)
 
     def test_continuity_across_activation(self, gravity):
         # sweep the approach speed through the filter activation boundary:
@@ -114,7 +124,7 @@ class TestSafeTurnRate:
         grid = np.linspace(60.0, 280.0, 400)
         vals = np.array(
             [
-                safe_turn_rate(AircraftState(0.0, 0.0, 0.0, 0.1, 0.0, math.pi / 2, float(V)), 0.0, cset, p, gravity)
+                safe_pieces(AircraftState(0.0, 0.0, 0.0, 0.1, 0.0, math.pi / 2, float(V)), 0.0, cset, p, gravity)[1]
                 for V in grid
             ]
         )

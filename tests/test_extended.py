@@ -5,13 +5,13 @@ import pytest
 
 from conftest import random_constraint_set, random_state
 from fwrta import dual as dm
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_terms
 from fwrta.extended import (
     ExtendedParams,
+    _affine_terms,
     compose_extended_terms,
     h_e_composed,
-    h_e_member,
-    hdot_e_affine,
+    member_extended_terms,
     rta_extended,
 )
 from fwrta.filters import ClassKappaLinear, WeightFactor
@@ -20,6 +20,10 @@ from fwrta import kernels
 
 TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
 TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
+
+
+def extended_value(r, v, t, member, gamma_p):
+    return member_extended_terms(r, v, t, member, gamma_p)[0]
 
 
 def table_params():
@@ -32,25 +36,21 @@ class TestMember:
         v = rng.normal(size=3)
         v -= n * (n @ v)
         r = rng.uniform(-100, 100, size=3)
-        from fwrta.constraints import h_geofence
-
-        assert h_e_member(r, v, 0.0, TABLE_PLANE_2, 0.1) == pytest.approx(
+        assert extended_value(r, v, 0.0, TABLE_PLANE_2, 0.1) == pytest.approx(
             h_geofence(r, TABLE_PLANE_2), abs=1e-10
         )
 
     def test_collision_zero_relative_velocity(self):
         v_i = np.array([121.92, 161.32, 0.0])
-        from fwrta.constraints import h_collision
-
         r = np.array([100.0, 50.0, -20.0])
-        assert h_e_member(r, v_i, 0.0, TABLE_OBSTACLE, 0.1) == pytest.approx(
-            h_collision(r, 0.0, TABLE_OBSTACLE), abs=1e-10
+        assert extended_value(r, v_i, 0.0, TABLE_OBSTACLE, 0.1) == pytest.approx(
+            member_terms(r, 0.0, TABLE_OBSTACLE)[0], abs=1e-10
         )
 
     def test_table_plane_arithmetic(self):
         v = np.array([0.0, 161.32, 0.0])
         expected = (11901.0 / math.sqrt(17.0) - 15.0) + 10.0 * (-161.32 / math.sqrt(17.0))
-        got = h_e_member(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
+        got = extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
         assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -60,7 +60,7 @@ class TestComposed:
         p = table_params()
         v = np.array([10.0, -5.0, 2.0])
         out = h_e_composed(np.zeros(3), v, 0.0, cset, p)
-        assert out.value == h_e_member(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
+        assert out.value == extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
         np.testing.assert_allclose(out.grad_v, TABLE_PLANE_2.normal / 0.1, atol=1e-15)
         assert out.weights == [1.0]
 
@@ -102,7 +102,7 @@ class TestAffine:
         for _ in range(100):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            _, row = hdot_e_affine(st, 0.5, cset, p, gravity)
+            _, _, row = _affine_terms(st, 0.5, cset, p, gravity)
             assert row[1] == 0.0
 
     def test_rate_matches_trajectory_finite_difference(self, rng, gravity):
@@ -112,7 +112,7 @@ class TestAffine:
             cset = random_constraint_set(rng, st.r)
             u = rng.uniform(-2, 2, size=3)
             t0 = float(rng.uniform(0, 5))
-            drift, row = hdot_e_affine(st, t0, cset, p, gravity)
+            _, drift, row = _affine_terms(st, t0, cset, p, gravity)
             rate = drift + row @ u
 
             def h_at(x_arr, t):
@@ -140,7 +140,7 @@ class TestAffine:
                 V_T=float(rng.uniform(80, 250)),
             )
             cset = random_constraint_set(rng, st.r)
-            _, row = hdot_e_affine(st, 0.0, cset, p, gravity)
+            _, _, row = _affine_terms(st, 0.0, cset, p, gravity)
             out = h_e_composed(st.r, velocity(st), 0.0, cset, p)
             v_hat = velocity(st) / st.V_T
             assert row[0] == pytest.approx(float(out.grad_v @ v_hat), rel=1e-10, abs=1e-12)

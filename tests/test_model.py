@@ -10,15 +10,23 @@ from fwrta.model import (
     AircraftState,
     ControlInput,
     GravityParam,
+    TrackContext,
     accel_matrix,
-    accel_matrix_inverse,
     dynamics,
+    euler_cols,
     f_vec,
     g_mat,
     turn_rate,
+    turn_rate_raw,
     velocity,
-    w_R_row,
+    velocity_vec,
 )
+
+
+def inverse_rows(st):
+    """Rows ``(c0, -c2/V_T, c1/V_T)`` of the inverse acceleration map, from the context."""
+    ctx = TrackContext(st, 0.0, GravityParam())
+    return np.vstack([ctx.c0, -ctx.c2 / ctx.V_T, ctx.c1 / ctx.V_T])
 
 
 def spelled_out_rhs(x, u, g_d):
@@ -168,15 +176,15 @@ class TestAccelInverse:
     def test_level_flight_rows(self):
         V = 80.0
         st = AircraftState(0, 0, 0, 0, 0, 0, V)
-        Mi = accel_matrix_inverse(st)
+        Mi = inverse_rows(st)
         np.testing.assert_allclose(Mi, [[1, 0, 0], [0, 0, -1 / V], [0, 1 / V, 0]], atol=1e-14)
-        np.testing.assert_allclose(w_R_row(st), [0, 1 / V, 0], atol=1e-14)
+        np.testing.assert_allclose(Mi[2], [0, 1 / V, 0], atol=1e-14)
 
     def test_identity_residuals(self, rng):
         for _ in range(1000):
             st = random_state(rng)
             M = accel_matrix(st)
-            Mi = accel_matrix_inverse(st)
+            Mi = inverse_rows(st)
             assert np.abs(M @ Mi - np.eye(3)).max() <= 1e-10
             assert np.abs(Mi @ M - np.eye(3)).max() <= 1e-10
 
@@ -184,14 +192,36 @@ class TestAccelInverse:
         for _ in range(200):
             st = random_state(rng)
             np.testing.assert_allclose(
-                w_R_row(st) @ accel_matrix(st), [0.0, 0.0, 1.0], atol=1e-10
+                inverse_rows(st)[2] @ accel_matrix(st), [0.0, 0.0, 1.0], atol=1e-10
             )
 
     def test_singularity_guards(self):
         with pytest.raises(SingularSpeed):
             accel_matrix(AircraftState(0, 0, 0, 0, 0, 0, 0.5))
+        with pytest.raises(SingularSpeed):
+            inverse_rows(AircraftState(0, 0, 0, 0, 0, 0, 0.5))
         with pytest.raises(SingularPitch):
-            accel_matrix_inverse(AircraftState(0, 0, 0, 0, math.pi / 2 - 5e-4, 0, 100.0))
+            inverse_rows(AircraftState(0, 0, 0, 0, math.pi / 2 - 5e-4, 0, 100.0))
+
+
+class TestTrackContext:
+    def test_matches_dual_capable_formulas_bit_for_bit(self, rng, gravity):
+        # the extended filter's rate reads the context in place of these
+        # helpers; equality to the bit keeps its logs unchanged
+        for i in range(2000):
+            st = random_state(rng, v_range=(1.5, 400.0), theta_max=1.5, phi_max=3.1)
+            if i % 4 == 0:
+                st = AircraftState(*st.as_array()[:3], 0.0, 0.0, st.psi, st.V_T)
+            ctx = TrackContext(st, 0.0, gravity)
+            got = [ctx.c0, ctx.c1, ctx.c2, ctx.v, ctx.R]
+            ref = [
+                *euler_cols(st.phi, st.theta, st.psi),
+                velocity_vec(st.theta, st.psi, st.V_T),
+                turn_rate_raw(st.phi, st.theta, st.V_T, gravity.g_d),
+            ]
+            for a, b in zip(got, ref):
+                # bytes, so that the sign of a zero counts too
+                assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def test_state_requires_finite_fields():

@@ -8,33 +8,40 @@ from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, comp
 from fwrta.errors import InvalidGainOrdering, ZeroDesiredVelocity
 from fwrta.modelfree import (
     ModelFreeParams,
+    _wv_apply,
     h_V,
     safe_velocity,
-    velocity_weights,
 )
 
 TABLE = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=4.0, nu_v=0.007)
 
 
+def weight_matrix(v_d, Gamma_v):
+    """The velocity weight as a matrix, one applied unit vector per column."""
+    return np.column_stack([_wv_apply(np.asarray(v_d, dtype=float), Gamma_v, e) for e in np.eye(3)])
+
+
 class TestVelocityWeights:
     def test_isotropic(self, rng):
-        W = velocity_weights(rng.normal(size=3), 1.0)
+        W = weight_matrix(rng.normal(size=3), 1.0)
         np.testing.assert_allclose(W, np.eye(3), atol=1e-14)
 
     def test_axis_aligned(self):
-        W = velocity_weights([7.0, 0.0, 0.0], 4.0)
+        W = weight_matrix([7.0, 0.0, 0.0], 4.0)
         np.testing.assert_allclose(W, np.diag([1.0, 0.5, 0.5]), atol=1e-15)
 
     def test_eigenvalues(self, rng):
         for _ in range(50):
             v = rng.normal(size=3) * 30
-            W = velocity_weights(v, 4.0)
+            W = weight_matrix(v, 4.0)
             eig = np.sort(np.linalg.eigvalsh(W))
             np.testing.assert_allclose(eig, [0.5, 0.5, 1.0], atol=1e-12)
 
     def test_zero_velocity_raises(self):
+        # the projector's guard sits in the filter that applies the weight
+        cset = ConstraintSet([GeofencePlane([0, 5000, 0], [0, -1, 0], 10.0)], kappa=0.007)
         with pytest.raises(ZeroDesiredVelocity):
-            velocity_weights([1e-8, 0.0, 0.0], 4.0)
+            safe_velocity(np.zeros(3), 0.0, [1e-8, 0.0, 0.0], cset, TABLE)
 
 
 class TestSafeVelocity:

@@ -227,28 +227,49 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "override", [("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"), ("--horizon", "0.01")]
+        "override",
+        [
+            ("--dt", "0"),
+            ("--dt", "-0.01"),
+            ("--dt", "nan"),
+            ("--horizon", "0.01"),
+            ("--dt", "1e-300"),
+            ("--dt", "1e-300", "--horizon", "1e300"),
+        ],
     )
     def test_invalid_override_exit_code(self, override, tmp_path):
-        # fig3 steps at dt = 0.01, so a 0.01 s horizon does not exceed it
+        # fig3 steps at dt = 0.01, so a 0.01 s horizon does not exceed it;
+        # dt = 1e-300 asks for more than MAX_STEPS steps (1e300 / 1e-300 overflows)
         assert cli_main(["run", "--scenario", "fig3", "--out", str(tmp_path), *override]) == 2
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "path, value",
         [
-            (("t_final",), float("inf")),
-            (("dt",), float("nan")),
-            (("initial_state", "V_T"), float("nan")),
-            (("constraints", "members", 0, "center", 0), float("nan")),
+            # (bundled base scenario, key path...), value
+            (("fig3", "t_final"), float("inf")),
+            (("fig3", "dt"), float("nan")),
+            (("fig3", "initial_state", "V_T"), float("nan")),
+            (("fig3", "constraints", "members", 0, "center", 0), float("nan")),
+            # finite but overflowing: the initial certificate is non-finite
+            (("fig6", "goal", "v_g", 0), 1e300),
+            (("fig6", "tracking", "K_r"), 1e300),
+            (("fig6", "tracking", "K_v"), 1e300),
+            (("fig6", "modelfree", "sigma"), 1e300),
+            (("fig6", "goal", "r0", 0), 1e300),
+            (("fig3", "gravity"), 0),
+            (("fig3", "gravity"), -1),
+            # more than MAX_STEPS steps
+            (("fig3", "dt"), 1e-300),
         ],
     )
     def test_non_finite_number_exit_code(self, path, value, tmp_path):
-        raw = json.loads(bundled_scenario_path("fig3").read_text())
+        base, *keys = path
+        raw = json.loads(bundled_scenario_path(base).read_text())
         node = raw
-        for key in path[:-1]:
+        for key in keys[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        node[keys[-1]] = value
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(raw))
         assert cli_main(["check", "--scenario", str(src)]) == 2

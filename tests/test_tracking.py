@@ -9,6 +9,7 @@ from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
 from fwrta.model import (
     AircraftState,
     ControlInput,
+    TrackContext,
     accel_matrix,
     dynamics,
     euler_cols,
@@ -22,13 +23,8 @@ from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
     SafeVelocityCommand,
-    TrackContext,
     TrackingParams,
-    accel_to_inputs,
-    clf_V,
-    desired_accel,
     desired_velocity,
-    roll_rate,
     solve_roll_qp,
     track,
 )
@@ -36,6 +32,27 @@ from fwrta.tracking import (
 TABLE = TrackingParams.from_scalars(0.05, 0.3, 1e-5, 0.2)
 EAST_GOAL = GoalTrajectory.linear([0.0, 161.32, 0.0])
 NORTH_GOAL = GoalTrajectory.linear([120.0, 0.0, 0.0])
+
+
+def goal_through(st, a):
+    """Goal at ``st``'s position and velocity at t = 0 with constant acceleration ``a``.
+
+    Tracking it leaves no velocity error at t = 0, so the tracker's
+    desired acceleration is exactly ``a``.
+    """
+    r0, v0, a = st.r, velocity(st), np.asarray(a, dtype=float)
+    return GoalTrajectory(lambda t: r0 + v0 * t + 0.5 * a * t * t, lambda t: v0 + a * t, lambda t: a)
+
+
+def tracked_accel(st, t, cmd, g):
+    """The tracker's desired acceleration, ``M_a (A_T, Q, R_d)``."""
+    res = track(st, t, cmd, TABLE, g)
+    return accel_matrix(st) @ np.array([res.u.A_T, res.u.Q, res.R_d])
+
+
+def command_at(cmd, st, t, g):
+    """``(v_c, a_c)`` of a command at ``(st, t)``."""
+    return cmd.command_jet(TrackContext(st, t, g))[:2]
 
 
 def roll_qp_oracle(a, b, grid=2_000_001):
@@ -65,53 +82,60 @@ class TestDesiredVelocity:
 
 
 class TestDesiredAccel:
-    def test_converged(self):
+    def test_converged(self, gravity):
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 120.0)
         cmd = GoalCommand(GoalTrajectory.linear([120.0, 0.0, 0.0]), TABLE)
-        np.testing.assert_allclose(desired_accel(st, 0.0, cmd, TABLE), np.zeros(3), atol=1e-13)
+        np.testing.assert_allclose(tracked_accel(st, 0.0, cmd, gravity), np.zeros(3), atol=1e-13)
 
-    def test_half_gain_on_error(self):
+    def test_half_gain_on_error(self, gravity):
         # unit velocity error through K_v = 0.3 I gives 0.15
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 119.0)
         cmd = GoalCommand(GoalTrajectory.linear([120.0, 0.0, 0.0]), TABLE)
-        a_d = desired_accel(st, 0.0, cmd, TABLE)
+        a_d = tracked_accel(st, 0.0, cmd, gravity)
         # a_c = K_r (v_g - v) contributes too; subtract it for the check
         a_c = TABLE.K_r @ (np.array([120.0, 0, 0]) - velocity(st))
         np.testing.assert_allclose(a_d - a_c, [0.15, 0.0, 0.0], atol=1e-12)
 
-    def test_error_energy_decays_under_virtual_accel(self, rng):
-        # integrating v with the designed acceleration drives the error
-        # energy down at least at the certified rate
+    def test_error_energy_decays_under_virtual_accel(self, rng, gravity):
+        # flying the designed acceleration while the command moves at its
+        # own rate drives the error energy down at least at the certified rate
+        cmd = GoalCommand(EAST_GOAL, TABLE)
         for _ in range(50):
-            v_c = rng.normal(size=3) * 50
-            v = v_c + rng.normal(size=3) * 5
+            st = random_state(rng)
+            res = track(st, 1.0, cmd, TABLE, gravity)
+            a_d = tracked_accel(st, 1.0, cmd, gravity)
+            v_c, v = res.v_c, velocity(st)
             V0 = 0.5 * float((v_c - v) @ (v_c - v))
-            a_d = 0.5 * TABLE.K_v @ (v_c - v)
             h = 1e-6
-            v2 = v + h * a_d
-            V1 = 0.5 * float((v_c - v2) @ (v_c - v2))
-            dV = (V1 - V0) / h
+            e1 = (v_c + h * res.a_c) - (v + h * a_d)
+            dV = (0.5 * float(e1 @ e1) - V0) / h
             assert dV <= -TABLE.lam * V0 + 1e-6
 
 
-class TestAccelConversion:
-    def test_zero(self):
-        st = AircraftState(0, 0, 0, 0.3, 0.2, 1.0, 150.0)
-        assert accel_to_inputs(st, np.zeros(3)) == (0.0, 0.0, 0.0)
+def converted(st, a, g):
+    """``(A_T, Q, R_d)`` the tracker converts the desired acceleration ``a`` to."""
+    res = track(st, 0.0, GoalCommand(goal_through(st, a), TABLE), TABLE, g)
+    return res.u.A_T, res.u.Q, res.R_d
 
-    def test_level_east_deceleration_sign(self):
+
+class TestAccelConversion:
+    def test_zero(self, gravity):
+        st = AircraftState(0, 0, 0, 0.3, 0.2, 1.0, 150.0)
+        assert converted(st, np.zeros(3), gravity) == (0.0, 0.0, 0.0)
+
+    def test_level_east_deceleration_sign(self, gravity):
         V = 161.32
         st = AircraftState(0, 0, 0, 0.0, 0.0, math.pi / 2, V)
-        A_T, Q, R_d = accel_to_inputs(st, np.array([-2.5, 0.0, 0.0]))
+        A_T, Q, R_d = converted(st, [-2.5, 0.0, 0.0], gravity)
         assert A_T == pytest.approx(0.0, abs=1e-13)
         assert Q == pytest.approx(0.0, abs=1e-13)
         assert R_d == pytest.approx(2.5 / V, rel=1e-12)
 
-    def test_roundtrip_residual(self, rng):
+    def test_roundtrip_residual(self, rng, gravity):
         for _ in range(200):
             st = random_state(rng)
             a_d = rng.normal(size=3) * 10
-            A_T, Q, R_d = accel_to_inputs(st, a_d)
+            A_T, Q, R_d = converted(st, a_d, gravity)
             recon = accel_matrix(st) @ np.array([A_T, Q, R_d])
             assert np.abs(recon - a_d).max() <= 1e-10 * max(1.0, np.abs(a_d).max())
 
@@ -120,14 +144,14 @@ class TestClfValue:
     def test_zero_at_equilibrium(self, gravity):
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 120.0)
         cmd = GoalCommand(NORTH_GOAL, TABLE)
-        assert clf_V(st, 0.0, cmd, TABLE, gravity) == 0.0
+        assert track(st, 0.0, cmd, TABLE, gravity).V == 0.0
 
     def test_lower_bound_by_error_energy(self, rng, gravity):
         cmd = GoalCommand(EAST_GOAL, TABLE)
         for _ in range(100):
             st = random_state(rng)
-            v_c, _ = cmd.command(st, 1.0)
-            V = clf_V(st, 1.0, cmd, TABLE, gravity)
+            v_c, _ = command_at(cmd, st, 1.0, gravity)
+            V = track(st, 1.0, cmd, TABLE, gravity).V
             assert V >= 0.5 * float((v_c - velocity(st)) @ (v_c - velocity(st))) - 1e-12
 
 
@@ -145,7 +169,7 @@ class TestRollRate:
 
     def test_converged_state_needs_no_roll(self, gravity):
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 120.0)
-        assert roll_rate(st, 0.0, GoalCommand(NORTH_GOAL, TABLE), TABLE, gravity) == 0.0
+        assert track(st, 0.0, GoalCommand(NORTH_GOAL, TABLE), TABLE, gravity).u.P == 0.0
 
 
 class TestTrack:
@@ -167,7 +191,9 @@ class TestTrack:
         for _ in range(50):
             st = random_state(rng)
             res = track(st, 2.0, cmd, TABLE, gravity)
-            assert res.V == pytest.approx(clf_V(st, 2.0, cmd, TABLE, gravity), rel=1e-12)
+            e_v, _, _, R_d, R = certificate_duals(cmd, st, 2.0, TABLE, gravity)
+            V = 0.5 * float(e_v.v @ e_v.v) + (R_d.v - R.v) * (R_d.v - R.v) / (2.0 * TABLE.mu)
+            assert res.V == pytest.approx(V, rel=1e-12)
 
 
 def planar_cset():
@@ -186,8 +212,8 @@ def fd_command_rate(cmd, st, t, g, h=1e-4):
     u = track(st, t, cmd, TABLE, g).u.as_array()
     xp = kernels.rk4_step(st.as_array(), u, h, g.g_d)
     xm = kernels.rk4_step(st.as_array(), u, -h, g.g_d)
-    vp, _ = cmd.command(AircraftState.from_array(xp), t + h)
-    vm, _ = cmd.command(AircraftState.from_array(xm), t - h)
+    vp, _ = command_at(cmd, AircraftState.from_array(xp), t + h, g)
+    vm, _ = command_at(cmd, AircraftState.from_array(xm), t - h, g)
     return (vp - vm) / (2 * h)
 
 
@@ -206,7 +232,7 @@ class TestCommandRates:
                 V_T=float(rng.uniform(100, 220)),
             )
             t = float(rng.uniform(0, 10))
-            _, a_c = cmd.command(st, t)
+            _, a_c = command_at(cmd, st, t, gravity)
             fd = fd_command_rate(cmd, st, t, gravity)
             assert np.linalg.norm(a_c - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
 
@@ -232,8 +258,8 @@ class TestCommandRates:
             h = 1e-5
             x0 = st.as_array()
             x_dot = dynamics(st, u, gravity)
-            vp, ap = cmd.command(AircraftState.from_array(x0 + h * x_dot), t + h)
-            vm, am = cmd.command(AircraftState.from_array(x0 - h * x_dot), t - h)
+            vp, ap = command_at(cmd, AircraftState.from_array(x0 + h * x_dot), t + h, gravity)
+            vm, am = command_at(cmd, AircraftState.from_array(x0 - h * x_dot), t - h, gravity)
             np.testing.assert_allclose(a_c, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-6)
             np.testing.assert_allclose(J @ v_dot + j0, (ap - am) / (2 * h), rtol=1e-4, atol=5e-5)
 
