@@ -7,6 +7,7 @@ from .errors import (
     CoincidentPosition,
     FwrtaError,
     InvalidGainOrdering,
+    NonFiniteValue,
     ScenarioError,
     SingularPitch,
     SingularSpeed,
@@ -24,6 +25,7 @@ __all__ = [
     "CoincidentPosition",
     "ZeroDesiredVelocity",
     "InvalidGainOrdering",
+    "NonFiniteValue",
     "ScenarioError",
 ]
 

@@ -84,12 +84,17 @@ def h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingPara
     return float(hb)
 
 
-def grad_h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
-    """Exact gradient ``(dh/dx, dh/dt)`` by forward-mode evaluation."""
+def _seeded_pipeline(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
+    """``(h_e, h_b)`` as first-order duals over the 8 ``(x, t)`` seeds."""
     check_pitch(state.theta)
     check_speed(state.V_T)
-    r, phi, theta, psi, V_T, td = dm.seed_state_time(state.as_array(), t)
-    _, _, _, _, hb = _pipeline(r, phi, theta, psi, V_T, td, cset, p, g)
+    h_e, _, _, _, hb = _pipeline(*dm.seed_state_time(state.as_array(), t), cset, p, g)
+    return h_e, hb
+
+
+def grad_h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
+    """Exact gradient ``(dh/dx, dh/dt)`` by forward-mode evaluation."""
+    hb = _seeded_pipeline(state, t, cset, p, g)[1]
     return hb.e[:7].copy(), float(hb.e[7])
 
 
@@ -119,10 +124,7 @@ def rta_backstepping(
     The constraint row is ``dh/dx g(x)``; its roll entry is generically
     nonzero, so all three channels participate.
     """
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    r, phi, theta, psi, V_T, td = dm.seed_state_time(state.as_array(), t)
-    h_e_d, _, _, _, hb_d = _pipeline(r, phi, theta, psi, V_T, td, cset, p, g)
+    h_e_d, hb_d = _seeded_pipeline(state, t, cset, p, g)
     dhdx = hb_d.e[:7]
     dhdt = float(hb_d.e[7])
     f = f_vec(state, g)

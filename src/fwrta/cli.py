@@ -1,7 +1,8 @@
 """Command-line interface: ``run``, ``check`` and ``sweep``.
 
 Exit codes: 0 ok, 1 threshold violation, 2 schema/IO error, 3 numerical
-abort.  ``RTA_OUT_DIR`` supplies the default output root.
+abort (``check`` included, unless the scenario sets ``allow_abort``).
+``RTA_OUT_DIR`` supplies the default output root.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from .errors import FwrtaError, ScenarioError
 from .export import export
 from .scenario import load_scenario, scenario_from_dict
-from .simulate import check_scenario, run_scenario, sweep
+from .simulate import evaluate_checks, run_scenario, sweep
 
 
 def _default_out() -> str:
@@ -46,11 +47,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     scn = load_scenario(args.scenario)
-    passed, lines = check_scenario(scn)
+    log, met = run_scenario(scn)
+    passed, lines = evaluate_checks(scn, log, met)
     for name, ok, detail in lines:
         print(f"[{'PASS' if ok else 'FAIL'}] {scn.name}:{name}  {detail}")
     if not lines:
         print(f"[PASS] {scn.name}: no thresholds embedded")
+    if met.aborted and not scn.checks.get("allow_abort", False):
+        return 3
     return 0 if passed else 1
 
 

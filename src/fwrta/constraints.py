@@ -114,7 +114,7 @@ def obstacle_at(obs: MovingObstacle, t):
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
-    if isinstance(t, (dm.Dual, dm.Dual2)):
+    if isinstance(t, dm.Dual):
         zero = np.zeros(3)
         return dm.lift_path(p, v, a, t), dm.lift_path(v, a, zero, t), dm.lift_path(a, zero, zero, t)
     return p, v, a
@@ -168,25 +168,29 @@ def softmin(values, kappa: float):
     return softmin_weights(values, kappa)[0]
 
 
+def compose_members(terms, kappa: float):
+    """Softmin of the members' values with their other entries weight-averaged.
+
+    ``terms`` holds one tuple ``(value, *derivatives)`` per member; returns
+    ``(h, *averaged derivatives, per-member values, weights)``.
+    """
+    cols = list(zip(*terms))
+    per = list(cols[0])
+    if len(per) == 1:
+        return (*terms[0], per, [1.0])
+    h, w = softmin_weights(per, kappa)
+    out = [h]
+    for col in cols[1:]:
+        acc = w[0] * col[0]
+        for i in range(1, len(per)):
+            acc = acc + w[i] * col[i]
+        out.append(acc)
+    return (*out, per, w)
+
+
 def compose_terms(r, t, cset: ConstraintSet):
     """Generic composed barrier: (value, grad_r, dt_partial, per, weights)."""
-    per = []
-    grads = []
-    dts = []
-    for m in cset.members:
-        h_i, g_i, dt_i = member_terms(r, t, m)
-        per.append(h_i)
-        grads.append(g_i)
-        dts.append(dt_i)
-    if len(per) == 1:
-        return per[0], grads[0], dts[0], per, [1.0]
-    h, w = softmin_weights(per, cset.kappa)
-    grad = w[0] * grads[0]
-    dtp = w[0] * dts[0]
-    for i in range(1, len(per)):
-        grad = grad + w[i] * grads[i]
-        dtp = dtp + w[i] * dts[i]
-    return h, grad, dtp, per, w
+    return compose_members([member_terms(r, t, m) for m in cset.members], cset.kappa)
 
 
 def compose_h_p(r, t, cset: ConstraintSet) -> BarrierEval:

@@ -1,20 +1,19 @@
 """Forward-mode differentiation on scalars and small vectors.
 
-Two number types are provided:
+``Dual`` carries a value ``v`` and its first derivatives ``e`` against
+``k`` seed directions, with the seed axis last: a 3-vector with ``k``
+seeds stores ``e`` with shape ``(3, k)``.  An optional curvature field
+``h`` (same shape as ``e``) holds the derivative of ``e`` along seed 0,
+i.e. row 0 of the Hessian; it is ``None`` for first-order passes and the
+seed decides which one runs (see :func:`seed_line`).  This is the
+Hessian-vector propagation of forward mode along a single direction
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 
-* ``Dual``  -- value plus first derivatives against ``k`` seed directions.
-* ``Dual2`` -- value plus first and second derivatives (dense ``k x k``
-  Hessian blocks), used where a derivative of a quantity that itself
-  contains derivatives is required.
-
-Values are python floats or small numpy arrays; the derivative payload
-always carries the seed axis last, so a 3-vector with ``k`` seeds stores
-``e`` with shape ``(3, k)``.  The math helpers at module level (``sin``,
-``dot``, ``norm``, ...) accept plain numbers, arrays, ``Dual`` and
-``Dual2`` interchangeably, which lets the barrier/controller formulas be
-written once and differentiated by evaluation.  Neither type defines
-comparisons or powers: branches compare ``value(x)`` and squares are
-written as products.
+The math helpers at module level (``sin``, ``dot``, ``norm``, ...)
+accept plain numbers, arrays and ``Dual`` interchangeably, which lets
+the barrier/controller formulas be written once and differentiated by
+evaluation.  ``Dual`` defines no comparisons or powers: branches compare
+``value(x)`` and squares are written as products.
 """
 
 from __future__ import annotations
@@ -29,143 +28,80 @@ def _vex(x):
     return x[..., None] if isinstance(x, np.ndarray) else x
 
 
-def _vex2(x):
-    return x[..., None, None] if isinstance(x, np.ndarray) else x
-
-
 class Dual:
-    """Value ``v`` with first-order sensitivities ``e`` (seed axis last)."""
+    """Value ``v``, first derivatives ``e`` and optional seed-0 row ``h``."""
 
-    __slots__ = ("v", "e")
+    __slots__ = ("v", "e", "h")
 
     # keep numpy from broadcasting us elementwise; binary ops with
     # ndarrays must fall back to our own reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, v, e):
+    def __init__(self, v, e, h=None):
         self.v = v
         self.e = e
+        self.h = h
 
     def __repr__(self):
-        return f"Dual({self.v!r}, e={self.e!r})"
+        return f"Dual({self.v!r}, e={self.e!r}, h={self.h!r})"
 
     def __getitem__(self, i):
-        return Dual(self.v[i], self.e[i])
+        return Dual(self.v[i], self.e[i], None if self.h is None else self.h[i])
 
     def __add__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.v + o.v, self.e + o.e)
-        return Dual(self.v + o, self.e)
+            return Dual(self.v + o.v, self.e + o.e, None if self.h is None else self.h + o.h)
+        return Dual(self.v + o, self.e, self.h)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.v - o.v, self.e - o.e)
-        return Dual(self.v - o, self.e)
+            return Dual(self.v - o.v, self.e - o.e, None if self.h is None else self.h - o.h)
+        return Dual(self.v - o, self.e, self.h)
 
     def __rsub__(self, o):
-        return Dual(o - self.v, -self.e)
+        return Dual(o - self.v, -self.e, None if self.h is None else -self.h)
 
     def __mul__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.v * o.v, self.e * _vex(o.v) + o.e * _vex(self.v))
-        return Dual(self.v * o, self.e * _vex(o))
+            e = self.e * _vex(o.v) + o.e * _vex(self.v)
+            if self.h is None:
+                return Dual(self.v * o.v, e)
+            h = self.h * _vex(o.v) + o.h * _vex(self.v) + self.e * _vex(o.e[..., 0]) + o.e * _vex(self.e[..., 0])
+            return Dual(self.v * o.v, e, h)
+        return Dual(self.v * o, self.e * _vex(o), None if self.h is None else self.h * _vex(o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if isinstance(o, Dual):
             q = self.v / o.v
-            return Dual(q, (self.e - o.e * _vex(q)) / _vex(o.v))
-        return Dual(self.v / o, self.e / _vex(o))
+            e = (self.e - o.e * _vex(q)) / _vex(o.v)
+            if self.h is None:
+                return Dual(q, e)
+            h = (self.h - o.h * _vex(q) - o.e * _vex(e[..., 0]) - e * _vex(o.e[..., 0])) / _vex(o.v)
+            return Dual(q, e, h)
+        return Dual(self.v / o, self.e / _vex(o), None if self.h is None else self.h / _vex(o))
 
     def __rtruediv__(self, o):
         q = o / self.v
-        return Dual(q, self.e * _vex(-q / self.v))
+        if self.h is None:
+            return Dual(q, self.e * _vex(-q / self.v))
+        return _chain(self, q, -q / self.v, 2.0 * q / (self.v * self.v))
 
     def __neg__(self):
-        return Dual(-self.v, -self.e)
+        return Dual(-self.v, -self.e, None if self.h is None else -self.h)
 
 
-class Dual2:
-    """Value ``v``, Jacobian ``j`` and Hessian ``h`` against ``k`` seeds."""
-
-    __slots__ = ("v", "j", "h")
-
-    __array_ufunc__ = None
-
-    def __init__(self, v, j, h):
-        self.v = v
-        self.j = j
-        self.h = h
-
-    def __repr__(self):
-        return f"Dual2({self.v!r})"
-
-    def __getitem__(self, i):
-        return Dual2(self.v[i], self.j[i], self.h[i])
-
-    def __add__(self, o):
-        if isinstance(o, Dual2):
-            return Dual2(self.v + o.v, self.j + o.j, self.h + o.h)
-        return Dual2(self.v + o, self.j, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual2):
-            return Dual2(self.v - o.v, self.j - o.j, self.h - o.h)
-        return Dual2(self.v - o, self.j, self.h)
-
-    def __rsub__(self, o):
-        return Dual2(o - self.v, -self.j, -self.h)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual2):
-            cross = self.j[..., :, None] * o.j[..., None, :]
-            cross = cross + o.j[..., :, None] * self.j[..., None, :]
-            return Dual2(
-                self.v * o.v,
-                self.j * _vex(o.v) + o.j * _vex(self.v),
-                self.h * _vex2(o.v) + o.h * _vex2(self.v) + cross,
-            )
-        return Dual2(self.v * o, self.j * _vex(o), self.h * _vex2(o))
-
-    __rmul__ = __mul__
-
-    def _inv(self):
-        iv = 1.0 / self.v
-        iv2 = iv * iv
-        jj = self.j[..., :, None] * self.j[..., None, :]
-        return Dual2(
-            iv,
-            -self.j * _vex(iv2),
-            -self.h * _vex2(iv2) + 2.0 * jj * _vex2(iv2 * iv),
-        )
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual2):
-            return self * o._inv()
-        return Dual2(self.v / o, self.j / _vex(o), self.h / _vex2(o))
-
-    def __rtruediv__(self, o):
-        return self._inv() * o
-
-    def __neg__(self):
-        return Dual2(-self.v, -self.j, -self.h)
-
-
-def _chain2(x, v, d1, d2):
-    jj = x.j[..., :, None] * x.j[..., None, :]
-    return Dual2(v, x.j * _vex(d1), x.h * _vex2(d1) + jj * _vex2(d2))
+def _chain(x, f, d1, d2):
+    """Curvature ``g(x)`` with value ``f``, first derivative ``d1``, second ``d2``."""
+    return Dual(f, x.e * _vex(d1), x.h * _vex(d1) + x.e * _vex(d2 * x.e[..., 0]))
 
 
 def value(x):
     """Plain value of a possibly-dual quantity."""
-    if isinstance(x, (Dual, Dual2)):
-        return x.v
-    return x
+    return x.v if isinstance(x, Dual) else x
 
 
 def _np_or_math(x, fnp, fm):
@@ -174,86 +110,57 @@ def _np_or_math(x, fnp, fm):
 
 def sin(x):
     if isinstance(x, Dual):
-        return Dual(_np_or_math(x.v, np.sin, math.sin), x.e * _vex(_np_or_math(x.v, np.cos, math.cos)))
-    if isinstance(x, Dual2):
-        s = _np_or_math(x.v, np.sin, math.sin)
-        c = _np_or_math(x.v, np.cos, math.cos)
-        return _chain2(x, s, c, -s)
+        s, c = _np_or_math(x.v, np.sin, math.sin), _np_or_math(x.v, np.cos, math.cos)
+        return Dual(s, x.e * _vex(c)) if x.h is None else _chain(x, s, c, -s)
     return _np_or_math(x, np.sin, math.sin)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        return Dual(_np_or_math(x.v, np.cos, math.cos), x.e * _vex(-_np_or_math(x.v, np.sin, math.sin)))
-    if isinstance(x, Dual2):
-        s = _np_or_math(x.v, np.sin, math.sin)
-        c = _np_or_math(x.v, np.cos, math.cos)
-        return _chain2(x, c, -s, -c)
+        c, s = _np_or_math(x.v, np.cos, math.cos), _np_or_math(x.v, np.sin, math.sin)
+        return Dual(c, x.e * _vex(-s)) if x.h is None else _chain(x, c, -s, -c)
     return _np_or_math(x, np.cos, math.cos)
 
 
 def exp(x):
     if isinstance(x, Dual):
         v = _np_or_math(x.v, np.exp, math.exp)
-        return Dual(v, x.e * _vex(v))
-    if isinstance(x, Dual2):
-        v = _np_or_math(x.v, np.exp, math.exp)
-        return _chain2(x, v, v, v)
+        return Dual(v, x.e * _vex(v)) if x.h is None else _chain(x, v, v, v)
     return _np_or_math(x, np.exp, math.exp)
 
 
 def log(x):
     if isinstance(x, Dual):
-        return Dual(_np_or_math(x.v, np.log, math.log), x.e * _vex(1.0 / x.v))
-    if isinstance(x, Dual2):
-        iv = 1.0 / x.v
-        return _chain2(x, _np_or_math(x.v, np.log, math.log), iv, -iv * iv)
+        f, iv = _np_or_math(x.v, np.log, math.log), 1.0 / x.v
+        return Dual(f, x.e * _vex(iv)) if x.h is None else _chain(x, f, iv, -iv * iv)
     return _np_or_math(x, np.log, math.log)
 
 
 def log1p(x):
     if isinstance(x, Dual):
-        return Dual(_np_or_math(x.v, np.log1p, math.log1p), x.e * _vex(1.0 / (1.0 + x.v)))
-    if isinstance(x, Dual2):
-        iv = 1.0 / (1.0 + x.v)
-        return _chain2(x, _np_or_math(x.v, np.log1p, math.log1p), iv, -iv * iv)
+        f, iv = _np_or_math(x.v, np.log1p, math.log1p), 1.0 / (1.0 + x.v)
+        return Dual(f, x.e * _vex(iv)) if x.h is None else _chain(x, f, iv, -iv * iv)
     return _np_or_math(x, np.log1p, math.log1p)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         v = _np_or_math(x.v, np.sqrt, math.sqrt)
-        return Dual(v, x.e * _vex(0.5 / v))
-    if isinstance(x, Dual2):
-        v = _np_or_math(x.v, np.sqrt, math.sqrt)
-        return _chain2(x, v, 0.5 / v, -0.25 / (v * x.v))
+        return Dual(v, x.e * _vex(0.5 / v)) if x.h is None else _chain(x, v, 0.5 / v, -0.25 / (v * x.v))
     return _np_or_math(x, np.sqrt, math.sqrt)
 
 
 def dot(a, b):
-    """Inner product of 3-vectors (plain, Dual or Dual2)."""
-    da, db = isinstance(a, Dual), isinstance(b, Dual)
-    if da or db:
-        if da and db:
-            return Dual(float(a.v @ b.v), a.v @ b.e + b.v @ a.e)
-        if da:
-            return Dual(float(a.v @ b), b @ a.e)
-        return Dual(float(a @ b.v), a @ b.e)
-    da, db = isinstance(a, Dual2), isinstance(b, Dual2)
-    if da or db:
-        if not da:
-            a = lift_const(a, b)
-        if not db:
-            b = lift_const(b, a)
-        v = float(a.v @ b.v)
-        j = a.v @ b.j + b.v @ a.j
-        h = (
-            np.einsum("i,ijk->jk", a.v, b.h)
-            + np.einsum("i,ijk->jk", b.v, a.h)
-            + np.einsum("ij,ik->jk", a.j, b.j)
-            + np.einsum("ij,ik->jk", b.j, a.j)
-        )
-        return Dual2(v, j, h)
+    """Inner product of 3-vectors (plain or Dual)."""
+    if isinstance(a, Dual):
+        if isinstance(b, Dual):
+            e = a.v @ b.e + b.v @ a.e
+            if a.h is None:
+                return Dual(float(a.v @ b.v), e)
+            return Dual(float(a.v @ b.v), e, a.v @ b.h + b.v @ a.h + a.e[:, 0] @ b.e + b.e[:, 0] @ a.e)
+        return Dual(float(a.v @ b), b @ a.e, None if a.h is None else b @ a.h)
+    if isinstance(b, Dual):
+        return Dual(float(a @ b.v), a @ b.e, None if b.h is None else a @ b.h)
     return float(np.dot(a, b))
 
 
@@ -264,47 +171,34 @@ def norm(a):
 def matvec(m, x):
     """Constant matrix times a (possibly dual) vector."""
     if isinstance(x, Dual):
-        return Dual(m @ x.v, np.tensordot(m, x.e, axes=(1, 0)))
-    if isinstance(x, Dual2):
-        return Dual2(m @ x.v, np.tensordot(m, x.j, axes=(1, 0)), np.tensordot(m, x.h, axes=(1, 0)))
+        return Dual(m @ x.v, np.tensordot(m, x.e, axes=(1, 0)), None if x.h is None else m @ x.h)
     return m @ x
 
 
 def stack(items):
     """Stack scalars (mixing plain and dual) into a vector of the same kind."""
-    dual_items = [x for x in items if isinstance(x, (Dual, Dual2))]
+    dual_items = [x for x in items if isinstance(x, Dual)]
     if not dual_items:
         return np.array([float(x) for x in items])
     proto = dual_items[0]
     v = np.array([value(x) for x in items], dtype=float)
-    if isinstance(proto, Dual):
-        k = proto.e.shape[-1]
-        e = np.zeros((len(items), k))
-        for i, x in enumerate(items):
-            if isinstance(x, Dual):
-                e[i] = x.e
-        return Dual(v, e)
-    k = proto.j.shape[-1]
-    j = np.zeros((len(items), k))
-    h = np.zeros((len(items), k, k))
+    e = np.zeros((len(items), proto.e.shape[-1]))
+    h = None if proto.h is None else np.zeros_like(e)
     for i, x in enumerate(items):
-        if isinstance(x, Dual2):
-            j[i] = x.j
-            h[i] = x.h
-    return Dual2(v, j, h)
+        if isinstance(x, Dual):
+            e[i] = x.e
+            if h is not None:
+                h[i] = x.h
+    return Dual(v, e, h)
 
 
 def lift_const(c, like):
     """Lift a constant to the dual kind of ``like`` with zero sensitivities."""
     c = np.asarray(c, dtype=float) if np.ndim(c) else float(c)
-    shape = np.shape(c)
-    if isinstance(like, Dual):
-        k = like.e.shape[-1]
-        return Dual(c, np.zeros(shape + (k,)))
-    if isinstance(like, Dual2):
-        k = like.j.shape[-1]
-        return Dual2(c, np.zeros(shape + (k,)), np.zeros(shape + (k, k)))
-    return c
+    if not isinstance(like, Dual):
+        return c
+    e = np.zeros(np.shape(c) + (like.e.shape[-1],))
+    return Dual(c, e, None if like.h is None else e.copy())
 
 
 def seed_state_time(x, t):
@@ -334,12 +228,19 @@ def seed_pos_time(r, t):
     return rd, td
 
 
-def seed2_pos_time(r, t):
-    """Second-order seeds over position and time (4 directions)."""
-    E = np.eye(4)
-    r = np.asarray(r, dtype=float)
-    rd = Dual2(r.copy(), E[:3].copy(), np.zeros((3, 4, 4)))
-    td = Dual2(float(t), E[3], np.zeros((4, 4)))
+def seed_line(r, t, v):
+    """Curvature seeds ``(w, r_n, r_e, r_d)`` over position and time.
+
+    Seed 0 is the line ``w = (v, 1)`` through ``(r, t)``, so ``h`` of a
+    result is its derivative along ``w`` of the Jacobian: ``h[..., 0]``
+    is the second derivative along the line and ``h[..., 1:]`` the mixed
+    ``d_w d_r`` row.
+    """
+    e = np.zeros((3, 4))
+    e[:, 0] = v
+    e[:, 1:] = np.eye(3)
+    rd = Dual(np.asarray(r, dtype=float).copy(), e, np.zeros((3, 4)))
+    td = Dual(float(t), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
     return rd, td
 
 
@@ -350,20 +251,18 @@ def lift_path(p, dp, ddp, t):
     derivatives at ``value(t)``; third derivatives are taken as zero.
     """
     p = np.asarray(p, dtype=float)
+    if not isinstance(t, Dual):
+        return p
     dp = np.asarray(dp, dtype=float)
-    if isinstance(t, Dual):
-        return Dual(p, np.outer(dp, t.e))
-    if isinstance(t, Dual2):
-        ddp = np.asarray(ddp, dtype=float)
-        tt = t.j[:, None] * t.j[None, :]
-        h = dp[:, None, None] * t.h[None, :, :] + ddp[:, None, None] * tt[None, :, :]
-        return Dual2(p, np.outer(dp, t.j), h)
-    return p
+    e = np.outer(dp, t.e)
+    if t.h is None:
+        return Dual(p, e)
+    return Dual(p, e, np.outer(dp, t.h) + np.outer(np.asarray(ddp, dtype=float) * t.e[0], t.e))
 
 
 def softplus(x):
     """Overflow-safe ``ln(1 + e^x)``, exact in both branches."""
-    if isinstance(x, (Dual, Dual2)):
+    if isinstance(x, Dual):
         if x.v > 0.0:
             return x + log1p(exp(-x))
         return log1p(exp(x))

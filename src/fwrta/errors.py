@@ -25,5 +25,9 @@ class InvalidGainOrdering(FwrtaError):
     """Monitor requires the tracking decay rate to exceed the barrier gain."""
 
 
+class NonFiniteValue(FwrtaError, ValueError):
+    """A state or input component is NaN or infinite."""
+
+
 class ScenarioError(FwrtaError):
     """Scenario file is malformed; the message names the offending field."""

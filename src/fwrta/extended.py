@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet, GeofencePlane, _separation, softmin_weights
+from .constraints import ConstraintSet, GeofencePlane, _separation, compose_members
 from .filters import ClassKappaLinear, FilterResult, WeightFactor, apply_filter
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 
@@ -74,27 +74,7 @@ def member_extended_terms(r, v, t, member, gamma_p: float):
 
 def compose_extended_terms(r, v, t, cset: ConstraintSet, gamma_p: float):
     """Generic composed extension: (value, d/dr, d/dv, d/dt, per, weights)."""
-    per = []
-    g_r = []
-    g_v = []
-    g_t = []
-    for m in cset.members:
-        h_i, gr_i, gv_i, dt_i = member_extended_terms(r, v, t, m, gamma_p)
-        per.append(h_i)
-        g_r.append(gr_i)
-        g_v.append(gv_i)
-        g_t.append(dt_i)
-    if len(per) == 1:
-        return per[0], g_r[0], g_v[0], g_t[0], per, [1.0]
-    h, w = softmin_weights(per, cset.kappa)
-    gr = w[0] * g_r[0]
-    gv = w[0] * g_v[0]
-    dt = w[0] * g_t[0]
-    for i in range(1, len(per)):
-        gr = gr + w[i] * g_r[i]
-        gv = gv + w[i] * g_v[i]
-        dt = dt + w[i] * g_t[i]
-    return h, gr, gv, dt, per, w
+    return compose_members([member_extended_terms(r, v, t, m, gamma_p) for m in cset.members], cset.kappa)
 
 
 def h_e_composed(r, v, t, cset: ConstraintSet, params: ExtendedParams) -> ExtendedEval:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .errors import SingularPitch, SingularSpeed
+from .errors import NonFiniteValue, SingularPitch, SingularSpeed
 from .kernels import dubins_rhs
 
 V_T_FLOOR = 1.0  # m/s, speed below which the model is treated as invalid
@@ -64,7 +64,7 @@ class AircraftState:
     def __post_init__(self):
         for name in ("n", "e", "d", "phi", "theta", "psi", "V_T"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"AircraftState.{name} must be finite")
+                raise NonFiniteValue(f"AircraftState.{name} must be finite")
 
     @classmethod
     def from_array(cls, x) -> "AircraftState":
@@ -89,7 +89,7 @@ class ControlInput:
     def __post_init__(self):
         for name in ("A_T", "P", "Q"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"ControlInput.{name} must be finite")
+                raise NonFiniteValue(f"ControlInput.{name} must be finite")
 
     @classmethod
     def from_array(cls, u) -> "ControlInput":

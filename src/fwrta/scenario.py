@@ -23,24 +23,23 @@ from .extended import ExtendedParams, h_e_composed
 from .filters import ClassKappaLinear, WeightFactor
 from .model import AircraftState, GravityParam, check_pitch, check_speed, velocity
 from .modelfree import ModelFreeParams, h_V
-from .tracking import GoalTrajectory, SafeVelocityCommand, TrackingParams, track
+from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, TrackingParams, track
 
 SCHEMA_ID = "fwrta-scenario/1"
 MODES = ("off", "extended", "backstepping", "modelfree")
 MAX_STEPS = 1_000_000  # control steps per run, t_final / dt
 
-CHECK_KEYS = (
+NUMERIC_CHECKS = (
     "min_h_p",
     "min_h_members",
     "min_h_mode",
-    "p_transparent",
     "roll_intervention_exceeds",
     "v_t_drops_below",
     "max_abs_down",
-    "no_warnings",
     "max_final_pos_err",
-    "allow_abort",
 )
+FLAG_CHECKS = ("p_transparent", "no_warnings", "allow_abort")
+CHECK_KEYS = NUMERIC_CHECKS + FLAG_CHECKS
 
 
 @dataclass
@@ -247,8 +246,14 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     checks = raw.get("checks", {})
     if not isinstance(checks, dict):
         raise ScenarioError("field 'checks' must be an object")
-    for key in checks:
-        if key not in CHECK_KEYS:
+    for key, v in checks.items():
+        if key in NUMERIC_CHECKS:
+            if not _is_finite_number(v):
+                raise ScenarioError(f"field 'checks.{key}' must be a finite number")
+        elif key in FLAG_CHECKS:
+            if not isinstance(v, bool):
+                raise ScenarioError(f"field 'checks.{key}' must be true or false")
+        else:
             raise ScenarioError(f"field 'checks.{key}' is not a known threshold")
 
     scn = Scenario(
@@ -292,12 +297,19 @@ def _validate_initial_barriers(scn: Scenario) -> None:
         hb = h_b(scn.x0, 0.0, scn.cset, scn.backstep, scn.gravity)
         if hb < 0.0:
             raise ScenarioError(f"initial state violates the penalized barrier: h_b(0) = {hb:.6g}")
+    # the certificate of the command the mode flies, finite from the start
     if scn.mode == "modelfree":
         cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
-        try:
+    else:
+        cmd = GoalCommand(scn.goal, scn.tracking)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
             V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity).V
-        except (FwrtaError, ValueError) as exc:
-            raise ScenarioError(f"initial tracking certificate cannot be evaluated: {exc}") from exc
+    except (FwrtaError, ValueError) as exc:
+        raise ScenarioError(f"initial tracking certificate cannot be evaluated: {exc}") from exc
+    if not math.isfinite(V0):
+        raise ScenarioError(f"initial tracking certificate is not finite: V(0) = {V0}")
+    if scn.mode == "modelfree":
         hv = h_V(V0, h_p0, scn.mf, scn.tracking.lam)
         if hv < 0.0:
             raise ScenarioError(f"initial state violates the monitor barrier: h_V(0) = {hv:.6g}")

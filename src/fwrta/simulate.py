@@ -167,7 +167,7 @@ def integrate(scn: Scenario) -> TrajectoryLog:
             break
         try:
             rec = control(x, t)
-        except (FwrtaError, ValueError) as exc:
+        except FwrtaError as exc:
             abort = f"{type(exc).__name__}: {exc}"
             break
         times.append(t)
@@ -269,16 +269,6 @@ def run_scenario(source):
     scn = _as_scenario(source)
     log = integrate(scn)
     return log, metrics_from_log(log, scn)
-
-
-def check_scenario(source):
-    """Run a scenario and evaluate its embedded thresholds.
-
-    Returns ``(passed, lines)``; each line is ``(name, ok, detail)``.
-    """
-    scn = _as_scenario(source)
-    log, met = run_scenario(scn)
-    return evaluate_checks(scn, log, met)
 
 
 def evaluate_checks(scn: Scenario, log: TrajectoryLog, met: Metrics):

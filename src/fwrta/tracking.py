@@ -17,9 +17,10 @@ along the closed loop at zero roll rate, and against roll for the
 roll-rate coefficient, using ``d c1 / d phi = c2`` and
 ``c1_dot = -R c0``.  Each command supplies its value, its rate and the
 rate of that rate as an affine function of the velocity rate (its
-"jet", the only interface of :class:`VelocityCommand`).  When the command being tracked is the model-free safe
-velocity, the jet needs first derivatives of a filtered quantity inside
-an outer derivative; a second-order forward pass (``Dual2``) over
+"jet", the only interface of :class:`VelocityCommand`).  When the
+command being tracked is the model-free safe velocity, the jet needs
+first derivatives of a filtered quantity inside an outer derivative; one
+forward pass with curvature along the flow direction ``w = (v, 1)`` over
 position and time supplies those pieces exactly.
 """
 
@@ -141,21 +142,19 @@ class SafeVelocityCommand:
     cset: ConstraintSet
     mf: ModelFreeParams
 
-    def _pieces(self, r, t: float):
-        """Value, Jacobian and Hessian of the safe velocity over (r, t)."""
-        r2, t2 = dm.seed2_pos_time(r, t)
+    def seeded(self, r, t: float, v):
+        """Safe velocity as a curvature ``Dual`` seeded by :func:`~fwrta.dual.seed_line`."""
+        r2, t2 = dm.seed_line(r, t, v)
         r_g, v_g, a_g = self.goal.eval(t)
         r_g2 = dm.lift_path(r_g, v_g, a_g, t2)
         v_g2 = dm.lift_path(v_g, a_g, np.zeros(3), t2)
         v_d = v_g2 + dm.matvec(self.params.K_r, r_g2 - r2)
-        v_s, _, _, _, _ = safe_velocity_terms(r2, t2, v_d, self.cset, self.mf)
-        return v_s.v, v_s.j, v_s.h
+        return safe_velocity_terms(r2, t2, v_d, self.cset, self.mf)[0]
 
     def command_jet(self, ctx: TrackContext):
         # (r, t) moves along w = (v, 1); v itself moves along v_dot
-        val, Jz, H = self._pieces(ctx.r, ctx.t)
-        w = np.append(ctx.v, 1.0)
-        return val, Jz @ w, Jz[:, :3], np.einsum("inm,n,m->i", H, w, w)
+        v_s = self.seeded(ctx.r, ctx.t, ctx.v)
+        return v_s.v, v_s.e[:, 0], v_s.e[:, 1:], v_s.h[:, 0]
 
 
 @dataclass

@@ -55,8 +55,10 @@ def command_duals(cmd, st, t):
 
     Returns the seeded pieces ``(r, phi, theta, psi, V_T, t)``, the dual
     velocity and the dual ``(v_c, a_c)``.  The safe velocity command's
-    value, Jacobian and Hessian over ``(r, t)`` are mapped onto the state
-    seeds; the goal is lifted along its path.
+    curvature pass along ``w = (v, 1)`` is mapped to ``(r, t)``
+    coordinates (``J_t = e[:, 0] - e[:, 1:] v`` and
+    ``(H w)_t = h[:, 0] - h[:, 1:] v``) and onto the state seeds; the
+    goal is lifted along its path.
     """
     parts = dm.seed_state_time(st.as_array(), t)
     r, _, theta, psi, V_T, td = parts
@@ -64,12 +66,12 @@ def command_duals(cmd, st, t):
     if isinstance(cmd, SafeVelocityCommand):
         to_state = np.zeros((4, 8))
         to_state[0, 0] = to_state[1, 1] = to_state[2, 2] = to_state[3, 7] = 1.0
-        val, J, H = cmd._pieces(st.r, t)
-        w = np.append(v.v, 1.0)
-        w_e = np.zeros((4, 8))
-        w_e[:3] = v.e
-        v_c = dm.Dual(val.copy(), J @ to_state)
-        a_c = dm.Dual(J @ w, np.einsum("inm,n,ms->is", H, w, to_state) + J @ w_e)
+        v_s = cmd.seeded(st.r, t, v.v)
+        J_r, Hw_r = v_s.e[:, 1:], v_s.h[:, 1:]
+        J = np.column_stack([J_r, v_s.e[:, 0] - J_r @ v.v])
+        Hw = np.column_stack([Hw_r, v_s.h[:, 0] - Hw_r @ v.v])
+        v_c = dm.Dual(v_s.v.copy(), J @ to_state)
+        a_c = dm.Dual(v_s.e[:, 0].copy(), Hw @ to_state + J_r @ v.e)
         return parts, v, v_c, a_c
     r_g, v_g, a_g = cmd.goal.eval(t)
     zero = np.zeros(3)

@@ -217,6 +217,14 @@ class TestGradient:
         np.testing.assert_allclose(dhdx, he.e[:7], atol=1e-12)
         assert dhdt == pytest.approx(float(he.e[7]), abs=1e-12)
 
+    def test_first_order_pass_carries_no_curvature(self, rng, gravity):
+        # the 8-seed gradient must stay first order: curvature would
+        # double the cost of every dual operation in rta_backstepping
+        st = random_state(rng, theta_max=1.0, phi_max=1.2)
+        cset = random_constraint_set(rng, st.r)
+        outs = _pipeline(*dm.seed_state_time(st.as_array(), 1.0), cset, table_params(), gravity)
+        assert all(isinstance(x, dm.Dual) and x.h is None for x in outs)
+
 
 class TestRta:
     def test_inactive_far_from_constraints(self, gravity):

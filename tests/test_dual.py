@@ -71,15 +71,13 @@ def _second_derivatives(f, z0, h=1e-4):
     return H
 
 
-def test_dual2_full_taylor(rng):
+def test_hessian_row_matches_finite_differences(rng):
     r0 = rng.normal(size=3) + np.array([0.0, 0.0, 4.0])
     t0 = 0.8
+    v = rng.normal(size=3)
 
     def build(r, t):
         return dm.dot(r, r) * dm.log1p(t * t) + dm.sqrt(dm.dot(r, r)) / (t + 2.0) + dm.exp(t * 0.1) * r[1]
-
-    r2, t2 = dm.seed2_pos_time(r0, t0)
-    out = build(r2, t2)
 
     def fz(z):
         return float(dm.value(build(np.asarray(z[:3]), float(z[3]))))
@@ -87,11 +85,25 @@ def test_dual2_full_taylor(rng):
     z0 = np.append(r0, t0)
     h = 1e-5
     J = np.array([(fz(z0 + h * e) - fz(z0 - h * e)) / (2 * h) for e in np.eye(4)])
-    np.testing.assert_allclose(out.j, J, rtol=1e-6, atol=1e-9)
     H = _second_derivatives(fz, z0)
-    np.testing.assert_allclose(out.h, H, rtol=2e-4, atol=5e-6)
-    # Hessian symmetry is structural
-    np.testing.assert_allclose(out.h, out.h.T, atol=1e-12)
+
+    # one curvature pass per coordinate, each seeded first: the rows of H
+    rows = np.zeros((4, 4))
+    for i in range(4):
+        S = np.roll(np.eye(4), -i, axis=0)
+        r = dm.Dual(r0.copy(), S[:, :3].T.copy(), np.zeros((3, 4)))
+        out = build(r, dm.Dual(t0, S[:, 3].copy(), np.zeros(4)))
+        np.testing.assert_allclose(out.e @ S, J, rtol=1e-6, atol=1e-9)
+        rows[i] = out.h @ S
+    np.testing.assert_allclose(rows, H, rtol=2e-4, atol=5e-6)
+    # rows from separate passes agree on the mixed partials
+    np.testing.assert_allclose(rows, rows.T, atol=1e-12)
+
+    # the line seeds: first and second derivative along w = (v, 1), and d_w d_r
+    w = np.append(v, 1.0)
+    out = build(*dm.seed_line(r0, t0, v))
+    np.testing.assert_allclose(out.e, np.append(J @ w, J[:3]), rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(out.h, np.append(w @ H @ w, (H @ w)[:3]), rtol=2e-4, atol=5e-6)
 
 
 def test_softplus_exact_and_continuous():
@@ -117,8 +129,12 @@ def test_lift_path_first_and_second_order():
     lifted = dm.lift_path(p, v, a, t1)
     np.testing.assert_allclose(lifted.e[:, 1], v)
     np.testing.assert_allclose(lifted.e[:, 0], 0.0)
-    E = np.eye(2)
-    t2 = dm.Dual2(2.0, E[1].copy(), np.zeros((2, 2)))
+    # curvature along seed 0: h = dp (x) t.h + ddp (x) t.e[0] t.e
+    t2 = dm.Dual(2.0, np.array([1.0, 0.5]), np.array([0.0, 0.0]))
     lifted2 = dm.lift_path(p, v, a, t2)
-    np.testing.assert_allclose(lifted2.j[:, 1], v)
-    np.testing.assert_allclose(lifted2.h[:, 1, 1], a)
+    np.testing.assert_allclose(lifted2.e, np.outer(v, [1.0, 0.5]))
+    np.testing.assert_allclose(lifted2.h, np.outer(a, [1.0, 0.5]))
+    t3 = dm.Dual(2.0, np.array([0.0, 1.0]), np.array([0.25, 0.0]))
+    lifted3 = dm.lift_path(p, v, a, t3)
+    np.testing.assert_allclose(lifted3.h, np.outer(v, [0.25, 0.0]))
+    assert lifted.h is None

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from fwrta import simulate
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
-from fwrta.model import AircraftState, velocity
+from fwrta.model import AircraftState, ControlInput, velocity
 from fwrta.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from fwrta.simulate import (
     evaluate_checks,
@@ -62,6 +63,24 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="checks.bogus"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("min_h_p", "x"),
+            ("min_h_p", None),
+            ("min_h_p", True),
+            ("max_abs_down", float("nan")),
+            ("max_final_pos_err", float("inf")),
+            ("no_warnings", 1),
+            ("p_transparent", "yes"),
+            ("allow_abort", None),
+        ],
+    )
+    def test_bad_check_value_rejected(self, key, value):
+        raw = make_raw(checks={key: value})
+        with pytest.raises(ScenarioError, match=f"checks.{key}"):
+            scenario_from_dict(raw)
+
     def test_initial_barrier_violation_rejected(self):
         raw = make_raw()
         raw["constraints"]["members"] = [
@@ -113,6 +132,33 @@ class TestIntegrate:
         assert 0 < len(log.t) < 3001
         met = metrics_from_log(log, scn)
         assert met.aborted
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only package errors are numerical aborts; a bare ValueError from
+        # the control law is a bug and must not be logged as an abort
+        scn = scenario_from_dict(make_raw(t_final=1.0, dt=0.01))
+
+        def broken_track(*args, **kwargs):
+            raise ValueError("bug in the control law")
+
+        monkeypatch.setattr(simulate, "track", broken_track)
+        with pytest.raises(ValueError, match="bug in the control law"):
+            integrate(scn)
+
+    def test_non_finite_input_is_an_abort(self, monkeypatch):
+        scn = scenario_from_dict(make_raw(t_final=1.0, dt=0.01))
+        real_track = simulate.track
+
+        def overflowing_track(state, t, *args, **kwargs):
+            res = real_track(state, t, *args, **kwargs)
+            if t > 0.5:
+                res.u = ControlInput(float("inf"), 0.0, 0.0)
+            return res
+
+        monkeypatch.setattr(simulate, "track", overflowing_track)
+        log = integrate(scn)
+        assert log.abort is not None and log.abort.startswith("NonFiniteValue")
+        assert 0 < len(log.t) < 101
 
     def test_speed_norm_invariant_along_log(self):
         scn = scenario_from_dict(make_raw(t_final=2.0))
@@ -261,6 +307,12 @@ class TestCli:
             (("fig3", "gravity"), -1),
             # more than MAX_STEPS steps
             (("fig3", "dt"), 1e-300),
+            # the goal command's certificate V(0) overflows outside modelfree
+            (("fig3", "tracking", "K_r"), 1e300),
+            (("fig5", "tracking", "K_r"), 1e300),
+            (("fig3", "goal", "r0", 0), 1e300),
+            (("fig5", "goal", "r0", 0), 1e300),
+            (("step_offset", "goal", "v_g", 0), 1e300),
         ],
     )
     def test_non_finite_number_exit_code(self, path, value, tmp_path):
@@ -277,14 +329,17 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["check", "--scenario", str(tmp_path / "nope.json")]) == 2
 
-    def test_run_abort_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_run_abort_exit_code(self, command, tmp_path):
+        # the abort comes after step 0; both commands report its kind
         raw = make_raw(t_final=30.0, dt=0.01)
         raw["initial_state"]["psi"] = 0.0
         raw["initial_state"]["V_T"] = 2.0
         raw["goal"]["v_g"] = [0.5, 0.0, 0.0]
         src = tmp_path / "brake.json"
         src.write_text(json.dumps(raw))
-        assert cli_main(["run", "--scenario", str(src), "--out", str(tmp_path)]) == 3
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert cli_main([command, "--scenario", str(src), *out]) == 3
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RTA_OUT_DIR", str(tmp_path / "envout"))
@@ -309,3 +364,51 @@ class TestCli:
         table = list(tmp_path.glob("*sweep*.csv"))[0].read_text().splitlines()
         assert table[0].startswith("value,min_h_p")
         assert len(table) == 3
+
+
+LEAF_VALUES = [0, -1, float("nan"), float("inf"), -float("inf"), 1e300, -1e300, 1e-300, "x", True, None]
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", LEAF_VALUES, ids=repr)
+@pytest.mark.parametrize("base", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
+def test_leaf_mutation_exit_codes(base, value, tmp_path, capsys):
+    """Every numeric leaf set to an extreme or a wrong type: no traceback,
+    and a non-finite or non-numeric value is a schema error (exit 2)."""
+    original = json.loads(bundled_scenario_path(base).read_text())
+    must_reject = not (isinstance(value, (int, float)) and not isinstance(value, bool) and np.isfinite(value))
+    src = tmp_path / "leaf.json"
+    failures = []
+    for path in _numeric_leaves(original):
+        raw = copy.deepcopy(original)
+        if path != ("t_final",):
+            raw["t_final"] = 0.05
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        src.write_text(json.dumps(raw))
+        for argv in (["run", "--horizon", "0.05", "--out", str(tmp_path / "out")], ["check"]):
+            try:
+                code = cli_main([argv[0], "--scenario", str(src), *argv[1:]])
+            except Exception as exc:  # any escape is the failure under test
+                failures.append((path, argv[0], f"{type(exc).__name__}: {exc}"))
+                continue
+            if must_reject and code != 2:
+                failures.append((path, argv[0], f"exit {code}"))
+    capsys.readouterr()
+    assert not failures
+
