@@ -6,9 +6,16 @@ acceleration map.  Penalizing the gap between the safe and the actual
 turn rate produces a barrier whose rate depends on the roll channel, so
 the outer closed-form filter can command all three inputs.
 
-The full-state gradient of that barrier ("lengthy calculation") is
-produced by forward-mode dual numbers threaded through every stage:
-composed extension, smooth filter, rate conversion and penalty.
+The barrier reads the state through the plain-float frame of
+:class:`~fwrta.model.TrackContext`: ``(r, v, t)``, the rotation column
+``c1``, the turn rate ``R`` and the speed.  Its rate along the dynamics
+splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain (composed
+extension and smooth filter, the "lengthy calculation") is pushed
+through first-order dual numbers along the three directions that move
+``(r, v, t)``: the drift ``(v, V R c1, 1)`` and the ``A_T`` and ``Q``
+columns ``(0, c0, 0)`` and ``(0, -V c2, 0)``.  The frame's own rates are
+closed form: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn
+rate's, so the roll rate ``P`` enters only through them.
 """
 
 from __future__ import annotations
@@ -21,18 +28,7 @@ from . import dual as dm
 from .constraints import ConstraintSet
 from .extended import compose_extended_terms
 from .filters import ClassKappaLinear, FilterResult, WeightFactor, apply_filter, lambda_smooth
-from .model import (
-    AircraftState,
-    ControlInput,
-    GravityParam,
-    check_pitch,
-    check_speed,
-    euler_cols,
-    f_vec,
-    g_mat,
-    turn_rate_raw,
-    velocity_vec,
-)
+from .model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,8 @@ class BacksteppingParams:
             raise ValueError("gamma_p, nu_e and mu_e must be positive")
 
 
-def _pipeline(r, phi, theta, psi, V_T, t, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
-    """Shared dual-capable chain: returns (h_e, a_s, R_s, R, h_b)."""
-    v = velocity_vec(theta, psi, V_T)
+def _pipeline(r, v, t, c1, R, V_T, cset: ConstraintSet, p: BacksteppingParams):
+    """Shared dual-capable chain: returns (h_e, a_s, R_s, h_b)."""
     h_e, gr, gv, dt, _, _ = compose_extended_terms(r, v, t, cset, p.gamma_p)
     # barrier rate at zero acceleration plus decay
     a_e = dm.dot(gr, v) + dt + p.alpha_e(h_e)
@@ -68,34 +63,44 @@ def _pipeline(r, phi, theta, psi, V_T, t, cset: ConstraintSet, p: BacksteppingPa
     else:
         lam = lambda_smooth(a_e, dm.sqrt(bn2), p.nu_e)
         a_s = dm.matvec(W_e, b_e) * lam
-    _, c1, _ = euler_cols(phi, theta, psi)
     R_s = dm.dot(c1, a_s) / V_T
-    R = turn_rate_raw(phi, theta, V_T, g.g_d)
     gap = R_s - R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
-    return h_e, a_s, R_s, R, h_b
+    return h_e, a_s, R_s, h_b
 
 
 def h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam) -> float:
     """Penalized barrier; never exceeds the composed extension."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    _, _, _, _, hb = _pipeline(state.r, state.phi, state.theta, state.psi, state.V_T, t, cset, p, g)
-    return float(hb)
+    ctx = TrackContext(state, t, g)
+    return float(_pipeline(ctx.r, ctx.v, t, ctx.c1, ctx.R, ctx.V_T, cset, p)[3])
 
 
-def _seeded_pipeline(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
-    """``(h_e, h_b)`` as first-order duals over the 8 ``(x, t)`` seeds."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    h_e, _, _, _, hb = _pipeline(*dm.seed_state_time(state.as_array(), t), cset, p, g)
-    return h_e, hb
-
-
-def grad_h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
-    """Exact gradient ``(dh/dx, dh/dt)`` by forward-mode evaluation."""
-    hb = _seeded_pipeline(state, t, cset, p, g)[1]
-    return hb.e[:7].copy(), float(hb.e[7])
+def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
+    """``(h_e, h_b)`` and the rate of ``h_b`` as ``drift + row . u``."""
+    ctx = TrackContext(state, t, g)
+    c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
+    V, R = ctx.V_T, ctx.R
+    # seeds (drift, A_T, Q) over (r, v, t); P moves neither r nor v
+    zero = np.zeros(3)
+    r = dm.Dual(ctx.r, np.column_stack([ctx.v, zero, zero]))
+    v = dm.Dual(ctx.v, np.column_stack([(V * R) * c1, c0, -V * c2]))
+    td = dm.Dual(t, np.array([1.0, 0.0, 0.0]))
+    h_e, a_s, R_s, hb = _pipeline(r, v, td, c1, R, V, cset, p)
+    # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
+    # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T
+    e_he, e_Rs = h_e.e, R_s.e
+    D_he = np.array([e_he[0], e_he[1], 0.0, e_he[2]])
+    D_Rs = np.array(
+        [
+            e_Rs[0] - R * float(c0 @ a_s.v) / V,
+            e_Rs[1] - R_s.v / V,
+            float(c2 @ a_s.v) / V,
+            e_Rs[2],
+        ]
+    )
+    D_R = np.array([ctx.g_over_V * ctx.s_th * R, -R / V, ctx.g_over_V * ctx.c_ph * ctx.c_th, 0.0])
+    D_hb = D_he - (R_s.v - R) * (D_Rs - D_R) / p.mu_e
+    return float(h_e.v), float(hb.v), float(D_hb[0]), D_hb[1:]
 
 
 @dataclass
@@ -121,23 +126,18 @@ def rta_backstepping(
 ) -> BacksteppingRtaResult:
     """Filter the desired input against the penalized barrier.
 
-    The constraint row is ``dh/dx g(x)``; its roll entry is generically
-    nonzero, so all three channels participate.
+    The constraint row is the barrier's rate along the input columns;
+    its roll entry is generically nonzero, so all three channels
+    participate.
     """
-    h_e_d, hb_d = _seeded_pipeline(state, t, cset, p, g)
-    dhdx = hb_d.e[:7]
-    dhdt = float(hb_d.e[7])
-    f = f_vec(state, g)
-    G = g_mat(state)
+    h_e, hb, drift, row = _affine_terms(state, t, cset, p, g)
     u_d_vec = u_d.as_array()
-    drift = dhdt + float(dhdx @ f)
-    row = dhdx @ G
-    a = drift + float(row @ u_d_vec) + p.alpha(float(hb_d.v))
+    a = drift + float(row @ u_d_vec) + p.alpha(hb)
     res: FilterResult = apply_filter(u_d_vec, a, row, p.W, smooth_nu)
     return BacksteppingRtaResult(
         u=ControlInput.from_array(res.u),
-        h_b=float(hb_d.v),
-        h_e=float(h_e_d.v),
+        h_b=hb,
+        h_e=h_e,
         residual=res.slack,
         lam=res.lam,
         infeasible=res.infeasible,

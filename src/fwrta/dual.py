@@ -201,33 +201,6 @@ def lift_const(c, like):
     return Dual(c, e, None if like.h is None else e.copy())
 
 
-def seed_state_time(x, t):
-    """Dual pieces of a 7-state plus time against 8 unit seed directions.
-
-    Returns ``(r, phi, theta, psi, V_T, t)`` where ``r`` is a dual
-    3-vector and the rest are dual scalars; seed ordering is the state
-    components followed by time.
-    """
-    E = np.eye(8)
-    x = np.asarray(x, dtype=float)
-    r = Dual(x[:3].copy(), E[:3].copy())
-    phi = Dual(float(x[3]), E[3])
-    theta = Dual(float(x[4]), E[4])
-    psi = Dual(float(x[5]), E[5])
-    V_T = Dual(float(x[6]), E[6])
-    td = Dual(float(t), E[7])
-    return r, phi, theta, psi, V_T, td
-
-
-def seed_pos_time(r, t):
-    """First-order seeds over position and time (4 directions)."""
-    E = np.eye(4)
-    r = np.asarray(r, dtype=float)
-    rd = Dual(r.copy(), E[:3].copy())
-    td = Dual(float(t), E[3])
-    return rd, td
-
-
 def seed_line(r, t, v):
     """Curvature seeds ``(w, r_n, r_e, r_d)`` over position and time.
 

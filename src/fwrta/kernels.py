@@ -1,9 +1,9 @@
 """Plain-float dynamics RHS and RK4 step of the seven-state model.
 
 ``dubins_rhs`` is the one implementation of the state derivative: the
-integrator, the stage-controlled integrator and the control-affine split
-in :mod:`fwrta.model` all evaluate it.  The differentiable control-law
-math lives in the regular modules: it runs on dual numbers.
+integrator and the stage-controlled integrator both evaluate it.  The
+control laws read the same kinematics from the plain-float frame of
+:class:`fwrta.model.TrackContext` and write its rates in closed form.
 """
 
 from __future__ import annotations

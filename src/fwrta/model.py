@@ -1,20 +1,20 @@
-"""Kinematic fixed-wing aircraft: state/input types, control-affine
-dynamics, the coordinated-turn rate and the acceleration map.
+"""Kinematic fixed-wing aircraft: state/input types and the per-step frame.
 
 The seven states are north/east/down position, roll/pitch/yaw Euler
 angles and speed; inputs are longitudinal acceleration plus roll and
 pitch rates, ``u = (A_T, P, Q)``.  Turning requires rolling: the yaw
 rate ``R = (g_D / V_T) sin(phi) cos(theta)`` is a state function, not an
-input.
+input.  The state derivative has one implementation,
+:func:`fwrta.kernels.dubins_rhs`.
 
 The map from ``(A_T, Q, R)`` to inertial acceleration factors as
 ``M_a = R_eb(phi, theta, psi) @ C(V_T)`` with
 ``C = [[1, 0, 0], [0, 0, V_T], [0, -V_T, 0]]``, which gives closed-form
 columns and determinant (``det M_a = V_T^2``); its inverse has the rows
-``c0``, ``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns.  The
-core formulas are written over the generic dual-capable helpers so they
-can be differentiated by evaluation; :class:`TrackContext` spells the
-same formulas out once per step on plain floats.
+``c0``, ``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns.
+:class:`TrackContext` is the one spelling of that frame (rotation
+columns, velocity and turn rate) on plain floats; the filters and the
+tracking controller write its rates in closed form.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual as dm
 from .errors import NonFiniteValue, SingularPitch, SingularSpeed
-from .kernels import dubins_rhs
 
 V_T_FLOOR = 1.0  # m/s, speed below which the model is treated as invalid
 PITCH_GUARD = 1e-3  # rad short of +-pi/2
-_ZERO_INPUT = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -99,68 +96,25 @@ class ControlInput:
         return np.array([self.A_T, self.P, self.Q])
 
 
-def check_speed(V_T, floor: float = V_T_FLOOR) -> None:
-    if float(dm.value(V_T)) <= floor:
-        raise SingularSpeed(f"V_T = {float(dm.value(V_T)):.6g} m/s at or below floor {floor} m/s")
+def check_speed(V_T: float, floor: float = V_T_FLOOR) -> None:
+    if V_T <= floor:
+        raise SingularSpeed(f"V_T = {V_T:.6g} m/s at or below floor {floor} m/s")
 
 
-def check_pitch(theta) -> None:
-    if abs(float(dm.value(theta))) >= math.pi / 2 - PITCH_GUARD:
-        raise SingularPitch(f"|theta| = {abs(float(dm.value(theta))):.6g} rad too close to pi/2")
-
-
-def velocity_vec(theta, psi, V_T):
-    """Inertial velocity from the velocity-related states (dual-capable)."""
-    c_th = dm.cos(theta)
-    return dm.stack(
-        [
-            V_T * c_th * dm.cos(psi),
-            V_T * c_th * dm.sin(psi),
-            -V_T * dm.sin(theta),
-        ]
-    )
-
-
-def velocity(state: AircraftState) -> np.ndarray:
-    """Inertial velocity vector; its norm equals V_T."""
-    return velocity_vec(state.theta, state.psi, state.V_T)
-
-
-def turn_rate_raw(phi, theta, V_T, g_d, v_min: float = V_T_FLOOR):
-    check_speed(V_T, v_min)
-    return g_d / V_T * dm.sin(phi) * dm.cos(theta)
-
-
-def turn_rate(state: AircraftState, g: GravityParam, v_min: float = V_T_FLOOR) -> float:
-    """Coordinated yaw rate implied by bank angle and speed."""
-    return turn_rate_raw(state.phi, state.theta, state.V_T, g.g_d, v_min)
-
-
-def euler_cols(phi, theta, psi):
-    """Columns of the body-to-earth rotation (3-2-1 Euler), dual-capable.
-
-    Column 0 is the unit velocity direction; columns 1 and 2 are the
-    body right and down axes expressed in the earth frame.
-    """
-    s_ph, c_ph = dm.sin(phi), dm.cos(phi)
-    s_th, c_th = dm.sin(theta), dm.cos(theta)
-    s_ps, c_ps = dm.sin(psi), dm.cos(psi)
-    c0 = dm.stack([c_ps * c_th, s_ps * c_th, -s_th])
-    c1 = dm.stack([c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph])
-    c2 = dm.stack([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
-    return c0, c1, c2
+def check_pitch(theta: float) -> None:
+    if abs(theta) >= math.pi / 2 - PITCH_GUARD:
+        raise SingularPitch(f"|theta| = {abs(theta):.6g} rad too close to pi/2")
 
 
 class TrackContext:
     """Plain-float frame of one ``(x, t)``, shared by the per-step formulas.
 
     Holds the sines and cosines of the Euler angles, the body-to-earth
-    rotation columns, the inertial velocity and the coordinated turn
-    rate.  The columns, the velocity and the turn rate are the formulas
-    of :func:`euler_cols`, :func:`velocity_vec` and :func:`turn_rate_raw`,
-    spelled out on sines computed once here (the dual-capable versions
-    cost several times as much on floats); the results are the same bit
-    for bit.
+    rotation columns (3-2-1 Euler; ``c0`` is the unit velocity
+    direction, ``c1`` and ``c2`` the body right and down axes in the
+    earth frame), the inertial velocity and the coordinated turn rate,
+    all from sines computed once here.  Construction enforces the pitch
+    guard and the speed floor.
     """
 
     __slots__ = (
@@ -188,41 +142,3 @@ class TrackContext:
         self.c2 = np.array([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
         self.v = np.array([V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th])
         self.R = self.g_over_V * s_ph * c_th
-
-
-def accel_matrix(state: AircraftState) -> np.ndarray:
-    """3x3 map from (A_T, Q, R) to inertial acceleration."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    c0, c1, c2 = euler_cols(state.phi, state.theta, state.psi)
-    V = state.V_T
-    return np.column_stack([c0, -V * c2, V * c1])
-
-
-def f_vec(state: AircraftState, g: GravityParam) -> np.ndarray:
-    """Drift term of the control-affine dynamics: the RHS at zero input."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    return dubins_rhs(state.as_array(), _ZERO_INPUT, g.g_d)
-
-
-def g_mat(state: AircraftState) -> np.ndarray:
-    """Input matrix of the control-affine dynamics (columns A_T, P, Q)."""
-    check_pitch(state.theta)
-    s_ph, c_ph = math.sin(state.phi), math.cos(state.phi)
-    c_th = math.cos(state.theta)
-    t_th = math.tan(state.theta)
-    G = np.zeros((7, 3))
-    G[3, 1] = 1.0
-    G[3, 2] = s_ph * t_th
-    G[4, 2] = c_ph
-    G[5, 2] = s_ph / c_th
-    G[6, 0] = 1.0
-    return G
-
-
-def dynamics(state: AircraftState, u: ControlInput, g: GravityParam) -> np.ndarray:
-    """State derivative ``f(x) + g(x) u`` of the seven-state model."""
-    check_pitch(state.theta)
-    check_speed(state.V_T)
-    return dubins_rhs(state.as_array(), u.as_array(), g.g_d)

@@ -21,7 +21,7 @@ from .constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h
 from .errors import FwrtaError, ScenarioError
 from .extended import ExtendedParams, h_e_composed
 from .filters import ClassKappaLinear, WeightFactor
-from .model import AircraftState, GravityParam, check_pitch, check_speed, velocity
+from .model import AircraftState, GravityParam, TrackContext, check_pitch, check_speed
 from .modelfree import ModelFreeParams, h_V
 from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, TrackingParams, track
 
@@ -71,6 +71,13 @@ def _get(d: dict, key: str, path: str):
     return d[key]
 
 
+def _section(d: dict, key: str, path: str) -> dict:
+    v = _get(d, key, path)
+    if not isinstance(v, dict):
+        raise ScenarioError(f"field '{path}{key}' must be an object")
+    return v
+
+
 def _is_finite_number(x) -> bool:
     """A JSON number (not a bool) that converts to a finite float."""
     if not isinstance(x, (int, float)) or isinstance(x, bool):
@@ -115,6 +122,8 @@ def _members(items, path: str):
         raise ScenarioError(f"field '{path}' must be a non-empty list")
     out = []
     for i, m in enumerate(items):
+        if not isinstance(m, dict):
+            raise ScenarioError(f"field '{path}[{i}]' must be an object")
         p = f"{path}[{i}]."
         kind = _get(m, "type", p)
         if kind == "obstacle":
@@ -136,6 +145,9 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     if raw.get("schema") != SCHEMA_ID:
         raise ScenarioError(f"field 'schema' must be '{SCHEMA_ID}'")
     name = _get(raw, "name", "")
+    # the name is the file stem of every export
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioError("field 'name' must be a non-empty string without '/', '\\' or NUL, and not '.' or '..'")
     dt = _num(raw, "dt", "")
     t_final = _num(raw, "t_final", "")
     if dt <= 0.0:
@@ -152,9 +164,9 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"field 'gravity': {exc}") from exc
 
-    x0 = _state(_get(raw, "initial_state", ""), "initial_state.")
+    x0 = _state(_section(raw, "initial_state", ""), "initial_state.")
 
-    goal_d = _get(raw, "goal", "")
+    goal_d = _section(raw, "goal", "")
     if _get(goal_d, "type", "goal.") != "linear":
         raise ScenarioError("field 'goal.type' must be 'linear'")
     goal = GoalTrajectory.linear(
@@ -162,7 +174,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         _vec3(goal_d, "r0", "goal.") if "r0" in goal_d else (0.0, 0.0, 0.0),
     )
 
-    tr_d = _get(raw, "tracking", "")
+    tr_d = _section(raw, "tracking", "")
     try:
         tracking = TrackingParams(
             K_r=_gain_matrix(_get(tr_d, "K_r", "tracking."), "tracking.K_r"),
@@ -173,7 +185,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"field 'tracking': {exc}") from exc
 
-    c_d = _get(raw, "constraints", "")
+    c_d = _section(raw, "constraints", "")
     try:
         cset = ConstraintSet(
             members=_members(_get(c_d, "members", "constraints."), "constraints.members"),
@@ -182,7 +194,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"field 'constraints': {exc}") from exc
 
-    sf = _get(raw, "safety_filter", "")
+    sf = _section(raw, "safety_filter", "")
     try:
         alpha = ClassKappaLinear(_num(sf, "gamma", "safety_filter."))
         W = WeightFactor.diagonal(_vec3(sf, "W", "safety_filter."))
@@ -199,7 +211,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
 
     extended = None
     if "extended" in raw:
-        e_d = raw["extended"]
+        e_d = _section(raw, "extended", "")
         try:
             extended = ExtendedParams(gamma_p=_num(e_d, "gamma_p", "extended."), alpha=alpha, W=W)
         except ValueError as exc:
@@ -207,7 +219,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
 
     backstep = None
     if "backstepping" in raw:
-        b_d = raw["backstepping"]
+        b_d = _section(raw, "backstepping", "")
         if extended is None:
             raise ScenarioError("field 'backstepping' requires the 'extended' section (gamma_p)")
         try:
@@ -225,7 +237,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
 
     mf = None
     if "modelfree" in raw:
-        m_d = raw["modelfree"]
+        m_d = _section(raw, "modelfree", "")
         try:
             mf = ModelFreeParams(
                 gamma_p=_num(m_d, "gamma_p", "modelfree."),
@@ -257,7 +269,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
             raise ScenarioError(f"field 'checks.{key}' is not a known threshold")
 
     scn = Scenario(
-        name=str(name),
+        name=name,
         dt=dt,
         t_final=t_final,
         mode=mode,
@@ -290,7 +302,8 @@ def _validate_initial_barriers(scn: Scenario) -> None:
     if h_p0 < 0.0:
         raise ScenarioError(f"initial state violates the position barrier: h_p(0) = {h_p0:.6g}")
     if scn.mode in ("extended", "backstepping"):
-        he = h_e_composed(scn.x0.r, velocity(scn.x0), 0.0, scn.cset, scn.extended).value
+        v0 = TrackContext(scn.x0, 0.0, scn.gravity).v
+        he = h_e_composed(scn.x0.r, v0, 0.0, scn.cset, scn.extended).value
         if he < 0.0:
             raise ScenarioError(f"initial state violates the extended barrier: h_e(0) = {he:.6g}")
     if scn.mode == "backstepping":

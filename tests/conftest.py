@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fwrta import dual as dm
+from fwrta import kernels
+from fwrta.backstepping import _pipeline
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
-from fwrta.model import AircraftState, GravityParam, euler_cols, turn_rate_raw, velocity_vec
+from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.tracking import SafeVelocityCommand
 
 
@@ -15,6 +17,81 @@ def rng():
 @pytest.fixture
 def gravity():
     return GravityParam()
+
+
+def velocity(st):
+    """Inertial velocity of a state, read from its :class:`TrackContext`."""
+    return TrackContext(st, 0.0, GravityParam()).v
+
+
+def turn_rate(st, g):
+    """Coordinated turn rate of a state, read from its :class:`TrackContext`."""
+    return TrackContext(st, 0.0, g).R
+
+
+def dynamics(st, u, g):
+    """State derivative ``f(x) + g(x) u``: the one RHS, :func:`fwrta.kernels.dubins_rhs`."""
+    return kernels.dubins_rhs(st.as_array(), u.as_array(), g.g_d)
+
+
+def accel_matrix(st):
+    """3x3 map from ``(A_T, Q, R)`` to inertial acceleration, from the context's columns."""
+    ctx = TrackContext(st, 0.0, GravityParam())
+    return np.column_stack([ctx.c0, -ctx.V_T * ctx.c2, ctx.V_T * ctx.c1])
+
+
+# dual-capable frame: the formulas TrackContext spells out on floats,
+# written over the dual helpers so that oracles can seed the state
+
+
+def velocity_vec(theta, psi, V_T):
+    """Inertial velocity from the velocity-related states."""
+    c_th = dm.cos(theta)
+    return dm.stack([V_T * c_th * dm.cos(psi), V_T * c_th * dm.sin(psi), -V_T * dm.sin(theta)])
+
+
+def turn_rate_raw(phi, theta, V_T, g_d):
+    """Coordinated yaw rate ``(g_D / V_T) sin(phi) cos(theta)``."""
+    return g_d / V_T * dm.sin(phi) * dm.cos(theta)
+
+
+def euler_cols(phi, theta, psi):
+    """Columns of the body-to-earth rotation (3-2-1 Euler)."""
+    s_ph, c_ph = dm.sin(phi), dm.cos(phi)
+    s_th, c_th = dm.sin(theta), dm.cos(theta)
+    s_ps, c_ps = dm.sin(psi), dm.cos(psi)
+    c0 = dm.stack([c_ps * c_th, s_ps * c_th, -s_th])
+    c1 = dm.stack([c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph])
+    c2 = dm.stack([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
+    return c0, c1, c2
+
+
+def seed_state_time(x, t):
+    """Dual pieces ``(r, phi, theta, psi, V_T, t)`` against the 8 ``(x, t)`` unit seeds.
+
+    ``r`` is a dual 3-vector and the rest are dual scalars; seed
+    ordering is the state components followed by time.
+    """
+    E = np.eye(8)
+    x = np.asarray(x, dtype=float)
+    r = dm.Dual(x[:3].copy(), E[:3].copy())
+    phi, theta, psi, V_T = (dm.Dual(float(x[i]), E[i]) for i in range(3, 7))
+    return r, phi, theta, psi, V_T, dm.Dual(float(t), E[7])
+
+
+def seed_pos_time(r, t):
+    """First-order seeds over position and time (4 directions)."""
+    E = np.eye(4)
+    return dm.Dual(np.asarray(r, dtype=float).copy(), E[:3].copy()), dm.Dual(float(t), E[3])
+
+
+def grad_h_b(st, t, cset, p, g):
+    """Gradient ``(dh_b/dx, dh_b/dt)`` of the penalized barrier, by 8-seed forward mode."""
+    r, phi, theta, psi, V_T, td = seed_state_time(st.as_array(), t)
+    v = velocity_vec(theta, psi, V_T)
+    c1 = euler_cols(phi, theta, psi)[1]
+    hb = _pipeline(r, v, td, c1, turn_rate_raw(phi, theta, V_T, g.g_d), V_T, cset, p)[3]
+    return hb.e[:7].copy(), float(hb.e[7])
 
 
 def random_state(rng, v_range=(50.0, 300.0), theta_max=1.2, phi_max=1.4, pos_scale=4000.0):
@@ -60,7 +137,7 @@ def command_duals(cmd, st, t):
     ``(H w)_t = h[:, 0] - h[:, 1:] v``) and onto the state seeds; the
     goal is lifted along its path.
     """
-    parts = dm.seed_state_time(st.as_array(), t)
+    parts = seed_state_time(st.as_array(), t)
     r, _, theta, psi, V_T, td = parts
     v = velocity_vec(theta, psi, V_T)
     if isinstance(cmd, SafeVelocityCommand):

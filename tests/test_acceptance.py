@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certificate_duals, random_constraint_set, random_state
+from conftest import certificate_duals, grad_h_b, random_constraint_set, random_state, seed_pos_time, velocity
 from fwrta import dual as dm
 from fwrta.constraints import compose_h_p, compose_terms, softmin
 from fwrta.export import csv_header, write_csv
 from fwrta.extended import compose_extended_terms
-from fwrta.backstepping import BacksteppingParams, grad_h_b, h_b
+from fwrta.backstepping import BacksteppingParams, h_b
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
-from fwrta.model import AircraftState, GravityParam, velocity
+from fwrta.model import AircraftState, GravityParam
 from fwrta.modelfree import ModelFreeParams, safe_velocity, safe_velocity_terms
 from fwrta.scenario import load_scenario
 from fwrta.simulate import integrate, integrate_stage_controlled, metrics_from_log
@@ -286,6 +286,15 @@ def _rel_err(ad, fd, floor=0.1):
     return float(np.linalg.norm(ad - fd) / max(np.linalg.norm(fd), floor))
 
 
+def _safe_velocity_jacobian(r, t, goal, tp, cset, mf):
+    """3x4 Jacobian of the safe velocity over ``(r, t)`` from a first-order pass."""
+    r1, t1 = seed_pos_time(r, t)
+    r_g = dm.lift_path(goal.position(t), goal.velocity(t), goal.accel(t), t1)
+    v_g = dm.lift_path(goal.velocity(t), goal.accel(t), np.zeros(3), t1)
+    v_d1 = v_g + dm.matvec(tp.K_r, r_g - r1)
+    return safe_velocity_terms(r1, t1, v_d1, cset, mf)[0].e
+
+
 def test_criterion_7_gradient_certification(rng):
     p = _backstep_params()
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
@@ -299,7 +308,7 @@ def test_criterion_7_gradient_certification(rng):
         r0, t0 = st.r, 1.0
 
         # position barrier over (r, t)
-        rd, td = dm.seed_pos_time(r0, t0)
+        rd, td = seed_pos_time(r0, t0)
         hp_d = compose_terms(rd, td, cset)[0]
         fd = np.zeros(4)
         for k in range(4):
@@ -352,11 +361,7 @@ def test_criterion_7_gradient_certification(rng):
         worst["h_b"] = max(worst["h_b"], _rel_err(np.append(dhdx, dhdt), fd8))
 
         # safe velocity Jacobian over (r, t)
-        r1, t1 = dm.seed_pos_time(r0, t0)
-        r_g = dm.lift_path(goal.position(t0), goal.velocity(t0), goal.accel(t0), t1)
-        v_g = dm.lift_path(goal.velocity(t0), goal.accel(t0), np.zeros(3), t1)
-        v_d1 = v_g + dm.matvec(tp.K_r, r_g - r1)
-        vs_d = safe_velocity_terms(r1, t1, v_d1, cset, mf)[0]
+        J_vs = _safe_velocity_jacobian(r0, t0, goal, tp, cset, mf)
         fd_j = np.zeros((3, 4))
         for k in range(4):
             z = np.append(r0, t0)
@@ -366,7 +371,7 @@ def test_criterion_7_gradient_certification(rng):
             vp = safe_velocity(zp[:3], zp[3], desired_velocity(zp[:3], zp[3], goal, tp), cset, mf).v_s
             vm = safe_velocity(zm[:3], zm[3], desired_velocity(zm[:3], zm[3], goal, tp), cset, mf).v_s
             fd_j[:, k] = (vp - vm) / (2 * h_fd)
-        worst["v_s"] = max(worst["v_s"], _rel_err(vs_d.e, fd_j))
+        worst["v_s"] = max(worst["v_s"], _rel_err(J_vs, fd_j))
 
         # tracking certificate over (x, t)
         cmd = GoalCommand(goal, tp)
@@ -458,6 +463,32 @@ def test_invariant_modelfree_proof_chain(fig6_run):
     hv = log.h_mode
     resid = (hv[1:] - hv[:-1]) / scn.dt + scn.mf.gamma_p * hv[:-1]
     assert float(resid.min()) >= -1e-4
+
+
+def test_curvature_pass_matches_first_order_differences(fig6_run):
+    # the safe command's second derivative along w = (v, 1), read from the
+    # curvature pass, against Richardson-extrapolated central differences
+    # of the first-order rate J_r v + J_t along the same line; the oracle
+    # shares no curvature arithmetic with the pass
+    scn, log, _ = fig6_run
+    cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
+    tau = 3e-3
+
+    def line_rate(r, t, v, s):
+        J = _safe_velocity_jacobian(r + s * v, t + s, scn.goal, scn.tracking, scn.cset, scn.mf)
+        return J[:, :3] @ v + J[:, 3]
+
+    def central(r, t, v, s):
+        return (line_rate(r, t, v, s) - line_rate(r, t, v, -s)) / (2.0 * s)
+
+    worst = 0.0
+    for k in range(0, len(log.t) - 1, 200):
+        st = AircraftState.from_array(log.x[k])
+        r, t, v = st.r, float(log.t[k]), velocity(st)
+        oracle = (4.0 * central(r, t, v, 0.5 * tau) - central(r, t, v, tau)) / 3.0
+        got = cmd.seeded(r, t, v).h[:, 0]
+        worst = max(worst, float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle)))
+    assert worst <= 1e-8, worst
 
 
 def test_invariant_clf_decrease_when_tracking(fig3_run, fig4_run, fig5_run, fig6_run):

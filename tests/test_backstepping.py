@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_constraint_set, random_state
+from conftest import grad_h_b, random_constraint_set, random_state, seed_state_time, velocity, velocity_vec
+from fwrta import backstepping
 from fwrta import dual as dm
+from fwrta import kernels
 from fwrta.backstepping import (
     BacksteppingParams,
+    _affine_terms,
     _pipeline,
-    grad_h_b,
     h_b,
     rta_backstepping,
 )
 from fwrta.constraints import ConstraintSet, GeofencePlane
 from fwrta.extended import compose_extended_terms, h_e_composed
 from fwrta.filters import ClassKappaLinear, WeightFactor
-from fwrta.model import AircraftState, ControlInput, TrackContext, velocity
+from fwrta.model import AircraftState, ControlInput, TrackContext
 
 
 def table_params(mu_e=1e-4):
@@ -32,7 +34,8 @@ def table_params(mu_e=1e-4):
 
 def safe_pieces(st, t, cset, p, g):
     """``(a_s, R_s)``: the safe acceleration and turn rate of the barrier chain."""
-    _, a_s, R_s, _, _ = _pipeline(st.r, st.phi, st.theta, st.psi, st.V_T, t, cset, p, g)
+    ctx = TrackContext(st, t, g)
+    _, a_s, R_s, _ = _pipeline(ctx.r, ctx.v, t, ctx.c1, ctx.R, ctx.V_T, cset, p)
     return a_s, R_s
 
 
@@ -209,24 +212,55 @@ class TestGradient:
         cset = canceling_planes()
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 2, 150.0)
         dhdx, dhdt = grad_h_b(st, 0.0, cset, p, gravity)
-        r, phi, theta, psi, V_T, td = dm.seed_state_time(st.as_array(), 0.0)
-        from fwrta.model import velocity_vec
-
+        r, phi, theta, psi, V_T, td = seed_state_time(st.as_array(), 0.0)
         v = velocity_vec(theta, psi, V_T)
         he, *_ = compose_extended_terms(r, v, td, cset, p.gamma_p)
         np.testing.assert_allclose(dhdx, he.e[:7], atol=1e-12)
         assert dhdt == pytest.approx(float(he.e[7]), abs=1e-12)
 
-    def test_first_order_pass_carries_no_curvature(self, rng, gravity):
-        # the 8-seed gradient must stay first order: curvature would
-        # double the cost of every dual operation in rta_backstepping
+    def test_first_order_pass_carries_no_curvature(self, rng, gravity, monkeypatch):
+        # the filter's 3-direction pass must stay first order: curvature
+        # would double the cost of every dual operation in rta_backstepping
         st = random_state(rng, theta_max=1.0, phi_max=1.2)
         cset = random_constraint_set(rng, st.r)
-        outs = _pipeline(*dm.seed_state_time(st.as_array(), 1.0), cset, table_params(), gravity)
-        assert all(isinstance(x, dm.Dual) and x.h is None for x in outs)
+        seen = []
+
+        def recording(*args):
+            outs = _pipeline(*args)
+            seen.append(outs)
+            return outs
+
+        monkeypatch.setattr(backstepping, "_pipeline", recording)
+        rta_backstepping(st, 1.0, ControlInput(0.0, 0.0, 0.0), cset, table_params(), gravity)
+        assert len(seen) == 1
+        assert all(isinstance(x, dm.Dual) and x.e.shape[-1] == 3 and x.h is None for x in seen[0])
+
+
+def oracle_rate(st, t, cset, p, g):
+    """``(drift, row)`` as the 8-seed gradient contracted with ``f`` and the input columns ``G``."""
+    dhdx, dhdt = grad_h_b(st, t, cset, p, g)
+    x = st.as_array()
+    f = kernels.dubins_rhs(x, (0.0, 0.0, 0.0), g.g_d)
+    G = np.column_stack([kernels.dubins_rhs(x, e, g.g_d) - f for e in np.eye(3)])
+    return dhdt + float(dhdx @ f), dhdx @ G
 
 
 class TestRta:
+    def test_rate_matches_gradient_oracle(self, rng, gravity):
+        # the 3-direction pass plus the frame's closed-form rates against
+        # the full-state forward-mode gradient
+        p = table_params()
+        cases = [(AircraftState(0.0, 0.0, 0.0, 0.2, 0.1, math.pi / 2, 150.0), 0.0, canceling_planes())]
+        for _ in range(240):
+            st = random_state(rng, theta_max=1.0, phi_max=1.2)
+            cases.append((st, float(rng.uniform(0.0, 10.0)), random_constraint_set(rng, st.r)))
+        for st, t, cset in cases:
+            h_e, hb, drift, row = _affine_terms(st, t, cset, p, gravity)
+            ref_drift, ref_row = oracle_rate(st, t, cset, p, gravity)
+            got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
+            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+            assert hb == h_b(st, t, cset, p, gravity)
+
     def test_inactive_far_from_constraints(self, gravity):
         p = table_params()
         plane = GeofencePlane([0.0, 50000.0, 0.0], [0.0, -1.0, 0.0], 15.0)

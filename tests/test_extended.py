@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_constraint_set, random_state
+from conftest import random_constraint_set, random_state, velocity
 from fwrta import dual as dm
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_terms
 from fwrta.extended import (
@@ -15,7 +15,7 @@ from fwrta.extended import (
     rta_extended,
 )
 from fwrta.filters import ClassKappaLinear, WeightFactor
-from fwrta.model import AircraftState, ControlInput, velocity
+from fwrta.model import AircraftState, ControlInput
 from fwrta import kernels
 
 TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)

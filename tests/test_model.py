@@ -3,24 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
-from fwrta import kernels
-from fwrta.errors import SingularPitch, SingularSpeed
-from fwrta.model import (
-    AircraftState,
-    ControlInput,
-    GravityParam,
-    TrackContext,
+from conftest import (
     accel_matrix,
     dynamics,
     euler_cols,
-    f_vec,
-    g_mat,
+    random_state,
     turn_rate,
     turn_rate_raw,
     velocity,
     velocity_vec,
 )
+from fwrta import kernels
+from fwrta.errors import SingularPitch, SingularSpeed
+from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
 def inverse_rows(st):
@@ -117,15 +112,17 @@ class TestDynamics:
             got = dynamics(st, u, gravity)
             ref = spelled_out_rhs(st.as_array(), u.as_array(), gravity.g_d)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-            # the control-affine split reproduces the one RHS
-            split = f_vec(st, gravity) + g_mat(st) @ u.as_array()
-            rhs = kernels.dubins_rhs(st.as_array(), u.as_array(), gravity.g_d)
-            np.testing.assert_allclose(split, rhs, rtol=1e-12, atol=1e-12)
+            # the RHS is affine in the input: drift plus input columns
+            x = st.as_array()
+            f = kernels.dubins_rhs(x, (0.0, 0.0, 0.0), gravity.g_d)
+            G = np.column_stack([kernels.dubins_rhs(x, e, gravity.g_d) - f for e in np.eye(3)])
+            np.testing.assert_allclose(f + G @ u.as_array(), got, rtol=1e-12, atol=1e-12)
 
     def test_pitch_guard(self, gravity):
+        # the control step's frame refuses the pitch singularity
         st = AircraftState(0, 0, 0, 0, math.pi / 2 - 1e-4, 0, 100.0)
         with pytest.raises(SingularPitch):
-            dynamics(st, ControlInput(0, 0, 0), gravity)
+            TrackContext(st, 0.0, gravity)
 
 
 class TestAccelMatrix:
@@ -206,8 +203,8 @@ class TestAccelInverse:
 
 class TestTrackContext:
     def test_matches_dual_capable_formulas_bit_for_bit(self, rng, gravity):
-        # the extended filter's rate reads the context in place of these
-        # helpers; equality to the bit keeps its logs unchanged
+        # the dual-number oracles seed these formulas; equality to the
+        # bit makes them differentiate exactly what the filters evaluate
         for i in range(2000):
             st = random_state(rng, v_range=(1.5, 400.0), theta_max=1.5, phi_max=3.1)
             if i % 4 == 0:

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import velocity
 from fwrta import simulate
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
-from fwrta.model import AircraftState, ControlInput, velocity
+from fwrta.model import AircraftState, ControlInput
 from fwrta.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from fwrta.simulate import (
     evaluate_checks,
@@ -325,6 +326,45 @@ class TestCli:
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(raw))
         assert cli_main(["check", "--scenario", str(src)]) == 2
+
+    @pytest.mark.parametrize("value", [5, None], ids=repr)
+    @pytest.mark.parametrize(
+        "base, path, field",
+        [
+            ("fig5", ("initial_state",), "initial_state"),
+            ("fig5", ("goal",), "goal"),
+            ("fig5", ("tracking",), "tracking"),
+            ("fig5", ("constraints",), "constraints"),
+            ("fig5", ("constraints", "members", 1), "constraints.members[1]"),
+            ("fig5", ("safety_filter",), "safety_filter"),
+            ("fig5", ("extended",), "extended"),
+            ("fig5", ("backstepping",), "backstepping"),
+            ("fig6", ("modelfree",), "modelfree"),
+        ],
+    )
+    def test_non_object_section_exit_code(self, base, path, field, value, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path(base).read_text())
+        raw["t_final"] = 0.05
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        for argv in (["run", "--out", str(tmp_path / "out")], ["check"]):
+            assert cli_main([argv[0], "--scenario", str(src), *argv[1:]]) == 2
+            assert f"field '{field}' must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", [1], 5, None], ids=repr)
+    def test_bad_name_exit_code(self, name, tmp_path, capsys):
+        # the name is the file stem of every export
+        src = tmp_path / "scn.json"
+        src.write_text(json.dumps(make_raw(name=name, t_final=0.05)))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(src), "--out", str(out)]) == 2
+        assert "field 'name'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["check", "--scenario", str(tmp_path / "nope.json")]) == 2

@@ -3,21 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certificate_duals, random_state
+from conftest import accel_matrix, certificate_duals, dynamics, random_state, turn_rate, velocity
 from fwrta import kernels
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
-from fwrta.model import (
-    AircraftState,
-    ControlInput,
-    TrackContext,
-    accel_matrix,
-    dynamics,
-    euler_cols,
-    f_vec,
-    g_mat,
-    turn_rate,
-    velocity,
-)
+from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import ModelFreeParams
 from fwrta.tracking import (
     GoalCommand,
@@ -270,11 +259,11 @@ def dual_track_oracle(cmd, st, t, g):
     A_T, Q, R_d, R = A_T_dual.v, Q_dual.v, R_d_dual.v, R_dual.v
     e_v = e_v_dual.v
     gap = R_d - R
-    xdot0 = f_vec(st, g) + g_mat(st) @ np.array([A_T, 0.0, Q])
+    xdot0 = kernels.dubins_rhs(st.as_array(), (A_T, 0.0, Q), g.g_d)
     f_R = float(R_dual.e[:7] @ xdot0) + float(R_dual.e[7])
     f_Rd = float(R_d_dual.e[:7] @ xdot0) + float(R_d_dual.e[7])
     g_R, g_Rd = float(R_dual.e[3]), float(R_d_dual.e[3])
-    M_R = st.V_T * euler_cols(st.phi, st.theta, st.psi)[1]
+    M_R = st.V_T * TrackContext(st, t, g).c1
     a_P = (
         -0.5 * float(e_v @ (TABLE.K_v @ e_v))
         + float(e_v @ M_R) * gap
