@@ -1,10 +1,11 @@
 """Backstepping barrier assurance (strategy 2).
 
-A smooth filter over accelerations yields a safe acceleration, which is
-converted to a safe turn rate through the last row of the inverse
-acceleration map.  Penalizing the gap between the safe and the actual
-turn rate produces a barrier whose rate depends on the roll channel, so
-the outer closed-form filter can command all three inputs.
+The smooth filter step of :mod:`fwrta.filters`, run over accelerations
+from zero, yields a safe acceleration, converted to a safe turn rate
+through the last row of the inverse acceleration map.  Penalizing the
+gap between the safe and the actual turn rate produces a barrier whose
+rate depends on the roll channel, so the outer input filter
+(:func:`~fwrta.filters.filter_input`) can command all three inputs.
 
 The barrier reads the state through the plain-float frame of
 :class:`~fwrta.model.TrackContext`: ``(r, v, t)``, the rotation column
@@ -27,7 +28,7 @@ import numpy as np
 from . import dual as dm
 from .constraints import ConstraintSet
 from .extended import compose_extended_terms
-from .filters import ClassKappaLinear, FilterResult, WeightFactor, apply_filter, lambda_smooth
+from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input, filter_step
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
@@ -54,15 +55,9 @@ def _pipeline(r, v, t, c1, R, V_T, cset: ConstraintSet, p: BacksteppingParams):
     # barrier rate at zero acceleration plus decay
     a_e = dm.dot(gr, v) + dt + p.alpha_e(h_e)
     W_e = p.W_e.W
-    b_e = dm.matvec(W_e.T, gv)
-    bn2 = dm.dot(b_e, b_e)
-    if float(dm.value(bn2)) == 0.0:
-        # no acceleration authority: the filtered acceleration is the
-        # zero branch, constant in a neighborhood for the derivatives
-        a_s = dm.lift_const(np.zeros(3), h_e)
-    else:
-        lam = lambda_smooth(a_e, dm.sqrt(bn2), p.nu_e)
-        a_s = dm.matvec(W_e, b_e) * lam
+    # without authority a_s is the dual-kind zero, constant nearby for the derivatives
+    zero = dm.lift_const(np.zeros(3), h_e)
+    a_s = filter_step(zero, a_e, dm.matvec(W_e.T, gv), lambda z: dm.matvec(W_e, z), p.nu_e)[0]
     R_s = dm.dot(c1, a_s) / V_T
     gap = R_s - R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
@@ -103,18 +98,6 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: Backst
     return float(h_e.v), float(hb.v), float(D_hb[0]), D_hb[1:]
 
 
-@dataclass
-class BacksteppingRtaResult:
-    """Filtered input plus per-step safety diagnostics."""
-
-    u: ControlInput
-    h_b: float
-    h_e: float
-    residual: float
-    lam: float
-    infeasible: bool
-
-
 def rta_backstepping(
     state: AircraftState,
     t: float,
@@ -123,22 +106,12 @@ def rta_backstepping(
     p: BacksteppingParams,
     g: GravityParam,
     smooth_nu: float | None = None,
-) -> BacksteppingRtaResult:
+) -> RtaResult:
     """Filter the desired input against the penalized barrier.
 
     The constraint row is the barrier's rate along the input columns;
     its roll entry is generically nonzero, so all three channels
     participate.
     """
-    h_e, hb, drift, row = _affine_terms(state, t, cset, p, g)
-    u_d_vec = u_d.as_array()
-    a = drift + float(row @ u_d_vec) + p.alpha(hb)
-    res: FilterResult = apply_filter(u_d_vec, a, row, p.W, smooth_nu)
-    return BacksteppingRtaResult(
-        u=ControlInput.from_array(res.u),
-        h_b=hb,
-        h_e=h_e,
-        residual=res.slack,
-        lam=res.lam,
-        infeasible=res.infeasible,
-    )
+    _, hb, drift, row = _affine_terms(state, t, cset, p, g)
+    return filter_input(u_d, hb, drift, row, p, smooth_nu)

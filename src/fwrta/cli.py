@@ -1,6 +1,6 @@
 """Command-line interface: ``run``, ``check`` and ``sweep``.
 
-Exit codes: 0 ok, 1 threshold violation, 2 schema/IO error, 3 numerical
+Exit codes: 0 ok, 1 threshold violation, 2 schema/IO/usage error, 3 numerical
 abort (``check`` included, unless the scenario sets ``allow_abort``).
 ``RTA_OUT_DIR`` supplies the default output root.
 """

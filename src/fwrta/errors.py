@@ -30,4 +30,4 @@ class NonFiniteValue(FwrtaError, ValueError):
 
 
 class ScenarioError(FwrtaError):
-    """Scenario file is malformed; the message names the offending field."""
+    """Scenario input (file, field or sweep path) is malformed; the message names it."""

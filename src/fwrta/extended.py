@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dual as dm
 from .constraints import ConstraintSet, GeofencePlane, _separation, compose_members
-from .filters import ClassKappaLinear, FilterResult, WeightFactor, apply_filter
+from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
@@ -107,17 +107,6 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, params: E
     return h, drift, row
 
 
-@dataclass
-class ExtendedRtaResult:
-    """Filtered input plus the per-step safety diagnostics."""
-
-    u: ControlInput
-    h_e: float
-    residual: float
-    lam: float
-    infeasible: bool
-
-
 def rta_extended(
     state: AircraftState,
     t: float,
@@ -126,18 +115,10 @@ def rta_extended(
     params: ExtendedParams,
     g: GravityParam,
     smooth_nu: float | None = None,
-) -> ExtendedRtaResult:
+) -> RtaResult:
     """Filter the desired input against the composed extended barrier."""
     h, drift, row = _affine_terms(state, t, cset, params, g)
-    u_d_vec = u_d.as_array()
-    a = drift + float(row @ u_d_vec) + params.alpha(h)
-    res: FilterResult = apply_filter(u_d_vec, a, row, params.W, smooth_nu)
+    res = filter_input(u_d, h, drift, row, params, smooth_nu)
     # carry the desired roll rate through verbatim (bit-exact transparency)
-    u = ControlInput(float(res.u[0]), u_d.P, float(res.u[2]))
-    return ExtendedRtaResult(
-        u=u,
-        h_e=float(h),
-        residual=res.slack,
-        lam=res.lam,
-        infeasible=res.infeasible,
-    )
+    res.u = ControlInput(res.u.A_T, u_d.P, res.u.Q)
+    return res

@@ -6,16 +6,19 @@ without an optimizer.  The metric is supplied through its factor ``W``
 and the correction is ``Lambda(a, |b|) W b^T``.  ``lambda_hard`` is the
 exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
+:func:`filter_step` is the one implementation of that step; the input
+filter (:func:`apply_filter`), the backstepping acceleration filter and
+the model-free velocity filter all call it, the last two on dual numbers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dual as dm
+from .model import ControlInput
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,22 @@ def lambda_smooth(a, b_norm, nu: float):
     return dm.softplus(-nu * (a / b_norm)) / (nu * b_norm)
 
 
+def filter_step(u_d, a, b, W, nu: float | None = None):
+    """One filter step ``u = u_d + Lambda(a, |b|) W b``, dual-capable.
+
+    ``b`` is the weighted constraint row and ``W`` a callable applying the
+    factor; ``nu=None`` selects ``lambda_hard``, otherwise
+    ``lambda_smooth``.  Returns ``(u, lam, |b|^2)``; a zero row returns
+    ``u_d`` itself with ``lam = 0``.
+    """
+    bn2 = dm.dot(b, b)
+    if float(dm.value(bn2)) == 0.0:
+        return u_d, 0.0, bn2
+    b_norm = dm.sqrt(bn2)
+    lam = lambda_hard(a, b_norm) if nu is None else lambda_smooth(a, b_norm, nu)
+    return u_d + W(b) * lam, lam, bn2
+
+
 def apply_filter(u_d, a, b_raw, weight: WeightFactor, smooth_nu: float | None = None) -> FilterResult:
     """Minimally adjust ``u_d`` so that ``a + b_raw (u - u_d) >= 0``.
 
@@ -98,14 +117,35 @@ def apply_filter(u_d, a, b_raw, weight: WeightFactor, smooth_nu: float | None = 
     ``smooth_nu=None`` selects the exact hard solution.
     """
     u_d = np.asarray(u_d, dtype=float)
-    b_raw = np.asarray(b_raw, dtype=float)
-    b = b_raw @ weight.W
-    b_norm = math.sqrt(float(b @ b))
-    if b_norm == 0.0:
+    W = weight.W
+    u, lam, bn2 = filter_step(u_d, a, np.asarray(b_raw, dtype=float) @ W, lambda z: W @ z, smooth_nu)
+    if bn2 == 0.0:
         return FilterResult(u=u_d.copy(), lam=0.0, slack=float(a), infeasible=a < 0.0)
-    if smooth_nu is None:
-        lam = lambda_hard(a, b_norm)
-    else:
-        lam = lambda_smooth(a, b_norm, smooth_nu)
-    u = u_d + lam * (weight.W @ b)
-    return FilterResult(u=u, lam=float(lam), slack=float(a + lam * b_norm * b_norm), infeasible=False)
+    return FilterResult(u=u, lam=float(lam), slack=float(a + lam * bn2), infeasible=False)
+
+
+@dataclass
+class RtaResult:
+    """Filtered input of a barrier-based input filter, with its diagnostics.
+
+    ``h`` is the barrier the filter enforces (``h_e`` for the extended
+    filter, ``h_b`` for backstepping); ``residual``, ``lam`` and
+    ``infeasible`` are the :class:`FilterResult` slack, multiplier and flag.
+    """
+
+    u: ControlInput
+    h: float
+    residual: float
+    lam: float
+    infeasible: bool
+
+
+def filter_input(u_d: ControlInput, h: float, drift: float, row, params, smooth_nu: float | None) -> RtaResult:
+    """Filter ``u_d`` against the barrier ``h`` whose rate is ``drift + row . u``.
+
+    ``params`` supplies the decay shape ``alpha`` and the input metric ``W``.
+    """
+    u_d_vec = u_d.as_array()
+    a = drift + float(row @ u_d_vec) + params.alpha(h)
+    res = apply_filter(u_d_vec, a, row, params.W, smooth_nu)
+    return RtaResult(ControlInput.from_array(res.u), float(h), res.slack, res.lam, res.infeasible)

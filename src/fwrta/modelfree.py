@@ -1,25 +1,26 @@
 """Model-free velocity-level assurance (strategy 3).
 
-A smooth filter bends the desired velocity command so the position
-barrier rate satisfies its decay condition with an extra robustness
-margin ``sigma |grad h|^2`` against tracking error.  Deviations along
-the desired velocity are cheap, perpendicular ones cost ``Gamma_v``
-times more (projector-based weighting).  The Lyapunov-coupled monitor
-``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
-closed loop and is logged, not enforced.
+The smooth filter step of :mod:`fwrta.filters` bends the desired velocity
+command so the position barrier rate satisfies its decay condition with
+an extra robustness margin ``sigma |grad h|^2`` against tracking error.
+Deviations along the desired velocity are cheap, perpendicular ones cost
+``Gamma_v`` times more (the factor ``W_v``, applied without a matrix).
+The Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
+certifies the tracked closed loop and is logged, not enforced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import dual as dm
 from .constraints import ConstraintSet, compose_terms
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import lambda_smooth
+from .filters import filter_step
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 
@@ -44,9 +45,7 @@ class SafeVelocityResult:
 
     v_s: np.ndarray
     a_v: float
-    b_v: np.ndarray
     margin: float
-    h_p: float
     infeasible: bool
 
 
@@ -63,40 +62,31 @@ def _wv_apply(v_d, Gamma_v: float, z):
 
 
 def _filter_core(h, grad, dtp, v_d, p: ModelFreeParams):
-    """Velocity filter given precomputed barrier pieces (dual-capable)."""
+    """Velocity filter on precomputed barrier pieces, dual-capable: ``(v_s, a_v, lam, |W_v grad|^2)``."""
     if math.sqrt(float(dm.value(dm.dot(v_d, v_d)))) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity("desired velocity too small for the direction projector")
     a_v = dm.dot(grad, v_d) + dtp + p.gamma_p * h - p.sigma * dm.dot(grad, grad)
-    b_v = _wv_apply(v_d, p.Gamma_v, grad)
-    bn2 = dm.dot(b_v, b_v)
-    if float(dm.value(bn2)) == 0.0:
-        return v_d, a_v, b_v
-    lam = lambda_smooth(a_v, dm.sqrt(bn2), p.nu_v)
-    v_s = v_d + _wv_apply(v_d, p.Gamma_v, b_v) * lam
-    return v_s, a_v, b_v
+    W_v = partial(_wv_apply, v_d, p.Gamma_v)
+    v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
+    return v_s, a_v, lam, bn2
 
 
 def safe_velocity_terms(r, t, v_d, cset: ConstraintSet, p: ModelFreeParams):
-    """Generic safe-velocity chain; returns (v_s, a_v, b_v, h_p, grad)."""
+    """Generic safe-velocity chain; returns (v_s, a_v, h_p, grad)."""
     h, grad, dtp, _, _ = compose_terms(r, t, cset)
-    v_s, a_v, b_v = _filter_core(h, grad, dtp, v_d, p)
-    return v_s, a_v, b_v, h, grad
+    v_s, a_v, _, _ = _filter_core(h, grad, dtp, v_d, p)
+    return v_s, a_v, h, grad
 
 
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> SafeVelocityResult:
     """Filter a desired velocity given an already-composed barrier."""
     v_d = np.asarray(v_d, dtype=float)
-    v_s, a_v, b_v = _filter_core(h_p_val, np.asarray(grad, dtype=float), dtp, v_d, p)
-    b_norm2 = float(b_v @ b_v)
-    lam = lambda_smooth(float(a_v), math.sqrt(b_norm2), p.nu_v)
-    margin = float(a_v) + lam * b_norm2
+    v_s, a_v, lam, bn2 = _filter_core(h_p_val, np.asarray(grad, dtype=float), dtp, v_d, p)
     return SafeVelocityResult(
         v_s=np.asarray(v_s, dtype=float),
         a_v=float(a_v),
-        b_v=np.asarray(b_v, dtype=float),
-        margin=margin,
-        h_p=float(h_p_val),
-        infeasible=(b_norm2 == 0.0 and float(a_v) < 0.0),
+        margin=float(a_v) + lam * bn2,
+        infeasible=(bn2 == 0.0 and float(a_v) < 0.0),
     )
 
 

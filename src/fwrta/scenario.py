@@ -55,8 +55,6 @@ class Scenario:
     goal: GoalTrajectory
     tracking: TrackingParams
     cset: ConstraintSet
-    alpha: ClassKappaLinear
-    W: WeightFactor
     smooth_nu: float | None
     extended: ExtendedParams | None
     backstep: BacksteppingParams | None
@@ -278,8 +276,6 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         goal=goal,
         tracking=tracking,
         cset=cset,
-        alpha=alpha,
-        W=W,
         smooth_nu=smooth_nu,
         extended=extended,
         backstep=backstep,
@@ -343,7 +339,7 @@ def load_scenario(source: str | Path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {source}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{p}: invalid JSON ({exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ScenarioError(f"{p}: invalid JSON ({type(exc).__name__}: {exc})") from exc
     scn = scenario_from_dict(raw, origin=str(p))
     return scn

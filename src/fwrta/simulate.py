@@ -2,10 +2,12 @@
 trajectory/barrier logging, metrics and threshold checking.
 
 The control input is computed once per step at the step's start state
-and held over the step (zero-order hold); the state advances with the
-classic fourth-order step from :mod:`fwrta.kernels`.  Runs are fully
-deterministic.  Singularities abort the run with a partial log and a
-recorded reason.
+and held over the step (zero-order hold).  Every mode tracks the goal
+command for ``u_d`` and yields the applied input, its barrier, the
+filter's slack and warning flag; one :class:`StepRecord` is built from
+them.  The state advances with the classic fourth-order step from
+:mod:`fwrta.kernels`.  Runs are fully deterministic.  Singularities
+abort the run with a partial log and a recorded reason.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 from . import kernels
 from .backstepping import rta_backstepping
 from .constraints import compose_h_p
-from .errors import FwrtaError
+from .errors import FwrtaError, ScenarioError
 from .extended import rta_extended
 from .model import AircraftState, TrackContext
 from .modelfree import h_V, safe_velocity_from_terms
 from .scenario import Scenario
-from .tracking import GoalCommand, SafeVelocityCommand, desired_velocity, track
+from .tracking import GoalCommand, SafeVelocityCommand, track
 
 
 @dataclass
@@ -89,54 +91,31 @@ def make_controller(scn: Scenario):
     def control(x_arr: np.ndarray, t: float) -> StepRecord:
         state = AircraftState.from_array(x_arr)
         pos = compose_h_p(state.r, t, scn.cset)
-        if scn.mode == "modelfree":
-            ctx = TrackContext(state, t, g)
-            tr_d = track(state, t, goal_cmd, scn.tracking, g, ctx=ctx)
-            tr = track(state, t, safe_cmd, scn.tracking, g, ctx=ctx)
-            v_d = desired_velocity(state.r, t, scn.goal, scn.tracking)
-            sv = safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, v_d, scn.mf)
-            hv = h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
-            u_d = tr_d.u.as_array()
-            u = tr.u.as_array()
-            return StepRecord(
-                u_d=u_d,
-                u=u,
-                h_p=pos.value,
-                h_members=tuple(pos.per_constraint),
-                h_mode=hv,
-                residual=sv.margin,
-                warn=sv.infeasible,
-                intervening=bool(np.any(u != u_d)),
-            )
-        tr = track(state, t, goal_cmd, scn.tracking, g)
-        u_d_ci = tr.u
-        u_d = u_d_ci.as_array()
+        # the two modelfree tracks share one frame; the others build it in track
+        ctx = TrackContext(state, t, g) if scn.mode == "modelfree" else None
+        tr_d = track(state, t, goal_cmd, scn.tracking, g, ctx=ctx)
         if scn.mode == "off":
-            return StepRecord(
-                u_d=u_d,
-                u=u_d.copy(),
-                h_p=pos.value,
-                h_members=tuple(pos.per_constraint),
-                h_mode=pos.value,
-                residual=tr.residual,
-                warn=False,
-                intervening=False,
-            )
-        if scn.mode == "extended":
-            res = rta_extended(state, t, u_d_ci, scn.cset, scn.extended, g, scn.smooth_nu)
-            h_mode = res.h_e
+            u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
+        elif scn.mode == "modelfree":
+            tr = track(state, t, safe_cmd, scn.tracking, g, ctx=ctx)
+            sv = safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, tr_d.v_c, scn.mf)
+            u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
+            residual, warn = sv.margin, sv.infeasible
         else:
-            res = rta_backstepping(state, t, u_d_ci, scn.cset, scn.backstep, g, scn.smooth_nu)
-            h_mode = res.h_b
-        u = res.u.as_array()
+            if scn.mode == "extended":
+                res = rta_extended(state, t, tr_d.u, scn.cset, scn.extended, g, scn.smooth_nu)
+            else:
+                res = rta_backstepping(state, t, tr_d.u, scn.cset, scn.backstep, g, scn.smooth_nu)
+            u, h_mode, residual, warn = res.u, res.h, res.residual, res.infeasible
+        u_d, u = tr_d.u.as_array(), u.as_array()
         return StepRecord(
             u_d=u_d,
             u=u,
             h_p=pos.value,
             h_members=tuple(pos.per_constraint),
             h_mode=h_mode,
-            residual=res.residual,
-            warn=res.infeasible,
+            residual=residual,
+            warn=warn,
             intervening=bool(np.any(u != u_d)),
         )
 
@@ -333,7 +312,7 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
     for seg in dotted.split("."):
         m = re.fullmatch(r"([^\[\]]+)((\[\d+\])*)", seg)
         if not m:
-            raise FwrtaError(f"bad sweep path segment: {seg!r}")
+            raise ScenarioError(f"bad sweep path segment: {seg!r}")
         parts.append(m.group(1))
         for idx in re.findall(r"\[(\d+)\]", m.group(2)):
             parts.append(int(idx))
@@ -341,12 +320,12 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
         try:
             node = node[p]
         except (KeyError, IndexError, TypeError):
-            raise FwrtaError(f"sweep path not found: {dotted!r} (at {p!r})") from None
+            raise ScenarioError(f"sweep path not found: {dotted!r} (at {p!r})") from None
     last = parts[-1]
     try:
         node[last]
     except (KeyError, IndexError, TypeError):
-        raise FwrtaError(f"sweep path not found: {dotted!r} (at {last!r})") from None
+        raise ScenarioError(f"sweep path not found: {dotted!r} (at {last!r})") from None
     node[last] = value
     return out
 
@@ -360,7 +339,7 @@ def sweep(source, param: str, lo: float, hi: float, steps: int):
 
     scn_raw = source if isinstance(source, dict) else _as_scenario(source).raw
     if steps < 2:
-        raise FwrtaError("sweep needs at least 2 steps")
+        raise ScenarioError("sweep needs at least 2 steps")
     values = np.linspace(lo, hi, steps)
     rows = []
     for v in values:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from fwrta.backstepping import (
 )
 from fwrta.constraints import ConstraintSet, GeofencePlane
 from fwrta.extended import compose_extended_terms, h_e_composed
-from fwrta.filters import ClassKappaLinear, WeightFactor
+from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
 from fwrta.model import AircraftState, ControlInput, TrackContext
 
 
@@ -95,6 +96,24 @@ class TestSafeAccel:
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
             achieved = a_e + float(out.grad_v @ a_s)
             assert achieved >= -1e-9 * max(1.0, abs(a_e))
+
+
+    @pytest.mark.parametrize("W_e", [np.ones(3), np.array([2.0, 0.5, 1.5])])
+    def test_is_the_input_filter_on_floats(self, rng, gravity, W_e):
+        # the acceleration filter is the input filter's step from zero, smooth at nu_e
+        p = dataclasses.replace(table_params(), W_e=WeightFactor.diagonal(W_e))
+        active = 0
+        for _ in range(100):
+            st = random_state(rng, pos_scale=200.0)
+            t = float(rng.uniform(0.0, 10.0))
+            cset = random_constraint_set(rng, st.r)
+            ctx = TrackContext(st, t, gravity)
+            h_e, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
+            a_e = dm.dot(gr, ctx.v) + dt + p.alpha_e(h_e)
+            a_s, _ = safe_pieces(st, t, cset, p, gravity)
+            np.testing.assert_array_equal(a_s, apply_filter(np.zeros(3), a_e, gv, p.W_e, p.nu_e).u)
+            active += bool(np.linalg.norm(a_s) > 1e-3)
+        assert active > 0
 
 
 class TestSafeTurnRate:
@@ -269,7 +288,7 @@ class TestRta:
         u_d = ControlInput(0.4, -0.02, 0.01)
         res = rta_backstepping(st, 0.0, u_d, cset, p, gravity)
         assert res.u == u_d
-        assert res.h_b <= res.h_e
+        assert res.h <= _affine_terms(st, 0.0, cset, p, gravity)[0]
 
     def test_all_channels_respond_when_active(self, rng, gravity):
         p = table_params()

@@ -9,16 +9,22 @@ from fwrta import simulate
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
+from fwrta.backstepping import h_b, rta_backstepping
+from fwrta.constraints import compose_h_p
+from fwrta.extended import rta_extended
 from fwrta.model import AircraftState, ControlInput
+from fwrta.modelfree import h_V, safe_velocity
 from fwrta.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from fwrta.simulate import (
     evaluate_checks,
     integrate,
+    make_controller,
     metrics_from_log,
     run_scenario,
     set_by_path,
     sweep,
 )
+from fwrta.tracking import GoalCommand, SafeVelocityCommand, desired_velocity, track
 
 BASE = json.loads(bundled_scenario_path("step_offset").read_text())
 
@@ -167,6 +173,37 @@ class TestIntegrate:
         for row in log.x[::50]:
             st = AircraftState.from_array(row)
             assert np.linalg.norm(velocity(st)) == pytest.approx(st.V_T, rel=1e-12)
+
+
+class TestStepRecord:
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
+    def test_one_record_per_mode(self, name):
+        # the record at (x0, 0) is what the mode's production calls give
+        scn = load_scenario(name)
+        st, g = scn.x0, scn.gravity
+        rec = make_controller(scn)(st.as_array(), 0.0)
+        pos = compose_h_p(st.r, 0.0, scn.cset)
+        tr_d = track(st, 0.0, GoalCommand(scn.goal, scn.tracking), scn.tracking, g)
+        if scn.mode == "off":
+            u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
+        elif scn.mode == "modelfree":
+            tr = track(st, 0.0, SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf), scn.tracking, g)
+            sv = safe_velocity(st.r, 0.0, desired_velocity(st.r, 0.0, scn.goal, scn.tracking), scn.cset, scn.mf)
+            u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
+            residual, warn = sv.margin, sv.infeasible
+        else:
+            if scn.mode == "extended":
+                res = rta_extended(st, 0.0, tr_d.u, scn.cset, scn.extended, g, scn.smooth_nu)
+                h_mode = res.h
+            else:
+                res = rta_backstepping(st, 0.0, tr_d.u, scn.cset, scn.backstep, g, scn.smooth_nu)
+                h_mode = h_b(st, 0.0, scn.cset, scn.backstep, g)
+            u, residual, warn = res.u, res.residual, res.infeasible
+        np.testing.assert_array_equal(rec.u_d, tr_d.u.as_array())
+        np.testing.assert_array_equal(rec.u, u.as_array())
+        assert (rec.h_p, rec.h_members) == (pos.value, tuple(pos.per_constraint))
+        assert (rec.h_mode, rec.residual, rec.warn) == (h_mode, residual, warn)
+        assert rec.intervening == bool(np.any(rec.u != rec.u_d))
 
 
 class TestExport:
@@ -365,6 +402,39 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(src), "--out", str(out)]) == 2
         assert "field 'name'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["utf16-bom", "deep-nesting"]
+    )
+    def test_unreadable_file_exit_code(self, command, content, tmp_path, capsys):
+        src = tmp_path / "bad.json"
+        src.write_bytes(content)
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli_main([command, "--scenario", str(src), *out]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param, steps",
+        [
+            ("constraints.kappa", "1"),
+            ("constraints.kappa", "0"),
+            ("constraints.kappa", "-3"),
+            ("constraints.nope", "2"),
+            ("constraints..kappa", "2"),
+            ("constraints.members[9].radius", "2"),
+            ("initial_state.n[0]", "2"),
+        ],
+    )
+    def test_sweep_usage_error_exit_code(self, param, steps, tmp_path, capsys):
+        src = tmp_path / "scn.json"
+        src.write_text(json.dumps(make_raw(t_final=0.05)))
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", str(src), "--param", param, "--min", "0.005", "--max", "0.01"]
+        assert cli_main([*argv, "--steps", steps, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "sweep" in err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["check", "--scenario", str(tmp_path / "nope.json")]) == 2
