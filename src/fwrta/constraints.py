@@ -143,6 +143,35 @@ def member_terms(r, t, member: Constraint):
     return q - member.rho, n, -dm.dot(n, v_i)
 
 
+def member_jet(r, t, v, member: Constraint):
+    """:func:`member_terms` as jets along ``(r + tau v, t + tau)`` (``v`` a 3-list).
+
+    Returns ``(h, n, d, along)``: scalar jets of the value and time-partial,
+    the gradient's vector jet, and ``along(rho)``, their first derivatives
+    along ``(rho, 0)``.  An obstacle's separation moves as
+    ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
+    """
+    if isinstance(member, GeofencePlane):
+        n, zero = member.normal.tolist(), [0.0, 0.0, 0.0]
+        h = (h_geofence(r, member), dm.dot3(n, v), 0.0)
+        return h, (n, zero, zero), (0.0, 0.0, 0.0), lambda rho: (dm.dot3(n, rho), zero, 0.0)
+    diff, q, v_i, a_i = _separation(r, t, member)
+    n, v_i, a_i = (diff / q).tolist(), v_i.tolist(), a_i.tolist()
+    dl = [x - y for x, y in zip(v, v_i)]
+    q1 = dm.dot3(n, dl)
+    n1 = [(x - y * q1) / q for x, y in zip(dl, n)]
+    q2 = (dm.dot3(dl, dl) - q1 * q1) / q - dm.dot3(n, a_i)
+    n2 = [-(x + 2.0 * y * q1 + z * q2) / q for x, y, z in zip(a_i, n1, n)]
+    d = (-dm.dot3(n, v_i), -dm.dot3(n1, v_i) - dm.dot3(n, a_i), -dm.dot3(n2, v_i) - 2.0 * dm.dot3(n1, a_i))
+
+    def along(rho):
+        q1 = dm.dot3(n, rho)
+        n1 = [(x - y * q1) / q for x, y in zip(rho, n)]
+        return q1, n1, -dm.dot3(n1, v_i)
+
+    return (q - member.rho, q1, q2), (n, n1, n2), d, along
+
+
 def softmin_weights(values, kappa: float):
     """Smooth minimum ``-(1/kappa) ln sum(exp(-kappa h_i))`` plus the convex
     weights ``exp(-kappa (h_i - h))``, stabilized and dual-capable.
@@ -186,6 +215,34 @@ def compose_members(terms, kappa: float):
             acc = acc + w[i] * col[i]
         out.append(acc)
     return (*out, per, w)
+
+
+def compose_jets(jets, kappa: float):
+    """:func:`compose_members` on :func:`member_jet` outputs, returned as one member's jet.
+
+    Along the line ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``;
+    ``along(rho)`` composes the members' first derivatives along ``(rho, 0)``.
+    """
+    if len(jets) == 1:
+        return jets[0]
+    h, w = softmin_weights([j[0][0] for j in jets], kappa)
+    h1 = sum(x * j[0][1] for x, j in zip(w, jets))
+    w1 = [kappa * x * (h1 - j[0][1]) for x, j in zip(w, jets)]
+    h2 = sum(x * j[0][1] + y * j[0][2] for x, y, j in zip(w1, w, jets))
+    w2 = [kappa * (x * (h1 - j[0][1]) + y * (h2 - j[0][2])) for x, y, j in zip(w1, w, jets)]
+    wj = list(zip(w, w1, w2))
+    g = dm.jet_add(*(dm.jet_scale(x, j[1]) for x, j in zip(wj, jets)))
+    d = [sum(c) for c in zip(*(dm.jet_mul(x, j[2]) for x, j in zip(wj, jets)))]
+
+    def along(rho):
+        parts = [j[3](rho) for j in jets]
+        h_o = sum(x * p[0] for x, p in zip(w, parts))
+        w_o = [kappa * x * (h_o - p[0]) for x, p in zip(w, parts)]
+        g_o = [sum(c) for c in zip(*([x * a + y * b for a, b in zip(j[1][0], p[1])]
+                                     for x, y, j, p in zip(w_o, w, jets, parts)))]
+        return h_o, g_o, sum(x * j[2][0] + y * p[2] for x, y, j, p in zip(w_o, w, jets, parts))
+
+    return (h, h1, h2), g, d, along
 
 
 def compose_terms(r, t, cset: ConstraintSet):

@@ -5,15 +5,19 @@
 seeds stores ``e`` with shape ``(3, k)``.  An optional curvature field
 ``h`` (same shape as ``e``) holds the derivative of ``e`` along seed 0,
 i.e. row 0 of the Hessian; it is ``None`` for first-order passes and the
-seed decides which one runs (see :func:`seed_line`).  This is the
-Hessian-vector propagation of forward mode along a single direction
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+seed decides which one runs.  This is the Hessian-vector propagation of
+forward mode along a single direction (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13); only the test oracles seed it.
 
 The math helpers at module level (``sin``, ``dot``, ``norm``, ...)
 accept plain numbers, arrays and ``Dual`` interchangeably, which lets
 the barrier/controller formulas be written once and differentiated by
 evaluation.  ``Dual`` defines no comparisons or powers: branches compare
 ``value(x)`` and squares are written as products.
+
+The ``jet_*`` helpers propagate univariate Taylor jets along one line
+over Python floats (Griewank, Utke & Walther, Math. Comp. 2000): a scalar
+jet is ``(x, x', x'')``, a vector jet three 3-lists ``(x, x', x'')``.
 """
 
 from __future__ import annotations
@@ -201,22 +205,6 @@ def lift_const(c, like):
     return Dual(c, e, None if like.h is None else e.copy())
 
 
-def seed_line(r, t, v):
-    """Curvature seeds ``(w, r_n, r_e, r_d)`` over position and time.
-
-    Seed 0 is the line ``w = (v, 1)`` through ``(r, t)``, so ``h`` of a
-    result is its derivative along ``w`` of the Jacobian: ``h[..., 0]``
-    is the second derivative along the line and ``h[..., 1:]`` the mixed
-    ``d_w d_r`` row.
-    """
-    e = np.zeros((3, 4))
-    e[:, 0] = v
-    e[:, 1:] = np.eye(3)
-    rd = Dual(np.asarray(r, dtype=float).copy(), e, np.zeros((3, 4)))
-    td = Dual(float(t), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
-    return rd, td
-
-
 def lift_path(p, dp, ddp, t):
     """Lift a time-parameterized point to the dual kind of ``t``.
 
@@ -242,3 +230,37 @@ def softplus(x):
     if x > 0.0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
+
+
+def dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def jet_dot(a, b):
+    """Inner product of two vector jets, as a scalar jet."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return dot3(a0, b0), dot3(a1, b0) + dot3(a0, b1), dot3(a2, b0) + 2.0 * dot3(a1, b1) + dot3(a0, b2)
+
+
+def jet_mul(a, b):
+    """Product of two scalar jets."""
+    return a[0] * b[0], a[1] * b[0] + a[0] * b[1], a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]
+
+
+def jet_div(a, b):
+    """Quotient of two scalar jets."""
+    q = a[0] / b[0]
+    q1 = (a[1] - q * b[1]) / b[0]
+    return q, q1, (a[2] - 2.0 * q1 * b[1] - q * b[2]) / b[0]
+
+
+def jet_scale(m, u):
+    """Scalar jet times vector jet."""
+    (m0, m1, m2), (u0, u1, u2) = m, u
+    return ([m0 * x for x in u0], [m1 * x + m0 * y for x, y in zip(u0, u1)],
+            [m2 * x + 2.0 * m1 * y + m0 * z for x, y, z in zip(u0, u1, u2)])
+
+
+def jet_add(*vs):
+    """Sum of vector jets."""
+    return [[sum(c) for c in zip(*rows)] for rows in zip(*vs)]

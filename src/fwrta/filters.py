@@ -6,9 +6,9 @@ without an optimizer.  The metric is supplied through its factor ``W``
 and the correction is ``Lambda(a, |b|) W b^T``.  ``lambda_hard`` is the
 exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
-:func:`filter_step` is the one implementation of that step; the input
-filter (:func:`apply_filter`), the backstepping acceleration filter and
-the model-free velocity filter all call it, the last two on dual numbers.
+:func:`filter_step` is the one implementation of that step, on floats and
+dual numbers, for all three filters; the Taylor jet the tracker flies in
+model-free mode (:func:`fwrta.modelfree.filter_jet`) writes it out.
 """
 
 from __future__ import annotations

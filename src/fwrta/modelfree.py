@@ -5,8 +5,10 @@ command so the position barrier rate satisfies its decay condition with
 an extra robustness margin ``sigma |grad h|^2`` against tracking error.
 Deviations along the desired velocity are cheap, perpendicular ones cost
 ``Gamma_v`` times more (the factor ``W_v``, applied without a matrix).
-The Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
-certifies the tracked closed loop and is logged, not enforced.
+The tracker flies the result through :func:`filter_jet`, the same step
+as a plain-float Taylor jet.  The Lyapunov-coupled monitor
+``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
+closed loop and is logged, not enforced.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import InvalidGainOrdering, ZeroDesiredVelocity
 from .filters import filter_step
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
+ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,57 @@ def _wv_apply(v_d, Gamma_v: float, z):
 def _filter_core(h, grad, dtp, v_d, p: ModelFreeParams):
     """Velocity filter on precomputed barrier pieces, dual-capable: ``(v_s, a_v, lam, |W_v grad|^2)``."""
     if math.sqrt(float(dm.value(dm.dot(v_d, v_d)))) < ZERO_VELOCITY_TOL:
-        raise ZeroDesiredVelocity("desired velocity too small for the direction projector")
+        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
     a_v = dm.dot(grad, v_d) + dtp + p.gamma_p * h - p.sigma * dm.dot(grad, grad)
     W_v = partial(_wv_apply, v_d, p.Gamma_v)
     v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
     return v_s, a_v, lam, bn2
 
 
-def safe_velocity_terms(r, t, v_d, cset: ConstraintSet, p: ModelFreeParams):
-    """Generic safe-velocity chain; returns (v_s, a_v, h_p, grad)."""
-    h, grad, dtp, _, _ = compose_terms(r, t, cset)
-    v_s, a_v, _, _ = _filter_core(h, grad, dtp, v_d, p)
-    return v_s, a_v, h, grad
+def filter_jet(u, h, g, d, p: ModelFreeParams):
+    """:func:`_filter_core`'s ``v_s`` as a vector jet, from the jets of ``v_d``,
+    ``h``, ``grad`` and ``dtp``; ``along(u, h, g, d)`` maps their first
+    derivatives along a second direction to that of ``v_s``.
+
+    With ``g = s v_d + g_perp``, ``s = g . v_d / |v_d|^2``: ``|b|^2 = s (g .
+    v_d) + |g_perp|^2 / Gamma_v`` and ``v_s = v_d + lam (s v_d + g_perp / Gamma_v)``.
+    """
+    P = dm.jet_dot(u, u)
+    if math.sqrt(P[0]) < ZERO_VELOCITY_TOL:
+        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
+    gu = dm.jet_dot(g, u)
+    a = [w + x + p.gamma_p * y - p.sigma * z for w, x, y, z in zip(gu, d, h, dm.jet_dot(g, g))]
+    s = dm.jet_div(gu, P)
+    gp = dm.jet_add(g, dm.jet_scale([-x for x in s], u))
+    c2, nu = 1.0 / p.Gamma_v, p.nu_v
+    bn2 = [x + c2 * y for x, y in zip(dm.jet_mul(s, gu), dm.jet_dot(gp, gp))]
+    if bn2[0] == 0.0:
+        return u, lambda u_o, h_o, g_o, d_o: u_o
+    beta = math.sqrt(bn2[0])
+    beta1 = 0.5 * bn2[1] / beta
+    bj = (beta, beta1, (0.5 * bn2[2] - beta1 * beta1) / beta)
+    x = [-nu * c for c in dm.jet_div(a, bj)]
+    # softplus(x) and its first two derivatives; exp(-|x|) is softplus's exp in either branch
+    e = math.exp(-abs(x[0]))
+    t = 1.0 / (1.0 + e)
+    sp, s1, s2 = max(x[0], 0.0) + math.log1p(e), (t if x[0] > 0.0 else e * t), e * t * t
+    lam = dm.jet_div((sp, s1 * x[1], s2 * x[1] * x[1] + s1 * x[2]), [nu * c for c in bj])
+    m = dm.jet_mul(lam, s)
+    v_s = dm.jet_add(u, dm.jet_scale(m, u), dm.jet_scale([c2 * c for c in lam], gp))
+    (u0, g0, gp0), gu0, s0, lam0, m0 = (u[0], g[0], gp[0]), gu[0], s[0], lam[0], m[0]
+
+    def along(u_o, h_o, g_o, d_o):
+        gu_o = dm.dot3(g_o, u0) + dm.dot3(g0, u_o)
+        a_o = gu_o + d_o + p.gamma_p * h_o - 2.0 * p.sigma * dm.dot3(g0, g_o)
+        s_o = (gu_o - 2.0 * s0 * dm.dot3(u0, u_o)) / P[0]
+        gp_o = [w - s_o * y - s0 * z for w, y, z in zip(g_o, u0, u_o)]
+        beta_o = (s_o * gu0 + s0 * gu_o + 2.0 * c2 * dm.dot3(gp0, gp_o)) / (2.0 * beta)
+        x_o = -(nu * a_o + x[0] * beta_o) / beta
+        lam_o = (s1 * x_o - lam0 * nu * beta_o) / (nu * beta)
+        m_o, k_o, k0 = lam_o * s0 + lam0 * s_o, c2 * lam_o, c2 * lam0
+        return [w + m_o * y + m0 * w + k_o * z + k0 * q for w, y, z, q in zip(u_o, u0, gp0, gp_o)]
+
+    return v_s, along
 
 
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> SafeVelocityResult:

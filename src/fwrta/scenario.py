@@ -40,6 +40,19 @@ NUMERIC_CHECKS = (
 )
 FLAG_CHECKS = ("p_transparent", "no_warnings", "allow_abort")
 CHECK_KEYS = NUMERIC_CHECKS + FLAG_CHECKS
+# the fields each object may hold; the sections of every mode are accepted
+SECTIONS = {
+    "initial_state": ("n", "e", "d", "phi", "theta", "psi", "V_T"),
+    "goal": ("type", "v_g", "r0"),
+    "tracking": ("K_r", "K_v", "mu", "lambda"),
+    "constraints": ("members", "kappa"),
+    "safety_filter": ("gamma", "W", "mode", "nu"),
+    "extended": ("gamma_p",),
+    "backstepping": ("gamma_e", "W_e", "nu_e", "mu_e"),
+    "modelfree": ("gamma_p", "sigma", "Gamma_v", "nu_v"),
+}
+TOP_FIELDS = ("schema", "notes", "name", "dt", "t_final", "rta_mode", "gravity", "checks", *SECTIONS)
+MEMBER_FIELDS = {"obstacle": ("type", "center", "velocity", "radius"), "plane": ("type", "point", "normal", "margin")}
 
 
 @dataclass
@@ -69,10 +82,17 @@ def _get(d: dict, key: str, path: str):
     return d[key]
 
 
+def _known(d: dict, fields, path: str) -> None:
+    for key in d:
+        if key not in fields:
+            raise ScenarioError(f"field '{path}{key}' is not a known field")
+
+
 def _section(d: dict, key: str, path: str) -> dict:
     v = _get(d, key, path)
     if not isinstance(v, dict):
         raise ScenarioError(f"field '{path}{key}' must be an object")
+    _known(v, SECTIONS[key], f"{path}{key}.")
     return v
 
 
@@ -110,7 +130,7 @@ def _gain_matrix(v, name: str) -> np.ndarray:
 
 def _state(d: dict, path: str) -> AircraftState:
     vals = {}
-    for key in ("n", "e", "d", "phi", "theta", "psi", "V_T"):
+    for key in SECTIONS["initial_state"]:
         vals[key] = _num(d, key, path)
     return AircraftState(**vals)
 
@@ -124,6 +144,8 @@ def _members(items, path: str):
             raise ScenarioError(f"field '{path}[{i}]' must be an object")
         p = f"{path}[{i}]."
         kind = _get(m, "type", p)
+        if kind in ("obstacle", "plane"):
+            _known(m, MEMBER_FIELDS[kind], p)
         if kind == "obstacle":
             out.append(
                 MovingObstacle.constant_velocity(
@@ -142,6 +164,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         raise ScenarioError(f"{origin}: scenario must be a JSON object")
     if raw.get("schema") != SCHEMA_ID:
         raise ScenarioError(f"field 'schema' must be '{SCHEMA_ID}'")
+    _known(raw, TOP_FIELDS, "")
     name = _get(raw, "name", "")
     # the name is the file stem of every export
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):

@@ -298,7 +298,7 @@ def evaluate_checks(scn: Scenario, log: TrajectoryLog, met: Metrics):
 
 
 def set_by_path(raw: dict, dotted: str, value: float) -> dict:
-    """Return a deep copy of ``raw`` with ``dotted`` path set to ``value``.
+    """Return ``raw`` with ``dotted`` set to ``value``, copying only the containers on the path.
 
     Path segments traverse objects by key and lists by integer index,
     e.g. ``constraints.members[0].radius`` or ``dt``.
@@ -306,7 +306,7 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
     import copy
     import re
 
-    out = copy.deepcopy(raw)
+    out = copy.copy(raw)
     node = out
     parts = []
     for seg in dotted.split("."):
@@ -318,6 +318,7 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
             parts.append(int(idx))
     for p in parts[:-1]:
         try:
+            node[p] = copy.copy(node[p])
             node = node[p]
         except (KeyError, IndexError, TypeError):
             raise ScenarioError(f"sweep path not found: {dotted!r} (at {p!r})") from None

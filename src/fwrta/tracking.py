@@ -16,12 +16,12 @@ its desired counterpart ``R_d = c1 . a_d / V_T`` are differentiated
 along the closed loop at zero roll rate, and against roll for the
 roll-rate coefficient, using ``d c1 / d phi = c2`` and
 ``c1_dot = -R c0``.  Each command supplies its value, its rate and the
-rate of that rate as an affine function of the velocity rate (its
-"jet", the only interface of :class:`VelocityCommand`).  When the
-command being tracked is the model-free safe velocity, the jet needs
-first derivatives of a filtered quantity inside an outer derivative; one
-forward pass with curvature along the flow direction ``w = (v, 1)`` over
-position and time supplies those pieces exactly.
+rate of that rate as a map of the velocity rate (its "jet", the only
+interface of :class:`VelocityCommand`).  For the model-free safe velocity
+``v_s(r, t)`` that rate is ``D_ww v_s + J_r v_dot`` along ``w = (v, 1)``.
+Plain-float Taylor jets give it stage by stage (goal, members, softmin,
+filter): one second-order pass along ``w`` and, once ``v_dot`` is known,
+one first-order pass along ``(v_dot, 0)``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Callable, Protocol
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, compose_jets, member_jet
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
-from .modelfree import ModelFreeParams, safe_velocity_terms
+from .modelfree import ModelFreeParams, filter_jet
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,12 @@ class VelocityCommand(Protocol):
     """Velocity command ``v_c(r, t)`` with its closed-loop rate ``a_c(x, t)``.
 
     ``command_jet`` is the only interface: the command's value and rate
-    at the context's ``(x, t)``, and the rate of that rate as an affine
-    function of the velocity rate.
+    at the context's ``(x, t)``, and the rate of that rate as a map of the
+    velocity rate.
     """
 
     def command_jet(self, ctx: TrackContext) -> tuple:
-        """Return ``(v_c, a_c, J, j0)``: the rate of ``a_c`` along the loop is ``J v_dot + j0``."""
+        """Return ``(v_c, a_c, rate)``: ``rate(v_dot)`` is the rate of ``a_c`` along the loop."""
         ...
 
 
@@ -130,7 +130,7 @@ class GoalCommand:
         K_r = self.params.K_r
         v_c = v_g + K_r @ (r_g - ctx.r)
         a_c = a_g + K_r @ (v_g - ctx.v)
-        return v_c, a_c, -K_r, K_r @ a_g
+        return v_c, a_c, lambda v_dot: K_r @ a_g - K_r @ v_dot
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,23 @@ class SafeVelocityCommand:
     cset: ConstraintSet
     mf: ModelFreeParams
 
-    def seeded(self, r, t: float, v):
-        """Safe velocity as a curvature ``Dual`` seeded by :func:`~fwrta.dual.seed_line`."""
-        r2, t2 = dm.seed_line(r, t, v)
-        r_g, v_g, a_g = self.goal.eval(t)
-        r_g2 = dm.lift_path(r_g, v_g, a_g, t2)
-        v_g2 = dm.lift_path(v_g, a_g, np.zeros(3), t2)
-        v_d = v_g2 + dm.matvec(self.params.K_r, r_g2 - r2)
-        return safe_velocity_terms(r2, t2, v_d, self.cset, self.mf)[0]
-
     def command_jet(self, ctx: TrackContext):
-        # (r, t) moves along w = (v, 1); v itself moves along v_dot
-        v_s = self.seeded(ctx.r, ctx.t, ctx.v)
-        return v_s.v, v_s.e[:, 0], v_s.e[:, 1:], v_s.h[:, 0]
+        # second-order jets along w = (v, 1); the first-order pass along
+        # (v_dot, 0) waits in the rate map until the tracker knows v_dot
+        r_g, v_g, a_g = (x.tolist() for x in self.goal.eval(ctx.t))
+        K_r, v = self.params.K_r.tolist(), ctx.v.tolist()
+        e0, e1 = [x - y for x, y in zip(r_g, ctx.r.tolist())], [x - y for x, y in zip(v_g, v)]
+        # v_d and its line derivatives: v_g + K_r e0, a_g + K_r e1 and K_r a_g
+        v_d = tuple([x + dm.dot3(k, e) for x, k in zip(c, K_r)] for c, e in ((v_g, e0), (a_g, e1), ([0.0] * 3, a_g)))
+        terms = [member_jet(ctx.r, ctx.t, v, m) for m in self.cset.members]
+        h, grad, dtp, compose_along = compose_jets(terms, self.cset.kappa)
+        v_s, filter_along = filter_jet(v_d, h, grad, dtp, self.mf)
+
+        def rate(v_dot):
+            rho = v_dot.tolist()
+            return np.array(v_s[2]) + np.array(filter_along([-dm.dot3(k, rho) for k in K_r], *compose_along(rho)))
+
+        return np.array(v_s[0]), np.array(v_s[1]), rate
 
 
 @dataclass
@@ -172,7 +176,7 @@ class TrackResult:
 
 
 def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams) -> TrackResult:
-    v_c, a_c, J, j0 = cmd.command_jet(ctx)
+    v_c, a_c, rate = cmd.command_jet(ctx)
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
     R = ctx.R
@@ -192,7 +196,7 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     g_R = ctx.g_over_V * ctx.c_ph * ctx.c_th
     f_R = g_R * phi_dot - ctx.g_over_V * ctx.s_ph * ctx.s_th * theta_dot - R * A_T / V_T
     v_dot = a_d - (V_T * gap) * c1
-    a_d_dot = (J @ v_dot + j0) + 0.5 * K_v @ (a_c - v_dot)
+    a_d_dot = rate(v_dot) + 0.5 * K_v @ (a_c - v_dot)
     f_Rd = (float(c1 @ a_d_dot) - (R + R_d) * A_T) / V_T
     g_Rd = -Q
 

@@ -4,8 +4,9 @@ import pytest
 from fwrta import dual as dm
 from fwrta import kernels
 from fwrta.backstepping import _pipeline
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_terms
 from fwrta.model import AircraftState, GravityParam, TrackContext
+from fwrta.modelfree import _filter_core
 from fwrta.tracking import SafeVelocityCommand
 
 
@@ -127,6 +128,39 @@ def random_constraint_set(rng, r_ref, kappa=None):
     return ConstraintSet([obs] + planes, kappa=kappa)
 
 
+def seed_line(r, t, v):
+    """Curvature seeds ``(w, r_n, r_e, r_d)`` over position and time.
+
+    Seed 0 is the line ``w = (v, 1)`` through ``(r, t)``, so ``h`` of a
+    result is its derivative along ``w`` of the Jacobian: ``h[..., 0]``
+    is the second derivative along the line and ``h[..., 1:]`` the mixed
+    ``d_w d_r`` row.
+    """
+    e = np.zeros((3, 4))
+    e[:, 0] = v
+    e[:, 1:] = np.eye(3)
+    rd = dm.Dual(np.asarray(r, dtype=float).copy(), e, np.zeros((3, 4)))
+    td = dm.Dual(float(t), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
+    return rd, td
+
+
+def safe_velocity_terms(r, t, v_d, cset, p):
+    """Generic safe-velocity chain over the dual helpers; returns (v_s, a_v, h_p, grad)."""
+    h, grad, dtp, _, _ = compose_terms(r, t, cset)
+    v_s, a_v, _, _ = _filter_core(h, grad, dtp, v_d, p)
+    return v_s, a_v, h, grad
+
+
+def safe_velocity_seeded(cmd, r, t, v):
+    """Curvature-``Dual`` oracle of the safe velocity command, seeded by :func:`seed_line`."""
+    r2, t2 = seed_line(r, t, v)
+    r_g, v_g, a_g = cmd.goal.eval(t)
+    r_g2 = dm.lift_path(r_g, v_g, a_g, t2)
+    v_g2 = dm.lift_path(v_g, a_g, np.zeros(3), t2)
+    v_d = v_g2 + dm.matvec(cmd.params.K_r, r_g2 - r2)
+    return safe_velocity_terms(r2, t2, v_d, cmd.cset, cmd.mf)[0]
+
+
 def command_duals(cmd, st, t):
     """Forward-mode reference of a velocity command over the 8 ``(x, t)`` seeds.
 
@@ -143,7 +177,7 @@ def command_duals(cmd, st, t):
     if isinstance(cmd, SafeVelocityCommand):
         to_state = np.zeros((4, 8))
         to_state[0, 0] = to_state[1, 1] = to_state[2, 2] = to_state[3, 7] = 1.0
-        v_s = cmd.seeded(st.r, t, v.v)
+        v_s = safe_velocity_seeded(cmd, st.r, t, v.v)
         J_r, Hw_r = v_s.e[:, 1:], v_s.h[:, 1:]
         J = np.column_stack([J_r, v_s.e[:, 0] - J_r @ v.v])
         Hw = np.column_stack([Hw_r, v_s.h[:, 0] - Hw_r @ v.v])

@@ -10,7 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certificate_duals, grad_h_b, random_constraint_set, random_state, seed_pos_time, velocity
+from conftest import (
+    certificate_duals,
+    grad_h_b,
+    random_constraint_set,
+    random_state,
+    safe_velocity_seeded,
+    safe_velocity_terms,
+    seed_pos_time,
+    velocity,
+)
 from fwrta import dual as dm
 from fwrta.constraints import compose_h_p, compose_terms, softmin
 from fwrta.export import csv_header, write_csv
@@ -18,7 +27,7 @@ from fwrta.extended import compose_extended_terms
 from fwrta.backstepping import BacksteppingParams, h_b
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
 from fwrta.model import AircraftState, GravityParam
-from fwrta.modelfree import ModelFreeParams, safe_velocity, safe_velocity_terms
+from fwrta.modelfree import ModelFreeParams, safe_velocity
 from fwrta.scenario import load_scenario
 from fwrta.simulate import integrate, integrate_stage_controlled, metrics_from_log
 from fwrta.tracking import (
@@ -486,7 +495,7 @@ def test_curvature_pass_matches_first_order_differences(fig6_run):
         st = AircraftState.from_array(log.x[k])
         r, t, v = st.r, float(log.t[k]), velocity(st)
         oracle = (4.0 * central(r, t, v, 0.5 * tau) - central(r, t, v, tau)) / 3.0
-        got = cmd.seeded(r, t, v).h[:, 0]
+        got = safe_velocity_seeded(cmd, r, t, v).h[:, 0]
         worst = max(worst, float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle)))
     assert worst <= 1e-8, worst
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import seed_line
 from fwrta import dual as dm
 
 
@@ -101,7 +102,7 @@ def test_hessian_row_matches_finite_differences(rng):
 
     # the line seeds: first and second derivative along w = (v, 1), and d_w d_r
     w = np.append(v, 1.0)
-    out = build(*dm.seed_line(r0, t0, v))
+    out = build(*seed_line(r0, t0, v))
     np.testing.assert_allclose(out.e, np.append(J @ w, J[:3]), rtol=1e-6, atol=1e-9)
     np.testing.assert_allclose(out.h, np.append(w @ H @ w, (H @ w)[:3]), rtol=2e-4, atol=5e-6)
 

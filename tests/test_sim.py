@@ -40,9 +40,18 @@ class TestScenarioLoading:
         for name in ("fig3", "fig4", "fig5", "fig6", "step_offset"):
             scn = load_scenario(name)
             assert scn.name == name
-        # "seed" is not part of the schema: ignored like any unknown top-level key
+        # "seed" is not part of the schema: rejected like any unknown top-level key
         for seed in ("abc", None):
-            assert scenario_from_dict(make_raw(seed=seed)).name == "step_offset"
+            with pytest.raises(ScenarioError, match="field 'seed' is not a known field"):
+                scenario_from_dict(make_raw(seed=seed))
+
+    def test_sections_of_other_modes_accepted(self):
+        raw = make_raw(notes={"any": ["thing"]})
+        for base, section in (("fig5", "extended"), ("fig5", "backstepping"), ("fig6", "modelfree")):
+            raw[section] = json.loads(bundled_scenario_path(base).read_text())[section]
+        raw["safety_filter"].update(mode="hard", nu=0.5)
+        scn = scenario_from_dict(raw)
+        assert scn.mode == "off" and scn.smooth_nu is None and scn.mf is not None
 
     def test_missing_field_named(self):
         raw = make_raw()
@@ -392,6 +401,45 @@ class TestCli:
             assert cli_main([argv[0], "--scenario", str(src), *argv[1:]]) == 2
             assert f"field '{field}' must be an object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "base, path, field",
+        [
+            ("fig3", ("gravty",), "gravty"),
+            ("fig3", ("safety_filter", "mdoe"), "safety_filter.mdoe"),
+            ("fig3", ("initial_state", "V"), "initial_state.V"),
+            ("fig3", ("goal", "vg"), "goal.vg"),
+            ("fig3", ("tracking", "notes"), "tracking.notes"),
+            ("fig5", ("constraints", "kapa"), "constraints.kapa"),
+            ("fig5", ("constraints", "members", 0, "radus"), "constraints.members[0].radus"),
+            # a plane carrying an obstacle field
+            ("fig5", ("constraints", "members", 1, "radius"), "constraints.members[1].radius"),
+            ("fig5", ("extended", "gamma"), "extended.gamma"),
+            ("fig5", ("backstepping", "nu"), "backstepping.nu"),
+            ("fig6", ("modelfree", "Gamma"), "modelfree.Gamma"),
+        ],
+    )
+    def test_unknown_field_exit_code(self, base, path, field, command, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path(base).read_text())
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 3.0
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli_main([command, "--scenario", str(src), *out]) == 2
+        assert f"field '{field}' is not a known field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_deeply_nested_notes(self, tmp_path):
+        # only the swept path is copied, so a deep value elsewhere does not recurse
+        text = json.dumps(make_raw(t_final=0.05, notes=None))
+        src = tmp_path / "scn.json"
+        src.write_text(text.replace('"notes": null', '"notes": ' + "[" * 900 + "]" * 900))
+        argv = ["sweep", "--scenario", str(src), "--param", "dt", "--min", "0.01", "--max", "0.02"]
+        assert cli_main([*argv, "--steps", "2", "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", [1], 5, None], ids=repr)
     def test_bad_name_exit_code(self, name, tmp_path, capsys):

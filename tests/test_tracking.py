@@ -1,13 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import accel_matrix, certificate_duals, dynamics, random_state, turn_rate, velocity
+from conftest import (
+    accel_matrix,
+    certificate_duals,
+    dynamics,
+    random_state,
+    safe_velocity_seeded,
+    turn_rate,
+    velocity,
+)
 from fwrta import kernels
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
-from fwrta.model import AircraftState, ControlInput, TrackContext
-from fwrta.modelfree import ModelFreeParams
+from fwrta.errors import CoincidentPosition, ZeroDesiredVelocity
+from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
+from fwrta.modelfree import ModelFreeParams, safe_velocity
 from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
@@ -242,7 +252,7 @@ class TestCommandRates:
             )
             t = 1.5
             u = track(st, t, cmd, TABLE, gravity).u
-            _, a_c, J, j0 = cmd.command_jet(TrackContext(st, t, gravity))
+            _, a_c, rate = cmd.command_jet(TrackContext(st, t, gravity))
             v_dot = accel_matrix(st) @ np.array([u.A_T, u.Q, turn_rate(st, gravity)])
             h = 1e-5
             x0 = st.as_array()
@@ -250,7 +260,7 @@ class TestCommandRates:
             vp, ap = command_at(cmd, AircraftState.from_array(x0 + h * x_dot), t + h, gravity)
             vm, am = command_at(cmd, AircraftState.from_array(x0 - h * x_dot), t - h, gravity)
             np.testing.assert_allclose(a_c, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-6)
-            np.testing.assert_allclose(J @ v_dot + j0, (ap - am) / (2 * h), rtol=1e-4, atol=5e-5)
+            np.testing.assert_allclose(rate(v_dot), (ap - am) / (2 * h), rtol=1e-4, atol=5e-5)
 
 
 def dual_track_oracle(cmd, st, t, g):
@@ -284,6 +294,101 @@ def test_closed_form_track_matches_dual_oracle(make_cmd, rng, gravity):
         u, a_P, b_P = dual_track_oracle(cmd, st, t, gravity)
         np.testing.assert_allclose(res.u.as_array(), u, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose([res.a_P, res.b_P], [a_P, b_P], rtol=1e-9, atol=0.0)
+
+
+def _unit(rng):
+    n = rng.normal(size=3)
+    return n / np.linalg.norm(n)
+
+
+def _member_near(rng, kind, r, t, v_d):
+    """An obstacle or plane a short gap from ``r`` at time ``t``, mostly ahead along ``v_d``.
+
+    The obstacle accelerates, so its ``a_i`` terms count.
+    """
+    ahead = v_d / np.linalg.norm(v_d)
+    direction = ahead if rng.uniform() < 0.5 else _unit(rng)
+    gap = rng.uniform(1.0, 400.0)
+    if kind == "obstacle":
+        rho = rng.uniform(10.0, 80.0)
+        c, v, a = r + direction * (rho + gap), rng.uniform(-100, 100, 3), rng.normal(size=3) * 5.0
+        return MovingObstacle(lambda s: (c + v * (s - t) + 0.5 * a * (s - t) ** 2, v + a * (s - t), a), rho)
+    margin = rng.uniform(0.0, 30.0)
+    return GeofencePlane(r + direction * (gap + margin), -direction, margin)
+
+
+def _jet_and_oracle(cmd, st, t, v_dot):
+    """``(v_s, D_w v_s, D_ww v_s, J_r v_dot)`` from the jet and from the curvature ``Dual``."""
+    ctx = TrackContext(st, t, GravityParam())
+    v_s, a_c, rate = cmd.command_jet(ctx)
+    d_ww = rate(np.zeros(3))
+    ref = safe_velocity_seeded(cmd, st.r, t, ctx.v)
+    return (v_s, a_c, d_ww, rate(v_dot) - d_ww), (ref.v, ref.e[:, 0], ref.h[:, 0], ref.e[:, 1:] @ v_dot)
+
+
+def _assert_rel(got, ref, rtol=1e-9):
+    for name, x, y in zip(("v_s", "D_w v_s", "D_ww v_s", "J_r v_dot"), got, ref):
+        assert np.linalg.norm(x - y) <= rtol * np.linalg.norm(y), name
+
+
+def test_safe_command_jet_matches_curvature_oracle(rng):
+    # the plain-float Taylor jets against the curvature-Dual pass they
+    # replace, on states where the filter acts: 1-member sets of each
+    # kind and 3-member sets, in both branches of softplus
+    mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
+    kinds = {"obstacle": ("obstacle",), "plane": ("plane",), "mixed": ("obstacle", "plane", "plane")}
+    seen = {(k, b): 0 for k in kinds for b in (True, False)}
+    while min(seen.values()) < 35:
+        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
+        t = float(rng.uniform(0.0, 10.0))
+        a_g = rng.normal(size=3) * 2.0
+        v0 = _unit(rng) * rng.uniform(60.0, 250.0)
+        r0 = st.r + rng.normal(size=3) * 100.0 - v0 * t - 0.5 * a_g * t * t
+        goal = GoalTrajectory(lambda s: r0 + v0 * s + 0.5 * a_g * s * s, lambda s: v0 + a_g * s, lambda s: a_g)
+        v_d = desired_velocity(st.r, t, goal, TABLE)
+        kind = list(kinds)[int(rng.integers(3))]
+        members = [_member_near(rng, m, st.r, t, v_d) for m in kinds[kind]]
+        cmd = SafeVelocityCommand(goal, TABLE, ConstraintSet(members, float(rng.uniform(0.004, 0.05))), mf)
+        plain = safe_velocity(st.r, t, v_d, cmd.cset, mf)
+        if np.linalg.norm(plain.v_s - v_d) < 1e-3 * np.linalg.norm(v_d):
+            continue  # the filter barely acts here
+        seen[(kind, plain.a_v < 0.0)] += 1  # a_v < 0: softplus argument positive
+        _assert_rel(*_jet_and_oracle(cmd, st, t, rng.normal(size=3) * 10.0))
+    assert sum(seen.values()) >= 200
+
+
+def test_safe_command_jet_zero_row_matches_oracle(rng):
+    # opposite planes at equal distance cancel the composed gradient
+    # exactly; both paths then return the desired velocity's jet
+    for _ in range(20):
+        n = _unit(rng)
+        D = rng.uniform(50.0, 500.0)
+        planes = [GeofencePlane(-n * D, n, 10.0), GeofencePlane(n * D, -n, 10.0)]
+        st = dataclasses.replace(random_state(rng, v_range=(80.0, 250.0), theta_max=0.6), n=0.0, e=0.0, d=0.0)
+        mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
+        cmd = SafeVelocityCommand(NORTH_GOAL, TABLE, ConstraintSet(planes, 0.01), mf)
+        got, ref = _jet_and_oracle(cmd, st, 2.0, rng.normal(size=3))
+        np.testing.assert_array_equal(got[0], desired_velocity(st.r, 2.0, NORTH_GOAL, TABLE))
+        _assert_rel(got, ref)
+
+
+def test_safe_command_jet_raises_like_the_oracle(gravity):
+    st = AircraftState(100.0, 200.0, -50.0, 0.1, 0.05, 0.3, 150.0)
+    mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
+    far = GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)
+    # 1e-10 m off the center: inside the guard, clear of the dual sqrt's 0.5 / 0
+    on_top = MovingObstacle.constant_velocity(st.r + [1e-10, 0.0, 0.0], [10.0, 0.0, 0.0], 30.0)
+    parked = GoalTrajectory.linear([0.0, 0.0, 0.0], r0=st.r)
+    cases = [
+        (EAST_GOAL, [on_top, far], 0.0, CoincidentPosition, "within 1e-09 m of obstacle center"),
+        (parked, [far], 3.0, ZeroDesiredVelocity, "desired velocity too small for the direction projector"),
+    ]
+    for goal, members, t, exc, message in cases:
+        cmd = SafeVelocityCommand(goal, TABLE, ConstraintSet(members, 0.01), mf)
+        with pytest.raises(exc, match=message):
+            cmd.command_jet(TrackContext(st, t, gravity))
+        with pytest.raises(exc, match=message):
+            safe_velocity_seeded(cmd, st.r, t, velocity(st))
 
 
 def test_tracking_params_validation():
