@@ -10,25 +10,26 @@ rate depends on the roll channel, so the outer input filter
 The barrier reads the state through the plain-float frame of
 :class:`~fwrta.model.TrackContext`: ``(r, v, t)``, the rotation column
 ``c1``, the turn rate ``R`` and the speed.  Its rate along the dynamics
-splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain (composed
-extension and smooth filter, the "lengthy calculation") is pushed
-through first-order dual numbers along the three directions that move
+splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain is differentiated
+in closed form over floats, stage by stage (extended members, softmin,
+softplus filter step), along the three directions that move
 ``(r, v, t)``: the drift ``(v, V R c1, 1)`` and the ``A_T`` and ``Q``
 columns ``(0, c0, 0)`` and ``(0, -V c2, 0)``.  The frame's own rates are
-closed form: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn
+closed form too: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn
 rate's, so the roll rate ``P`` enters only through them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet
-from .extended import compose_extended_terms
-from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input, filter_step
+from .constraints import ConstraintSet, compose_members, compose_tangents
+from .extended import member_extended_terms
+from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
@@ -49,25 +50,36 @@ class BacksteppingParams:
             raise ValueError("gamma_p, nu_e and mu_e must be positive")
 
 
-def _pipeline(r, v, t, c1, R, V_T, cset: ConstraintSet, p: BacksteppingParams):
-    """Shared dual-capable chain: returns (h_e, a_s, R_s, h_b)."""
-    h_e, gr, gv, dt, _, _ = compose_extended_terms(r, v, t, cset, p.gamma_p)
+def _pipeline(ctx: TrackContext, t: float, cset: ConstraintSet, p: BacksteppingParams, dirs=None):
+    """``(h_e, a_s, R_s, h_b)`` and the first derivatives of ``h_e`` and ``a_s``
+    along ``dirs`` (see :func:`~fwrta.extended.member_extended_terms`), or ``None``."""
+    v = ctx.v
+    terms, tangents = zip(*(member_extended_terms(ctx.r, v, t, m, p.gamma_p, dirs) for m in cset.members))
+    h_e, gr, gv, dt, _, w = compose_members(terms, cset.kappa)
     # barrier rate at zero acceleration plus decay
     a_e = dm.dot(gr, v) + dt + p.alpha_e(h_e)
     W_e = p.W_e.W
-    # without authority a_s is the dual-kind zero, constant nearby for the derivatives
-    zero = dm.lift_const(np.zeros(3), h_e)
-    a_s = filter_step(zero, a_e, dm.matvec(W_e.T, gv), lambda z: dm.matvec(W_e, z), p.nu_e)[0]
-    R_s = dm.dot(c1, a_s) / V_T
-    gap = R_s - R
+    b = W_e.T @ gv
+    a_s, lam, bn2 = filter_step(np.zeros(3), a_e, b, lambda z: W_e @ z, p.nu_e)
+    R_s = dm.dot(ctx.c1, a_s) / ctx.V_T
+    gap = R_s - ctx.R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
-    return h_e, a_s, R_s, h_b
+    if dirs is None:
+        return (h_e, a_s, R_s, h_b), None
+    h_e_o, gr_o, gv_o, dt_o = compose_tangents(terms, tangents, w, cset.kappa)
+    if bn2 == 0.0:
+        # a zero row is the step's no-authority branch: a_s = 0, taken as constant
+        return (h_e, a_s, R_s, h_b), (h_e_o, np.zeros_like(gv_o))
+    a_e_o = v @ gr_o + gr @ dirs[1] + dt_o + p.alpha_e(h_e_o)
+    b_o = W_e.T @ gv_o
+    b_norm = math.sqrt(bn2)
+    lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, a_e_o, (b @ b_o) / b_norm)
+    return (h_e, a_s, R_s, h_b), (h_e_o, np.outer(W_e @ b, lam_o) + lam * (W_e @ b_o))
 
 
 def h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam) -> float:
     """Penalized barrier; never exceeds the composed extension."""
-    ctx = TrackContext(state, t, g)
-    return float(_pipeline(ctx.r, ctx.v, t, ctx.c1, ctx.R, ctx.V_T, cset, p)[3])
+    return _pipeline(TrackContext(state, t, g), t, cset, p)[0][3]
 
 
 def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
@@ -75,27 +87,29 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: Backst
     ctx = TrackContext(state, t, g)
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V, R = ctx.V_T, ctx.R
-    # seeds (drift, A_T, Q) over (r, v, t); P moves neither r nor v
+    # directions (drift, A_T, Q) of (r, v, t); P moves neither r nor v
     zero = np.zeros(3)
-    r = dm.Dual(ctx.r, np.column_stack([ctx.v, zero, zero]))
-    v = dm.Dual(ctx.v, np.column_stack([(V * R) * c1, c0, -V * c2]))
-    td = dm.Dual(t, np.array([1.0, 0.0, 0.0]))
-    h_e, a_s, R_s, hb = _pipeline(r, v, td, c1, R, V, cset, p)
+    dirs = (
+        np.column_stack([ctx.v, zero, zero]),
+        np.column_stack([(V * R) * c1, c0, -V * c2]),
+        np.array([1.0, 0.0, 0.0]),
+    )
+    (h_e, a_s, R_s, hb), (e_he, e_as) = _pipeline(ctx, t, cset, p, dirs)
     # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
     # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T
-    e_he, e_Rs = h_e.e, R_s.e
+    e_Rs = (c1 @ e_as) / V
     D_he = np.array([e_he[0], e_he[1], 0.0, e_he[2]])
     D_Rs = np.array(
         [
-            e_Rs[0] - R * float(c0 @ a_s.v) / V,
-            e_Rs[1] - R_s.v / V,
-            float(c2 @ a_s.v) / V,
+            e_Rs[0] - R * float(c0 @ a_s) / V,
+            e_Rs[1] - R_s / V,
+            float(c2 @ a_s) / V,
             e_Rs[2],
         ]
     )
     D_R = np.array([ctx.g_over_V * ctx.s_th * R, -R / V, ctx.g_over_V * ctx.c_ph * ctx.c_th, 0.0])
-    D_hb = D_he - (R_s.v - R) * (D_Rs - D_R) / p.mu_e
-    return float(h_e.v), float(hb.v), float(D_hb[0]), D_hb[1:]
+    D_hb = D_he - (R_s - R) * (D_Rs - D_R) / p.mu_e
+    return float(h_e), float(hb), float(D_hb[0]), D_hb[1:]
 
 
 def rta_backstepping(

@@ -7,13 +7,17 @@ into a single barrier value by a stabilized log-sum-exp smooth minimum
 (every member must hold, so there is no union-style smooth maximum).
 
 Each member's value, gradient and explicit time-partial come from
-:func:`member_terms`, written over the dual-capable helpers so every
-downstream construction can be differentiated by evaluation.  The
-member's rate along a velocity ``v`` is ``gradient . v + time-partial``.
+:func:`member_terms`; the member's rate along a velocity ``v`` is
+``gradient . v + time-partial``.  Derivatives of the composition are
+written in closed form over floats: :func:`compose_tangents` is its
+first-order half along given directions (the backstepping barrier's
+rate reads it), :func:`member_jet` and :func:`compose_jets` the
+second-order Taylor jets along one line (the model-free command's).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -108,23 +112,12 @@ class BarrierEval:
     weights: list = field(default_factory=list)
 
 
-def obstacle_at(obs: MovingObstacle, t):
-    """Obstacle position/velocity/acceleration, lifted to match dual ``t``."""
-    p, v, a = obs.trajectory(float(dm.value(t)))
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if isinstance(t, dm.Dual):
-        zero = np.zeros(3)
-        return dm.lift_path(p, v, a, t), dm.lift_path(v, a, zero, t), dm.lift_path(a, zero, zero, t)
-    return p, v, a
-
-
 def _separation(r, t, obs: MovingObstacle):
-    r_i, v_i, a_i = obstacle_at(obs, t)
+    """``(r - r_i, |r - r_i|, v_i, a_i)``; raises before anything divides by the distance."""
+    r_i, v_i, a_i = (np.asarray(x, dtype=float) for x in obs.trajectory(float(t)))
     diff = r - r_i
     q = dm.norm(diff)
-    if float(dm.value(q)) < COINCIDENT_TOL:
+    if q < COINCIDENT_TOL:
         raise CoincidentPosition(f"position within {COINCIDENT_TOL} m of obstacle center")
     return diff, q, v_i, a_i
 
@@ -174,7 +167,7 @@ def member_jet(r, t, v, member: Constraint):
 
 def softmin_weights(values, kappa: float):
     """Smooth minimum ``-(1/kappa) ln sum(exp(-kappa h_i))`` plus the convex
-    weights ``exp(-kappa (h_i - h))``, stabilized and dual-capable.
+    weights ``exp(-kappa (h_i - h))``, stabilized.
 
     Under-approximates the true minimum by at most ``ln(N)/kappa``.
     """
@@ -183,13 +176,12 @@ def softmin_weights(values, kappa: float):
         raise ValueError("softmin of empty list")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    floats = [float(dm.value(v)) for v in vals]
-    m = vals[floats.index(min(floats))]
+    m = min(vals)
     acc = 0.0
     for v in vals:
-        acc = acc + dm.exp((m - v) * kappa)
-    h = m - dm.log(acc) / kappa
-    return h, [dm.exp((h - v) * kappa) for v in vals]
+        acc = acc + math.exp((m - v) * kappa)
+    h = m - math.log(acc) / kappa
+    return h, [math.exp((h - v) * kappa) for v in vals]
 
 
 def softmin(values, kappa: float):
@@ -215,6 +207,26 @@ def compose_members(terms, kappa: float):
             acc = acc + w[i] * col[i]
         out.append(acc)
     return (*out, per, w)
+
+
+def compose_tangents(terms, tangents, weights, kappa: float):
+    """First derivatives of :func:`compose_members`'s outputs along ``k`` directions.
+
+    ``tangents`` holds, per member, the derivatives of its ``terms``
+    entries with the direction axis last; ``weights`` are the softmin
+    weights.  Along a direction ``h' = sum w_i h_i'`` and
+    ``w_i' = kappa w_i (h' - h_i')``, so an averaged entry moves by
+    ``sum w_i' c_i + w_i c_i'``.
+    """
+    if len(terms) == 1:
+        return tangents[0]
+    h_o = sum(w * d[0] for w, d in zip(weights, tangents))
+    w_o = [kappa * w * (h_o - d[0]) for w, d in zip(weights, tangents)]
+    cols = [
+        sum(np.multiply.outer(c[j], x) + w * d[j] for c, d, w, x in zip(terms, tangents, weights, w_o))
+        for j in range(1, len(terms[0]))
+    ]
+    return (h_o, *cols)
 
 
 def compose_jets(jets, kappa: float):

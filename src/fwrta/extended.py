@@ -8,7 +8,10 @@ row carries a structural zero in the ``P`` slot and the filtered ``P``
 equals the desired one bit for bit.  The rate of the extension is
 assembled from the plain-float frame of :class:`~fwrta.model.TrackContext`
 (velocity, rotation columns and turn rate), the one the tracking
-controller reads.
+controller reads.  :func:`member_extended_terms` also gives, on request,
+its outputs' first derivatives along given directions of ``(r, v, t)``
+in closed form; the backstepping barrier's rate is built on them, and
+this mode asks for none.
 """
 
 from __future__ import annotations
@@ -48,18 +51,28 @@ class ExtendedEval:
     weights: list
 
 
-def member_extended_terms(r, v, t, member, gamma_p: float):
-    """(value, d/dr, d/dv, explicit d/dt) of one extended member.
+def member_extended_terms(r, v, t, member, gamma_p: float, dirs=None):
+    """``(value, d/dr, d/dv, explicit d/dt)`` of one extended member, and
+    their first derivatives along ``dirs``.
 
-    All four outputs are closed-form expressions of ``(r, v, t)`` and
-    remain valid under dual-number evaluation, so higher constructions
-    can differentiate through them without nesting.
+    ``dirs = (D_r, D_v, D_t)`` holds ``k`` directions of ``(r, v, t)``:
+    two 3 x k arrays and a k-vector.  The derivatives come back in the
+    same order with the direction axis last, shaped ``(k,)``, ``(3, k)``,
+    ``(3, k)``, ``(k,)``; without ``dirs`` they are ``None``.  An obstacle's
+    derivatives move through those of ``q = |r - r_i|``, the unit vector
+    ``n``, ``rel = v - v_i`` and ``n . rel``; ``r_i`` moves with ``v_i``
+    and ``v_i`` with ``a_i`` (jerk taken as zero).
     """
     inv_g = 1.0 / gamma_p
     if isinstance(member, GeofencePlane):
         n = member.normal
         h = dm.dot(n, r - member.point) - member.rho + inv_g * dm.dot(n, v)
-        return h, n, n * inv_g, 0.0
+        terms = (h, n, n * inv_g, 0.0)
+        if dirs is None:
+            return terms, None
+        D_r, D_v, D_t = dirs
+        zero = np.zeros_like(D_r)
+        return terms, (n @ D_r + inv_g * (n @ D_v), zero, zero, np.zeros_like(D_t))
     diff, q, v_i, a_i = _separation(r, t, member)
     n = diff / q
     rel = v - v_i
@@ -68,13 +81,29 @@ def member_extended_terms(r, v, t, member, gamma_p: float):
     # (I - n n^T) z / q terms from differentiating the unit vector
     grad_r = n + (rel - n * n_rel) * (inv_g / q)
     n_vi = dm.dot(n, v_i)
-    dt = -n_vi + inv_g * (-(dm.dot(v_i, rel) - n_vi * n_rel) / q - dm.dot(n, a_i))
-    return h, grad_r, n * inv_g, dt
+    x = dm.dot(v_i, rel) - n_vi * n_rel
+    dt = -n_vi + inv_g * (-x / q - dm.dot(n, a_i))
+    terms = (h, grad_r, n * inv_g, dt)
+    if dirs is None:
+        return terms, None
+    D_r, D_v, D_t = dirs
+    # column vectors broadcast against the direction axis
+    n_c, v_i_c, a_i_c = n[:, None], v_i[:, None], a_i[:, None]
+    diff_o = D_r - v_i_c * D_t
+    q_o = n @ diff_o
+    n_o = (diff_o - n_c * q_o) / q
+    rel_o = D_v - a_i_c * D_t
+    n_rel_o = rel @ n_o + n @ rel_o
+    n_vi_o = v_i @ n_o + (n @ a_i) * D_t
+    x_o = (a_i @ rel) * D_t + v_i @ rel_o - n_vi_o * n_rel - n_vi * n_rel_o
+    grad_r_o = n_o + (rel_o - n_o * n_rel - n_c * n_rel_o - (rel - n * n_rel)[:, None] * (q_o / q)) * (inv_g / q)
+    dt_o = -n_vi_o + inv_g * ((x * q_o / q - x_o) / q - a_i @ n_o)
+    return terms, (q_o + inv_g * n_rel_o, grad_r_o, n_o * inv_g, dt_o)
 
 
 def compose_extended_terms(r, v, t, cset: ConstraintSet, gamma_p: float):
     """Generic composed extension: (value, d/dr, d/dv, d/dt, per, weights)."""
-    return compose_members([member_extended_terms(r, v, t, m, gamma_p) for m in cset.members], cset.kappa)
+    return compose_members([member_extended_terms(r, v, t, m, gamma_p)[0] for m in cset.members], cset.kappa)
 
 
 def h_e_composed(r, v, t, cset: ConstraintSet, params: ExtendedParams) -> ExtendedEval:

@@ -6,13 +6,16 @@ without an optimizer.  The metric is supplied through its factor ``W``
 and the correction is ``Lambda(a, |b|) W b^T``.  ``lambda_hard`` is the
 exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
-:func:`filter_step` is the one implementation of that step, on floats and
-dual numbers, for all three filters; the Taylor jet the tracker flies in
-model-free mode (:func:`fwrta.modelfree.filter_jet`) writes it out.
+:func:`filter_step` is the one implementation of that step, over floats,
+for all three filters.  The smooth multiplier's first derivative along a
+direction, :func:`lambda_smooth_rate`, is written here once: the
+backstepping barrier's rate and the model-free Taylor jet
+(:func:`fwrta.modelfree.filter_jet`) both read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,28 +76,54 @@ class FilterResult:
     infeasible: bool
 
 
+def softplus(x: float):
+    """``ln(1 + e^x)`` with its first two derivatives, overflow-safe.
+
+    ``exp(-|x|)`` is the exponential of either exact branch
+    (``x + ln(1 + e^-x)`` above zero, ``ln(1 + e^x)`` below).
+    """
+    e = math.exp(-abs(x))
+    t = 1.0 / (1.0 + e)
+    return max(x, 0.0) + math.log1p(e), (t if x > 0.0 else e * t), e * t * t
+
+
 def lambda_hard(a, b_norm):
     """Exact multiplier ``max(0, -a/b)/b`` with the ``b = 0`` branch."""
-    if float(dm.value(b_norm)) == 0.0:
+    if b_norm == 0.0:
         return 0.0
     return max(0.0, -a / b_norm) / b_norm
 
 
 def lambda_smooth(a, b_norm, nu: float):
-    """Softplus multiplier ``ln(1 + exp(-nu a/b)) / (nu b)``, dual-capable.
+    """Softplus multiplier ``ln(1 + exp(-nu a/b)) / (nu b)``.
 
     Over-approximates ``lambda_hard`` pointwise and approaches it as
     ``nu`` grows; computed overflow-safe for any finite ``a/b``.
     """
     if not nu > 0.0:
         raise ValueError("nu must be positive")
-    if float(dm.value(b_norm)) == 0.0:
+    if b_norm == 0.0:
         return 0.0
-    return dm.softplus(-nu * (a / b_norm)) / (nu * b_norm)
+    return softplus(-nu * (a / b_norm))[0] / (nu * b_norm)
+
+
+def lambda_smooth_rate(a: float, b_norm: float, nu: float, a_o, b_norm_o):
+    """First derivative of ``lambda_smooth(a, b_norm, nu)`` along directions
+    that move ``a`` by ``a_o`` and ``b_norm > 0`` by ``b_norm_o``.
+
+    With ``x = -nu a / b`` and ``lam = softplus(x) / (nu b)``:
+    ``x' = -(nu a' + x b') / b`` and ``lam' = (softplus'(x) x' - lam nu b') / (nu b)``.
+    ``a_o`` and ``b_norm_o`` may be arrays holding one direction per entry.
+    """
+    x = -nu * (a / b_norm)
+    sp, s1, _ = softplus(x)
+    lam = sp / (nu * b_norm)
+    x_o = -(nu * a_o + x * b_norm_o) / b_norm
+    return (s1 * x_o - lam * nu * b_norm_o) / (nu * b_norm)
 
 
 def filter_step(u_d, a, b, W, nu: float | None = None):
-    """One filter step ``u = u_d + Lambda(a, |b|) W b``, dual-capable.
+    """One filter step ``u = u_d + Lambda(a, |b|) W b``.
 
     ``b`` is the weighted constraint row and ``W`` a callable applying the
     factor; ``nu=None`` selects ``lambda_hard``, otherwise
@@ -102,9 +131,9 @@ def filter_step(u_d, a, b, W, nu: float | None = None):
     ``u_d`` itself with ``lam = 0``.
     """
     bn2 = dm.dot(b, b)
-    if float(dm.value(bn2)) == 0.0:
+    if bn2 == 0.0:
         return u_d, 0.0, bn2
-    b_norm = dm.sqrt(bn2)
+    b_norm = math.sqrt(bn2)
     lam = lambda_hard(a, b_norm) if nu is None else lambda_smooth(a, b_norm, nu)
     return u_d + W(b) * lam, lam, bn2
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import dual as dm
 from .constraints import ConstraintSet, compose_terms
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import filter_step
+from .filters import filter_step, lambda_smooth_rate, softplus
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
@@ -65,8 +65,8 @@ def _wv_apply(v_d, Gamma_v: float, z):
 
 
 def _filter_core(h, grad, dtp, v_d, p: ModelFreeParams):
-    """Velocity filter on precomputed barrier pieces, dual-capable: ``(v_s, a_v, lam, |W_v grad|^2)``."""
-    if math.sqrt(float(dm.value(dm.dot(v_d, v_d)))) < ZERO_VELOCITY_TOL:
+    """Velocity filter on precomputed barrier pieces: ``(v_s, a_v, lam, |W_v grad|^2)``."""
+    if math.sqrt(dm.dot(v_d, v_d)) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
     a_v = dm.dot(grad, v_d) + dtp + p.gamma_p * h - p.sigma * dm.dot(grad, grad)
     W_v = partial(_wv_apply, v_d, p.Gamma_v)
@@ -97,14 +97,11 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     beta1 = 0.5 * bn2[1] / beta
     bj = (beta, beta1, (0.5 * bn2[2] - beta1 * beta1) / beta)
     x = [-nu * c for c in dm.jet_div(a, bj)]
-    # softplus(x) and its first two derivatives; exp(-|x|) is softplus's exp in either branch
-    e = math.exp(-abs(x[0]))
-    t = 1.0 / (1.0 + e)
-    sp, s1, s2 = max(x[0], 0.0) + math.log1p(e), (t if x[0] > 0.0 else e * t), e * t * t
+    sp, s1, s2 = softplus(x[0])
     lam = dm.jet_div((sp, s1 * x[1], s2 * x[1] * x[1] + s1 * x[2]), [nu * c for c in bj])
     m = dm.jet_mul(lam, s)
     v_s = dm.jet_add(u, dm.jet_scale(m, u), dm.jet_scale([c2 * c for c in lam], gp))
-    (u0, g0, gp0), gu0, s0, lam0, m0 = (u[0], g[0], gp[0]), gu[0], s[0], lam[0], m[0]
+    (u0, g0, gp0), a0, gu0, s0, lam0, m0 = (u[0], g[0], gp[0]), a[0], gu[0], s[0], lam[0], m[0]
 
     def along(u_o, h_o, g_o, d_o):
         gu_o = dm.dot3(g_o, u0) + dm.dot3(g0, u_o)
@@ -112,8 +109,7 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
         s_o = (gu_o - 2.0 * s0 * dm.dot3(u0, u_o)) / P[0]
         gp_o = [w - s_o * y - s0 * z for w, y, z in zip(g_o, u0, u_o)]
         beta_o = (s_o * gu0 + s0 * gu_o + 2.0 * c2 * dm.dot3(gp0, gp_o)) / (2.0 * beta)
-        x_o = -(nu * a_o + x[0] * beta_o) / beta
-        lam_o = (s1 * x_o - lam0 * nu * beta_o) / (nu * beta)
+        lam_o = lambda_smooth_rate(a0, beta, nu, a_o, beta_o)
         m_o, k_o, k0 = lam_o * s0 + lam0 * s_o, c2 * lam_o, c2 * lam0
         return [w + m_o * y + m0 * w + k_o * z + k0 * q for w, y, z, q in zip(u_o, u0, gp0, gp_o)]
 

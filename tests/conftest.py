@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from fwrta import dual as dm
+import dualnum as dm
+from dual_formulas import compose_terms, filter_core, pipeline
 from fwrta import kernels
-from fwrta.backstepping import _pipeline
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_terms
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
 from fwrta.model import AircraftState, GravityParam, TrackContext
-from fwrta.modelfree import _filter_core
 from fwrta.tracking import SafeVelocityCommand
 
 
@@ -91,7 +90,7 @@ def grad_h_b(st, t, cset, p, g):
     r, phi, theta, psi, V_T, td = seed_state_time(st.as_array(), t)
     v = velocity_vec(theta, psi, V_T)
     c1 = euler_cols(phi, theta, psi)[1]
-    hb = _pipeline(r, v, td, c1, turn_rate_raw(phi, theta, V_T, g.g_d), V_T, cset, p)[3]
+    hb = pipeline(r, v, td, c1, turn_rate_raw(phi, theta, V_T, g.g_d), V_T, cset, p)[3]
     return hb.e[:7].copy(), float(hb.e[7])
 
 
@@ -145,9 +144,9 @@ def seed_line(r, t, v):
 
 
 def safe_velocity_terms(r, t, v_d, cset, p):
-    """Generic safe-velocity chain over the dual helpers; returns (v_s, a_v, h_p, grad)."""
+    """Dual-generic safe-velocity chain; returns (v_s, a_v, h_p, grad)."""
     h, grad, dtp, _, _ = compose_terms(r, t, cset)
-    v_s, a_v, _, _ = _filter_core(h, grad, dtp, v_d, p)
+    v_s, a_v, _, _ = filter_core(h, grad, dtp, v_d, p)
     return v_s, a_v, h, grad
 
 

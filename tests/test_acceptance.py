@@ -20,8 +20,9 @@ from conftest import (
     seed_pos_time,
     velocity,
 )
-from fwrta import dual as dm
-from fwrta.constraints import compose_h_p, compose_terms, softmin
+import dual_formulas as df
+import dualnum as dm
+from fwrta.constraints import compose_h_p, softmin
 from fwrta.export import csv_header, write_csv
 from fwrta.extended import compose_extended_terms
 from fwrta.backstepping import BacksteppingParams, h_b
@@ -318,7 +319,7 @@ def test_criterion_7_gradient_certification(rng):
 
         # position barrier over (r, t)
         rd, td = seed_pos_time(r0, t0)
-        hp_d = compose_terms(rd, td, cset)[0]
+        hp_d = df.compose_terms(rd, td, cset)[0]
         fd = np.zeros(4)
         for k in range(4):
             z = np.append(r0, t0)
@@ -333,7 +334,7 @@ def test_criterion_7_gradient_certification(rng):
         # extended barrier over (r, v, t)
         v0 = velocity(st)
         E7 = np.eye(7)
-        he_d = compose_extended_terms(
+        he_d = df.compose_extended_terms(
             dm.Dual(r0.copy(), E7[:3].copy()),
             dm.Dual(v0.copy(), E7[3:6].copy()),
             dm.Dual(t0, E7[6]),

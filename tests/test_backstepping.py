@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grad_h_b, random_constraint_set, random_state, seed_state_time, velocity, velocity_vec
-from fwrta import backstepping
-from fwrta import dual as dm
+import dual_formulas as df
+from conftest import (
+    grad_h_b,
+    random_constraint_set,
+    random_state,
+    safe_velocity_seeded,
+    seed_state_time,
+    velocity,
+    velocity_vec,
+)
 from fwrta import kernels
 from fwrta.backstepping import (
     BacksteppingParams,
@@ -15,10 +22,15 @@ from fwrta.backstepping import (
     h_b,
     rta_backstepping,
 )
-from fwrta.constraints import ConstraintSet, GeofencePlane
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
+from fwrta.dual import dot
+from fwrta.errors import CoincidentPosition
 from fwrta.extended import compose_extended_terms, h_e_composed
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
 from fwrta.model import AircraftState, ControlInput, TrackContext
+from fwrta.modelfree import ModelFreeParams
+from fwrta.scenario import load_scenario
+from fwrta.tracking import SafeVelocityCommand
 
 
 def table_params(mu_e=1e-4):
@@ -35,8 +47,7 @@ def table_params(mu_e=1e-4):
 
 def safe_pieces(st, t, cset, p, g):
     """``(a_s, R_s)``: the safe acceleration and turn rate of the barrier chain."""
-    ctx = TrackContext(st, t, g)
-    _, a_s, R_s, _ = _pipeline(ctx.r, ctx.v, t, ctx.c1, ctx.R, ctx.V_T, cset, p)
+    _, a_s, R_s, _ = _pipeline(TrackContext(st, t, g), t, cset, p)[0]
     return a_s, R_s
 
 
@@ -109,7 +120,7 @@ class TestSafeAccel:
             cset = random_constraint_set(rng, st.r)
             ctx = TrackContext(st, t, gravity)
             h_e, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
-            a_e = dm.dot(gr, ctx.v) + dt + p.alpha_e(h_e)
+            a_e = dot(gr, ctx.v) + dt + p.alpha_e(h_e)
             a_s, _ = safe_pieces(st, t, cset, p, gravity)
             np.testing.assert_array_equal(a_s, apply_filter(np.zeros(3), a_e, gv, p.W_e, p.nu_e).u)
             active += bool(np.linalg.norm(a_s) > 1e-3)
@@ -233,26 +244,9 @@ class TestGradient:
         dhdx, dhdt = grad_h_b(st, 0.0, cset, p, gravity)
         r, phi, theta, psi, V_T, td = seed_state_time(st.as_array(), 0.0)
         v = velocity_vec(theta, psi, V_T)
-        he, *_ = compose_extended_terms(r, v, td, cset, p.gamma_p)
+        he, *_ = df.compose_extended_terms(r, v, td, cset, p.gamma_p)
         np.testing.assert_allclose(dhdx, he.e[:7], atol=1e-12)
         assert dhdt == pytest.approx(float(he.e[7]), abs=1e-12)
-
-    def test_first_order_pass_carries_no_curvature(self, rng, gravity, monkeypatch):
-        # the filter's 3-direction pass must stay first order: curvature
-        # would double the cost of every dual operation in rta_backstepping
-        st = random_state(rng, theta_max=1.0, phi_max=1.2)
-        cset = random_constraint_set(rng, st.r)
-        seen = []
-
-        def recording(*args):
-            outs = _pipeline(*args)
-            seen.append(outs)
-            return outs
-
-        monkeypatch.setattr(backstepping, "_pipeline", recording)
-        rta_backstepping(st, 1.0, ControlInput(0.0, 0.0, 0.0), cset, table_params(), gravity)
-        assert len(seen) == 1
-        assert all(isinstance(x, dm.Dual) and x.e.shape[-1] == 3 and x.h is None for x in seen[0])
 
 
 def oracle_rate(st, t, cset, p, g):
@@ -264,21 +258,100 @@ def oracle_rate(st, t, cset, p, g):
     return dhdt + float(dhdx @ f), dhdx @ G
 
 
+# neither diagonal nor symmetric: scenarios build only diagonal W_e,
+# which would hide a transpose in the filter's tangent
+SKEW_W_E = WeightFactor(np.array([[1.3, 0.4, -0.2], [-0.1, 0.9, 0.5], [0.3, -0.6, 1.1]]))
+
+
+def accelerating_obstacle(at, t, velocity, accel, rho):
+    """Obstacle at ``at`` at time ``t`` with constant acceleration ``accel``."""
+    v0, a = np.asarray(velocity, dtype=float), np.asarray(accel, dtype=float)
+
+    def traj(s):
+        tau = s - t
+        return at + v0 * tau + (0.5 * tau * tau) * a, v0 + a * tau, a
+
+    return MovingObstacle(traj, rho)
+
+
+def near_constraint_set(rng, st, t, kind):
+    """A plane, an accelerating obstacle, or both plus a second plane, a few
+    hundred to a few thousand metres roughly ahead of the aircraft."""
+    ahead = velocity(st) / st.V_T
+
+    def toward():
+        d = ahead + 0.5 * rng.normal(size=3)
+        return d / np.linalg.norm(d)
+
+    def plane():
+        n = toward()
+        return GeofencePlane(st.r + n * rng.uniform(200.0, 3000.0), -n, rng.uniform(0.0, 30.0))
+
+    def obstacle():
+        at = st.r + toward() * rng.uniform(200.0, 2500.0)
+        v, a = rng.uniform(-150.0, 150.0, 3), rng.uniform(-8.0, 8.0, 3)
+        return accelerating_obstacle(at, t, v, a, rng.uniform(20.0, 80.0))
+
+    members = {"plane": [plane], "obstacle": [obstacle], "mixed": [obstacle, plane, plane]}[kind]
+    return ConstraintSet([m() for m in members], kappa=float(rng.uniform(0.004, 0.05)))
+
+
+def softplus_arg(st, t, cset, p, g):
+    """``x = -nu_e a_e / |b_e|`` of the acceleration filter's multiplier."""
+    ctx = TrackContext(st, t, g)
+    h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
+    return -p.nu_e * (dot(gr, ctx.v) + dt + p.alpha_e(h)) / np.linalg.norm(gv @ p.W_e.W)
+
+
 class TestRta:
     def test_rate_matches_gradient_oracle(self, rng, gravity):
-        # the 3-direction pass plus the frame's closed-form rates against
-        # the full-state forward-mode gradient
+        # the closed-form 3-direction chain plus the frame's closed-form
+        # rates against the full-state forward-mode gradient
         p = table_params()
-        cases = [(AircraftState(0.0, 0.0, 0.0, 0.2, 0.1, math.pi / 2, 150.0), 0.0, canceling_planes())]
-        for _ in range(240):
+        skew = dataclasses.replace(p, W_e=SKEW_W_E)
+        cases = [(AircraftState(0.0, 0.0, 0.0, 0.2, 0.1, math.pi / 2, 150.0), 0.0, canceling_planes(), p)]
+        cases.append(cases[0][:3] + (skew,))
+        for i in range(240):
             st = random_state(rng, theta_max=1.0, phi_max=1.2)
-            cases.append((st, float(rng.uniform(0.0, 10.0)), random_constraint_set(rng, st.r)))
-        for st, t, cset in cases:
-            h_e, hb, drift, row = _affine_terms(st, t, cset, p, gravity)
-            ref_drift, ref_row = oracle_rate(st, t, cset, p, gravity)
+            cases.append((st, float(rng.uniform(0.0, 10.0)), random_constraint_set(rng, st.r), (p, skew)[i % 2]))
+        # states where the acceleration filter acts, in both softplus branches
+        branches = {True: 0, False: 0}
+        kinds = ("plane", "obstacle", "mixed")
+        for i in range(3000):
+            if min(branches.values()) >= 36:
+                break
+            st = random_state(rng, v_range=(80.0, 250.0), theta_max=1.0, phi_max=1.2, pos_scale=200.0)
+            t = float(rng.uniform(0.0, 10.0))
+            cset = near_constraint_set(rng, st, t, kinds[i % 3])
+            q = (p, skew)[i % 2]
+            x = softplus_arg(st, t, cset, q, gravity)
+            if abs(x) <= 8.0 and branches[x > 0.0] < 36:
+                branches[x > 0.0] += 1
+                cases.append((st, t, cset, q))
+        assert min(branches.values()) >= 36, branches
+        for st, t, cset, q in cases:
+            h_e, hb, drift, row = _affine_terms(st, t, cset, q, gravity)
+            ref_drift, ref_row = oracle_rate(st, t, cset, q, gravity)
             got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-            assert hb == h_b(st, t, cset, p, gravity)
+            assert hb == h_b(st, t, cset, q, gravity)
+
+    def test_raises_at_obstacle_center(self, gravity):
+        # fig5's start moved onto its obstacle's center: the closed-form
+        # chain and the dual oracles stop before dividing by the distance
+        scn = load_scenario("fig5")
+        center = scn.cset.members[0].trajectory(0.0)[0]
+        st = dataclasses.replace(scn.x0, n=float(center[0]), e=float(center[1]), d=float(center[2]))
+        with pytest.raises(CoincidentPosition) as expected:
+            compose_h_p(st.r, 0.0, scn.cset)
+        with pytest.raises(CoincidentPosition) as got:
+            rta_backstepping(st, 0.0, ControlInput(0.0, 0.0, 0.0), scn.cset, scn.backstep, scn.gravity)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(CoincidentPosition, match=str(expected.value)):
+            grad_h_b(st, 0.0, scn.cset, scn.backstep, scn.gravity)
+        cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, ModelFreeParams(0.1, 3.0, 4.0, 0.007))
+        with pytest.raises(CoincidentPosition, match=str(expected.value)):
+            safe_velocity_seeded(cmd, st.r, 0.0, velocity(st))
 
     def test_inactive_far_from_constraints(self, gravity):
         p = table_params()

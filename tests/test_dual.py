@@ -1,10 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualnum as dm
+import fwrta
 from conftest import seed_line
-from fwrta import dual as dm
+from fwrta import filters
 
 
 def f_scalar(x, y):
@@ -120,6 +124,13 @@ def test_softplus_exact_and_continuous():
     h = 1e-7
     fd = (dm.softplus(0.3 + h) - dm.softplus(0.3 - h)) / (2 * h)
     assert y.e[0] == pytest.approx(fd, rel=1e-7)
+    # the run-time softplus: same value to the bit, derivatives from a curvature pass
+    for x0 in (-800.0, -3.0, -1e-14, 0.0, 1e-14, 0.3, 5.0, 800.0):
+        sp, s1, s2 = filters.softplus(x0)
+        y = dm.softplus(dm.Dual(x0, np.array([1.0]), np.array([0.0])))
+        assert sp == dm.softplus(x0) == y.v
+        assert s1 == pytest.approx(float(y.e[0]), rel=1e-15, abs=1e-300)
+        assert s2 == pytest.approx(float(y.h[0]), rel=1e-14, abs=1e-300)
 
 
 def test_lift_path_first_and_second_order():
@@ -139,3 +150,35 @@ def test_lift_path_first_and_second_order():
     lifted3 = dm.lift_path(p, v, a, t3)
     np.testing.assert_allclose(lifted3.h, np.outer(v, [0.25, 0.0]))
     assert lifted.h is None
+
+
+def test_fwrta_runs_no_dual_numbers():
+    # every derivative in fwrta is closed form: no module may define or
+    # reference Dual, nor read a dual value through the dual module
+    paths = sorted(Path(fwrta.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        dual_aliases = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.name == "dual"
+        }
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in dual_aliases and node.attr == "value":
+                    offenders.append(f"{path.name}:{node.lineno}: {node.value.id}.value")
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.alias):
+                names += [node.name, node.asname]
+            if "Dual" in names:
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}: Dual")
+    assert offenders == []

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import dual_formulas as df
+import dualnum as dm
 from conftest import random_constraint_set, random_state, velocity
-from fwrta import dual as dm
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_terms
 from fwrta.extended import (
     ExtendedParams,
     _affine_terms,
-    compose_extended_terms,
     h_e_composed,
     member_extended_terms,
     rta_extended,
@@ -23,7 +23,7 @@ TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 
 
 
 def extended_value(r, v, t, member, gamma_p):
-    return member_extended_terms(r, v, t, member, gamma_p)[0]
+    return member_extended_terms(r, v, t, member, gamma_p)[0][0]
 
 
 def table_params():
@@ -154,7 +154,7 @@ class TestAffine:
                     -V_dual * math.sin(st.theta),
                 ]
             )
-            h_dual, *_ = compose_extended_terms(st.r, v_dual, 0.0, cset, p.gamma_p)
+            h_dual, *_ = df.compose_extended_terms(st.r, v_dual, 0.0, cset, p.gamma_p)
             assert row[0] == pytest.approx(float(h_dual.e[0]), rel=1e-9, abs=1e-12)
 
 

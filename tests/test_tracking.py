@@ -376,7 +376,7 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
     st = AircraftState(100.0, 200.0, -50.0, 0.1, 0.05, 0.3, 150.0)
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     far = GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)
-    # 1e-10 m off the center: inside the guard, clear of the dual sqrt's 0.5 / 0
+    # 1e-10 m off the center: inside the guard
     on_top = MovingObstacle.constant_velocity(st.r + [1e-10, 0.0, 0.0], [10.0, 0.0, 0.0], 30.0)
     parked = GoalTrajectory.linear([0.0, 0.0, 0.0], r0=st.r)
     cases = [
