@@ -8,8 +8,10 @@ rate depends on the roll channel, so the outer input filter
 (:func:`~fwrta.filters.filter_input`) can command all three inputs.
 
 The barrier reads the state through the plain-float frame of
-:class:`~fwrta.model.TrackContext`: ``(r, v, t)``, the rotation column
-``c1``, the turn rate ``R`` and the speed.  Its rate along the dynamics
+:class:`~fwrta.model.TrackContext` it is given, the one the tracking
+controller computed the step in (``TrackResult.ctx``): ``(r, v, t)``,
+the rotation column ``c1``, the turn rate ``R`` and the speed.  No
+function here builds a frame.  Its rate along the dynamics
 splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain is differentiated
 in closed form over floats, stage by stage (extended members, softmin,
 softplus filter step), along the three directions that move
@@ -30,7 +32,7 @@ from . import dual as dm
 from .constraints import ConstraintSet, compose_members, compose_tangents
 from .extended import member_extended_terms
 from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
-from .model import AircraftState, ControlInput, GravityParam, TrackContext
+from .model import ControlInput, TrackContext
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,12 @@ class BacksteppingParams:
             raise ValueError("gamma_p, nu_e and mu_e must be positive")
 
 
-def _pipeline(ctx: TrackContext, t: float, cset: ConstraintSet, p: BacksteppingParams, dirs=None):
-    """``(h_e, a_s, R_s, h_b)`` and the first derivatives of ``h_e`` and ``a_s``
-    along ``dirs`` (see :func:`~fwrta.extended.member_extended_terms`), or ``None``."""
+def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dirs=None):
+    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)`` and the first derivatives of
+    ``h_e`` and ``a_s`` along ``dirs`` (see :func:`~fwrta.extended.member_extended_terms`),
+    or ``None``."""
     v = ctx.v
-    terms, tangents = zip(*(member_extended_terms(ctx.r, v, t, m, p.gamma_p, dirs) for m in cset.members))
+    terms, tangents = zip(*(member_extended_terms(ctx.r, v, ctx.t, m, p.gamma_p, dirs) for m in cset.members))
     h_e, gr, gv, dt, _, w = compose_members(terms, cset.kappa)
     # barrier rate at zero acceleration plus decay
     a_e = dm.dot(gr, v) + dt + p.alpha_e(h_e)
@@ -77,14 +80,13 @@ def _pipeline(ctx: TrackContext, t: float, cset: ConstraintSet, p: BacksteppingP
     return (h_e, a_s, R_s, h_b), (h_e_o, np.outer(W_e @ b, lam_o) + lam * (W_e @ b_o))
 
 
-def h_b(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam) -> float:
-    """Penalized barrier; never exceeds the composed extension."""
-    return _pipeline(TrackContext(state, t, g), t, cset, p)[0][3]
+def h_b(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams) -> float:
+    """Penalized barrier at the frame's ``(x, t)``; never exceeds the composed extension."""
+    return _pipeline(ctx, cset, p)[0][3]
 
 
-def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: BacksteppingParams, g: GravityParam):
-    """``(h_e, h_b)`` and the rate of ``h_b`` as ``drift + row . u``."""
-    ctx = TrackContext(state, t, g)
+def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
+    """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V, R = ctx.V_T, ctx.R
     # directions (drift, A_T, Q) of (r, v, t); P moves neither r nor v
@@ -94,7 +96,7 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: Backst
         np.column_stack([(V * R) * c1, c0, -V * c2]),
         np.array([1.0, 0.0, 0.0]),
     )
-    (h_e, a_s, R_s, hb), (e_he, e_as) = _pipeline(ctx, t, cset, p, dirs)
+    (h_e, a_s, R_s, hb), (e_he, e_as) = _pipeline(ctx, cset, p, dirs)
     # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
     # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T
     e_Rs = (c1 @ e_as) / V
@@ -113,19 +115,13 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, p: Backst
 
 
 def rta_backstepping(
-    state: AircraftState,
-    t: float,
-    u_d: ControlInput,
-    cset: ConstraintSet,
-    p: BacksteppingParams,
-    g: GravityParam,
-    smooth_nu: float | None = None,
+    ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, p: BacksteppingParams, smooth_nu: float | None = None
 ) -> RtaResult:
-    """Filter the desired input against the penalized barrier.
+    """Filter the desired input against the penalized barrier at the frame's ``(x, t)``.
 
     The constraint row is the barrier's rate along the input columns;
     its roll entry is generically nonzero, so all three channels
     participate.
     """
-    _, hb, drift, row = _affine_terms(state, t, cset, p, g)
+    _, hb, drift, row = _affine_terms(ctx, cset, p)
     return filter_input(u_d, hb, drift, row, p, smooth_nu)

@@ -184,11 +184,6 @@ def softmin_weights(values, kappa: float):
     return h, [math.exp((h - v) * kappa) for v in vals]
 
 
-def softmin(values, kappa: float):
-    """Smooth minimum of ``values`` (see :func:`softmin_weights`)."""
-    return softmin_weights(values, kappa)[0]
-
-
 def compose_members(terms, kappa: float):
     """Softmin of the members' values with their other entries weight-averaged.
 
@@ -257,18 +252,7 @@ def compose_jets(jets, kappa: float):
     return (h, h1, h2), g, d, along
 
 
-def compose_terms(r, t, cset: ConstraintSet):
-    """Generic composed barrier: (value, grad_r, dt_partial, per, weights)."""
-    return compose_members([member_terms(r, t, m) for m in cset.members], cset.kappa)
-
-
 def compose_h_p(r, t, cset: ConstraintSet) -> BarrierEval:
     """Composed position barrier with weight-averaged derivatives."""
-    h, grad, dtp, per, w = compose_terms(np.asarray(r, dtype=float), float(t), cset)
-    return BarrierEval(
-        value=float(h),
-        gradient_r=np.asarray(grad, dtype=float),
-        dt_partial=float(dtp),
-        per_constraint=[float(v) for v in per],
-        weights=[float(x) for x in w],
-    )
+    h, grad, dtp, per, w = compose_members([member_terms(r, t, m) for m in cset.members], cset.kappa)
+    return BarrierEval(value=h, gradient_r=grad, dt_partial=dtp, per_constraint=per, weights=w)

@@ -5,13 +5,14 @@ the barrier rate sees the acceleration channel; the composed extension
 drives the closed-form filter over ``(A_T, Q)``.  Roll rate ``P`` never
 enters: the extension depends on the velocity states only, so the input
 row carries a structural zero in the ``P`` slot and the filtered ``P``
-equals the desired one bit for bit.  The rate of the extension is
-assembled from the plain-float frame of :class:`~fwrta.model.TrackContext`
-(velocity, rotation columns and turn rate), the one the tracking
-controller reads.  :func:`member_extended_terms` also gives, on request,
-its outputs' first derivatives along given directions of ``(r, v, t)``
-in closed form; the backstepping barrier's rate is built on them, and
-this mode asks for none.
+equals the desired one bit for bit.  The extension and its rate are
+read from the plain-float frame :class:`~fwrta.model.TrackContext` the
+filter is given, the one the tracking controller computed the step in
+(``TrackResult.ctx``); nothing here builds a frame.
+:func:`member_extended_terms` also gives, on request, its outputs'
+first derivatives along given directions of ``(r, v, t)`` in closed
+form; the backstepping barrier's rate is built on them, and this mode
+asks for none.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import dual as dm
 from .constraints import ConstraintSet, GeofencePlane, _separation, compose_members
 from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input
-from .model import AircraftState, ControlInput, GravityParam, TrackContext
+from .model import ControlInput, TrackContext
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,6 @@ class ExtendedParams:
     def __post_init__(self):
         if not self.gamma_p > 0.0:
             raise ValueError("gamma_p must be positive")
-
-
-@dataclass
-class ExtendedEval:
-    """Composed extended barrier with its analytic partial derivatives."""
-
-    value: float
-    grad_r: np.ndarray
-    grad_v: np.ndarray
-    dt_partial: float
-    per_member: list
-    weights: list
 
 
 def member_extended_terms(r, v, t, member, gamma_p: float, dirs=None):
@@ -102,33 +91,18 @@ def member_extended_terms(r, v, t, member, gamma_p: float, dirs=None):
 
 
 def compose_extended_terms(r, v, t, cset: ConstraintSet, gamma_p: float):
-    """Generic composed extension: (value, d/dr, d/dv, d/dt, per, weights)."""
+    """Composed extension with weight-averaged derivatives:
+    ``(value, d/dr, d/dv, explicit d/dt, per-member values, weights)``."""
     return compose_members([member_extended_terms(r, v, t, m, gamma_p)[0] for m in cset.members], cset.kappa)
 
 
-def h_e_composed(r, v, t, cset: ConstraintSet, params: ExtendedParams) -> ExtendedEval:
-    """Composed extended barrier with weight-averaged derivatives."""
-    h, gr, gv, dt, per, w = compose_extended_terms(
-        np.asarray(r, dtype=float), np.asarray(v, dtype=float), float(t), cset, params.gamma_p
-    )
-    return ExtendedEval(
-        value=float(h),
-        grad_r=np.asarray(gr, dtype=float),
-        grad_v=np.asarray(gv, dtype=float),
-        dt_partial=float(dt),
-        per_member=[float(x) for x in per],
-        weights=[float(x) for x in w],
-    )
-
-
-def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, params: ExtendedParams, g: GravityParam):
-    """Composed extension ``h`` and its rate as ``drift + row . u``.
+def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams):
+    """Composed extension ``h`` at the frame's ``(x, t)`` and its rate as ``drift + row . u``.
 
     The ``P`` entry of ``row`` is a structural zero.
     """
-    ctx = TrackContext(state, t, g)
     v = ctx.v
-    h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, v, t, cset, params.gamma_p)
+    h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, v, ctx.t, cset, params.gamma_p)
     V = ctx.V_T
     # acceleration map columns: A_T -> c0, Q -> -V c2, and the drift R -> V c1
     drift = float(dm.dot(gr, v) + dt + dm.dot(gv, ctx.c1) * (V * ctx.R))
@@ -137,16 +111,10 @@ def _affine_terms(state: AircraftState, t: float, cset: ConstraintSet, params: E
 
 
 def rta_extended(
-    state: AircraftState,
-    t: float,
-    u_d: ControlInput,
-    cset: ConstraintSet,
-    params: ExtendedParams,
-    g: GravityParam,
-    smooth_nu: float | None = None,
+    ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, params: ExtendedParams, smooth_nu: float | None = None
 ) -> RtaResult:
-    """Filter the desired input against the composed extended barrier."""
-    h, drift, row = _affine_terms(state, t, cset, params, g)
+    """Filter the desired input against the composed extended barrier at the frame's ``(x, t)``."""
+    h, drift, row = _affine_terms(ctx, cset, params)
     res = filter_input(u_d, h, drift, row, params, smooth_nu)
     # carry the desired roll rate through verbatim (bit-exact transparency)
     res.u = ControlInput(res.u.A_T, u_d.P, res.u.Q)

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet, compose_terms
+from .constraints import ConstraintSet, compose_h_p
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
 from .filters import filter_step, lambda_smooth_rate, softplus
 
@@ -64,18 +64,8 @@ def _wv_apply(v_d, Gamma_v: float, z):
     return z * inv_s + v_d * (proj * (1.0 - inv_s))
 
 
-def _filter_core(h, grad, dtp, v_d, p: ModelFreeParams):
-    """Velocity filter on precomputed barrier pieces: ``(v_s, a_v, lam, |W_v grad|^2)``."""
-    if math.sqrt(dm.dot(v_d, v_d)) < ZERO_VELOCITY_TOL:
-        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    a_v = dm.dot(grad, v_d) + dtp + p.gamma_p * h - p.sigma * dm.dot(grad, grad)
-    W_v = partial(_wv_apply, v_d, p.Gamma_v)
-    v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
-    return v_s, a_v, lam, bn2
-
-
 def filter_jet(u, h, g, d, p: ModelFreeParams):
-    """:func:`_filter_core`'s ``v_s`` as a vector jet, from the jets of ``v_d``,
+    """:func:`safe_velocity_from_terms`'s ``v_s`` as a vector jet, from the jets of ``v_d``,
     ``h``, ``grad`` and ``dtp``; ``along(u, h, g, d)`` maps their first
     derivatives along a second direction to that of ``v_s``.
 
@@ -119,20 +109,18 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> SafeVelocityResult:
     """Filter a desired velocity given an already-composed barrier."""
     v_d = np.asarray(v_d, dtype=float)
-    v_s, a_v, lam, bn2 = _filter_core(h_p_val, np.asarray(grad, dtype=float), dtp, v_d, p)
-    return SafeVelocityResult(
-        v_s=np.asarray(v_s, dtype=float),
-        a_v=float(a_v),
-        margin=float(a_v) + lam * bn2,
-        infeasible=(bn2 == 0.0 and float(a_v) < 0.0),
-    )
+    if math.sqrt(dm.dot(v_d, v_d)) < ZERO_VELOCITY_TOL:
+        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
+    a_v = dm.dot(grad, v_d) + dtp + p.gamma_p * h_p_val - p.sigma * dm.dot(grad, grad)
+    W_v = partial(_wv_apply, v_d, p.Gamma_v)
+    v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
+    return SafeVelocityResult(v_s=v_s, a_v=a_v, margin=a_v + lam * bn2, infeasible=(bn2 == 0.0 and a_v < 0.0))
 
 
 def safe_velocity(r, t, v_d, cset: ConstraintSet, p: ModelFreeParams) -> SafeVelocityResult:
     """Filter the desired velocity to satisfy the robustified barrier rate."""
-    r = np.asarray(r, dtype=float)
-    h, grad, dtp, _, _ = compose_terms(r, float(t), cset)
-    return safe_velocity_from_terms(h, grad, dtp, v_d, p)
+    pos = compose_h_p(r, t, cset)
+    return safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, v_d, p)
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

@@ -19,9 +19,9 @@ import numpy as np
 from .backstepping import BacksteppingParams, h_b
 from .constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from .errors import FwrtaError, ScenarioError
-from .extended import ExtendedParams, h_e_composed
+from .extended import ExtendedParams, compose_extended_terms
 from .filters import ClassKappaLinear, WeightFactor
-from .model import AircraftState, GravityParam, TrackContext, check_pitch, check_speed
+from .model import AircraftState, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, h_V
 from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, TrackingParams, track
 
@@ -275,6 +275,11 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         raise ScenarioError("rta_mode 'backstepping' requires the 'backstepping' section")
     if mode == "modelfree" and mf is None:
         raise ScenarioError("rta_mode 'modelfree' requires the 'modelfree' section")
+    # the monitor h_V divides by lambda - gamma_p
+    if mode == "modelfree" and not mf.gamma_p < tracking.lam:
+        raise ScenarioError(
+            f"field 'modelfree.gamma_p' = {mf.gamma_p} must be below 'tracking.lambda' = {tracking.lam}"
+        )
 
     checks = raw.get("checks", {})
     if not isinstance(checks, dict):
@@ -311,22 +316,25 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
 
 
 def _validate_initial_barriers(scn: Scenario) -> None:
-    """Reject scenarios whose mode-relevant barriers start negative."""
+    """Reject scenarios whose mode-relevant barriers start negative.
+
+    Every barrier and the tracking certificate read one frame of ``(x0, 0)``.
+    """
     try:
-        check_speed(scn.x0.V_T)
-        check_pitch(scn.x0.theta)
+        # the frame enforces the speed floor and the pitch guard; a start
+        # at an obstacle's center lies inside it
+        ctx = TrackContext(scn.x0, 0.0, scn.gravity)
+        h_p0 = compose_h_p(ctx.r, 0.0, scn.cset).value
     except FwrtaError as exc:
         raise ScenarioError(f"initial_state invalid: {exc}") from exc
-    h_p0 = compose_h_p(scn.x0.r, 0.0, scn.cset).value
     if h_p0 < 0.0:
         raise ScenarioError(f"initial state violates the position barrier: h_p(0) = {h_p0:.6g}")
     if scn.mode in ("extended", "backstepping"):
-        v0 = TrackContext(scn.x0, 0.0, scn.gravity).v
-        he = h_e_composed(scn.x0.r, v0, 0.0, scn.cset, scn.extended).value
+        he = compose_extended_terms(ctx.r, ctx.v, 0.0, scn.cset, scn.extended.gamma_p)[0]
         if he < 0.0:
             raise ScenarioError(f"initial state violates the extended barrier: h_e(0) = {he:.6g}")
     if scn.mode == "backstepping":
-        hb = h_b(scn.x0, 0.0, scn.cset, scn.backstep, scn.gravity)
+        hb = h_b(ctx, scn.cset, scn.backstep)
         if hb < 0.0:
             raise ScenarioError(f"initial state violates the penalized barrier: h_b(0) = {hb:.6g}")
     # the certificate of the command the mode flies, finite from the start
@@ -336,7 +344,7 @@ def _validate_initial_barriers(scn: Scenario) -> None:
         cmd = GoalCommand(scn.goal, scn.tracking)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity).V
+            V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity, ctx=ctx).V
     except (FwrtaError, ValueError) as exc:
         raise ScenarioError(f"initial tracking certificate cannot be evaluated: {exc}") from exc
     if not math.isfinite(V0):

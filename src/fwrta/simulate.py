@@ -91,7 +91,8 @@ def make_controller(scn: Scenario):
     def control(x_arr: np.ndarray, t: float) -> StepRecord:
         state = AircraftState.from_array(x_arr)
         pos = compose_h_p(state.r, t, scn.cset)
-        # the two modelfree tracks share one frame; the others build it in track
+        # one frame per step: track builds it and hands it on in its result, which
+        # the input filters read; modelfree builds it here for its two tracks
         ctx = TrackContext(state, t, g) if scn.mode == "modelfree" else None
         tr_d = track(state, t, goal_cmd, scn.tracking, g, ctx=ctx)
         if scn.mode == "off":
@@ -103,9 +104,9 @@ def make_controller(scn: Scenario):
             residual, warn = sv.margin, sv.infeasible
         else:
             if scn.mode == "extended":
-                res = rta_extended(state, t, tr_d.u, scn.cset, scn.extended, g, scn.smooth_nu)
+                res = rta_extended(tr_d.ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
             else:
-                res = rta_backstepping(state, t, tr_d.u, scn.cset, scn.backstep, g, scn.smooth_nu)
+                res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
             u, h_mode, residual, warn = res.u, res.h, res.residual, res.infeasible
         u_d, u = tr_d.u.as_array(), u.as_array()
         return StepRecord(

@@ -163,7 +163,7 @@ class SafeVelocityCommand:
 
 @dataclass
 class TrackResult:
-    """Assembled input with the certificate diagnostics."""
+    """Assembled input with the certificate diagnostics and the frame it was computed in."""
 
     u: ControlInput
     V: float
@@ -173,6 +173,7 @@ class TrackResult:
     a_c: np.ndarray
     a_P: float
     b_P: float
+    ctx: TrackContext
 
 
 def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams) -> TrackResult:
@@ -222,6 +223,7 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
         a_c=a_c,
         a_P=a_P,
         b_P=b_P,
+        ctx=ctx,
     )
 
 
@@ -243,7 +245,8 @@ def track(
     """Full control input ``(A_T, P, Q)`` tracking the velocity command.
 
     Pass a prebuilt :class:`TrackContext` to share the state-side work
-    when tracking several commands at the same ``(x, t)``.
+    when tracking several commands at the same ``(x, t)``; the result
+    carries the frame, which the input filters read.
     """
     if ctx is None:
         ctx = TrackContext(state, t, g)

@@ -22,12 +22,12 @@ from conftest import (
 )
 import dual_formulas as df
 import dualnum as dm
-from fwrta.constraints import compose_h_p, softmin
+from fwrta.constraints import compose_h_p, softmin_weights
 from fwrta.export import csv_header, write_csv
 from fwrta.extended import compose_extended_terms
 from fwrta.backstepping import BacksteppingParams, h_b
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
-from fwrta.model import AircraftState, GravityParam
+from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.modelfree import ModelFreeParams, safe_velocity
 from fwrta.scenario import load_scenario
 from fwrta.simulate import integrate, integrate_stage_controlled, metrics_from_log
@@ -235,7 +235,7 @@ def test_criterion_6_softmin_bounds(rng):
         n = int(rng.integers(1, 12))
         vals = rng.uniform(-2000, 4000, size=n)
         kappa = float(rng.uniform(0.002, 3.0))
-        sm = softmin(list(vals), kappa)
+        sm = softmin_weights(list(vals), kappa)[0]
         worst_hi = max(worst_hi, sm - vals.min())
         worst_lo = max(worst_lo, (vals.min() - math.log(n) / kappa) - sm)
     ok = worst_hi <= 1e-12 and worst_lo <= 1e-12
@@ -363,11 +363,13 @@ def test_criterion_7_gradient_certification(rng):
                 xp[k] += h_fd
                 xm[k] -= h_fd
                 fd8[k] = (
-                    h_b(AircraftState.from_array(xp), t0, cset, p, G)
-                    - h_b(AircraftState.from_array(xm), t0, cset, p, G)
+                    h_b(TrackContext(AircraftState.from_array(xp), t0, G), cset, p)
+                    - h_b(TrackContext(AircraftState.from_array(xm), t0, G), cset, p)
                 ) / (2 * h_fd)
             else:
-                fd8[k] = (h_b(st, t0 + h_fd, cset, p, G) - h_b(st, t0 - h_fd, cset, p, G)) / (2 * h_fd)
+                fd8[k] = (
+                    h_b(TrackContext(st, t0 + h_fd, G), cset, p) - h_b(TrackContext(st, t0 - h_fd, G), cset, p)
+                ) / (2 * h_fd)
         worst["h_b"] = max(worst["h_b"], _rel_err(np.append(dhdx, dhdt), fd8))
 
         # safe velocity Jacobian over (r, t)

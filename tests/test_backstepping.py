@@ -25,7 +25,7 @@ from fwrta.backstepping import (
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.dual import dot
 from fwrta.errors import CoincidentPosition
-from fwrta.extended import compose_extended_terms, h_e_composed
+from fwrta.extended import compose_extended_terms
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import ModelFreeParams
@@ -47,7 +47,7 @@ def table_params(mu_e=1e-4):
 
 def safe_pieces(st, t, cset, p, g):
     """``(a_s, R_s)``: the safe acceleration and turn rate of the barrier chain."""
-    _, a_s, R_s, _ = _pipeline(TrackContext(st, t, g), t, cset, p)[0]
+    _, a_s, R_s, _ = _pipeline(TrackContext(st, t, g), cset, p)[0]
     return a_s, R_s
 
 
@@ -57,10 +57,9 @@ def turn_row(st, g):
     return ctx.c1 / ctx.V_T
 
 
-def extended_view(p):
-    from fwrta.extended import ExtendedParams
-
-    return ExtendedParams(gamma_p=p.gamma_p, alpha=p.alpha, W=p.W)
+def h_e_at(st, cset, p):
+    """Composed extension of ``st`` at ``t = 0``."""
+    return compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)[0]
 
 
 def canceling_planes():
@@ -80,14 +79,13 @@ class TestSafeAccel:
 
     def test_exponentially_small_far_away(self, rng, gravity):
         p = table_params()
-        pe = extended_view(p)
         for _ in range(50):
             st = random_state(rng, pos_scale=200.0)
             cset = random_constraint_set(rng, st.r)
-            out = h_e_composed(st.r, velocity(st), 0.0, cset, pe)
+            h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
             v = velocity(st)
-            a_e = float(out.grad_r @ v) + out.dt_partial + p.alpha_e(out.value)
-            b_e = out.grad_v @ p.W_e.W
+            a_e = float(gr @ v) + dtp + p.alpha_e(h_e)
+            b_e = gv @ p.W_e.W
             b_norm = np.linalg.norm(b_e)
             if a_e <= 5.0 * b_norm or b_norm == 0.0:
                 continue
@@ -97,15 +95,14 @@ class TestSafeAccel:
 
     def test_satisfies_acceleration_constraint(self, rng, gravity):
         p = table_params()
-        pe = extended_view(p)
         for _ in range(200):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            out = h_e_composed(st.r, velocity(st), 0.0, cset, pe)
+            h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
             v = velocity(st)
-            a_e = float(out.grad_r @ v) + out.dt_partial + p.alpha_e(out.value)
+            a_e = float(gr @ v) + dtp + p.alpha_e(h_e)
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
-            achieved = a_e + float(out.grad_v @ a_s)
+            achieved = a_e + float(gv @ a_s)
             assert achieved >= -1e-9 * max(1.0, abs(a_e))
 
 
@@ -169,21 +166,19 @@ class TestSafeTurnRate:
 class TestPenalizedBarrier:
     def test_upper_bounded_by_extension(self, rng, gravity):
         p = table_params()
-        pe = extended_view(p)
         for _ in range(2000):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            hb = h_b(st, 0.0, cset, p, gravity)
-            he = h_e_composed(st.r, velocity(st), 0.0, cset, pe).value
+            hb = h_b(TrackContext(st, 0.0, gravity), cset, p)
+            he = h_e_at(st, cset, p)
             assert hb <= he + 1e-12
 
     def test_large_penalty_scale_limit(self, rng, gravity):
-        pe = extended_view(table_params())
         for _ in range(30):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            hb = h_b(st, 0.0, cset, table_params(mu_e=1e12), gravity)
-            he = h_e_composed(st.r, velocity(st), 0.0, cset, pe).value
+            hb = h_b(TrackContext(st, 0.0, gravity), cset, table_params(mu_e=1e12))
+            he = h_e_at(st, cset, table_params())
             assert hb == pytest.approx(he, rel=1e-9, abs=1e-8)
 
     def test_equals_extension_when_gap_vanishes(self, gravity):
@@ -191,8 +186,8 @@ class TestPenalizedBarrier:
         cset = canceling_planes()
         p = table_params()
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 2, 150.0)
-        hb = h_b(st, 0.0, cset, p, gravity)
-        he = h_e_composed(st.r, velocity(st), 0.0, cset, extended_view(p)).value
+        hb = h_b(TrackContext(st, 0.0, gravity), cset, p)
+        he = h_e_at(st, cset, p)
         assert hb == he
 
 
@@ -205,10 +200,10 @@ def _fd_grad_h_b(st, t, cset, p, g, h=1e-5):
         xp[i] += h
         xm[i] -= h
         grad[i] = (
-            h_b(AircraftState.from_array(xp), t, cset, p, g)
-            - h_b(AircraftState.from_array(xm), t, cset, p, g)
+            h_b(TrackContext(AircraftState.from_array(xp), t, g), cset, p)
+            - h_b(TrackContext(AircraftState.from_array(xm), t, g), cset, p)
         ) / (2 * h)
-    dt = (h_b(st, t + h, cset, p, g) - h_b(st, t - h, cset, p, g)) / (2 * h)
+    dt = (h_b(TrackContext(st, t + h, g), cset, p) - h_b(TrackContext(st, t - h, g), cset, p)) / (2 * h)
     return grad, dt
 
 
@@ -330,11 +325,12 @@ class TestRta:
                 cases.append((st, t, cset, q))
         assert min(branches.values()) >= 36, branches
         for st, t, cset, q in cases:
-            h_e, hb, drift, row = _affine_terms(st, t, cset, q, gravity)
+            ctx = TrackContext(st, t, gravity)
+            h_e, hb, drift, row = _affine_terms(ctx, cset, q)
             ref_drift, ref_row = oracle_rate(st, t, cset, q, gravity)
             got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-            assert hb == h_b(st, t, cset, q, gravity)
+            assert hb == h_b(ctx, cset, q)
 
     def test_raises_at_obstacle_center(self, gravity):
         # fig5's start moved onto its obstacle's center: the closed-form
@@ -345,7 +341,7 @@ class TestRta:
         with pytest.raises(CoincidentPosition) as expected:
             compose_h_p(st.r, 0.0, scn.cset)
         with pytest.raises(CoincidentPosition) as got:
-            rta_backstepping(st, 0.0, ControlInput(0.0, 0.0, 0.0), scn.cset, scn.backstep, scn.gravity)
+            rta_backstepping(TrackContext(st, 0.0, scn.gravity), ControlInput(0.0, 0.0, 0.0), scn.cset, scn.backstep)
         assert str(got.value) == str(expected.value)
         with pytest.raises(CoincidentPosition, match=str(expected.value)):
             grad_h_b(st, 0.0, scn.cset, scn.backstep, scn.gravity)
@@ -359,9 +355,10 @@ class TestRta:
         cset = ConstraintSet([plane], kappa=0.007)
         st = AircraftState(0.0, 0.0, 0.0, 0.05, 0.02, math.pi / 2, 160.0)
         u_d = ControlInput(0.4, -0.02, 0.01)
-        res = rta_backstepping(st, 0.0, u_d, cset, p, gravity)
+        ctx = TrackContext(st, 0.0, gravity)
+        res = rta_backstepping(ctx, u_d, cset, p)
         assert res.u == u_d
-        assert res.h <= _affine_terms(st, 0.0, cset, p, gravity)[0]
+        assert res.h <= _affine_terms(ctx, cset, p)[0]
 
     def test_all_channels_respond_when_active(self, rng, gravity):
         p = table_params()
@@ -369,7 +366,7 @@ class TestRta:
         cset = ConstraintSet([plane], kappa=0.007)
         st = AircraftState(0.0, 0.0, 0.0, 0.2, 0.05, math.pi / 2, 250.0)
         u_d = ControlInput(0.0, 0.0, 0.0)
-        res = rta_backstepping(st, 0.0, u_d, cset, p, gravity)
+        res = rta_backstepping(TrackContext(st, 0.0, gravity), u_d, cset, p)
         u = res.u.as_array()
         assert res.residual >= -1e-6
         assert np.all(u != 0.0)

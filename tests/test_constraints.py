@@ -14,7 +14,6 @@ from fwrta.constraints import (
     compose_h_p,
     h_geofence,
     member_terms,
-    softmin,
     softmin_weights,
 )
 from fwrta.errors import CoincidentPosition
@@ -96,29 +95,29 @@ class TestGeofence:
 
 class TestSoftmin:
     def test_single_element_identity(self):
-        assert softmin([4.25], 0.007) == 4.25
+        assert softmin_weights([4.25], 0.007)[0] == 4.25
 
     def test_two_equal_values(self):
         c, kappa = 3.7, 0.11
-        assert softmin([c, c], kappa) == pytest.approx(c - math.log(2.0) / kappa, rel=1e-14)
+        assert softmin_weights([c, c], kappa)[0] == pytest.approx(c - math.log(2.0) / kappa, rel=1e-14)
 
     def test_bounds_property(self, rng):
         for _ in range(10_000):
             n = int(rng.integers(1, 9))
             vals = rng.uniform(-500, 3000, size=n)
             kappa = float(rng.uniform(0.002, 2.0))
-            sm = softmin(list(vals), kappa)
+            sm = softmin_weights(list(vals), kappa)[0]
             assert sm <= vals.min() + 1e-12
             assert sm >= vals.min() - math.log(n) / kappa - 1e-12
 
     def test_sharpness_limit(self, rng):
         for n in (2, 4, 16):
             vals = rng.uniform(-10, 10, size=n)
-            err = vals.min() - softmin(list(vals), 1e3)
+            err = vals.min() - softmin_weights(list(vals), 1e3)[0]
             assert 0.0 <= err <= math.log(16) / 1e3 + 1e-12
 
     def test_no_overflow_for_extreme_inputs(self):
-        out = softmin([1e6, -1e6], 5.0)
+        out = softmin_weights([1e6, -1e6], 5.0)[0]
         assert math.isfinite(out)
         assert out == pytest.approx(-1e6, abs=1e-9)
 

@@ -10,12 +10,12 @@ from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_ge
 from fwrta.extended import (
     ExtendedParams,
     _affine_terms,
-    h_e_composed,
+    compose_extended_terms,
     member_extended_terms,
     rta_extended,
 )
 from fwrta.filters import ClassKappaLinear, WeightFactor
-from fwrta.model import AircraftState, ControlInput
+from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta import kernels
 
 TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
@@ -59,18 +59,18 @@ class TestComposed:
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
         p = table_params()
         v = np.array([10.0, -5.0, 2.0])
-        out = h_e_composed(np.zeros(3), v, 0.0, cset, p)
-        assert out.value == extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
-        np.testing.assert_allclose(out.grad_v, TABLE_PLANE_2.normal / 0.1, atol=1e-15)
-        assert out.weights == [1.0]
+        h, _, gv, _, _, w = compose_extended_terms(np.zeros(3), v, 0.0, cset, p.gamma_p)
+        assert h == extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
+        np.testing.assert_allclose(gv, TABLE_PLANE_2.normal / 0.1, atol=1e-15)
+        assert w == [1.0]
 
     def test_weights_sum(self, rng):
         p = table_params()
         for _ in range(50):
             r = rng.uniform(-500, 500, size=3)
             cset = random_constraint_set(rng, r)
-            out = h_e_composed(r, rng.uniform(-100, 100, size=3), 1.0, cset, p)
-            assert sum(out.weights) == pytest.approx(1.0, abs=1e-12)
+            w = compose_extended_terms(r, rng.uniform(-100, 100, size=3), 1.0, cset, p.gamma_p)[5]
+            assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
         p = table_params()
@@ -81,19 +81,19 @@ class TestComposed:
             cset = random_constraint_set(rng, r)
 
             def val(rr, vv, tt):
-                return h_e_composed(rr, vv, tt, cset, p).value
+                return compose_extended_terms(rr, vv, tt, cset, p.gamma_p)[0]
 
-            out = h_e_composed(r, v, t, cset, p)
+            _, gr, gv, dtp, _, _ = compose_extended_terms(r, v, t, cset, p.gamma_p)
             h = 1e-4
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
                 fd = (val(r + e, v, t) - val(r - e, v, t)) / (2 * h)
-                assert out.grad_r[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+                assert gr[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
                 fd = (val(r, v + e, t) - val(r, v - e, t)) / (2 * h)
-                assert out.grad_v[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+                assert gv[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
             fd = (val(r, v, t + h) - val(r, v, t - h)) / (2 * h)
-            assert out.dt_partial == pytest.approx(fd, rel=1e-6, abs=1e-7)
+            assert dtp == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 class TestAffine:
@@ -102,7 +102,7 @@ class TestAffine:
         for _ in range(100):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            _, _, row = _affine_terms(st, 0.5, cset, p, gravity)
+            _, _, row = _affine_terms(TrackContext(st, 0.5, gravity), cset, p)
             assert row[1] == 0.0
 
     def test_rate_matches_trajectory_finite_difference(self, rng, gravity):
@@ -112,12 +112,12 @@ class TestAffine:
             cset = random_constraint_set(rng, st.r)
             u = rng.uniform(-2, 2, size=3)
             t0 = float(rng.uniform(0, 5))
-            _, drift, row = _affine_terms(st, t0, cset, p, gravity)
+            _, drift, row = _affine_terms(TrackContext(st, t0, gravity), cset, p)
             rate = drift + row @ u
 
             def h_at(x_arr, t):
                 s = AircraftState.from_array(x_arr)
-                return h_e_composed(s.r, velocity(s), t, cset, p).value
+                return compose_extended_terms(s.r, velocity(s), t, cset, p.gamma_p)[0]
 
             dt = 1e-4
             xp = kernels.rk4_step(st.as_array(), u, dt, gravity.g_d)
@@ -140,10 +140,10 @@ class TestAffine:
                 V_T=float(rng.uniform(80, 250)),
             )
             cset = random_constraint_set(rng, st.r)
-            _, _, row = _affine_terms(st, 0.0, cset, p, gravity)
-            out = h_e_composed(st.r, velocity(st), 0.0, cset, p)
+            _, _, row = _affine_terms(TrackContext(st, 0.0, gravity), cset, p)
+            gv = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)[2]
             v_hat = velocity(st) / st.V_T
-            assert row[0] == pytest.approx(float(out.grad_v @ v_hat), rel=1e-10, abs=1e-12)
+            assert row[0] == pytest.approx(float(gv @ v_hat), rel=1e-10, abs=1e-12)
             # dual oracle: d h_e / d V_T along the speed channel
             E = np.eye(1)
             V_dual = dm.Dual(st.V_T, E[0])
@@ -164,7 +164,7 @@ class TestRta:
         st = AircraftState(0, 0, 0, 0.05, 0.02, 1.2, 160.0)
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
         u_d = ControlInput(0.5, -0.01, 0.02)
-        res = rta_extended(st, 0.0, u_d, cset, p, gravity)
+        res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
         assert res.u == u_d
         assert not res.infeasible
 
@@ -174,7 +174,7 @@ class TestRta:
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
             u_d = ControlInput(*rng.uniform(-5, 5, size=3))
-            res = rta_extended(st, float(rng.uniform(0, 10)), u_d, cset, p, gravity)
+            res = rta_extended(TrackContext(st, float(rng.uniform(0, 10)), gravity), u_d, cset, p)
             assert res.u.P == u_d.P
             assert math.copysign(1.0, res.u.P) == math.copysign(1.0, u_d.P)
 
@@ -186,7 +186,7 @@ class TestRta:
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
             u_d = ControlInput(*rng.uniform(-5, 5, size=3))
-            res = rta_extended(st, 0.0, u_d, cset, p, gravity)
+            res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
             if not res.infeasible:
                 assert res.residual >= -1e-6
             if res.lam > 0:

@@ -12,7 +12,7 @@ from fwrta.export import csv_header, write_csv, write_json, write_svg
 from fwrta.backstepping import h_b, rta_backstepping
 from fwrta.constraints import compose_h_p
 from fwrta.extended import rta_extended
-from fwrta.model import AircraftState, ControlInput
+from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import h_V, safe_velocity
 from fwrta.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from fwrta.simulate import (
@@ -117,6 +117,31 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="h_e"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "base, plane_n, phi, message",
+        [
+            # h_e(0) = 5 passes; the banked start's turn-rate gap sinks h_b
+            ("fig5", 20.0, 1.0, "initial state violates the penalized barrier: h_b(0) = -6.97155"),
+            ("fig6", 200.0, 0.0, "initial state violates the monitor barrier: h_V(0) = -1425.82"),
+        ],
+    )
+    def test_mode_barrier_violation_rejected(self, base, plane_n, phi, message, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path(base).read_text())
+        plane = {"type": "plane", "point": [plane_n, 0.0, 0.0], "normal": [-1.0, 0.0, 0.0], "margin": 15.0}
+        raw["constraints"]["members"] = [plane]
+        raw["t_final"] = 0.05
+        if base == "fig5":
+            # wings level, the same start loads
+            assert scenario_from_dict(raw).mode == "backstepping"
+        raw["initial_state"]["phi"] = phi
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert str(exc.value) == message
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        assert cli_main(["check", "--scenario", str(src)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestIntegrate:
     def test_level_flight_exact_translation(self):
@@ -201,18 +226,35 @@ class TestStepRecord:
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
             residual, warn = sv.margin, sv.infeasible
         else:
+            ctx = TrackContext(st, 0.0, g)
             if scn.mode == "extended":
-                res = rta_extended(st, 0.0, tr_d.u, scn.cset, scn.extended, g, scn.smooth_nu)
+                res = rta_extended(ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
                 h_mode = res.h
             else:
-                res = rta_backstepping(st, 0.0, tr_d.u, scn.cset, scn.backstep, g, scn.smooth_nu)
-                h_mode = h_b(st, 0.0, scn.cset, scn.backstep, g)
+                res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
+                h_mode = h_b(ctx, scn.cset, scn.backstep)
             u, residual, warn = res.u, res.residual, res.infeasible
         np.testing.assert_array_equal(rec.u_d, tr_d.u.as_array())
         np.testing.assert_array_equal(rec.u, u.as_array())
         assert (rec.h_p, rec.h_members) == (pos.value, tuple(pos.per_constraint))
         assert (rec.h_mode, rec.residual, rec.warn) == (h_mode, residual, warn)
         assert rec.intervening == bool(np.any(rec.u != rec.u_d))
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
+    def test_one_frame_per_step(self, name, monkeypatch):
+        # the tracker and the mode's filter read one TrackContext per control step
+        scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 2.0})
+        init = TrackContext.__init__
+        builds = []
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrackContext, "__init__", counted)
+        log = integrate(scn)
+        assert log.abort is None and len(log.t) == round(2.0 / scn.dt) + 1
+        assert len(builds) == len(log.t)
 
 
 class TestExport:
@@ -504,6 +546,51 @@ class TestCli:
         code = cli_main(["run", "--scenario", "step_offset", "--horizon", "1.0"])
         assert code == 0
         assert list((tmp_path / "envout").glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("modelfree.gamma_p", v) for v in (0.2, 0.5, 2, 50, 1e6, 1e300)] + [("tracking.lambda", 1e-300)],
+    )
+    def test_gain_ordering_exit_code(self, field, value, tmp_path, capsys):
+        # the monitor h_V needs tracking.lambda > modelfree.gamma_p: bad input, not a numerical abort
+        raw = json.loads(bundled_scenario_path("fig6").read_text())
+        raw["t_final"] = 0.05
+        section, key = field.split(".")
+        raw[section][key] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        for argv in (["run", "--out", str(tmp_path / "out")], ["check"]):
+            assert cli_main([argv[0], "--scenario", str(src), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("scenario error:")
+            assert "modelfree.gamma_p" in err and "tracking.lambda" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gain_ordering_sweep_exit_code(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("fig6").read_text())
+        raw["t_final"] = 0.05
+        src = tmp_path / "scn.json"
+        src.write_text(json.dumps(raw))
+        argv = ["sweep", "--scenario", str(src), "--param", "modelfree.gamma_p", "--min", "0.1", "--max", "0.5"]
+        assert cli_main([*argv, "--steps", "2", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "modelfree.gamma_p" in err and "tracking.lambda" in err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("base", ["fig3", "fig5", "fig6"])
+    def test_start_on_obstacle_center_exit_code(self, base, command, tmp_path, capsys):
+        # a start at an obstacle's center lies inside it: an invalid initial state
+        raw = json.loads(bundled_scenario_path(base).read_text())
+        raw["t_final"] = 0.05
+        x0 = raw["initial_state"]
+        raw["constraints"]["members"][0]["center"] = [x0["n"], x0["e"], x0["d"]]
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli_main([command, "--scenario", str(src), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: initial_state invalid: position within")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_initial_speed_rejected(self):
         raw = make_raw()
