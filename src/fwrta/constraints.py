@@ -8,11 +8,11 @@ into a single barrier value by a stabilized log-sum-exp smooth minimum
 
 Each member's value, gradient and explicit time-partial come from
 :func:`member_terms`; the member's rate along a velocity ``v`` is
-``gradient . v + time-partial``.  Derivatives of the composition are
-written in closed form over floats: :func:`compose_tangents` is its
-first-order half along given directions (the backstepping barrier's
-rate reads it), :func:`member_jet` and :func:`compose_jets` the
-second-order Taylor jets along one line (the model-free command's).
+``gradient . v + time-partial``.  Derivatives are closed form over
+floats, one direction at a time, a tangent being one flat list:
+:func:`compose_along` is the softmin's first-order tangent (both the
+backstepping rate and the model-free jets read it), and
+:func:`member_jet` and :func:`compose_jets` the Taylor jets along a line.
 """
 
 from __future__ import annotations
@@ -136,31 +136,36 @@ def member_terms(r, t, member: Constraint):
     return q - member.rho, n, -dm.dot(n, v_i)
 
 
+def _unit_along(n, q, d):
+    """Rates ``(q', n')`` of the distance ``q`` and unit vector ``n`` of a
+    separation moving by the 3-list ``d``: ``q' = n . d``, ``n' = (d - n q') / q``."""
+    q1 = dm.dot3(n, d)
+    return q1, [(x - y * q1) / q for x, y in zip(d, n)]
+
+
 def member_jet(r, t, v, member: Constraint):
     """:func:`member_terms` as jets along ``(r + tau v, t + tau)`` (``v`` a 3-list).
 
     Returns ``(h, n, d, along)``: scalar jets of the value and time-partial,
-    the gradient's vector jet, and ``along(rho)``, their first derivatives
-    along ``(rho, 0)``.  An obstacle's separation moves as
-    ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
+    the gradient's vector jet, and ``along(rho)``, the flat list of their
+    first derivatives along ``(rho, 0)``.  An obstacle's separation moves
+    as ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
     """
     if isinstance(member, GeofencePlane):
         n, zero = member.normal.tolist(), [0.0, 0.0, 0.0]
         h = (h_geofence(r, member), dm.dot3(n, v), 0.0)
-        return h, (n, zero, zero), (0.0, 0.0, 0.0), lambda rho: (dm.dot3(n, rho), zero, 0.0)
+        return h, (n, zero, zero), (0.0, 0.0, 0.0), lambda rho: [dm.dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
     diff, q, v_i, a_i = _separation(r, t, member)
     n, v_i, a_i = (diff / q).tolist(), v_i.tolist(), a_i.tolist()
     dl = [x - y for x, y in zip(v, v_i)]
-    q1 = dm.dot3(n, dl)
-    n1 = [(x - y * q1) / q for x, y in zip(dl, n)]
+    q1, n1 = _unit_along(n, q, dl)
     q2 = (dm.dot3(dl, dl) - q1 * q1) / q - dm.dot3(n, a_i)
     n2 = [-(x + 2.0 * y * q1 + z * q2) / q for x, y, z in zip(a_i, n1, n)]
     d = (-dm.dot3(n, v_i), -dm.dot3(n1, v_i) - dm.dot3(n, a_i), -dm.dot3(n2, v_i) - 2.0 * dm.dot3(n1, a_i))
 
     def along(rho):
-        q1 = dm.dot3(n, rho)
-        n1 = [(x - y * q1) / q for x, y in zip(rho, n)]
-        return q1, n1, -dm.dot3(n1, v_i)
+        q1, n1 = _unit_along(n, q, rho)
+        return [q1, *n1, -dm.dot3(n1, v_i)]
 
     return (q - member.rho, q1, q2), (n, n1, n2), d, along
 
@@ -204,24 +209,23 @@ def compose_members(terms, kappa: float):
     return (*out, per, w)
 
 
-def compose_tangents(terms, tangents, weights, kappa: float):
-    """First derivatives of :func:`compose_members`'s outputs along ``k`` directions.
+def compose_along(values, tangents, weights, kappa: float):
+    """First derivative of :func:`compose_members`'s outputs along one direction.
 
-    ``tangents`` holds, per member, the derivatives of its ``terms``
-    entries with the direction axis last; ``weights`` are the softmin
-    weights.  Along a direction ``h' = sum w_i h_i'`` and
-    ``w_i' = kappa w_i (h' - h_i')``, so an averaged entry moves by
-    ``sum w_i' c_i + w_i c_i'``.
+    ``values`` holds, per member, its entries ``(value, *derivatives)`` as
+    one flat float list, ``tangents`` their first derivatives along the
+    direction and ``weights`` the softmin weights.  Along it
+    ``h' = sum w_i h_i'`` and ``w_i' = kappa w_i (h' - h_i')``, so an
+    averaged entry moves by ``sum w_i' c_i + w_i c_i'``.
     """
-    if len(terms) == 1:
+    if len(values) == 1:
         return tangents[0]
     h_o = sum(w * d[0] for w, d in zip(weights, tangents))
     w_o = [kappa * w * (h_o - d[0]) for w, d in zip(weights, tangents)]
-    cols = [
-        sum(np.multiply.outer(c[j], x) + w * d[j] for c, d, w, x in zip(terms, tangents, weights, w_o))
-        for j in range(1, len(terms[0]))
-    ]
-    return (h_o, *cols)
+    out = [0.0] * len(values[0])
+    for c, d, w, x in zip(values, tangents, weights, w_o):
+        out = [a + (x * y + w * z) for a, y, z in zip(out, c, d)]
+    return [h_o] + out[1:]
 
 
 def compose_jets(jets, kappa: float):
@@ -240,14 +244,10 @@ def compose_jets(jets, kappa: float):
     wj = list(zip(w, w1, w2))
     g = dm.jet_add(*(dm.jet_scale(x, j[1]) for x, j in zip(wj, jets)))
     d = [sum(c) for c in zip(*(dm.jet_mul(x, j[2]) for x, j in zip(wj, jets)))]
+    values = [[j[0][0], *j[1][0], j[2][0]] for j in jets]
 
     def along(rho):
-        parts = [j[3](rho) for j in jets]
-        h_o = sum(x * p[0] for x, p in zip(w, parts))
-        w_o = [kappa * x * (h_o - p[0]) for x, p in zip(w, parts)]
-        g_o = [sum(c) for c in zip(*([x * a + y * b for a, b in zip(j[1][0], p[1])]
-                                     for x, y, j, p in zip(w_o, w, jets, parts)))]
-        return h_o, g_o, sum(x * j[2][0] + y * p[2] for x, y, j, p in zip(w_o, w, jets, parts))
+        return compose_along(values, [j[3](rho) for j in jets], w, kappa)
 
     return (h, h1, h2), g, d, along
 

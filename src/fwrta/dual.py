@@ -1,14 +1,17 @@
 """Plain-float vector helpers and univariate Taylor jets.
 
-``dot`` and ``norm`` act on 3-vectors held as arrays.  The ``jet_*``
-helpers propagate univariate Taylor jets along one line over Python
-floats (Griewank, Utke & Walther, Math. Comp. 2000): a scalar jet is
-``(x, x', x'')``, a vector jet three 3-lists ``(x, x', x'')``.
+``dot`` and ``norm`` act on 3-vectors held as arrays, ``dot3`` on
+3-lists.  The ``jet_*`` helpers propagate univariate Taylor jets along
+one line over Python floats (Griewank, Utke & Walther, Math. Comp.
+2000): a scalar jet is ``(x, x', x'')``, a vector jet three 3-lists
+``(x, x', x'')``.
 
 Nothing at run time differentiates by evaluation: every derivative in
-``fwrta`` is written in closed form.  The forward-mode dual numbers the
-tests use as the oracle of those closed forms live under ``tests/``,
-with dual-generic spellings of the formulas they differentiate.
+``fwrta`` is written in closed form over Python floats, one direction
+at a time, a first-order tangent being one flat float list.  The
+forward-mode dual numbers the tests use as the oracle of those closed
+forms live under ``tests/``, with dual-generic spellings of the formulas
+they differentiate.
 """
 
 from __future__ import annotations

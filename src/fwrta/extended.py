@@ -10,9 +10,9 @@ read from the plain-float frame :class:`~fwrta.model.TrackContext` the
 filter is given, the one the tracking controller computed the step in
 (``TrackResult.ctx``); nothing here builds a frame.
 :func:`member_extended_terms` also gives, on request, its outputs'
-first derivatives along given directions of ``(r, v, t)`` in closed
-form; the backstepping barrier's rate is built on them, and this mode
-asks for none.
+first derivatives along given directions of ``(r, v, t)``, in closed
+form over floats, one flat list per direction; the backstepping
+barrier's rate is built on them, and this mode asks for none.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet, GeofencePlane, _separation, compose_members
+from .constraints import ConstraintSet, GeofencePlane, _separation, _unit_along, compose_members
 from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input
 from .model import ControlInput, TrackContext
 
@@ -40,54 +40,56 @@ class ExtendedParams:
             raise ValueError("gamma_p must be positive")
 
 
-def member_extended_terms(r, v, t, member, gamma_p: float, dirs=None):
+def member_extended_terms(r, v, t, member, gamma_p: float, dirs=()):
     """``(value, d/dr, d/dv, explicit d/dt)`` of one extended member, and
-    their first derivatives along ``dirs``.
+    their first derivatives along ``dirs``, each ``(dr, dv, dt)``.
 
-    ``dirs = (D_r, D_v, D_t)`` holds ``k`` directions of ``(r, v, t)``:
-    two 3 x k arrays and a k-vector.  The derivatives come back in the
-    same order with the direction axis last, shaped ``(k,)``, ``(3, k)``,
-    ``(3, k)``, ``(k,)``; without ``dirs`` they are ``None``.  An obstacle's
-    derivatives move through those of ``q = |r - r_i|``, the unit vector
-    ``n``, ``rel = v - v_i`` and ``n . rel``; ``r_i`` moves with ``v_i``
-    and ``v_i`` with ``a_i`` (jerk taken as zero).
+    Returns ``(terms, floats, tangents)``: the four entries (gradients as
+    arrays) and, with ``dirs``, the same as one flat float list
+    ``[h, *d/dr, *d/dv, dt]`` with its derivatives, one list per direction
+    (else ``None`` and ``[]``).  An obstacle's derivatives move through
+    those of ``q = |r - r_i|``, the unit vector ``n``, ``rel = v - v_i``
+    and ``n . rel``; ``r_i`` moves with ``v_i`` and ``v_i`` with ``a_i``
+    (jerk taken as zero).
     """
     inv_g = 1.0 / gamma_p
     if isinstance(member, GeofencePlane):
         n = member.normal
         h = dm.dot(n, r - member.point) - member.rho + inv_g * dm.dot(n, v)
         terms = (h, n, n * inv_g, 0.0)
-        if dirs is None:
-            return terms, None
-        D_r, D_v, D_t = dirs
-        zero = np.zeros_like(D_r)
-        return terms, (n @ D_r + inv_g * (n @ D_v), zero, zero, np.zeros_like(D_t))
+        if not dirs:
+            return terms, None, []
+        n = n.tolist()
+        tangents = [[dm.dot3(n, dr) + inv_g * dm.dot3(n, dv)] + [0.0] * 7 for dr, dv, _ in dirs]
+        return terms, [h, *n, *(x * inv_g for x in n), 0.0], tangents
     diff, q, v_i, a_i = _separation(r, t, member)
     n = diff / q
     rel = v - v_i
     n_rel = dm.dot(n, rel)
     h = q - member.rho + inv_g * n_rel
     # (I - n n^T) z / q terms from differentiating the unit vector
-    grad_r = n + (rel - n * n_rel) * (inv_g / q)
+    perp = rel - n * n_rel
+    grad_r = n + perp * (inv_g / q)
     n_vi = dm.dot(n, v_i)
+    n_ai = dm.dot(n, a_i)
     x = dm.dot(v_i, rel) - n_vi * n_rel
-    dt = -n_vi + inv_g * (-x / q - dm.dot(n, a_i))
+    dt = -n_vi + inv_g * (-x / q - n_ai)
     terms = (h, grad_r, n * inv_g, dt)
-    if dirs is None:
-        return terms, None
-    D_r, D_v, D_t = dirs
-    # column vectors broadcast against the direction axis
-    n_c, v_i_c, a_i_c = n[:, None], v_i[:, None], a_i[:, None]
-    diff_o = D_r - v_i_c * D_t
-    q_o = n @ diff_o
-    n_o = (diff_o - n_c * q_o) / q
-    rel_o = D_v - a_i_c * D_t
-    n_rel_o = rel @ n_o + n @ rel_o
-    n_vi_o = v_i @ n_o + (n @ a_i) * D_t
-    x_o = (a_i @ rel) * D_t + v_i @ rel_o - n_vi_o * n_rel - n_vi * n_rel_o
-    grad_r_o = n_o + (rel_o - n_o * n_rel - n_c * n_rel_o - (rel - n * n_rel)[:, None] * (q_o / q)) * (inv_g / q)
-    dt_o = -n_vi_o + inv_g * ((x * q_o / q - x_o) / q - a_i @ n_o)
-    return terms, (q_o + inv_g * n_rel_o, grad_r_o, n_o * inv_g, dt_o)
+    if not dirs:
+        return terms, None, []
+    n, v_i, a_i, rel, perp = (z.tolist() for z in (n, v_i, a_i, rel, perp))
+    tangents = []
+    for dr, dv, dtau in dirs:
+        q_o, n_o = _unit_along(n, q, [a - b * dtau for a, b in zip(dr, v_i)])
+        rel_o = [a - b * dtau for a, b in zip(dv, a_i)]
+        n_rel_o = dm.dot3(rel, n_o) + dm.dot3(n, rel_o)
+        n_vi_o = dm.dot3(v_i, n_o) + n_ai * dtau
+        x_o = dm.dot3(a_i, rel) * dtau + dm.dot3(v_i, rel_o) - n_vi_o * n_rel - n_vi * n_rel_o
+        grad_r_o = [a + (b - a * n_rel - c * n_rel_o - d * (q_o / q)) * (inv_g / q)
+                    for a, b, c, d in zip(n_o, rel_o, n, perp)]
+        dt_o = -n_vi_o + inv_g * ((x * q_o / q - x_o) / q - dm.dot3(a_i, n_o))
+        tangents.append([q_o + inv_g * n_rel_o, *grad_r_o, *(a * inv_g for a in n_o), dt_o])
+    return terms, [h, *grad_r.tolist(), *(a * inv_g for a in n), dt], tangents
 
 
 def compose_extended_terms(r, v, t, cset: ConstraintSet, gamma_p: float):

@@ -56,10 +56,6 @@ class WeightFactor:
     def diagonal(cls, diag) -> "WeightFactor":
         return cls(np.diag(np.asarray(diag, dtype=float)))
 
-    @property
-    def m(self) -> int:
-        return self.W.shape[0]
-
 
 @dataclass
 class FilterResult:
@@ -113,7 +109,6 @@ def lambda_smooth_rate(a: float, b_norm: float, nu: float, a_o, b_norm_o):
 
     With ``x = -nu a / b`` and ``lam = softplus(x) / (nu b)``:
     ``x' = -(nu a' + x b') / b`` and ``lam' = (softplus'(x) x' - lam nu b') / (nu b)``.
-    ``a_o`` and ``b_norm_o`` may be arrays holding one direction per entry.
     """
     x = -nu * (a / b_norm)
     sp, s1, _ = softplus(x)

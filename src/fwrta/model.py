@@ -96,9 +96,9 @@ class ControlInput:
         return np.array([self.A_T, self.P, self.Q])
 
 
-def check_speed(V_T: float, floor: float = V_T_FLOOR) -> None:
-    if V_T <= floor:
-        raise SingularSpeed(f"V_T = {V_T:.6g} m/s at or below floor {floor} m/s")
+def check_speed(V_T: float) -> None:
+    if V_T <= V_T_FLOOR:
+        raise SingularSpeed(f"V_T = {V_T:.6g} m/s at or below floor {V_T_FLOOR} m/s")
 
 
 def check_pitch(theta: float) -> None:

@@ -20,7 +20,6 @@ from functools import partial
 import numpy as np
 
 from . import dual as dm
-from .constraints import ConstraintSet, compose_h_p
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
 from .filters import filter_step, lambda_smooth_rate, softplus
 
@@ -115,12 +114,6 @@ def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFree
     W_v = partial(_wv_apply, v_d, p.Gamma_v)
     v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
     return SafeVelocityResult(v_s=v_s, a_v=a_v, margin=a_v + lam * bn2, infeasible=(bn2 == 0.0 and a_v < 0.0))
-
-
-def safe_velocity(r, t, v_d, cset: ConstraintSet, p: ModelFreeParams) -> SafeVelocityResult:
-    """Filter the desired velocity to satisfy the robustified barrier rate."""
-    pos = compose_h_p(r, t, cset)
-    return safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, v_d, p)
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

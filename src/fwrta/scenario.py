@@ -28,6 +28,7 @@ from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, Tracking
 SCHEMA_ID = "fwrta-scenario/1"
 MODES = ("off", "extended", "backstepping", "modelfree")
 MAX_STEPS = 1_000_000  # control steps per run, t_final / dt
+MAX_SWEEP_STEPS = 10_000  # runs per sweep, --steps
 
 NUMERIC_CHECKS = (
     "min_h_p",

@@ -12,6 +12,7 @@ abort the run with a partial log and a recorded reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import FwrtaError, ScenarioError
 from .extended import rta_extended
 from .model import AircraftState, TrackContext
 from .modelfree import h_V, safe_velocity_from_terms
-from .scenario import Scenario
+from .scenario import MAX_SWEEP_STEPS, Scenario
 from .tracking import GoalCommand, SafeVelocityCommand, track
 
 
@@ -177,31 +178,6 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     )
 
 
-def integrate_stage_controlled(scn: Scenario, dt: float, t_final: float) -> np.ndarray:
-    """Final state with the controller re-evaluated at every RK4 stage.
-
-    Unlike :func:`integrate`, the feedback is treated as part of the
-    vector field, making the closed loop a smooth ODE; used by the
-    integrator-order study.
-    """
-    control = make_controller(scn)
-    g_d = scn.gravity.g_d
-
-    def f(x, t):
-        return kernels.dubins_rhs(x, control(x, t).u, g_d)
-
-    x = scn.x0.as_array()
-    n_steps = int(round(t_final / dt))
-    for k in range(n_steps):
-        t = k * dt
-        k1 = f(x, t)
-        k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 def metrics_from_log(log: TrajectoryLog, scn: Scenario) -> Metrics:
     if len(log.t) == 0:
         raise FwrtaError(f"run produced no steps: {log.abort}")
@@ -342,6 +318,11 @@ def sweep(source, param: str, lo: float, hi: float, steps: int):
     scn_raw = source if isinstance(source, dict) else _as_scenario(source).raw
     if steps < 2:
         raise ScenarioError("sweep needs at least 2 steps")
+    if steps > MAX_SWEEP_STEPS:
+        raise ScenarioError(f"sweep --steps must be at most {MAX_SWEEP_STEPS}, got {steps}")
+    for flag, bound in (("--min", lo), ("--max", hi)):
+        if not math.isfinite(bound):
+            raise ScenarioError(f"sweep {flag} must be finite, got {bound!r}")
     values = np.linspace(lo, hi, steps)
     rows = []
     for v in values:

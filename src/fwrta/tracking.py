@@ -61,10 +61,6 @@ class TrackingParams:
         if self.lam > np.linalg.eigvalsh(K_v).min() + 1e-12:
             raise ValueError("lam must not exceed the smallest eigenvalue of K_v")
 
-    @classmethod
-    def from_scalars(cls, k_r: float, k_v: float, mu: float, lam: float) -> "TrackingParams":
-        return cls(k_r * np.eye(3), k_v * np.eye(3), mu, lam)
-
 
 @dataclass(frozen=True)
 class GoalTrajectory:
@@ -96,12 +92,6 @@ class GoalTrajectory:
             np.asarray(self.velocity(t), dtype=float),
             np.asarray(self.accel(t), dtype=float),
         )
-
-
-def desired_velocity(r, t: float, goal: GoalTrajectory, params: TrackingParams) -> np.ndarray:
-    """Goal velocity plus proportional position-error correction."""
-    r_g, v_g, _ = goal.eval(float(t))
-    return v_g + params.K_r @ (r_g - np.asarray(r, dtype=float))
 
 
 class VelocityCommand(Protocol):
@@ -151,12 +141,13 @@ class SafeVelocityCommand:
         # v_d and its line derivatives: v_g + K_r e0, a_g + K_r e1 and K_r a_g
         v_d = tuple([x + dm.dot3(k, e) for x, k in zip(c, K_r)] for c, e in ((v_g, e0), (a_g, e1), ([0.0] * 3, a_g)))
         terms = [member_jet(ctx.r, ctx.t, v, m) for m in self.cset.members]
-        h, grad, dtp, compose_along = compose_jets(terms, self.cset.kappa)
+        h, grad, dtp, pos_along = compose_jets(terms, self.cset.kappa)
         v_s, filter_along = filter_jet(v_d, h, grad, dtp, self.mf)
 
         def rate(v_dot):
             rho = v_dot.tolist()
-            return np.array(v_s[2]) + np.array(filter_along([-dm.dot3(k, rho) for k in K_r], *compose_along(rho)))
+            h_o, *g_o, d_o = pos_along(rho)
+            return np.array(v_s[2]) + np.array(filter_along([-dm.dot3(k, rho) for k in K_r], h_o, g_o, d_o))
 
         return np.array(v_s[0]), np.array(v_s[1]), rate
 

@@ -4,9 +4,11 @@ import pytest
 import dualnum as dm
 from dual_formulas import compose_terms, filter_core, pipeline
 from fwrta import kernels
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.model import AircraftState, GravityParam, TrackContext
-from fwrta.tracking import SafeVelocityCommand
+from fwrta.modelfree import safe_velocity_from_terms
+from fwrta.simulate import make_controller
+from fwrta.tracking import SafeVelocityCommand, TrackingParams
 
 
 @pytest.fixture
@@ -32,6 +34,47 @@ def turn_rate(st, g):
 def dynamics(st, u, g):
     """State derivative ``f(x) + g(x) u``: the one RHS, :func:`fwrta.kernels.dubins_rhs`."""
     return kernels.dubins_rhs(st.as_array(), u.as_array(), g.g_d)
+
+
+def tracking_params(k_r, k_v, mu, lam):
+    """Tracking gains with isotropic ``K_r = k_r I`` and ``K_v = k_v I``."""
+    return TrackingParams(k_r * np.eye(3), k_v * np.eye(3), mu, lam)
+
+
+def desired_velocity(r, t, goal, params):
+    """Goal velocity plus proportional position-error correction, ``v_g + K_r (r_g - r)``."""
+    r_g, v_g, _ = goal.eval(float(t))
+    return v_g + params.K_r @ (r_g - np.asarray(r, dtype=float))
+
+
+def safe_velocity(r, t, v_d, cset, p):
+    """The model-free filter of ``v_d`` against the composed position barrier at ``(r, t)``."""
+    pos = compose_h_p(r, t, cset)
+    return safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, v_d, p)
+
+
+def integrate_stage_controlled(scn, dt, t_final):
+    """Final state with the controller re-evaluated at every RK4 stage.
+
+    Unlike :func:`fwrta.simulate.integrate`, the feedback is treated as
+    part of the vector field, making the closed loop a smooth ODE; used by
+    the integrator-order study.
+    """
+    control = make_controller(scn)
+    g_d = scn.gravity.g_d
+
+    def f(x, t):
+        return kernels.dubins_rhs(x, control(x, t).u, g_d)
+
+    x = scn.x0.as_array()
+    for k in range(int(round(t_final / dt))):
+        t = k * dt
+        k1 = f(x, t)
+        k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(x + dt * k3, t + dt)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
 
 
 def accel_matrix(st):

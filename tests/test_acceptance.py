@@ -12,12 +12,16 @@ import pytest
 
 from conftest import (
     certificate_duals,
+    desired_velocity,
     grad_h_b,
+    integrate_stage_controlled,
     random_constraint_set,
     random_state,
+    safe_velocity,
     safe_velocity_seeded,
     safe_velocity_terms,
     seed_pos_time,
+    tracking_params,
     velocity,
 )
 import dual_formulas as df
@@ -28,15 +32,13 @@ from fwrta.extended import compose_extended_terms
 from fwrta.backstepping import BacksteppingParams, h_b
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
 from fwrta.model import AircraftState, GravityParam, TrackContext
-from fwrta.modelfree import ModelFreeParams, safe_velocity
+from fwrta.modelfree import ModelFreeParams
 from fwrta.scenario import load_scenario
-from fwrta.simulate import integrate, integrate_stage_controlled, metrics_from_log
+from fwrta.simulate import integrate, metrics_from_log
 from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
     SafeVelocityCommand,
-    TrackingParams,
-    desired_velocity,
     solve_roll_qp,
     track,
 )
@@ -308,7 +310,7 @@ def _safe_velocity_jacobian(r, t, goal, tp, cset, mf):
 def test_criterion_7_gradient_certification(rng):
     p = _backstep_params()
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
-    tp = TrackingParams.from_scalars(0.05, 0.3, 1e-5, 0.2)
+    tp = tracking_params(0.05, 0.3, 1e-5, 0.2)
     goal = GoalTrajectory.linear([0.0, 161.32, 0.0])
     cases = _stratified_states(rng, 100, p)
     h_fd = 1e-5

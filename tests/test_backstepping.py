@@ -270,8 +270,9 @@ def accelerating_obstacle(at, t, velocity, accel, rho):
 
 
 def near_constraint_set(rng, st, t, kind):
-    """A plane, an accelerating obstacle, or both plus a second plane, a few
-    hundred to a few thousand metres roughly ahead of the aircraft."""
+    """A plane, an accelerating obstacle, both plus a second plane, or two
+    accelerating obstacles plus a plane, a few hundred to a few thousand
+    metres roughly ahead of the aircraft."""
     ahead = velocity(st) / st.V_T
 
     def toward():
@@ -287,8 +288,18 @@ def near_constraint_set(rng, st, t, kind):
         v, a = rng.uniform(-150.0, 150.0, 3), rng.uniform(-8.0, 8.0, 3)
         return accelerating_obstacle(at, t, v, a, rng.uniform(20.0, 80.0))
 
-    members = {"plane": [plane], "obstacle": [obstacle], "mixed": [obstacle, plane, plane]}[kind]
-    return ConstraintSet([m() for m in members], kappa=float(rng.uniform(0.004, 0.05)))
+    def neighbour(obs):
+        # tens of metres and a few m/s from obs, so that both carry softmin weight
+        at, v, _ = obs.trajectory(t)
+        at, v, a = at + rng.normal(size=3) * 30.0, v + rng.normal(size=3), rng.uniform(-8.0, 8.0, 3)
+        return accelerating_obstacle(at, t, v, a, rng.uniform(20.0, 80.0))
+
+    if kind == "obstacles":
+        first = obstacle()
+        members = [first, neighbour(first), plane()]
+    else:
+        members = [m() for m in {"plane": [plane], "obstacle": [obstacle], "mixed": [obstacle, plane, plane]}[kind]]
+    return ConstraintSet(members, kappa=float(rng.uniform(0.004, 0.05)))
 
 
 def softplus_arg(st, t, cset, p, g):
@@ -309,21 +320,26 @@ class TestRta:
         for i in range(240):
             st = random_state(rng, theta_max=1.0, phi_max=1.2)
             cases.append((st, float(rng.uniform(0.0, 10.0)), random_constraint_set(rng, st.r), (p, skew)[i % 2]))
-        # states where the acceleration filter acts, in both softplus branches
-        branches = {True: 0, False: 0}
-        kinds = ("plane", "obstacle", "mixed")
-        for i in range(3000):
-            if min(branches.values()) >= 36:
-                break
-            st = random_state(rng, v_range=(80.0, 250.0), theta_max=1.0, phi_max=1.2, pos_scale=200.0)
-            t = float(rng.uniform(0.0, 10.0))
-            cset = near_constraint_set(rng, st, t, kinds[i % 3])
-            q = (p, skew)[i % 2]
-            x = softplus_arg(st, t, cset, q, gravity)
-            if abs(x) <= 8.0 and branches[x > 0.0] < 36:
-                branches[x > 0.0] += 1
-                cases.append((st, t, cset, q))
-        assert min(branches.values()) >= 36, branches
+
+        def acting(kinds, per_branch):
+            # states where the acceleration filter acts, in both softplus branches
+            branches = {True: 0, False: 0}
+            for i in range(3000):
+                if min(branches.values()) >= per_branch:
+                    break
+                st = random_state(rng, v_range=(80.0, 250.0), theta_max=1.0, phi_max=1.2, pos_scale=200.0)
+                t = float(rng.uniform(0.0, 10.0))
+                cset = near_constraint_set(rng, st, t, kinds[i % len(kinds)])
+                q = (p, skew)[i % 2]
+                x = softplus_arg(st, t, cset, q, gravity)
+                if abs(x) <= 8.0 and branches[x > 0.0] < per_branch:
+                    branches[x > 0.0] += 1
+                    cases.append((st, t, cset, q))
+            assert min(branches.values()) >= per_branch, (kinds, branches)
+
+        acting(("plane", "obstacle", "mixed"), 36)
+        # two obstacles compose two obstacle tangents: the softmin's cross-weight terms
+        acting(("obstacles",), 24)
         for st, t, cset, q in cases:
             ctx = TrackContext(st, t, gravity)
             h_e, hb, drift, row = _affine_terms(ctx, cset, q)

@@ -156,4 +156,3 @@ def test_weight_factor_validation():
         WeightFactor(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         WeightFactor(np.ones((2, 3)))
-    assert WeightFactor.diagonal([6, 0.6, 0.1]).m == 3

@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_constraint_set
+from conftest import random_constraint_set, safe_velocity
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.errors import InvalidGainOrdering, ZeroDesiredVelocity
-from fwrta.modelfree import (
-    ModelFreeParams,
-    _wv_apply,
-    h_V,
-    safe_velocity,
-)
+from fwrta.modelfree import ModelFreeParams, _wv_apply, h_V
 
 TABLE = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=4.0, nu_v=0.007)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import velocity
+from conftest import desired_velocity, safe_velocity, velocity
 from fwrta import simulate
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
@@ -13,7 +13,7 @@ from fwrta.backstepping import h_b, rta_backstepping
 from fwrta.constraints import compose_h_p
 from fwrta.extended import rta_extended
 from fwrta.model import AircraftState, ControlInput, TrackContext
-from fwrta.modelfree import h_V, safe_velocity
+from fwrta.modelfree import h_V
 from fwrta.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 from fwrta.simulate import (
     evaluate_checks,
@@ -24,7 +24,7 @@ from fwrta.simulate import (
     set_by_path,
     sweep,
 )
-from fwrta.tracking import GoalCommand, SafeVelocityCommand, desired_velocity, track
+from fwrta.tracking import GoalCommand, SafeVelocityCommand, track
 
 BASE = json.loads(bundled_scenario_path("step_offset").read_text())
 
@@ -505,22 +505,28 @@ class TestCli:
         assert "invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "param, steps",
+        "param, steps, lo, hi",
         [
-            ("constraints.kappa", "1"),
-            ("constraints.kappa", "0"),
-            ("constraints.kappa", "-3"),
-            ("constraints.nope", "2"),
-            ("constraints..kappa", "2"),
-            ("constraints.members[9].radius", "2"),
-            ("initial_state.n[0]", "2"),
+            pytest.param("constraints.kappa", "1", "0.005", "0.01", id="constraints.kappa-1"),
+            pytest.param("constraints.kappa", "0", "0.005", "0.01", id="constraints.kappa-0"),
+            pytest.param("constraints.kappa", "-3", "0.005", "0.01", id="constraints.kappa--3"),
+            pytest.param("constraints.nope", "2", "0.005", "0.01", id="constraints.nope-2"),
+            pytest.param("constraints..kappa", "2", "0.005", "0.01", id="constraints..kappa-2"),
+            pytest.param("constraints.members[9].radius", "2", "0.005", "0.01", id="constraints.members[9].radius-2"),
+            pytest.param("initial_state.n[0]", "2", "0.005", "0.01", id="initial_state.n[0]-2"),
+            # rejected before any value is spaced: neither an allocation nor a numpy warning
+            pytest.param("dt", "100000000000000000000", "0.005", "0.01", id="dt-steps-1e20"),
+            pytest.param("dt", "10001", "0.005", "0.01", id="dt-steps-10001"),
+            pytest.param("dt", "2", "inf", "0.01", id="dt-min-inf"),
+            pytest.param("dt", "2", "0.005", "nan", id="dt-max-nan"),
+            pytest.param("dt", "2", "0.005", "inf", id="dt-max-inf"),
         ],
     )
-    def test_sweep_usage_error_exit_code(self, param, steps, tmp_path, capsys):
+    def test_sweep_usage_error_exit_code(self, param, steps, lo, hi, tmp_path, capsys):
         src = tmp_path / "scn.json"
         src.write_text(json.dumps(make_raw(t_final=0.05)))
         out = tmp_path / "out"
-        argv = ["sweep", "--scenario", str(src), "--param", param, "--min", "0.005", "--max", "0.01"]
+        argv = ["sweep", "--scenario", str(src), "--param", param, "--min", lo, "--max", hi]
         assert cli_main([*argv, "--steps", steps, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and "sweep" in err

@@ -7,9 +7,12 @@ import pytest
 from conftest import (
     accel_matrix,
     certificate_duals,
+    desired_velocity,
     dynamics,
     random_state,
+    safe_velocity,
     safe_velocity_seeded,
+    tracking_params,
     turn_rate,
     velocity,
 )
@@ -17,18 +20,17 @@ from fwrta import kernels
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
 from fwrta.errors import CoincidentPosition, ZeroDesiredVelocity
 from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
-from fwrta.modelfree import ModelFreeParams, safe_velocity
+from fwrta.modelfree import ModelFreeParams
 from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
     SafeVelocityCommand,
     TrackingParams,
-    desired_velocity,
     solve_roll_qp,
     track,
 )
 
-TABLE = TrackingParams.from_scalars(0.05, 0.3, 1e-5, 0.2)
+TABLE = tracking_params(0.05, 0.3, 1e-5, 0.2)
 EAST_GOAL = GoalTrajectory.linear([0.0, 161.32, 0.0])
 NORTH_GOAL = GoalTrajectory.linear([120.0, 0.0, 0.0])
 
@@ -334,9 +336,15 @@ def _assert_rel(got, ref, rtol=1e-9):
 def test_safe_command_jet_matches_curvature_oracle(rng):
     # the plain-float Taylor jets against the curvature-Dual pass they
     # replace, on states where the filter acts: 1-member sets of each
-    # kind and 3-member sets, in both branches of softplus
+    # kind and 3-member sets with one or two obstacles (two compose two
+    # obstacle tangents), in both branches of softplus
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
-    kinds = {"obstacle": ("obstacle",), "plane": ("plane",), "mixed": ("obstacle", "plane", "plane")}
+    kinds = {
+        "obstacle": ("obstacle",),
+        "plane": ("plane",),
+        "mixed": ("obstacle", "plane", "plane"),
+        "obstacles": ("obstacle", "obstacle", "plane"),
+    }
     seen = {(k, b): 0 for k in kinds for b in (True, False)}
     while min(seen.values()) < 35:
         st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
@@ -346,7 +354,7 @@ def test_safe_command_jet_matches_curvature_oracle(rng):
         r0 = st.r + rng.normal(size=3) * 100.0 - v0 * t - 0.5 * a_g * t * t
         goal = GoalTrajectory(lambda s: r0 + v0 * s + 0.5 * a_g * s * s, lambda s: v0 + a_g * s, lambda s: a_g)
         v_d = desired_velocity(st.r, t, goal, TABLE)
-        kind = list(kinds)[int(rng.integers(3))]
+        kind = list(kinds)[int(rng.integers(len(kinds)))]
         members = [_member_near(rng, m, st.r, t, v_d) for m in kinds[kind]]
         cmd = SafeVelocityCommand(goal, TABLE, ConstraintSet(members, float(rng.uniform(0.004, 0.05))), mf)
         plain = safe_velocity(st.r, t, v_d, cmd.cset, mf)
@@ -393,8 +401,8 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
 
 def test_tracking_params_validation():
     with pytest.raises(ValueError):
-        TrackingParams.from_scalars(0.05, 0.3, -1.0, 0.2)
+        tracking_params(0.05, 0.3, -1.0, 0.2)
     with pytest.raises(ValueError):
-        TrackingParams.from_scalars(0.05, 0.3, 1e-5, 0.4)  # lam > min eig K_v
+        tracking_params(0.05, 0.3, 1e-5, 0.4)  # lam > min eig K_v
     with pytest.raises(ValueError):
         TrackingParams(np.eye(3) * 0.05, -0.3 * np.eye(3), 1e-5, 0.2)
