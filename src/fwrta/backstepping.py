@@ -10,9 +10,9 @@ rate depends on the roll channel, so the outer input filter
 The barrier reads the state through the plain-float frame of
 :class:`~fwrta.model.TrackContext` it is given, the one the tracking
 controller computed the step in (``TrackResult.ctx``): ``(r, v, t)``,
-the rotation column ``c1``, the turn rate ``R`` and the speed.  No
-function here builds a frame.  Its rate along the dynamics
-splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain is differentiated
+the rotation column ``c1``, the turn rate ``R`` and the speed, all
+plain floats.  No function here builds a frame.  Its rate along the
+dynamics splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain is differentiated
 in closed form over floats, stage by stage (extended members, softmin,
 softplus filter step), along each of the three directions that move
 ``(r, v, t)``: the drift ``(v, V R c1, 1)`` and the ``A_T`` and ``Q``
@@ -26,10 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import dual as dm
 from .constraints import ConstraintSet, compose_along, compose_members
+from .dual import ZERO3, dot3
 from .extended import member_extended_terms
 from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
 from .model import ControlInput, TrackContext
@@ -54,34 +52,34 @@ class BacksteppingParams:
 
 def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dirs=()):
     """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)`` and, for each of ``dirs`` (see
-    :func:`~fwrta.extended.member_extended_terms`), ``(h_e', a_s')`` over floats, or ``None``."""
+    :func:`~fwrta.extended.member_extended_terms`), ``(h_e', a_s')``, or ``None``."""
     v = ctx.v
-    terms, floats, tangents = zip(*(member_extended_terms(ctx.r, v, ctx.t, m, p.gamma_p, dirs) for m in cset.members))
-    h_e, gr, gv, dt, _, w = compose_members(terms, cset.kappa)
+    terms, tangents = zip(*(member_extended_terms(ctx.r, v, ctx.t, m, p.gamma_p, dirs) for m in cset.members))
+    h_e, *g, dt, _, w = compose_members(terms, cset.kappa)
+    gr = g[:3]
     # barrier rate at zero acceleration plus decay
-    a_e = dm.dot(gr, v) + dt + p.alpha_e(h_e)
-    W_e = p.W_e.W
-    b = W_e.T @ gv
-    a_s, lam, bn2 = filter_step(np.zeros(3), a_e, b, lambda z: W_e @ z, p.nu_e)
-    R_s = dm.dot(ctx.c1, a_s) / ctx.V_T
+    a_e = dot3(gr, v) + dt + p.alpha_e(h_e)
+    W_e = p.W_e
+    b = W_e.apply_t(g[3:])
+    a_s, lam, bn2 = filter_step(ZERO3, a_e, b, W_e.apply, p.nu_e)
+    R_s = dot3(ctx.c1, a_s) / ctx.V_T
     gap = R_s - ctx.R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
     if not dirs:
         return (h_e, a_s, R_s, h_b), None
-    comp = [compose_along(floats, tg, w, cset.kappa) for tg in zip(*tangents)]
+    comp = [compose_along(terms, tg, w, cset.kappa) for tg in zip(*tangents)]
     if bn2 == 0.0:
         # a zero row is the step's no-authority branch: a_s = 0, taken as constant
-        return (h_e, a_s, R_s, h_b), [(c[0], [0.0, 0.0, 0.0]) for c in comp]
+        return (h_e, a_s, R_s, h_b), [(c[0], ZERO3) for c in comp]
     b_norm = math.sqrt(bn2)
-    W, W_t, W_b = W_e.tolist(), W_e.T.tolist(), (W_e @ b).tolist()
-    v, gr, b = v.tolist(), gr.tolist(), b.tolist()
+    W_b = W_e.apply(b)
     out = []
     for (_, dv, _), c in zip(dirs, comp):
         # a_e', b' = W_e^T gv' and |b|', then a_s' = lam' W_e b + lam W_e b'
-        a_e_o = dm.dot3(v, c[1:4]) + dm.dot3(gr, dv) + c[7] + p.alpha_e(c[0])
-        b_o = [dm.dot3(row, c[4:7]) for row in W_t]
-        lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, a_e_o, dm.dot3(b, b_o) / b_norm)
-        out.append((c[0], [lam_o * x + lam * dm.dot3(row, b_o) for x, row in zip(W_b, W)]))
+        a_e_o = dot3(v, c[1:4]) + dot3(gr, dv) + c[7] + p.alpha_e(c[0])
+        b_o = W_e.apply_t(c[4:7])
+        lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, a_e_o, dot3(b, b_o) / b_norm)
+        out.append((c[0], [lam_o * x + lam * y for x, y in zip(W_b, W_e.apply(b_o))]))
     return (h_e, a_s, R_s, h_b), out
 
 
@@ -92,22 +90,20 @@ def h_b(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams) -> float:
 
 def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
     """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
-    c0, c1, c2 = ctx.c0.tolist(), ctx.c1.tolist(), ctx.c2.tolist()
+    c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V, R = ctx.V_T, ctx.R
     # directions (drift, A_T, Q) of (r, v, t); P moves neither r nor v
-    zero = [0.0, 0.0, 0.0]
-    dirs = ((ctx.v.tolist(), [(V * R) * x for x in c1], 1.0), (zero, c0, 0.0), (zero, [-V * x for x in c2], 0.0))
+    dirs = ((ctx.v, [(V * R) * x for x in c1], 1.0), (ZERO3, c0, 0.0), (ZERO3, [-V * x for x in c2], 0.0))
     (h_e, a_s, R_s, hb), ((he_f, as_f), (he_a, as_a), (he_q, as_q)) = _pipeline(ctx, cset, p, dirs)
     # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
     # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T
-    a_s = a_s.tolist()
     D_he = (he_f, he_a, 0.0, he_q)
-    D_Rs = ((dm.dot3(c1, as_f) - R * dm.dot3(c0, a_s)) / V, (dm.dot3(c1, as_a) - R_s) / V,
-            dm.dot3(c2, a_s) / V, dm.dot3(c1, as_q) / V)
+    D_Rs = ((dot3(c1, as_f) - R * dot3(c0, a_s)) / V, (dot3(c1, as_a) - R_s) / V,
+            dot3(c2, a_s) / V, dot3(c1, as_q) / V)
     D_R = (ctx.g_over_V * ctx.s_th * R, -R / V, ctx.g_over_V * ctx.c_ph * ctx.c_th, 0.0)
     gap = R_s - R
     D_hb = [x - gap * (y - z) / p.mu_e for x, y, z in zip(D_he, D_Rs, D_R)]
-    return float(h_e), float(hb), D_hb[0], np.array(D_hb[1:])
+    return h_e, hb, D_hb[0], D_hb[1:]
 
 
 def rta_backstepping(

@@ -7,9 +7,10 @@ into a single barrier value by a stabilized log-sum-exp smooth minimum
 (every member must hold, so there is no union-style smooth maximum).
 
 Each member's value, gradient and explicit time-partial come from
-:func:`member_terms`; the member's rate along a velocity ``v`` is
-``gradient . v + time-partial``.  Derivatives are closed form over
-floats, one direction at a time, a tangent being one flat list:
+:func:`member_terms` as one flat float list; the member's rate along a
+velocity ``v`` is ``gradient . v + time-partial``.  Vectors are float
+3-sequences.  Derivatives are closed form over floats, one direction at
+a time, a tangent being one flat list:
 :func:`compose_along` is the softmin's first-order tangent (both the
 backstepping rate and the model-free jets read it), and
 :func:`member_jet` and :func:`compose_jets` the Taylor jets along a line.
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import dual as dm
+from .dual import ZERO3, dot3, jet_add, jet_mul, jet_scale
 from .errors import CoincidentPosition
 
 COINCIDENT_TOL = 1e-9  # m
@@ -33,10 +34,10 @@ COINCIDENT_TOL = 1e-9  # m
 class MovingObstacle:
     """Spherical keep-out region around a moving point.
 
-    ``trajectory`` maps time to (position, velocity, acceleration); it
-    must be re-entrant.  Derivative-based filters assume the returned
-    acceleration is the exact derivative of the velocity (jerk is taken
-    as zero), which holds for the constant-velocity default.
+    ``trajectory`` maps time to (position, velocity, acceleration), float
+    3-sequences; it must be re-entrant.  Derivative-based filters assume
+    the returned acceleration is the exact derivative of the velocity
+    (jerk is taken as zero), which holds for the constant-velocity default.
     """
 
     trajectory: Callable[[float], tuple]
@@ -48,12 +49,11 @@ class MovingObstacle:
 
     @classmethod
     def constant_velocity(cls, center, velocity, rho: float) -> "MovingObstacle":
-        c = np.asarray(center, dtype=float)
-        v = np.asarray(velocity, dtype=float)
-        zero = np.zeros(3)
+        c = np.asarray(center, dtype=float).tolist()
+        v = tuple(np.asarray(velocity, dtype=float).tolist())
 
         def traj(t: float):
-            return c + v * t, v, zero
+            return [a + b * t for a, b in zip(c, v)], v, ZERO3
 
         return cls(trajectory=traj, rho=float(rho))
 
@@ -63,12 +63,15 @@ class GeofencePlane:
     """Keep-out half-space boundary: stay where ``n . (r - point) >= rho``.
 
     The stored normal is unit length; any nonzero normal is accepted and
-    normalized on construction.
+    normalized on construction.  ``n3`` and ``p3`` hold the normal and
+    the point as float 3-tuples, for the per-step formulas.
     """
 
     point: np.ndarray
     normal: np.ndarray
     rho: float
+    n3: tuple = field(init=False, repr=False, compare=False)
+    p3: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.point, dtype=float)
@@ -81,6 +84,8 @@ class GeofencePlane:
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "normal", n / nn)
         object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "n3", tuple(self.normal.tolist()))
+        object.__setattr__(self, "p3", tuple(p.tolist()))
 
 
 Constraint = MovingObstacle | GeofencePlane
@@ -106,7 +111,7 @@ class BarrierEval:
     """Composed barrier value with gradient, time-partial and weights."""
 
     value: float
-    gradient_r: np.ndarray
+    gradient_r: list
     dt_partial: float
     per_constraint: list = field(default_factory=list)
     weights: list = field(default_factory=list)
@@ -114,9 +119,9 @@ class BarrierEval:
 
 def _separation(r, t, obs: MovingObstacle):
     """``(r - r_i, |r - r_i|, v_i, a_i)``; raises before anything divides by the distance."""
-    r_i, v_i, a_i = (np.asarray(x, dtype=float) for x in obs.trajectory(float(t)))
-    diff = r - r_i
-    q = dm.norm(diff)
+    r_i, v_i, a_i = obs.trajectory(float(t))
+    diff = [a - b for a, b in zip(r, r_i)]
+    q = math.sqrt(dot3(diff, diff))
     if q < COINCIDENT_TOL:
         raise CoincidentPosition(f"position within {COINCIDENT_TOL} m of obstacle center")
     return diff, q, v_i, a_i
@@ -124,22 +129,22 @@ def _separation(r, t, obs: MovingObstacle):
 
 def h_geofence(r, plane: GeofencePlane):
     """Signed distance to the geofence plane, less the margin."""
-    return dm.dot(plane.normal, r - plane.point) - plane.rho
+    return dot3(plane.n3, [a - b for a, b in zip(r, plane.p3)]) - plane.rho
 
 
 def member_terms(r, t, member: Constraint):
-    """(value, gradient wrt position, explicit time-partial) of one member."""
+    """``[value, *gradient wrt position, explicit time-partial]`` of one member."""
     if isinstance(member, GeofencePlane):
-        return h_geofence(r, member), member.normal, 0.0
+        return [h_geofence(r, member), *member.n3, 0.0]
     diff, q, v_i, _ = _separation(r, t, member)
-    n = diff / q
-    return q - member.rho, n, -dm.dot(n, v_i)
+    n = [x / q for x in diff]
+    return [q - member.rho, *n, -dot3(n, v_i)]
 
 
 def _unit_along(n, q, d):
     """Rates ``(q', n')`` of the distance ``q`` and unit vector ``n`` of a
     separation moving by the 3-list ``d``: ``q' = n . d``, ``n' = (d - n q') / q``."""
-    q1 = dm.dot3(n, d)
+    q1 = dot3(n, d)
     return q1, [(x - y * q1) / q for x, y in zip(d, n)]
 
 
@@ -152,20 +157,20 @@ def member_jet(r, t, v, member: Constraint):
     as ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
     """
     if isinstance(member, GeofencePlane):
-        n, zero = member.normal.tolist(), [0.0, 0.0, 0.0]
-        h = (h_geofence(r, member), dm.dot3(n, v), 0.0)
-        return h, (n, zero, zero), (0.0, 0.0, 0.0), lambda rho: [dm.dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
+        n = member.n3
+        h = (h_geofence(r, member), dot3(n, v), 0.0)
+        return h, (n, ZERO3, ZERO3), ZERO3, lambda rho: [dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
     diff, q, v_i, a_i = _separation(r, t, member)
-    n, v_i, a_i = (diff / q).tolist(), v_i.tolist(), a_i.tolist()
+    n = [x / q for x in diff]
     dl = [x - y for x, y in zip(v, v_i)]
     q1, n1 = _unit_along(n, q, dl)
-    q2 = (dm.dot3(dl, dl) - q1 * q1) / q - dm.dot3(n, a_i)
+    q2 = (dot3(dl, dl) - q1 * q1) / q - dot3(n, a_i)
     n2 = [-(x + 2.0 * y * q1 + z * q2) / q for x, y, z in zip(a_i, n1, n)]
-    d = (-dm.dot3(n, v_i), -dm.dot3(n1, v_i) - dm.dot3(n, a_i), -dm.dot3(n2, v_i) - 2.0 * dm.dot3(n1, a_i))
+    d = (-dot3(n, v_i), -dot3(n1, v_i) - dot3(n, a_i), -dot3(n2, v_i) - 2.0 * dot3(n1, a_i))
 
     def along(rho):
         q1, n1 = _unit_along(n, q, rho)
-        return [q1, *n1, -dm.dot3(n1, v_i)]
+        return [q1, *n1, -dot3(n1, v_i)]
 
     return (q - member.rho, q1, q2), (n, n1, n2), d, along
 
@@ -192,7 +197,7 @@ def softmin_weights(values, kappa: float):
 def compose_members(terms, kappa: float):
     """Softmin of the members' values with their other entries weight-averaged.
 
-    ``terms`` holds one tuple ``(value, *derivatives)`` per member; returns
+    ``terms`` holds one flat float list ``[value, *derivatives]`` per member; returns
     ``(h, *averaged derivatives, per-member values, weights)``.
     """
     cols = list(zip(*terms))
@@ -212,7 +217,7 @@ def compose_members(terms, kappa: float):
 def compose_along(values, tangents, weights, kappa: float):
     """First derivative of :func:`compose_members`'s outputs along one direction.
 
-    ``values`` holds, per member, its entries ``(value, *derivatives)`` as
+    ``values`` holds, per member, its entries ``[value, *derivatives]`` as
     one flat float list, ``tangents`` their first derivatives along the
     direction and ``weights`` the softmin weights.  Along it
     ``h' = sum w_i h_i'`` and ``w_i' = kappa w_i (h' - h_i')``, so an
@@ -242,8 +247,8 @@ def compose_jets(jets, kappa: float):
     h2 = sum(x * j[0][1] + y * j[0][2] for x, y, j in zip(w1, w, jets))
     w2 = [kappa * (x * (h1 - j[0][1]) + y * (h2 - j[0][2])) for x, y, j in zip(w1, w, jets)]
     wj = list(zip(w, w1, w2))
-    g = dm.jet_add(*(dm.jet_scale(x, j[1]) for x, j in zip(wj, jets)))
-    d = [sum(c) for c in zip(*(dm.jet_mul(x, j[2]) for x, j in zip(wj, jets)))]
+    g = jet_add(*(jet_scale(x, j[1]) for x, j in zip(wj, jets)))
+    d = [sum(c) for c in zip(*(jet_mul(x, j[2]) for x, j in zip(wj, jets)))]
     values = [[j[0][0], *j[1][0], j[2][0]] for j in jets]
 
     def along(rho):
@@ -254,5 +259,5 @@ def compose_jets(jets, kappa: float):
 
 def compose_h_p(r, t, cset: ConstraintSet) -> BarrierEval:
     """Composed position barrier with weight-averaged derivatives."""
-    h, grad, dtp, per, w = compose_members([member_terms(r, t, m) for m in cset.members], cset.kappa)
+    h, *grad, dtp, per, w = compose_members([member_terms(r, t, m) for m in cset.members], cset.kappa)
     return BarrierEval(value=h, gradient_r=grad, dt_partial=dtp, per_constraint=per, weights=w)

@@ -1,9 +1,10 @@
-"""Plain-float vector helpers and univariate Taylor jets.
+"""The one inner product and univariate Taylor jets, over Python floats.
 
-``dot`` and ``norm`` act on 3-vectors held as arrays, ``dot3`` on
-3-lists.  The ``jet_*`` helpers propagate univariate Taylor jets along
-one line over Python floats (Griewank, Utke & Walther, Math. Comp.
-2000): a scalar jet is ``(x, x', x'')``, a vector jet three 3-lists
+``dot3`` is the inner product of two 3-sequences; every per-step
+formula in ``fwrta`` holds its vectors as float 3-lists or 3-tuples and
+takes its inner products with it.  The ``jet_*`` helpers propagate
+univariate Taylor jets along one line (Griewank, Utke & Walther, Math.
+Comp. 2000): a scalar jet is ``(x, x', x'')``, a vector jet three 3-lists
 ``(x, x', x'')``.
 
 Nothing at run time differentiates by evaluation: every derivative in
@@ -16,18 +17,7 @@ they differentiate.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-
-def dot(a, b):
-    """Inner product of two 3-vectors, as a float."""
-    return float(np.dot(a, b))
-
-
-def norm(a):
-    return math.sqrt(dot(a, a))
+ZERO3 = (0.0, 0.0, 0.0)
 
 
 def dot3(a, b):

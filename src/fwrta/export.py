@@ -5,7 +5,8 @@ CSV columns, in order::
     t,n,e,d,phi,theta,psi,V_T,A_T_d,P_d,Q_d,A_T,P,Q,h_p,h_1..h_N,h_mode,intervening
 
 Floats are written with shortest round-trip ``repr``, so identical runs
-produce byte-identical files.
+produce byte-identical files.  The JSON log is one line, written by the
+standard library's C encoder.
 """
 
 from __future__ import annotations
@@ -25,25 +26,14 @@ def csv_header(member_count: int) -> str:
     return f"t,n,e,d,phi,theta,psi,V_T,A_T_d,P_d,Q_d,A_T,P,Q,h_p,{mems},h_mode,intervening"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(log: TrajectoryLog, path: str | Path) -> Path:
     path = Path(path)
     lines = [csv_header(log.member_count)]
-    for i in range(len(log.t)):
-        vals = [
-            _fmt(log.t[i]),
-            *(_fmt(v) for v in log.x[i]),
-            *(_fmt(v) for v in log.u_d[i]),
-            *(_fmt(v) for v in log.u[i]),
-            _fmt(log.h_p[i]),
-            *(_fmt(v) for v in log.h_members[i]),
-            _fmt(log.h_mode[i]),
-            "1" if log.intervening[i] else "0",
-        ]
-        lines.append(",".join(vals))
+    # one tolist() per column: the rows hold Python floats, whose repr is the format
+    cols = (log.t, log.x, log.u_d, log.u, log.h_p, log.h_members, log.h_mode, log.intervening)
+    for t, x, u_d, u, h_p, h_m, h_mode, flag in zip(*(c.tolist() for c in cols)):
+        row = ",".join(map(repr, [t, *x, *u_d, *u, h_p, *h_m, h_mode]))
+        lines.append(row + (",1" if flag else ",0"))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -84,7 +74,7 @@ def write_json(log: TrajectoryLog, met: Metrics, path: str | Path) -> Path:
             "abort_reason": met.abort_reason,
         },
     }
-    path.write_text(json.dumps(doc, indent=1))
+    path.write_text(json.dumps(doc))
     return path
 
 

@@ -6,9 +6,10 @@ without an optimizer.  The metric is supplied through its factor ``W``
 and the correction is ``Lambda(a, |b|) W b^T``.  ``lambda_hard`` is the
 exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
-:func:`filter_step` is the one implementation of that step, over floats,
-for all three filters.  The smooth multiplier's first derivative along a
-direction, :func:`lambda_smooth_rate`, is written here once: the
+:func:`filter_step` is the one implementation of that step for all three
+filters, over float 3-sequences (the factor holds its matrix as float
+rows from construction on).  The smooth multiplier's first derivative
+along a direction, :func:`lambda_smooth_rate`, is written here once: the
 backstepping barrier's rate and the model-free Taylor jet
 (:func:`fwrta.modelfree.filter_jet`) both read it.
 """
@@ -16,11 +17,11 @@ backstepping barrier's rate and the model-free Taylor jet
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dual as dm
+from .dual import dot3
 from .model import ControlInput
 
 
@@ -40,17 +41,30 @@ class ClassKappaLinear:
 
 @dataclass(frozen=True)
 class WeightFactor:
-    """Positive definite factor ``W`` of the input metric ``Gamma = W^-T W^-1``."""
+    """Positive definite factor ``W`` of the input metric ``Gamma = W^-T W^-1``
+    on 3-vectors; ``rows`` and ``cols`` hold ``W`` and ``W^T`` as float rows."""
 
     W: np.ndarray
+    rows: tuple = field(init=False, repr=False, compare=False)
+    cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("W must be square")
+        if W.shape != (3, 3):
+            raise ValueError("W must be square, 3x3")
         if not np.all(np.isfinite(W)) or abs(np.linalg.det(W)) == 0.0:
             raise ValueError("W must be finite and invertible")
         object.__setattr__(self, "W", W)
+        object.__setattr__(self, "rows", tuple(map(tuple, W.tolist())))
+        object.__setattr__(self, "cols", tuple(map(tuple, W.T.tolist())))
+
+    def apply(self, z):
+        """``W z`` of a 3-sequence, as a list."""
+        return [dot3(row, z) for row in self.rows]
+
+    def apply_t(self, z):
+        """``W^T z`` of a 3-sequence, as a list."""
+        return [dot3(col, z) for col in self.cols]
 
     @classmethod
     def diagonal(cls, diag) -> "WeightFactor":
@@ -66,7 +80,7 @@ class FilterResult:
     no authority and returns the desired input unchanged).
     """
 
-    u: np.ndarray
+    u: list
     lam: float
     slack: float
     infeasible: bool
@@ -122,15 +136,15 @@ def filter_step(u_d, a, b, W, nu: float | None = None):
 
     ``b`` is the weighted constraint row and ``W`` a callable applying the
     factor; ``nu=None`` selects ``lambda_hard``, otherwise
-    ``lambda_smooth``.  Returns ``(u, lam, |b|^2)``; a zero row returns
-    ``u_d`` itself with ``lam = 0``.
+    ``lambda_smooth``.  Returns ``(u, lam, |b|^2)``, ``u`` a list; a zero
+    row returns ``u_d`` itself with ``lam = 0``.
     """
-    bn2 = dm.dot(b, b)
+    bn2 = dot3(b, b)
     if bn2 == 0.0:
         return u_d, 0.0, bn2
     b_norm = math.sqrt(bn2)
     lam = lambda_hard(a, b_norm) if nu is None else lambda_smooth(a, b_norm, nu)
-    return u_d + W(b) * lam, lam, bn2
+    return [x + y * lam for x, y in zip(u_d, W(b))], lam, bn2
 
 
 def apply_filter(u_d, a, b_raw, weight: WeightFactor, smooth_nu: float | None = None) -> FilterResult:
@@ -140,11 +154,9 @@ def apply_filter(u_d, a, b_raw, weight: WeightFactor, smooth_nu: float | None = 
     class-K decay; ``b_raw`` is the raw input row (before weighting).
     ``smooth_nu=None`` selects the exact hard solution.
     """
-    u_d = np.asarray(u_d, dtype=float)
-    W = weight.W
-    u, lam, bn2 = filter_step(u_d, a, np.asarray(b_raw, dtype=float) @ W, lambda z: W @ z, smooth_nu)
+    u, lam, bn2 = filter_step(u_d, a, weight.apply_t(b_raw), weight.apply, smooth_nu)
     if bn2 == 0.0:
-        return FilterResult(u=u_d.copy(), lam=0.0, slack=float(a), infeasible=a < 0.0)
+        return FilterResult(u=list(u_d), lam=0.0, slack=float(a), infeasible=a < 0.0)
     return FilterResult(u=u, lam=float(lam), slack=float(a + lam * bn2), infeasible=False)
 
 
@@ -169,7 +181,7 @@ def filter_input(u_d: ControlInput, h: float, drift: float, row, params, smooth_
 
     ``params`` supplies the decay shape ``alpha`` and the input metric ``W``.
     """
-    u_d_vec = u_d.as_array()
-    a = drift + float(row @ u_d_vec) + params.alpha(h)
+    u_d_vec = u_d.as_tuple()
+    a = drift + dot3(row, u_d_vec) + params.alpha(h)
     res = apply_filter(u_d_vec, a, row, params.W, smooth_nu)
-    return RtaResult(ControlInput.from_array(res.u), float(h), res.slack, res.lam, res.infeasible)
+    return RtaResult(ControlInput(*res.u), float(h), res.slack, res.lam, res.infeasible)

@@ -1,16 +1,17 @@
 """Plain-float dynamics RHS and RK4 step of the seven-state model.
 
 ``dubins_rhs`` is the one implementation of the state derivative: the
-integrator and the stage-controlled integrator both evaluate it.  The
-control laws read the same kinematics from the plain-float frame of
+integrator and the stage-controlled integrator both evaluate it.  Both
+functions run over Python floats: the state and the input are float
+sequences and the results are 7-tuples, computed in the operation order
+of the classic array tableau, so they equal it bit for bit.  The control
+laws read the same kinematics from the plain-float frame of
 :class:`fwrta.model.TrackContext` and write its rates in closed form.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def dubins_rhs(x, u, g_d):
@@ -21,21 +22,23 @@ def dubins_rhs(x, u, g_d):
     s_psi, c_psi = math.sin(psi), math.cos(psi)
     R = g_d / V_T * s_phi * c_th
     t_th = s_th / c_th
-    out = np.empty(7)
-    out[0] = V_T * c_th * c_psi
-    out[1] = V_T * c_th * s_psi
-    out[2] = -V_T * s_th
-    out[3] = u[1] + s_phi * t_th * u[2] + c_phi * t_th * R
-    out[4] = c_phi * u[2] - s_phi * R
-    out[5] = (s_phi * u[2] + c_phi * R) / c_th
-    out[6] = u[0]
-    return out
+    return (
+        V_T * c_th * c_psi,
+        V_T * c_th * s_psi,
+        -V_T * s_th,
+        u[1] + s_phi * t_th * u[2] + c_phi * t_th * R,
+        c_phi * u[2] - s_phi * R,
+        (s_phi * u[2] + c_phi * R) / c_th,
+        u[0],
+    )
 
 
 def rk4_step(x, u, dt, g_d):
     """Classic fourth-order step with the input held constant."""
+    h = 0.5 * dt
     k1 = dubins_rhs(x, u, g_d)
-    k2 = dubins_rhs(x + 0.5 * dt * k1, u, g_d)
-    k3 = dubins_rhs(x + 0.5 * dt * k2, u, g_d)
-    k4 = dubins_rhs(x + dt * k3, u, g_d)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = dubins_rhs([a + h * b for a, b in zip(x, k1)], u, g_d)
+    k3 = dubins_rhs([a + h * b for a, b in zip(x, k2)], u, g_d)
+    k4 = dubins_rhs([a + dt * b for a, b in zip(x, k3)], u, g_d)
+    s = dt / 6.0
+    return tuple([a + s * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)])

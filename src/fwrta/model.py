@@ -13,8 +13,11 @@ The map from ``(A_T, Q, R)`` to inertial acceleration factors as
 columns and determinant (``det M_a = V_T^2``); its inverse has the rows
 ``c0``, ``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns.
 :class:`TrackContext` is the one spelling of that frame (rotation
-columns, velocity and turn rate) on plain floats; the filters and the
-tracking controller write its rates in closed form.
+columns, velocity and turn rate) on plain floats, its vectors held as
+float 3-lists; the whole control step reads it, and the filters and the
+tracking controller write its rates in closed form.  A control step
+reads the state and input dataclasses field by field; their
+``as_array`` spellings serve the edges (tests and analysis).
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ class AircraftState:
         return np.array([self.n, self.e, self.d, self.phi, self.theta, self.psi, self.V_T])
 
     @property
-    def r(self) -> np.ndarray:
-        return np.array([self.n, self.e, self.d])
+    def r(self) -> list:
+        return [self.n, self.e, self.d]
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,11 @@ class ControlInput:
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteValue(f"ControlInput.{name} must be finite")
 
-    @classmethod
-    def from_array(cls, u) -> "ControlInput":
-        return cls(float(u[0]), float(u[1]), float(u[2]))
+    def as_tuple(self) -> tuple:
+        return (self.A_T, self.P, self.Q)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.A_T, self.P, self.Q])
+        return np.array(self.as_tuple())
 
 
 def check_speed(V_T: float) -> None:
@@ -113,7 +115,8 @@ class TrackContext:
     rotation columns (3-2-1 Euler; ``c0`` is the unit velocity
     direction, ``c1`` and ``c2`` the body right and down axes in the
     earth frame), the inertial velocity and the coordinated turn rate,
-    all from sines computed once here.  Construction enforces the pitch
+    all from sines computed once here; the vectors ``r``, ``v``, ``c0``,
+    ``c1`` and ``c2`` are float 3-lists.  Construction enforces the pitch
     guard and the speed floor.
     """
 
@@ -137,8 +140,8 @@ class TrackContext:
         self.s_ph, self.c_ph = s_ph, c_ph
         self.s_th, self.c_th = s_th, c_th
         self.t_th = s_th / c_th
-        self.c0 = np.array([c_ps * c_th, s_ps * c_th, -s_th])
-        self.c1 = np.array([c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph])
-        self.c2 = np.array([c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph])
-        self.v = np.array([V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th])
+        self.c0 = [c_ps * c_th, s_ps * c_th, -s_th]
+        self.c1 = [c_ps * s_th * s_ph - s_ps * c_ph, s_ps * s_th * s_ph + c_ps * c_ph, c_th * s_ph]
+        self.c2 = [c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph]
+        self.v = [V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th]
         self.R = self.g_over_V * s_ph * c_th

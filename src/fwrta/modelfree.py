@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from . import dual as dm
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
 from .filters import filter_step, lambda_smooth_rate, softplus
@@ -45,7 +43,7 @@ class ModelFreeParams:
 class SafeVelocityResult:
     """Safe velocity with the filter pieces and the achieved margin."""
 
-    v_s: np.ndarray
+    v_s: list
     a_v: float
     margin: float
     infeasible: bool
@@ -59,8 +57,8 @@ def _wv_apply(v_d, Gamma_v: float, z):
     along ``v_d`` and ``1/sqrt(Gamma_v)`` across it.
     """
     inv_s = 1.0 / math.sqrt(Gamma_v)
-    proj = dm.dot(v_d, z) / dm.dot(v_d, v_d)
-    return z * inv_s + v_d * (proj * (1.0 - inv_s))
+    k = dm.dot3(v_d, z) / dm.dot3(v_d, v_d) * (1.0 - inv_s)
+    return [x * inv_s + y * k for x, y in zip(z, v_d)]
 
 
 def filter_jet(u, h, g, d, p: ModelFreeParams):
@@ -106,11 +104,10 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
 
 
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> SafeVelocityResult:
-    """Filter a desired velocity given an already-composed barrier."""
-    v_d = np.asarray(v_d, dtype=float)
-    if math.sqrt(dm.dot(v_d, v_d)) < ZERO_VELOCITY_TOL:
+    """Filter a desired velocity (a float 3-sequence) given an already-composed barrier."""
+    if math.sqrt(dm.dot3(v_d, v_d)) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    a_v = dm.dot(grad, v_d) + dtp + p.gamma_p * h_p_val - p.sigma * dm.dot(grad, grad)
+    a_v = dm.dot3(grad, v_d) + dtp + p.gamma_p * h_p_val - p.sigma * dm.dot3(grad, grad)
     W_v = partial(_wv_apply, v_d, p.Gamma_v)
     v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
     return SafeVelocityResult(v_s=v_s, a_v=a_v, margin=a_v + lam * bn2, infeasible=(bn2 == 0.0 and a_v < 0.0))

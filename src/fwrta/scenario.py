@@ -344,8 +344,7 @@ def _validate_initial_barriers(scn: Scenario) -> None:
     else:
         cmd = GoalCommand(scn.goal, scn.tracking)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity, ctx=ctx).V
+        V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity, ctx=ctx).V
     except (FwrtaError, ValueError) as exc:
         raise ScenarioError(f"initial tracking certificate cannot be evaluated: {exc}") from exc
     if not math.isfinite(V0):

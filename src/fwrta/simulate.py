@@ -6,12 +6,16 @@ and held over the step (zero-order hold).  Every mode tracks the goal
 command for ``u_d`` and yields the applied input, its barrier, the
 filter's slack and warning flag; one :class:`StepRecord` is built from
 them.  The state advances with the classic fourth-order step from
-:mod:`fwrta.kernels`.  Runs are fully deterministic.  Singularities
-abort the run with a partial log and a recorded reason.
+:mod:`fwrta.kernels`.  The whole step runs over Python floats: the state
+travels as a float 7-tuple, the frame and every per-step formula hold
+float 3-lists, and the log's rows become arrays once, at the end of the
+run.  Runs are fully deterministic.  Singularities and a non-finite
+state abort the run with a partial log and a recorded reason.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,8 +34,8 @@ from .tracking import GoalCommand, SafeVelocityCommand, track
 
 @dataclass
 class StepRecord:
-    u_d: np.ndarray
-    u: np.ndarray
+    u_d: tuple
+    u: tuple
     h_p: float
     h_members: tuple
     h_mode: float
@@ -83,14 +87,14 @@ class Metrics:
 
 
 def make_controller(scn: Scenario):
-    """Per-step control law of the scenario: ``(x_arr, t) -> StepRecord``."""
+    """Per-step control law of the scenario: ``(x, t) -> StepRecord``, ``x`` a float 7-sequence."""
     g = scn.gravity
     goal_cmd = GoalCommand(scn.goal, scn.tracking)
     if scn.mode == "modelfree":
         safe_cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
 
-    def control(x_arr: np.ndarray, t: float) -> StepRecord:
-        state = AircraftState.from_array(x_arr)
+    def control(x, t: float) -> StepRecord:
+        state = AircraftState.from_array(x)
         pos = compose_h_p(state.r, t, scn.cset)
         # one frame per step: track builds it and hands it on in its result, which
         # the input filters read; modelfree builds it here for its two tracks
@@ -109,7 +113,7 @@ def make_controller(scn: Scenario):
             else:
                 res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
             u, h_mode, residual, warn = res.u, res.h, res.residual, res.infeasible
-        u_d, u = tr_d.u.as_array(), u.as_array()
+        u_d, u = tr_d.u.as_tuple(), u.as_tuple()
         return StepRecord(
             u_d=u_d,
             u=u,
@@ -118,7 +122,7 @@ def make_controller(scn: Scenario):
             h_mode=h_mode,
             residual=residual,
             warn=warn,
-            intervening=bool(np.any(u != u_d)),
+            intervening=u != u_d,
         )
 
     return control
@@ -137,13 +141,13 @@ def integrate(scn: Scenario) -> TrajectoryLog:
 
     rows: list[StepRecord] = []
     times: list[float] = []
-    states: list[np.ndarray] = []
+    states: list[tuple] = []
     abort = None
 
-    x = scn.x0.as_array()
+    x = dataclasses.astuple(scn.x0)
     for k in range(n_steps + 1):
         t = k * dt
-        if not np.all(np.isfinite(x)):
+        if not all(map(math.isfinite, x)):
             abort = "non-finite state"
             break
         try:
@@ -152,7 +156,7 @@ def integrate(scn: Scenario) -> TrajectoryLog:
             abort = f"{type(exc).__name__}: {exc}"
             break
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
         rows.append(rec)
         if k == n_steps:
             break

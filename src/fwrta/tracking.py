@@ -26,25 +26,30 @@ one first-order pass along ``(v_dot, 0)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from dataclasses import dataclass, field
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from . import dual as dm
 from .constraints import ConstraintSet, compose_jets, member_jet
+from .dual import ZERO3, dot3
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, filter_jet
 
 
 @dataclass(frozen=True)
 class TrackingParams:
-    """Position/velocity gains, turn-gap scale and certified decay rate."""
+    """Position/velocity gains, turn-gap scale and certified decay rate.
+
+    ``K_r_rows`` and ``K_v_rows`` hold the gains as float rows.
+    """
 
     K_r: np.ndarray
     K_v: np.ndarray
     mu: float
     lam: float
+    K_r_rows: tuple = field(init=False, repr=False, compare=False)
+    K_v_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K_r = np.asarray(self.K_r, dtype=float)
@@ -60,38 +65,36 @@ class TrackingParams:
                 raise ValueError(f"{name} must be positive definite")
         if self.lam > np.linalg.eigvalsh(K_v).min() + 1e-12:
             raise ValueError("lam must not exceed the smallest eigenvalue of K_v")
+        object.__setattr__(self, "K_r_rows", tuple(map(tuple, K_r.tolist())))
+        object.__setattr__(self, "K_v_rows", tuple(map(tuple, K_v.tolist())))
 
 
 @dataclass(frozen=True)
 class GoalTrajectory:
-    """Goal position/velocity/acceleration as functions of time.
+    """Goal position/velocity/acceleration as functions of time, each a
+    float 3-sequence.
 
     The three callables must be mutually consistent derivatives; the
     derivative-based controller pieces assume the acceleration's own
     rate is zero (exact for the linear goal).
     """
 
-    position: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
-    accel: Callable[[float], np.ndarray]
+    position: Callable[[float], Sequence[float]]
+    velocity: Callable[[float], Sequence[float]]
+    accel: Callable[[float], Sequence[float]]
 
     @classmethod
     def linear(cls, v_g, r0=(0.0, 0.0, 0.0)) -> "GoalTrajectory":
-        v = np.asarray(v_g, dtype=float)
-        r0 = np.asarray(r0, dtype=float)
-        zero = np.zeros(3)
+        v = tuple(np.asarray(v_g, dtype=float).tolist())
+        r0 = np.asarray(r0, dtype=float).tolist()
         return cls(
-            position=lambda t: r0 + v * t,
-            velocity=lambda t: v.copy(),
-            accel=lambda t: zero.copy(),
+            position=lambda t: [a + b * t for a, b in zip(r0, v)],
+            velocity=lambda t: v,
+            accel=lambda t: ZERO3,
         )
 
     def eval(self, t: float):
-        return (
-            np.asarray(self.position(t), dtype=float),
-            np.asarray(self.velocity(t), dtype=float),
-            np.asarray(self.accel(t), dtype=float),
-        )
+        return self.position(t), self.velocity(t), self.accel(t)
 
 
 class VelocityCommand(Protocol):
@@ -107,6 +110,14 @@ class VelocityCommand(Protocol):
         ...
 
 
+def _goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
+    """``v_g + K_r (r_g - r)`` and its first two derivatives along ``w = (v, 1)``
+    (``K_r`` as float rows; the goal's own acceleration rate is zero)."""
+    r_g, v_g, a_g = goal.eval(ctx.t)
+    e0, e1 = [x - y for x, y in zip(r_g, ctx.r)], [x - y for x, y in zip(v_g, ctx.v)]
+    return tuple([x + dot3(k, e) for x, k in zip(c, K_r)] for c, e in ((v_g, e0), (a_g, e1), (ZERO3, a_g)))
+
+
 @dataclass(frozen=True)
 class GoalCommand:
     """Track a goal trajectory: ``v_c = v_g + K_r (r_g - r)``."""
@@ -115,12 +126,9 @@ class GoalCommand:
     params: TrackingParams
 
     def command_jet(self, ctx: TrackContext):
-        # the goal's own acceleration rate is zero (see GoalTrajectory)
-        r_g, v_g, a_g = self.goal.eval(ctx.t)
-        K_r = self.params.K_r
-        v_c = v_g + K_r @ (r_g - ctx.r)
-        a_c = a_g + K_r @ (v_g - ctx.v)
-        return v_c, a_c, lambda v_dot: K_r @ a_g - K_r @ v_dot
+        K_r = self.params.K_r_rows
+        v_c, a_c, k_a = _goal_jet(self.goal, K_r, ctx)
+        return v_c, a_c, lambda v_dot: [x - dot3(k, v_dot) for x, k in zip(k_a, K_r)]
 
 
 @dataclass(frozen=True)
@@ -135,21 +143,17 @@ class SafeVelocityCommand:
     def command_jet(self, ctx: TrackContext):
         # second-order jets along w = (v, 1); the first-order pass along
         # (v_dot, 0) waits in the rate map until the tracker knows v_dot
-        r_g, v_g, a_g = (x.tolist() for x in self.goal.eval(ctx.t))
-        K_r, v = self.params.K_r.tolist(), ctx.v.tolist()
-        e0, e1 = [x - y for x, y in zip(r_g, ctx.r.tolist())], [x - y for x, y in zip(v_g, v)]
-        # v_d and its line derivatives: v_g + K_r e0, a_g + K_r e1 and K_r a_g
-        v_d = tuple([x + dm.dot3(k, e) for x, k in zip(c, K_r)] for c, e in ((v_g, e0), (a_g, e1), ([0.0] * 3, a_g)))
-        terms = [member_jet(ctx.r, ctx.t, v, m) for m in self.cset.members]
+        K_r = self.params.K_r_rows
+        v_d = _goal_jet(self.goal, K_r, ctx)
+        terms = [member_jet(ctx.r, ctx.t, ctx.v, m) for m in self.cset.members]
         h, grad, dtp, pos_along = compose_jets(terms, self.cset.kappa)
         v_s, filter_along = filter_jet(v_d, h, grad, dtp, self.mf)
 
         def rate(v_dot):
-            rho = v_dot.tolist()
-            h_o, *g_o, d_o = pos_along(rho)
-            return np.array(v_s[2]) + np.array(filter_along([-dm.dot3(k, rho) for k in K_r], h_o, g_o, d_o))
+            h_o, *g_o, d_o = pos_along(v_dot)
+            return [x + y for x, y in zip(v_s[2], filter_along([-dot3(k, v_dot) for k in K_r], h_o, g_o, d_o))]
 
-        return np.array(v_s[0]), np.array(v_s[1]), rate
+        return v_s[0], v_s[1], rate
 
 
 @dataclass
@@ -160,8 +164,8 @@ class TrackResult:
     V: float
     R_d: float
     residual: float
-    v_c: np.ndarray
-    a_c: np.ndarray
+    v_c: list
+    a_c: list
     a_P: float
     b_P: float
     ctx: TrackContext
@@ -172,12 +176,13 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
     R = ctx.R
-    K_v = params.K_v
-    e_v = v_c - ctx.v
-    a_d = a_c + 0.5 * K_v @ e_v
-    A_T = float(c0 @ a_d)
-    Q = -float(c2 @ a_d) / V_T
-    R_d = float(c1 @ a_d) / V_T
+    K_v = params.K_v_rows
+    e_v = [x - y for x, y in zip(v_c, ctx.v)]
+    K_e = [dot3(k, e_v) for k in K_v]
+    a_d = [x + 0.5 * y for x, y in zip(a_c, K_e)]
+    A_T = dot3(c0, a_d)
+    Q = -dot3(c2, a_d) / V_T
+    R_d = dot3(c1, a_d) / V_T
     gap = R_d - R
 
     # rate coefficients: total derivative along the loop with P = 0, and
@@ -187,18 +192,18 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     theta_dot = ctx.c_ph * Q - ctx.s_ph * R
     g_R = ctx.g_over_V * ctx.c_ph * ctx.c_th
     f_R = g_R * phi_dot - ctx.g_over_V * ctx.s_ph * ctx.s_th * theta_dot - R * A_T / V_T
-    v_dot = a_d - (V_T * gap) * c1
-    a_d_dot = rate(v_dot) + 0.5 * K_v @ (a_c - v_dot)
-    f_Rd = (float(c1 @ a_d_dot) - (R + R_d) * A_T) / V_T
+    v_dot = [x - (V_T * gap) * y for x, y in zip(a_d, c1)]
+    d_e = [x - y for x, y in zip(a_c, v_dot)]
+    a_d_dot = [x + 0.5 * dot3(k, d_e) for x, k in zip(rate(v_dot), K_v)]
+    f_Rd = (dot3(c1, a_d_dot) - (R + R_d) * A_T) / V_T
     g_Rd = -Q
 
-    M_R = V_T * c1
     mu = params.mu
     lam = params.lam
-    e_v_sq = float(e_v @ e_v)
+    e_v_sq = dot3(e_v, e_v)
     a_P = (
-        -0.5 * float(e_v @ (K_v @ e_v))
-        + float(e_v @ M_R) * gap
+        -0.5 * dot3(e_v, K_e)
+        + V_T * dot3(e_v, c1) * gap
         + gap * (f_Rd - f_R) / mu
         + 0.5 * lam * (e_v_sq + gap * gap / mu)
     )

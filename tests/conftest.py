@@ -22,8 +22,8 @@ def gravity():
 
 
 def velocity(st):
-    """Inertial velocity of a state, read from its :class:`TrackContext`."""
-    return TrackContext(st, 0.0, GravityParam()).v
+    """Inertial velocity of a state, read from its :class:`TrackContext`, as an array."""
+    return np.array(TrackContext(st, 0.0, GravityParam()).v)
 
 
 def turn_rate(st, g):
@@ -33,7 +33,7 @@ def turn_rate(st, g):
 
 def dynamics(st, u, g):
     """State derivative ``f(x) + g(x) u``: the one RHS, :func:`fwrta.kernels.dubins_rhs`."""
-    return kernels.dubins_rhs(st.as_array(), u.as_array(), g.g_d)
+    return np.array(kernels.dubins_rhs(st.as_array(), u.as_array(), g.g_d))
 
 
 def tracking_params(k_r, k_v, mu, lam):
@@ -64,7 +64,7 @@ def integrate_stage_controlled(scn, dt, t_final):
     g_d = scn.gravity.g_d
 
     def f(x, t):
-        return kernels.dubins_rhs(x, control(x, t).u, g_d)
+        return np.array(kernels.dubins_rhs(x, control(x, t).u, g_d))
 
     x = scn.x0.as_array()
     for k in range(int(round(t_final / dt))):
@@ -80,7 +80,8 @@ def integrate_stage_controlled(scn, dt, t_final):
 def accel_matrix(st):
     """3x3 map from ``(A_T, Q, R)`` to inertial acceleration, from the context's columns."""
     ctx = TrackContext(st, 0.0, GravityParam())
-    return np.column_stack([ctx.c0, -ctx.V_T * ctx.c2, ctx.V_T * ctx.c1])
+    c0, c1, c2 = (np.array(c) for c in (ctx.c0, ctx.c1, ctx.c2))
+    return np.column_stack([c0, -ctx.V_T * c2, ctx.V_T * c1])
 
 
 # dual-capable frame: the formulas TrackContext spells out on floats,

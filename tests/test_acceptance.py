@@ -384,7 +384,7 @@ def test_criterion_7_gradient_certification(rng):
             zm[k] -= h_fd
             vp = safe_velocity(zp[:3], zp[3], desired_velocity(zp[:3], zp[3], goal, tp), cset, mf).v_s
             vm = safe_velocity(zm[:3], zm[3], desired_velocity(zm[:3], zm[3], goal, tp), cset, mf).v_s
-            fd_j[:, k] = (vp - vm) / (2 * h_fd)
+            fd_j[:, k] = np.subtract(vp, vm) / (2 * h_fd)
         worst["v_s"] = max(worst["v_s"], _rel_err(J_vs, fd_j))
 
         # tracking certificate over (x, t)

@@ -23,7 +23,7 @@ from fwrta.backstepping import (
     rta_backstepping,
 )
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
-from fwrta.dual import dot
+from fwrta.dual import dot3
 from fwrta.errors import CoincidentPosition
 from fwrta.extended import compose_extended_terms
 from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
@@ -54,7 +54,7 @@ def safe_pieces(st, t, cset, p, g):
 def turn_row(st, g):
     """Turn-rate row ``c1 / V_T`` of the inverse acceleration map."""
     ctx = TrackContext(st, 0.0, g)
-    return ctx.c1 / ctx.V_T
+    return np.array(ctx.c1) / ctx.V_T
 
 
 def h_e_at(st, cset, p):
@@ -100,9 +100,9 @@ class TestSafeAccel:
             cset = random_constraint_set(rng, st.r)
             h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
             v = velocity(st)
-            a_e = float(gr @ v) + dtp + p.alpha_e(h_e)
+            a_e = float(np.dot(gr, v)) + dtp + p.alpha_e(h_e)
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
-            achieved = a_e + float(gv @ a_s)
+            achieved = a_e + float(np.dot(gv, a_s))
             assert achieved >= -1e-9 * max(1.0, abs(a_e))
 
 
@@ -117,7 +117,7 @@ class TestSafeAccel:
             cset = random_constraint_set(rng, st.r)
             ctx = TrackContext(st, t, gravity)
             h_e, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
-            a_e = dot(gr, ctx.v) + dt + p.alpha_e(h_e)
+            a_e = dot3(gr, ctx.v) + dt + p.alpha_e(h_e)
             a_s, _ = safe_pieces(st, t, cset, p, gravity)
             np.testing.assert_array_equal(a_s, apply_filter(np.zeros(3), a_e, gv, p.W_e, p.nu_e).u)
             active += bool(np.linalg.norm(a_s) > 1e-3)
@@ -248,8 +248,8 @@ def oracle_rate(st, t, cset, p, g):
     """``(drift, row)`` as the 8-seed gradient contracted with ``f`` and the input columns ``G``."""
     dhdx, dhdt = grad_h_b(st, t, cset, p, g)
     x = st.as_array()
-    f = kernels.dubins_rhs(x, (0.0, 0.0, 0.0), g.g_d)
-    G = np.column_stack([kernels.dubins_rhs(x, e, g.g_d) - f for e in np.eye(3)])
+    f = np.array(kernels.dubins_rhs(x, (0.0, 0.0, 0.0), g.g_d))
+    G = np.column_stack([np.array(kernels.dubins_rhs(x, e, g.g_d)) - f for e in np.eye(3)])
     return dhdt + float(dhdx @ f), dhdx @ G
 
 
@@ -306,7 +306,7 @@ def softplus_arg(st, t, cset, p, g):
     """``x = -nu_e a_e / |b_e|`` of the acceleration filter's multiplier."""
     ctx = TrackContext(st, t, g)
     h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
-    return -p.nu_e * (dot(gr, ctx.v) + dt + p.alpha_e(h)) / np.linalg.norm(gv @ p.W_e.W)
+    return -p.nu_e * (dot3(gr, ctx.v) + dt + p.alpha_e(h)) / np.linalg.norm(gv @ p.W_e.W)
 
 
 class TestRta:

@@ -28,8 +28,8 @@ def member_value(r, t, member):
 
 def member_rate(r, t, v, member):
     """Rate of the member's value along velocity ``v``: ``n . v + dt``."""
-    _, n, dt = member_terms(r, t, member)
-    return float(n @ v) + dt
+    _, *n, dt = member_terms(r, t, member)
+    return float(np.dot(n, v)) + dt
 
 
 class TestCollision:
@@ -52,7 +52,7 @@ class TestCollision:
         for _ in range(50):
             r = rng.uniform(-1000, 1000, size=3)
             t = float(rng.uniform(0, 10))
-            n = member_terms(r, t, TABLE_OBSTACLE)[1]
+            n = np.array(member_terms(r, t, TABLE_OBSTACLE)[1:4])
             s = float(rng.uniform(-50, 50))
             v = TABLE_OBSTACLE.trajectory(t)[1] + s * n
             assert member_rate(r, t, v, TABLE_OBSTACLE) == pytest.approx(s, rel=1e-12, abs=1e-12)

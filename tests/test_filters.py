@@ -137,7 +137,7 @@ class TestApplyFilter:
         b_raw = np.array([0.5, -0.2, 1.0])
         u_prev = None
         for a in np.linspace(-0.5, 0.5, 401):
-            u = apply_filter(np.zeros(3), float(a), b_raw, W, smooth_nu=5.0).u
+            u = np.array(apply_filter(np.zeros(3), float(a), b_raw, W, smooth_nu=5.0).u)
             if u_prev is not None:
                 assert np.linalg.norm(u - u_prev) < 0.05
             u_prev = u

@@ -24,12 +24,24 @@ def cases(rng):
     return xs
 
 
+def array_rk4(x, u, dt, g_d):
+    """The classic tableau over numpy arrays: the oracle of the float kernel."""
+
+    def f(z):
+        return np.array(kernels.dubins_rhs(z, u, g_d))
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def test_rk4_is_the_classic_tableau(cases):
-    x, u = cases[0]
-    dt = 0.02
-    k1 = kernels.dubins_rhs(x, u, 9.81)
-    k2 = kernels.dubins_rhs(x + 0.5 * dt * k1, u, 9.81)
-    k3 = kernels.dubins_rhs(x + 0.5 * dt * k2, u, 9.81)
-    k4 = kernels.dubins_rhs(x + dt * k3, u, 9.81)
-    ref = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    np.testing.assert_allclose(kernels.rk4_step(x, u, dt, 9.81), ref, rtol=1e-15)
+    # the float kernel keeps the array spelling's operation order, so it
+    # equals it bit for bit, on float sequences as the integrator passes them
+    for dt in (0.02, -0.02):
+        for x, u in cases:
+            got = kernels.rk4_step(tuple(x.tolist()), tuple(u.tolist()), dt, 9.81)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            np.testing.assert_array_equal(np.array(got), array_rk4(x, u, dt, 9.81))

@@ -21,7 +21,8 @@ from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
 def inverse_rows(st):
     """Rows ``(c0, -c2/V_T, c1/V_T)`` of the inverse acceleration map, from the context."""
     ctx = TrackContext(st, 0.0, GravityParam())
-    return np.vstack([ctx.c0, -ctx.c2 / ctx.V_T, ctx.c1 / ctx.V_T])
+    c0, c1, c2 = (np.array(c) for c in (ctx.c0, ctx.c1, ctx.c2))
+    return np.vstack([c0, -c2 / ctx.V_T, c1 / ctx.V_T])
 
 
 def spelled_out_rhs(x, u, g_d):
@@ -114,8 +115,8 @@ class TestDynamics:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
             # the RHS is affine in the input: drift plus input columns
             x = st.as_array()
-            f = kernels.dubins_rhs(x, (0.0, 0.0, 0.0), gravity.g_d)
-            G = np.column_stack([kernels.dubins_rhs(x, e, gravity.g_d) - f for e in np.eye(3)])
+            f = np.array(kernels.dubins_rhs(x, (0.0, 0.0, 0.0), gravity.g_d))
+            G = np.column_stack([np.array(kernels.dubins_rhs(x, e, gravity.g_d)) - f for e in np.eye(3)])
             np.testing.assert_allclose(f + G @ u.as_array(), got, rtol=1e-12, atol=1e-12)
 
     def test_pitch_guard(self, gravity):

@@ -58,10 +58,9 @@ class TestSafeVelocity:
             t = float(rng.uniform(0, 10))
             out = safe_velocity(r, t, v_d, cset, TABLE)
             pos = compose_h_p(r, t, cset)
-            rate = float(pos.gradient_r @ out.v_s) + pos.dt_partial
-            slack = rate + TABLE.gamma_p * pos.value - TABLE.sigma * float(
-                pos.gradient_r @ pos.gradient_r
-            )
+            grad = np.array(pos.gradient_r)
+            rate = float(grad @ out.v_s) + pos.dt_partial
+            slack = rate + TABLE.gamma_p * pos.value - TABLE.sigma * float(grad @ grad)
             assert slack >= -1e-9 * max(1.0, abs(out.a_v))
             assert out.margin == pytest.approx(slack, rel=1e-9, abs=1e-9)
 
@@ -107,7 +106,7 @@ class TestSafeVelocity:
             r = np.array([0.0, float(e_pos), 0.0])
             out = safe_velocity(r, 0.0, np.array([0.0, 180.0, 0.0]), cset, TABLE)
             if prev is not None:
-                assert np.linalg.norm(out.v_s - prev) < 0.5
+                assert np.linalg.norm(np.subtract(out.v_s, prev)) < 0.5
             prev = out.v_s
 
 

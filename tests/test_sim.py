@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import desired_velocity, safe_velocity, velocity
-from fwrta import simulate
+from fwrta import kernels, simulate
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
@@ -201,6 +201,25 @@ class TestIntegrate:
         assert log.abort is not None and log.abort.startswith("NonFiniteValue")
         assert 0 < len(log.t) < 101
 
+    def test_non_finite_state_is_an_abort(self, monkeypatch):
+        # the integrator returns NaN after k good steps: the run stops before
+        # the control law reads that state, with the k + 1 finite states logged
+        scn = scenario_from_dict(make_raw(t_final=1.0, dt=0.01))
+        real_step = kernels.rk4_step
+        k, calls = 37, []
+
+        def nan_step(x, u, dt, g_d):
+            calls.append(x)
+            x = real_step(x, u, dt, g_d)
+            return x if len(calls) <= k else (float("nan"),) + x[1:]
+
+        monkeypatch.setattr(kernels, "rk4_step", nan_step)
+        log = integrate(scn)
+        assert log.abort == "non-finite state"
+        assert len(log.t) == k + 1 and log.x.shape == (k + 1, 7) and len(calls) == k + 1
+        assert np.all(np.isfinite(log.x))
+        assert metrics_from_log(log, scn).aborted
+
     def test_speed_norm_invariant_along_log(self):
         scn = scenario_from_dict(make_raw(t_final=2.0))
         log = integrate(scn)
@@ -238,7 +257,11 @@ class TestStepRecord:
         np.testing.assert_array_equal(rec.u, u.as_array())
         assert (rec.h_p, rec.h_members) == (pos.value, tuple(pos.per_constraint))
         assert (rec.h_mode, rec.residual, rec.warn) == (h_mode, residual, warn)
-        assert rec.intervening == bool(np.any(rec.u != rec.u_d))
+        assert rec.intervening == bool(np.any(np.array(rec.u) != np.array(rec.u_d)))
+        # the record holds Python floats, not numpy scalars or arrays
+        assert type(rec.u) is tuple and type(rec.u_d) is tuple
+        assert all(type(v) is float for v in (*rec.u, *rec.u_d, *rec.h_members))
+        assert all(type(v) is float for v in (rec.h_p, rec.h_mode, rec.residual))
 
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_frame_per_step(self, name, monkeypatch):
@@ -275,7 +298,9 @@ class TestExport:
         scn = scenario_from_dict(make_raw(t_final=1.0))
         log, met = run_scenario(scn)
         p = write_json(log, met, tmp_path / "log.json")
-        doc = json.loads(p.read_text())
+        text = p.read_text()
+        assert "\n" not in text  # one line, from the C encoder
+        doc = json.loads(text)
         assert doc["schema"] == "fwrta-log/1"
         assert len(doc["columns"]["t"]) == len(log.t)
         assert doc["metrics"]["aborted"] is False

@@ -53,7 +53,7 @@ def tracked_accel(st, t, cmd, g):
 
 def command_at(cmd, st, t, g):
     """``(v_c, a_c)`` of a command at ``(st, t)``."""
-    return cmd.command_jet(TrackContext(st, t, g))[:2]
+    return tuple(np.array(x) for x in cmd.command_jet(TrackContext(st, t, g))[:2])
 
 
 def roll_qp_oracle(a, b, grid=2_000_001):
@@ -105,10 +105,10 @@ class TestDesiredAccel:
             st = random_state(rng)
             res = track(st, 1.0, cmd, TABLE, gravity)
             a_d = tracked_accel(st, 1.0, cmd, gravity)
-            v_c, v = res.v_c, velocity(st)
+            v_c, a_c, v = np.array(res.v_c), np.array(res.a_c), velocity(st)
             V0 = 0.5 * float((v_c - v) @ (v_c - v))
             h = 1e-6
-            e1 = (v_c + h * res.a_c) - (v + h * a_d)
+            e1 = (v_c + h * a_c) - (v + h * a_d)
             dV = (0.5 * float(e1 @ e1) - V0) / h
             assert dV <= -TABLE.lam * V0 + 1e-6
 
@@ -275,7 +275,7 @@ def dual_track_oracle(cmd, st, t, g):
     f_R = float(R_dual.e[:7] @ xdot0) + float(R_dual.e[7])
     f_Rd = float(R_d_dual.e[:7] @ xdot0) + float(R_d_dual.e[7])
     g_R, g_Rd = float(R_dual.e[3]), float(R_d_dual.e[3])
-    M_R = st.V_T * TrackContext(st, t, g).c1
+    M_R = st.V_T * np.array(TrackContext(st, t, g).c1)
     a_P = (
         -0.5 * float(e_v @ (TABLE.K_v @ e_v))
         + float(e_v @ M_R) * gap
@@ -325,7 +325,8 @@ def _jet_and_oracle(cmd, st, t, v_dot):
     v_s, a_c, rate = cmd.command_jet(ctx)
     d_ww = rate(np.zeros(3))
     ref = safe_velocity_seeded(cmd, st.r, t, ctx.v)
-    return (v_s, a_c, d_ww, rate(v_dot) - d_ww), (ref.v, ref.e[:, 0], ref.h[:, 0], ref.e[:, 1:] @ v_dot)
+    got = (v_s, a_c, d_ww, np.subtract(rate(v_dot), d_ww))
+    return tuple(np.array(x) for x in got), (ref.v, ref.e[:, 0], ref.h[:, 0], ref.e[:, 1:] @ v_dot)
 
 
 def _assert_rel(got, ref, rtol=1e-9):
@@ -385,7 +386,7 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     far = GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)
     # 1e-10 m off the center: inside the guard
-    on_top = MovingObstacle.constant_velocity(st.r + [1e-10, 0.0, 0.0], [10.0, 0.0, 0.0], 30.0)
+    on_top = MovingObstacle.constant_velocity(np.add(st.r, [1e-10, 0.0, 0.0]), [10.0, 0.0, 0.0], 30.0)
     parked = GoalTrajectory.linear([0.0, 0.0, 0.0], r0=st.r)
     cases = [
         (EAST_GOAL, [on_top, far], 0.0, CoincidentPosition, "within 1e-09 m of obstacle center"),
