@@ -6,6 +6,9 @@ through the last row of the inverse acceleration map.  Penalizing the
 gap between the safe and the actual turn rate produces a barrier whose
 rate depends on the roll channel, so the outer input filter
 (:func:`~fwrta.filters.filter_input`) can command all three inputs.
+Both decays are linear, ``gamma_e h_e`` and ``gamma h_b``, and
+:func:`rta_backstepping` returns ``h_b`` with the outer filter's
+:class:`~fwrta.filters.FilterResult`.
 
 The barrier reads the state through the plain-float frame of
 :class:`~fwrta.model.TrackContext` it is given, the one the tracking
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from .constraints import ConstraintSet, compose_along, compose_members
 from .dual import ZERO3, dot3
 from .extended import member_extended_terms
-from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
+from .filters import FilterResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
 from .model import ControlInput, TrackContext
 
 
@@ -38,14 +41,16 @@ class BacksteppingParams:
     """Gains for the acceleration filter, the penalty and the outer filter."""
 
     gamma_p: float
-    alpha_e: ClassKappaLinear
+    gamma_e: float
     W_e: WeightFactor
     nu_e: float
     mu_e: float
-    alpha: ClassKappaLinear
+    gamma: float
     W: WeightFactor
 
     def __post_init__(self):
+        if not (self.gamma_e > 0.0 and self.gamma > 0.0):
+            raise ValueError("gamma must be positive")
         if not (self.gamma_p > 0.0 and self.nu_e > 0.0 and self.mu_e > 0.0):
             raise ValueError("gamma_p, nu_e and mu_e must be positive")
 
@@ -58,10 +63,11 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dir
     h_e, *g, dt, _, w = compose_members(terms, cset.kappa)
     gr = g[:3]
     # barrier rate at zero acceleration plus decay
-    a_e = dot3(gr, v) + dt + p.alpha_e(h_e)
+    a_e = dot3(gr, v) + dt + p.gamma_e * h_e
     W_e = p.W_e
     b = W_e.apply_t(g[3:])
-    a_s, lam, bn2 = filter_step(ZERO3, a_e, b, W_e.apply, p.nu_e)
+    res = filter_step(ZERO3, a_e, b, W_e.apply, p.nu_e)
+    a_s, lam, bn2 = res.u, res.lam, res.bn2
     R_s = dot3(ctx.c1, a_s) / ctx.V_T
     gap = R_s - ctx.R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
@@ -76,7 +82,7 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dir
     out = []
     for (_, dv, _), c in zip(dirs, comp):
         # a_e', b' = W_e^T gv' and |b|', then a_s' = lam' W_e b + lam W_e b'
-        a_e_o = dot3(v, c[1:4]) + dot3(gr, dv) + c[7] + p.alpha_e(c[0])
+        a_e_o = dot3(v, c[1:4]) + dot3(gr, dv) + c[7] + p.gamma_e * c[0]
         b_o = W_e.apply_t(c[4:7])
         lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, a_e_o, dot3(b, b_o) / b_norm)
         out.append((c[0], [lam_o * x + lam * y for x, y in zip(W_b, W_e.apply(b_o))]))
@@ -108,12 +114,15 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
 
 def rta_backstepping(
     ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, p: BacksteppingParams, smooth_nu: float | None = None
-) -> RtaResult:
-    """Filter the desired input against the penalized barrier at the frame's ``(x, t)``.
+) -> tuple[float, FilterResult]:
+    """Filter the desired input against the penalized barrier at the frame's ``(x, t)``;
+    returns ``h_b`` and the filter's result, its ``u`` a :class:`ControlInput`.
 
     The constraint row is the barrier's rate along the input columns;
     its roll entry is generically nonzero, so all three channels
     participate.
     """
     _, hb, drift, row = _affine_terms(ctx, cset, p)
-    return filter_input(u_d, hb, drift, row, p, smooth_nu)
+    res = filter_input(u_d, hb, drift, row, p, smooth_nu)
+    res.u = ControlInput(*res.u)
+    return hb, res

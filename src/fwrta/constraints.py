@@ -30,6 +30,14 @@ from .errors import CoincidentPosition
 COINCIDENT_TOL = 1e-9  # m
 
 
+def finite_vec3(x, name: str) -> list:
+    """``x`` as a float 3-list; raises ``ValueError`` unless it holds exactly three finite numbers."""
+    a = np.asarray(x, dtype=float)
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be 3 finite numbers")
+    return a.tolist()
+
+
 @dataclass(frozen=True)
 class MovingObstacle:
     """Spherical keep-out region around a moving point.
@@ -49,8 +57,8 @@ class MovingObstacle:
 
     @classmethod
     def constant_velocity(cls, center, velocity, rho: float) -> "MovingObstacle":
-        c = np.asarray(center, dtype=float).tolist()
-        v = tuple(np.asarray(velocity, dtype=float).tolist())
+        c = finite_vec3(center, "obstacle center")
+        v = tuple(finite_vec3(velocity, "obstacle velocity"))
 
         def traj(t: float):
             return [a + b * t for a, b in zip(c, v)], v, ZERO3
@@ -74,11 +82,13 @@ class GeofencePlane:
     p3: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
+        p = np.array(finite_vec3(self.point, "geofence point"))
+        n = np.array(finite_vec3(self.normal, "geofence normal"))
         nn = np.linalg.norm(n)
         if not nn > 0.0:
             raise ValueError("geofence normal must be nonzero")
+        if not math.isfinite(self.rho):
+            raise ValueError("geofence margin must be finite")
         if self.rho < 0.0:
             raise ValueError("geofence margin must be nonnegative")
         object.__setattr__(self, "point", p)

@@ -5,7 +5,10 @@ the barrier rate sees the acceleration channel; the composed extension
 drives the closed-form filter over ``(A_T, Q)``.  Roll rate ``P`` never
 enters: the extension depends on the velocity states only, so the input
 row carries a structural zero in the ``P`` slot and the filtered ``P``
-equals the desired one bit for bit.  The extension and its rate are
+equals the desired one bit for bit: :func:`rta_extended` copies it into
+the one :class:`~fwrta.model.ControlInput` it builds, and returns the
+barrier with the filter's :class:`~fwrta.filters.FilterResult`.  The
+decay is linear, ``gamma h``.  The extension and its rate are
 read from the plain-float frame :class:`~fwrta.model.TrackContext` the
 filter is given, the one the tracking controller computed the step in
 (``TrackResult.ctx``), over floats; nothing here builds a frame.
@@ -21,21 +24,23 @@ from dataclasses import dataclass
 
 from .constraints import ConstraintSet, GeofencePlane, _separation, _unit_along, compose_members, h_geofence
 from .dual import dot3
-from .filters import ClassKappaLinear, RtaResult, WeightFactor, filter_input
+from .filters import FilterResult, WeightFactor, filter_input
 from .model import ControlInput, TrackContext
 
 
 @dataclass(frozen=True)
 class ExtendedParams:
-    """Extension gain plus the outer filter's decay shape and input metric."""
+    """Extension gain plus the outer filter's decay gain and input metric."""
 
     gamma_p: float
-    alpha: ClassKappaLinear
+    gamma: float
     W: WeightFactor
 
     def __post_init__(self):
         if not self.gamma_p > 0.0:
             raise ValueError("gamma_p must be positive")
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
 
 
 def member_extended_terms(r, v, t, member, gamma_p: float, dirs=()):
@@ -104,10 +109,11 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams
 
 def rta_extended(
     ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, params: ExtendedParams, smooth_nu: float | None = None
-) -> RtaResult:
-    """Filter the desired input against the composed extended barrier at the frame's ``(x, t)``."""
+) -> tuple[float, FilterResult]:
+    """Filter the desired input against the composed extended barrier at the frame's ``(x, t)``;
+    returns the barrier ``h_e`` and the filter's result, its ``u`` a :class:`ControlInput`."""
     h, drift, row = _affine_terms(ctx, cset, params)
     res = filter_input(u_d, h, drift, row, params, smooth_nu)
     # carry the desired roll rate through verbatim (bit-exact transparency)
-    res.u = ControlInput(res.u.A_T, u_d.P, res.u.Q)
-    return res
+    res.u = ControlInput(res.u[0], u_d.P, res.u[2])
+    return h, res

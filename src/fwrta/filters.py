@@ -8,7 +8,11 @@ exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
 :func:`filter_step` is the one implementation of that step for all three
 filters, over float 3-sequences (the factor holds its matrix as float
-rows from construction on).  The smooth multiplier's first derivative
+rows from construction on), and :class:`FilterResult` its one result:
+the filtered input, the multiplier, the achieved slack and the
+no-authority flag, each computed there.  The input filters'
+:func:`filter_input` adds the linear decay ``gamma h`` to the barrier
+rate and weights the row.  The smooth multiplier's first derivative
 along a direction, :func:`lambda_smooth_rate`, is written here once: the
 backstepping barrier's rate and the model-free Taylor jet
 (:func:`fwrta.modelfree.filter_jet`) both read it.
@@ -23,20 +27,6 @@ import numpy as np
 
 from .dual import dot3
 from .model import ControlInput
-
-
-@dataclass(frozen=True)
-class ClassKappaLinear:
-    """Linear extended class-K decay shape ``alpha(r) = gamma r``."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-
-    def __call__(self, r):
-        return self.gamma * r
 
 
 @dataclass(frozen=True)
@@ -73,15 +63,19 @@ class WeightFactor:
 
 @dataclass
 class FilterResult:
-    """Filtered input plus diagnostics.
+    """One filter step's output and diagnostics.
 
-    ``slack`` is the achieved ``a + b_raw (u - u_d)``; ``infeasible`` is
-    set when the constraint row vanishes while ``a < 0`` (the filter has
-    no authority and returns the desired input unchanged).
+    ``u`` is the filtered input, ``a`` the constraint value at ``u_d``,
+    ``lam`` the multiplier and ``bn2`` the squared norm of the weighted
+    row.  ``slack`` is the achieved ``a + lam |b|^2``; ``infeasible`` is
+    set when the row vanishes while ``a < 0`` (the filter has no
+    authority and returns the desired input unchanged).
     """
 
     u: list
+    a: float
     lam: float
+    bn2: float
     slack: float
     infeasible: bool
 
@@ -131,57 +125,33 @@ def lambda_smooth_rate(a: float, b_norm: float, nu: float, a_o, b_norm_o):
     return (s1 * x_o - lam * nu * b_norm_o) / (nu * b_norm)
 
 
-def filter_step(u_d, a, b, W, nu: float | None = None):
+def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:
     """One filter step ``u = u_d + Lambda(a, |b|) W b``.
 
     ``b`` is the weighted constraint row and ``W`` a callable applying the
     factor; ``nu=None`` selects ``lambda_hard``, otherwise
-    ``lambda_smooth``.  Returns ``(u, lam, |b|^2)``, ``u`` a list; a zero
-    row returns ``u_d`` itself with ``lam = 0``.
+    ``lambda_smooth``.  ``u`` is a list; a zero row returns ``u_d``
+    itself with ``lam = 0``.
     """
     bn2 = dot3(b, b)
     if bn2 == 0.0:
-        return u_d, 0.0, bn2
-    b_norm = math.sqrt(bn2)
-    lam = lambda_hard(a, b_norm) if nu is None else lambda_smooth(a, b_norm, nu)
-    return [x + y * lam for x, y in zip(u_d, W(b))], lam, bn2
+        u, lam = u_d, 0.0
+    else:
+        b_norm = math.sqrt(bn2)
+        lam = lambda_hard(a, b_norm) if nu is None else lambda_smooth(a, b_norm, nu)
+        u = [x + y * lam for x, y in zip(u_d, W(b))]
+    return FilterResult(u, a, lam, bn2, a + lam * bn2, bn2 == 0.0 and a < 0.0)
 
 
-def apply_filter(u_d, a, b_raw, weight: WeightFactor, smooth_nu: float | None = None) -> FilterResult:
-    """Minimally adjust ``u_d`` so that ``a + b_raw (u - u_d) >= 0``.
+def filter_input(u_d: ControlInput, h: float, drift: float, row, params, smooth_nu: float | None) -> FilterResult:
+    """Filter ``u_d`` against the barrier ``h`` whose rate is ``drift + row . u``,
+    with the decay ``gamma h``.
 
-    ``a`` must already contain the barrier rate at ``u_d`` plus the
-    class-K decay; ``b_raw`` is the raw input row (before weighting).
-    ``smooth_nu=None`` selects the exact hard solution.
-    """
-    u, lam, bn2 = filter_step(u_d, a, weight.apply_t(b_raw), weight.apply, smooth_nu)
-    if bn2 == 0.0:
-        return FilterResult(u=list(u_d), lam=0.0, slack=float(a), infeasible=a < 0.0)
-    return FilterResult(u=u, lam=float(lam), slack=float(a + lam * bn2), infeasible=False)
-
-
-@dataclass
-class RtaResult:
-    """Filtered input of a barrier-based input filter, with its diagnostics.
-
-    ``h`` is the barrier the filter enforces (``h_e`` for the extended
-    filter, ``h_b`` for backstepping); ``residual``, ``lam`` and
-    ``infeasible`` are the :class:`FilterResult` slack, multiplier and flag.
-    """
-
-    u: ControlInput
-    h: float
-    residual: float
-    lam: float
-    infeasible: bool
-
-
-def filter_input(u_d: ControlInput, h: float, drift: float, row, params, smooth_nu: float | None) -> RtaResult:
-    """Filter ``u_d`` against the barrier ``h`` whose rate is ``drift + row . u``.
-
-    ``params`` supplies the decay shape ``alpha`` and the input metric ``W``.
+    ``params`` supplies the decay gain ``gamma`` and the input metric
+    ``W``; ``row`` is the raw input row, weighted here.  The result's
+    ``u`` is a float sequence, which the caller makes its one
+    :class:`ControlInput`.
     """
     u_d_vec = u_d.as_tuple()
-    a = drift + dot3(row, u_d_vec) + params.alpha(h)
-    res = apply_filter(u_d_vec, a, row, params.W, smooth_nu)
-    return RtaResult(ControlInput(*res.u), float(h), res.slack, res.lam, res.infeasible)
+    W = params.W
+    return filter_step(u_d_vec, drift + dot3(row, u_d_vec) + params.gamma * h, W.apply_t(row), W.apply, smooth_nu)

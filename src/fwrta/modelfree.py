@@ -5,6 +5,9 @@ command so the position barrier rate satisfies its decay condition with
 an extra robustness margin ``sigma |grad h|^2`` against tracking error.
 Deviations along the desired velocity are cheap, perpendicular ones cost
 ``Gamma_v`` times more (the factor ``W_v``, applied without a matrix).
+:func:`safe_velocity_from_terms` returns that step's
+:class:`~fwrta.filters.FilterResult`: the safe velocity is its ``u``, the
+achieved margin its ``slack``.
 The tracker flies the result through :func:`filter_jet`, the same step
 as a plain-float Taylor jet.  The Lyapunov-coupled monitor
 ``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
@@ -19,7 +22,7 @@ from functools import partial
 
 from . import dual as dm
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import filter_step, lambda_smooth_rate, softplus
+from .filters import FilterResult, filter_step, lambda_smooth_rate, softplus
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
@@ -37,16 +40,6 @@ class ModelFreeParams:
     def __post_init__(self):
         if not (self.gamma_p > 0.0 and self.sigma > 0.0 and self.Gamma_v > 0.0 and self.nu_v > 0.0):
             raise ValueError("all model-free parameters must be positive")
-
-
-@dataclass
-class SafeVelocityResult:
-    """Safe velocity with the filter pieces and the achieved margin."""
-
-    v_s: list
-    a_v: float
-    margin: float
-    infeasible: bool
 
 
 def _wv_apply(v_d, Gamma_v: float, z):
@@ -103,14 +96,17 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     return v_s, along
 
 
-def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> SafeVelocityResult:
-    """Filter a desired velocity (a float 3-sequence) given an already-composed barrier."""
+def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> FilterResult:
+    """Filter a desired velocity (a float 3-sequence) given an already-composed barrier.
+
+    The result's ``u`` is the safe velocity ``v_s``, ``a`` the margin-reduced
+    rate condition at ``v_d`` and ``slack`` the achieved margin.
+    """
     if math.sqrt(dm.dot3(v_d, v_d)) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
     a_v = dm.dot3(grad, v_d) + dtp + p.gamma_p * h_p_val - p.sigma * dm.dot3(grad, grad)
     W_v = partial(_wv_apply, v_d, p.Gamma_v)
-    v_s, lam, bn2 = filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
-    return SafeVelocityResult(v_s=v_s, a_v=a_v, margin=a_v + lam * bn2, infeasible=(bn2 == 0.0 and a_v < 0.0))
+    return filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

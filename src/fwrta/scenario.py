@@ -20,7 +20,7 @@ from .backstepping import BacksteppingParams, h_b
 from .constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from .errors import FwrtaError, ScenarioError
 from .extended import ExtendedParams, compose_extended_terms
-from .filters import ClassKappaLinear, WeightFactor
+from .filters import WeightFactor
 from .model import AircraftState, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, h_V
 from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, TrackingParams, track
@@ -218,7 +218,9 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
 
     sf = _section(raw, "safety_filter", "")
     try:
-        alpha = ClassKappaLinear(_num(sf, "gamma", "safety_filter."))
+        gamma = _num(sf, "gamma", "safety_filter.")
+        if not gamma > 0.0:
+            raise ValueError("gamma must be positive")
         W = WeightFactor.diagonal(_vec3(sf, "W", "safety_filter."))
     except ValueError as exc:
         raise ScenarioError(f"field 'safety_filter': {exc}") from exc
@@ -235,7 +237,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     if "extended" in raw:
         e_d = _section(raw, "extended", "")
         try:
-            extended = ExtendedParams(gamma_p=_num(e_d, "gamma_p", "extended."), alpha=alpha, W=W)
+            extended = ExtendedParams(gamma_p=_num(e_d, "gamma_p", "extended."), gamma=gamma, W=W)
         except ValueError as exc:
             raise ScenarioError(f"field 'extended': {exc}") from exc
 
@@ -247,11 +249,11 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         try:
             backstep = BacksteppingParams(
                 gamma_p=extended.gamma_p,
-                alpha_e=ClassKappaLinear(_num(b_d, "gamma_e", "backstepping.")),
+                gamma_e=_num(b_d, "gamma_e", "backstepping."),
                 W_e=WeightFactor.diagonal(_vec3(b_d, "W_e", "backstepping.")),
                 nu_e=_num(b_d, "nu_e", "backstepping."),
                 mu_e=_num(b_d, "mu_e", "backstepping."),
-                alpha=alpha,
+                gamma=gamma,
                 W=W,
             )
         except ValueError as exc:

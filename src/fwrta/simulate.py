@@ -4,8 +4,9 @@ trajectory/barrier logging, metrics and threshold checking.
 The control input is computed once per step at the step's start state
 and held over the step (zero-order hold).  Every mode tracks the goal
 command for ``u_d`` and yields the applied input, its barrier, the
-filter's slack and warning flag; one :class:`StepRecord` is built from
-them.  The state advances with the classic fourth-order step from
+filter's slack and warning flag; the filtered modes read the last two
+from the one :class:`~fwrta.filters.FilterResult` their filter returns,
+and one :class:`StepRecord` is built from them.  The state advances with the classic fourth-order step from
 :mod:`fwrta.kernels`.  The whole step runs over Python floats: the state
 travels as a float 7-tuple, the frame and every per-step formula hold
 float 3-lists, and the log's rows become arrays once, at the end of the
@@ -104,15 +105,15 @@ def make_controller(scn: Scenario):
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":
             tr = track(state, t, safe_cmd, scn.tracking, g, ctx=ctx)
-            sv = safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, tr_d.v_c, scn.mf)
+            res = safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, tr_d.v_c, scn.mf)
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
-            residual, warn = sv.margin, sv.infeasible
+            residual, warn = res.slack, res.infeasible
         else:
             if scn.mode == "extended":
-                res = rta_extended(tr_d.ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
+                h_mode, res = rta_extended(tr_d.ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
             else:
-                res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
-            u, h_mode, residual, warn = res.u, res.h, res.residual, res.infeasible
+                h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
+            u, residual, warn = res.u, res.slack, res.infeasible
         u_d, u = tr_d.u.as_tuple(), u.as_tuple()
         return StepRecord(
             u_d=u_d,

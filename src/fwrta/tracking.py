@@ -31,7 +31,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, compose_jets, member_jet
+from .constraints import ConstraintSet, compose_jets, finite_vec3, member_jet
 from .dual import ZERO3, dot3
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, filter_jet
@@ -85,8 +85,8 @@ class GoalTrajectory:
 
     @classmethod
     def linear(cls, v_g, r0=(0.0, 0.0, 0.0)) -> "GoalTrajectory":
-        v = tuple(np.asarray(v_g, dtype=float).tolist())
-        r0 = np.asarray(r0, dtype=float).tolist()
+        v = tuple(finite_vec3(v_g, "goal velocity"))
+        r0 = finite_vec3(r0, "goal start position")
         return cls(
             position=lambda t: [a + b * t for a, b in zip(r0, v)],
             velocity=lambda t: v,

@@ -5,6 +5,7 @@ import dualnum as dm
 from dual_formulas import compose_terms, filter_core, pipeline
 from fwrta import kernels
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
+from fwrta.filters import filter_step
 from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.modelfree import safe_velocity_from_terms
 from fwrta.simulate import make_controller
@@ -45,6 +46,11 @@ def desired_velocity(r, t, goal, params):
     """Goal velocity plus proportional position-error correction, ``v_g + K_r (r_g - r)``."""
     r_g, v_g, _ = goal.eval(float(t))
     return v_g + params.K_r @ (r_g - np.asarray(r, dtype=float))
+
+
+def apply_filter(u_d, a, b_raw, weight, smooth_nu=None):
+    """:func:`fwrta.filters.filter_step` of ``u_d`` against the raw row ``b_raw``, weighted by ``weight``."""
+    return filter_step(u_d, a, weight.apply_t(b_raw), weight.apply, smooth_nu)
 
 
 def safe_velocity(r, t, v_d, cset, p):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_filter,
     certificate_duals,
     desired_velocity,
     grad_h_b,
@@ -30,7 +31,7 @@ from fwrta.constraints import compose_h_p, softmin_weights
 from fwrta.export import csv_header, write_csv
 from fwrta.extended import compose_extended_terms
 from fwrta.backstepping import BacksteppingParams, h_b
-from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
+from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.modelfree import ModelFreeParams
 from fwrta.scenario import load_scenario
@@ -179,7 +180,7 @@ def test_criterion_4_modelfree_combined(fig5_run, fig6_run):
     for k in range(len(log.t)):
         r = np.array([log.x[k, 0], log.x[k, 1], 0.0])
         v_d = desired_velocity(r, log.t[k], scn.goal, scn.tracking)
-        v_s = safe_velocity(r, log.t[k], v_d, scn.cset, scn.mf).v_s
+        v_s = safe_velocity(r, log.t[k], v_d, scn.cset, scn.mf).u
         vertical_steps += int(v_s[2] != 0.0)
         passive_steps += int(log.intervening[k] and np.array_equal(v_s, v_d))
     ok_planar = log.intervening.any() and vertical_steps == 0 and passive_steps == 0
@@ -248,11 +249,11 @@ def test_criterion_6_softmin_bounds(rng):
 def _backstep_params():
     return BacksteppingParams(
         gamma_p=0.1,
-        alpha_e=ClassKappaLinear(0.1),
+        gamma_e=0.1,
         W_e=WeightFactor(np.eye(3)),
         nu_e=1.0,
         mu_e=1e-4,
-        alpha=ClassKappaLinear(0.1),
+        gamma=0.1,
         W=WeightFactor.diagonal([6.0, 0.6, 0.1]),
     )
 
@@ -260,7 +261,7 @@ def _backstep_params():
 def _a_e_of(st, cset, p):
     v = velocity(st)
     h, gr, gv, dt, _, _ = compose_extended_terms(st.r, v, 0.0, cset, p.gamma_p)
-    return float(gr @ v) + dt + p.alpha_e(h)
+    return float(gr @ v) + dt + p.gamma_e * h
 
 
 def _stratified_states(rng, n, p):
@@ -382,8 +383,8 @@ def test_criterion_7_gradient_certification(rng):
             zp, zm = z.copy(), z.copy()
             zp[k] += h_fd
             zm[k] -= h_fd
-            vp = safe_velocity(zp[:3], zp[3], desired_velocity(zp[:3], zp[3], goal, tp), cset, mf).v_s
-            vm = safe_velocity(zm[:3], zm[3], desired_velocity(zm[:3], zm[3], goal, tp), cset, mf).v_s
+            vp = safe_velocity(zp[:3], zp[3], desired_velocity(zp[:3], zp[3], goal, tp), cset, mf).u
+            vm = safe_velocity(zm[:3], zm[3], desired_velocity(zm[:3], zm[3], goal, tp), cset, mf).u
             fd_j[:, k] = np.subtract(vp, vm) / (2 * h_fd)
         worst["v_s"] = max(worst["v_s"], _rel_err(J_vs, fd_j))
 

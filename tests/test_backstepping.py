@@ -6,6 +6,7 @@ import pytest
 
 import dual_formulas as df
 from conftest import (
+    apply_filter,
     grad_h_b,
     random_constraint_set,
     random_state,
@@ -26,7 +27,7 @@ from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, comp
 from fwrta.dual import dot3
 from fwrta.errors import CoincidentPosition
 from fwrta.extended import compose_extended_terms
-from fwrta.filters import ClassKappaLinear, WeightFactor, apply_filter
+from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import ModelFreeParams
 from fwrta.scenario import load_scenario
@@ -36,11 +37,11 @@ from fwrta.tracking import SafeVelocityCommand
 def table_params(mu_e=1e-4):
     return BacksteppingParams(
         gamma_p=0.1,
-        alpha_e=ClassKappaLinear(0.1),
+        gamma_e=0.1,
         W_e=WeightFactor(np.eye(3)),
         nu_e=1.0,
         mu_e=mu_e,
-        alpha=ClassKappaLinear(0.1),
+        gamma=0.1,
         W=WeightFactor.diagonal([6.0, 0.6, 0.1]),
     )
 
@@ -84,7 +85,7 @@ class TestSafeAccel:
             cset = random_constraint_set(rng, st.r)
             h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
             v = velocity(st)
-            a_e = float(gr @ v) + dtp + p.alpha_e(h_e)
+            a_e = float(gr @ v) + dtp + p.gamma_e * h_e
             b_e = gv @ p.W_e.W
             b_norm = np.linalg.norm(b_e)
             if a_e <= 5.0 * b_norm or b_norm == 0.0:
@@ -100,7 +101,7 @@ class TestSafeAccel:
             cset = random_constraint_set(rng, st.r)
             h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
             v = velocity(st)
-            a_e = float(np.dot(gr, v)) + dtp + p.alpha_e(h_e)
+            a_e = float(np.dot(gr, v)) + dtp + p.gamma_e * h_e
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
             achieved = a_e + float(np.dot(gv, a_s))
             assert achieved >= -1e-9 * max(1.0, abs(a_e))
@@ -117,7 +118,7 @@ class TestSafeAccel:
             cset = random_constraint_set(rng, st.r)
             ctx = TrackContext(st, t, gravity)
             h_e, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
-            a_e = dot3(gr, ctx.v) + dt + p.alpha_e(h_e)
+            a_e = dot3(gr, ctx.v) + dt + p.gamma_e * h_e
             a_s, _ = safe_pieces(st, t, cset, p, gravity)
             np.testing.assert_array_equal(a_s, apply_filter(np.zeros(3), a_e, gv, p.W_e, p.nu_e).u)
             active += bool(np.linalg.norm(a_s) > 1e-3)
@@ -306,7 +307,7 @@ def softplus_arg(st, t, cset, p, g):
     """``x = -nu_e a_e / |b_e|`` of the acceleration filter's multiplier."""
     ctx = TrackContext(st, t, g)
     h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
-    return -p.nu_e * (dot3(gr, ctx.v) + dt + p.alpha_e(h)) / np.linalg.norm(gv @ p.W_e.W)
+    return -p.nu_e * (dot3(gr, ctx.v) + dt + p.gamma_e * h) / np.linalg.norm(gv @ p.W_e.W)
 
 
 class TestRta:
@@ -372,9 +373,9 @@ class TestRta:
         st = AircraftState(0.0, 0.0, 0.0, 0.05, 0.02, math.pi / 2, 160.0)
         u_d = ControlInput(0.4, -0.02, 0.01)
         ctx = TrackContext(st, 0.0, gravity)
-        res = rta_backstepping(ctx, u_d, cset, p)
+        hb, res = rta_backstepping(ctx, u_d, cset, p)
         assert res.u == u_d
-        assert res.h <= _affine_terms(ctx, cset, p)[0]
+        assert hb <= _affine_terms(ctx, cset, p)[0]
 
     def test_all_channels_respond_when_active(self, rng, gravity):
         p = table_params()
@@ -382,7 +383,7 @@ class TestRta:
         cset = ConstraintSet([plane], kappa=0.007)
         st = AircraftState(0.0, 0.0, 0.0, 0.2, 0.05, math.pi / 2, 250.0)
         u_d = ControlInput(0.0, 0.0, 0.0)
-        res = rta_backstepping(TrackContext(st, 0.0, gravity), u_d, cset, p)
+        _, res = rta_backstepping(TrackContext(st, 0.0, gravity), u_d, cset, p)
         u = res.u.as_array()
-        assert res.residual >= -1e-6
+        assert res.slack >= -1e-6
         assert np.all(u != 0.0)

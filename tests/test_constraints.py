@@ -17,6 +17,7 @@ from fwrta.constraints import (
     softmin_weights,
 )
 from fwrta.errors import CoincidentPosition
+from fwrta.tracking import GoalTrajectory
 
 TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
 TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
@@ -187,6 +188,29 @@ class TestCompose:
         cset = ConstraintSet([TABLE_OBSTACLE, TABLE_PLANE_2], kappa=0.007)
         with pytest.raises(CoincidentPosition):
             compose_h_p(np.array([-3048.0, 0.0, 0.0]), 0.0, cset)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MovingObstacle.constant_velocity([0.0, 0.0, 0.0, 5.0], [1.0, 0.0, 0.0], 10.0),
+        lambda: MovingObstacle.constant_velocity([0.0, 0.0, 0.0], [1.0, 0.0], 10.0),
+        lambda: MovingObstacle.constant_velocity([0.0, math.nan, 0.0], [1.0, 0.0, 0.0], 10.0),
+        lambda: GoalTrajectory.linear([150.0, 0.0, 0.0, 1.0]),
+        lambda: GoalTrajectory.linear([150.0, 0.0, 0.0], [0.0, math.inf, 0.0]),
+        lambda: GeofencePlane([0.0, 0.0, 0.0, 5.0], [1.0, 0.0, 0.0, 9.0], 10.0),
+        lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 9.0], 10.0),
+        lambda: GeofencePlane([math.inf, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0),
+        lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.nan),
+        lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
+    ],
+    ids=["obstacle-center-4", "obstacle-velocity-2", "obstacle-center-nan", "goal-velocity-4", "goal-start-inf",
+         "plane-4", "plane-normal-4", "plane-point-inf", "plane-margin-nan", "plane-margin-inf"],
+)
+def test_geometry_rejects_bad_vectors(build):
+    # three finite entries per vector and a finite margin, or a ValueError
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_constraint_set_validation():

@@ -14,7 +14,7 @@ from fwrta.extended import (
     member_extended_terms,
     rta_extended,
 )
-from fwrta.filters import ClassKappaLinear, WeightFactor
+from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta import kernels
 
@@ -27,7 +27,7 @@ def extended_value(r, v, t, member, gamma_p):
 
 
 def table_params():
-    return ExtendedParams(gamma_p=0.1, alpha=ClassKappaLinear(0.1), W=WeightFactor.diagonal([6.0, 0.6, 0.1]))
+    return ExtendedParams(gamma_p=0.1, gamma=0.1, W=WeightFactor.diagonal([6.0, 0.6, 0.1]))
 
 
 class TestMember:
@@ -164,19 +164,25 @@ class TestRta:
         st = AircraftState(0, 0, 0, 0.05, 0.02, 1.2, 160.0)
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
         u_d = ControlInput(0.5, -0.01, 0.02)
-        res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
+        _, res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
         assert res.u == u_d
         assert not res.infeasible
 
     def test_roll_transparency_bit_exact(self, rng, gravity):
         p = table_params()
+        active = 0
         for _ in range(200):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
             u_d = ControlInput(*rng.uniform(-5, 5, size=3))
-            res = rta_extended(TrackContext(st, float(rng.uniform(0, 10)), gravity), u_d, cset, p)
-            assert res.u.P == u_d.P
-            assert math.copysign(1.0, res.u.P) == math.copysign(1.0, u_d.P)
+            ctx = TrackContext(st, float(rng.uniform(0, 10)), gravity)
+            # signed zeros too: where the filter acts, P_d + lam * 0.0 would turn -0.0 into +0.0
+            for P_d in (u_d.P, -0.0, 0.0):
+                _, res = rta_extended(ctx, ControlInput(u_d.A_T, P_d, u_d.Q), cset, p)
+                assert res.u.P == P_d
+                assert math.copysign(1.0, res.u.P) == math.copysign(1.0, P_d)
+            active += res.lam > 0
+        assert active > 0
 
     def test_residual_nonnegative_when_feasible(self, rng, gravity):
         # hard filter: achieved rate + decay is max(a, 0) >= 0
@@ -186,9 +192,9 @@ class TestRta:
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
             u_d = ControlInput(*rng.uniform(-5, 5, size=3))
-            res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
+            _, res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
             if not res.infeasible:
-                assert res.residual >= -1e-6
+                assert res.slack >= -1e-6
             if res.lam > 0:
                 count_active += 1
         assert count_active > 0

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fwrta.filters import (
-    ClassKappaLinear,
-    WeightFactor,
-    apply_filter,
-    lambda_hard,
-    lambda_smooth,
-)
+from conftest import apply_filter
+from fwrta.backstepping import BacksteppingParams
+from fwrta.extended import ExtendedParams
+from fwrta.filters import WeightFactor, filter_input, lambda_hard, lambda_smooth
+from fwrta.model import ControlInput
 
 
 def projection_oracle(u_d, a, b_raw, W):
@@ -143,12 +141,18 @@ class TestApplyFilter:
             u_prev = u
 
 
-def test_class_kappa_linear():
-    alpha = ClassKappaLinear(0.1)
-    assert alpha(3.0) == pytest.approx(0.3)
-    assert alpha(-2.0) == pytest.approx(-0.2)
-    with pytest.raises(ValueError):
-        ClassKappaLinear(0.0)
+def test_linear_decay_gain():
+    # the input filter's decay is gamma h; every decay gain must be positive
+    W = WeightFactor(np.eye(3))
+    p = ExtendedParams(gamma_p=0.1, gamma=0.1, W=W)
+    u_d = ControlInput(0.0, 0.0, 0.0)
+    assert filter_input(u_d, 3.0, 0.0, (0.0, 0.0, 0.0), p, None).a == pytest.approx(0.3)
+    assert filter_input(u_d, -2.0, 0.0, (0.0, 0.0, 0.0), p, None).a == pytest.approx(-0.2)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        ExtendedParams(gamma_p=0.1, gamma=0.0, W=W)
+    for gamma_e, gamma in ((0.0, 0.1), (0.1, -1.0)):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            BacksteppingParams(gamma_p=0.1, gamma_e=gamma_e, W_e=W, nu_e=1.0, mu_e=1.0, gamma=gamma, W=W)
 
 
 def test_weight_factor_validation():

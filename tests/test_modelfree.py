@@ -46,7 +46,7 @@ class TestSafeVelocity:
         cset = ConstraintSet([a, b], kappa=0.007)
         v_d = np.array([0.0, 150.0, 0.0])
         out = safe_velocity(np.zeros(3), 0.0, v_d, cset, TABLE)
-        np.testing.assert_array_equal(out.v_s, v_d)
+        np.testing.assert_array_equal(out.u, v_d)
 
     def test_constraint_slack_nonnegative(self, rng):
         for _ in range(10_000):
@@ -59,10 +59,10 @@ class TestSafeVelocity:
             out = safe_velocity(r, t, v_d, cset, TABLE)
             pos = compose_h_p(r, t, cset)
             grad = np.array(pos.gradient_r)
-            rate = float(grad @ out.v_s) + pos.dt_partial
+            rate = float(grad @ out.u) + pos.dt_partial
             slack = rate + TABLE.gamma_p * pos.value - TABLE.sigma * float(grad @ grad)
-            assert slack >= -1e-9 * max(1.0, abs(out.a_v))
-            assert out.margin == pytest.approx(slack, rel=1e-9, abs=1e-9)
+            assert slack >= -1e-9 * max(1.0, abs(out.a))
+            assert out.slack == pytest.approx(slack, rel=1e-9, abs=1e-9)
 
     def test_planar_problem_keeps_zero_down_component(self, rng):
         # planar obstacle, planar fences, planar desired velocity: the
@@ -77,7 +77,7 @@ class TestSafeVelocity:
             if np.linalg.norm(v_d) < 1.0:
                 continue
             out = safe_velocity(r, float(rng.uniform(0, 20)), v_d, cset, TABLE)
-            assert out.v_s[2] == 0.0
+            assert out.u[2] == 0.0
 
     def test_zero_desired_velocity_raises(self):
         cset = ConstraintSet([GeofencePlane([0, 5000, 0], [0, -1, 0], 10.0)], kappa=0.007)
@@ -92,7 +92,7 @@ class TestSafeVelocity:
         cset = ConstraintSet([plane_mixed], kappa=0.007)
         v_d = np.array([0.0, 200.0, 0.0])
         out = safe_velocity(np.zeros(3), 0.0, v_d, cset, TABLE)
-        dv = out.v_s - v_d
+        dv = out.u - v_d
         along = abs(dv[1])
         across = abs(dv[0])
         g_ratio = 1.0  # gradient has equal components
@@ -106,8 +106,8 @@ class TestSafeVelocity:
             r = np.array([0.0, float(e_pos), 0.0])
             out = safe_velocity(r, 0.0, np.array([0.0, 180.0, 0.0]), cset, TABLE)
             if prev is not None:
-                assert np.linalg.norm(np.subtract(out.v_s, prev)) < 0.5
-            prev = out.v_s
+                assert np.linalg.norm(np.subtract(out.u, prev)) < 0.5
+            prev = out.u
 
 
 class TestMonitor:

@@ -1,11 +1,12 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import desired_velocity, safe_velocity, velocity
-from fwrta import kernels, simulate
+from fwrta import filters, kernels, simulate
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
@@ -201,6 +202,22 @@ class TestIntegrate:
         assert log.abort is not None and log.abort.startswith("NonFiniteValue")
         assert 0 < len(log.t) < 101
 
+    @pytest.mark.parametrize("name", ["fig3", "fig5"])
+    def test_non_finite_filter_output_is_an_abort(self, name, monkeypatch):
+        # the hard multiplier overflows after 50 calls: the filtered input's
+        # ControlInput stops the run with a partial log
+        scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 1.0})
+        real_lambda, calls = filters.lambda_hard, []
+
+        def overflowing_lambda(a, b_norm):
+            calls.append(a)
+            return real_lambda(a, b_norm) if len(calls) <= 50 else math.inf
+
+        monkeypatch.setattr(filters, "lambda_hard", overflowing_lambda)
+        log = integrate(scn)
+        assert log.abort == "NonFiniteValue: ControlInput.A_T must be finite"
+        assert len(log.t) == 50 and np.all(np.isfinite(log.u))
+
     def test_non_finite_state_is_an_abort(self, monkeypatch):
         # the integrator returns NaN after k good steps: the run stops before
         # the control law reads that state, with the k + 1 finite states logged
@@ -243,16 +260,15 @@ class TestStepRecord:
             tr = track(st, 0.0, SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf), scn.tracking, g)
             sv = safe_velocity(st.r, 0.0, desired_velocity(st.r, 0.0, scn.goal, scn.tracking), scn.cset, scn.mf)
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
-            residual, warn = sv.margin, sv.infeasible
+            residual, warn = sv.slack, sv.infeasible
         else:
             ctx = TrackContext(st, 0.0, g)
             if scn.mode == "extended":
-                res = rta_extended(ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
-                h_mode = res.h
+                h_mode, res = rta_extended(ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
             else:
-                res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
+                _, res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
                 h_mode = h_b(ctx, scn.cset, scn.backstep)
-            u, residual, warn = res.u, res.residual, res.infeasible
+            u, residual, warn = res.u, res.slack, res.infeasible
         np.testing.assert_array_equal(rec.u_d, tr_d.u.as_array())
         np.testing.assert_array_equal(rec.u, u.as_array())
         assert (rec.h_p, rec.h_members) == (pos.value, tuple(pos.per_constraint))
@@ -439,6 +455,20 @@ class TestCli:
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(raw))
         assert cli_main(["check", "--scenario", str(src)]) == 2
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "base, path",
+        [(name, ("safety_filter", "gamma")) for name in ("fig3", "fig4", "fig5", "fig6", "step_offset")]
+        + [("fig5", ("backstepping", "gamma_e"))],
+    )
+    def test_decay_gain_must_be_positive(self, base, path, value, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path(base).read_text())
+        raw[path[0]][path[1]] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        assert cli_main(["check", "--scenario", str(src)]) == 2
+        assert f"field '{path[0]}': gamma must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [5, None], ids=repr)
     @pytest.mark.parametrize(

@@ -359,9 +359,9 @@ def test_safe_command_jet_matches_curvature_oracle(rng):
         members = [_member_near(rng, m, st.r, t, v_d) for m in kinds[kind]]
         cmd = SafeVelocityCommand(goal, TABLE, ConstraintSet(members, float(rng.uniform(0.004, 0.05))), mf)
         plain = safe_velocity(st.r, t, v_d, cmd.cset, mf)
-        if np.linalg.norm(plain.v_s - v_d) < 1e-3 * np.linalg.norm(v_d):
+        if np.linalg.norm(plain.u - v_d) < 1e-3 * np.linalg.norm(v_d):
             continue  # the filter barely acts here
-        seen[(kind, plain.a_v < 0.0)] += 1  # a_v < 0: softplus argument positive
+        seen[(kind, plain.a < 0.0)] += 1  # a_v < 0: softplus argument positive
         _assert_rel(*_jet_and_oracle(cmd, st, t, rng.normal(size=3) * 10.0))
     assert sum(seen.values()) >= 200
 
