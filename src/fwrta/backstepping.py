@@ -16,10 +16,12 @@ controller computed the step in (``TrackResult.ctx``): ``(r, v, t)``,
 the rotation column ``c1``, the turn rate ``R`` and the speed, all
 plain floats.  No function here builds a frame.  Its rate along the
 dynamics splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain is differentiated
-in closed form over floats, stage by stage (extended members, softmin,
-softplus filter step), along each of the three directions that move
-``(r, v, t)``: the drift ``(v, V R c1, 1)`` and the ``A_T`` and ``Q``
-columns ``(0, c0, 0)`` and ``(0, -V c2, 0)``.  The frame's own rates are
+in closed form over floats, stage by stage (the extended members' Taylor
+jets from :func:`~fwrta.constraints.member_jet`, softmin, softplus filter
+step), along each of the three directions that move ``(r, v, t)``, each a
+pair ``(dv, tau)`` moving it by ``(tau v, dv, tau)``: the drift
+``(V R c1, 1)`` and the ``A_T`` and ``Q`` columns ``(c0, 0)`` and
+``(-V c2, 0)``.  The frame's own rates are
 closed form too: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn
 rate's, so the roll rate ``P`` enters only through them.
 """
@@ -56,8 +58,8 @@ class BacksteppingParams:
 
 
 def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dirs=()):
-    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)`` and, for each of ``dirs`` (see
-    :func:`~fwrta.extended.member_extended_terms`), ``(h_e', a_s')``, or ``None``."""
+    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)`` and, for each of ``dirs``, ``(dv, tau)``
+    pairs (see :func:`~fwrta.extended.member_extended_terms`), ``(h_e', a_s')``."""
     v = ctx.v
     terms, tangents = zip(*(member_extended_terms(ctx.r, v, ctx.t, m, p.gamma_p, dirs) for m in cset.members))
     h_e, *g, dt, _, w = compose_members(terms, cset.kappa)
@@ -71,8 +73,6 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dir
     R_s = dot3(ctx.c1, a_s) / ctx.V_T
     gap = R_s - ctx.R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
-    if not dirs:
-        return (h_e, a_s, R_s, h_b), None
     comp = [compose_along(terms, tg, w, cset.kappa) for tg in zip(*tangents)]
     if bn2 == 0.0:
         # a zero row is the step's no-authority branch: a_s = 0, taken as constant
@@ -80,7 +80,7 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dir
     b_norm = math.sqrt(bn2)
     W_b = W_e.apply(b)
     out = []
-    for (_, dv, _), c in zip(dirs, comp):
+    for (dv, _), c in zip(dirs, comp):
         # a_e', b' = W_e^T gv' and |b|', then a_s' = lam' W_e b + lam W_e b'
         a_e_o = dot3(v, c[1:4]) + dot3(gr, dv) + c[7] + p.gamma_e * c[0]
         b_o = W_e.apply_t(c[4:7])
@@ -98,8 +98,8 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
     """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V, R = ctx.V_T, ctx.R
-    # directions (drift, A_T, Q) of (r, v, t); P moves neither r nor v
-    dirs = ((ctx.v, [(V * R) * x for x in c1], 1.0), (ZERO3, c0, 0.0), (ZERO3, [-V * x for x in c2], 0.0))
+    # directions (drift, A_T, Q) as (dv, tau) pairs; P moves neither r nor v
+    dirs = (([(V * R) * x for x in c1], 1.0), (c0, 0.0), ([-V * x for x in c2], 0.0))
     (h_e, a_s, R_s, hb), ((he_f, as_f), (he_a, as_a), (he_q, as_q)) = _pipeline(ctx, cset, p, dirs)
     # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
     # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T

@@ -14,6 +14,9 @@ a time, a tangent being one flat list:
 :func:`compose_along` is the softmin's first-order tangent (both the
 backstepping rate and the model-free jets read it), and
 :func:`member_jet` and :func:`compose_jets` the Taylor jets along a line.
+:func:`member_jet` is the one source of the members' derivatives in all
+three filters: the model-free jets compose it, and the velocity-extended
+member of the other two is its first order, with its rate the next.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class MovingObstacle:
     def __post_init__(self):
         if not self.rho > 0.0:
             raise ValueError("obstacle radius must be positive")
+        if not math.isfinite(self.rho):
+            raise ValueError("obstacle radius must be finite")
 
     @classmethod
     def constant_velocity(cls, center, velocity, rho: float) -> "MovingObstacle":
@@ -113,6 +118,8 @@ class ConstraintSet:
             raise ValueError("constraint set must be non-empty")
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
         object.__setattr__(self, "members", tuple(self.members))
 
 

@@ -12,17 +12,19 @@ decay is linear, ``gamma h``.  The extension and its rate are
 read from the plain-float frame :class:`~fwrta.model.TrackContext` the
 filter is given, the one the tracking controller computed the step in
 (``TrackResult.ctx``), over floats; nothing here builds a frame.
-:func:`member_extended_terms` also gives, on request, its outputs'
-first derivatives along given directions of ``(r, v, t)``, in closed
-form over floats, one flat list per direction; the backstepping
-barrier's rate is built on them, and this mode asks for none.
+Each member's extension is the first order of its Taylor jet along
+``(v, 1)``, read from :func:`~fwrta.constraints.member_jet`; on request
+:func:`member_extended_terms` also gives its outputs' first derivatives
+along ``(dv, tau)`` pairs from the jet's next order, one flat float list
+per pair.  The backstepping barrier's rate is built on them, and this
+mode asks for none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, GeofencePlane, _separation, _unit_along, compose_members, h_geofence
+from .constraints import ConstraintSet, compose_members, member_jet
 from .dual import dot3
 from .filters import FilterResult, WeightFactor, filter_input
 from .model import ControlInput, TrackContext
@@ -45,44 +47,32 @@ class ExtendedParams:
 
 def member_extended_terms(r, v, t, member, gamma_p: float, dirs=()):
     """``[value, *d/dr, *d/dv, explicit d/dt]`` of one extended member, and
-    their first derivatives along ``dirs``, each ``(dr, dv, dt)``.
+    their first derivatives along ``dirs``, each a pair ``(dv, tau)``.
 
     Returns ``(terms, tangents)``: the entries as one flat float list and,
     one such list per direction, their derivatives (``[]`` without
-    ``dirs``).  An obstacle's derivatives move through those of
-    ``q = |r - r_i|``, the unit vector ``n``, ``rel = v - v_i`` and
-    ``n . rel``; ``r_i`` moves with ``v_i`` and ``v_i`` with ``a_i`` (jerk
-    taken as zero).
+    ``dirs``).  The extension ``h + h'/gamma_p`` is the first order of the
+    member's Taylor jet along ``(v, 1)`` (:func:`~fwrta.constraints.member_jet`),
+    so by the symmetry of mixed partials its gradient in ``r`` is
+    ``n + n'/gamma_p`` and its explicit time-partial ``d + d'/gamma_p``.  A
+    pair moves ``(r, v, t)`` by ``(tau v, dv, tau)``: the entries move by
+    ``tau`` times the jet's next order, plus the jet's ``along(dv)/gamma_p``
+    through the velocity.
     """
     inv_g = 1.0 / gamma_p
-    if isinstance(member, GeofencePlane):
-        n = member.n3
-        terms = [h_geofence(r, member) + inv_g * dot3(n, v), *n, *(x * inv_g for x in n), 0.0]
-        return terms, [[dot3(n, dr) + inv_g * dot3(n, dv)] + [0.0] * 7 for dr, dv, _ in dirs]
-    diff, q, v_i, a_i = _separation(r, t, member)
-    n = [x / q for x in diff]
-    rel = [a - b for a, b in zip(v, v_i)]
-    n_rel = dot3(n, rel)
-    h = q - member.rho + inv_g * n_rel
-    # (I - n n^T) z / q terms from differentiating the unit vector
-    perp = [a - b * n_rel for a, b in zip(rel, n)]
-    k = inv_g / q
-    n_vi = dot3(n, v_i)
-    n_ai = dot3(n, a_i)
-    x = dot3(v_i, rel) - n_vi * n_rel
-    dt = -n_vi + inv_g * (-x / q - n_ai)
-    terms = [h, *(a + b * k for a, b in zip(n, perp)), *(a * inv_g for a in n), dt]
+    (h0, h1, h2), (n0, n1, n2), (d0, d1, d2), along = member_jet(r, t, v, member)
+    terms = [h0 + h1 * inv_g, n0[0] + n1[0] * inv_g, n0[1] + n1[1] * inv_g, n0[2] + n1[2] * inv_g,
+             n0[0] * inv_g, n0[1] * inv_g, n0[2] * inv_g, d0 + d1 * inv_g]
+    if not dirs:
+        return terms, []
+    # the entries' rate along (v, 1), from the jet's next order
+    e_h, e_rx, e_ry, e_rz = h1 + h2 * inv_g, n1[0] + n2[0] * inv_g, n1[1] + n2[1] * inv_g, n1[2] + n2[2] * inv_g
+    e_vx, e_vy, e_vz, e_t = n1[0] * inv_g, n1[1] * inv_g, n1[2] * inv_g, d1 + d2 * inv_g
     tangents = []
-    for dr, dv, dtau in dirs:
-        q_o, n_o = _unit_along(n, q, [a - b * dtau for a, b in zip(dr, v_i)])
-        rel_o = [a - b * dtau for a, b in zip(dv, a_i)]
-        n_rel_o = dot3(rel, n_o) + dot3(n, rel_o)
-        n_vi_o = dot3(v_i, n_o) + n_ai * dtau
-        x_o = dot3(a_i, rel) * dtau + dot3(v_i, rel_o) - n_vi_o * n_rel - n_vi * n_rel_o
-        grad_r_o = [a + (b - a * n_rel - c * n_rel_o - d * (q_o / q)) * k
-                    for a, b, c, d in zip(n_o, rel_o, n, perp)]
-        dt_o = -n_vi_o + inv_g * ((x * q_o / q - x_o) / q - dot3(a_i, n_o))
-        tangents.append([q_o + inv_g * n_rel_o, *grad_r_o, *(a * inv_g for a in n_o), dt_o])
+    for dv, tau in dirs:
+        h_v, n_x, n_y, n_z, d_v = along(dv)
+        tangents.append([tau * e_h + h_v * inv_g, tau * e_rx + n_x * inv_g, tau * e_ry + n_y * inv_g,
+                         tau * e_rz + n_z * inv_g, tau * e_vx, tau * e_vy, tau * e_vz, tau * e_t + d_v * inv_g])
     return terms, tangents
 
 

@@ -40,7 +40,6 @@ NUMERIC_CHECKS = (
     "max_final_pos_err",
 )
 FLAG_CHECKS = ("p_transparent", "no_warnings", "allow_abort")
-CHECK_KEYS = NUMERIC_CHECKS + FLAG_CHECKS
 # the fields each object may hold; the sections of every mode are accepted
 SECTIONS = {
     "initial_state": ("n", "e", "d", "phi", "theta", "psi", "V_T"),

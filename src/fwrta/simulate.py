@@ -29,7 +29,7 @@ from .errors import FwrtaError, ScenarioError
 from .extended import rta_extended
 from .model import AircraftState, TrackContext
 from .modelfree import h_V, safe_velocity_from_terms
-from .scenario import MAX_SWEEP_STEPS, Scenario
+from .scenario import MAX_SWEEP_STEPS, Scenario, scenario_from_dict
 from .tracking import GoalCommand, SafeVelocityCommand, track
 
 
@@ -213,21 +213,8 @@ def metrics_from_log(log: TrajectoryLog, scn: Scenario) -> Metrics:
     )
 
 
-def _as_scenario(source) -> Scenario:
-    if isinstance(source, Scenario):
-        return source
-    from .scenario import load_scenario
-
-    return load_scenario(source)
-
-
-def run_scenario(source):
-    """Integrate and summarize; returns ``(log, metrics)``.
-
-    ``source`` may be a loaded :class:`Scenario`, a file path, or a
-    bundled scenario name.
-    """
-    scn = _as_scenario(source)
+def run_scenario(scn: Scenario):
+    """Integrate and summarize; returns ``(log, metrics)``."""
     log = integrate(scn)
     return log, metrics_from_log(log, scn)
 
@@ -313,14 +300,8 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
     return out
 
 
-def sweep(source, param: str, lo: float, hi: float, steps: int):
-    """Run the scenario across a parameter range; returns metric rows.
-
-    ``source`` may be a raw scenario dict, a path, or a bundled name.
-    """
-    from .scenario import scenario_from_dict
-
-    scn_raw = source if isinstance(source, dict) else _as_scenario(source).raw
+def sweep(scn_raw: dict, param: str, lo: float, hi: float, steps: int):
+    """Run the raw scenario dict across a parameter range; returns metric rows."""
     if steps < 2:
         raise ScenarioError("sweep needs at least 2 steps")
     if steps > MAX_SWEEP_STEPS:

@@ -203,12 +203,15 @@ class TestCompose:
         lambda: GeofencePlane([math.inf, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0),
         lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.nan),
         lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
+        lambda: MovingObstacle.constant_velocity([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
+        lambda: ConstraintSet([GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0)], kappa=math.inf),
     ],
     ids=["obstacle-center-4", "obstacle-velocity-2", "obstacle-center-nan", "goal-velocity-4", "goal-start-inf",
-         "plane-4", "plane-normal-4", "plane-point-inf", "plane-margin-nan", "plane-margin-inf"],
+         "plane-4", "plane-normal-4", "plane-point-inf", "plane-margin-nan", "plane-margin-inf",
+         "obstacle-radius-inf", "kappa-inf"],
 )
 def test_geometry_rejects_bad_vectors(build):
-    # three finite entries per vector and a finite margin, or a ValueError
+    # three finite entries per vector, a finite margin, radius and kappa, or a ValueError
     with pytest.raises(ValueError):
         build()
 

@@ -198,3 +198,48 @@ class TestRta:
             if res.lam > 0:
                 count_active += 1
         assert count_active > 0
+
+
+def oracle_members(rng, r):
+    """An obstacle with nonzero acceleration, a constant-velocity obstacle and a plane near ``r``."""
+    c, v0, a = r + rng.uniform(300.0, 900.0, 3), rng.uniform(-100.0, 100.0, 3), rng.uniform(-8.0, 8.0, 3)
+
+    def traj(s):
+        return c + v0 * s + (0.5 * s * s) * a, v0 + a * s, a
+
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    return [
+        MovingObstacle(traj, 30.0),
+        MovingObstacle.constant_velocity(r - rng.uniform(300.0, 900.0, 3), rng.uniform(-100.0, 100.0, 3), 40.0),
+        GeofencePlane(r + n * rng.uniform(200.0, 900.0), -n, 10.0),
+    ]
+
+
+def seed_rate(x):
+    """Derivative along the one dual seed, zeros for a constant."""
+    return x.e[..., 0] if isinstance(x, dm.Dual) else np.zeros(np.shape(x))
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 0.5])
+def test_member_tangents_match_dual_oracle(rng, tau):
+    # a pair (dv, tau) moves (r, v, t) by (tau v, dv, tau)
+    gamma_p = 0.1
+    for _ in range(20):
+        r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
+        dirs = [(rng.uniform(-20.0, 20.0, 3).tolist(), tau) for _ in range(2)]
+        for m in oracle_members(rng, r):
+            terms, tangents = member_extended_terms(r.tolist(), v.tolist(), t, m, gamma_p, dirs)
+            want = np.concatenate([np.atleast_1d(x) for x in df.member_extended_terms(r, v, t, m, gamma_p)])
+            np.testing.assert_allclose(terms, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            assert len(tangents) == len(dirs)
+            for (dv, _), got in zip(dirs, tangents):
+                out = df.member_extended_terms(
+                    dm.Dual(r.copy(), (tau * v)[:, None]),
+                    dm.Dual(v.copy(), np.array(dv)[:, None]),
+                    dm.Dual(t, np.array([tau])),
+                    m,
+                    gamma_p,
+                )
+                want = np.concatenate([np.atleast_1d(seed_rate(x)) for x in out])
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())

@@ -237,6 +237,21 @@ class TestIntegrate:
         assert np.all(np.isfinite(log.x))
         assert metrics_from_log(log, scn).aborted
 
+    @pytest.mark.parametrize("name", ["fig3", "fig5"])
+    def test_smooth_outer_filter_end_to_end(self, name):
+        # the loader's smooth_nu reaches the outer filter: the run stays safe,
+        # its slack is nonnegative and its input is not the hard filter's
+        raw = {**load_scenario(name).raw, "t_final": 8.0}
+        hard = integrate(scenario_from_dict(raw))
+        raw["safety_filter"] = {**raw["safety_filter"], "mode": "smooth", "nu": 10.0}
+        scn = scenario_from_dict(raw)
+        assert scn.smooth_nu == 10.0
+        log = integrate(scn)
+        assert log.abort is None and hard.abort is None
+        assert log.h_mode.min() >= 0.0
+        assert log.residual.min() >= -1e-9
+        assert not np.array_equal(log.u, hard.u)
+
     def test_speed_norm_invariant_along_log(self):
         scn = scenario_from_dict(make_raw(t_final=2.0))
         log = integrate(scn)
