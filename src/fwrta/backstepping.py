@@ -73,7 +73,8 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dir
     R_s = dot3(ctx.c1, a_s) / ctx.V_T
     gap = R_s - ctx.R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
-    comp = [compose_along(terms, tg, w, cset.kappa) for tg in zip(*tangents)]
+    entries = [x[1:] for x in terms]
+    comp = [compose_along(entries, tg, w, cset.kappa) for tg in zip(*tangents)]
     if bn2 == 0.0:
         # a zero row is the step's no-authority branch: a_s = 0, taken as constant
         return (h_e, a_s, R_s, h_b), [(c[0], ZERO3) for c in comp]

@@ -13,10 +13,12 @@ velocity ``v`` is ``gradient . v + time-partial``.  Vectors are float
 a time, a tangent being one flat list:
 :func:`compose_along` is the softmin's first-order tangent (both the
 backstepping rate and the model-free jets read it), and
-:func:`member_jet` and :func:`compose_jets` the Taylor jets along a line.
+:func:`member_jet` and :func:`compose_jets` the Taylor jets along a line,
+the latter summing the weighted member jets in place.
 :func:`member_jet` is the one source of the members' derivatives in all
 three filters: the model-free jets compose it, and the velocity-extended
-member of the other two is its first order, with its rate the next.
+member of the other two is its first order (:func:`member_jet1`, on
+which it builds), with its rate the next.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dual import ZERO3, dot3, jet_add, jet_mul, jet_scale
+from .dual import ZERO3, dot3
 from .errors import CoincidentPosition
 
 COINCIDENT_TOL = 1e-9  # m
@@ -165,31 +167,46 @@ def _unit_along(n, q, d):
     return q1, [(x - y * q1) / q for x, y in zip(d, n)]
 
 
+def member_jet1(r, t, v, member: Constraint):
+    """The first order of :func:`member_jet`, on which its obstacle jet builds.
+
+    Returns ``(h, n, d, sep)``: the value's, the gradient's and the
+    time-partial's jets truncated after their first derivative along
+    ``(v, 1)``, and an obstacle's ``(q, delta, v_i, a_i)``, which the next
+    order reads (``None`` for a plane, whose jets end at this order).
+    """
+    if isinstance(member, GeofencePlane):
+        n = member.n3
+        return (h_geofence(r, member), dot3(n, v)), (n, ZERO3), (0.0, 0.0), None
+    diff, q, v_i, a_i = _separation(r, t, member)
+    n = [x / q for x in diff]
+    dl = [x - y for x, y in zip(v, v_i)]
+    q1, n1 = _unit_along(n, q, dl)
+    return (q - member.rho, q1), (n, n1), (-dot3(n, v_i), -dot3(n1, v_i) - dot3(n, a_i)), (q, dl, v_i, a_i)
+
+
 def member_jet(r, t, v, member: Constraint):
     """:func:`member_terms` as jets along ``(r + tau v, t + tau)`` (``v`` a 3-list).
 
     Returns ``(h, n, d, along)``: scalar jets of the value and time-partial,
     the gradient's vector jet, and ``along(rho)``, the flat list of their
     first derivatives along ``(rho, 0)``.  An obstacle's separation moves
-    as ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
+    as ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``; its
+    second order extends :func:`member_jet1`.
     """
     if isinstance(member, GeofencePlane):
         n = member.n3
         h = (h_geofence(r, member), dot3(n, v), 0.0)
         return h, (n, ZERO3, ZERO3), ZERO3, lambda rho: [dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
-    diff, q, v_i, a_i = _separation(r, t, member)
-    n = [x / q for x in diff]
-    dl = [x - y for x, y in zip(v, v_i)]
-    q1, n1 = _unit_along(n, q, dl)
+    (h0, q1), (n, n1), (d0, d1), (q, dl, v_i, a_i) = member_jet1(r, t, v, member)
     q2 = (dot3(dl, dl) - q1 * q1) / q - dot3(n, a_i)
     n2 = [-(x + 2.0 * y * q1 + z * q2) / q for x, y, z in zip(a_i, n1, n)]
-    d = (-dot3(n, v_i), -dot3(n1, v_i) - dot3(n, a_i), -dot3(n2, v_i) - 2.0 * dot3(n1, a_i))
 
     def along(rho):
         q1, n1 = _unit_along(n, q, rho)
         return [q1, *n1, -dot3(n1, v_i)]
 
-    return (q - member.rho, q1, q2), (n, n1, n2), d, along
+    return (h0, q1, q2), (n, n1, n2), (d0, d1, -dot3(n2, v_i) - 2.0 * dot3(n1, a_i)), along
 
 
 def softmin_weights(values, kappa: float):
@@ -231,30 +248,33 @@ def compose_members(terms, kappa: float):
     return (*out, per, w)
 
 
-def compose_along(values, tangents, weights, kappa: float):
+def compose_along(entries, tangents, weights, kappa: float):
     """First derivative of :func:`compose_members`'s outputs along one direction.
 
-    ``values`` holds, per member, its entries ``[value, *derivatives]`` as
-    one flat float list, ``tangents`` their first derivatives along the
-    direction and ``weights`` the softmin weights.  Along it
-    ``h' = sum w_i h_i'`` and ``w_i' = kappa w_i (h' - h_i')``, so an
-    averaged entry moves by ``sum w_i' c_i + w_i c_i'``.
+    ``entries`` holds, per member, its derivative entries (its flat list
+    ``[value, *derivatives]`` without the value), ``tangents`` the first
+    derivatives of the whole list along the direction and ``weights`` the
+    softmin weights.  Along it ``h' = sum w_i h_i'`` and
+    ``w_i' = kappa w_i (h' - h_i')``, so an averaged entry moves by
+    ``sum w_i' c_i + w_i c_i'``.
     """
-    if len(values) == 1:
+    if len(entries) == 1:
         return tangents[0]
     h_o = sum(w * d[0] for w, d in zip(weights, tangents))
     w_o = [kappa * w * (h_o - d[0]) for w, d in zip(weights, tangents)]
-    out = [0.0] * len(values[0])
-    for c, d, w, x in zip(values, tangents, weights, w_o):
-        out = [a + (x * y + w * z) for a, y, z in zip(out, c, d)]
-    return [h_o] + out[1:]
+    out = [0.0] * len(entries[0])
+    for c, d, w, x in zip(entries, tangents, weights, w_o):
+        out = [a + (x * y + w * z) for a, y, z in zip(out, c, d[1:])]
+    return [h_o, *out]
 
 
 def compose_jets(jets, kappa: float):
     """:func:`compose_members` on :func:`member_jet` outputs, returned as one member's jet.
 
     Along the line ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``;
-    ``along(rho)`` composes the members' first derivatives along ``(rho, 0)``.
+    the weighted gradient and time-partial jets are summed in place, member
+    by member.  ``along(rho)`` composes the members' first derivatives
+    along ``(rho, 0)``.
     """
     if len(jets) == 1:
         return jets[0]
@@ -263,15 +283,24 @@ def compose_jets(jets, kappa: float):
     w1 = [kappa * x * (h1 - j[0][1]) for x, j in zip(w, jets)]
     h2 = sum(x * j[0][1] + y * j[0][2] for x, y, j in zip(w1, w, jets))
     w2 = [kappa * (x * (h1 - j[0][1]) + y * (h2 - j[0][2])) for x, y, j in zip(w1, w, jets)]
-    wj = list(zip(w, w1, w2))
-    g = jet_add(*(jet_scale(x, j[1]) for x, j in zip(wj, jets)))
-    d = [sum(c) for c in zip(*(jet_mul(x, j[2]) for x, j in zip(wj, jets)))]
-    values = [[j[0][0], *j[1][0], j[2][0]] for j in jets]
+    # the weight jet times the gradient's jet (a, b, c) and the time-partial's
+    # (e), added straight into each order's components in member order, so the
+    # zeroth order equals compose_members' sums
+    g0x = g0y = g0z = g1x = g1y = g1z = g2x = g2y = g2z = d0 = d1 = d2 = 0.0
+    for x0, x1, x2, (_, ((ax, ay, az), (bx, by, bz), (cx, cy, cz)), (e0, e1, e2), _) in zip(w, w1, w2, jets):
+        y1 = 2.0 * x1
+        g0x, g0y, g0z = g0x + x0 * ax, g0y + x0 * ay, g0z + x0 * az
+        g1x, g1y, g1z = g1x + (x1 * ax + x0 * bx), g1y + (x1 * ay + x0 * by), g1z + (x1 * az + x0 * bz)
+        g2x += x2 * ax + y1 * bx + x0 * cx
+        g2y += x2 * ay + y1 * by + x0 * cy
+        g2z += x2 * az + y1 * bz + x0 * cz
+        d0, d1, d2 = d0 + x0 * e0, d1 + (x1 * e0 + x0 * e1), d2 + (x2 * e0 + y1 * e1 + x0 * e2)
+    entries = [[*j[1][0], j[2][0]] for j in jets]
 
     def along(rho):
-        return compose_along(values, [j[3](rho) for j in jets], w, kappa)
+        return compose_along(entries, [j[3](rho) for j in jets], w, kappa)
 
-    return (h, h1, h2), g, d, along
+    return (h, h1, h2), ([g0x, g0y, g0z], [g1x, g1y, g1z], [g2x, g2y, g2z]), (d0, d1, d2), along
 
 
 def compose_h_p(r, t, cset: ConstraintSet) -> BarrierEval:

@@ -5,7 +5,9 @@ formula in ``fwrta`` holds its vectors as float 3-lists or 3-tuples and
 takes its inner products with it.  The ``jet_*`` helpers propagate
 univariate Taylor jets along one line (Griewank, Utke & Walther, Math.
 Comp. 2000): a scalar jet is ``(x, x', x'')``, a vector jet three 3-lists
-``(x, x', x'')``.
+``(x, x', x'')``.  There is no vector-jet sum: the two sums of the jet
+pass (the softmin's weighted members and the filter's ``v_s``) add
+their terms in place, in the order of the terms.
 
 Nothing at run time differentiates by evaluation: every derivative in
 ``fwrta`` is written in closed form over Python floats, one direction
@@ -48,7 +50,3 @@ def jet_scale(m, u):
     return ([m0 * x for x in u0], [m1 * x + m0 * y for x, y in zip(u0, u1)],
             [m2 * x + 2.0 * m1 * y + m0 * z for x, y, z in zip(u0, u1, u2)])
 
-
-def jet_add(*vs):
-    """Sum of vector jets."""
-    return [[sum(c) for c in zip(*rows)] for rows in zip(*vs)]

@@ -13,9 +13,10 @@ read from the plain-float frame :class:`~fwrta.model.TrackContext` the
 filter is given, the one the tracking controller computed the step in
 (``TrackResult.ctx``), over floats; nothing here builds a frame.
 Each member's extension is the first order of its Taylor jet along
-``(v, 1)``, read from :func:`~fwrta.constraints.member_jet`; on request
-:func:`member_extended_terms` also gives its outputs' first derivatives
-along ``(dv, tau)`` pairs from the jet's next order, one flat float list
+``(v, 1)``, read from :func:`~fwrta.constraints.member_jet1` alone; on
+request :func:`member_extended_terms` also gives its outputs' first
+derivatives along ``(dv, tau)`` pairs from the full
+:func:`~fwrta.constraints.member_jet`'s next order, one flat float list
 per pair.  The backstepping barrier's rate is built on them, and this
 mode asks for none.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, compose_members, member_jet
+from .constraints import ConstraintSet, compose_members, member_jet, member_jet1
 from .dual import dot3
 from .filters import FilterResult, WeightFactor, filter_input
 from .model import ControlInput, TrackContext
@@ -52,15 +53,19 @@ def member_extended_terms(r, v, t, member, gamma_p: float, dirs=()):
     Returns ``(terms, tangents)``: the entries as one flat float list and,
     one such list per direction, their derivatives (``[]`` without
     ``dirs``).  The extension ``h + h'/gamma_p`` is the first order of the
-    member's Taylor jet along ``(v, 1)`` (:func:`~fwrta.constraints.member_jet`),
-    so by the symmetry of mixed partials its gradient in ``r`` is
+    member's Taylor jet along ``(v, 1)`` (:func:`~fwrta.constraints.member_jet1`
+    without ``dirs``, :func:`~fwrta.constraints.member_jet` with them), so by
+    the symmetry of mixed partials its gradient in ``r`` is
     ``n + n'/gamma_p`` and its explicit time-partial ``d + d'/gamma_p``.  A
     pair moves ``(r, v, t)`` by ``(tau v, dv, tau)``: the entries move by
     ``tau`` times the jet's next order, plus the jet's ``along(dv)/gamma_p``
     through the velocity.
     """
     inv_g = 1.0 / gamma_p
-    (h0, h1, h2), (n0, n1, n2), (d0, d1, d2), along = member_jet(r, t, v, member)
+    if dirs:
+        (h0, h1, h2), (n0, n1, n2), (d0, d1, d2), along = member_jet(r, t, v, member)
+    else:
+        (h0, h1), (n0, n1), (d0, d1), _ = member_jet1(r, t, v, member)
     terms = [h0 + h1 * inv_g, n0[0] + n1[0] * inv_g, n0[1] + n1[1] * inv_g, n0[2] + n1[2] * inv_g,
              n0[0] * inv_g, n0[1] * inv_g, n0[2] * inv_g, d0 + d1 * inv_g]
     if not dirs:

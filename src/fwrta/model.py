@@ -117,13 +117,15 @@ class TrackContext:
     earth frame), the inertial velocity and the coordinated turn rate,
     all from sines computed once here; the vectors ``r``, ``v``, ``c0``,
     ``c1`` and ``c2`` are float 3-lists.  Construction enforces the pitch
-    guard and the speed floor.
+    guard and the speed floor.  ``goal_jet`` starts empty; the first
+    command tracked in the frame stores its goal jet there, and the
+    step's other commands on the same goal and gains read it back.
     """
 
     __slots__ = (
         "t", "r", "V_T", "g_over_V",
         "s_ph", "c_ph", "s_th", "c_th", "t_th",
-        "c0", "c1", "c2", "v", "R",
+        "c0", "c1", "c2", "v", "R", "goal_jet",
     )
 
     def __init__(self, state: AircraftState, t: float, g: GravityParam):
@@ -145,3 +147,4 @@ class TrackContext:
         self.c2 = [c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph]
         self.v = [V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th]
         self.R = self.g_over_V * s_ph * c_th
+        self.goal_jet = None

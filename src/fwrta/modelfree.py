@@ -9,7 +9,9 @@ Deviations along the desired velocity are cheap, perpendicular ones cost
 :class:`~fwrta.filters.FilterResult`: the safe velocity is its ``u``, the
 achieved margin its ``slack``.
 The tracker flies the result through :func:`filter_jet`, the same step
-as a plain-float Taylor jet.  The Lyapunov-coupled monitor
+as a plain-float Taylor jet; it splits the gradient along the desired
+velocity only, so no jet of the perpendicular part is built.  The
+Lyapunov-coupled monitor
 ``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
 closed loop and is logged, not enforced.
 """
@@ -59,39 +61,40 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     ``h``, ``grad`` and ``dtp``; ``along(u, h, g, d)`` maps their first
     derivatives along a second direction to that of ``v_s``.
 
-    With ``g = s v_d + g_perp``, ``s = g . v_d / |v_d|^2``: ``|b|^2 = s (g .
-    v_d) + |g_perp|^2 / Gamma_v`` and ``v_s = v_d + lam (s v_d + g_perp / Gamma_v)``.
+    With ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v``, the part of ``g``
+    across ``v_d`` is ``g - s v_d``, so ``|b|^2 = c |g|^2 + (1 - c) s (g . v_d)``
+    and ``v_s = v_d + lam ((1 - c) s v_d + c g)``; ``|g|^2`` is the rate
+    condition's.
     """
     P = dm.jet_dot(u, u)
     if math.sqrt(P[0]) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    gu = dm.jet_dot(g, u)
-    a = [w + x + p.gamma_p * y - p.sigma * z for w, x, y, z in zip(gu, d, h, dm.jet_dot(g, g))]
+    gu, gg = dm.jet_dot(g, u), dm.jet_dot(g, g)
+    a = [w + x + p.gamma_p * y - p.sigma * z for w, x, y, z in zip(gu, d, h, gg)]
     s = dm.jet_div(gu, P)
-    gp = dm.jet_add(g, dm.jet_scale([-x for x in s], u))
-    c2, nu = 1.0 / p.Gamma_v, p.nu_v
-    bn2 = [x + c2 * y for x, y in zip(dm.jet_mul(s, gu), dm.jet_dot(gp, gp))]
+    c, nu = 1.0 / p.Gamma_v, p.nu_v
+    c1 = 1.0 - c
+    bn2 = [c * x + c1 * y for x, y in zip(gg, dm.jet_mul(s, gu))]
     if bn2[0] == 0.0:
         return u, lambda u_o, h_o, g_o, d_o: u_o
     beta = math.sqrt(bn2[0])
     beta1 = 0.5 * bn2[1] / beta
     bj = (beta, beta1, (0.5 * bn2[2] - beta1 * beta1) / beta)
-    x = [-nu * c for c in dm.jet_div(a, bj)]
+    x = [-nu * y for y in dm.jet_div(a, bj)]
     sp, s1, s2 = softplus(x[0])
-    lam = dm.jet_div((sp, s1 * x[1], s2 * x[1] * x[1] + s1 * x[2]), [nu * c for c in bj])
-    m = dm.jet_mul(lam, s)
-    v_s = dm.jet_add(u, dm.jet_scale(m, u), dm.jet_scale([c2 * c for c in lam], gp))
-    (u0, g0, gp0), a0, gu0, s0, lam0, m0 = (u[0], g[0], gp[0]), a[0], gu[0], s[0], lam[0], m[0]
+    lam = dm.jet_div((sp, s1 * x[1], s2 * x[1] * x[1] + s1 * x[2]), [nu * y for y in bj])
+    m, k = [c1 * y for y in dm.jet_mul(lam, s)], [c * y for y in lam]
+    v_s = tuple([w + y + z for w, y, z in zip(*o)] for o in zip(u, dm.jet_scale(m, u), dm.jet_scale(k, g)))
+    u0, g0, a0, gu0, s0, lam0, m0, k0 = u[0], g[0], a[0], gu[0], s[0], lam[0], m[0], k[0]
 
     def along(u_o, h_o, g_o, d_o):
-        gu_o = dm.dot3(g_o, u0) + dm.dot3(g0, u_o)
-        a_o = gu_o + d_o + p.gamma_p * h_o - 2.0 * p.sigma * dm.dot3(g0, g_o)
+        gu_o, gg_o = dm.dot3(g_o, u0) + dm.dot3(g0, u_o), dm.dot3(g0, g_o)
+        a_o = gu_o + d_o + p.gamma_p * h_o - 2.0 * p.sigma * gg_o
         s_o = (gu_o - 2.0 * s0 * dm.dot3(u0, u_o)) / P[0]
-        gp_o = [w - s_o * y - s0 * z for w, y, z in zip(g_o, u0, u_o)]
-        beta_o = (s_o * gu0 + s0 * gu_o + 2.0 * c2 * dm.dot3(gp0, gp_o)) / (2.0 * beta)
+        beta_o = (2.0 * c * gg_o + c1 * (s_o * gu0 + s0 * gu_o)) / (2.0 * beta)
         lam_o = lambda_smooth_rate(a0, beta, nu, a_o, beta_o)
-        m_o, k_o, k0 = lam_o * s0 + lam0 * s_o, c2 * lam_o, c2 * lam0
-        return [w + m_o * y + m0 * w + k_o * z + k0 * q for w, y, z, q in zip(u_o, u0, gp0, gp_o)]
+        m_o, k_o = c1 * (lam_o * s0 + lam0 * s_o), c * lam_o
+        return [w + m_o * y + m0 * w + k_o * z + k0 * q for w, y, z, q in zip(u_o, u0, g0, g_o)]
 
     return v_s, along
 

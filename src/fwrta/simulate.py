@@ -98,7 +98,8 @@ def make_controller(scn: Scenario):
         state = AircraftState.from_array(x)
         pos = compose_h_p(state.r, t, scn.cset)
         # one frame per step: track builds it and hands it on in its result, which
-        # the input filters read; modelfree builds it here for its two tracks
+        # the input filters read; modelfree builds it here for its two tracks,
+        # which also share the goal jet the frame keeps
         ctx = TrackContext(state, t, g) if scn.mode == "modelfree" else None
         tr_d = track(state, t, goal_cmd, scn.tracking, g, ctx=ctx)
         if scn.mode == "off":

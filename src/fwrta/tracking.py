@@ -21,7 +21,10 @@ interface of :class:`VelocityCommand`).  For the model-free safe velocity
 ``v_s(r, t)`` that rate is ``D_ww v_s + J_r v_dot`` along ``w = (v, 1)``.
 Plain-float Taylor jets give it stage by stage (goal, members, softmin,
 filter): one second-order pass along ``w`` and, once ``v_dot`` is known,
-one first-order pass along ``(v_dot, 0)``.
+one first-order pass along ``(v_dot, 0)``.  The goal stage is the goal
+command's own jet, built once per frame: the first command tracked in a
+:class:`~fwrta.model.TrackContext` keeps it there, and the step's other
+commands on the same goal and gains read it back.
 """
 
 from __future__ import annotations
@@ -118,6 +121,16 @@ def _goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
     return tuple([x + dot3(k, e) for x, k in zip(c, K_r)] for c, e in ((v_g, e0), (a_g, e1), (ZERO3, a_g)))
 
 
+def _step_goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
+    """:func:`_goal_jet`, evaluated once per frame: ``ctx.goal_jet`` keeps it with
+    the goal and gain rows it was built from, and a later command of the
+    step on the same pair reads it back."""
+    memo = ctx.goal_jet
+    if memo is None or memo[0] is not goal or memo[1] is not K_r:
+        memo = ctx.goal_jet = (goal, K_r, _goal_jet(goal, K_r, ctx))
+    return memo[2]
+
+
 @dataclass(frozen=True)
 class GoalCommand:
     """Track a goal trajectory: ``v_c = v_g + K_r (r_g - r)``."""
@@ -127,7 +140,7 @@ class GoalCommand:
 
     def command_jet(self, ctx: TrackContext):
         K_r = self.params.K_r_rows
-        v_c, a_c, k_a = _goal_jet(self.goal, K_r, ctx)
+        v_c, a_c, k_a = _step_goal_jet(self.goal, K_r, ctx)
         return v_c, a_c, lambda v_dot: [x - dot3(k, v_dot) for x, k in zip(k_a, K_r)]
 
 
@@ -144,7 +157,7 @@ class SafeVelocityCommand:
         # second-order jets along w = (v, 1); the first-order pass along
         # (v_dot, 0) waits in the rate map until the tracker knows v_dot
         K_r = self.params.K_r_rows
-        v_d = _goal_jet(self.goal, K_r, ctx)
+        v_d = _step_goal_jet(self.goal, K_r, ctx)
         terms = [member_jet(ctx.r, ctx.t, ctx.v, m) for m in self.cset.members]
         h, grad, dtp, pos_along = compose_jets(terms, self.cset.kappa)
         v_s, filter_along = filter_jet(v_d, h, grad, dtp, self.mf)

@@ -5,14 +5,16 @@ import pytest
 
 import dual_formulas as df
 import dualnum as dm
-from conftest import random_constraint_set
+from conftest import random_constraint_set, seed_line
 from fwrta.constraints import (
     BarrierEval,
     ConstraintSet,
     GeofencePlane,
     MovingObstacle,
     compose_h_p,
+    compose_jets,
     h_geofence,
+    member_jet,
     member_terms,
     softmin_weights,
 )
@@ -188,6 +190,45 @@ class TestCompose:
         cset = ConstraintSet([TABLE_OBSTACLE, TABLE_PLANE_2], kappa=0.007)
         with pytest.raises(CoincidentPosition):
             compose_h_p(np.array([-3048.0, 0.0, 0.0]), 0.0, cset)
+
+
+def _member_ahead(rng, kind, r, t):
+    """An accelerating obstacle or a plane 5-150 m from ``r`` at time ``t``, so every softmin weight counts."""
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    gap = rng.uniform(5.0, 150.0)
+    if kind == "plane":
+        return GeofencePlane(r + n * (gap + 10.0), -n, 10.0)
+    c, v, a = r + n * (gap + 30.0), rng.uniform(-100.0, 100.0, 3), rng.uniform(-8.0, 8.0, 3)
+    return MovingObstacle(lambda s: ((c + v * (s - t) + 0.5 * a * (s - t) ** 2).tolist(), (v + a * (s - t)).tolist(),
+                                     a.tolist()), 30.0)
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("obstacle", "plane"), ("plane", "obstacle", "plane"), ("obstacle", "obstacle", "plane"),
+     ("plane", "obstacle", "plane", "obstacle")],
+    ids=["2", "3-one-obstacle", "3-two-obstacles", "4"],
+)
+def test_compose_jets_match_dual_oracle(rng, kinds):
+    # the summed jets and along() against the curvature Dual along w = (v, 1)
+    # and its r-Jacobian; the value orders equal compose_h_p bit for bit
+    for _ in range(25):
+        r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
+        cset = ConstraintSet([_member_ahead(rng, k, r, t) for k in kinds], float(rng.uniform(0.004, 0.05)))
+        jets = [member_jet(r.tolist(), t, v.tolist(), m) for m in cset.members]
+        h, g, d, along = compose_jets(jets, cset.kappa)
+        pos = compose_h_p(r.tolist(), t, cset)
+        assert (h[0], g[0], d[0]) == (pos.value, pos.gradient_r, pos.dt_partial)
+        rho = rng.normal(size=3) * 20.0
+        ref = df.compose_terms(*seed_line(r, t, v), cset)[:3]
+        tangent = along(rho.tolist())
+        for name, jet, dual, jet_along in (("h", h, ref[0], tangent[0]), ("grad", g, ref[1], tangent[1:4]),
+                                           ("dtp", d, ref[2], tangent[4])):
+            for part, x, y in (("first", jet[1], dual.e[..., 0]), ("second", jet[2], dual.h[..., 0]),
+                               ("along", jet_along, dual.e[..., 1:] @ rho)):
+                assert np.linalg.norm(np.subtract(x, y)) <= 1e-9 * np.linalg.norm(y), (name, part)
+        assert max(pos.weights) < 1.0 - 1e-6  # no member dominates to rounding
 
 
 @pytest.mark.parametrize(

@@ -230,6 +230,8 @@ def test_member_tangents_match_dual_oracle(rng, tau):
         dirs = [(rng.uniform(-20.0, 20.0, 3).tolist(), tau) for _ in range(2)]
         for m in oracle_members(rng, r):
             terms, tangents = member_extended_terms(r.tolist(), v.tolist(), t, m, gamma_p, dirs)
+            # the value-only call reads the jet's first order alone, to the same bits
+            assert member_extended_terms(r.tolist(), v.tolist(), t, m, gamma_p) == (terms, [])
             want = np.concatenate([np.atleast_1d(x) for x in df.member_extended_terms(r, v, t, m, gamma_p)])
             np.testing.assert_allclose(terms, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             assert len(tangents) == len(dirs)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import dual_formulas as df
+import dualnum as dm
 from conftest import random_constraint_set, safe_velocity
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.errors import InvalidGainOrdering, ZeroDesiredVelocity
-from fwrta.modelfree import ModelFreeParams, _wv_apply, h_V
+from fwrta.modelfree import ModelFreeParams, _wv_apply, filter_jet, h_V, safe_velocity_from_terms
 
 TABLE = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=4.0, nu_v=0.007)
 
@@ -108,6 +110,67 @@ class TestSafeVelocity:
             if prev is not None:
                 assert np.linalg.norm(np.subtract(out.u, prev)) < 0.5
             prev = out.u
+
+
+def _random_filter_jets(rng, p, zero_row=False):
+    """Float jets of ``(v_d, h, grad, dtp)`` along a line, their first derivatives along a
+    second direction, and the rate condition ``a`` at the line's origin, drawn from [-500, 500]."""
+    u = [(rng.normal(size=3) * s).tolist() for s in (120.0, 10.0, 5.0)]
+    g = [[0.0] * 3] * 3 if zero_row else [rng.normal(size=3).tolist(), *(rng.normal(size=(2, 3)) * 0.1).tolist()]
+    d = (rng.normal(size=3) * 50.0).tolist()
+    a = float(rng.uniform(-500.0, 500.0))
+    h0 = (a - float(np.dot(g[0], u[0])) - d[0] + p.sigma * float(np.dot(g[0], g[0]))) / p.gamma_p
+    h = [h0, *(rng.normal(size=2) * 20.0).tolist()]
+    g_o = [0.0] * 3 if zero_row else (rng.normal(size=3) * 0.1).tolist()
+    tangents = [(rng.normal(size=3) * 5.0).tolist(), float(rng.normal()) * 10.0, g_o, float(rng.normal()) * 10.0]
+    return (u, h, g, d), tangents, a
+
+
+def _filter_oracle(jets, tangents, p):
+    """``v_s`` of ``dual_formulas.filter_core`` as a curvature ``Dual``: seed 0 is the jets'
+    line (first and second order), seed 1 the direction of ``tangents``."""
+    duals = []
+    for jet, tangent in zip(jets, tangents):
+        x0, x1, x2 = (np.asarray(x, dtype=float) for x in jet)
+        e = np.stack([x1, np.asarray(tangent, dtype=float)], axis=-1)
+        duals.append(dm.Dual(x0 if x0.ndim else float(x0), e, np.stack([x2, np.zeros_like(x2)], axis=-1)))
+    u, h, g, d = duals
+    return df.filter_core(h, g, d, u, p)[0]
+
+
+@pytest.mark.parametrize("Gamma_v", [0.25, 1.0, 4.0], ids=["c-above-1", "c-1", "c-below-1"])
+def test_filter_jet_matches_terms_and_dual_oracle(rng, Gamma_v):
+    # c = 1/Gamma_v on either side of 1 and at 1, in both softplus branches:
+    # the value against safe_velocity_from_terms, the two orders and along()
+    # against the curvature Dual of dual_formulas.filter_core
+    p = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=Gamma_v, nu_v=0.007)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        (u, h, g, d), tangents, a = _random_filter_jets(rng, p)
+        seen[a < 0.0] += 1
+        v_s, along = filter_jet(u, h, g, d, p)
+        plain = safe_velocity_from_terms(h[0], g[0], d[0], u[0], p)
+        np.testing.assert_allclose(v_s[0], plain.u, rtol=1e-12, atol=1e-12 * np.linalg.norm(plain.u))
+        ref = _filter_oracle((u, h, g, d), tangents, p)
+        got = (v_s[1], v_s[2], along(*tangents))
+        for part, x, y in zip(("first", "second", "along"), got, (ref.e[:, 0], ref.h[:, 0], ref.e[:, 1])):
+            assert np.linalg.norm(np.subtract(x, y)) <= 1e-9 * np.linalg.norm(y), part
+    assert min(seen.values()) >= 15
+
+
+@pytest.mark.parametrize("Gamma_v", [0.25, 1.0, 4.0], ids=["c-above-1", "c-1", "c-below-1"])
+def test_filter_jet_zero_row_returns_the_desired_jet(rng, Gamma_v):
+    # grad = 0 along the whole line: no row, v_s is v_d's own jet and along() is the identity
+    p = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=Gamma_v, nu_v=0.007)
+    for _ in range(10):
+        (u, h, g, d), tangents, _ = _random_filter_jets(rng, p, zero_row=True)
+        v_s, along = filter_jet(u, h, g, d, p)
+        assert v_s is u
+        assert along(*tangents) == tangents[0]
+        assert safe_velocity_from_terms(h[0], g[0], d[0], u[0], p).u == u[0]
+        ref = _filter_oracle((u, h, g, d), tangents, p)
+        np.testing.assert_array_equal(ref.v, u[0])
+        np.testing.assert_array_equal(ref.e[:, 1], tangents[0])
 
 
 class TestMonitor:

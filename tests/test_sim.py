@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import desired_velocity, safe_velocity, velocity
-from fwrta import filters, kernels, simulate
+from fwrta import filters, kernels, simulate, tracking
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
@@ -296,19 +296,25 @@ class TestStepRecord:
 
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_frame_per_step(self, name, monkeypatch):
-        # the tracker and the mode's filter read one TrackContext per control step
+        # the tracker and the mode's filter read one TrackContext per control step,
+        # and the frame holds one goal jet (modelfree's two tracks share it)
         scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 2.0})
-        init = TrackContext.__init__
-        builds = []
+        init, goal_jet = TrackContext.__init__, tracking._goal_jet
+        builds, jets = [], []
 
         def counted(self, *args, **kwargs):
             builds.append(args)
             init(self, *args, **kwargs)
 
+        def counted_jet(*args):
+            jets.append(args)
+            return goal_jet(*args)
+
         monkeypatch.setattr(TrackContext, "__init__", counted)
+        monkeypatch.setattr(tracking, "_goal_jet", counted_jet)
         log = integrate(scn)
         assert log.abort is None and len(log.t) == round(2.0 / scn.dt) + 1
-        assert len(builds) == len(log.t)
+        assert len(builds) == len(jets) == len(log.t)
 
 
 class TestExport:

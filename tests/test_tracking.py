@@ -400,6 +400,24 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
             safe_velocity_seeded(cmd, st.r, t, velocity(st))
 
 
+def test_commands_sharing_a_frame_match_fresh_frames(rng, gravity):
+    # the first command tracked in a frame stores its goal jet there: a later
+    # command on the same goal and gains reads it back, one on another goal
+    # or other gains builds its own
+    mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
+    cset = ConstraintSet([GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.01)
+    other_gains = tracking_params(0.08, 0.3, 1e-5, 0.2)
+    cmds = [GoalCommand(EAST_GOAL, TABLE), SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf),
+            GoalCommand(NORTH_GOAL, TABLE), GoalCommand(NORTH_GOAL, other_gains)]
+    for _ in range(20):
+        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
+        t = float(rng.uniform(0.0, 10.0))
+        shared = TrackContext(st, t, gravity)
+        for cmd in cmds:
+            got, want = track(st, t, cmd, TABLE, gravity, ctx=shared), track(st, t, cmd, TABLE, gravity)
+            assert (got.u, got.v_c, got.a_c) == (want.u, want.v_c, want.a_c)
+
+
 def test_tracking_params_validation():
     with pytest.raises(ValueError):
         tracking_params(0.05, 0.3, -1.0, 0.2)
