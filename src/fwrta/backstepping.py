@@ -14,16 +14,17 @@ The barrier reads the state through the plain-float frame of
 :class:`~fwrta.model.TrackContext` it is given, the one the tracking
 controller computed the step in (``TrackResult.ctx``): ``(r, v, t)``,
 the rotation column ``c1``, the turn rate ``R`` and the speed, all
-plain floats.  No function here builds a frame.  Its rate along the
-dynamics splits in two.  The ``(r, v, t) -> (h_e, a_s)`` chain is differentiated
-in closed form over floats, stage by stage (the extended members' Taylor
-jets from :func:`~fwrta.constraints.member_jet`, softmin, softplus filter
-step), along each of the three directions that move ``(r, v, t)``, each a
-pair ``(dv, tau)`` moving it by ``(tau v, dv, tau)``: the drift
+plain floats, and the member jets it keeps.  No function here builds a
+frame.  Its rate along the dynamics splits in two.  The
+``(r, v, t) -> (h_e, a_s)`` chain is differentiated in closed form over
+floats, stage by stage (the members' jets extended by
+:func:`~fwrta.constraints.member_jet`, softmin, softplus filter step),
+along each of the three directions that move ``(r, v, t)``, each a pair
+``(dv, tau)`` moving it by ``(tau v, dv, tau)``: the drift
 ``(V R c1, 1)`` and the ``A_T`` and ``Q`` columns ``(c0, 0)`` and
-``(-V c2, 0)``.  The frame's own rates are
-closed form too: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn
-rate's, so the roll rate ``P`` enters only through them.
+``(-V c2, 0)``.  The frame's own rates are closed form too:
+``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn rate's, so the
+roll rate ``P`` enters only through them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, compose_along, compose_members
+from .constraints import ConstraintSet, compose_along, compose_members, frame_jets
 from .dual import ZERO3, dot3
 from .extended import member_extended_terms
 from .filters import FilterResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
@@ -61,7 +62,7 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dir
     """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)`` and, for each of ``dirs``, ``(dv, tau)``
     pairs (see :func:`~fwrta.extended.member_extended_terms`), ``(h_e', a_s')``."""
     v = ctx.v
-    terms, tangents = zip(*(member_extended_terms(ctx.r, v, ctx.t, m, p.gamma_p, dirs) for m in cset.members))
+    terms, tangents = zip(*(member_extended_terms(j, p.gamma_p, dirs) for j in frame_jets(ctx, cset)))
     h_e, *g, dt, _, w = compose_members(terms, cset.kappa)
     gr = g[:3]
     # barrier rate at zero acceleration plus decay

@@ -6,19 +6,14 @@ the positive side of a plane with margin).  Multiple members are merged
 into a single barrier value by a stabilized log-sum-exp smooth minimum
 (every member must hold, so there is no union-style smooth maximum).
 
-Each member's value, gradient and explicit time-partial come from
-:func:`member_terms` as one flat float list; the member's rate along a
-velocity ``v`` is ``gradient . v + time-partial``.  Vectors are float
-3-sequences.  Derivatives are closed form over floats, one direction at
-a time, a tangent being one flat list:
-:func:`compose_along` is the softmin's first-order tangent (both the
-backstepping rate and the model-free jets read it), and
-:func:`member_jet` and :func:`compose_jets` the Taylor jets along a line,
-the latter summing the weighted member jets in place.
-:func:`member_jet` is the one source of the members' derivatives in all
-three filters: the model-free jets compose it, and the velocity-extended
-member of the other two is its first order (:func:`member_jet1`, on
-which it builds), with its rate the next.
+Each member is evaluated once per control step: :func:`frame_jets`
+keeps its first-order Taylor jet along ``(v, 1)`` (:func:`member_jet1`)
+on the step's frame.  :func:`compose_h_p` composes their zeroth orders,
+the extended member is their first order, and :func:`member_jet`
+extends one to second order.  Vectors are float 3-sequences; tangents
+along one direction are flat float lists, composed by
+:func:`compose_along`, and :func:`compose_jets` sums the weighted
+member jets in place.
 """
 
 from __future__ import annotations
@@ -151,15 +146,6 @@ def h_geofence(r, plane: GeofencePlane):
     return dot3(plane.n3, [a - b for a, b in zip(r, plane.p3)]) - plane.rho
 
 
-def member_terms(r, t, member: Constraint):
-    """``[value, *gradient wrt position, explicit time-partial]`` of one member."""
-    if isinstance(member, GeofencePlane):
-        return [h_geofence(r, member), *member.n3, 0.0]
-    diff, q, v_i, _ = _separation(r, t, member)
-    n = [x / q for x in diff]
-    return [q - member.rho, *n, -dot3(n, v_i)]
-
-
 def _unit_along(n, q, d):
     """Rates ``(q', n')`` of the distance ``q`` and unit vector ``n`` of a
     separation moving by the 3-list ``d``: ``q' = n . d``, ``n' = (d - n q') / q``."""
@@ -168,12 +154,14 @@ def _unit_along(n, q, d):
 
 
 def member_jet1(r, t, v, member: Constraint):
-    """The first order of :func:`member_jet`, on which its obstacle jet builds.
+    """One member's jets along ``(r + tau v, t + tau)`` (``v`` a 3-list), truncated after
+    their first derivative.
 
     Returns ``(h, n, d, sep)``: the value's, the gradient's and the
-    time-partial's jets truncated after their first derivative along
-    ``(v, 1)``, and an obstacle's ``(q, delta, v_i, a_i)``, which the next
-    order reads (``None`` for a plane, whose jets end at this order).
+    time-partial's jets, and an obstacle's ``(q, delta, v_i, a_i)``, which
+    :func:`member_jet` reads (``None`` for a plane, whose jets end at this
+    order).  An obstacle's separation moves as
+    ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
     """
     if isinstance(member, GeofencePlane):
         n = member.n3
@@ -185,20 +173,27 @@ def member_jet1(r, t, v, member: Constraint):
     return (q - member.rho, q1), (n, n1), (-dot3(n, v_i), -dot3(n1, v_i) - dot3(n, a_i)), (q, dl, v_i, a_i)
 
 
-def member_jet(r, t, v, member: Constraint):
-    """:func:`member_terms` as jets along ``(r + tau v, t + tau)`` (``v`` a 3-list).
+def frame_jets(ctx, cset: ConstraintSet):
+    """:func:`member_jet1` of each member of ``cset`` at the frame, evaluated once:
+    ``ctx.members`` keeps them keyed by ``cset``."""
+    memo = ctx.members
+    if memo is None or memo[0] is not cset:
+        memo = ctx.members = (cset, [member_jet1(ctx.r, ctx.t, ctx.v, m) for m in cset.members])
+    return memo[1]
+
+
+def member_jet(jet1):
+    """The second-order extension of a :func:`member_jet1` result.
 
     Returns ``(h, n, d, along)``: scalar jets of the value and time-partial,
     the gradient's vector jet, and ``along(rho)``, the flat list of their
-    first derivatives along ``(rho, 0)``.  An obstacle's separation moves
-    as ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``; its
-    second order extends :func:`member_jet1`.
+    first derivatives along ``(rho, 0)``.  A jet that ends at the first
+    order (a plane's) has zero second order.
     """
-    if isinstance(member, GeofencePlane):
-        n = member.n3
-        h = (h_geofence(r, member), dot3(n, v), 0.0)
-        return h, (n, ZERO3, ZERO3), ZERO3, lambda rho: [dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
-    (h0, q1), (n, n1), (d0, d1), (q, dl, v_i, a_i) = member_jet1(r, t, v, member)
+    (h0, q1), (n, n1), (d0, d1), sep = jet1
+    if sep is None:
+        return (h0, q1, 0.0), (n, n1, ZERO3), (d0, d1, 0.0), lambda rho: [dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
+    q, dl, v_i, a_i = sep
     q2 = (dot3(dl, dl) - q1 * q1) / q - dot3(n, a_i)
     n2 = [-(x + 2.0 * y * q1 + z * q2) / q for x, y, z in zip(a_i, n1, n)]
 
@@ -303,7 +298,8 @@ def compose_jets(jets, kappa: float):
     return (h, h1, h2), ([g0x, g0y, g0z], [g1x, g1y, g1z], [g2x, g2y, g2z]), (d0, d1, d2), along
 
 
-def compose_h_p(r, t, cset: ConstraintSet) -> BarrierEval:
-    """Composed position barrier with weight-averaged derivatives."""
-    h, *grad, dtp, per, w = compose_members([member_terms(r, t, m) for m in cset.members], cset.kappa)
+def compose_h_p(ctx, cset: ConstraintSet) -> BarrierEval:
+    """Composed position barrier at the frame from the zeroth orders of :func:`frame_jets`."""
+    terms = [[h[0], *n[0], d[0]] for h, n, d, _ in frame_jets(ctx, cset)]
+    h, *grad, dtp, per, w = compose_members(terms, cset.kappa)
     return BarrierEval(value=h, gradient_r=grad, dt_partial=dtp, per_constraint=per, weights=w)

@@ -8,16 +8,15 @@ row carries a structural zero in the ``P`` slot and the filtered ``P``
 equals the desired one bit for bit: :func:`rta_extended` copies it into
 the one :class:`~fwrta.model.ControlInput` it builds, and returns the
 barrier with the filter's :class:`~fwrta.filters.FilterResult`.  The
-decay is linear, ``gamma h``.  The extension and its rate are
-read from the plain-float frame :class:`~fwrta.model.TrackContext` the
-filter is given, the one the tracking controller computed the step in
-(``TrackResult.ctx``), over floats; nothing here builds a frame.
-Each member's extension is the first order of its Taylor jet along
-``(v, 1)``, read from :func:`~fwrta.constraints.member_jet1` alone; on
-request :func:`member_extended_terms` also gives its outputs' first
-derivatives along ``(dv, tau)`` pairs from the full
-:func:`~fwrta.constraints.member_jet`'s next order, one flat float list
-per pair.  The backstepping barrier's rate is built on them, and this
+decay is linear, ``gamma h``.  The filter reads the plain-float frame
+:class:`~fwrta.model.TrackContext` it is given, the one the tracking
+controller computed the step in (``TrackResult.ctx``); nothing here
+builds a frame.  Each member's extension is the first order of the
+member's jet the frame keeps (:func:`~fwrta.constraints.frame_jets`).
+Given ``(dv, tau)`` pairs, :func:`member_extended_terms` also gives its
+outputs' first derivatives along them, from the jet's second-order
+extension (:func:`~fwrta.constraints.member_jet`), one flat float list
+per pair; the backstepping barrier's rate is built on them, and this
 mode asks for none.
 """
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, compose_members, member_jet, member_jet1
+from .constraints import ConstraintSet, compose_members, frame_jets, member_jet
 from .dual import dot3
 from .filters import FilterResult, WeightFactor, filter_input
 from .model import ControlInput, TrackContext
@@ -46,31 +45,29 @@ class ExtendedParams:
             raise ValueError("gamma must be positive")
 
 
-def member_extended_terms(r, v, t, member, gamma_p: float, dirs=()):
+def member_extended_terms(jet1, gamma_p: float, dirs=()):
     """``[value, *d/dr, *d/dv, explicit d/dt]`` of one extended member, and
     their first derivatives along ``dirs``, each a pair ``(dv, tau)``.
 
-    Returns ``(terms, tangents)``: the entries as one flat float list and,
-    one such list per direction, their derivatives (``[]`` without
-    ``dirs``).  The extension ``h + h'/gamma_p`` is the first order of the
-    member's Taylor jet along ``(v, 1)`` (:func:`~fwrta.constraints.member_jet1`
-    without ``dirs``, :func:`~fwrta.constraints.member_jet` with them), so by
-    the symmetry of mixed partials its gradient in ``r`` is
-    ``n + n'/gamma_p`` and its explicit time-partial ``d + d'/gamma_p``.  A
-    pair moves ``(r, v, t)`` by ``(tau v, dv, tau)``: the entries move by
-    ``tau`` times the jet's next order, plus the jet's ``along(dv)/gamma_p``
-    through the velocity.
+    ``jet1`` is the member's :func:`~fwrta.constraints.member_jet1` at
+    ``(r, t)`` along ``(v, 1)``.  Returns ``(terms, tangents)``: the entries
+    as one flat float list and, one such list per direction, their
+    derivatives (``[]`` without ``dirs``).  The extension ``h + h'/gamma_p``
+    is the jet's first order, so by the symmetry of mixed partials its
+    gradient in ``r`` is ``n + n'/gamma_p`` and its explicit time-partial
+    ``d + d'/gamma_p``.  A pair moves ``(r, v, t)`` by ``(tau v, dv, tau)``:
+    the entries move by ``tau`` times the next order of the jet's
+    :func:`~fwrta.constraints.member_jet` extension, plus its
+    ``along(dv)/gamma_p`` through the velocity.
     """
     inv_g = 1.0 / gamma_p
-    if dirs:
-        (h0, h1, h2), (n0, n1, n2), (d0, d1, d2), along = member_jet(r, t, v, member)
-    else:
-        (h0, h1), (n0, n1), (d0, d1), _ = member_jet1(r, t, v, member)
+    (h0, h1), (n0, n1), (d0, d1), _ = jet1
     terms = [h0 + h1 * inv_g, n0[0] + n1[0] * inv_g, n0[1] + n1[1] * inv_g, n0[2] + n1[2] * inv_g,
              n0[0] * inv_g, n0[1] * inv_g, n0[2] * inv_g, d0 + d1 * inv_g]
     if not dirs:
         return terms, []
     # the entries' rate along (v, 1), from the jet's next order
+    (_, _, h2), (_, _, n2), (_, _, d2), along = member_jet(jet1)
     e_h, e_rx, e_ry, e_rz = h1 + h2 * inv_g, n1[0] + n2[0] * inv_g, n1[1] + n2[1] * inv_g, n1[2] + n2[2] * inv_g
     e_vx, e_vy, e_vz, e_t = n1[0] * inv_g, n1[1] * inv_g, n1[2] * inv_g, d1 + d2 * inv_g
     tangents = []
@@ -81,11 +78,10 @@ def member_extended_terms(r, v, t, member, gamma_p: float, dirs=()):
     return terms, tangents
 
 
-def compose_extended_terms(r, v, t, cset: ConstraintSet, gamma_p: float):
-    """Composed extension with weight-averaged derivatives:
+def compose_extended_terms(jets, kappa: float, gamma_p: float):
+    """Composed extension of :func:`~fwrta.constraints.member_jet1` results, weight-averaged:
     ``(value, d/dr, d/dv, explicit d/dt, per-member values, weights)``."""
-    terms = [member_extended_terms(r, v, t, m, gamma_p)[0] for m in cset.members]
-    h, *g, dt, per, w = compose_members(terms, cset.kappa)
+    h, *g, dt, per, w = compose_members([member_extended_terms(j, gamma_p)[0] for j in jets], kappa)
     return h, g[:3], g[3:], dt, per, w
 
 
@@ -95,7 +91,7 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams
     The ``P`` entry of ``row`` is a structural zero.
     """
     v = ctx.v
-    h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, v, ctx.t, cset, params.gamma_p)
+    h, gr, gv, dt, _, _ = compose_extended_terms(frame_jets(ctx, cset), cset.kappa, params.gamma_p)
     V = ctx.V_T
     # acceleration map columns: A_T -> c0, Q -> -V c2, and the drift R -> V c1
     drift = dot3(gr, v) + dt + dot3(gv, ctx.c1) * (V * ctx.R)

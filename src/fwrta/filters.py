@@ -6,11 +6,12 @@ without an optimizer.  The metric is supplied through its factor ``W``
 and the correction is ``Lambda(a, |b|) W b^T``.  ``lambda_hard`` is the
 exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
-:func:`filter_step` is the one implementation of that step for all three
-filters, over float 3-sequences (the factor holds its matrix as float
-rows from construction on), and :class:`FilterResult` its one result:
-the filtered input, the multiplier, the achieved slack and the
-no-authority flag, each computed there.  The input filters'
+:func:`filter_step` is that step over float 3-sequences (the factor
+holds its matrix as float rows from construction on); the model-free
+filter is its closed form for the velocity weight.
+:class:`FilterResult` is the one result of all three filters: the
+filtered input, the multiplier, the achieved slack and the no-authority
+flag.  The input filters'
 :func:`filter_input` adds the linear decay ``gamma h`` to the barrier
 rate and weights the row.  The smooth multiplier's first derivative
 along a direction, :func:`lambda_smooth_rate`, is written here once: the

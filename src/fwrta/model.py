@@ -117,15 +117,15 @@ class TrackContext:
     earth frame), the inertial velocity and the coordinated turn rate,
     all from sines computed once here; the vectors ``r``, ``v``, ``c0``,
     ``c1`` and ``c2`` are float 3-lists.  Construction enforces the pitch
-    guard and the speed floor.  ``goal_jet`` starts empty; the first
-    command tracked in the frame stores its goal jet there, and the
-    step's other commands on the same goal and gains read it back.
+    guard and the speed floor.  ``goal_jet`` and ``members`` start empty
+    and keep the step's goal jet and constraint-member jets once a
+    command or :func:`~fwrta.constraints.frame_jets` has built them.
     """
 
     __slots__ = (
         "t", "r", "V_T", "g_over_V",
         "s_ph", "c_ph", "s_th", "c_th", "t_th",
-        "c0", "c1", "c2", "v", "R", "goal_jet",
+        "c0", "c1", "c2", "v", "R", "goal_jet", "members",
     )
 
     def __init__(self, state: AircraftState, t: float, g: GravityParam):
@@ -148,3 +148,4 @@ class TrackContext:
         self.v = [V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th]
         self.R = self.g_over_V * s_ph * c_th
         self.goal_jet = None
+        self.members = None

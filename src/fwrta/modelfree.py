@@ -1,30 +1,29 @@
 """Model-free velocity-level assurance (strategy 3).
 
-The smooth filter step of :mod:`fwrta.filters` bends the desired velocity
-command so the position barrier rate satisfies its decay condition with
-an extra robustness margin ``sigma |grad h|^2`` against tracking error.
+The smooth filter step bends the desired velocity command so the
+position barrier rate satisfies its decay condition with an extra
+robustness margin ``sigma |grad h|^2`` against tracking error.
 Deviations along the desired velocity are cheap, perpendicular ones cost
-``Gamma_v`` times more (the factor ``W_v``, applied without a matrix).
-:func:`safe_velocity_from_terms` returns that step's
-:class:`~fwrta.filters.FilterResult`: the safe velocity is its ``u``, the
-achieved margin its ``slack``.
-The tracker flies the result through :func:`filter_jet`, the same step
-as a plain-float Taylor jet; it splits the gradient along the desired
-velocity only, so no jet of the perpendicular part is built.  The
-Lyapunov-coupled monitor
-``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
-closed loop and is logged, not enforced.
+``Gamma_v`` times more.  That weight is never built: with
+``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v`` the part of the
+gradient ``g`` across ``v_d`` is ``g - s v_d``, so the step has a closed
+form in ``s``, ``g`` and ``v_d`` (:func:`filter_jet`).  The tracker
+flies it as a plain-float Taylor jet; :func:`safe_velocity_from_terms`
+is the jet's zeroth order, the same float operations in the same order,
+and returns it as a :class:`~fwrta.filters.FilterResult`: the safe
+velocity is its ``u``, the achieved margin its ``slack``.  The
+Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
+certifies the tracked closed loop and is logged, not enforced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import dual as dm
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import FilterResult, filter_step, lambda_smooth_rate, softplus
+from .filters import FilterResult, lambda_smooth, lambda_smooth_rate, softplus
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
@@ -42,18 +41,6 @@ class ModelFreeParams:
     def __post_init__(self):
         if not (self.gamma_p > 0.0 and self.sigma > 0.0 and self.Gamma_v > 0.0 and self.nu_v > 0.0):
             raise ValueError("all model-free parameters must be positive")
-
-
-def _wv_apply(v_d, Gamma_v: float, z):
-    """Apply the velocity-deviation weight ``W_v`` to ``z`` without a matrix.
-
-    ``W_v = P_v + (I - P_v)/sqrt(Gamma_v)``, where ``P_v`` projects onto
-    the desired velocity direction: it is symmetric, with eigenvalue ``1``
-    along ``v_d`` and ``1/sqrt(Gamma_v)`` across it.
-    """
-    inv_s = 1.0 / math.sqrt(Gamma_v)
-    k = dm.dot3(v_d, z) / dm.dot3(v_d, v_d) * (1.0 - inv_s)
-    return [x * inv_s + y * k for x, y in zip(z, v_d)]
 
 
 def filter_jet(u, h, g, d, p: ModelFreeParams):
@@ -100,16 +87,26 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
 
 
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> FilterResult:
-    """Filter a desired velocity (a float 3-sequence) given an already-composed barrier.
+    """Filter a desired velocity (a float 3-sequence) given an already-composed barrier:
+    the zeroth order of :func:`filter_jet`, bit for bit.
 
     The result's ``u`` is the safe velocity ``v_s``, ``a`` the margin-reduced
     rate condition at ``v_d`` and ``slack`` the achieved margin.
     """
-    if math.sqrt(dm.dot3(v_d, v_d)) < ZERO_VELOCITY_TOL:
+    P = dm.dot3(v_d, v_d)
+    if math.sqrt(P) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    a_v = dm.dot3(grad, v_d) + dtp + p.gamma_p * h_p_val - p.sigma * dm.dot3(grad, grad)
-    W_v = partial(_wv_apply, v_d, p.Gamma_v)
-    return filter_step(v_d, a_v, W_v(grad), W_v, p.nu_v)
+    gu, gg = dm.dot3(grad, v_d), dm.dot3(grad, grad)
+    a = gu + dtp + p.gamma_p * h_p_val - p.sigma * gg
+    s = gu / P
+    c = 1.0 / p.Gamma_v
+    c1 = 1.0 - c
+    bn2 = c * gg + c1 * (s * gu)
+    if bn2 == 0.0:
+        return FilterResult(v_d, a, 0.0, bn2, a, a < 0.0)
+    lam = lambda_smooth(a, math.sqrt(bn2), p.nu_v)
+    m, k = c1 * (lam * s), c * lam
+    return FilterResult([x + m * x + k * y for x, y in zip(v_d, grad)], a, lam, bn2, a + lam * bn2, False)
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

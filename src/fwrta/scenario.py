@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backstepping import BacksteppingParams, h_b
-from .constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
+from .constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, frame_jets
 from .errors import FwrtaError, ScenarioError
 from .extended import ExtendedParams, compose_extended_terms
 from .filters import WeightFactor
@@ -326,13 +326,13 @@ def _validate_initial_barriers(scn: Scenario) -> None:
         # the frame enforces the speed floor and the pitch guard; a start
         # at an obstacle's center lies inside it
         ctx = TrackContext(scn.x0, 0.0, scn.gravity)
-        h_p0 = compose_h_p(ctx.r, 0.0, scn.cset).value
+        h_p0 = compose_h_p(ctx, scn.cset).value
     except FwrtaError as exc:
         raise ScenarioError(f"initial_state invalid: {exc}") from exc
     if h_p0 < 0.0:
         raise ScenarioError(f"initial state violates the position barrier: h_p(0) = {h_p0:.6g}")
     if scn.mode in ("extended", "backstepping"):
-        he = compose_extended_terms(ctx.r, ctx.v, 0.0, scn.cset, scn.extended.gamma_p)[0]
+        he = compose_extended_terms(frame_jets(ctx, scn.cset), scn.cset.kappa, scn.extended.gamma_p)[0]
         if he < 0.0:
             raise ScenarioError(f"initial state violates the extended barrier: h_e(0) = {he:.6g}")
     if scn.mode == "backstepping":

@@ -3,10 +3,12 @@ trajectory/barrier logging, metrics and threshold checking.
 
 The control input is computed once per step at the step's start state
 and held over the step (zero-order hold).  Every mode tracks the goal
-command for ``u_d`` and yields the applied input, its barrier, the
-filter's slack and warning flag; the filtered modes read the last two
-from the one :class:`~fwrta.filters.FilterResult` their filter returns,
-and one :class:`StepRecord` is built from them.  The state advances with the classic fourth-order step from
+command for ``u_d`` first, then reads the position barrier and its
+filter in that track's frame, and yields the applied input, its barrier,
+the filter's slack and warning flag; the filtered modes read the last
+two from the one :class:`~fwrta.filters.FilterResult` their filter
+returns, and one :class:`StepRecord` is built from them.  The state
+advances with the classic fourth-order step from
 :mod:`fwrta.kernels`.  The whole step runs over Python floats: the state
 travels as a float 7-tuple, the frame and every per-step formula hold
 float 3-lists, and the log's rows become arrays once, at the end of the
@@ -96,12 +98,12 @@ def make_controller(scn: Scenario):
 
     def control(x, t: float) -> StepRecord:
         state = AircraftState.from_array(x)
-        pos = compose_h_p(state.r, t, scn.cset)
         # one frame per step: track builds it and hands it on in its result, which
-        # the input filters read; modelfree builds it here for its two tracks,
-        # which also share the goal jet the frame keeps
+        # the position barrier and the input filters read; modelfree builds it here
+        # for its two tracks, which also share the goal jet the frame keeps
         ctx = TrackContext(state, t, g) if scn.mode == "modelfree" else None
         tr_d = track(state, t, goal_cmd, scn.tracking, g, ctx=ctx)
+        pos = compose_h_p(tr_d.ctx, scn.cset)
         if scn.mode == "off":
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":

@@ -21,10 +21,10 @@ interface of :class:`VelocityCommand`).  For the model-free safe velocity
 ``v_s(r, t)`` that rate is ``D_ww v_s + J_r v_dot`` along ``w = (v, 1)``.
 Plain-float Taylor jets give it stage by stage (goal, members, softmin,
 filter): one second-order pass along ``w`` and, once ``v_dot`` is known,
-one first-order pass along ``(v_dot, 0)``.  The goal stage is the goal
-command's own jet, built once per frame: the first command tracked in a
-:class:`~fwrta.model.TrackContext` keeps it there, and the step's other
-commands on the same goal and gains read it back.
+one first-order pass along ``(v_dot, 0)``.  The goal and member stages
+start from the jets the step's :class:`~fwrta.model.TrackContext` keeps,
+each built once per frame: the goal command's own jet, and each
+member's first-order jet (:func:`~fwrta.constraints.frame_jets`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, compose_jets, finite_vec3, member_jet
+from .constraints import ConstraintSet, compose_jets, finite_vec3, frame_jets, member_jet
 from .dual import ZERO3, dot3
 from .model import AircraftState, ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, filter_jet
@@ -158,7 +158,7 @@ class SafeVelocityCommand:
         # (v_dot, 0) waits in the rate map until the tracker knows v_dot
         K_r = self.params.K_r_rows
         v_d = _step_goal_jet(self.goal, K_r, ctx)
-        terms = [member_jet(ctx.r, ctx.t, ctx.v, m) for m in self.cset.members]
+        terms = [member_jet(j) for j in frame_jets(ctx, self.cset)]
         h, grad, dtp, pos_along = compose_jets(terms, self.cset.kappa)
         v_s, filter_along = filter_jet(v_d, h, grad, dtp, self.mf)
 

@@ -4,7 +4,7 @@ import pytest
 import dualnum as dm
 from dual_formulas import compose_terms, filter_core, pipeline
 from fwrta import kernels
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, member_jet1
 from fwrta.filters import filter_step
 from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.modelfree import safe_velocity_from_terms
@@ -20,6 +20,18 @@ def rng():
 @pytest.fixture
 def gravity():
     return GravityParam()
+
+
+def frame_at(r, t):
+    """The :class:`TrackContext` of level flight north at 100 m/s through position ``r`` at time ``t``,
+    for the formulas that read a frame at a free position."""
+    n, e, d = (float(x) for x in r)
+    return TrackContext(AircraftState(n, e, d, 0.0, 0.0, 0.0, 100.0), float(t), GravityParam())
+
+
+def jets_at(r, t, v, cset):
+    """Each member's :func:`fwrta.constraints.member_jet1` at ``(r, t)`` along ``(v, 1)``."""
+    return [member_jet1(r, t, v, m) for m in cset.members]
 
 
 def velocity(st):
@@ -55,7 +67,7 @@ def apply_filter(u_d, a, b_raw, weight, smooth_nu=None):
 
 def safe_velocity(r, t, v_d, cset, p):
     """The model-free filter of ``v_d`` against the composed position barrier at ``(r, t)``."""
-    pos = compose_h_p(r, t, cset)
+    pos = compose_h_p(frame_at(r, t), cset)
     return safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, v_d, p)
 
 

@@ -14,8 +14,10 @@ from conftest import (
     apply_filter,
     certificate_duals,
     desired_velocity,
+    frame_at,
     grad_h_b,
     integrate_stage_controlled,
+    jets_at,
     random_constraint_set,
     random_state,
     safe_velocity,
@@ -132,7 +134,9 @@ def test_criterion_3_backstepping_combined(fig5_run):
         h_e_min = min(
             h_e_min,
             float(
-                compose_extended_terms(st.r, velocity(st), log.t[i], scn.cset, scn.backstep.gamma_p)[0]
+                compose_extended_terms(
+                    jets_at(st.r, log.t[i], velocity(st), scn.cset), scn.cset.kappa, scn.backstep.gamma_p
+                )[0]
             ),
         )
     ok = (
@@ -260,7 +264,7 @@ def _backstep_params():
 
 def _a_e_of(st, cset, p):
     v = velocity(st)
-    h, gr, gv, dt, _, _ = compose_extended_terms(st.r, v, 0.0, cset, p.gamma_p)
+    h, gr, gv, dt, _, _ = compose_extended_terms(jets_at(st.r, 0.0, v, cset), cset.kappa, p.gamma_p)
     return float(gr @ v) + dt + p.gamma_e * h
 
 
@@ -330,7 +334,7 @@ def test_criterion_7_gradient_certification(rng):
             zp[k] += h_fd
             zm[k] -= h_fd
             fd[k] = (
-                compose_h_p(zp[:3], zp[3], cset).value - compose_h_p(zm[:3], zm[3], cset).value
+                compose_h_p(frame_at(zp[:3], zp[3]), cset).value - compose_h_p(frame_at(zm[:3], zm[3]), cset).value
             ) / (2 * h_fd)
         worst["h_p"] = max(worst["h_p"], _rel_err(hp_d.e, fd))
 
@@ -351,8 +355,8 @@ def test_criterion_7_gradient_certification(rng):
             zp[k] += h_fd
             zm[k] -= h_fd
             fd7[k] = (
-                float(compose_extended_terms(zp[:3], zp[3:6], zp[6], cset, p.gamma_p)[0])
-                - float(compose_extended_terms(zm[:3], zm[3:6], zm[6], cset, p.gamma_p)[0])
+                float(compose_extended_terms(jets_at(zp[:3], zp[6], zp[3:6], cset), cset.kappa, p.gamma_p)[0])
+                - float(compose_extended_terms(jets_at(zm[:3], zm[6], zm[3:6], cset), cset.kappa, p.gamma_p)[0])
             ) / (2 * h_fd)
         worst["h_e"] = max(worst["h_e"], _rel_err(he_d.e, fd7))
 

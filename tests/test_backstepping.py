@@ -8,6 +8,7 @@ import dual_formulas as df
 from conftest import (
     apply_filter,
     grad_h_b,
+    jets_at,
     random_constraint_set,
     random_state,
     safe_velocity_seeded,
@@ -60,7 +61,7 @@ def turn_row(st, g):
 
 def h_e_at(st, cset, p):
     """Composed extension of ``st`` at ``t = 0``."""
-    return compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)[0]
+    return compose_extended_terms(jets_at(st.r, 0.0, velocity(st), cset), cset.kappa, p.gamma_p)[0]
 
 
 def canceling_planes():
@@ -83,7 +84,8 @@ class TestSafeAccel:
         for _ in range(50):
             st = random_state(rng, pos_scale=200.0)
             cset = random_constraint_set(rng, st.r)
-            h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
+            jets = jets_at(st.r, 0.0, velocity(st), cset)
+            h_e, gr, gv, dtp, _, _ = compose_extended_terms(jets, cset.kappa, p.gamma_p)
             v = velocity(st)
             a_e = float(gr @ v) + dtp + p.gamma_e * h_e
             b_e = gv @ p.W_e.W
@@ -99,7 +101,8 @@ class TestSafeAccel:
         for _ in range(200):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            h_e, gr, gv, dtp, _, _ = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)
+            jets = jets_at(st.r, 0.0, velocity(st), cset)
+            h_e, gr, gv, dtp, _, _ = compose_extended_terms(jets, cset.kappa, p.gamma_p)
             v = velocity(st)
             a_e = float(np.dot(gr, v)) + dtp + p.gamma_e * h_e
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
@@ -117,7 +120,7 @@ class TestSafeAccel:
             t = float(rng.uniform(0.0, 10.0))
             cset = random_constraint_set(rng, st.r)
             ctx = TrackContext(st, t, gravity)
-            h_e, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
+            h_e, gr, gv, dt, _, _ = compose_extended_terms(jets_at(ctx.r, t, ctx.v, cset), cset.kappa, p.gamma_p)
             a_e = dot3(gr, ctx.v) + dt + p.gamma_e * h_e
             a_s, _ = safe_pieces(st, t, cset, p, gravity)
             np.testing.assert_array_equal(a_s, apply_filter(np.zeros(3), a_e, gv, p.W_e, p.nu_e).u)
@@ -306,7 +309,7 @@ def near_constraint_set(rng, st, t, kind):
 def softplus_arg(st, t, cset, p, g):
     """``x = -nu_e a_e / |b_e|`` of the acceleration filter's multiplier."""
     ctx = TrackContext(st, t, g)
-    h, gr, gv, dt, _, _ = compose_extended_terms(ctx.r, ctx.v, t, cset, p.gamma_p)
+    h, gr, gv, dt, _, _ = compose_extended_terms(jets_at(ctx.r, t, ctx.v, cset), cset.kappa, p.gamma_p)
     return -p.nu_e * (dot3(gr, ctx.v) + dt + p.gamma_e * h) / np.linalg.norm(gv @ p.W_e.W)
 
 
@@ -356,7 +359,7 @@ class TestRta:
         center = scn.cset.members[0].trajectory(0.0)[0]
         st = dataclasses.replace(scn.x0, n=float(center[0]), e=float(center[1]), d=float(center[2]))
         with pytest.raises(CoincidentPosition) as expected:
-            compose_h_p(st.r, 0.0, scn.cset)
+            compose_h_p(TrackContext(st, 0.0, scn.gravity), scn.cset)
         with pytest.raises(CoincidentPosition) as got:
             rta_backstepping(TrackContext(st, 0.0, scn.gravity), ControlInput(0.0, 0.0, 0.0), scn.cset, scn.backstep)
         assert str(got.value) == str(expected.value)

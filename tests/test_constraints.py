@@ -5,7 +5,7 @@ import pytest
 
 import dual_formulas as df
 import dualnum as dm
-from conftest import random_constraint_set, seed_line
+from conftest import frame_at, jets_at, random_constraint_set, seed_line
 from fwrta.constraints import (
     BarrierEval,
     ConstraintSet,
@@ -15,9 +15,10 @@ from fwrta.constraints import (
     compose_jets,
     h_geofence,
     member_jet,
-    member_terms,
+    member_jet1,
     softmin_weights,
 )
+from fwrta.dual import ZERO3
 from fwrta.errors import CoincidentPosition
 from fwrta.tracking import GoalTrajectory
 
@@ -26,12 +27,12 @@ TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
 
 
 def member_value(r, t, member):
-    return member_terms(r, t, member)[0]
+    return member_jet1(r, t, ZERO3, member)[0][0]
 
 
 def member_rate(r, t, v, member):
     """Rate of the member's value along velocity ``v``: ``n . v + dt``."""
-    _, *n, dt = member_terms(r, t, member)
+    _, (n, _), (dt, _), _ = member_jet1(r, t, ZERO3, member)
     return float(np.dot(n, v)) + dt
 
 
@@ -45,7 +46,7 @@ class TestCollision:
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPosition):
-            member_terms(np.array([-3048.0, 0.0, 0.0]), 0.0, TABLE_OBSTACLE)
+            member_jet1(np.array([-3048.0, 0.0, 0.0]), 0.0, ZERO3, TABLE_OBSTACLE)
 
     def test_rate_zero_relative_velocity(self):
         v_i = np.array([121.92, 161.32, 0.0])
@@ -55,7 +56,7 @@ class TestCollision:
         for _ in range(50):
             r = rng.uniform(-1000, 1000, size=3)
             t = float(rng.uniform(0, 10))
-            n = np.array(member_terms(r, t, TABLE_OBSTACLE)[1:4])
+            n = np.array(member_jet1(r, t, ZERO3, TABLE_OBSTACLE)[1][0])
             s = float(rng.uniform(-50, 50))
             v = TABLE_OBSTACLE.trajectory(t)[1] + s * n
             assert member_rate(r, t, v, TABLE_OBSTACLE) == pytest.approx(s, rel=1e-12, abs=1e-12)
@@ -150,7 +151,7 @@ class TestSoftmin:
 class TestCompose:
     def test_single_member_identity(self):
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
-        out = compose_h_p(np.zeros(3), 0.0, cset)
+        out = compose_h_p(frame_at(np.zeros(3), 0.0), cset)
         assert isinstance(out, BarrierEval)
         assert out.value == h_geofence(np.zeros(3), TABLE_PLANE_2)
         np.testing.assert_allclose(out.gradient_r, TABLE_PLANE_2.normal, atol=1e-15)
@@ -160,7 +161,7 @@ class TestCompose:
         for _ in range(100):
             r = rng.uniform(-500, 500, size=3)
             cset = random_constraint_set(rng, r)
-            out = compose_h_p(r, float(rng.uniform(0, 20)), cset)
+            out = compose_h_p(frame_at(r, float(rng.uniform(0, 20))), cset)
             assert sum(out.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -168,14 +169,15 @@ class TestCompose:
             r = rng.uniform(-500, 500, size=3)
             t = float(rng.uniform(0, 20))
             cset = random_constraint_set(rng, r)
-            out = compose_h_p(r, t, cset)
+            out = compose_h_p(frame_at(r, t), cset)
             h = 1e-4
             for i in range(3):
                 dr = np.zeros(3)
                 dr[i] = h
-                fd = (compose_h_p(r + dr, t, cset).value - compose_h_p(r - dr, t, cset).value) / (2 * h)
+                fd = (compose_h_p(frame_at(r + dr, t), cset).value
+                      - compose_h_p(frame_at(r - dr, t), cset).value) / (2 * h)
                 assert out.gradient_r[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-            fd_t = (compose_h_p(r, t + h, cset).value - compose_h_p(r, t - h, cset).value) / (2 * h)
+            fd_t = (compose_h_p(frame_at(r, t + h), cset).value - compose_h_p(frame_at(r, t - h), cset).value) / (2 * h)
             assert out.dt_partial == pytest.approx(fd_t, rel=1e-6, abs=1e-8)
 
     def test_geofence_only_time_invariant(self, rng):
@@ -183,13 +185,13 @@ class TestCompose:
             GeofencePlane(rng.uniform(-100, 100, size=3), rng.normal(size=3), 5.0) for _ in range(3)
         ]
         cset = ConstraintSet(planes, kappa=0.01)
-        out = compose_h_p(np.array([4000.0, 0.0, 0.0]), 3.0, cset)
+        out = compose_h_p(frame_at(np.array([4000.0, 0.0, 0.0]), 3.0), cset)
         assert out.dt_partial == 0.0
 
     def test_propagates_coincident(self):
         cset = ConstraintSet([TABLE_OBSTACLE, TABLE_PLANE_2], kappa=0.007)
         with pytest.raises(CoincidentPosition):
-            compose_h_p(np.array([-3048.0, 0.0, 0.0]), 0.0, cset)
+            compose_h_p(frame_at(np.array([-3048.0, 0.0, 0.0]), 0.0), cset)
 
 
 def _member_ahead(rng, kind, r, t):
@@ -216,9 +218,9 @@ def test_compose_jets_match_dual_oracle(rng, kinds):
     for _ in range(25):
         r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
         cset = ConstraintSet([_member_ahead(rng, k, r, t) for k in kinds], float(rng.uniform(0.004, 0.05)))
-        jets = [member_jet(r.tolist(), t, v.tolist(), m) for m in cset.members]
+        jets = [member_jet(j) for j in jets_at(r.tolist(), t, v.tolist(), cset)]
         h, g, d, along = compose_jets(jets, cset.kappa)
-        pos = compose_h_p(r.tolist(), t, cset)
+        pos = compose_h_p(frame_at(r.tolist(), t), cset)
         assert (h[0], g[0], d[0]) == (pos.value, pos.gradient_r, pos.dt_partial)
         rho = rng.normal(size=3) * 20.0
         ref = df.compose_terms(*seed_line(r, t, v), cset)[:3]

@@ -5,8 +5,8 @@ import pytest
 
 import dual_formulas as df
 import dualnum as dm
-from conftest import random_constraint_set, random_state, velocity
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_terms
+from conftest import jets_at, random_constraint_set, random_state, velocity
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_jet1
 from fwrta.extended import (
     ExtendedParams,
     _affine_terms,
@@ -14,6 +14,7 @@ from fwrta.extended import (
     member_extended_terms,
     rta_extended,
 )
+from fwrta.dual import ZERO3
 from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta import kernels
@@ -23,7 +24,7 @@ TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 
 
 
 def extended_value(r, v, t, member, gamma_p):
-    return member_extended_terms(r, v, t, member, gamma_p)[0][0]
+    return member_extended_terms(member_jet1(r, t, v, member), gamma_p)[0][0]
 
 
 def table_params():
@@ -44,7 +45,7 @@ class TestMember:
         v_i = np.array([121.92, 161.32, 0.0])
         r = np.array([100.0, 50.0, -20.0])
         assert extended_value(r, v_i, 0.0, TABLE_OBSTACLE, 0.1) == pytest.approx(
-            member_terms(r, 0.0, TABLE_OBSTACLE)[0], abs=1e-10
+            member_jet1(r, 0.0, ZERO3, TABLE_OBSTACLE)[0][0], abs=1e-10
         )
 
     def test_table_plane_arithmetic(self):
@@ -59,7 +60,7 @@ class TestComposed:
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
         p = table_params()
         v = np.array([10.0, -5.0, 2.0])
-        h, _, gv, _, _, w = compose_extended_terms(np.zeros(3), v, 0.0, cset, p.gamma_p)
+        h, _, gv, _, _, w = compose_extended_terms(jets_at(np.zeros(3), 0.0, v, cset), cset.kappa, p.gamma_p)
         assert h == extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
         np.testing.assert_allclose(gv, TABLE_PLANE_2.normal / 0.1, atol=1e-15)
         assert w == [1.0]
@@ -69,7 +70,7 @@ class TestComposed:
         for _ in range(50):
             r = rng.uniform(-500, 500, size=3)
             cset = random_constraint_set(rng, r)
-            w = compose_extended_terms(r, rng.uniform(-100, 100, size=3), 1.0, cset, p.gamma_p)[5]
+            w = compose_extended_terms(jets_at(r, 1.0, rng.uniform(-100, 100, size=3), cset), cset.kappa, p.gamma_p)[5]
             assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -81,9 +82,9 @@ class TestComposed:
             cset = random_constraint_set(rng, r)
 
             def val(rr, vv, tt):
-                return compose_extended_terms(rr, vv, tt, cset, p.gamma_p)[0]
+                return compose_extended_terms(jets_at(rr, tt, vv, cset), cset.kappa, p.gamma_p)[0]
 
-            _, gr, gv, dtp, _, _ = compose_extended_terms(r, v, t, cset, p.gamma_p)
+            _, gr, gv, dtp, _, _ = compose_extended_terms(jets_at(r, t, v, cset), cset.kappa, p.gamma_p)
             h = 1e-4
             for i in range(3):
                 e = np.zeros(3)
@@ -117,7 +118,7 @@ class TestAffine:
 
             def h_at(x_arr, t):
                 s = AircraftState.from_array(x_arr)
-                return compose_extended_terms(s.r, velocity(s), t, cset, p.gamma_p)[0]
+                return compose_extended_terms(jets_at(s.r, t, velocity(s), cset), cset.kappa, p.gamma_p)[0]
 
             dt = 1e-4
             xp = kernels.rk4_step(st.as_array(), u, dt, gravity.g_d)
@@ -141,7 +142,7 @@ class TestAffine:
             )
             cset = random_constraint_set(rng, st.r)
             _, _, row = _affine_terms(TrackContext(st, 0.0, gravity), cset, p)
-            gv = compose_extended_terms(st.r, velocity(st), 0.0, cset, p.gamma_p)[2]
+            gv = compose_extended_terms(jets_at(st.r, 0.0, velocity(st), cset), cset.kappa, p.gamma_p)[2]
             v_hat = velocity(st) / st.V_T
             assert row[0] == pytest.approx(float(gv @ v_hat), rel=1e-10, abs=1e-12)
             # dual oracle: d h_e / d V_T along the speed channel
@@ -229,9 +230,9 @@ def test_member_tangents_match_dual_oracle(rng, tau):
         r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
         dirs = [(rng.uniform(-20.0, 20.0, 3).tolist(), tau) for _ in range(2)]
         for m in oracle_members(rng, r):
-            terms, tangents = member_extended_terms(r.tolist(), v.tolist(), t, m, gamma_p, dirs)
+            terms, tangents = member_extended_terms(member_jet1(r.tolist(), t, v.tolist(), m), gamma_p, dirs)
             # the value-only call reads the jet's first order alone, to the same bits
-            assert member_extended_terms(r.tolist(), v.tolist(), t, m, gamma_p) == (terms, [])
+            assert member_extended_terms(member_jet1(r.tolist(), t, v.tolist(), m), gamma_p) == (terms, [])
             want = np.concatenate([np.atleast_1d(x) for x in df.member_extended_terms(r, v, t, m, gamma_p)])
             np.testing.assert_allclose(terms, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             assert len(tangents) == len(dirs)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import desired_velocity, safe_velocity, velocity
-from fwrta import filters, kernels, simulate, tracking
+from fwrta import constraints, filters, kernels, simulate, tracking
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError
 from fwrta.export import csv_header, write_csv, write_json, write_svg
@@ -267,8 +267,8 @@ class TestStepRecord:
         scn = load_scenario(name)
         st, g = scn.x0, scn.gravity
         rec = make_controller(scn)(st.as_array(), 0.0)
-        pos = compose_h_p(st.r, 0.0, scn.cset)
         tr_d = track(st, 0.0, GoalCommand(scn.goal, scn.tracking), scn.tracking, g)
+        pos = compose_h_p(tr_d.ctx, scn.cset)
         if scn.mode == "off":
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":
@@ -297,10 +297,12 @@ class TestStepRecord:
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_frame_per_step(self, name, monkeypatch):
         # the tracker and the mode's filter read one TrackContext per control step,
-        # and the frame holds one goal jet (modelfree's two tracks share it)
+        # and the frame holds one goal jet (modelfree's two tracks share it) and
+        # one evaluation of each constraint member, which every layer reads
         scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 2.0})
         init, goal_jet = TrackContext.__init__, tracking._goal_jet
-        builds, jets = [], []
+        separation, h_geofence = constraints._separation, constraints.h_geofence
+        builds, jets, separations, distances = [], [], [], []
 
         def counted(self, *args, **kwargs):
             builds.append(args)
@@ -310,11 +312,24 @@ class TestStepRecord:
             jets.append(args)
             return goal_jet(*args)
 
+        def counted_separation(*args):
+            separations.append(args)
+            return separation(*args)
+
+        def counted_distance(*args):
+            distances.append(args)
+            return h_geofence(*args)
+
         monkeypatch.setattr(TrackContext, "__init__", counted)
         monkeypatch.setattr(tracking, "_goal_jet", counted_jet)
+        monkeypatch.setattr(constraints, "_separation", counted_separation)
+        monkeypatch.setattr(constraints, "h_geofence", counted_distance)
         log = integrate(scn)
         assert log.abort is None and len(log.t) == round(2.0 / scn.dt) + 1
         assert len(builds) == len(jets) == len(log.t)
+        planes = sum(isinstance(m, constraints.GeofencePlane) for m in scn.cset.members)
+        assert len(separations) == (len(scn.cset.members) - planes) * len(log.t)
+        assert len(distances) == planes * len(log.t)
 
 
 class TestExport:

@@ -401,13 +401,16 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
 
 
 def test_commands_sharing_a_frame_match_fresh_frames(rng, gravity):
-    # the first command tracked in a frame stores its goal jet there: a later
-    # command on the same goal and gains reads it back, one on another goal
-    # or other gains builds its own
+    # the first command tracked in a frame stores its goal jet there, and the
+    # first safe command its member jets: a later command on the same goal and
+    # gains, or the same constraint set, reads them back, one on another goal,
+    # other gains or another set builds its own
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     cset = ConstraintSet([GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.01)
+    other_cset = ConstraintSet([GeofencePlane([0.0, 4000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.01)
     other_gains = tracking_params(0.08, 0.3, 1e-5, 0.2)
     cmds = [GoalCommand(EAST_GOAL, TABLE), SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf),
+            SafeVelocityCommand(EAST_GOAL, TABLE, other_cset, mf),
             GoalCommand(NORTH_GOAL, TABLE), GoalCommand(NORTH_GOAL, other_gains)]
     for _ in range(20):
         st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
