@@ -1,30 +1,27 @@
 """Backstepping barrier assurance (strategy 2).
 
-The smooth filter step of :mod:`fwrta.filters`, run over accelerations
-from zero, yields a safe acceleration, converted to a safe turn rate
-through the last row of the inverse acceleration map.  Penalizing the
-gap between the safe and the actual turn rate produces a barrier whose
-rate depends on the roll channel, so the outer input filter
-(:func:`~fwrta.filters.filter_input`) can command all three inputs.
-Both decays are linear, ``gamma_e h_e`` and ``gamma h_b``, and
-:func:`rta_backstepping` returns ``h_b`` with the outer filter's
+The barrier builds on the extended layer: ``h_e``, its rate at fixed
+velocity ``D`` and its velocity gradient ``gv`` come from
+:func:`~fwrta.extended.compose_extended_terms`, the extension gain and the
+outer filter's gains from ``BacksteppingParams.ext``.  The smooth filter
+step of :mod:`fwrta.filters`, run over accelerations from zero against
+``D + gamma_e h_e`` and the row ``W_e^T gv``, yields a safe acceleration
+``a_s``, converted to a safe turn rate ``R_s`` through the last row of
+the inverse acceleration map.  ``h_b = h_e - (R_s - R)^2 / (2 mu_e)``
+penalizes the gap to the actual turn rate, so its rate depends on the
+roll channel and the outer input filter
+(:func:`~fwrta.filters.filter_input`) commands all three inputs;
+:func:`rta_backstepping` returns ``h_b`` with its
 :class:`~fwrta.filters.FilterResult`.
 
-The barrier reads the state through the plain-float frame of
-:class:`~fwrta.model.TrackContext` it is given, the one the tracking
-controller computed the step in (``TrackResult.ctx``): ``(r, v, t)``,
-the rotation column ``c1``, the turn rate ``R`` and the speed, all
-plain floats, and the member jets it keeps.  No function here builds a
-frame.  Its rate along the dynamics splits in two.  The
-``(r, v, t) -> (h_e, a_s)`` chain is differentiated in closed form over
-floats, stage by stage (the members' jets extended by
-:func:`~fwrta.constraints.member_jet`, softmin, softplus filter step),
-along each of the three directions that move ``(r, v, t)``, each a pair
-``(dv, tau)`` moving it by ``(tau v, dv, tau)``: the drift
+The rate of ``h_b`` splits in two.  The ``(r, v, t) -> (h_e, a_s)``
+chain is differentiated in closed form along the three ``(dv, tau)``
+pairs that move ``(r, v, t)`` by ``(tau v, dv, tau)``: the drift
 ``(V R c1, 1)`` and the ``A_T`` and ``Q`` columns ``(c0, 0)`` and
-``(-V c2, 0)``.  The frame's own rates are closed form too:
-``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn rate's, so the
-roll rate ``P`` enters only through them.
+``(-V c2, 0)``, with the composed tangents of the extended layer and the
+softplus step's :func:`~fwrta.filters.lambda_smooth_rate`.  The frame's
+rates are closed form too: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T``
+and the turn rate's, so ``P`` enters only through them.
 """
 
 from __future__ import annotations
@@ -32,61 +29,51 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, compose_along, compose_members, frame_jets
+from .constraints import ConstraintSet, frame_jets
 from .dual import ZERO3, dot3
-from .extended import member_extended_terms
-from .filters import FilterResult, WeightFactor, filter_input, filter_step, lambda_smooth_rate
+from .extended import ExtendedParams, compose_extended_terms
+from .filters import FilterResult, WeightFactor, check_positive, filter_input, filter_step, lambda_smooth_rate
 from .model import ControlInput, TrackContext
 
 
 @dataclass(frozen=True)
 class BacksteppingParams:
-    """Gains for the acceleration filter, the penalty and the outer filter."""
+    """The extended layer's gains ``ext`` (extension and outer filter), plus
+    the acceleration filter's and the penalty's."""
 
-    gamma_p: float
+    ext: ExtendedParams
     gamma_e: float
     W_e: WeightFactor
     nu_e: float
     mu_e: float
-    gamma: float
-    W: WeightFactor
 
     def __post_init__(self):
-        if not (self.gamma_e > 0.0 and self.gamma > 0.0):
-            raise ValueError("gamma must be positive")
-        if not (self.gamma_p > 0.0 and self.nu_e > 0.0 and self.mu_e > 0.0):
-            raise ValueError("gamma_p, nu_e and mu_e must be positive")
+        check_positive(gamma_e=self.gamma_e, nu_e=self.nu_e, mu_e=self.mu_e)
 
 
 def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams, dirs=()):
     """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)`` and, for each of ``dirs``, ``(dv, tau)``
     pairs (see :func:`~fwrta.extended.member_extended_terms`), ``(h_e', a_s')``."""
-    v = ctx.v
-    terms, tangents = zip(*(member_extended_terms(j, p.gamma_p, dirs) for j in frame_jets(ctx, cset)))
-    h_e, *g, dt, _, w = compose_members(terms, cset.kappa)
-    gr = g[:3]
+    h_e, D, gv, _, _, comp = compose_extended_terms(frame_jets(ctx, cset), ctx.v, cset.kappa, p.ext.gamma_p, dirs)
     # barrier rate at zero acceleration plus decay
-    a_e = dot3(gr, v) + dt + p.gamma_e * h_e
+    a_e = D + p.gamma_e * h_e
     W_e = p.W_e
-    b = W_e.apply_t(g[3:])
+    b = W_e.apply_t(gv)
     res = filter_step(ZERO3, a_e, b, W_e.apply, p.nu_e)
     a_s, lam, bn2 = res.u, res.lam, res.bn2
     R_s = dot3(ctx.c1, a_s) / ctx.V_T
     gap = R_s - ctx.R
     h_b = h_e - gap * gap * (0.5 / p.mu_e)
-    entries = [x[1:] for x in terms]
-    comp = [compose_along(entries, tg, w, cset.kappa) for tg in zip(*tangents)]
     if bn2 == 0.0:
         # a zero row is the step's no-authority branch: a_s = 0, taken as constant
         return (h_e, a_s, R_s, h_b), [(c[0], ZERO3) for c in comp]
     b_norm = math.sqrt(bn2)
     W_b = W_e.apply(b)
     out = []
-    for (dv, _), c in zip(dirs, comp):
-        # a_e', b' = W_e^T gv' and |b|', then a_s' = lam' W_e b + lam W_e b'
-        a_e_o = dot3(v, c[1:4]) + dot3(gr, dv) + c[7] + p.gamma_e * c[0]
-        b_o = W_e.apply_t(c[4:7])
-        lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, a_e_o, dot3(b, b_o) / b_norm)
+    for c in comp:
+        # a_e' = D' + gamma_e h_e', b' = W_e^T gv' and |b|', then a_s' = lam' W_e b + lam W_e b'
+        b_o = W_e.apply_t(c[2:])
+        lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, c[1] + p.gamma_e * c[0], dot3(b, b_o) / b_norm)
         out.append((c[0], [lam_o * x + lam * y for x, y in zip(W_b, W_e.apply(b_o))]))
     return (h_e, a_s, R_s, h_b), out
 
@@ -115,7 +102,7 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
 
 
 def rta_backstepping(
-    ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, p: BacksteppingParams, smooth_nu: float | None = None
+    ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, p: BacksteppingParams
 ) -> tuple[float, FilterResult]:
     """Filter the desired input against the penalized barrier at the frame's ``(x, t)``;
     returns ``h_b`` and the filter's result, its ``u`` a :class:`ControlInput`.
@@ -125,6 +112,6 @@ def rta_backstepping(
     participate.
     """
     _, hb, drift, row = _affine_terms(ctx, cset, p)
-    res = filter_input(u_d, hb, drift, row, p, smooth_nu)
+    res = filter_input(u_d, hb, drift, row, p.ext)
     res.u = ControlInput(*res.u)
     return hb, res

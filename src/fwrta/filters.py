@@ -81,6 +81,13 @@ class FilterResult:
     infeasible: bool
 
 
+def check_positive(**gains) -> None:
+    """Raise ``ValueError`` naming the first gain that is not positive."""
+    for name, x in gains.items():
+        if not x > 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
 def softplus(x: float):
     """``ln(1 + e^x)`` with its first two derivatives, overflow-safe.
 
@@ -144,15 +151,14 @@ def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:
     return FilterResult(u, a, lam, bn2, a + lam * bn2, bn2 == 0.0 and a < 0.0)
 
 
-def filter_input(u_d: ControlInput, h: float, drift: float, row, params, smooth_nu: float | None) -> FilterResult:
+def filter_input(u_d: ControlInput, h: float, drift: float, row, params) -> FilterResult:
     """Filter ``u_d`` against the barrier ``h`` whose rate is ``drift + row . u``,
     with the decay ``gamma h``.
 
-    ``params`` supplies the decay gain ``gamma`` and the input metric
-    ``W``; ``row`` is the raw input row, weighted here.  The result's
-    ``u`` is a float sequence, which the caller makes its one
-    :class:`ControlInput`.
+    ``params`` holds the outer filter's gains ``gamma``, ``W`` and ``nu``
+    (:class:`~fwrta.extended.ExtendedParams`); ``row`` is the raw input
+    row, weighted here.  The result's ``u`` is a float sequence.
     """
     u_d_vec = u_d.as_tuple()
     W = params.W
-    return filter_step(u_d_vec, drift + dot3(row, u_d_vec) + params.gamma * h, W.apply_t(row), W.apply, smooth_nu)
+    return filter_step(u_d_vec, drift + dot3(row, u_d_vec) + params.gamma * h, W.apply_t(row), W.apply, params.nu)

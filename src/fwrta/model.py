@@ -16,8 +16,9 @@ columns and determinant (``det M_a = V_T^2``); its inverse has the rows
 columns, velocity and turn rate) on plain floats, its vectors held as
 float 3-lists; the whole control step reads it, and the filters and the
 tracking controller write its rates in closed form.  A control step
-reads the state and input dataclasses field by field; their
-``as_array`` spellings serve the edges (tests and analysis).
+reads the state as the integrator's float 7-tuple and the input
+dataclass field by field; their ``as_array`` spellings serve the edges
+(tests and analysis).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class AircraftState:
     def from_array(cls, x) -> "AircraftState":
         return cls(*(float(v) for v in x))
 
+    def __iter__(self):
+        return iter((self.n, self.e, self.d, self.phi, self.theta, self.psi, self.V_T))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.n, self.e, self.d, self.phi, self.theta, self.psi, self.V_T])
 
@@ -109,7 +113,8 @@ def check_pitch(theta: float) -> None:
 
 
 class TrackContext:
-    """Plain-float frame of one ``(x, t)``, shared by the per-step formulas.
+    """Plain-float frame of one ``(x, t)``, ``x`` any 7-sequence of the state
+    fields, shared by the per-step formulas.
 
     Holds the sines and cosines of the Euler angles, the body-to-earth
     rotation columns (3-2-1 Euler; ``c0`` is the unit velocity
@@ -128,15 +133,15 @@ class TrackContext:
         "c0", "c1", "c2", "v", "R", "goal_jet", "members",
     )
 
-    def __init__(self, state: AircraftState, t: float, g: GravityParam):
-        check_pitch(state.theta)
-        check_speed(state.V_T)
+    def __init__(self, state, t: float, g: GravityParam):
+        n, e, d, phi, theta, psi, V_T = map(float, state)
+        check_pitch(theta)
+        check_speed(V_T)
         self.t = t
-        self.r = state.r
-        V_T = state.V_T
-        s_ph, c_ph = math.sin(state.phi), math.cos(state.phi)
-        s_th, c_th = math.sin(state.theta), math.cos(state.theta)
-        s_ps, c_ps = math.sin(state.psi), math.cos(state.psi)
+        self.r = [n, e, d]
+        s_ph, c_ph = math.sin(phi), math.cos(phi)
+        s_th, c_th = math.sin(theta), math.cos(theta)
+        s_ps, c_ps = math.sin(psi), math.cos(psi)
         self.V_T = V_T
         self.g_over_V = g.g_d / V_T
         self.s_ph, self.c_ph = s_ph, c_ph

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import dual as dm
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import FilterResult, lambda_smooth, lambda_smooth_rate, softplus
+from .filters import FilterResult, check_positive, lambda_smooth, lambda_smooth_rate, softplus
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
@@ -39,8 +39,7 @@ class ModelFreeParams:
     nu_v: float
 
     def __post_init__(self):
-        if not (self.gamma_p > 0.0 and self.sigma > 0.0 and self.Gamma_v > 0.0 and self.nu_v > 0.0):
-            raise ValueError("all model-free parameters must be positive")
+        check_positive(gamma_p=self.gamma_p, sigma=self.sigma, Gamma_v=self.Gamma_v, nu_v=self.nu_v)
 
 
 def filter_jet(u, h, g, d, p: ModelFreeParams):

@@ -68,7 +68,6 @@ class Scenario:
     goal: GoalTrajectory
     tracking: TrackingParams
     cset: ConstraintSet
-    smooth_nu: float | None
     extended: ExtendedParams | None
     backstep: BacksteppingParams | None
     mf: ModelFreeParams | None
@@ -128,11 +127,16 @@ def _gain_matrix(v, name: str) -> np.ndarray:
     raise ScenarioError(f"field '{name}' must be a finite scalar or a list of 3 finite diagonal entries")
 
 
+def _weight(d: dict, key: str, path: str) -> WeightFactor:
+    """Diagonal weight factor of field ``key``; a singular one names the field."""
+    try:
+        return WeightFactor.diagonal(_vec3(d, key, path))
+    except ValueError:
+        raise ValueError(f"{key} must be invertible") from None
+
+
 def _state(d: dict, path: str) -> AircraftState:
-    vals = {}
-    for key in SECTIONS["initial_state"]:
-        vals[key] = _num(d, key, path)
-    return AircraftState(**vals)
+    return AircraftState(*(_num(d, key, path) for key in SECTIONS["initial_state"]))
 
 
 def _members(items, path: str):
@@ -220,23 +224,23 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         gamma = _num(sf, "gamma", "safety_filter.")
         if not gamma > 0.0:
             raise ValueError("gamma must be positive")
-        W = WeightFactor.diagonal(_vec3(sf, "W", "safety_filter."))
+        W = _weight(sf, "W", "safety_filter.")
     except ValueError as exc:
         raise ScenarioError(f"field 'safety_filter': {exc}") from exc
     sf_mode = sf.get("mode", "hard")
     if sf_mode not in ("hard", "smooth"):
         raise ScenarioError("field 'safety_filter.mode' must be 'hard' or 'smooth'")
-    smooth_nu = None
+    nu = None
     if sf_mode == "smooth":
-        smooth_nu = _num(sf, "nu", "safety_filter.")
-        if smooth_nu <= 0.0:
+        nu = _num(sf, "nu", "safety_filter.")
+        if nu <= 0.0:
             raise ScenarioError("field 'safety_filter.nu' must be positive")
 
     extended = None
     if "extended" in raw:
         e_d = _section(raw, "extended", "")
         try:
-            extended = ExtendedParams(gamma_p=_num(e_d, "gamma_p", "extended."), gamma=gamma, W=W)
+            extended = ExtendedParams(gamma_p=_num(e_d, "gamma_p", "extended."), gamma=gamma, W=W, nu=nu)
         except ValueError as exc:
             raise ScenarioError(f"field 'extended': {exc}") from exc
 
@@ -247,13 +251,11 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
             raise ScenarioError("field 'backstepping' requires the 'extended' section (gamma_p)")
         try:
             backstep = BacksteppingParams(
-                gamma_p=extended.gamma_p,
+                ext=extended,
                 gamma_e=_num(b_d, "gamma_e", "backstepping."),
-                W_e=WeightFactor.diagonal(_vec3(b_d, "W_e", "backstepping.")),
+                W_e=_weight(b_d, "W_e", "backstepping."),
                 nu_e=_num(b_d, "nu_e", "backstepping."),
                 mu_e=_num(b_d, "mu_e", "backstepping."),
-                gamma=gamma,
-                W=W,
             )
         except ValueError as exc:
             raise ScenarioError(f"field 'backstepping': {exc}") from exc
@@ -306,7 +308,6 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
         goal=goal,
         tracking=tracking,
         cset=cset,
-        smooth_nu=smooth_nu,
         extended=extended,
         backstep=backstep,
         mf=mf,
@@ -332,7 +333,7 @@ def _validate_initial_barriers(scn: Scenario) -> None:
     if h_p0 < 0.0:
         raise ScenarioError(f"initial state violates the position barrier: h_p(0) = {h_p0:.6g}")
     if scn.mode in ("extended", "backstepping"):
-        he = compose_extended_terms(frame_jets(ctx, scn.cset), scn.cset.kappa, scn.extended.gamma_p)[0]
+        he = compose_extended_terms(frame_jets(ctx, scn.cset), ctx.v, scn.cset.kappa, scn.extended.gamma_p)[0]
         if he < 0.0:
             raise ScenarioError(f"initial state violates the extended barrier: h_e(0) = {he:.6g}")
     if scn.mode == "backstepping":

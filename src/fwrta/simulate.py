@@ -18,7 +18,6 @@ state abort the run with a partial log and a recorded reason.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .backstepping import rta_backstepping
 from .constraints import compose_h_p
 from .errors import FwrtaError, ScenarioError
 from .extended import rta_extended
-from .model import AircraftState, TrackContext
+from .model import TrackContext
 from .modelfree import h_V, safe_velocity_from_terms
 from .scenario import MAX_SWEEP_STEPS, Scenario, scenario_from_dict
 from .tracking import GoalCommand, SafeVelocityCommand, track
@@ -97,25 +96,24 @@ def make_controller(scn: Scenario):
         safe_cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
 
     def control(x, t: float) -> StepRecord:
-        state = AircraftState.from_array(x)
         # one frame per step: track builds it and hands it on in its result, which
         # the position barrier and the input filters read; modelfree builds it here
         # for its two tracks, which also share the goal jet the frame keeps
-        ctx = TrackContext(state, t, g) if scn.mode == "modelfree" else None
-        tr_d = track(state, t, goal_cmd, scn.tracking, g, ctx=ctx)
+        ctx = TrackContext(x, t, g) if scn.mode == "modelfree" else None
+        tr_d = track(x, t, goal_cmd, scn.tracking, g, ctx=ctx)
         pos = compose_h_p(tr_d.ctx, scn.cset)
         if scn.mode == "off":
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":
-            tr = track(state, t, safe_cmd, scn.tracking, g, ctx=ctx)
+            tr = track(x, t, safe_cmd, scn.tracking, g, ctx=ctx)
             res = safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, tr_d.v_c, scn.mf)
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
             residual, warn = res.slack, res.infeasible
         else:
             if scn.mode == "extended":
-                h_mode, res = rta_extended(tr_d.ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
+                h_mode, res = rta_extended(tr_d.ctx, tr_d.u, scn.cset, scn.extended)
             else:
-                h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
+                h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
         u_d, u = tr_d.u.as_tuple(), u.as_tuple()
         return StepRecord(
@@ -148,7 +146,7 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     states: list[tuple] = []
     abort = None
 
-    x = dataclasses.astuple(scn.x0)
+    x = tuple(scn.x0)
     for k in range(n_steps + 1):
         t = k * dt
         if not all(map(math.isfinite, x)):

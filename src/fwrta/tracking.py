@@ -36,7 +36,8 @@ import numpy as np
 
 from .constraints import ConstraintSet, compose_jets, finite_vec3, frame_jets, member_jet
 from .dual import ZERO3, dot3
-from .model import AircraftState, ControlInput, GravityParam, TrackContext
+from .filters import check_positive
+from .model import ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, filter_jet
 
 
@@ -59,8 +60,8 @@ class TrackingParams:
         K_v = np.asarray(self.K_v, dtype=float)
         object.__setattr__(self, "K_r", K_r)
         object.__setattr__(self, "K_v", K_v)
-        if not (self.mu > 0.0 and self.lam > 0.0):
-            raise ValueError("mu and lam must be positive")
+        # named as in the scenario schema
+        check_positive(mu=self.mu, **{"lambda": self.lam})
         for name, K in (("K_r", K_r), ("K_v", K_v)):
             if K.shape != (3, 3) or not np.allclose(K, K.T):
                 raise ValueError(f"{name} must be a symmetric 3x3 matrix")
@@ -244,14 +245,14 @@ def solve_roll_qp(a_P: float, b_P: float) -> float:
 
 
 def track(
-    state: AircraftState,
+    state,
     t: float,
     cmd: VelocityCommand,
     params: TrackingParams,
     g: GravityParam,
     ctx: TrackContext | None = None,
 ) -> TrackResult:
-    """Full control input ``(A_T, P, Q)`` tracking the velocity command.
+    """Full control input ``(A_T, P, Q)`` tracking the velocity command from the 7-sequence ``state``.
 
     Pass a prebuilt :class:`TrackContext` to share the state-side work
     when tracking several commands at the same ``(x, t)``; the result

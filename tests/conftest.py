@@ -60,9 +60,9 @@ def desired_velocity(r, t, goal, params):
     return v_g + params.K_r @ (r_g - np.asarray(r, dtype=float))
 
 
-def apply_filter(u_d, a, b_raw, weight, smooth_nu=None):
+def apply_filter(u_d, a, b_raw, weight, nu=None):
     """:func:`fwrta.filters.filter_step` of ``u_d`` against the raw row ``b_raw``, weighted by ``weight``."""
-    return filter_step(u_d, a, weight.apply_t(b_raw), weight.apply, smooth_nu)
+    return filter_step(u_d, a, weight.apply_t(b_raw), weight.apply, nu)
 
 
 def safe_velocity(r, t, v_d, cset, p):

@@ -141,7 +141,7 @@ def filter_core(h, grad, dtp, v_d, p):
 
 def pipeline(r, v, t, c1, R, V_T, cset, p):
     """Backstepping chain: ``(h_e, a_s, R_s, h_b)``."""
-    h_e, gr, gv, dt, _, _ = compose_extended_terms(r, v, t, cset, p.gamma_p)
+    h_e, gr, gv, dt, _, _ = compose_extended_terms(r, v, t, cset, p.ext.gamma_p)
     a_e = dm.dot(gr, v) + dt + p.gamma_e * h_e
     W_e = p.W_e.W
     # without authority a_s is the dual-kind zero, constant nearby for the derivatives

@@ -31,7 +31,7 @@ import dual_formulas as df
 import dualnum as dm
 from fwrta.constraints import compose_h_p, softmin_weights
 from fwrta.export import csv_header, write_csv
-from fwrta.extended import compose_extended_terms
+from fwrta.extended import ExtendedParams, compose_extended_terms
 from fwrta.backstepping import BacksteppingParams, h_b
 from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, GravityParam, TrackContext
@@ -131,11 +131,12 @@ def test_criterion_3_backstepping_combined(fig5_run):
     h_e_min = math.inf
     for i in range(0, len(log.t), 5):
         st = AircraftState.from_array(log.x[i])
+        v = velocity(st)
         h_e_min = min(
             h_e_min,
             float(
                 compose_extended_terms(
-                    jets_at(st.r, log.t[i], velocity(st), scn.cset), scn.cset.kappa, scn.backstep.gamma_p
+                    jets_at(st.r, log.t[i], v, scn.cset), v, scn.cset.kappa, scn.backstep.ext.gamma_p
                 )[0]
             ),
         )
@@ -252,20 +253,18 @@ def test_criterion_6_softmin_bounds(rng):
 
 def _backstep_params():
     return BacksteppingParams(
-        gamma_p=0.1,
+        ext=ExtendedParams(gamma_p=0.1, gamma=0.1, W=WeightFactor.diagonal([6.0, 0.6, 0.1])),
         gamma_e=0.1,
         W_e=WeightFactor(np.eye(3)),
         nu_e=1.0,
         mu_e=1e-4,
-        gamma=0.1,
-        W=WeightFactor.diagonal([6.0, 0.6, 0.1]),
     )
 
 
 def _a_e_of(st, cset, p):
     v = velocity(st)
-    h, gr, gv, dt, _, _ = compose_extended_terms(jets_at(st.r, 0.0, v, cset), cset.kappa, p.gamma_p)
-    return float(gr @ v) + dt + p.gamma_e * h
+    h, D, _, _, _, _ = compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.ext.gamma_p)
+    return D + p.gamma_e * h
 
 
 def _stratified_states(rng, n, p):
@@ -346,7 +345,7 @@ def test_criterion_7_gradient_certification(rng):
             dm.Dual(v0.copy(), E7[3:6].copy()),
             dm.Dual(t0, E7[6]),
             cset,
-            p.gamma_p,
+            p.ext.gamma_p,
         )[0]
         fd7 = np.zeros(7)
         for k in range(7):
@@ -355,8 +354,8 @@ def test_criterion_7_gradient_certification(rng):
             zp[k] += h_fd
             zm[k] -= h_fd
             fd7[k] = (
-                float(compose_extended_terms(jets_at(zp[:3], zp[6], zp[3:6], cset), cset.kappa, p.gamma_p)[0])
-                - float(compose_extended_terms(jets_at(zm[:3], zm[6], zm[3:6], cset), cset.kappa, p.gamma_p)[0])
+                compose_extended_terms(jets_at(zp[:3], zp[6], zp[3:6], cset), zp[3:6], cset.kappa, p.ext.gamma_p)[0]
+                - compose_extended_terms(jets_at(zm[:3], zm[6], zm[3:6], cset), zm[3:6], cset.kappa, p.ext.gamma_p)[0]
             ) / (2 * h_fd)
         worst["h_e"] = max(worst["h_e"], _rel_err(he_d.e, fd7))
 

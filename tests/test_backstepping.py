@@ -25,9 +25,8 @@ from fwrta.backstepping import (
     rta_backstepping,
 )
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
-from fwrta.dual import dot3
 from fwrta.errors import CoincidentPosition
-from fwrta.extended import compose_extended_terms
+from fwrta.extended import ExtendedParams, compose_extended_terms
 from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import ModelFreeParams
@@ -37,13 +36,11 @@ from fwrta.tracking import SafeVelocityCommand
 
 def table_params(mu_e=1e-4):
     return BacksteppingParams(
-        gamma_p=0.1,
+        ext=ExtendedParams(gamma_p=0.1, gamma=0.1, W=WeightFactor.diagonal([6.0, 0.6, 0.1])),
         gamma_e=0.1,
         W_e=WeightFactor(np.eye(3)),
         nu_e=1.0,
         mu_e=mu_e,
-        gamma=0.1,
-        W=WeightFactor.diagonal([6.0, 0.6, 0.1]),
     )
 
 
@@ -61,7 +58,8 @@ def turn_row(st, g):
 
 def h_e_at(st, cset, p):
     """Composed extension of ``st`` at ``t = 0``."""
-    return compose_extended_terms(jets_at(st.r, 0.0, velocity(st), cset), cset.kappa, p.gamma_p)[0]
+    v = velocity(st)
+    return compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.ext.gamma_p)[0]
 
 
 def canceling_planes():
@@ -84,10 +82,9 @@ class TestSafeAccel:
         for _ in range(50):
             st = random_state(rng, pos_scale=200.0)
             cset = random_constraint_set(rng, st.r)
-            jets = jets_at(st.r, 0.0, velocity(st), cset)
-            h_e, gr, gv, dtp, _, _ = compose_extended_terms(jets, cset.kappa, p.gamma_p)
             v = velocity(st)
-            a_e = float(gr @ v) + dtp + p.gamma_e * h_e
+            h_e, D, gv, _, _, _ = compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.ext.gamma_p)
+            a_e = D + p.gamma_e * h_e
             b_e = gv @ p.W_e.W
             b_norm = np.linalg.norm(b_e)
             if a_e <= 5.0 * b_norm or b_norm == 0.0:
@@ -101,10 +98,9 @@ class TestSafeAccel:
         for _ in range(200):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            jets = jets_at(st.r, 0.0, velocity(st), cset)
-            h_e, gr, gv, dtp, _, _ = compose_extended_terms(jets, cset.kappa, p.gamma_p)
             v = velocity(st)
-            a_e = float(np.dot(gr, v)) + dtp + p.gamma_e * h_e
+            h_e, D, gv, _, _, _ = compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.ext.gamma_p)
+            a_e = D + p.gamma_e * h_e
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
             achieved = a_e + float(np.dot(gv, a_s))
             assert achieved >= -1e-9 * max(1.0, abs(a_e))
@@ -120,8 +116,9 @@ class TestSafeAccel:
             t = float(rng.uniform(0.0, 10.0))
             cset = random_constraint_set(rng, st.r)
             ctx = TrackContext(st, t, gravity)
-            h_e, gr, gv, dt, _, _ = compose_extended_terms(jets_at(ctx.r, t, ctx.v, cset), cset.kappa, p.gamma_p)
-            a_e = dot3(gr, ctx.v) + dt + p.gamma_e * h_e
+            jets = jets_at(ctx.r, t, ctx.v, cset)
+            h_e, D, gv, _, _, _ = compose_extended_terms(jets, ctx.v, cset.kappa, p.ext.gamma_p)
+            a_e = D + p.gamma_e * h_e
             a_s, _ = safe_pieces(st, t, cset, p, gravity)
             np.testing.assert_array_equal(a_s, apply_filter(np.zeros(3), a_e, gv, p.W_e, p.nu_e).u)
             active += bool(np.linalg.norm(a_s) > 1e-3)
@@ -243,7 +240,7 @@ class TestGradient:
         dhdx, dhdt = grad_h_b(st, 0.0, cset, p, gravity)
         r, phi, theta, psi, V_T, td = seed_state_time(st.as_array(), 0.0)
         v = velocity_vec(theta, psi, V_T)
-        he, *_ = df.compose_extended_terms(r, v, td, cset, p.gamma_p)
+        he, *_ = df.compose_extended_terms(r, v, td, cset, p.ext.gamma_p)
         np.testing.assert_allclose(dhdx, he.e[:7], atol=1e-12)
         assert dhdt == pytest.approx(float(he.e[7]), abs=1e-12)
 
@@ -309,8 +306,8 @@ def near_constraint_set(rng, st, t, kind):
 def softplus_arg(st, t, cset, p, g):
     """``x = -nu_e a_e / |b_e|`` of the acceleration filter's multiplier."""
     ctx = TrackContext(st, t, g)
-    h, gr, gv, dt, _, _ = compose_extended_terms(jets_at(ctx.r, t, ctx.v, cset), cset.kappa, p.gamma_p)
-    return -p.nu_e * (dot3(gr, ctx.v) + dt + p.gamma_e * h) / np.linalg.norm(gv @ p.W_e.W)
+    h, D, gv, _, _, _ = compose_extended_terms(jets_at(ctx.r, t, ctx.v, cset), ctx.v, cset.kappa, p.ext.gamma_p)
+    return -p.nu_e * (D + p.gamma_e * h) / np.linalg.norm(gv @ p.W_e.W)
 
 
 class TestRta:

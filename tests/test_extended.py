@@ -24,7 +24,7 @@ TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 
 
 
 def extended_value(r, v, t, member, gamma_p):
-    return member_extended_terms(member_jet1(r, t, v, member), gamma_p)[0][0]
+    return member_extended_terms(member_jet1(r, t, v, member), v, gamma_p)[0][0]
 
 
 def table_params():
@@ -60,7 +60,7 @@ class TestComposed:
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
         p = table_params()
         v = np.array([10.0, -5.0, 2.0])
-        h, _, gv, _, _, w = compose_extended_terms(jets_at(np.zeros(3), 0.0, v, cset), cset.kappa, p.gamma_p)
+        h, _, gv, _, w, _ = compose_extended_terms(jets_at(np.zeros(3), 0.0, v, cset), v, cset.kappa, p.gamma_p)
         assert h == extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
         np.testing.assert_allclose(gv, TABLE_PLANE_2.normal / 0.1, atol=1e-15)
         assert w == [1.0]
@@ -70,7 +70,8 @@ class TestComposed:
         for _ in range(50):
             r = rng.uniform(-500, 500, size=3)
             cset = random_constraint_set(rng, r)
-            w = compose_extended_terms(jets_at(r, 1.0, rng.uniform(-100, 100, size=3), cset), cset.kappa, p.gamma_p)[5]
+            v = rng.uniform(-100, 100, size=3)
+            w = compose_extended_terms(jets_at(r, 1.0, v, cset), v, cset.kappa, p.gamma_p)[4]
             assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -82,19 +83,18 @@ class TestComposed:
             cset = random_constraint_set(rng, r)
 
             def val(rr, vv, tt):
-                return compose_extended_terms(jets_at(rr, tt, vv, cset), cset.kappa, p.gamma_p)[0]
+                return compose_extended_terms(jets_at(rr, tt, vv, cset), vv, cset.kappa, p.gamma_p)[0]
 
-            _, gr, gv, dtp, _, _ = compose_extended_terms(jets_at(r, t, v, cset), cset.kappa, p.gamma_p)
+            _, D, gv, _, _, _ = compose_extended_terms(jets_at(r, t, v, cset), v, cset.kappa, p.gamma_p)
             h = 1e-4
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
-                fd = (val(r + e, v, t) - val(r - e, v, t)) / (2 * h)
-                assert gr[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
                 fd = (val(r, v + e, t) - val(r, v - e, t)) / (2 * h)
                 assert gv[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
-            fd = (val(r, v, t + h) - val(r, v, t - h)) / (2 * h)
-            assert dtp == pytest.approx(fd, rel=1e-6, abs=1e-7)
+            # the rate at fixed velocity, along (r + tau v, t + tau)
+            fd = (val(r + h * v, v, t + h) - val(r - h * v, v, t - h)) / (2 * h)
+            assert D == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 class TestAffine:
@@ -118,7 +118,8 @@ class TestAffine:
 
             def h_at(x_arr, t):
                 s = AircraftState.from_array(x_arr)
-                return compose_extended_terms(jets_at(s.r, t, velocity(s), cset), cset.kappa, p.gamma_p)[0]
+                v = velocity(s)
+                return compose_extended_terms(jets_at(s.r, t, v, cset), v, cset.kappa, p.gamma_p)[0]
 
             dt = 1e-4
             xp = kernels.rk4_step(st.as_array(), u, dt, gravity.g_d)
@@ -142,7 +143,8 @@ class TestAffine:
             )
             cset = random_constraint_set(rng, st.r)
             _, _, row = _affine_terms(TrackContext(st, 0.0, gravity), cset, p)
-            gv = compose_extended_terms(jets_at(st.r, 0.0, velocity(st), cset), cset.kappa, p.gamma_p)[2]
+            v = velocity(st)
+            gv = compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.gamma_p)[2]
             v_hat = velocity(st) / st.V_T
             assert row[0] == pytest.approx(float(gv @ v_hat), rel=1e-10, abs=1e-12)
             # dual oracle: d h_e / d V_T along the speed channel
@@ -222,6 +224,12 @@ def seed_rate(x):
     return x.e[..., 0] if isinstance(x, dm.Dual) else np.zeros(np.shape(x))
 
 
+def extended_entries(r, v, t, member, gamma_p):
+    """``(E, D, gv)`` of the oracle's extended member: ``D = grad_r . v + dt``."""
+    h, grad_r, gv, dt = df.member_extended_terms(r, v, t, member, gamma_p)
+    return h, dm.dot(grad_r, v) + dt, gv
+
+
 @pytest.mark.parametrize("tau", [0.0, 1.0, 0.5])
 def test_member_tangents_match_dual_oracle(rng, tau):
     # a pair (dv, tau) moves (r, v, t) by (tau v, dv, tau)
@@ -230,14 +238,15 @@ def test_member_tangents_match_dual_oracle(rng, tau):
         r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
         dirs = [(rng.uniform(-20.0, 20.0, 3).tolist(), tau) for _ in range(2)]
         for m in oracle_members(rng, r):
-            terms, tangents = member_extended_terms(member_jet1(r.tolist(), t, v.tolist(), m), gamma_p, dirs)
+            jet1 = member_jet1(r.tolist(), t, v.tolist(), m)
+            terms, tangents = member_extended_terms(jet1, v.tolist(), gamma_p, dirs)
             # the value-only call reads the jet's first order alone, to the same bits
-            assert member_extended_terms(member_jet1(r.tolist(), t, v.tolist(), m), gamma_p) == (terms, [])
-            want = np.concatenate([np.atleast_1d(x) for x in df.member_extended_terms(r, v, t, m, gamma_p)])
+            assert member_extended_terms(jet1, v.tolist(), gamma_p) == (terms, [])
+            want = np.concatenate([np.atleast_1d(x) for x in extended_entries(r, v, t, m, gamma_p)])
             np.testing.assert_allclose(terms, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             assert len(tangents) == len(dirs)
             for (dv, _), got in zip(dirs, tangents):
-                out = df.member_extended_terms(
+                out = extended_entries(
                     dm.Dual(r.copy(), (tau * v)[:, None]),
                     dm.Dual(v.copy(), np.array(dv)[:, None]),
                     dm.Dual(t, np.array([tau])),

@@ -101,7 +101,7 @@ class TestApplyFilter:
             u_d = rng.normal(size=3)
             a = float(rng.uniform(-20, 20))
             b_raw = rng.normal(size=3)
-            res = apply_filter(u_d, a, b_raw, W, smooth_nu=2.0)
+            res = apply_filter(u_d, a, b_raw, W, nu=2.0)
             slack = a + b_raw @ (res.u - u_d)
             # strictly positive wherever the smooth correction is resolvable
             # in float64; far outside that band it rounds to the hard slack
@@ -135,7 +135,7 @@ class TestApplyFilter:
         b_raw = np.array([0.5, -0.2, 1.0])
         u_prev = None
         for a in np.linspace(-0.5, 0.5, 401):
-            u = np.array(apply_filter(np.zeros(3), float(a), b_raw, W, smooth_nu=5.0).u)
+            u = np.array(apply_filter(np.zeros(3), float(a), b_raw, W, nu=5.0).u)
             if u_prev is not None:
                 assert np.linalg.norm(u - u_prev) < 0.05
             u_prev = u
@@ -146,13 +146,13 @@ def test_linear_decay_gain():
     W = WeightFactor(np.eye(3))
     p = ExtendedParams(gamma_p=0.1, gamma=0.1, W=W)
     u_d = ControlInput(0.0, 0.0, 0.0)
-    assert filter_input(u_d, 3.0, 0.0, (0.0, 0.0, 0.0), p, None).a == pytest.approx(0.3)
-    assert filter_input(u_d, -2.0, 0.0, (0.0, 0.0, 0.0), p, None).a == pytest.approx(-0.2)
+    assert filter_input(u_d, 3.0, 0.0, (0.0, 0.0, 0.0), p).a == pytest.approx(0.3)
+    assert filter_input(u_d, -2.0, 0.0, (0.0, 0.0, 0.0), p).a == pytest.approx(-0.2)
     with pytest.raises(ValueError, match="gamma must be positive"):
         ExtendedParams(gamma_p=0.1, gamma=0.0, W=W)
-    for gamma_e, gamma in ((0.0, 0.1), (0.1, -1.0)):
-        with pytest.raises(ValueError, match="gamma must be positive"):
-            BacksteppingParams(gamma_p=0.1, gamma_e=gamma_e, W_e=W, nu_e=1.0, mu_e=1.0, gamma=gamma, W=W)
+    for gamma_e, gamma, name in ((0.0, 0.1, "gamma_e"), (0.1, -1.0, "gamma")):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            BacksteppingParams(ExtendedParams(0.1, gamma, W), gamma_e=gamma_e, W_e=W, nu_e=1.0, mu_e=1.0)
 
 
 def test_weight_factor_validation():

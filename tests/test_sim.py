@@ -52,7 +52,7 @@ class TestScenarioLoading:
             raw[section] = json.loads(bundled_scenario_path(base).read_text())[section]
         raw["safety_filter"].update(mode="hard", nu=0.5)
         scn = scenario_from_dict(raw)
-        assert scn.mode == "off" and scn.smooth_nu is None and scn.mf is not None
+        assert scn.mode == "off" and scn.extended.nu is None and scn.mf is not None
 
     def test_missing_field_named(self):
         raw = make_raw()
@@ -239,13 +239,13 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("name", ["fig3", "fig5"])
     def test_smooth_outer_filter_end_to_end(self, name):
-        # the loader's smooth_nu reaches the outer filter: the run stays safe,
+        # the loader's nu reaches the outer filter: the run stays safe,
         # its slack is nonnegative and its input is not the hard filter's
         raw = {**load_scenario(name).raw, "t_final": 8.0}
         hard = integrate(scenario_from_dict(raw))
         raw["safety_filter"] = {**raw["safety_filter"], "mode": "smooth", "nu": 10.0}
         scn = scenario_from_dict(raw)
-        assert scn.smooth_nu == 10.0
+        assert scn.extended.nu == 10.0
         log = integrate(scn)
         assert log.abort is None and hard.abort is None
         assert log.h_mode.min() >= 0.0
@@ -279,9 +279,9 @@ class TestStepRecord:
         else:
             ctx = TrackContext(st, 0.0, g)
             if scn.mode == "extended":
-                h_mode, res = rta_extended(ctx, tr_d.u, scn.cset, scn.extended, scn.smooth_nu)
+                h_mode, res = rta_extended(ctx, tr_d.u, scn.cset, scn.extended)
             else:
-                _, res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep, scn.smooth_nu)
+                _, res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep)
                 h_mode = h_b(ctx, scn.cset, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
         np.testing.assert_array_equal(rec.u_d, tr_d.u.as_array())
@@ -298,15 +298,21 @@ class TestStepRecord:
     def test_one_frame_per_step(self, name, monkeypatch):
         # the tracker and the mode's filter read one TrackContext per control step,
         # and the frame holds one goal jet (modelfree's two tracks share it) and
-        # one evaluation of each constraint member, which every layer reads
+        # one evaluation of each constraint member, which every layer reads; the
+        # state travels as the integrator's tuple, never as an AircraftState
         scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 2.0})
         init, goal_jet = TrackContext.__init__, tracking._goal_jet
+        state_init = AircraftState.__init__
         separation, h_geofence = constraints._separation, constraints.h_geofence
-        builds, jets, separations, distances = [], [], [], []
+        builds, jets, separations, distances, states = [], [], [], [], []
 
         def counted(self, *args, **kwargs):
             builds.append(args)
             init(self, *args, **kwargs)
+
+        def counted_state(self, *args, **kwargs):
+            states.append(args)
+            state_init(self, *args, **kwargs)
 
         def counted_jet(*args):
             jets.append(args)
@@ -321,12 +327,14 @@ class TestStepRecord:
             return h_geofence(*args)
 
         monkeypatch.setattr(TrackContext, "__init__", counted)
+        monkeypatch.setattr(AircraftState, "__init__", counted_state)
         monkeypatch.setattr(tracking, "_goal_jet", counted_jet)
         monkeypatch.setattr(constraints, "_separation", counted_separation)
         monkeypatch.setattr(constraints, "h_geofence", counted_distance)
         log = integrate(scn)
         assert log.abort is None and len(log.t) == round(2.0 / scn.dt) + 1
         assert len(builds) == len(jets) == len(log.t)
+        assert states == []
         planes = sum(isinstance(m, constraints.GeofencePlane) for m in scn.cset.members)
         assert len(separations) == (len(scn.cset.members) - planes) * len(log.t)
         assert len(distances) == planes * len(log.t)
@@ -496,7 +504,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "base, path",
         [(name, ("safety_filter", "gamma")) for name in ("fig3", "fig4", "fig5", "fig6", "step_offset")]
-        + [("fig5", ("backstepping", "gamma_e"))],
+        + [("fig5", ("backstepping", key)) for key in ("gamma_e", "nu_e", "mu_e")]
+        + [("fig6", ("modelfree", key)) for key in ("gamma_p", "sigma", "Gamma_v", "nu_v")]
+        + [("fig3", ("tracking", key)) for key in ("mu", "lambda")],
     )
     def test_decay_gain_must_be_positive(self, base, path, value, tmp_path, capsys):
         raw = json.loads(bundled_scenario_path(base).read_text())
@@ -504,7 +514,18 @@ class TestCli:
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(raw))
         assert cli_main(["check", "--scenario", str(src)]) == 2
-        assert f"field '{path[0]}': gamma must be positive" in capsys.readouterr().err
+        assert f"field '{path[0]}': {path[1]} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value", [(("backstepping", "W_e"), [1.0, 0.0, 1.0]), (("safety_filter", "W"), [6.0, 0.6, 0.0])]
+    )
+    def test_singular_weight_names_its_field(self, path, value, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("fig5").read_text())
+        raw[path[0]][path[1]] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(raw))
+        assert cli_main(["check", "--scenario", str(src)]) == 2
+        assert f"field '{path[0]}': {path[1]} must be invertible" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [5, None], ids=repr)
     @pytest.mark.parametrize(
