@@ -58,7 +58,7 @@ def member_extended_terms(jet1, v, gamma_p: float, dirs=()):
     """
     g = 1.0 / gamma_p
     (h0, h1), (n0, n1), (d0, d1), _ = jet1
-    gr = [n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g]
+    gr = (n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g)
     terms = [h0 + h1 * g, dot3(gr, v) + (d0 + d1 * g), n0[0] * g, n0[1] * g, n0[2] * g]
     if not dirs:
         return terms, []
@@ -78,12 +78,12 @@ def compose_extended_terms(jets, v, kappa: float, gamma_p: float, dirs=()):
     """Composed extension of :func:`~fwrta.constraints.member_jet1` results along ``(v, 1)``:
     ``(h_e, D, gv, per-member values, weights, tangents)``, the last one
     composed ``[h_e', D', *gv']`` per pair of ``dirs`` (``[]`` without)."""
-    pairs = [member_extended_terms(j, v, gamma_p, dirs) for j in jets]
-    h, D, *gv, per, w = compose_members([x[0] for x in pairs], kappa)
+    terms, tangents = zip(*[member_extended_terms(j, v, gamma_p, dirs) for j in jets])
+    h, D, *gv, per, w = compose_members(terms, kappa)
     if not dirs:
         return h, D, gv, per, w, []
-    entries = [x[0][1:] for x in pairs]
-    return h, D, gv, per, w, [compose_along(entries, tg, w, kappa) for tg in zip(*(x[1] for x in pairs))]
+    entries = [x[1:] for x in terms]
+    return h, D, gv, per, w, [compose_along(entries, tg, w, kappa) for tg in zip(*tangents)]
 
 
 def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams):
