@@ -6,8 +6,7 @@ first order of the member's jet the frame keeps
 acceleration channel.  :func:`compose_extended_terms` is the one
 composition of the extension, in the three quantities both input filters
 read: ``h_e``, its rate at fixed velocity ``D`` and its velocity gradient
-``gv``, plus their tangents along ``(dv, tau)`` pairs if asked (the
-backstepping barrier asks).  :class:`ExtendedParams` holds the extension
+``gv``.  :class:`ExtendedParams` holds the extension
 gain and the outer filter's gains, ``gamma``, ``W`` and the smoothing
 ``nu``.  Roll rate ``P`` never enters: the input row carries a
 structural zero in the ``P`` slot, and :func:`rta_extended` copies the
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, compose_along, compose_members, frame_jets, member_jet
+from .constraints import ConstraintSet, compose_members, frame_jets, member_jet
 from .dual import dot3
 from .filters import FilterResult, WeightFactor, check_positive, filter_input
 from .model import ControlInput, TrackContext
@@ -41,49 +40,54 @@ class ExtendedParams:
             check_positive(nu=self.nu)
 
 
-def member_extended_terms(jet1, v, gamma_p: float, dirs=()):
-    """``[E, D, *gv]`` of one extended member, and their first derivatives
-    along ``dirs``, each a pair ``(dv, tau)``.
+def member_extended_terms(jet1, v, gamma_p: float):
+    """``[E, D, *gv]`` of one extended member, as one flat float list.
 
     ``jet1`` is the member's :func:`~fwrta.constraints.member_jet1` at
     ``(r, t)`` along ``(v, 1)``.  ``E = h + h'/gamma_p`` is the jet's first
     order; by the symmetry of mixed partials its gradient in ``r`` is
     ``gr = n + n'/gamma_p``, so its rate at fixed velocity is
     ``D = gr . v + d + d'/gamma_p`` and its velocity gradient ``gv = n/gamma_p``.
-    Returns ``(terms, tangents)``: the entries as one flat float list and,
-    one such list per direction, their derivatives (``[]`` without
-    ``dirs``).  A pair moves ``(r, v, t)`` by ``(tau v, dv, tau)``: the jet
-    moves by ``tau`` times its :func:`~fwrta.constraints.member_jet` next
-    order plus its ``along(dv)``.
     """
     g = 1.0 / gamma_p
     (h0, h1), (n0, n1), (d0, d1), _ = jet1
     gr = (n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g)
-    terms = [h0 + h1 * g, dot3(gr, v) + (d0 + d1 * g), n0[0] * g, n0[1] * g, n0[2] * g]
-    if not dirs:
-        return terms, []
-    (_, _, h2), (_, _, n2), (_, _, d2), along = member_jet(jet1)
-    e_h = h1 + h2 * g
-    e_d = dot3([x + y * g for x, y in zip(n1, n2)], v) + d1 + d2 * g
-    e_x, e_y, e_z = n1[0] * g, n1[1] * g, n1[2] * g
-    tangents = []
-    for dv, tau in dirs:
-        h_v, *n_v, d_v = along(dv)
-        tangents.append([tau * e_h + h_v * g, tau * e_d + dot3(gr, dv) + (dot3(n_v, v) + d_v) * g,
-                         tau * e_x, tau * e_y, tau * e_z])
-    return terms, tangents
+    return [h0 + h1 * g, dot3(gr, v) + (d0 + d1 * g), n0[0] * g, n0[1] * g, n0[2] * g]
 
 
-def compose_extended_terms(jets, v, kappa: float, gamma_p: float, dirs=()):
+def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
+    """``(E', D')`` of a :func:`member_extended_terms` along the frame's drift
+    ``(V R c1, 1)`` and columns ``(c0, 0)``, ``(-V c2, 0)``, pairs ``(dv, tau)``
+    moving ``(r, v, t)`` by ``(tau v, dv, tau)``; ``gv`` moves by ``tau n'/gamma_p``.
+
+    With :func:`~fwrta.constraints.member_jet`'s next order,
+    ``E' = tau (h' + h''/gamma_p) + n . dv/gamma_p`` and
+    ``D' = tau ((n' + n''/gamma_p) . v + d' + d''/gamma_p) + gr . dv + x``,
+    ``x = (dv . delta - (n . dv) q') / (q gamma_p)`` for an obstacle, 0 for a plane.
+    """
+    g = 1.0 / gamma_p
+    (_, h1, h2), (n0, n1, n2), (_, d1, d2), _ = member_jet(jet1)
+    v, c0, c1, c2 = ctx.v, ctx.c0, ctx.c1, ctx.c2
+    gr = (n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g)
+    n_a, n_f, n_q = dot3(n0, c0), dot3(n0, c1), dot3(n0, c2)
+    r_a, r_f, r_q = dot3(gr, c0), dot3(gr, c1), dot3(gr, c2)
+    sep = jet1[3]
+    if sep is not None:
+        k, dl = g / sep[0], sep[1]
+        r_a += (dot3(dl, c0) - n_a * h1) * k
+        r_f += (dot3(dl, c1) - n_f * h1) * k
+        r_q += (dot3(dl, c2) - n_q * h1) * k
+    V, VR = ctx.V_T, ctx.V_T * ctx.R
+    e_d = dot3((n1[0] + n2[0] * g, n1[1] + n2[1] * g, n1[2] + n2[2] * g), v) + d1 + d2 * g
+    return (h1 + h2 * g + VR * n_f * g, e_d + VR * r_f), (n_a * g, r_a), (-V * n_q * g, -V * r_q)
+
+
+def compose_extended_terms(jets, v, kappa: float, gamma_p: float):
     """Composed extension of :func:`~fwrta.constraints.member_jet1` results along ``(v, 1)``:
-    ``(h_e, D, gv, per-member values, weights, tangents)``, the last one
-    composed ``[h_e', D', *gv']`` per pair of ``dirs`` (``[]`` without)."""
-    terms, tangents = zip(*[member_extended_terms(j, v, gamma_p, dirs) for j in jets])
+    ``(h_e, D, gv, per-member values, weights, per-member terms)``."""
+    terms = [member_extended_terms(j, v, gamma_p) for j in jets]
     h, D, *gv, per, w = compose_members(terms, kappa)
-    if not dirs:
-        return h, D, gv, per, w, []
-    entries = [x[1:] for x in terms]
-    return h, D, gv, per, w, [compose_along(entries, tg, w, kappa) for tg in zip(*tangents)]
+    return h, D, gv, per, w, terms
 
 
 def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams):

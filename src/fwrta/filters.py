@@ -43,7 +43,8 @@ class WeightFactor:
         W = np.asarray(self.W, dtype=float)
         if W.shape != (3, 3):
             raise ValueError("W must be square, 3x3")
-        if not np.all(np.isfinite(W)) or abs(np.linalg.det(W)) == 0.0:
+        # scale-free, unlike a determinant
+        if not np.all(np.isfinite(W)) or np.linalg.matrix_rank(W) < 3:
             raise ValueError("W must be finite and invertible")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "rows", tuple(map(tuple, W.tolist())))
@@ -67,15 +68,17 @@ class FilterResult:
     """One filter step's output and diagnostics.
 
     ``u`` is the filtered input, ``a`` the constraint value at ``u_d``,
-    ``lam`` the multiplier and ``bn2`` the squared norm of the weighted
-    row.  ``slack`` is the achieved ``a + lam |b|^2``; ``infeasible`` is
-    set when the row vanishes while ``a < 0`` (the filter has no
-    authority and returns the desired input unchanged).
+    ``lam`` the multiplier, ``slope`` the smooth one's softplus slope (else
+    0) and ``bn2`` the squared norm of the weighted row.  ``slack`` is the
+    achieved ``a + lam |b|^2``; ``infeasible`` is set when the row vanishes
+    while ``a < 0`` (the filter has no authority and returns the desired
+    input unchanged).
     """
 
     u: list
     a: float
     lam: float
+    slope: float
     bn2: float
     slack: float
     infeasible: bool
@@ -107,7 +110,7 @@ def lambda_hard(a, b_norm):
 
 
 def lambda_smooth(a, b_norm, nu: float):
-    """Softplus multiplier ``ln(1 + exp(-nu a/b)) / (nu b)``.
+    """Softplus multiplier ``ln(1 + exp(x)) / (nu b)``, ``x = -nu a/b``, and ``softplus'(x)``.
 
     Over-approximates ``lambda_hard`` pointwise and approaches it as
     ``nu`` grows; computed overflow-safe for any finite ``a/b``.
@@ -115,22 +118,18 @@ def lambda_smooth(a, b_norm, nu: float):
     if not nu > 0.0:
         raise ValueError("nu must be positive")
     if b_norm == 0.0:
-        return 0.0
-    return softplus(-nu * (a / b_norm))[0] / (nu * b_norm)
+        return 0.0, 0.0
+    sp, slope, _ = softplus(-nu * (a / b_norm))
+    return sp / (nu * b_norm), slope
 
 
-def lambda_smooth_rate(a: float, b_norm: float, nu: float, a_o, b_norm_o):
-    """First derivative of ``lambda_smooth(a, b_norm, nu)`` along directions
-    that move ``a`` by ``a_o`` and ``b_norm > 0`` by ``b_norm_o``.
-
-    With ``x = -nu a / b`` and ``lam = softplus(x) / (nu b)``:
-    ``x' = -(nu a' + x b') / b`` and ``lam' = (softplus'(x) x' - lam nu b') / (nu b)``.
-    """
+def lambda_smooth_rate(a: float, b_norm: float, nu: float, lam: float, slope: float, a_o, b_norm_o):
+    """First derivative of ``lam``, where ``lambda_smooth(a, b_norm, nu) = (lam, slope)``,
+    as ``a`` moves by ``a_o`` and ``b_norm > 0`` by ``b_norm_o``: with ``x = -nu a/b``,
+    ``x' = -(nu a' + x b') / b`` and ``lam' = (slope x' - lam nu b') / (nu b)``."""
     x = -nu * (a / b_norm)
-    sp, s1, _ = softplus(x)
-    lam = sp / (nu * b_norm)
     x_o = -(nu * a_o + x * b_norm_o) / b_norm
-    return (s1 * x_o - lam * nu * b_norm_o) / (nu * b_norm)
+    return (slope * x_o - lam * nu * b_norm_o) / (nu * b_norm)
 
 
 def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:
@@ -143,12 +142,12 @@ def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:
     """
     bn2 = dot3(b, b)
     if bn2 == 0.0:
-        u, lam = u_d, 0.0
+        u, lam, slope = u_d, 0.0, 0.0
     else:
         b_norm = math.sqrt(bn2)
-        lam = lambda_hard(a, b_norm) if nu is None else lambda_smooth(a, b_norm, nu)
+        lam, slope = (lambda_hard(a, b_norm), 0.0) if nu is None else lambda_smooth(a, b_norm, nu)
         u = [x + y * lam for x, y in zip(u_d, W(b))]
-    return FilterResult(u, a, lam, bn2, a + lam * bn2, bn2 == 0.0 and a < 0.0)
+    return FilterResult(u, a, lam, slope, bn2, a + lam * bn2, bn2 == 0.0 and a < 0.0)
 
 
 def filter_input(u_d: ControlInput, h: float, drift: float, row, params) -> FilterResult:

@@ -78,7 +78,7 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
         a_o = gu_o + d_o + p.gamma_p * h_o - 2.0 * p.sigma * gg_o
         s_o = (gu_o - 2.0 * s0 * dm.dot3(u0, u_o)) / P[0]
         beta_o = (2.0 * c * gg_o + c1 * (s_o * gu0 + s0 * gu_o)) / (2.0 * beta)
-        lam_o = lambda_smooth_rate(a0, beta, nu, a_o, beta_o)
+        lam_o = lambda_smooth_rate(a0, beta, nu, lam0, s1, a_o, beta_o)
         m_o, k_o = c1 * (lam_o * s0 + lam0 * s_o), c * lam_o
         return [w + m_o * y + m0 * w + k_o * z + k0 * q for w, y, z, q in zip(u_o, u0, g0, g_o)]
 
@@ -102,10 +102,10 @@ def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFree
     c1 = 1.0 - c
     bn2 = c * gg + c1 * (s * gu)
     if bn2 == 0.0:
-        return FilterResult(v_d, a, 0.0, bn2, a, a < 0.0)
-    lam = lambda_smooth(a, math.sqrt(bn2), p.nu_v)
+        return FilterResult(v_d, a, 0.0, 0.0, bn2, a, a < 0.0)
+    lam, slope = lambda_smooth(a, math.sqrt(bn2), p.nu_v)
     m, k = c1 * (lam * s), c * lam
-    return FilterResult([x + m * x + k * y for x, y in zip(v_d, grad)], a, lam, bn2, a + lam * bn2, False)
+    return FilterResult([x + m * x + k * y for x, y in zip(v_d, grad)], a, lam, slope, bn2, a + lam * bn2, False)
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fwrta.extended import (
     _affine_terms,
     compose_extended_terms,
     member_extended_terms,
+    member_frame_rates,
     rta_extended,
 )
 from fwrta.dual import ZERO3
@@ -24,7 +26,7 @@ TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 
 
 
 def extended_value(r, v, t, member, gamma_p):
-    return member_extended_terms(member_jet1(r, t, v, member), v, gamma_p)[0][0]
+    return member_extended_terms(member_jet1(r, t, v, member), v, gamma_p)[0]
 
 
 def table_params():
@@ -230,22 +232,26 @@ def extended_entries(r, v, t, member, gamma_p):
     return h, dm.dot(grad_r, v) + dt, gv
 
 
-@pytest.mark.parametrize("tau", [0.0, 1.0, 0.5])
-def test_member_tangents_match_dual_oracle(rng, tau):
-    # a pair (dv, tau) moves (r, v, t) by (tau v, dv, tau)
+@pytest.mark.parametrize("phi", [0.0, 1.0, 0.5])
+def test_member_tangents_match_dual_oracle(rng, gravity, phi):
+    # the frame's drift (V R c1, 1) and input columns (c0, 0), (-V c2, 0), each a
+    # pair (dv, tau) moving (r, v, t) by (tau v, dv, tau); wings level, the drift is (0, 1)
     gamma_p = 0.1
     for _ in range(20):
-        r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
-        dirs = [(rng.uniform(-20.0, 20.0, 3).tolist(), tau) for _ in range(2)]
+        st = dataclasses.replace(random_state(rng, pos_scale=500.0), phi=phi)
+        t = float(rng.uniform(0.0, 10.0))
+        ctx = TrackContext(st, t, gravity)
+        r, v = np.array(ctx.r), np.array(ctx.v)
+        V = ctx.V_T
+        dirs = [([V * ctx.R * x for x in ctx.c1], 1.0), (ctx.c0, 0.0), ([-V * x for x in ctx.c2], 0.0)]
         for m in oracle_members(rng, r):
-            jet1 = member_jet1(r.tolist(), t, v.tolist(), m)
-            terms, tangents = member_extended_terms(jet1, v.tolist(), gamma_p, dirs)
-            # the value-only call reads the jet's first order alone, to the same bits
-            assert member_extended_terms(jet1, v.tolist(), gamma_p) == (terms, [])
+            jet1 = member_jet1(ctx.r, t, ctx.v, m)
+            terms = member_extended_terms(jet1, ctx.v, gamma_p)
             want = np.concatenate([np.atleast_1d(x) for x in extended_entries(r, v, t, m, gamma_p)])
             np.testing.assert_allclose(terms, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-            assert len(tangents) == len(dirs)
-            for (dv, _), got in zip(dirs, tangents):
+            rates = member_frame_rates(jet1, gamma_p, ctx)
+            assert len(rates) == len(dirs)
+            for (dv, tau), got in zip(dirs, rates):
                 out = extended_entries(
                     dm.Dual(r.copy(), (tau * v)[:, None]),
                     dm.Dual(v.copy(), np.array(dv)[:, None]),
@@ -254,4 +260,6 @@ def test_member_tangents_match_dual_oracle(rng, tau):
                     gamma_p,
                 )
                 want = np.concatenate([np.atleast_1d(seed_rate(x)) for x in out])
+                # (E', D') and the velocity gradient's rate tau n' / gamma_p
+                got = np.append(got, [tau * x / gamma_p for x in jet1[1][1]])
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())

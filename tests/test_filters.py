@@ -45,7 +45,7 @@ class TestLambdaHard:
 
 class TestLambdaSmooth:
     def test_analytic_point(self):
-        assert lambda_smooth(0.0, 1.0, 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert lambda_smooth(0.0, 1.0, 1.0) == (pytest.approx(math.log(2.0), rel=1e-15), 0.5)
 
     def test_over_approximates_hard(self, rng):
         for _ in range(2000):
@@ -53,7 +53,7 @@ class TestLambdaSmooth:
             b = float(rng.uniform(1e-3, 20))
             nu = float(rng.uniform(0.05, 50))
             hard = lambda_hard(a, b)
-            assert lambda_smooth(a, b, nu) >= hard - 1e-12 * max(1.0, hard)
+            assert lambda_smooth(a, b, nu)[0] >= hard - 1e-12 * max(1.0, hard)
 
     def test_sharp_limit_bound(self, rng):
         nu = 1e3
@@ -61,7 +61,7 @@ class TestLambdaSmooth:
             a = float(rng.uniform(-10, 10))
             b = float(rng.uniform(0.1, 5))
             hard = lambda_hard(a, b)
-            gap = lambda_smooth(a, b, nu) - hard
+            gap = lambda_smooth(a, b, nu)[0] - hard
             assert -1e-12 * max(1.0, hard) <= gap <= math.log(2.0) / (nu * b) + 1e-9
 
     def test_requires_positive_nu(self):

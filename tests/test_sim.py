@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,13 +333,31 @@ class TestStepRecord:
         monkeypatch.setattr(tracking, "_goal_jet", counted_jet)
         monkeypatch.setattr(constraints, "_separation", counted_separation)
         monkeypatch.setattr(constraints, "h_geofence", counted_distance)
-        log = integrate(scn)
+        # calls by code object, whatever name the caller imported them under
+        watched = {f.__code__: f.__name__ for f in (constraints.compose_along, constraints._unit_along, filters.softplus)}
+        calls = dict.fromkeys(watched.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            log = integrate(scn)
+        finally:
+            sys.setprofile(previous)
         assert log.abort is None and len(log.t) == round(2.0 / scn.dt) + 1
         assert len(builds) == len(jets) == len(log.t)
         assert states == []
         planes = sum(isinstance(m, constraints.GeofencePlane) for m in scn.cset.members)
         assert len(separations) == (len(scn.cset.members) - planes) * len(log.t)
         assert len(distances) == planes * len(log.t)
+        if name == "fig5":
+            # the backstepping rate reads each obstacle's jet through frame projections
+            # and the filter step's one softplus
+            n = len(log.t)
+            assert calls == {"compose_along": 0, "_unit_along": (len(scn.cset.members) - planes) * n, "softplus": n}
 
 
 class TestExport:
@@ -526,6 +546,25 @@ class TestCli:
         src.write_text(json.dumps(raw))
         assert cli_main(["check", "--scenario", str(src)]) == 2
         assert f"field '{path[0]}': {path[1]} must be invertible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, path, scale",
+        [("fig5", ("backstepping", "W_e"), 1e-120), ("fig5", ("backstepping", "W_e"), 1e120),
+         ("fig3", ("safety_filter", "W"), 1e200)],
+    )
+    def test_weight_scale_exit_code(self, base, path, scale, tmp_path, capsys):
+        # invertibility does not depend on the factor's scale; an extreme scale
+        # fails as a schema or numerical error at worst, never with a traceback
+        raw = json.loads(bundled_scenario_path(base).read_text())
+        raw["t_final"] = 1.0
+        raw[path[0]][path[1]] = [scale] * 3
+        src = tmp_path / "scaled.json"
+        src.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["check", "--scenario", str(src)])
+        assert code in (0, 1, 2, 3)
+        assert "must be invertible" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [5, None], ids=repr)
     @pytest.mark.parametrize(
