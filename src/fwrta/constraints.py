@@ -9,11 +9,10 @@ into a single barrier value by a stabilized log-sum-exp smooth minimum
 Each member is evaluated once per control step: :func:`frame_jets`
 keeps its first-order Taylor jet along ``(v, 1)`` (:func:`member_jet1`)
 on the step's frame.  :func:`compose_h_p` composes their zeroth orders,
-the extended member is their first order, and :func:`member_jet`
-extends one to second order.  Vectors are float 3-sequences; tangents
-along one direction are flat float lists, composed by
-:func:`compose_along`, and :func:`compose_jets` sums the weighted
-member jets in place.
+the extended member is their first order, and :func:`member_jet` adds
+the second order along the curve ``(r + tau v + tau^2 r2 / 2, t + tau)``.
+:func:`compose_jets` sums the weighted member jets in place, the second
+order once ``r2`` is known.  Vectors are float 3-sequences.
 """
 
 from __future__ import annotations
@@ -159,8 +158,8 @@ def member_jet1(r, t, v, member: Constraint):
 
     Returns ``(h, n, d, sep)``: the value's, the gradient's and the
     time-partial's jets, and an obstacle's ``(q, delta, v_i, a_i)``, which
-    :func:`member_jet` reads (``None`` for a plane, whose jets end at this
-    order).  An obstacle's separation moves as
+    :func:`member_jet` reads (``None`` for a plane).  An obstacle's
+    separation moves as
     ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
     """
     if isinstance(member, GeofencePlane):
@@ -182,26 +181,21 @@ def frame_jets(ctx, cset: ConstraintSet):
     return memo[1]
 
 
-def member_jet(jet1):
-    """The second-order extension of a :func:`member_jet1` result.
+def member_jet(jet1, r2):
+    """Second orders ``(h'', n'', d'')`` of a :func:`member_jet1` result along the curve
+    ``(r + tau v + tau^2 r2 / 2, t + tau)``, which leaves its first orders as they are.
 
-    Returns ``(h, n, d, along)``: scalar jets of the value and time-partial,
-    the gradient's vector jet, and ``along(rho)``, the flat list of their
-    first derivatives along ``(rho, 0)``.  A jet that ends at the first
-    order (a plane's) has zero second order.
+    A plane's gradient and time-partial are constant and ``h'' = n . r2``; an
+    obstacle's separation has second derivative ``r2 - a_i``.
     """
-    (h0, q1), (n, n1), (d0, d1), sep = jet1
+    (_, q1), (n, n1), _, sep = jet1
     if sep is None:
-        return (h0, q1, 0.0), (n, n1, ZERO3), (d0, d1, 0.0), lambda rho: [dot3(n, rho), 0.0, 0.0, 0.0, 0.0]
+        return dot3(n, r2), ZERO3, 0.0
     q, dl, v_i, a_i = sep
-    q2 = (dot3(dl, dl) - q1 * q1) / q - dot3(n, a_i)
-    n2 = [-(x + 2.0 * y * q1 + z * q2) / q for x, y, z in zip(a_i, n1, n)]
-
-    def along(rho):
-        q1, n1 = _unit_along(n, q, rho)
-        return [q1, *n1, -dot3(n1, v_i)]
-
-    return (h0, q1, q2), (n, n1, n2), (d0, d1, -dot3(n2, v_i) - 2.0 * dot3(n1, a_i)), along
+    e = [x - y for x, y in zip(r2, a_i)]
+    q2 = (dot3(dl, dl) - q1 * q1) / q + dot3(n, e)
+    n2 = [(x - 2.0 * y * q1 - z * q2) / q for x, y, z in zip(e, n1, n)]
+    return q2, n2, -dot3(n2, v_i) - 2.0 * dot3(n1, a_i)
 
 
 def softmin_weights(values, kappa: float):
@@ -243,59 +237,45 @@ def compose_members(terms, kappa: float):
     return (*out, per, w)
 
 
-def compose_along(entries, tangents, weights, kappa: float):
-    """First derivative of :func:`compose_members`'s outputs along one direction.
-
-    ``entries`` holds, per member, its derivative entries (its flat list
-    ``[value, *derivatives]`` without the value), ``tangents`` the first
-    derivatives of the whole list along the direction and ``weights`` the
-    softmin weights.  Along it ``h' = sum w_i h_i'`` and
-    ``w_i' = kappa w_i (h' - h_i')``, so an averaged entry moves by
-    ``sum w_i' c_i + w_i c_i'``.
-    """
-    if len(entries) == 1:
-        return tangents[0]
-    h_o = sum(w * d[0] for w, d in zip(weights, tangents))
-    w_o = [kappa * w * (h_o - d[0]) for w, d in zip(weights, tangents)]
-    out = [0.0] * len(entries[0])
-    for c, d, w, x in zip(entries, tangents, weights, w_o):
-        out = [a + (x * y + w * z) for a, y, z in zip(out, c, d[1:])]
-    return [h_o, *out]
-
-
 def compose_jets(jets, kappa: float):
-    """:func:`compose_members` on :func:`member_jet` outputs, returned as one member's jet.
+    """:func:`compose_members` on :func:`member_jet1` results, as one member's jets
+    ``(h, n, d)`` up to the first order plus ``second(r2)``, their second
+    orders along the curve of :func:`member_jet`.
 
-    Along the line ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``;
-    the weighted gradient and time-partial jets are summed in place, member
-    by member.  ``along(rho)`` composes the members' first derivatives
-    along ``(rho, 0)``.
+    Along it ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``, and
+    likewise one order up; the weighted gradient and time-partial jets are
+    summed in place, member by member.
     """
     if len(jets) == 1:
-        return jets[0]
+        jet = jets[0]
+        return (*jet[:3], lambda r2: member_jet(jet, r2))
     h, w = softmin_weights([j[0][0] for j in jets], kappa)
     h1 = sum(x * j[0][1] for x, j in zip(w, jets))
     w1 = [kappa * x * (h1 - j[0][1]) for x, j in zip(w, jets)]
-    h2 = sum(x * j[0][1] + y * j[0][2] for x, y, j in zip(w1, w, jets))
-    w2 = [kappa * (x * (h1 - j[0][1]) + y * (h2 - j[0][2])) for x, y, j in zip(w1, w, jets)]
-    # the weight jet times the gradient's jet (a, b, c) and the time-partial's
-    # (e), added straight into each order's components in member order, so the
+    # the weight jet times the gradient's jet (a, b) and the time-partial's (e),
+    # added straight into each order's components in member order, so the
     # zeroth order equals compose_members' sums
-    g0x = g0y = g0z = g1x = g1y = g1z = g2x = g2y = g2z = d0 = d1 = d2 = 0.0
-    for x0, x1, x2, (_, ((ax, ay, az), (bx, by, bz), (cx, cy, cz)), (e0, e1, e2), _) in zip(w, w1, w2, jets):
-        y1 = 2.0 * x1
+    g0x = g0y = g0z = g1x = g1y = g1z = d0 = d1 = 0.0
+    for x0, x1, (_, ((ax, ay, az), (bx, by, bz)), (e0, e1), _) in zip(w, w1, jets):
         g0x, g0y, g0z = g0x + x0 * ax, g0y + x0 * ay, g0z + x0 * az
         g1x, g1y, g1z = g1x + (x1 * ax + x0 * bx), g1y + (x1 * ay + x0 * by), g1z + (x1 * az + x0 * bz)
-        g2x += x2 * ax + y1 * bx + x0 * cx
-        g2y += x2 * ay + y1 * by + x0 * cy
-        g2z += x2 * az + y1 * bz + x0 * cz
-        d0, d1, d2 = d0 + x0 * e0, d1 + (x1 * e0 + x0 * e1), d2 + (x2 * e0 + y1 * e1 + x0 * e2)
-    entries = [[*j[1][0], j[2][0]] for j in jets]
+        d0, d1 = d0 + x0 * e0, d1 + (x1 * e0 + x0 * e1)
 
-    def along(rho):
-        return compose_along(entries, [j[3](rho) for j in jets], w, kappa)
+    def second(r2):
+        jets2 = [member_jet(j, r2) for j in jets]
+        h2 = sum(x * j[0][1] + y * j2[0] for x, y, j, j2 in zip(w1, w, jets, jets2))
+        w2 = [kappa * (x * (h1 - j[0][1]) + y * (h2 - j2[0])) for x, y, j, j2 in zip(w1, w, jets, jets2)]
+        g2x = g2y = g2z = d2 = 0.0
+        for x0, x1, x2, (_, ((ax, ay, az), (bx, by, bz)), (e0, e1), _), (_, (cx, cy, cz), e2) in zip(
+                w, w1, w2, jets, jets2):
+            y1 = 2.0 * x1
+            g2x += x2 * ax + y1 * bx + x0 * cx
+            g2y += x2 * ay + y1 * by + x0 * cy
+            g2z += x2 * az + y1 * bz + x0 * cz
+            d2 += x2 * e0 + y1 * e1 + x0 * e2
+        return h2, [g2x, g2y, g2z], d2
 
-    return (h, h1, h2), ([g0x, g0y, g0z], [g1x, g1y, g1z], [g2x, g2y, g2z]), (d0, d1, d2), along
+    return (h, h1), ([g0x, g0y, g0z], [g1x, g1y, g1z]), (d0, d1), second
 
 
 def compose_h_p(ctx, cset: ConstraintSet) -> BarrierEval:

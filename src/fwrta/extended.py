@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import ConstraintSet, compose_members, frame_jets, member_jet
-from .dual import dot3
+from .dual import ZERO3, dot3
 from .filters import FilterResult, WeightFactor, check_positive, filter_input
 from .model import ControlInput, TrackContext
 
@@ -60,18 +60,18 @@ def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
     ``(V R c1, 1)`` and columns ``(c0, 0)``, ``(-V c2, 0)``, pairs ``(dv, tau)``
     moving ``(r, v, t)`` by ``(tau v, dv, tau)``; ``gv`` moves by ``tau n'/gamma_p``.
 
-    With :func:`~fwrta.constraints.member_jet`'s next order,
+    With :func:`~fwrta.constraints.member_jet`'s second orders at ``r2 = 0``,
     ``E' = tau (h' + h''/gamma_p) + n . dv/gamma_p`` and
     ``D' = tau ((n' + n''/gamma_p) . v + d' + d''/gamma_p) + gr . dv + x``,
     ``x = (dv . delta - (n . dv) q') / (q gamma_p)`` for an obstacle, 0 for a plane.
     """
     g = 1.0 / gamma_p
-    (_, h1, h2), (n0, n1, n2), (_, d1, d2), _ = member_jet(jet1)
+    (_, h1), (n0, n1), (_, d1), sep = jet1
+    h2, n2, d2 = member_jet(jet1, ZERO3)
     v, c0, c1, c2 = ctx.v, ctx.c0, ctx.c1, ctx.c2
     gr = (n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g)
     n_a, n_f, n_q = dot3(n0, c0), dot3(n0, c1), dot3(n0, c2)
     r_a, r_f, r_q = dot3(gr, c0), dot3(gr, c1), dot3(gr, c2)
-    sep = jet1[3]
     if sep is not None:
         k, dl = g / sep[0], sep[1]
         r_a += (dot3(dl, c0) - n_a * h1) * k

@@ -14,9 +14,8 @@ filtered input, the multiplier, the achieved slack and the no-authority
 flag.  The input filters'
 :func:`filter_input` adds the linear decay ``gamma h`` to the barrier
 rate and weights the row.  The smooth multiplier's first derivative
-along a direction, :func:`lambda_smooth_rate`, is written here once: the
-backstepping barrier's rate and the model-free Taylor jet
-(:func:`fwrta.modelfree.filter_jet`) both read it.
+along a direction, :func:`lambda_smooth_rate`, reads the step's value and
+slope; the backstepping barrier's rate reads it.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ Deviations along the desired velocity are cheap, perpendicular ones cost
 ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v`` the part of the
 gradient ``g`` across ``v_d`` is ``g - s v_d``, so the step has a closed
 form in ``s``, ``g`` and ``v_d`` (:func:`filter_jet`).  The tracker
-flies it as a plain-float Taylor jet; :func:`safe_velocity_from_terms`
-is the jet's zeroth order, the same float operations in the same order,
-and returns it as a :class:`~fwrta.filters.FilterResult`: the safe
+flies it as a plain-float Taylor jet along the flown curve, written in
+scalar formulas: orders 0 and 1 when the command is built, the second
+order once the curve's acceleration is known.
+:func:`safe_velocity_from_terms` is the jet's zeroth order, the same
+float operations in the same order, and returns it as a :class:`~fwrta.filters.FilterResult`: the safe
 velocity is its ``u``, the achieved margin its ``slack``.  The
 Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
 certifies the tracked closed loop and is logged, not enforced.
@@ -21,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import dual as dm
+from .dual import dot3
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import FilterResult, check_positive, lambda_smooth, lambda_smooth_rate, softplus
+from .filters import FilterResult, check_positive, lambda_smooth, softplus
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
@@ -43,46 +45,59 @@ class ModelFreeParams:
 
 
 def filter_jet(u, h, g, d, p: ModelFreeParams):
-    """:func:`safe_velocity_from_terms`'s ``v_s`` as a vector jet, from the jets of ``v_d``,
-    ``h``, ``grad`` and ``dtp``; ``along(u, h, g, d)`` maps their first
-    derivatives along a second direction to that of ``v_s``.
+    """:func:`safe_velocity_from_terms`'s ``v_s`` as a vector jet ``(v_s, v_s')`` from the
+    first-order jets of ``v_d``, ``h``, ``grad`` and ``dtp``, plus
+    ``second(u2, h2, g2, d2)``, which maps their second orders to ``v_s''``.
 
     With ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v``, the part of ``g``
     across ``v_d`` is ``g - s v_d``, so ``|b|^2 = c |g|^2 + (1 - c) s (g . v_d)``
     and ``v_s = v_d + lam ((1 - c) s v_d + c g)``; ``|g|^2`` is the rate
     condition's.
     """
-    P = dm.jet_dot(u, u)
-    if math.sqrt(P[0]) < ZERO_VELOCITY_TOL:
+    (u0, u1), (h0, h1), (g0, g1), (d0, d1) = u, h, g, d
+    P = dot3(u0, u0)
+    if math.sqrt(P) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    gu, gg = dm.jet_dot(g, u), dm.jet_dot(g, g)
-    a = [w + x + p.gamma_p * y - p.sigma * z for w, x, y, z in zip(gu, d, h, gg)]
-    s = dm.jet_div(gu, P)
-    c, nu = 1.0 / p.Gamma_v, p.nu_v
+    c, nu, gamma_p, sigma = 1.0 / p.Gamma_v, p.nu_v, p.gamma_p, p.sigma
+    gu, gg = dot3(g0, u0), dot3(g0, g0)
+    a = gu + d0 + gamma_p * h0 - sigma * gg
+    s = gu / P
     c1 = 1.0 - c
-    bn2 = [c * x + c1 * y for x, y in zip(gg, dm.jet_mul(s, gu))]
-    if bn2[0] == 0.0:
-        return u, lambda u_o, h_o, g_o, d_o: u_o
-    beta = math.sqrt(bn2[0])
-    beta1 = 0.5 * bn2[1] / beta
-    bj = (beta, beta1, (0.5 * bn2[2] - beta1 * beta1) / beta)
-    x = [-nu * y for y in dm.jet_div(a, bj)]
-    sp, s1, s2 = softplus(x[0])
-    lam = dm.jet_div((sp, s1 * x[1], s2 * x[1] * x[1] + s1 * x[2]), [nu * y for y in bj])
-    m, k = [c1 * y for y in dm.jet_mul(lam, s)], [c * y for y in lam]
-    v_s = tuple([w + y + z for w, y, z in zip(*o)] for o in zip(u, dm.jet_scale(m, u), dm.jet_scale(k, g)))
-    u0, g0, a0, gu0, s0, lam0, m0, k0 = u[0], g[0], a[0], gu[0], s[0], lam[0], m[0], k[0]
+    bn2 = c * gg + c1 * (s * gu)
+    if bn2 == 0.0:
+        return u, lambda u2, h2, g2, d2: u2
+    P1, gu1, gg1 = 2.0 * dot3(u0, u1), dot3(g1, u0) + dot3(g0, u1), 2.0 * dot3(g0, g1)
+    a1 = gu1 + d1 + gamma_p * h1 - sigma * gg1
+    s1 = (gu1 - s * P1) / P
+    # beta = |b|, q = a / beta and lam = softplus(-nu q) / (nu beta)
+    beta = math.sqrt(bn2)
+    beta1 = 0.5 * (c * gg1 + c1 * (s1 * gu + s * gu1)) / beta
+    q = a / beta
+    q1 = (a1 - q * beta1) / beta
+    sp, sl, cv = softplus(-nu * q)
+    x1 = -nu * q1
+    nb = nu * beta
+    lam = sp / nb
+    lam1 = (sl * x1 - lam * (nu * beta1)) / nb
+    m, k = c1 * (lam * s), c * lam
+    m1, k1 = c1 * (lam1 * s + lam * s1), c * lam1
+    v_s = ([x + m * x + k * y for x, y in zip(u0, g0)],
+           [x + (m1 * y + m * x) + (k1 * z + k * w) for x, y, z, w in zip(u1, u0, g0, g1)])
 
-    def along(u_o, h_o, g_o, d_o):
-        gu_o, gg_o = dm.dot3(g_o, u0) + dm.dot3(g0, u_o), dm.dot3(g0, g_o)
-        a_o = gu_o + d_o + p.gamma_p * h_o - 2.0 * p.sigma * gg_o
-        s_o = (gu_o - 2.0 * s0 * dm.dot3(u0, u_o)) / P[0]
-        beta_o = (2.0 * c * gg_o + c1 * (s_o * gu0 + s0 * gu_o)) / (2.0 * beta)
-        lam_o = lambda_smooth_rate(a0, beta, nu, lam0, s1, a_o, beta_o)
-        m_o, k_o = c1 * (lam_o * s0 + lam0 * s_o), c * lam_o
-        return [w + m_o * y + m0 * w + k_o * z + k0 * q for w, y, z, q in zip(u_o, u0, g0, g_o)]
+    def second(u2, h2, g2, d2):
+        P2 = 2.0 * (dot3(u1, u1) + dot3(u0, u2))
+        gu2 = dot3(g2, u0) + 2.0 * dot3(g1, u1) + dot3(g0, u2)
+        gg2 = 2.0 * (dot3(g1, g1) + dot3(g0, g2))
+        a2 = gu2 + d2 + gamma_p * h2 - sigma * gg2
+        s2 = (gu2 - 2.0 * s1 * P1 - s * P2) / P
+        beta2 = (0.5 * (c * gg2 + c1 * (s2 * gu + 2.0 * s1 * gu1 + s * gu2)) - beta1 * beta1) / beta
+        x2 = -nu * (a2 - 2.0 * q1 * beta1 - q * beta2) / beta
+        lam2 = (cv * x1 * x1 + sl * x2 - nu * (2.0 * lam1 * beta1 + lam * beta2)) / nb
+        m2, k2, m1_2, k1_2 = c1 * (lam2 * s + 2.0 * lam1 * s1 + lam * s2), c * lam2, 2.0 * m1, 2.0 * k1
+        return [x + (m2 * y + m1_2 * z + m * x) + (k2 * w + k1_2 * o + k * r)
+                for x, y, z, w, o, r in zip(u2, u0, u1, g0, g1, g2)]
 
-    return v_s, along
+    return v_s, second
 
 
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> FilterResult:
@@ -92,10 +107,10 @@ def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFree
     The result's ``u`` is the safe velocity ``v_s``, ``a`` the margin-reduced
     rate condition at ``v_d`` and ``slack`` the achieved margin.
     """
-    P = dm.dot3(v_d, v_d)
+    P = dot3(v_d, v_d)
     if math.sqrt(P) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    gu, gg = dm.dot3(grad, v_d), dm.dot3(grad, grad)
+    gu, gg = dot3(grad, v_d), dot3(grad, grad)
     a = gu + dtp + p.gamma_p * h_p_val - p.sigma * gg
     s = gu / P
     c = 1.0 / p.Gamma_v

@@ -18,12 +18,14 @@ roll-rate coefficient, using ``d c1 / d phi = c2`` and
 ``c1_dot = -R c0``.  Each command supplies its value, its rate and the
 rate of that rate as a map of the velocity rate (its "jet", the only
 interface of :class:`VelocityCommand`).  For the model-free safe velocity
-``v_s(r, t)`` that rate is ``D_ww v_s + J_r v_dot`` along ``w = (v, 1)``.
-Plain-float Taylor jets give it stage by stage (goal, members, softmin,
-filter): one second-order pass along ``w`` and, once ``v_dot`` is known,
-one first-order pass along ``(v_dot, 0)``.  The goal and member stages
-start from the jets the step's :class:`~fwrta.model.TrackContext` keeps,
-each built once per frame: the goal command's own jet, and each
+``v_s(r, t)`` that rate is ``D_ww v_s + J_r v_dot`` with ``w = (v, 1)``: the
+second derivative along the flown curve ``(r + tau v + tau^2 v_dot / 2,
+t + tau)``.  One plain-float Taylor jet along that curve gives it stage
+by stage (goal, members, softmin, filter): orders 0 and 1 when the
+command is built, and the second order once ``v_dot`` is known, each
+stage's formula fed the curve's ``r'' = v_dot``.  The goal and member
+stages start from the jets the step's :class:`~fwrta.model.TrackContext`
+keeps, each built once per frame: the goal command's own jet, and each
 member's first-order jet (:func:`~fwrta.constraints.frame_jets`).
 """
 
@@ -34,7 +36,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, compose_jets, finite_vec3, frame_jets, member_jet
+from .constraints import ConstraintSet, compose_jets, finite_vec3, frame_jets
 from .dual import ZERO3, dot3
 from .filters import check_positive
 from .model import ControlInput, GravityParam, TrackContext
@@ -110,7 +112,9 @@ class VelocityCommand(Protocol):
     """
 
     def command_jet(self, ctx: TrackContext) -> tuple:
-        """Return ``(v_c, a_c, rate)``: ``rate(v_dot)`` is the rate of ``a_c`` along the loop."""
+        """Return ``(v_c, a_c, rate)``: ``rate(v_dot)`` is the second derivative of ``v_c``
+        along the flown curve ``(r + tau v + tau^2 v_dot / 2, t + tau)``, the rate of
+        ``a_c`` along the loop."""
         ...
 
 
@@ -155,17 +159,15 @@ class SafeVelocityCommand:
     mf: ModelFreeParams
 
     def command_jet(self, ctx: TrackContext):
-        # second-order jets along w = (v, 1); the first-order pass along
-        # (v_dot, 0) waits in the rate map until the tracker knows v_dot
+        # orders 0 and 1 along (r + tau v + tau^2 v_dot / 2, t + tau) now; the
+        # second order waits in the rate map until the tracker knows v_dot
         K_r = self.params.K_r_rows
         v_d = _step_goal_jet(self.goal, K_r, ctx)
-        terms = [member_jet(j) for j in frame_jets(ctx, self.cset)]
-        h, grad, dtp, pos_along = compose_jets(terms, self.cset.kappa)
-        v_s, filter_along = filter_jet(v_d, h, grad, dtp, self.mf)
+        h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, self.cset), self.cset.kappa)
+        v_s, filter_second = filter_jet(v_d[:2], h, grad, dtp, self.mf)
 
         def rate(v_dot):
-            h_o, *g_o, d_o = pos_along(v_dot)
-            return [x + y for x, y in zip(v_s[2], filter_along([-dot3(k, v_dot) for k in K_r], h_o, g_o, d_o))]
+            return filter_second([x - dot3(k, v_dot) for x, k in zip(v_d[2], K_r)], *pos_second(v_dot))
 
         return v_s[0], v_s[1], rate
 

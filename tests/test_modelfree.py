@@ -126,6 +126,13 @@ def _random_filter_jets(rng, p, zero_row=False):
     return (u, h, g, d), tangents, a
 
 
+def _curve_jets(jets, tangents):
+    """The jets up to the first order and their second orders along the curve whose
+    second derivative adds the second direction: ``x'' + tangent``."""
+    first = [jet[:2] for jet in jets]
+    return first, [(np.asarray(jet[2]) + tangent).tolist() for jet, tangent in zip(jets, tangents)]
+
+
 def _filter_oracle(jets, tangents, p):
     """``v_s`` of ``dual_formulas.filter_core`` as a curvature ``Dual``: seed 0 is the jets'
     line (first and second order), seed 1 the direction of ``tangents``."""
@@ -141,36 +148,40 @@ def _filter_oracle(jets, tangents, p):
 @pytest.mark.parametrize("Gamma_v", [0.25, 1.0, 4.0], ids=["c-above-1", "c-1", "c-below-1"])
 def test_filter_jet_matches_terms_and_dual_oracle(rng, Gamma_v):
     # c = 1/Gamma_v on either side of 1 and at 1, in both softplus branches:
-    # the value equal to safe_velocity_from_terms bit for bit, the two orders and along()
-    # against the curvature Dual of dual_formulas.filter_core
+    # the value equal to safe_velocity_from_terms bit for bit, the first order and
+    # the deferred second order along the curve against the curvature Dual of
+    # dual_formulas.filter_core, h[:, 0] + e[:, 1:] @ [1]
     p = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=Gamma_v, nu_v=0.007)
     seen = {True: 0, False: 0}
     for _ in range(60):
-        (u, h, g, d), tangents, a = _random_filter_jets(rng, p)
+        jets, tangents, a = _random_filter_jets(rng, p)
         seen[a < 0.0] += 1
-        v_s, along = filter_jet(u, h, g, d, p)
+        (u, h, g, d), second_orders = _curve_jets(jets, tangents)
+        v_s, second = filter_jet(u, h, g, d, p)
         plain = safe_velocity_from_terms(h[0], g[0], d[0], u[0], p)
         assert v_s[0] == plain.u
-        ref = _filter_oracle((u, h, g, d), tangents, p)
-        got = (v_s[1], v_s[2], along(*tangents))
-        for part, x, y in zip(("first", "second", "along"), got, (ref.e[:, 0], ref.h[:, 0], ref.e[:, 1])):
+        ref = _filter_oracle(jets, tangents, p)
+        got = (v_s[1], second(*second_orders))
+        for part, x, y in zip(("first", "second"), got, (ref.e[:, 0], ref.h[:, 0] + ref.e[:, 1:] @ [1.0])):
             assert np.linalg.norm(np.subtract(x, y)) <= 1e-9 * np.linalg.norm(y), part
     assert min(seen.values()) >= 15
 
 
 @pytest.mark.parametrize("Gamma_v", [0.25, 1.0, 4.0], ids=["c-above-1", "c-1", "c-below-1"])
 def test_filter_jet_zero_row_returns_the_desired_jet(rng, Gamma_v):
-    # grad = 0 along the whole line: no row, v_s is v_d's own jet and along() is the identity
+    # grad = 0 along the whole curve: no row, v_s is v_d's own jet and the
+    # deferred second order is v_d's
     p = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=Gamma_v, nu_v=0.007)
     for _ in range(10):
-        (u, h, g, d), tangents, _ = _random_filter_jets(rng, p, zero_row=True)
-        v_s, along = filter_jet(u, h, g, d, p)
+        jets, tangents, _ = _random_filter_jets(rng, p, zero_row=True)
+        (u, h, g, d), second_orders = _curve_jets(jets, tangents)
+        v_s, second = filter_jet(u, h, g, d, p)
         assert v_s is u
-        assert along(*tangents) == tangents[0]
+        assert second(*second_orders) == second_orders[0]
         assert safe_velocity_from_terms(h[0], g[0], d[0], u[0], p).u == u[0]
-        ref = _filter_oracle((u, h, g, d), tangents, p)
+        ref = _filter_oracle(jets, tangents, p)
         np.testing.assert_array_equal(ref.v, u[0])
-        np.testing.assert_array_equal(ref.e[:, 1], tangents[0])
+        np.testing.assert_array_equal(ref.h[:, 0] + ref.e[:, 1:] @ [1.0], second_orders[0])
 
 
 class TestMonitor:

@@ -334,7 +334,7 @@ class TestStepRecord:
         monkeypatch.setattr(constraints, "_separation", counted_separation)
         monkeypatch.setattr(constraints, "h_geofence", counted_distance)
         # calls by code object, whatever name the caller imported them under
-        watched = {f.__code__: f.__name__ for f in (constraints.compose_along, constraints._unit_along, filters.softplus)}
+        watched = {f.__code__: f.__name__ for f in (constraints._unit_along, filters.softplus)}
         calls = dict.fromkeys(watched.values(), 0)
 
         def profile(frame, event, arg):
@@ -353,11 +353,15 @@ class TestStepRecord:
         planes = sum(isinstance(m, constraints.GeofencePlane) for m in scn.cset.members)
         assert len(separations) == (len(scn.cset.members) - planes) * len(log.t)
         assert len(distances) == planes * len(log.t)
+        n = len(log.t)
         if name == "fig5":
             # the backstepping rate reads each obstacle's jet through frame projections
             # and the filter step's one softplus
-            n = len(log.t)
-            assert calls == {"compose_along": 0, "_unit_along": (len(scn.cset.members) - planes) * n, "softplus": n}
+            assert calls == {"_unit_along": (len(scn.cset.members) - planes) * n, "softplus": n}
+        if name == "fig6":
+            # the safe command's second order extends each obstacle's frame jet
+            # without another tangent of its separation
+            assert calls["_unit_along"] == (len(scn.cset.members) - planes) * n
 
 
 class TestExport:
