@@ -6,13 +6,16 @@ the positive side of a plane with margin).  Multiple members are merged
 into a single barrier value by a stabilized log-sum-exp smooth minimum
 (every member must hold, so there is no union-style smooth maximum).
 
-Each member is evaluated once per control step: :func:`frame_jets`
-keeps its first-order Taylor jet along ``(v, 1)`` (:func:`member_jet1`)
-on the step's frame.  :func:`compose_h_p` composes their zeroth orders,
-the extended member is their first order, and :func:`member_jet` adds
-the second order along the curve ``(r + tau v + tau^2 r2 / 2, t + tau)``.
-:func:`compose_jets` sums the weighted member jets in place, the second
-order once ``r2`` is known.  Vectors are float 3-sequences.
+Each member is evaluated and the members composed once per control
+step: :func:`frame_jets` keeps each member's first-order Taylor jet
+along ``(v, 1)`` (:func:`member_jet1`) on the step's frame, next to
+the one composition of their zeroth orders, which :func:`compose_h_p`
+returns.  The extended member is their first order, and
+:func:`member_jet` adds the second order along the curve
+``(r + tau v + tau^2 r2 / 2, t + tau)``.  :func:`compose_jets` extends
+the composition: it sums the weighted member jets' first orders in
+place, and their second orders once ``r2`` is known.  Vectors are float
+3-sequences.
 """
 
 from __future__ import annotations
@@ -174,10 +177,13 @@ def member_jet1(r, t, v, member: Constraint):
 
 def frame_jets(ctx, cset: ConstraintSet):
     """:func:`member_jet1` of each member of ``cset`` at the frame, evaluated once:
-    ``ctx.members`` keeps them keyed by ``cset``."""
+    ``ctx.members`` keeps them keyed by ``cset``, next to the one composition of
+    their zeroth orders (the :class:`BarrierEval` :func:`compose_h_p` returns)."""
     memo = ctx.members
     if memo is None or memo[0] is not cset:
-        memo = ctx.members = (cset, [member_jet1(ctx.r, ctx.t, ctx.v, m) for m in cset.members])
+        jets = [member_jet1(ctx.r, ctx.t, ctx.v, m) for m in cset.members]
+        h, *grad, dtp, per, w = compose_members([[h[0], *n[0], d[0]] for h, n, d, _ in jets], cset.kappa)
+        memo = ctx.members = (cset, jets, BarrierEval(h, grad, dtp, per, w))
     return memo[1]
 
 
@@ -237,29 +243,25 @@ def compose_members(terms, kappa: float):
     return (*out, per, w)
 
 
-def compose_jets(jets, kappa: float):
-    """:func:`compose_members` on :func:`member_jet1` results, as one member's jets
-    ``(h, n, d)`` up to the first order plus ``second(r2)``, their second
-    orders along the curve of :func:`member_jet`.
+def compose_jets(jets, pos: BarrierEval, kappa: float):
+    """:func:`member_jet1` results composed as one member's jets ``(h, n, d)`` up to the
+    first order plus ``second(r2)``, their second orders along the curve of
+    :func:`member_jet`; the zeroth orders and weights are their composition ``pos``
+    (:func:`compose_h_p`), which this extends.
 
-    Along it ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``, and
-    likewise one order up; the weighted gradient and time-partial jets are
-    summed in place, member by member.
+    Along the curve ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``, and
+    likewise one order up; the weighted gradient and time-partial jets are summed
+    in place, member by member.
     """
-    if len(jets) == 1:
-        jet = jets[0]
-        return (*jet[:3], lambda r2: member_jet(jet, r2))
-    h, w = softmin_weights([j[0][0] for j in jets], kappa)
+    w = pos.weights
     h1 = sum(x * j[0][1] for x, j in zip(w, jets))
     w1 = [kappa * x * (h1 - j[0][1]) for x, j in zip(w, jets)]
     # the weight jet times the gradient's jet (a, b) and the time-partial's (e),
-    # added straight into each order's components in member order, so the
-    # zeroth order equals compose_members' sums
-    g0x = g0y = g0z = g1x = g1y = g1z = d0 = d1 = 0.0
+    # added straight into each first-order component in member order
+    g1x = g1y = g1z = d1 = 0.0
     for x0, x1, (_, ((ax, ay, az), (bx, by, bz)), (e0, e1), _) in zip(w, w1, jets):
-        g0x, g0y, g0z = g0x + x0 * ax, g0y + x0 * ay, g0z + x0 * az
         g1x, g1y, g1z = g1x + (x1 * ax + x0 * bx), g1y + (x1 * ay + x0 * by), g1z + (x1 * az + x0 * bz)
-        d0, d1 = d0 + x0 * e0, d1 + (x1 * e0 + x0 * e1)
+        d1 += x1 * e0 + x0 * e1
 
     def second(r2):
         jets2 = [member_jet(j, r2) for j in jets]
@@ -275,11 +277,10 @@ def compose_jets(jets, kappa: float):
             d2 += x2 * e0 + y1 * e1 + x0 * e2
         return h2, [g2x, g2y, g2z], d2
 
-    return (h, h1), ([g0x, g0y, g0z], [g1x, g1y, g1z]), (d0, d1), second
+    return (pos.value, h1), (pos.gradient_r, [g1x, g1y, g1z]), (pos.dt_partial, d1), second
 
 
 def compose_h_p(ctx, cset: ConstraintSet) -> BarrierEval:
-    """Composed position barrier at the frame from the zeroth orders of :func:`frame_jets`."""
-    terms = [[h[0], *n[0], d[0]] for h, n, d, _ in frame_jets(ctx, cset)]
-    h, *grad, dtp, per, w = compose_members(terms, cset.kappa)
-    return BarrierEval(value=h, gradient_r=grad, dt_partial=dtp, per_constraint=per, weights=w)
+    """Composed position barrier at the frame: the composition :func:`frame_jets` keeps."""
+    frame_jets(ctx, cset)
+    return ctx.members[2]

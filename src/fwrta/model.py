@@ -122,9 +122,10 @@ class TrackContext:
     earth frame), the inertial velocity and the coordinated turn rate,
     all from sines computed once here; the vectors ``r``, ``v``, ``c0``,
     ``c1`` and ``c2`` are float 3-lists.  Construction enforces the pitch
-    guard and the speed floor.  ``goal_jet`` and ``members`` start empty
-    and keep the step's goal jet and constraint-member jets once a
-    command or :func:`~fwrta.constraints.frame_jets` has built them.
+    guard and the speed floor.  ``goal_jet`` and ``members`` start empty.
+    ``goal_jet`` keeps the step's goal jet once a command has built it;
+    ``members`` keeps the constraint members' jets and their one
+    composition once :func:`~fwrta.constraints.frame_jets` has built them.
     """
 
     __slots__ = (

@@ -10,10 +10,11 @@ gradient ``g`` across ``v_d`` is ``g - s v_d``, so the step has a closed
 form in ``s``, ``g`` and ``v_d`` (:func:`filter_jet`).  The tracker
 flies it as a plain-float Taylor jet along the flown curve, written in
 scalar formulas: orders 0 and 1 when the command is built, the second
-order once the curve's acceleration is known.
-:func:`safe_velocity_from_terms` is the jet's zeroth order, the same
-float operations in the same order, and returns it as a :class:`~fwrta.filters.FilterResult`: the safe
-velocity is its ``u``, the achieved margin its ``slack``.  The
+order once the curve's acceleration is known.  The zeroth order is
+written once: :func:`safe_velocity_from_terms` returns it as a
+:class:`~fwrta.filters.FilterResult` (the safe velocity is its ``u``,
+the achieved margin its ``slack``), and :func:`filter_jet` extends its
+terms.  The
 Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
 certifies the tracked closed loop and is logged, not enforced.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .dual import dot3
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
-from .filters import FilterResult, check_positive, lambda_smooth, softplus
+from .filters import FilterResult, check_positive, softplus
 
 ZERO_VELOCITY_TOL = 1e-6  # m/s
 ZERO_VELOCITY_MSG = "desired velocity too small for the direction projector"
@@ -44,6 +45,31 @@ class ModelFreeParams:
         check_positive(gamma_p=self.gamma_p, sigma=self.sigma, Gamma_v=self.Gamma_v, nu_v=self.nu_v)
 
 
+def _filter0(h0, g0, d0, u0, p: ModelFreeParams):
+    """The filter's zeroth order, for both :func:`safe_velocity_from_terms` and
+    :func:`filter_jet`: its :class:`~fwrta.filters.FilterResult` and, unless the
+    row is zero, the terms ``(P, gu, s, beta, q, softplus, m, k)`` the jet extends."""
+    P = dot3(u0, u0)
+    if math.sqrt(P) < ZERO_VELOCITY_TOL:
+        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
+    gu, gg = dot3(g0, u0), dot3(g0, g0)
+    a = gu + d0 + p.gamma_p * h0 - p.sigma * gg
+    s = gu / P
+    c = 1.0 / p.Gamma_v
+    c1 = 1.0 - c
+    bn2 = c * gg + c1 * (s * gu)
+    if bn2 == 0.0:
+        return FilterResult(u0, a, 0.0, 0.0, bn2, a, a < 0.0), None
+    # beta = |b|, q = a / beta and lam = softplus(-nu q) / (nu beta)
+    beta = math.sqrt(bn2)
+    q = a / beta
+    sp = softplus(-p.nu_v * q)
+    lam = sp[0] / (p.nu_v * beta)
+    m, k = c1 * (lam * s), c * lam
+    v_s = [x + m * x + k * y for x, y in zip(u0, g0)]
+    return FilterResult(v_s, a, lam, sp[1], bn2, a + lam * bn2, False), (P, gu, s, beta, q, sp, m, k)
+
+
 def filter_jet(u, h, g, d, p: ModelFreeParams):
     """:func:`safe_velocity_from_terms`'s ``v_s`` as a vector jet ``(v_s, v_s')`` from the
     first-order jets of ``v_d``, ``h``, ``grad`` and ``dtp``, plus
@@ -52,37 +78,25 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     With ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v``, the part of ``g``
     across ``v_d`` is ``g - s v_d``, so ``|b|^2 = c |g|^2 + (1 - c) s (g . v_d)``
     and ``v_s = v_d + lam ((1 - c) s v_d + c g)``; ``|g|^2`` is the rate
-    condition's.
+    condition's.  Orders 1 and 2 extend the zeroth order's terms.
     """
     (u0, u1), (h0, h1), (g0, g1), (d0, d1) = u, h, g, d
-    P = dot3(u0, u0)
-    if math.sqrt(P) < ZERO_VELOCITY_TOL:
-        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    c, nu, gamma_p, sigma = 1.0 / p.Gamma_v, p.nu_v, p.gamma_p, p.sigma
-    gu, gg = dot3(g0, u0), dot3(g0, g0)
-    a = gu + d0 + gamma_p * h0 - sigma * gg
-    s = gu / P
-    c1 = 1.0 - c
-    bn2 = c * gg + c1 * (s * gu)
-    if bn2 == 0.0:
+    res, terms = _filter0(h0, g0, d0, u0, p)
+    if terms is None:
         return u, lambda u2, h2, g2, d2: u2
+    P, gu, s, beta, q, (_, sl, cv), m, k = terms
+    c, nu, gamma_p, sigma, lam = 1.0 / p.Gamma_v, p.nu_v, p.gamma_p, p.sigma, res.lam
+    c1 = 1.0 - c
     P1, gu1, gg1 = 2.0 * dot3(u0, u1), dot3(g1, u0) + dot3(g0, u1), 2.0 * dot3(g0, g1)
     a1 = gu1 + d1 + gamma_p * h1 - sigma * gg1
     s1 = (gu1 - s * P1) / P
-    # beta = |b|, q = a / beta and lam = softplus(-nu q) / (nu beta)
-    beta = math.sqrt(bn2)
     beta1 = 0.5 * (c * gg1 + c1 * (s1 * gu + s * gu1)) / beta
-    q = a / beta
     q1 = (a1 - q * beta1) / beta
-    sp, sl, cv = softplus(-nu * q)
     x1 = -nu * q1
     nb = nu * beta
-    lam = sp / nb
     lam1 = (sl * x1 - lam * (nu * beta1)) / nb
-    m, k = c1 * (lam * s), c * lam
     m1, k1 = c1 * (lam1 * s + lam * s1), c * lam1
-    v_s = ([x + m * x + k * y for x, y in zip(u0, g0)],
-           [x + (m1 * y + m * x) + (k1 * z + k * w) for x, y, z, w in zip(u1, u0, g0, g1)])
+    v_s = (res.u, [x + (m1 * y + m * x) + (k1 * z + k * w) for x, y, z, w in zip(u1, u0, g0, g1)])
 
     def second(u2, h2, g2, d2):
         P2 = 2.0 * (dot3(u1, u1) + dot3(u0, u2))
@@ -102,25 +116,12 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
 
 def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> FilterResult:
     """Filter a desired velocity (a float 3-sequence) given an already-composed barrier:
-    the zeroth order of :func:`filter_jet`, bit for bit.
+    the zeroth order of :func:`filter_jet`.
 
     The result's ``u`` is the safe velocity ``v_s``, ``a`` the margin-reduced
     rate condition at ``v_d`` and ``slack`` the achieved margin.
     """
-    P = dot3(v_d, v_d)
-    if math.sqrt(P) < ZERO_VELOCITY_TOL:
-        raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    gu, gg = dot3(grad, v_d), dot3(grad, grad)
-    a = gu + dtp + p.gamma_p * h_p_val - p.sigma * gg
-    s = gu / P
-    c = 1.0 / p.Gamma_v
-    c1 = 1.0 - c
-    bn2 = c * gg + c1 * (s * gu)
-    if bn2 == 0.0:
-        return FilterResult(v_d, a, 0.0, 0.0, bn2, a, a < 0.0)
-    lam, slope = lambda_smooth(a, math.sqrt(bn2), p.nu_v)
-    m, k = c1 * (lam * s), c * lam
-    return FilterResult([x + m * x + k * y for x, y in zip(v_d, grad)], a, lam, slope, bn2, a + lam * bn2, False)
+    return _filter0(h_p_val, grad, dtp, v_d, p)[0]
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

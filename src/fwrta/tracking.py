@@ -23,10 +23,13 @@ second derivative along the flown curve ``(r + tau v + tau^2 v_dot / 2,
 t + tau)``.  One plain-float Taylor jet along that curve gives it stage
 by stage (goal, members, softmin, filter): orders 0 and 1 when the
 command is built, and the second order once ``v_dot`` is known, each
-stage's formula fed the curve's ``r'' = v_dot``.  The goal and member
-stages start from the jets the step's :class:`~fwrta.model.TrackContext`
-keeps, each built once per frame: the goal command's own jet, and each
-member's first-order jet (:func:`~fwrta.constraints.frame_jets`).
+stage's formula fed the curve's ``r'' = v_dot``.  The goal, member and
+softmin stages start from what the step's
+:class:`~fwrta.model.TrackContext` keeps, each built once per frame:
+the goal command's own jet, each member's first-order jet
+(:func:`~fwrta.constraints.frame_jets`) and the position barrier's
+composition (:func:`~fwrta.constraints.compose_h_p`), whose zeroth
+orders and weights the softmin stage extends.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, compose_jets, finite_vec3, frame_jets
+from .constraints import ConstraintSet, compose_h_p, compose_jets, finite_vec3, frame_jets
 from .dual import ZERO3, dot3
 from .filters import check_positive
 from .model import ControlInput, GravityParam, TrackContext
@@ -163,7 +166,8 @@ class SafeVelocityCommand:
         # second order waits in the rate map until the tracker knows v_dot
         K_r = self.params.K_r_rows
         v_d = _step_goal_jet(self.goal, K_r, ctx)
-        h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, self.cset), self.cset.kappa)
+        cset = self.cset
+        h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), compose_h_p(ctx, cset), cset.kappa)
         v_s, filter_second = filter_jet(v_d[:2], h, grad, dtp, self.mf)
 
         def rate(v_dot):

@@ -223,13 +223,13 @@ def test_compose_jets_match_dual_oracle(rng, kinds):
     # the summed jets against the curvature Dual along w = (v, 1) and its
     # r-Jacobian: the first order is e[..., 0], the deferred second order along
     # the curve (r + tau v + tau^2 r2 / 2, t + tau) is h[..., 0] + e[..., 1:] @ r2;
-    # the value orders equal compose_h_p bit for bit
+    # the zeroth orders are compose_h_p's composition, which the jets extend
     for _ in range(25):
         r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
         cset = ConstraintSet([_member_ahead(rng, k, r, t) for k in kinds], float(rng.uniform(0.004, 0.05)))
-        h, g, d, second = compose_jets(jets_at(r.tolist(), t, v.tolist(), cset), cset.kappa)
         pos = compose_h_p(frame_at(r.tolist(), t), cset)
-        assert (h[0], list(g[0]), d[0]) == (pos.value, pos.gradient_r, pos.dt_partial)
+        h, g, d, second = compose_jets(jets_at(r.tolist(), t, v.tolist(), cset), pos, cset.kappa)
+        assert h[0] is pos.value and g[0] is pos.gradient_r and d[0] is pos.dt_partial
         r2 = rng.normal(size=3) * 20.0
         ref = df.compose_terms(*seed_line(r, t, v), cset)[:3]
         for name, jet, jet2, dual in zip(("h", "grad", "dtp"), (h, g, d), second(r2.tolist()), ref):

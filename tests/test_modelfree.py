@@ -148,7 +148,7 @@ def _filter_oracle(jets, tangents, p):
 @pytest.mark.parametrize("Gamma_v", [0.25, 1.0, 4.0], ids=["c-above-1", "c-1", "c-below-1"])
 def test_filter_jet_matches_terms_and_dual_oracle(rng, Gamma_v):
     # c = 1/Gamma_v on either side of 1 and at 1, in both softplus branches:
-    # the value equal to safe_velocity_from_terms bit for bit, the first order and
+    # the value is safe_velocity_from_terms', the one zeroth order; the first order and
     # the deferred second order along the curve against the curvature Dual of
     # dual_formulas.filter_core, h[:, 0] + e[:, 1:] @ [1]
     p = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=Gamma_v, nu_v=0.007)

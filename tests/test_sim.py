@@ -299,9 +299,10 @@ class TestStepRecord:
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_frame_per_step(self, name, monkeypatch):
         # the tracker and the mode's filter read one TrackContext per control step,
-        # and the frame holds one goal jet (modelfree's two tracks share it) and
-        # one evaluation of each constraint member, which every layer reads; the
-        # state travels as the integrator's tuple, never as an AircraftState
+        # and the frame holds one goal jet (modelfree's two tracks share it), one
+        # evaluation of each constraint member and one composition of them, which
+        # every layer reads; the state travels as the integrator's tuple, never as
+        # an AircraftState
         scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 2.0})
         init, goal_jet = TrackContext.__init__, tracking._goal_jet
         state_init = AircraftState.__init__
@@ -334,7 +335,8 @@ class TestStepRecord:
         monkeypatch.setattr(constraints, "_separation", counted_separation)
         monkeypatch.setattr(constraints, "h_geofence", counted_distance)
         # calls by code object, whatever name the caller imported them under
-        watched = {f.__code__: f.__name__ for f in (constraints._unit_along, filters.softplus)}
+        watched = {f.__code__: f.__name__ for f in (constraints._unit_along, filters.softplus,
+                                                     constraints.softmin_weights)}
         calls = dict.fromkeys(watched.values(), 0)
 
         def profile(frame, event, arg):
@@ -356,12 +358,17 @@ class TestStepRecord:
         n = len(log.t)
         if name == "fig5":
             # the backstepping rate reads each obstacle's jet through frame projections
-            # and the filter step's one softplus
-            assert calls == {"_unit_along": (len(scn.cset.members) - planes) * n, "softplus": n}
+            # and the filter step's one softplus; the softmin composes the position
+            # barrier and the extension
+            assert calls == {"_unit_along": (len(scn.cset.members) - planes) * n, "softplus": n,
+                             "softmin_weights": 2 * n}
         if name == "fig6":
             # the safe command's second order extends each obstacle's frame jet
-            # without another tangent of its separation
-            assert calls["_unit_along"] == (len(scn.cset.members) - planes) * n
+            # without another tangent of its separation, and its first order the
+            # frame's composition; the safe track's filter and the step's filter
+            # each evaluate one softplus
+            assert calls == {"_unit_along": (len(scn.cset.members) - planes) * n, "softplus": 2 * n,
+                             "softmin_weights": n}
 
 
 class TestExport:

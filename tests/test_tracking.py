@@ -16,8 +16,8 @@ from conftest import (
     turn_rate,
     velocity,
 )
-from fwrta import kernels
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle
+from fwrta import constraints, kernels
+from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.errors import CoincidentPosition, ZeroDesiredVelocity
 from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
 from fwrta.modelfree import ModelFreeParams
@@ -419,6 +419,41 @@ def test_commands_sharing_a_frame_match_fresh_frames(rng, gravity):
         for cmd in cmds:
             got, want = track(st, t, cmd, TABLE, gravity, ctx=shared), track(st, t, cmd, TABLE, gravity)
             assert (got.u, got.v_c, got.a_c) == (want.u, want.v_c, want.a_c)
+
+
+def test_frame_keeps_the_composition_of_its_constraint_set(rng, gravity, monkeypatch):
+    # the frame keeps one set's member jets and composition at a time, keyed by the
+    # set: compose_h_p on a second set, then the safe command on the first, each
+    # read their own set's composition, as on fresh frames; a repeat call on the
+    # kept set returns the kept BarrierEval and evaluates no member again
+    mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
+    cset = planar_cset()
+    other = ConstraintSet([MovingObstacle.constant_velocity([2000.0, -1500.0, -300.0], [-50.0, 80.0, 0.0], 40.0),
+                           GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.02)
+    separation, separations = constraints._separation, []
+
+    def counted(*args):
+        separations.append(args)
+        return separation(*args)
+
+    monkeypatch.setattr(constraints, "_separation", counted)
+    for _ in range(20):
+        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
+        t, v_dot = float(rng.uniform(0.0, 10.0)), rng.normal(size=3).tolist()
+        shared = TrackContext(st, t, gravity)
+        pos = compose_h_p(shared, cset)
+        assert pos == compose_h_p(TrackContext(st, t, gravity), cset)
+        other_pos = compose_h_p(shared, other)
+        assert other_pos == compose_h_p(TrackContext(st, t, gravity), other) and other_pos != pos
+        cmd = SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf)
+        got, want = cmd.command_jet(shared), cmd.command_jet(TrackContext(st, t, gravity))
+        assert (got[0], got[1], got[2](v_dot)) == (want[0], want[1], want[2](v_dot))
+        kept = compose_h_p(shared, cset)
+        assert kept == pos
+        evaluated = len(separations)
+        assert compose_h_p(shared, cset) is kept
+        assert cmd.command_jet(shared)[:2] == got[:2]
+        assert len(separations) == evaluated
 
 
 def test_tracking_params_validation():
