@@ -104,9 +104,11 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
     D_he = (he_f, he_a, 0.0, he_q)
     D_Rs = ((as_f - R * dot3(c0, a_s)) / V, (as_a - R_s) / V, dot3(c2, a_s) / V, as_q / V)
     D_R = (ctx.g_over_V * ctx.s_th * R, -R / V, ctx.g_over_V * ctx.c_ph * ctx.c_th, 0.0)
-    gap = R_s - R
-    D_hb = [x - gap * (y - z) / p.mu_e for x, y, z in zip(D_he, D_Rs, D_R)]
-    return h_e, hb, D_hb[0], D_hb[1:]
+    gap, mu = R_s - R, p.mu_e
+    drift = D_he[0] - gap * (D_Rs[0] - D_R[0]) / mu
+    row = (D_he[1] - gap * (D_Rs[1] - D_R[1]) / mu, D_he[2] - gap * (D_Rs[2] - D_R[2]) / mu,
+           D_he[3] - gap * (D_Rs[3] - D_R[3]) / mu)
+    return h_e, hb, drift, row
 
 
 def rta_backstepping(

@@ -65,7 +65,7 @@ class MovingObstacle:
         v = tuple(finite_vec3(velocity, "obstacle velocity"))
 
         def traj(t: float):
-            return [a + b * t for a, b in zip(c, v)], v, ZERO3
+            return [c[0] + v[0] * t, c[1] + v[1] * t, c[2] + v[2] * t], v, ZERO3
 
         return cls(trajectory=traj, rho=float(rho))
 
@@ -136,7 +136,7 @@ class BarrierEval:
 def _separation(r, t, obs: MovingObstacle):
     """``(r - r_i, |r - r_i|, v_i, a_i)``; raises before anything divides by the distance."""
     r_i, v_i, a_i = obs.trajectory(float(t))
-    diff = [a - b for a, b in zip(r, r_i)]
+    diff = [r[0] - r_i[0], r[1] - r_i[1], r[2] - r_i[2]]
     q = math.sqrt(dot3(diff, diff))
     if q < COINCIDENT_TOL:
         raise CoincidentPosition(f"position within {COINCIDENT_TOL} m of obstacle center")
@@ -145,14 +145,15 @@ def _separation(r, t, obs: MovingObstacle):
 
 def h_geofence(r, plane: GeofencePlane):
     """Signed distance to the geofence plane, less the margin."""
-    return dot3(plane.n3, [a - b for a, b in zip(r, plane.p3)]) - plane.rho
+    p = plane.p3
+    return dot3(plane.n3, (r[0] - p[0], r[1] - p[1], r[2] - p[2])) - plane.rho
 
 
 def _unit_along(n, q, d):
     """Rates ``(q', n')`` of the distance ``q`` and unit vector ``n`` of a
     separation moving by the 3-list ``d``: ``q' = n . d``, ``n' = (d - n q') / q``."""
     q1 = dot3(n, d)
-    return q1, [(x - y * q1) / q for x, y in zip(d, n)]
+    return q1, [(d[0] - n[0] * q1) / q, (d[1] - n[1] * q1) / q, (d[2] - n[2] * q1) / q]
 
 
 def member_jet1(r, t, v, member: Constraint):
@@ -169,8 +170,8 @@ def member_jet1(r, t, v, member: Constraint):
         n = member.n3
         return (h_geofence(r, member), dot3(n, v)), (n, ZERO3), (0.0, 0.0), None
     diff, q, v_i, a_i = _separation(r, t, member)
-    n = [x / q for x in diff]
-    dl = [x - y for x, y in zip(v, v_i)]
+    n = [diff[0] / q, diff[1] / q, diff[2] / q]
+    dl = [v[0] - v_i[0], v[1] - v_i[1], v[2] - v_i[2]]
     q1, n1 = _unit_along(n, q, dl)
     return (q - member.rho, q1), (n, n1), (-dot3(n, v_i), -dot3(n1, v_i) - dot3(n, a_i)), (q, dl, v_i, a_i)
 
@@ -198,9 +199,10 @@ def member_jet(jet1, r2):
     if sep is None:
         return dot3(n, r2), ZERO3, 0.0
     q, dl, v_i, a_i = sep
-    e = [x - y for x, y in zip(r2, a_i)]
+    e = [r2[0] - a_i[0], r2[1] - a_i[1], r2[2] - a_i[2]]
     q2 = (dot3(dl, dl) - q1 * q1) / q + dot3(n, e)
-    n2 = [(x - 2.0 * y * q1 - z * q2) / q for x, y, z in zip(e, n1, n)]
+    n2 = [(e[0] - 2.0 * n1[0] * q1 - n[0] * q2) / q, (e[1] - 2.0 * n1[1] * q1 - n[1] * q2) / q,
+          (e[2] - 2.0 * n1[2] * q1 - n[2] * q2) / q]
     return q2, n2, -dot3(n2, v_i) - 2.0 * dot3(n1, a_i)
 
 

@@ -2,7 +2,11 @@
 
 ``dot3`` is the inner product of two 3-sequences; every per-step
 formula in ``fwrta`` holds its vectors as float 3-lists or 3-tuples and
-takes its inner products with it.
+takes its inner products with it.  Every other fixed-size vector formula
+of a control step is written as explicit components, with no
+per-element comprehension, generator or ``zip``, each component keeping
+the float operations in their order; only sums over constraint members
+loop.
 
 Nothing at run time differentiates by evaluation: every derivative in
 ``fwrta`` is written in closed form over Python floats.  The model-free

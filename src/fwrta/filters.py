@@ -51,11 +51,13 @@ class WeightFactor:
 
     def apply(self, z):
         """``W z`` of a 3-sequence, as a list."""
-        return [dot3(row, z) for row in self.rows]
+        r0, r1, r2 = self.rows
+        return [dot3(r0, z), dot3(r1, z), dot3(r2, z)]
 
     def apply_t(self, z):
         """``W^T z`` of a 3-sequence, as a list."""
-        return [dot3(col, z) for col in self.cols]
+        c0, c1, c2 = self.cols
+        return [dot3(c0, z), dot3(c1, z), dot3(c2, z)]
 
     @classmethod
     def diagonal(cls, diag) -> "WeightFactor":
@@ -145,7 +147,8 @@ def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:
     else:
         b_norm = math.sqrt(bn2)
         lam, slope = (lambda_hard(a, b_norm), 0.0) if nu is None else lambda_smooth(a, b_norm, nu)
-        u = [x + y * lam for x, y in zip(u_d, W(b))]
+        wb = W(b)
+        u = [u_d[0] + wb[0] * lam, u_d[1] + wb[1] * lam, u_d[2] + wb[2] * lam]
     return FilterResult(u, a, lam, slope, bn2, a + lam * bn2, bn2 == 0.0 and a < 0.0)
 
 

@@ -3,9 +3,11 @@
 ``dubins_rhs`` is the one implementation of the state derivative: the
 integrator and the stage-controlled integrator both evaluate it.  Both
 functions run over Python floats: the state and the input are float
-sequences and the results are 7-tuples, computed in the operation order
-of the classic array tableau, so they equal it bit for bit.  The control
-laws read the same kinematics from the plain-float frame of
+sequences and the results are 7-tuples.  The RK4 stage states and the
+final combination are written out component by component, with no
+per-element comprehension, in the operation order of the classic array
+tableau, so they equal it bit for bit.  The control laws read the same
+kinematics from the plain-float frame of
 :class:`fwrta.model.TrackContext` and write its rates in closed form.
 """
 
@@ -36,9 +38,21 @@ def dubins_rhs(x, u, g_d):
 def rk4_step(x, u, dt, g_d):
     """Classic fourth-order step with the input held constant."""
     h = 0.5 * dt
-    k1 = dubins_rhs(x, u, g_d)
-    k2 = dubins_rhs([a + h * b for a, b in zip(x, k1)], u, g_d)
-    k3 = dubins_rhs([a + h * b for a, b in zip(x, k2)], u, g_d)
-    k4 = dubins_rhs([a + dt * b for a, b in zip(x, k3)], u, g_d)
+    x0, x1, x2, x3, x4, x5, x6 = x
+    a = dubins_rhs(x, u, g_d)
+    b = dubins_rhs((x0 + h * a[0], x1 + h * a[1], x2 + h * a[2], x3 + h * a[3],
+                    x4 + h * a[4], x5 + h * a[5], x6 + h * a[6]), u, g_d)
+    c = dubins_rhs((x0 + h * b[0], x1 + h * b[1], x2 + h * b[2], x3 + h * b[3],
+                    x4 + h * b[4], x5 + h * b[5], x6 + h * b[6]), u, g_d)
+    d = dubins_rhs((x0 + dt * c[0], x1 + dt * c[1], x2 + dt * c[2], x3 + dt * c[3],
+                    x4 + dt * c[4], x5 + dt * c[5], x6 + dt * c[6]), u, g_d)
     s = dt / 6.0
-    return tuple([a + s * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+    return (
+        x0 + s * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
+        x1 + s * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
+        x2 + s * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]),
+        x3 + s * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]),
+        x4 + s * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4]),
+        x5 + s * (a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5]),
+        x6 + s * (a[6] + 2.0 * b[6] + 2.0 * c[6] + d[6]),
+    )

@@ -91,6 +91,8 @@ class ControlInput:
     Q: float
 
     def __post_init__(self):
+        if math.isfinite(self.A_T) and math.isfinite(self.P) and math.isfinite(self.Q):
+            return
         for name in ("A_T", "P", "Q"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteValue(f"ControlInput.{name} must be finite")

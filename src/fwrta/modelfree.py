@@ -66,7 +66,7 @@ def _filter0(h0, g0, d0, u0, p: ModelFreeParams):
     sp = softplus(-p.nu_v * q)
     lam = sp[0] / (p.nu_v * beta)
     m, k = c1 * (lam * s), c * lam
-    v_s = [x + m * x + k * y for x, y in zip(u0, g0)]
+    v_s = [u0[0] + m * u0[0] + k * g0[0], u0[1] + m * u0[1] + k * g0[1], u0[2] + m * u0[2] + k * g0[2]]
     return FilterResult(v_s, a, lam, sp[1], bn2, a + lam * bn2, False), (P, gu, s, beta, q, sp, m, k)
 
 
@@ -96,7 +96,9 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     nb = nu * beta
     lam1 = (sl * x1 - lam * (nu * beta1)) / nb
     m1, k1 = c1 * (lam1 * s + lam * s1), c * lam1
-    v_s = (res.u, [x + (m1 * y + m * x) + (k1 * z + k * w) for x, y, z, w in zip(u1, u0, g0, g1)])
+    v_s = (res.u, [u1[0] + (m1 * u0[0] + m * u1[0]) + (k1 * g0[0] + k * g1[0]),
+                   u1[1] + (m1 * u0[1] + m * u1[1]) + (k1 * g0[1] + k * g1[1]),
+                   u1[2] + (m1 * u0[2] + m * u1[2]) + (k1 * g0[2] + k * g1[2])])
 
     def second(u2, h2, g2, d2):
         P2 = 2.0 * (dot3(u1, u1) + dot3(u0, u2))
@@ -108,8 +110,9 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
         x2 = -nu * (a2 - 2.0 * q1 * beta1 - q * beta2) / beta
         lam2 = (cv * x1 * x1 + sl * x2 - nu * (2.0 * lam1 * beta1 + lam * beta2)) / nb
         m2, k2, m1_2, k1_2 = c1 * (lam2 * s + 2.0 * lam1 * s1 + lam * s2), c * lam2, 2.0 * m1, 2.0 * k1
-        return [x + (m2 * y + m1_2 * z + m * x) + (k2 * w + k1_2 * o + k * r)
-                for x, y, z, w, o, r in zip(u2, u0, u1, g0, g1, g2)]
+        return [u2[0] + (m2 * u0[0] + m1_2 * u1[0] + m * u2[0]) + (k2 * g0[0] + k1_2 * g1[0] + k * g2[0]),
+                u2[1] + (m2 * u0[1] + m1_2 * u1[1] + m * u2[1]) + (k2 * g0[1] + k1_2 * g1[1] + k * g2[1]),
+                u2[2] + (m2 * u0[2] + m1_2 * u1[2] + m * u2[2]) + (k2 * g0[2] + k1_2 * g1[2] + k * g2[2])]
 
     return v_s, second
 

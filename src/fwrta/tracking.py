@@ -97,7 +97,7 @@ class GoalTrajectory:
         v = tuple(finite_vec3(v_g, "goal velocity"))
         r0 = finite_vec3(r0, "goal start position")
         return cls(
-            position=lambda t: [a + b * t for a, b in zip(r0, v)],
+            position=lambda t: [r0[0] + v[0] * t, r0[1] + v[1] * t, r0[2] + v[2] * t],
             velocity=lambda t: v,
             accel=lambda t: ZERO3,
         )
@@ -125,8 +125,16 @@ def _goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
     """``v_g + K_r (r_g - r)`` and its first two derivatives along ``w = (v, 1)``
     (``K_r`` as float rows; the goal's own acceleration rate is zero)."""
     r_g, v_g, a_g = goal.eval(ctx.t)
-    e0, e1 = [x - y for x, y in zip(r_g, ctx.r)], [x - y for x, y in zip(v_g, ctx.v)]
-    return tuple([x + dot3(k, e) for x, k in zip(c, K_r)] for c, e in ((v_g, e0), (a_g, e1), (ZERO3, a_g)))
+    r, v = ctx.r, ctx.v
+    k0, k1, k2 = K_r
+    e0 = [r_g[0] - r[0], r_g[1] - r[1], r_g[2] - r[2]]
+    e1 = [v_g[0] - v[0], v_g[1] - v[1], v_g[2] - v[2]]
+    # k_a = 0 + K_r a_g: the goal's own acceleration rate is zero
+    return (
+        [v_g[0] + dot3(k0, e0), v_g[1] + dot3(k1, e0), v_g[2] + dot3(k2, e0)],
+        [a_g[0] + dot3(k0, e1), a_g[1] + dot3(k1, e1), a_g[2] + dot3(k2, e1)],
+        [0.0 + dot3(k0, a_g), 0.0 + dot3(k1, a_g), 0.0 + dot3(k2, a_g)],
+    )
 
 
 def _step_goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
@@ -149,7 +157,8 @@ class GoalCommand:
     def command_jet(self, ctx: TrackContext):
         K_r = self.params.K_r_rows
         v_c, a_c, k_a = _step_goal_jet(self.goal, K_r, ctx)
-        return v_c, a_c, lambda v_dot: [x - dot3(k, v_dot) for x, k in zip(k_a, K_r)]
+        k0, k1, k2 = K_r
+        return v_c, a_c, lambda v: [k_a[0] - dot3(k0, v), k_a[1] - dot3(k1, v), k_a[2] - dot3(k2, v)]
 
 
 @dataclass(frozen=True)
@@ -169,9 +178,11 @@ class SafeVelocityCommand:
         cset = self.cset
         h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), compose_h_p(ctx, cset), cset.kappa)
         v_s, filter_second = filter_jet(v_d[:2], h, grad, dtp, self.mf)
+        k_a, (k0, k1, k2) = v_d[2], K_r
 
         def rate(v_dot):
-            return filter_second([x - dot3(k, v_dot) for x, k in zip(v_d[2], K_r)], *pos_second(v_dot))
+            u2 = [k_a[0] - dot3(k0, v_dot), k_a[1] - dot3(k1, v_dot), k_a[2] - dot3(k2, v_dot)]
+            return filter_second(u2, *pos_second(v_dot))
 
         return v_s[0], v_s[1], rate
 
@@ -196,10 +207,11 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
     R = ctx.R
-    K_v = params.K_v_rows
-    e_v = [x - y for x, y in zip(v_c, ctx.v)]
-    K_e = [dot3(k, e_v) for k in K_v]
-    a_d = [x + 0.5 * y for x, y in zip(a_c, K_e)]
+    k0, k1, k2 = params.K_v_rows
+    v = ctx.v
+    e_v = [v_c[0] - v[0], v_c[1] - v[1], v_c[2] - v[2]]
+    K_e = [dot3(k0, e_v), dot3(k1, e_v), dot3(k2, e_v)]
+    a_d = [a_c[0] + 0.5 * K_e[0], a_c[1] + 0.5 * K_e[1], a_c[2] + 0.5 * K_e[2]]
     A_T = dot3(c0, a_d)
     Q = -dot3(c2, a_d) / V_T
     R_d = dot3(c1, a_d) / V_T
@@ -212,9 +224,11 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     theta_dot = ctx.c_ph * Q - ctx.s_ph * R
     g_R = ctx.g_over_V * ctx.c_ph * ctx.c_th
     f_R = g_R * phi_dot - ctx.g_over_V * ctx.s_ph * ctx.s_th * theta_dot - R * A_T / V_T
-    v_dot = [x - (V_T * gap) * y for x, y in zip(a_d, c1)]
-    d_e = [x - y for x, y in zip(a_c, v_dot)]
-    a_d_dot = [x + 0.5 * dot3(k, d_e) for x, k in zip(rate(v_dot), K_v)]
+    Vg = V_T * gap
+    v_dot = [a_d[0] - Vg * c1[0], a_d[1] - Vg * c1[1], a_d[2] - Vg * c1[2]]
+    d_e = [a_c[0] - v_dot[0], a_c[1] - v_dot[1], a_c[2] - v_dot[2]]
+    da_c = rate(v_dot)
+    a_d_dot = [da_c[0] + 0.5 * dot3(k0, d_e), da_c[1] + 0.5 * dot3(k1, d_e), da_c[2] + 0.5 * dot3(k2, d_e)]
     f_Rd = (dot3(c1, a_d_dot) - (R + R_d) * A_T) / V_T
     g_Rd = -Q
 

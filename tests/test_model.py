@@ -14,7 +14,7 @@ from conftest import (
     velocity_vec,
 )
 from fwrta import kernels
-from fwrta.errors import SingularPitch, SingularSpeed
+from fwrta.errors import NonFiniteValue, SingularPitch, SingularSpeed
 from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
 
 
@@ -225,8 +225,19 @@ class TestTrackContext:
 def test_state_requires_finite_fields():
     with pytest.raises(ValueError):
         AircraftState(0, 0, 0, 0, 0, 0, math.nan)
-    with pytest.raises(ValueError):
-        ControlInput(math.inf, 0, 0)
+    # the error names the first non-finite input field, in field order
+    fields = ("A_T", "P", "Q")
+    for i, name in enumerate(fields):
+        for bad in (math.nan, math.inf, -math.inf):
+            x = [0.5, -0.25, 1.0]
+            x[i] = bad
+            with pytest.raises(NonFiniteValue, match=f"^ControlInput.{name} must be finite$"):
+                ControlInput(*x)
+            # a later non-finite field does not change the name
+            x[i + 1:] = [math.nan] * (2 - i)
+            with pytest.raises(NonFiniteValue, match=f"^ControlInput.{name} must be finite$"):
+                ControlInput(*x)
+    assert ControlInput(0.5, -0.25, 1.0).as_tuple() == (0.5, -0.25, 1.0)
 
 
 def test_gravity_param_positive():

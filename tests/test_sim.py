@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -262,6 +263,19 @@ class TestIntegrate:
             assert np.linalg.norm(velocity(st)) == pytest.approx(st.V_T, rel=1e-12)
 
 
+# Upper bounds on the fwrta Python frames a control step enters, and on the
+# comprehension frames among them, on a 2 s horizon (a generator counts once per
+# resume).  Measured on CPython 3.11 with the per-step vectors written as explicit
+# components: fig3 88.03 / 3.04, fig4 83.03 / 3.04, fig5 183.03 / 6.04, fig6
+# 145.03 / 14.04, step_offset 57.01 / 2.01; the fractions are the run's own frames
+# (``integrate``, ``make_controller`` and the log's arrays) spread over its steps.
+# What is left of the comprehensions loops over constraint members.  CPython 3.10
+# enters the same frames; from 3.12 on, list comprehensions are inlined (PEP 709),
+# so the counts can only read lower.
+STEP_FRAME_BOUNDS = {"fig3": (89, 4), "fig4": (84, 4), "fig5": (184, 7), "fig6": (146, 15), "step_offset": (58, 3)}
+COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
+
+
 class TestStepRecord:
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_record_per_mode(self, name):
@@ -338,10 +352,18 @@ class TestStepRecord:
         watched = {f.__code__: f.__name__ for f in (constraints._unit_along, filters.softplus,
                                                      constraints.softmin_weights)}
         calls = dict.fromkeys(watched.values(), 0)
+        package = os.path.dirname(constraints.__file__) + os.sep
+        frames = comprehensions = 0
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code in watched:
-                calls[watched[frame.f_code]] += 1
+            nonlocal frames, comprehensions
+            if event == "call":
+                code = frame.f_code
+                if code in watched:
+                    calls[watched[code]] += 1
+                if code.co_filename.startswith(package):
+                    frames += 1
+                    comprehensions += code.co_name in COMPREHENSIONS
 
         previous = sys.getprofile()
         sys.setprofile(profile)
@@ -356,6 +378,10 @@ class TestStepRecord:
         assert len(separations) == (len(scn.cset.members) - planes) * len(log.t)
         assert len(distances) == planes * len(log.t)
         n = len(log.t)
+        # no per-element comprehension builds a 3- or 7-vector of the step
+        frame_bound, comprehension_bound = STEP_FRAME_BOUNDS[name]
+        assert frames / n <= frame_bound
+        assert comprehensions / n <= comprehension_bound
         if name == "fig5":
             # the backstepping rate reads each obstacle's jet through frame projections
             # and the filter step's one softplus; the softmin composes the position
