@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, frame_jets
-from .dual import ZERO3, dot3
+from .constraints import ZERO3, ConstraintSet, frame_jets
 from .extended import ExtendedParams, compose_extended_terms, member_frame_rates
 from .filters import FilterResult, WeightFactor, check_positive, filter_input, filter_step, lambda_smooth_rate
 from .model import ControlInput, TrackContext
@@ -49,16 +48,18 @@ class BacksteppingParams:
 
 
 def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
-    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)``, then the members' terms,
-    weights, ``a_e``, ``b`` and the step's result."""
-    h_e, D, gv, _, w, terms = compose_extended_terms(frame_jets(ctx, cset), ctx.v, cset.kappa, p.ext.gamma_p)
+    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)``, then the members' jets,
+    terms and weights, ``a_e``, ``b`` and the step's result."""
+    jets = frame_jets(ctx, cset)
+    h_e, D, gv, _, w, terms = compose_extended_terms(jets, ctx.v, cset.kappa, p.ext.gamma_p)
     # barrier rate at zero acceleration plus decay
     a_e = D + p.gamma_e * h_e
     b = p.W_e.apply_t(gv)
     res = filter_step(ZERO3, a_e, b, p.W_e.apply, p.nu_e)
-    R_s = dot3(ctx.c1, res.u) / ctx.V_T
+    c1, a_s = ctx.c1, res.u
+    R_s = (c1[0] * a_s[0] + c1[1] * a_s[1] + c1[2] * a_s[2]) / ctx.V_T
     gap = R_s - ctx.R
-    return (h_e, res.u, R_s, h_e - gap * gap * (0.5 / p.mu_e)), (terms, w, a_e, b, res)
+    return (h_e, a_s, R_s, h_e - gap * gap * (0.5 / p.mu_e)), (jets, terms, w, a_e, b, res)
 
 
 def h_b(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams) -> float:
@@ -70,19 +71,17 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
     """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V, R = ctx.V_T, ctx.R
-    (h_e, a_s, R_s, hb), (terms, w, a_e, b, res) = _pipeline(ctx, cset, p)
-    jets = frame_jets(ctx, cset)
+    (h_e, a_s, R_s, hb), (jets, terms, w, a_e, b, res) = _pipeline(ctx, cset, p)
     rates = [member_frame_rates(j, p.ext.gamma_p, ctx) for j in jets]
     # c1 . a_s' reads gv' = sum w_i' gv_i (+ w_i n_i'/gamma_p on the drift) only
     # through W_b . gv' (|b|') and gam . gv', with W_b = W_e b and gam = W_e W_e^T c1
     W_e, kappa, lam = p.W_e, cset.kappa, res.lam
-    W_b, gam = W_e.apply(b), W_e.apply(W_e.apply_t(c1))
-    b_norm, c1_Wb = math.sqrt(res.bn2), dot3(c1, W_b)
+    (bx, by, bz), (gx, gy, gz) = W_e.apply(b), W_e.apply(W_e.apply_t(c1))
+    b_norm, c1_Wb = math.sqrt(res.bn2), (c1[0] * bx + c1[1] * by + c1[2] * bz)
     proj, b_f, g_f = [], 0.0, 0.0
-    for x, t, (_, (_, n1), _, _) in zip(w, terms, jets):
-        gv = t[2:]
-        proj.append((dot3(W_b, gv), dot3(gam, gv)))
-        b_f, g_f = b_f + x * dot3(W_b, n1), g_f + x * dot3(gam, n1)
+    for x, (_, _, vx, vy, vz), (_, (_, (mx, my, mz)), _, _) in zip(w, terms, jets):
+        proj.append(((bx * vx + by * vy + bz * vz), (gx * vx + gy * vy + gz * vz)))
+        b_f, g_f = b_f + x * (bx * mx + by * my + bz * mz), g_f + x * (gx * mx + gy * my + gz * mz)
     g = 1.0 / p.ext.gamma_p
     D_he, D_as = [], []
     for along, (b_o, g_o) in zip(zip(*rates), ((b_f * g, g_f * g), (0.0, 0.0), (0.0, 0.0))):
@@ -102,7 +101,9 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
     # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
     # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T
     D_he = (he_f, he_a, 0.0, he_q)
-    D_Rs = ((as_f - R * dot3(c0, a_s)) / V, (as_a - R_s) / V, dot3(c2, a_s) / V, as_q / V)
+    ax, ay, az = a_s
+    D_Rs = ((as_f - R * (c0[0] * ax + c0[1] * ay + c0[2] * az)) / V, (as_a - R_s) / V,
+            (c2[0] * ax + c2[1] * ay + c2[2] * az) / V, as_q / V)
     D_R = (ctx.g_over_V * ctx.s_th * R, -R / V, ctx.g_over_V * ctx.c_ph * ctx.c_th, 0.0)
     gap, mu = R_s - R, p.mu_e
     drift = D_he[0] - gap * (D_Rs[0] - D_R[0]) / mu

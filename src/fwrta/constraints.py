@@ -14,8 +14,20 @@ returns.  The extended member is their first order, and
 :func:`member_jet` adds the second order along the curve
 ``(r + tau v + tau^2 r2 / 2, t + tau)``.  :func:`compose_jets` extends
 the composition: it sums the weighted member jets' first orders in
-place, and their second orders once ``r2`` is known.  Vectors are float
-3-sequences.
+place, and their second orders once ``r2`` is known.
+
+Vectors are float 3-sequences, and every fixed-size vector formula of a
+control step, across all modules, is written as explicit components:
+each inner product is the parenthesized sum
+``(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])`` at its call site, with no
+helper call, comprehension, generator or ``zip`` per vector, each
+component keeping the float operations in their order; only sums over
+constraint members loop.  Nothing at run time differentiates by
+evaluation: every derivative is written in closed form over Python
+floats (the model-free safe command's as a univariate Taylor jet along
+the flown curve; Griewank, Utke & Walther, Math. Comp. 2000).  The
+forward-mode dual numbers the tests use as the oracle of those closed
+forms live under ``tests/``.
 """
 
 from __future__ import annotations
@@ -26,10 +38,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dual import ZERO3, dot3
 from .errors import CoincidentPosition
 
 COINCIDENT_TOL = 1e-9  # m
+ZERO3 = (0.0, 0.0, 0.0)
 
 
 def finite_vec3(x, name: str) -> list:
@@ -136,23 +148,23 @@ class BarrierEval:
 def _separation(r, t, obs: MovingObstacle):
     """``(r - r_i, |r - r_i|, v_i, a_i)``; raises before anything divides by the distance."""
     r_i, v_i, a_i = obs.trajectory(float(t))
-    diff = [r[0] - r_i[0], r[1] - r_i[1], r[2] - r_i[2]]
-    q = math.sqrt(dot3(diff, diff))
+    dx, dy, dz = r[0] - r_i[0], r[1] - r_i[1], r[2] - r_i[2]
+    q = math.sqrt(dx * dx + dy * dy + dz * dz)
     if q < COINCIDENT_TOL:
         raise CoincidentPosition(f"position within {COINCIDENT_TOL} m of obstacle center")
-    return diff, q, v_i, a_i
+    return (dx, dy, dz), q, v_i, a_i
 
 
 def h_geofence(r, plane: GeofencePlane):
     """Signed distance to the geofence plane, less the margin."""
-    p = plane.p3
-    return dot3(plane.n3, (r[0] - p[0], r[1] - p[1], r[2] - p[2])) - plane.rho
+    n, p = plane.n3, plane.p3
+    return (n[0] * (r[0] - p[0]) + n[1] * (r[1] - p[1]) + n[2] * (r[2] - p[2])) - plane.rho
 
 
 def _unit_along(n, q, d):
     """Rates ``(q', n')`` of the distance ``q`` and unit vector ``n`` of a
     separation moving by the 3-list ``d``: ``q' = n . d``, ``n' = (d - n q') / q``."""
-    q1 = dot3(n, d)
+    q1 = n[0] * d[0] + n[1] * d[1] + n[2] * d[2]
     return q1, [(d[0] - n[0] * q1) / q, (d[1] - n[1] * q1) / q, (d[2] - n[2] * q1) / q]
 
 
@@ -168,12 +180,15 @@ def member_jet1(r, t, v, member: Constraint):
     """
     if isinstance(member, GeofencePlane):
         n = member.n3
-        return (h_geofence(r, member), dot3(n, v)), (n, ZERO3), (0.0, 0.0), None
-    diff, q, v_i, a_i = _separation(r, t, member)
-    n = [diff[0] / q, diff[1] / q, diff[2] / q]
+        return (h_geofence(r, member), (n[0] * v[0] + n[1] * v[1] + n[2] * v[2])), (n, ZERO3), (0.0, 0.0), None
+    (dx, dy, dz), q, v_i, a_i = _separation(r, t, member)
+    nx, ny, nz = n = [dx / q, dy / q, dz / q]
     dl = [v[0] - v_i[0], v[1] - v_i[1], v[2] - v_i[2]]
     q1, n1 = _unit_along(n, q, dl)
-    return (q - member.rho, q1), (n, n1), (-dot3(n, v_i), -dot3(n1, v_i) - dot3(n, a_i)), (q, dl, v_i, a_i)
+    vx, vy, vz = v_i
+    d0 = -(nx * vx + ny * vy + nz * vz)
+    d1 = -(n1[0] * vx + n1[1] * vy + n1[2] * vz) - (nx * a_i[0] + ny * a_i[1] + nz * a_i[2])
+    return (q - member.rho, q1), (n, n1), (d0, d1), (q, dl, v_i, a_i)
 
 
 def frame_jets(ctx, cset: ConstraintSet):
@@ -195,15 +210,15 @@ def member_jet(jet1, r2):
     A plane's gradient and time-partial are constant and ``h'' = n . r2``; an
     obstacle's separation has second derivative ``r2 - a_i``.
     """
-    (_, q1), (n, n1), _, sep = jet1
+    (_, q1), ((nx, ny, nz), (mx, my, mz)), _, sep = jet1
     if sep is None:
-        return dot3(n, r2), ZERO3, 0.0
-    q, dl, v_i, a_i = sep
-    e = [r2[0] - a_i[0], r2[1] - a_i[1], r2[2] - a_i[2]]
-    q2 = (dot3(dl, dl) - q1 * q1) / q + dot3(n, e)
-    n2 = [(e[0] - 2.0 * n1[0] * q1 - n[0] * q2) / q, (e[1] - 2.0 * n1[1] * q1 - n[1] * q2) / q,
-          (e[2] - 2.0 * n1[2] * q1 - n[2] * q2) / q]
-    return q2, n2, -dot3(n2, v_i) - 2.0 * dot3(n1, a_i)
+        return (nx * r2[0] + ny * r2[1] + nz * r2[2]), ZERO3, 0.0
+    q, (lx, ly, lz), v_i, a_i = sep
+    ex, ey, ez = r2[0] - a_i[0], r2[1] - a_i[1], r2[2] - a_i[2]
+    q2 = ((lx * lx + ly * ly + lz * lz) - q1 * q1) / q + (nx * ex + ny * ey + nz * ez)
+    n2x, n2y, n2z = n2 = [(ex - 2.0 * mx * q1 - nx * q2) / q, (ey - 2.0 * my * q1 - ny * q2) / q,
+                          (ez - 2.0 * mz * q1 - nz * q2) / q]
+    return q2, n2, -(n2x * v_i[0] + n2y * v_i[1] + n2z * v_i[2]) - 2.0 * (mx * a_i[0] + my * a_i[1] + mz * a_i[2])
 
 
 def softmin_weights(values, kappa: float):
@@ -231,10 +246,10 @@ def compose_members(terms, kappa: float):
     ``terms`` holds one flat float list ``[value, *derivatives]`` per member; returns
     ``(h, *averaged derivatives, per-member values, weights)``.
     """
+    if len(terms) == 1:
+        return (*terms[0], [terms[0][0]], [1.0])
     cols = list(zip(*terms))
     per = list(cols[0])
-    if len(per) == 1:
-        return (*terms[0], per, [1.0])
     h, w = softmin_weights(per, kappa)
     out = [h]
     for col in cols[1:]:

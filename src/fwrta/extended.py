@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSet, compose_members, frame_jets, member_jet
-from .dual import ZERO3, dot3
+from .constraints import ZERO3, ConstraintSet, compose_members, frame_jets, member_jet
 from .filters import FilterResult, WeightFactor, check_positive, filter_input
 from .model import ControlInput, TrackContext
 
@@ -51,8 +50,9 @@ def member_extended_terms(jet1, v, gamma_p: float):
     """
     g = 1.0 / gamma_p
     (h0, h1), (n0, n1), (d0, d1), _ = jet1
-    gr = (n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g)
-    return [h0 + h1 * g, dot3(gr, v) + (d0 + d1 * g), n0[0] * g, n0[1] * g, n0[2] * g]
+    nx, ny, nz = n0
+    gx, gy, gz = nx + n1[0] * g, ny + n1[1] * g, nz + n1[2] * g
+    return [h0 + h1 * g, (gx * v[0] + gy * v[1] + gz * v[2]) + (d0 + d1 * g), nx * g, ny * g, nz * g]
 
 
 def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
@@ -68,17 +68,19 @@ def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
     g = 1.0 / gamma_p
     (_, h1), (n0, n1), (_, d1), sep = jet1
     h2, n2, d2 = member_jet(jet1, ZERO3)
-    v, c0, c1, c2 = ctx.v, ctx.c0, ctx.c1, ctx.c2
-    gr = (n0[0] + n1[0] * g, n0[1] + n1[1] * g, n0[2] + n1[2] * g)
-    n_a, n_f, n_q = dot3(n0, c0), dot3(n0, c1), dot3(n0, c2)
-    r_a, r_f, r_q = dot3(gr, c0), dot3(gr, c1), dot3(gr, c2)
+    v = ctx.v
+    (ax, ay, az), (fx, fy, fz), (qx, qy, qz) = ctx.c0, ctx.c1, ctx.c2
+    (nx, ny, nz), (mx, my, mz) = n0, n1
+    gx, gy, gz = nx + mx * g, ny + my * g, nz + mz * g
+    n_a, n_f, n_q = (nx * ax + ny * ay + nz * az), (nx * fx + ny * fy + nz * fz), (nx * qx + ny * qy + nz * qz)
+    r_a, r_f, r_q = (gx * ax + gy * ay + gz * az), (gx * fx + gy * fy + gz * fz), (gx * qx + gy * qy + gz * qz)
     if sep is not None:
-        k, dl = g / sep[0], sep[1]
-        r_a += (dot3(dl, c0) - n_a * h1) * k
-        r_f += (dot3(dl, c1) - n_f * h1) * k
-        r_q += (dot3(dl, c2) - n_q * h1) * k
+        k, (lx, ly, lz) = g / sep[0], sep[1]
+        r_a += ((lx * ax + ly * ay + lz * az) - n_a * h1) * k
+        r_f += ((lx * fx + ly * fy + lz * fz) - n_f * h1) * k
+        r_q += ((lx * qx + ly * qy + lz * qz) - n_q * h1) * k
     V, VR = ctx.V_T, ctx.V_T * ctx.R
-    e_d = dot3((n1[0] + n2[0] * g, n1[1] + n2[1] * g, n1[2] + n2[2] * g), v) + d1 + d2 * g
+    e_d = ((mx + n2[0] * g) * v[0] + (my + n2[1] * g) * v[1] + (mz + n2[2] * g) * v[2]) + d1 + d2 * g
     return (h1 + h2 * g + VR * n_f * g, e_d + VR * r_f), (n_a * g, r_a), (-V * n_q * g, -V * r_q)
 
 
@@ -97,9 +99,11 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams
     """
     h, D, gv, _, _, _ = compose_extended_terms(frame_jets(ctx, cset), ctx.v, cset.kappa, params.gamma_p)
     V = ctx.V_T
+    gx, gy, gz = gv
+    c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     # acceleration map columns: A_T -> c0, Q -> -V c2, and the drift R -> V c1
-    drift = D + dot3(gv, ctx.c1) * (V * ctx.R)
-    return h, drift, (dot3(gv, ctx.c0), 0.0, -V * dot3(gv, ctx.c2))
+    drift = D + (gx * c1[0] + gy * c1[1] + gz * c1[2]) * (V * ctx.R)
+    return h, drift, ((gx * c0[0] + gy * c0[1] + gz * c0[2]), 0.0, -V * (gx * c2[0] + gy * c2[1] + gz * c2[2]))
 
 
 def rta_extended(

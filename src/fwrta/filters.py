@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import dot3
 from .model import ControlInput
 
 
@@ -51,13 +50,15 @@ class WeightFactor:
 
     def apply(self, z):
         """``W z`` of a 3-sequence, as a list."""
-        r0, r1, r2 = self.rows
-        return [dot3(r0, z), dot3(r1, z), dot3(r2, z)]
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = self.rows
+        z0, z1, z2 = z
+        return [(w00 * z0 + w01 * z1 + w02 * z2), (w10 * z0 + w11 * z1 + w12 * z2), (w20 * z0 + w21 * z1 + w22 * z2)]
 
     def apply_t(self, z):
         """``W^T z`` of a 3-sequence, as a list."""
-        c0, c1, c2 = self.cols
-        return [dot3(c0, z), dot3(c1, z), dot3(c2, z)]
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = self.cols
+        z0, z1, z2 = z
+        return [(w00 * z0 + w01 * z1 + w02 * z2), (w10 * z0 + w11 * z1 + w12 * z2), (w20 * z0 + w21 * z1 + w22 * z2)]
 
     @classmethod
     def diagonal(cls, diag) -> "WeightFactor":
@@ -141,7 +142,7 @@ def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:
     ``lambda_smooth``.  ``u`` is a list; a zero row returns ``u_d``
     itself with ``lam = 0``.
     """
-    bn2 = dot3(b, b)
+    bn2 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
     if bn2 == 0.0:
         u, lam, slope = u_d, 0.0, 0.0
     else:
@@ -160,6 +161,7 @@ def filter_input(u_d: ControlInput, h: float, drift: float, row, params) -> Filt
     (:class:`~fwrta.extended.ExtendedParams`); ``row`` is the raw input
     row, weighted here.  The result's ``u`` is a float sequence.
     """
-    u_d_vec = u_d.as_tuple()
+    A_T, P, Q = u_d.A_T, u_d.P, u_d.Q
     W = params.W
-    return filter_step(u_d_vec, drift + dot3(row, u_d_vec) + params.gamma * h, W.apply_t(row), W.apply, params.nu)
+    a = drift + (row[0] * A_T + row[1] * P + row[2] * Q) + params.gamma * h
+    return filter_step((A_T, P, Q), a, W.apply_t(row), W.apply, params.nu)

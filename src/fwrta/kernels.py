@@ -6,8 +6,10 @@ functions run over Python floats: the state and the input are float
 sequences and the results are 7-tuples.  The RK4 stage states and the
 final combination are written out component by component, with no
 per-element comprehension, in the operation order of the classic array
-tableau, so they equal it bit for bit.  The control laws read the same
-kinematics from the plain-float frame of
+tableau, so they equal it bit for bit.  ``dubins_rhs`` reads only the
+attitude and speed, so the stage states carry the start position
+unchanged instead of advancing entries nothing reads.  The control laws
+read the same kinematics from the plain-float frame of
 :class:`fwrta.model.TrackContext` and write its rates in closed form.
 """
 
@@ -40,12 +42,10 @@ def rk4_step(x, u, dt, g_d):
     h = 0.5 * dt
     x0, x1, x2, x3, x4, x5, x6 = x
     a = dubins_rhs(x, u, g_d)
-    b = dubins_rhs((x0 + h * a[0], x1 + h * a[1], x2 + h * a[2], x3 + h * a[3],
-                    x4 + h * a[4], x5 + h * a[5], x6 + h * a[6]), u, g_d)
-    c = dubins_rhs((x0 + h * b[0], x1 + h * b[1], x2 + h * b[2], x3 + h * b[3],
-                    x4 + h * b[4], x5 + h * b[5], x6 + h * b[6]), u, g_d)
-    d = dubins_rhs((x0 + dt * c[0], x1 + dt * c[1], x2 + dt * c[2], x3 + dt * c[3],
-                    x4 + dt * c[4], x5 + dt * c[5], x6 + dt * c[6]), u, g_d)
+    # dubins_rhs never reads the position, so the stages carry x0, x1, x2 as they are
+    b = dubins_rhs((x0, x1, x2, x3 + h * a[3], x4 + h * a[4], x5 + h * a[5], x6 + h * a[6]), u, g_d)
+    c = dubins_rhs((x0, x1, x2, x3 + h * b[3], x4 + h * b[4], x5 + h * b[5], x6 + h * b[6]), u, g_d)
+    d = dubins_rhs((x0, x1, x2, x3 + dt * c[3], x4 + dt * c[4], x5 + dt * c[5], x6 + dt * c[6]), u, g_d)
     s = dt / 6.0
     return (
         x0 + s * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),

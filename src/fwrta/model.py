@@ -104,16 +104,6 @@ class ControlInput:
         return np.array(self.as_tuple())
 
 
-def check_speed(V_T: float) -> None:
-    if V_T <= V_T_FLOOR:
-        raise SingularSpeed(f"V_T = {V_T:.6g} m/s at or below floor {V_T_FLOOR} m/s")
-
-
-def check_pitch(theta: float) -> None:
-    if abs(theta) >= math.pi / 2 - PITCH_GUARD:
-        raise SingularPitch(f"|theta| = {abs(theta):.6g} rad too close to pi/2")
-
-
 class TrackContext:
     """Plain-float frame of one ``(x, t)``, ``x`` any 7-sequence of the state
     fields, shared by the per-step formulas.
@@ -138,8 +128,10 @@ class TrackContext:
 
     def __init__(self, state, t: float, g: GravityParam):
         n, e, d, phi, theta, psi, V_T = map(float, state)
-        check_pitch(theta)
-        check_speed(V_T)
+        if abs(theta) >= math.pi / 2 - PITCH_GUARD:
+            raise SingularPitch(f"|theta| = {abs(theta):.6g} rad too close to pi/2")
+        if V_T <= V_T_FLOOR:
+            raise SingularSpeed(f"V_T = {V_T:.6g} m/s at or below floor {V_T_FLOOR} m/s")
         self.t = t
         self.r = [n, e, d]
         s_ph, c_ph = math.sin(phi), math.cos(phi)

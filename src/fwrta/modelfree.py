@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dual import dot3
 from .errors import InvalidGainOrdering, ZeroDesiredVelocity
 from .filters import FilterResult, check_positive, softplus
 
@@ -49,10 +48,12 @@ def _filter0(h0, g0, d0, u0, p: ModelFreeParams):
     """The filter's zeroth order, for both :func:`safe_velocity_from_terms` and
     :func:`filter_jet`: its :class:`~fwrta.filters.FilterResult` and, unless the
     row is zero, the terms ``(P, gu, s, beta, q, softplus, m, k)`` the jet extends."""
-    P = dot3(u0, u0)
+    ux, uy, uz = u0
+    gx, gy, gz = g0
+    P = ux * ux + uy * uy + uz * uz
     if math.sqrt(P) < ZERO_VELOCITY_TOL:
         raise ZeroDesiredVelocity(ZERO_VELOCITY_MSG)
-    gu, gg = dot3(g0, u0), dot3(g0, g0)
+    gu, gg = (gx * ux + gy * uy + gz * uz), (gx * gx + gy * gy + gz * gz)
     a = gu + d0 + p.gamma_p * h0 - p.sigma * gg
     s = gu / P
     c = 1.0 / p.Gamma_v
@@ -66,7 +67,7 @@ def _filter0(h0, g0, d0, u0, p: ModelFreeParams):
     sp = softplus(-p.nu_v * q)
     lam = sp[0] / (p.nu_v * beta)
     m, k = c1 * (lam * s), c * lam
-    v_s = [u0[0] + m * u0[0] + k * g0[0], u0[1] + m * u0[1] + k * g0[1], u0[2] + m * u0[2] + k * g0[2]]
+    v_s = [ux + m * ux + k * gx, uy + m * uy + k * gy, uz + m * uz + k * gz]
     return FilterResult(v_s, a, lam, sp[1], bn2, a + lam * bn2, False), (P, gu, s, beta, q, sp, m, k)
 
 
@@ -87,7 +88,10 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     P, gu, s, beta, q, (_, sl, cv), m, k = terms
     c, nu, gamma_p, sigma, lam = 1.0 / p.Gamma_v, p.nu_v, p.gamma_p, p.sigma, res.lam
     c1 = 1.0 - c
-    P1, gu1, gg1 = 2.0 * dot3(u0, u1), dot3(g1, u0) + dot3(g0, u1), 2.0 * dot3(g0, g1)
+    (ux, uy, uz), (vx, vy, vz), (gx, gy, gz), (fx, fy, fz) = u0, u1, g0, g1
+    P1 = 2.0 * (ux * vx + uy * vy + uz * vz)
+    gu1 = (fx * ux + fy * uy + fz * uz) + (gx * vx + gy * vy + gz * vz)
+    gg1 = 2.0 * (gx * fx + gy * fy + gz * fz)
     a1 = gu1 + d1 + gamma_p * h1 - sigma * gg1
     s1 = (gu1 - s * P1) / P
     beta1 = 0.5 * (c * gg1 + c1 * (s1 * gu + s * gu1)) / beta
@@ -96,23 +100,24 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     nb = nu * beta
     lam1 = (sl * x1 - lam * (nu * beta1)) / nb
     m1, k1 = c1 * (lam1 * s + lam * s1), c * lam1
-    v_s = (res.u, [u1[0] + (m1 * u0[0] + m * u1[0]) + (k1 * g0[0] + k * g1[0]),
-                   u1[1] + (m1 * u0[1] + m * u1[1]) + (k1 * g0[1] + k * g1[1]),
-                   u1[2] + (m1 * u0[2] + m * u1[2]) + (k1 * g0[2] + k * g1[2])])
+    v_s = (res.u, [vx + (m1 * ux + m * vx) + (k1 * gx + k * fx),
+                   vy + (m1 * uy + m * vy) + (k1 * gy + k * fy),
+                   vz + (m1 * uz + m * vz) + (k1 * gz + k * fz)])
 
     def second(u2, h2, g2, d2):
-        P2 = 2.0 * (dot3(u1, u1) + dot3(u0, u2))
-        gu2 = dot3(g2, u0) + 2.0 * dot3(g1, u1) + dot3(g0, u2)
-        gg2 = 2.0 * (dot3(g1, g1) + dot3(g0, g2))
+        (wx, wy, wz), (ex, ey, ez) = u2, g2
+        P2 = 2.0 * ((vx * vx + vy * vy + vz * vz) + (ux * wx + uy * wy + uz * wz))
+        gu2 = (ex * ux + ey * uy + ez * uz) + 2.0 * (fx * vx + fy * vy + fz * vz) + (gx * wx + gy * wy + gz * wz)
+        gg2 = 2.0 * ((fx * fx + fy * fy + fz * fz) + (gx * ex + gy * ey + gz * ez))
         a2 = gu2 + d2 + gamma_p * h2 - sigma * gg2
         s2 = (gu2 - 2.0 * s1 * P1 - s * P2) / P
         beta2 = (0.5 * (c * gg2 + c1 * (s2 * gu + 2.0 * s1 * gu1 + s * gu2)) - beta1 * beta1) / beta
         x2 = -nu * (a2 - 2.0 * q1 * beta1 - q * beta2) / beta
         lam2 = (cv * x1 * x1 + sl * x2 - nu * (2.0 * lam1 * beta1 + lam * beta2)) / nb
         m2, k2, m1_2, k1_2 = c1 * (lam2 * s + 2.0 * lam1 * s1 + lam * s2), c * lam2, 2.0 * m1, 2.0 * k1
-        return [u2[0] + (m2 * u0[0] + m1_2 * u1[0] + m * u2[0]) + (k2 * g0[0] + k1_2 * g1[0] + k * g2[0]),
-                u2[1] + (m2 * u0[1] + m1_2 * u1[1] + m * u2[1]) + (k2 * g0[1] + k1_2 * g1[1] + k * g2[1]),
-                u2[2] + (m2 * u0[2] + m1_2 * u1[2] + m * u2[2]) + (k2 * g0[2] + k1_2 * g1[2] + k * g2[2])]
+        return [wx + (m2 * ux + m1_2 * vx + m * wx) + (k2 * gx + k1_2 * fx + k * ex),
+                wy + (m2 * uy + m1_2 * vy + m * wy) + (k2 * gy + k1_2 * fy + k * ey),
+                wz + (m2 * uz + m1_2 * vz + m * wz) + (k2 * gz + k1_2 * fz + k * ez)]
 
     return v_s, second
 

@@ -115,7 +115,7 @@ def make_controller(scn: Scenario):
             else:
                 h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
-        u_d, u = tr_d.u.as_tuple(), u.as_tuple()
+        u_d, u = (tr_d.u.A_T, tr_d.u.P, tr_d.u.Q), (u.A_T, u.P, u.Q)
         return StepRecord(
             u_d=u_d,
             u=u,

@@ -39,8 +39,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, compose_h_p, compose_jets, finite_vec3, frame_jets
-from .dual import ZERO3, dot3
+from .constraints import ZERO3, ConstraintSet, compose_h_p, compose_jets, finite_vec3, frame_jets
 from .filters import check_positive
 from .model import ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, filter_jet
@@ -124,16 +123,21 @@ class VelocityCommand(Protocol):
 def _goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
     """``v_g + K_r (r_g - r)`` and its first two derivatives along ``w = (v, 1)``
     (``K_r`` as float rows; the goal's own acceleration rate is zero)."""
-    r_g, v_g, a_g = goal.eval(ctx.t)
+    t = ctx.t
+    r_g, v_g, a_g = goal.position(t), goal.velocity(t), goal.accel(t)
     r, v = ctx.r, ctx.v
-    k0, k1, k2 = K_r
-    e0 = [r_g[0] - r[0], r_g[1] - r[1], r_g[2] - r[2]]
-    e1 = [v_g[0] - v[0], v_g[1] - v[1], v_g[2] - v[2]]
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K_r
+    ex, ey, ez = r_g[0] - r[0], r_g[1] - r[1], r_g[2] - r[2]
+    fx, fy, fz = v_g[0] - v[0], v_g[1] - v[1], v_g[2] - v[2]
+    ax, ay, az = a_g
     # k_a = 0 + K_r a_g: the goal's own acceleration rate is zero
     return (
-        [v_g[0] + dot3(k0, e0), v_g[1] + dot3(k1, e0), v_g[2] + dot3(k2, e0)],
-        [a_g[0] + dot3(k0, e1), a_g[1] + dot3(k1, e1), a_g[2] + dot3(k2, e1)],
-        [0.0 + dot3(k0, a_g), 0.0 + dot3(k1, a_g), 0.0 + dot3(k2, a_g)],
+        [v_g[0] + (k00 * ex + k01 * ey + k02 * ez), v_g[1] + (k10 * ex + k11 * ey + k12 * ez),
+         v_g[2] + (k20 * ex + k21 * ey + k22 * ez)],
+        [ax + (k00 * fx + k01 * fy + k02 * fz), ay + (k10 * fx + k11 * fy + k12 * fz),
+         az + (k20 * fx + k21 * fy + k22 * fz)],
+        [0.0 + (k00 * ax + k01 * ay + k02 * az), 0.0 + (k10 * ax + k11 * ay + k12 * az),
+         0.0 + (k20 * ax + k21 * ay + k22 * az)],
     )
 
 
@@ -156,9 +160,11 @@ class GoalCommand:
 
     def command_jet(self, ctx: TrackContext):
         K_r = self.params.K_r_rows
-        v_c, a_c, k_a = _step_goal_jet(self.goal, K_r, ctx)
-        k0, k1, k2 = K_r
-        return v_c, a_c, lambda v: [k_a[0] - dot3(k0, v), k_a[1] - dot3(k1, v), k_a[2] - dot3(k2, v)]
+        v_c, a_c, (kx, ky, kz) = _step_goal_jet(self.goal, K_r, ctx)
+        (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K_r
+        return v_c, a_c, lambda v: [kx - (k00 * v[0] + k01 * v[1] + k02 * v[2]),
+                                    ky - (k10 * v[0] + k11 * v[1] + k12 * v[2]),
+                                    kz - (k20 * v[0] + k21 * v[1] + k22 * v[2])]
 
 
 @dataclass(frozen=True)
@@ -178,10 +184,12 @@ class SafeVelocityCommand:
         cset = self.cset
         h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), compose_h_p(ctx, cset), cset.kappa)
         v_s, filter_second = filter_jet(v_d[:2], h, grad, dtp, self.mf)
-        k_a, (k0, k1, k2) = v_d[2], K_r
+        (kx, ky, kz), ((k00, k01, k02), (k10, k11, k12), (k20, k21, k22)) = v_d[2], K_r
 
         def rate(v_dot):
-            u2 = [k_a[0] - dot3(k0, v_dot), k_a[1] - dot3(k1, v_dot), k_a[2] - dot3(k2, v_dot)]
+            x, y, z = v_dot
+            u2 = [kx - (k00 * x + k01 * y + k02 * z), ky - (k10 * x + k11 * y + k12 * z),
+                  kz - (k20 * x + k21 * y + k22 * z)]
             return filter_second(u2, *pos_second(v_dot))
 
         return v_s[0], v_s[1], rate
@@ -204,17 +212,18 @@ class TrackResult:
 
 def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams) -> TrackResult:
     v_c, a_c, rate = cmd.command_jet(ctx)
-    c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
+    (c0x, c0y, c0z), (c1x, c1y, c1z), (c2x, c2y, c2z) = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
     R = ctx.R
-    k0, k1, k2 = params.K_v_rows
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = params.K_v_rows
     v = ctx.v
-    e_v = [v_c[0] - v[0], v_c[1] - v[1], v_c[2] - v[2]]
-    K_e = [dot3(k0, e_v), dot3(k1, e_v), dot3(k2, e_v)]
-    a_d = [a_c[0] + 0.5 * K_e[0], a_c[1] + 0.5 * K_e[1], a_c[2] + 0.5 * K_e[2]]
-    A_T = dot3(c0, a_d)
-    Q = -dot3(c2, a_d) / V_T
-    R_d = dot3(c1, a_d) / V_T
+    ex, ey, ez = v_c[0] - v[0], v_c[1] - v[1], v_c[2] - v[2]
+    Kx, Ky, Kz = (k00 * ex + k01 * ey + k02 * ez), (k10 * ex + k11 * ey + k12 * ez), (k20 * ex + k21 * ey + k22 * ez)
+    # a_d = a_c + K_v e_v / 2
+    ax, ay, az = a_c[0] + 0.5 * Kx, a_c[1] + 0.5 * Ky, a_c[2] + 0.5 * Kz
+    A_T = c0x * ax + c0y * ay + c0z * az
+    Q = -(c2x * ax + c2y * ay + c2z * az) / V_T
+    R_d = (c1x * ax + c1y * ay + c1z * az) / V_T
     gap = R_d - R
 
     # rate coefficients: total derivative along the loop with P = 0, and
@@ -225,19 +234,22 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     g_R = ctx.g_over_V * ctx.c_ph * ctx.c_th
     f_R = g_R * phi_dot - ctx.g_over_V * ctx.s_ph * ctx.s_th * theta_dot - R * A_T / V_T
     Vg = V_T * gap
-    v_dot = [a_d[0] - Vg * c1[0], a_d[1] - Vg * c1[1], a_d[2] - Vg * c1[2]]
-    d_e = [a_c[0] - v_dot[0], a_c[1] - v_dot[1], a_c[2] - v_dot[2]]
+    v_dot = [ax - Vg * c1x, ay - Vg * c1y, az - Vg * c1z]
+    dx, dy, dz = a_c[0] - v_dot[0], a_c[1] - v_dot[1], a_c[2] - v_dot[2]
     da_c = rate(v_dot)
-    a_d_dot = [da_c[0] + 0.5 * dot3(k0, d_e), da_c[1] + 0.5 * dot3(k1, d_e), da_c[2] + 0.5 * dot3(k2, d_e)]
-    f_Rd = (dot3(c1, a_d_dot) - (R + R_d) * A_T) / V_T
+    # the rate of a_d along the loop
+    jx = da_c[0] + 0.5 * (k00 * dx + k01 * dy + k02 * dz)
+    jy = da_c[1] + 0.5 * (k10 * dx + k11 * dy + k12 * dz)
+    jz = da_c[2] + 0.5 * (k20 * dx + k21 * dy + k22 * dz)
+    f_Rd = ((c1x * jx + c1y * jy + c1z * jz) - (R + R_d) * A_T) / V_T
     g_Rd = -Q
 
     mu = params.mu
     lam = params.lam
-    e_v_sq = dot3(e_v, e_v)
+    e_v_sq = ex * ex + ey * ey + ez * ez
     a_P = (
-        -0.5 * dot3(e_v, K_e)
-        + V_T * dot3(e_v, c1) * gap
+        -0.5 * (ex * Kx + ey * Ky + ez * Kz)
+        + V_T * (ex * c1x + ey * c1y + ez * c1z) * gap
         + gap * (f_Rd - f_R) / mu
         + 0.5 * lam * (e_v_sq + gap * gap / mu)
     )

@@ -7,6 +7,7 @@ import dual_formulas as df
 import dualnum as dm
 from conftest import frame_at, jets_at, random_constraint_set, seed_line
 from fwrta.constraints import (
+    ZERO3,
     BarrierEval,
     ConstraintSet,
     GeofencePlane,
@@ -17,7 +18,6 @@ from fwrta.constraints import (
     member_jet1,
     softmin_weights,
 )
-from fwrta.dual import ZERO3
 from fwrta.errors import CoincidentPosition
 from fwrta.tracking import GoalTrajectory
 

@@ -7,7 +7,7 @@ import pytest
 import dual_formulas as df
 import dualnum as dm
 from conftest import jets_at, random_constraint_set, random_state, velocity
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_jet1
+from fwrta.constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_jet1
 from fwrta.extended import (
     ExtendedParams,
     _affine_terms,
@@ -16,7 +16,6 @@ from fwrta.extended import (
     member_frame_rates,
     rta_extended,
 )
-from fwrta.dual import ZERO3
 from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta import kernels

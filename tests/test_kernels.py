@@ -45,3 +45,14 @@ def test_rk4_is_the_classic_tableau(cases):
             got = kernels.rk4_step(tuple(x.tolist()), tuple(u.tolist()), dt, 9.81)
             assert type(got) is tuple and all(type(v) is float for v in got)
             np.testing.assert_array_equal(np.array(got), array_rk4(x, u, dt, 9.81))
+
+
+def test_rhs_reads_no_position(cases):
+    # rk4_step carries the start position through its stage states unchanged,
+    # which holds only while the derivative never reads x[0:3]
+    nan = float("nan")
+    for x, u in cases:
+        x = tuple(x.tolist())
+        u = tuple(u.tolist())
+        got = kernels.dubins_rhs((nan, nan, nan, *x[3:]), u, 9.81)
+        assert list(map(float.hex, got)) == list(map(float.hex, kernels.dubins_rhs(x, u, 9.81)))

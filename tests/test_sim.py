@@ -265,14 +265,14 @@ class TestIntegrate:
 
 # Upper bounds on the fwrta Python frames a control step enters, and on the
 # comprehension frames among them, on a 2 s horizon (a generator counts once per
-# resume).  Measured on CPython 3.11 with the per-step vectors written as explicit
-# components: fig3 88.03 / 3.04, fig4 83.03 / 3.04, fig5 183.03 / 6.04, fig6
-# 145.03 / 14.04, step_offset 57.01 / 2.01; the fractions are the run's own frames
+# resume).  Measured on CPython 3.11 with the per-step vectors and inner products
+# written as explicit components: fig3 40.03 / 3.04, fig4 38.03 / 3.04, fig5
+# 69.03 / 6.04, fig6 67.03 / 14.04, step_offset 25.01 / 2.01; the fractions are the run's own frames
 # (``integrate``, ``make_controller`` and the log's arrays) spread over its steps.
 # What is left of the comprehensions loops over constraint members.  CPython 3.10
 # enters the same frames; from 3.12 on, list comprehensions are inlined (PEP 709),
 # so the counts can only read lower.
-STEP_FRAME_BOUNDS = {"fig3": (89, 4), "fig4": (84, 4), "fig5": (184, 7), "fig6": (146, 15), "step_offset": (58, 3)}
+STEP_FRAME_BOUNDS = {"fig3": (41, 4), "fig4": (39, 4), "fig5": (70, 7), "fig6": (68, 15), "step_offset": (26, 3)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
 
