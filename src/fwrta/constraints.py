@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,15 +54,16 @@ def finite_vec3(x, name: str) -> list:
 
 @dataclass(frozen=True)
 class MovingObstacle:
-    """Spherical keep-out region around a moving point.
+    """Spherical keep-out region of radius ``rho`` around a point that starts at
+    ``center`` at time 0 and moves at the constant ``velocity``.
 
-    ``trajectory`` maps time to (position, velocity, acceleration), float
-    3-sequences; it must be re-entrant.  Derivative-based filters assume
-    the returned acceleration is the exact derivative of the velocity
-    (jerk is taken as zero), which holds for the constant-velocity default.
+    ``center`` and ``velocity`` are held as float 3-tuples; the
+    derivative-based filters read the zero acceleration
+    :meth:`trajectory` returns.
     """
 
-    trajectory: Callable[[float], tuple]
+    center: tuple
+    velocity: tuple
     rho: float
 
     def __post_init__(self):
@@ -70,35 +71,30 @@ class MovingObstacle:
             raise ValueError("obstacle radius must be positive")
         if not math.isfinite(self.rho):
             raise ValueError("obstacle radius must be finite")
+        object.__setattr__(self, "center", tuple(finite_vec3(self.center, "obstacle center")))
+        object.__setattr__(self, "velocity", tuple(finite_vec3(self.velocity, "obstacle velocity")))
+        object.__setattr__(self, "rho", float(self.rho))
 
-    @classmethod
-    def constant_velocity(cls, center, velocity, rho: float) -> "MovingObstacle":
-        c = finite_vec3(center, "obstacle center")
-        v = tuple(finite_vec3(velocity, "obstacle velocity"))
-
-        def traj(t: float):
-            return [c[0] + v[0] * t, c[1] + v[1] * t, c[2] + v[2] * t], v, ZERO3
-
-        return cls(trajectory=traj, rho=float(rho))
+    def trajectory(self, t: float):
+        """Position, velocity and acceleration at time ``t``, float 3-sequences."""
+        c, v = self.center, self.velocity
+        return [c[0] + v[0] * t, c[1] + v[1] * t, c[2] + v[2] * t], v, ZERO3
 
 
 @dataclass(frozen=True)
 class GeofencePlane:
     """Keep-out half-space boundary: stay where ``n . (r - point) >= rho``.
 
-    The stored normal is unit length; any nonzero normal is accepted and
-    normalized on construction.  ``n3`` and ``p3`` hold the normal and
-    the point as float 3-tuples, for the per-step formulas.
+    ``point`` and the unit ``normal`` are held as float 3-tuples; any
+    nonzero normal is accepted and normalized on construction.
     """
 
-    point: np.ndarray
-    normal: np.ndarray
+    point: tuple
+    normal: tuple
     rho: float
-    n3: tuple = field(init=False, repr=False, compare=False)
-    p3: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.array(finite_vec3(self.point, "geofence point"))
+        p = finite_vec3(self.point, "geofence point")
         n = np.array(finite_vec3(self.normal, "geofence normal"))
         nn = np.linalg.norm(n)
         if not nn > 0.0:
@@ -107,11 +103,9 @@ class GeofencePlane:
             raise ValueError("geofence margin must be finite")
         if self.rho < 0.0:
             raise ValueError("geofence margin must be nonnegative")
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "normal", n / nn)
+        object.__setattr__(self, "point", tuple(p))
+        object.__setattr__(self, "normal", tuple((n / nn).tolist()))
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "n3", tuple(self.normal.tolist()))
-        object.__setattr__(self, "p3", tuple(p.tolist()))
 
 
 Constraint = MovingObstacle | GeofencePlane
@@ -157,7 +151,7 @@ def _separation(r, t, obs: MovingObstacle):
 
 def h_geofence(r, plane: GeofencePlane):
     """Signed distance to the geofence plane, less the margin."""
-    n, p = plane.n3, plane.p3
+    n, p = plane.normal, plane.point
     return (n[0] * (r[0] - p[0]) + n[1] * (r[1] - p[1]) + n[2] * (r[2] - p[2])) - plane.rho
 
 
@@ -179,7 +173,7 @@ def member_jet1(r, t, v, member: Constraint):
     ``diff + tau delta - tau^2 a_i / 2`` with ``delta = v - v_i``.
     """
     if isinstance(member, GeofencePlane):
-        n = member.n3
+        n = member.normal
         return (h_geofence(r, member), (n[0] * v[0] + n[1] * v[1] + n[2] * v[2])), (n, ZERO3), (0.0, 0.0), None
     (dx, dy, dz), q, v_i, a_i = _separation(r, t, member)
     nx, ny, nz = n = [dx / q, dy / q, dz / q]

@@ -11,6 +11,7 @@ standard library's C encoder.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -57,22 +58,7 @@ def write_json(log: TrajectoryLog, met: Metrics, path: str | Path) -> Path:
             "intervening": log.intervening.astype(int).tolist(),
             "warn": log.warn.astype(int).tolist(),
         },
-        "metrics": {
-            "min_h_p": met.min_h_p,
-            "min_h_members": met.min_h_members,
-            "min_h_mode": met.min_h_mode,
-            "intervention_time": met.intervention_time,
-            "max_abs_A_T": met.max_abs_A_T,
-            "max_abs_P": met.max_abs_P,
-            "max_abs_Q": met.max_abs_Q,
-            "final_pos_err": met.final_pos_err,
-            "min_V_T": met.min_V_T,
-            "max_abs_d": met.max_abs_d,
-            "max_p_dev": met.max_p_dev,
-            "warning_count": met.warning_count,
-            "aborted": met.aborted,
-            "abort_reason": met.abort_reason,
-        },
+        "metrics": {k: v for k, v in dataclasses.asdict(met).items() if k != "p_dev_bit_exact"},
     }
     path.write_text(json.dumps(doc))
     return path
@@ -137,7 +123,7 @@ def write_svg(log: TrajectoryLog, scn: Scenario, path: str | Path) -> Path:
     all_e = np.concatenate([e] + [p[:, 1] for p in obs_paths]) if obs_paths else e
     all_n = np.concatenate([n] + [p[:, 0] for p in obs_paths]) if obs_paths else n
     mgn = 0.05 * max(np.ptp(all_e), np.ptp(all_n), 1.0)
-    p1 = _Panel(
+    ground = _Panel(
         pad, pad, W - 2 * pad, ph,
         (all_e.min() - mgn, all_e.max() + mgn),
         (all_n.min() - mgn, all_n.max() + mgn),
@@ -145,45 +131,45 @@ def write_svg(log: TrajectoryLog, scn: Scenario, path: str | Path) -> Path:
     )
     for m in scn.cset.members:
         if isinstance(m, GeofencePlane):
-            nv = m.normal[:2]  # (n, e) components
+            nv = np.asarray(m.normal[:2])  # (n, e) components
             if np.linalg.norm(nv) < 1e-12:
                 continue
-            base = m.point[:2] + m.rho * m.normal[:2]
+            base = np.asarray(m.point[:2]) + m.rho * nv
             tang = np.array([-nv[1], nv[0]])
             tang /= np.linalg.norm(tang)
-            span = 4.0 * max(p1.xmax - p1.xmin, p1.ymax - p1.ymin)
+            span = 4.0 * max(ground.xmax - ground.xmin, ground.ymax - ground.ymin)
             a = base - span * tang
             b = base + span * tang
-            p1.line([a[1], b[1]], [a[0], b[0]], "#c0392b", width=1.5, dash="6 4")
+            ground.line([a[1], b[1]], [a[0], b[0]], "#c0392b", width=1.5, dash="6 4")
     for pts in obs_paths:
-        p1.line(pts[:, 1], pts[:, 0], "#8e44ad", width=1.0, dash="2 3")
-    p1.line(e, n, "#1f77b4", width=1.6)
+        ground.line(pts[:, 1], pts[:, 0], "#8e44ad", width=1.0, dash="2 3")
+    ground.line(e, n, "#1f77b4", width=1.6)
 
     # panel 2: barrier traces
     hs = [log.h_p, log.h_mode] + [log.h_members[:, i] for i in range(log.member_count)]
     lo = min(min(h.min() for h in hs), 0.0)
     hi = max(h.max() for h in hs)
-    p2 = _Panel(pad, 2 * pad + ph, W - 2 * pad, ph, (0.0, t_end), (lo, hi), "barriers h(t)")
-    p2.hline(0.0, "#999")
+    barriers = _Panel(pad, 2 * pad + ph, W - 2 * pad, ph, (0.0, t_end), (lo, hi), "barriers h(t)")
+    barriers.hline(0.0, "#999")
     colors = ["#2ca02c", "#ff7f0e", "#17becf", "#bcbd22", "#e377c2"]
     for i in range(log.member_count):
-        p2.line(log.t, log.h_members[:, i], colors[(i + 2) % len(colors)], width=0.9)
-    p2.line(log.t, log.h_p, colors[0], width=1.4)
-    p2.line(log.t, log.h_mode, colors[1], width=1.4, dash="5 3")
+        barriers.line(log.t, log.h_members[:, i], colors[(i + 2) % len(colors)], width=0.9)
+    barriers.line(log.t, log.h_p, colors[0], width=1.4)
+    barriers.line(log.t, log.h_mode, colors[1], width=1.4, dash="5 3")
 
     # panel 3: inputs
     us = [log.u[:, i] for i in range(3)] + [log.u_d[:, i] for i in range(3)]
     lo3 = min(u.min() for u in us)
     hi3 = max(u.max() for u in us)
-    p3 = _Panel(pad, 3 * pad + 2 * ph, W - 2 * pad, ph, (0.0, t_end), (lo3, hi3), "inputs u(t) (desired dashed)")
+    inputs = _Panel(pad, 3 * pad + 2 * ph, W - 2 * pad, ph, (0.0, t_end), (lo3, hi3), "inputs u(t) (desired dashed)")
     for i, c in enumerate(("#1f77b4", "#d62728", "#2ca02c")):
-        p3.line(log.t, log.u_d[:, i], c, width=0.8, dash="3 3")
-        p3.line(log.t, log.u[:, i], c, width=1.3)
+        inputs.line(log.t, log.u_d[:, i], c, width=0.8, dash="3 3")
+        inputs.line(log.t, log.u[:, i], c, width=1.3)
 
     doc = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}"><rect width="{W}" height="{H}" fill="#fafafa"/>'
-        + p1.svg() + p2.svg() + p3.svg() + "</svg>"
+        + ground.svg() + barriers.svg() + inputs.svg() + "</svg>"
     )
     path.write_text(doc)
     return path

@@ -7,8 +7,8 @@ and the correction is ``Lambda(a, |b|) W b^T``.  ``lambda_hard`` is the
 exact solution; ``lambda_smooth`` is its differentiable over-approximation
 (softplus form), which keeps the constraint satisfied with positive slack.
 :func:`filter_step` is that step over float 3-sequences (the factor
-holds its matrix as float rows from construction on); the model-free
-filter is its closed form for the velocity weight.
+holds its matrix as float rows); the model-free filter is its closed
+form for the velocity weight.
 :class:`FilterResult` is the one result of all three filters: the
 filtered input, the multiplier, the achieved slack and the no-authority
 flag.  The input filters'
@@ -21,7 +21,7 @@ slope; the backstepping barrier's rate reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,9 @@ from .model import ControlInput
 @dataclass(frozen=True)
 class WeightFactor:
     """Positive definite factor ``W`` of the input metric ``Gamma = W^-T W^-1``
-    on 3-vectors; ``rows`` and ``cols`` hold ``W`` and ``W^T`` as float rows."""
+    on 3-vectors, held as float 3x3 rows."""
 
-    W: np.ndarray
-    rows: tuple = field(init=False, repr=False, compare=False)
-    cols: tuple = field(init=False, repr=False, compare=False)
+    W: tuple
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
@@ -44,21 +42,19 @@ class WeightFactor:
         # scale-free, unlike a determinant
         if not np.all(np.isfinite(W)) or np.linalg.matrix_rank(W) < 3:
             raise ValueError("W must be finite and invertible")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "rows", tuple(map(tuple, W.tolist())))
-        object.__setattr__(self, "cols", tuple(map(tuple, W.T.tolist())))
+        object.__setattr__(self, "W", tuple(map(tuple, W.tolist())))
 
     def apply(self, z):
         """``W z`` of a 3-sequence, as a list."""
-        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = self.rows
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = self.W
         z0, z1, z2 = z
         return [(w00 * z0 + w01 * z1 + w02 * z2), (w10 * z0 + w11 * z1 + w12 * z2), (w20 * z0 + w21 * z1 + w22 * z2)]
 
     def apply_t(self, z):
-        """``W^T z`` of a 3-sequence, as a list."""
-        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = self.cols
+        """``W^T z`` of a 3-sequence, as a list: ``W``'s columns dotted with ``z``."""
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = self.W
         z0, z1, z2 = z
-        return [(w00 * z0 + w01 * z1 + w02 * z2), (w10 * z0 + w11 * z1 + w12 * z2), (w20 * z0 + w21 * z1 + w22 * z2)]
+        return [(w00 * z0 + w10 * z1 + w20 * z2), (w01 * z0 + w11 * z1 + w21 * z2), (w02 * z0 + w12 * z1 + w22 * z2)]
 
     @classmethod
     def diagonal(cls, diag) -> "WeightFactor":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backstepping import BacksteppingParams, h_b
-from .constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, frame_jets
+from .constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, frame_jets
 from .errors import FwrtaError, ScenarioError
 from .extended import ExtendedParams, compose_extended_terms
 from .filters import WeightFactor
@@ -151,11 +151,7 @@ def _members(items, path: str):
         if kind in ("obstacle", "plane"):
             _known(m, MEMBER_FIELDS[kind], p)
         if kind == "obstacle":
-            out.append(
-                MovingObstacle.constant_velocity(
-                    _vec3(m, "center", p), _vec3(m, "velocity", p), _num(m, "radius", p)
-                )
-            )
+            out.append(MovingObstacle(_vec3(m, "center", p), _vec3(m, "velocity", p), _num(m, "radius", p)))
         elif kind == "plane":
             out.append(GeofencePlane(_vec3(m, "point", p), _vec3(m, "normal", p), _num(m, "margin", p)))
         else:
@@ -194,10 +190,7 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     goal_d = _section(raw, "goal", "")
     if _get(goal_d, "type", "goal.") != "linear":
         raise ScenarioError("field 'goal.type' must be 'linear'")
-    goal = GoalTrajectory.linear(
-        _vec3(goal_d, "v_g", "goal."),
-        _vec3(goal_d, "r0", "goal.") if "r0" in goal_d else (0.0, 0.0, 0.0),
-    )
+    goal = GoalTrajectory(_vec3(goal_d, "v_g", "goal."), _vec3(goal_d, "r0", "goal.") if "r0" in goal_d else ZERO3)
 
     tr_d = _section(raw, "tracking", "")
     try:

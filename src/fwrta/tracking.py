@@ -34,8 +34,8 @@ orders and weights the softmin stage extends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -49,60 +49,48 @@ from .modelfree import ModelFreeParams, filter_jet
 class TrackingParams:
     """Position/velocity gains, turn-gap scale and certified decay rate.
 
-    ``K_r_rows`` and ``K_v_rows`` hold the gains as float rows.
+    ``K_r`` and ``K_v`` are held as float 3x3 rows.
     """
 
-    K_r: np.ndarray
-    K_v: np.ndarray
+    K_r: tuple
+    K_v: tuple
     mu: float
     lam: float
-    K_r_rows: tuple = field(init=False, repr=False, compare=False)
-    K_v_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        K_r = np.asarray(self.K_r, dtype=float)
-        K_v = np.asarray(self.K_v, dtype=float)
-        object.__setattr__(self, "K_r", K_r)
-        object.__setattr__(self, "K_v", K_v)
         # named as in the scenario schema
         check_positive(mu=self.mu, **{"lambda": self.lam})
-        for name, K in (("K_r", K_r), ("K_v", K_v)):
+        for name in ("K_r", "K_v"):
+            K = np.asarray(getattr(self, name), dtype=float)
             if K.shape != (3, 3) or not np.allclose(K, K.T):
                 raise ValueError(f"{name} must be a symmetric 3x3 matrix")
             if np.linalg.eigvalsh(K).min() <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        if self.lam > np.linalg.eigvalsh(K_v).min() + 1e-12:
+            object.__setattr__(self, name, tuple(map(tuple, K.tolist())))
+        if self.lam > np.linalg.eigvalsh(self.K_v).min() + 1e-12:
             raise ValueError("lam must not exceed the smallest eigenvalue of K_v")
-        object.__setattr__(self, "K_r_rows", tuple(map(tuple, K_r.tolist())))
-        object.__setattr__(self, "K_v_rows", tuple(map(tuple, K_v.tolist())))
 
 
 @dataclass(frozen=True)
 class GoalTrajectory:
-    """Goal position/velocity/acceleration as functions of time, each a
-    float 3-sequence.
+    """Linear goal: at ``r0`` at time 0, moving at the constant ``v_g``.
 
-    The three callables must be mutually consistent derivatives; the
-    derivative-based controller pieces assume the acceleration's own
-    rate is zero (exact for the linear goal).
+    Both are held as float 3-tuples.  :meth:`eval` gives the goal's
+    position, velocity and acceleration at a time; the derivative-based
+    controller pieces take the acceleration's own rate as zero.
     """
 
-    position: Callable[[float], Sequence[float]]
-    velocity: Callable[[float], Sequence[float]]
-    accel: Callable[[float], Sequence[float]]
+    v_g: tuple
+    r0: tuple = ZERO3
 
-    @classmethod
-    def linear(cls, v_g, r0=(0.0, 0.0, 0.0)) -> "GoalTrajectory":
-        v = tuple(finite_vec3(v_g, "goal velocity"))
-        r0 = finite_vec3(r0, "goal start position")
-        return cls(
-            position=lambda t: [r0[0] + v[0] * t, r0[1] + v[1] * t, r0[2] + v[2] * t],
-            velocity=lambda t: v,
-            accel=lambda t: ZERO3,
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "v_g", tuple(finite_vec3(self.v_g, "goal velocity")))
+        object.__setattr__(self, "r0", tuple(finite_vec3(self.r0, "goal start position")))
 
     def eval(self, t: float):
-        return self.position(t), self.velocity(t), self.accel(t)
+        """Position, velocity and acceleration at time ``t``, float 3-sequences."""
+        r0, v = self.r0, self.v_g
+        return [r0[0] + v[0] * t, r0[1] + v[1] * t, r0[2] + v[2] * t], v, ZERO3
 
 
 class VelocityCommand(Protocol):
@@ -123,8 +111,7 @@ class VelocityCommand(Protocol):
 def _goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
     """``v_g + K_r (r_g - r)`` and its first two derivatives along ``w = (v, 1)``
     (``K_r`` as float rows; the goal's own acceleration rate is zero)."""
-    t = ctx.t
-    r_g, v_g, a_g = goal.position(t), goal.velocity(t), goal.accel(t)
+    r_g, v_g, a_g = goal.eval(ctx.t)
     r, v = ctx.r, ctx.v
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K_r
     ex, ey, ez = r_g[0] - r[0], r_g[1] - r[1], r_g[2] - r[2]
@@ -159,7 +146,7 @@ class GoalCommand:
     params: TrackingParams
 
     def command_jet(self, ctx: TrackContext):
-        K_r = self.params.K_r_rows
+        K_r = self.params.K_r
         v_c, a_c, (kx, ky, kz) = _step_goal_jet(self.goal, K_r, ctx)
         (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K_r
         return v_c, a_c, lambda v: [kx - (k00 * v[0] + k01 * v[1] + k02 * v[2]),
@@ -179,7 +166,7 @@ class SafeVelocityCommand:
     def command_jet(self, ctx: TrackContext):
         # orders 0 and 1 along (r + tau v + tau^2 v_dot / 2, t + tau) now; the
         # second order waits in the rate map until the tracker knows v_dot
-        K_r = self.params.K_r_rows
+        K_r = self.params.K_r
         v_d = _step_goal_jet(self.goal, K_r, ctx)
         cset = self.cset
         h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), compose_h_p(ctx, cset), cset.kappa)
@@ -215,7 +202,7 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     (c0x, c0y, c0z), (c1x, c1y, c1z), (c2x, c2y, c2z) = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
     R = ctx.R
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = params.K_v_rows
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = params.K_v
     v = ctx.v
     ex, ey, ez = v_c[0] - v[0], v_c[1] - v[1], v_c[2] - v[2]
     Kx, Ky, Kz = (k00 * ex + k01 * ey + k02 * ez), (k10 * ex + k11 * ey + k12 * ez), (k20 * ex + k21 * ey + k22 * ez)

@@ -22,6 +22,32 @@ def gravity():
     return GravityParam()
 
 
+class AcceleratingObstacle:
+    """Obstacle of radius ``rho`` at ``at`` at time ``t0``, moving there at ``velocity`` with the
+    constant acceleration ``accel``: :class:`fwrta.constraints.MovingObstacle`'s ``trajectory``
+    with a nonzero acceleration, for the oracle checks of the acceleration terms."""
+
+    def __init__(self, at, t0, velocity, accel, rho):
+        self.at, self.v0, self.a = (np.asarray(x, dtype=float) for x in (at, velocity, accel))
+        self.t0, self.rho = float(t0), float(rho)
+
+    def trajectory(self, s):
+        tau = s - self.t0
+        at = self.at + self.v0 * tau + (0.5 * tau * tau) * self.a
+        return at.tolist(), (self.v0 + self.a * tau).tolist(), self.a.tolist()
+
+
+class AcceleratingGoal:
+    """Goal at ``r0`` moving at ``v0`` at time 0 with the constant acceleration ``a``:
+    :class:`fwrta.tracking.GoalTrajectory`'s ``eval`` with a nonzero acceleration."""
+
+    def __init__(self, r0, v0, a):
+        self.r0, self.v0, self.a = (np.asarray(x, dtype=float) for x in (r0, v0, a))
+
+    def eval(self, t):
+        return self.r0 + self.v0 * t + 0.5 * self.a * t * t, self.v0 + self.a * t, self.a
+
+
 def frame_at(r, t):
     """The :class:`TrackContext` of level flight north at 100 m/s through position ``r`` at time ``t``,
     for the formulas that read a frame at a free position."""
@@ -57,7 +83,7 @@ def tracking_params(k_r, k_v, mu, lam):
 def desired_velocity(r, t, goal, params):
     """Goal velocity plus proportional position-error correction, ``v_g + K_r (r_g - r)``."""
     r_g, v_g, _ = goal.eval(float(t))
-    return v_g + params.K_r @ (r_g - np.asarray(r, dtype=float))
+    return v_g + np.asarray(params.K_r) @ (r_g - np.asarray(r, dtype=float))
 
 
 def apply_filter(u_d, a, b_raw, weight, nu=None):
@@ -174,7 +200,7 @@ def random_constraint_set(rng, r_ref, kappa=None):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     center = r_ref + direction * rng.uniform(800.0, 4000.0)
-    obs = MovingObstacle.constant_velocity(
+    obs = MovingObstacle(
         center, rng.uniform(-150.0, 150.0, size=3), rho=rng.uniform(20.0, 80.0)
     )
     planes = []
@@ -218,7 +244,7 @@ def safe_velocity_seeded(cmd, r, t, v):
     r_g, v_g, a_g = cmd.goal.eval(t)
     r_g2 = dm.lift_path(r_g, v_g, a_g, t2)
     v_g2 = dm.lift_path(v_g, a_g, np.zeros(3), t2)
-    v_d = v_g2 + dm.matvec(cmd.params.K_r, r_g2 - r2)
+    v_d = v_g2 + dm.matvec(np.asarray(cmd.params.K_r), r_g2 - r2)
     return safe_velocity_terms(r2, t2, v_d, cmd.cset, cmd.mf)[0]
 
 
@@ -247,7 +273,7 @@ def command_duals(cmd, st, t):
         return parts, v, v_c, a_c
     r_g, v_g, a_g = cmd.goal.eval(t)
     zero = np.zeros(3)
-    K_r = cmd.params.K_r
+    K_r = np.asarray(cmd.params.K_r)
     v_c = dm.lift_path(v_g, a_g, zero, td) + dm.matvec(K_r, dm.lift_path(r_g, v_g, a_g, td) - r)
     a_c = dm.lift_path(a_g, zero, zero, td) + dm.matvec(K_r, dm.lift_path(v_g, a_g, zero, td) - v)
     return parts, v, v_c, a_c
@@ -259,7 +285,7 @@ def certificate_duals(cmd, st, t, params, g):
     _, phi, theta, psi, V_T, _ = parts
     c0, c1, c2 = euler_cols(phi, theta, psi)
     e_v = v_c - v
-    a_d = a_c + dm.matvec(0.5 * params.K_v, e_v)
+    a_d = a_c + dm.matvec(0.5 * np.asarray(params.K_v), e_v)
     A_T = dm.dot(c0, a_d)
     Q = -dm.dot(c2, a_d) / V_T
     R_d = dm.dot(c1, a_d) / V_T

@@ -47,7 +47,8 @@ def separation(r, t, obs):
 def member_terms(r, t, member):
     """(value, gradient wrt position, explicit time-partial) of one member."""
     if isinstance(member, GeofencePlane):
-        return dm.dot(member.normal, r - member.point) - member.rho, member.normal, 0.0
+        n = np.asarray(member.normal)
+        return dm.dot(n, r - np.asarray(member.point)) - member.rho, n, 0.0
     diff, q, v_i, _ = separation(r, t, member)
     n = diff / q
     return q - member.rho, n, -dm.dot(n, v_i)
@@ -94,8 +95,8 @@ def member_extended_terms(r, v, t, member, gamma_p):
     """(value, d/dr, d/dv, explicit d/dt) of one extended member."""
     inv_g = 1.0 / gamma_p
     if isinstance(member, GeofencePlane):
-        n = member.normal
-        h = dm.dot(n, r - member.point) - member.rho + inv_g * dm.dot(n, v)
+        n = np.asarray(member.normal)
+        h = dm.dot(n, r - np.asarray(member.point)) - member.rho + inv_g * dm.dot(n, v)
         return h, n, n * inv_g, 0.0
     diff, q, v_i, a_i = separation(r, t, member)
     n = diff / q
@@ -143,7 +144,7 @@ def pipeline(r, v, t, c1, R, V_T, cset, p):
     """Backstepping chain: ``(h_e, a_s, R_s, h_b)``."""
     h_e, gr, gv, dt, _, _ = compose_extended_terms(r, v, t, cset, p.ext.gamma_p)
     a_e = dm.dot(gr, v) + dt + p.gamma_e * h_e
-    W_e = p.W_e.W
+    W_e = np.asarray(p.W_e.W)
     # without authority a_s is the dual-kind zero, constant nearby for the derivatives
     zero = dm.lift_const(np.zeros(3), h_e)
     a_s = filter_step(zero, a_e, dm.matvec(W_e.T, gv), lambda z: dm.matvec(W_e, z), p.nu_e)[0]

@@ -305,9 +305,9 @@ def _rel_err(ad, fd, floor=0.1):
 def _safe_velocity_jacobian(r, t, goal, tp, cset, mf):
     """3x4 Jacobian of the safe velocity over ``(r, t)`` from a first-order pass."""
     r1, t1 = seed_pos_time(r, t)
-    r_g = dm.lift_path(goal.position(t), goal.velocity(t), goal.accel(t), t1)
-    v_g = dm.lift_path(goal.velocity(t), goal.accel(t), np.zeros(3), t1)
-    v_d1 = v_g + dm.matvec(tp.K_r, r_g - r1)
+    r_g, v_g, a_g = goal.eval(t)
+    r_g, v_g = dm.lift_path(r_g, v_g, a_g, t1), dm.lift_path(v_g, a_g, np.zeros(3), t1)
+    v_d1 = v_g + dm.matvec(np.asarray(tp.K_r), r_g - r1)
     return safe_velocity_terms(r1, t1, v_d1, cset, mf)[0].e
 
 
@@ -315,7 +315,7 @@ def test_criterion_7_gradient_certification(rng):
     p = _backstep_params()
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     tp = tracking_params(0.05, 0.3, 1e-5, 0.2)
-    goal = GoalTrajectory.linear([0.0, 161.32, 0.0])
+    goal = GoalTrajectory([0.0, 161.32, 0.0])
     cases = _stratified_states(rng, 100, p)
     h_fd = 1e-5
     worst = {"h_p": 0.0, "h_e": 0.0, "h_b": 0.0, "v_s": 0.0, "V": 0.0}
@@ -447,18 +447,27 @@ def test_criterion_8_tracking_exponential_stability():
     assert ok
 
 
+class WeaveGoal:
+    """Goal flying north at 120 m/s on a vertical sine of amplitude ``amp`` and angular
+    frequency ``w``: :class:`fwrta.tracking.GoalTrajectory`'s ``eval`` on a curved path."""
+
+    def __init__(self, w, amp):
+        self.w, self.amp = w, amp
+
+    def eval(self, t):
+        w, amp = self.w, self.amp
+        return (np.array([120.0 * t, 0.0, amp * math.sin(w * t)]),
+                np.array([120.0, 0.0, amp * w * math.cos(w * t)]),
+                np.array([0.0, 0.0, -amp * w * w * math.sin(w * t)]))
+
+
 def test_criterion_9_integrator_order():
     # roll-free vertical weave: the roll program stays on its constant
     # branch, so the closed loop is a smooth ODE and the stepper's order
     # is observable
     scn = load_scenario("step_offset")
     scn.x0 = AircraftState(0.0, 0.0, -120.0, 0.0, 0.0, 0.0, 120.0)
-    w, amp = 0.9, 150.0
-    scn.goal = GoalTrajectory(
-        position=lambda t: np.array([120.0 * t, 0.0, amp * math.sin(w * t)]),
-        velocity=lambda t: np.array([120.0, 0.0, amp * w * math.cos(w * t)]),
-        accel=lambda t: np.array([0.0, 0.0, -amp * w * w * math.sin(w * t)]),
-    )
+    scn.goal = WeaveGoal(0.9, 150.0)
     T = 4.0
     finals = {dt: integrate_stage_controlled(scn, dt, T) for dt in (0.02, 0.01, 0.005)}
     d1 = np.linalg.norm(finals[0.02] - finals[0.01])

@@ -6,6 +6,7 @@ import pytest
 
 import dual_formulas as df
 from conftest import (
+    AcceleratingObstacle,
     apply_filter,
     grad_h_b,
     jets_at,
@@ -24,7 +25,7 @@ from fwrta.backstepping import (
     h_b,
     rta_backstepping,
 )
-from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
+from fwrta.constraints import ConstraintSet, GeofencePlane, compose_h_p
 from fwrta.errors import CoincidentPosition
 from fwrta.extended import ExtendedParams, compose_extended_terms
 from fwrta.filters import WeightFactor
@@ -85,12 +86,12 @@ class TestSafeAccel:
             v = velocity(st)
             h_e, D, gv, _, _, _ = compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.ext.gamma_p)
             a_e = D + p.gamma_e * h_e
-            b_e = gv @ p.W_e.W
+            b_e = gv @ np.asarray(p.W_e.W)
             b_norm = np.linalg.norm(b_e)
             if a_e <= 5.0 * b_norm or b_norm == 0.0:
                 continue
             a_s, _ = safe_pieces(st, 0.0, cset, p, gravity)
-            bound = math.exp(-p.nu_e * a_e / b_norm) / p.nu_e * np.linalg.norm(p.W_e.W @ b_e) / b_norm
+            bound = math.exp(-p.nu_e * a_e / b_norm) / p.nu_e * np.linalg.norm(np.asarray(p.W_e.W) @ b_e) / b_norm
             assert np.linalg.norm(a_s) <= bound * (1 + 1e-9)
 
     def test_satisfies_acceleration_constraint(self, rng, gravity):
@@ -259,17 +260,6 @@ def oracle_rate(st, t, cset, p, g):
 SKEW_W_E = WeightFactor(np.array([[1.3, 0.4, -0.2], [-0.1, 0.9, 0.5], [0.3, -0.6, 1.1]]))
 
 
-def accelerating_obstacle(at, t, velocity, accel, rho):
-    """Obstacle at ``at`` at time ``t`` with constant acceleration ``accel``."""
-    v0, a = np.asarray(velocity, dtype=float), np.asarray(accel, dtype=float)
-
-    def traj(s):
-        tau = s - t
-        return at + v0 * tau + (0.5 * tau * tau) * a, v0 + a * tau, a
-
-    return MovingObstacle(traj, rho)
-
-
 def near_constraint_set(rng, st, t, kind):
     """A plane, an accelerating obstacle, both plus a second plane, or two
     accelerating obstacles plus a plane, a few hundred to a few thousand
@@ -287,13 +277,13 @@ def near_constraint_set(rng, st, t, kind):
     def obstacle():
         at = st.r + toward() * rng.uniform(200.0, 2500.0)
         v, a = rng.uniform(-150.0, 150.0, 3), rng.uniform(-8.0, 8.0, 3)
-        return accelerating_obstacle(at, t, v, a, rng.uniform(20.0, 80.0))
+        return AcceleratingObstacle(at, t, v, a, rng.uniform(20.0, 80.0))
 
     def neighbour(obs):
         # tens of metres and a few m/s from obs, so that both carry softmin weight
         at, v, _ = obs.trajectory(t)
         at, v, a = at + rng.normal(size=3) * 30.0, v + rng.normal(size=3), rng.uniform(-8.0, 8.0, 3)
-        return accelerating_obstacle(at, t, v, a, rng.uniform(20.0, 80.0))
+        return AcceleratingObstacle(at, t, v, a, rng.uniform(20.0, 80.0))
 
     if kind == "obstacles":
         first = obstacle()
@@ -307,7 +297,7 @@ def softplus_arg(st, t, cset, p, g):
     """``x = -nu_e a_e / |b_e|`` of the acceleration filter's multiplier."""
     ctx = TrackContext(st, t, g)
     h, D, gv, _, _, _ = compose_extended_terms(jets_at(ctx.r, t, ctx.v, cset), ctx.v, cset.kappa, p.ext.gamma_p)
-    return -p.nu_e * (D + p.gamma_e * h) / np.linalg.norm(gv @ p.W_e.W)
+    return -p.nu_e * (D + p.gamma_e * h) / np.linalg.norm(gv @ np.asarray(p.W_e.W))
 
 
 class TestRta:

@@ -5,7 +5,7 @@ import pytest
 
 import dual_formulas as df
 import dualnum as dm
-from conftest import frame_at, jets_at, random_constraint_set, seed_line
+from conftest import AcceleratingObstacle, frame_at, jets_at, random_constraint_set, seed_line
 from fwrta.constraints import (
     ZERO3,
     BarrierEval,
@@ -21,7 +21,7 @@ from fwrta.constraints import (
 from fwrta.errors import CoincidentPosition
 from fwrta.tracking import GoalTrajectory
 
-TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
+TABLE_OBSTACLE = MovingObstacle([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
 TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
 
 
@@ -81,11 +81,11 @@ class TestGeofence:
 
     def test_boundary(self):
         plane = TABLE_PLANE_2
-        r = plane.point + plane.rho * plane.normal
+        r = np.asarray(plane.point) + plane.rho * np.asarray(plane.normal)
         assert h_geofence(r, plane) == pytest.approx(0.0, abs=1e-10)
 
     def test_orthogonal_velocity(self, rng):
-        n = TABLE_PLANE_2.normal
+        n = np.asarray(TABLE_PLANE_2.normal)
         for _ in range(20):
             v = rng.normal(size=3)
             v -= n * (n @ v)
@@ -201,8 +201,7 @@ def _member_ahead(rng, kind, r, t):
     if kind == "plane":
         return GeofencePlane(r + n * (gap + 10.0), -n, 10.0)
     c, v, a = r + n * (gap + 30.0), rng.uniform(-100.0, 100.0, 3), rng.uniform(-8.0, 8.0, 3)
-    return MovingObstacle(lambda s: ((c + v * (s - t) + 0.5 * a * (s - t) ** 2).tolist(), (v + a * (s - t)).tolist(),
-                                     a.tolist()), 30.0)
+    return AcceleratingObstacle(c, t, v, a, 30.0)
 
 
 def _curve_orders(x, r2):
@@ -241,17 +240,17 @@ def test_compose_jets_match_dual_oracle(rng, kinds):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: MovingObstacle.constant_velocity([0.0, 0.0, 0.0, 5.0], [1.0, 0.0, 0.0], 10.0),
-        lambda: MovingObstacle.constant_velocity([0.0, 0.0, 0.0], [1.0, 0.0], 10.0),
-        lambda: MovingObstacle.constant_velocity([0.0, math.nan, 0.0], [1.0, 0.0, 0.0], 10.0),
-        lambda: GoalTrajectory.linear([150.0, 0.0, 0.0, 1.0]),
-        lambda: GoalTrajectory.linear([150.0, 0.0, 0.0], [0.0, math.inf, 0.0]),
+        lambda: MovingObstacle([0.0, 0.0, 0.0, 5.0], [1.0, 0.0, 0.0], 10.0),
+        lambda: MovingObstacle([0.0, 0.0, 0.0], [1.0, 0.0], 10.0),
+        lambda: MovingObstacle([0.0, math.nan, 0.0], [1.0, 0.0, 0.0], 10.0),
+        lambda: GoalTrajectory([150.0, 0.0, 0.0, 1.0]),
+        lambda: GoalTrajectory([150.0, 0.0, 0.0], [0.0, math.inf, 0.0]),
         lambda: GeofencePlane([0.0, 0.0, 0.0, 5.0], [1.0, 0.0, 0.0, 9.0], 10.0),
         lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 9.0], 10.0),
         lambda: GeofencePlane([math.inf, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0),
         lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.nan),
         lambda: GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
-        lambda: MovingObstacle.constant_velocity([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
+        lambda: MovingObstacle([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
         lambda: ConstraintSet([GeofencePlane([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0)], kappa=math.inf),
     ],
     ids=["obstacle-center-4", "obstacle-velocity-2", "obstacle-center-nan", "goal-velocity-4", "goal-start-inf",
@@ -270,6 +269,6 @@ def test_constraint_set_validation():
     with pytest.raises(ValueError):
         ConstraintSet([TABLE_PLANE_2], kappa=0.0)
     with pytest.raises(ValueError):
-        MovingObstacle.constant_velocity([0, 0, 0], [1, 1, 1], rho=-2.0)
+        MovingObstacle([0, 0, 0], [1, 1, 1], rho=-2.0)
     with pytest.raises(ValueError):
         GeofencePlane([0, 0, 0], [0.0, 0.0, 0.0], 1.0)

@@ -6,7 +6,7 @@ import pytest
 
 import dual_formulas as df
 import dualnum as dm
-from conftest import jets_at, random_constraint_set, random_state, velocity
+from conftest import AcceleratingObstacle, jets_at, random_constraint_set, random_state, velocity
 from fwrta.constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_jet1
 from fwrta.extended import (
     ExtendedParams,
@@ -21,7 +21,7 @@ from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta import kernels
 
 TABLE_PLANE_2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
-TABLE_OBSTACLE = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
+TABLE_OBSTACLE = MovingObstacle([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
 
 
 def extended_value(r, v, t, member, gamma_p):
@@ -34,7 +34,7 @@ def table_params():
 
 class TestMember:
     def test_geofence_orthogonal_velocity(self, rng):
-        n = TABLE_PLANE_2.normal
+        n = np.asarray(TABLE_PLANE_2.normal)
         v = rng.normal(size=3)
         v -= n * (n @ v)
         r = rng.uniform(-100, 100, size=3)
@@ -63,7 +63,7 @@ class TestComposed:
         v = np.array([10.0, -5.0, 2.0])
         h, _, gv, _, w, _ = compose_extended_terms(jets_at(np.zeros(3), 0.0, v, cset), v, cset.kappa, p.gamma_p)
         assert h == extended_value(np.zeros(3), v, 0.0, TABLE_PLANE_2, 0.1)
-        np.testing.assert_allclose(gv, TABLE_PLANE_2.normal / 0.1, atol=1e-15)
+        np.testing.assert_allclose(gv, np.asarray(TABLE_PLANE_2.normal) / 0.1, atol=1e-15)
         assert w == [1.0]
 
     def test_weights_sum(self, rng):
@@ -207,15 +207,11 @@ class TestRta:
 def oracle_members(rng, r):
     """An obstacle with nonzero acceleration, a constant-velocity obstacle and a plane near ``r``."""
     c, v0, a = r + rng.uniform(300.0, 900.0, 3), rng.uniform(-100.0, 100.0, 3), rng.uniform(-8.0, 8.0, 3)
-
-    def traj(s):
-        return c + v0 * s + (0.5 * s * s) * a, v0 + a * s, a
-
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
     return [
-        MovingObstacle(traj, 30.0),
-        MovingObstacle.constant_velocity(r - rng.uniform(300.0, 900.0, 3), rng.uniform(-100.0, 100.0, 3), 40.0),
+        AcceleratingObstacle(c, 0.0, v0, a, 30.0),
+        MovingObstacle(r - rng.uniform(300.0, 900.0, 3), rng.uniform(-100.0, 100.0, 3), 40.0),
         GeofencePlane(r + n * rng.uniform(200.0, 900.0), -n, 10.0),
     ]
 

@@ -69,7 +69,7 @@ class TestSafeVelocity:
     def test_planar_problem_keeps_zero_down_component(self, rng):
         # planar obstacle, planar fences, planar desired velocity: the
         # filtered velocity has exactly zero down component
-        obs = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
+        obs = MovingObstacle([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
         p2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
         p3 = GeofencePlane([0.0, 11901.0, 0.0], [-2.0, -1.0, 0.0], 15.0)
         cset = ConstraintSet([obs, p2, p3], kappa=0.007)

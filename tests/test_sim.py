@@ -49,6 +49,26 @@ class TestScenarioLoading:
             with pytest.raises(ScenarioError, match="field 'seed' is not a known field"):
                 scenario_from_dict(make_raw(seed=seed))
 
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
+    def test_constants_are_values(self, name):
+        # two loads hold equal, equally hashed constants; one changed gain,
+        # plane normal or obstacle velocity makes them differ
+        a, b = load_scenario(name), load_scenario(name)
+        for f in ("tracking", "cset", "goal", "extended", "backstep", "mf"):
+            x, y = getattr(a, f), getattr(b, f)
+            if x is not None:
+                assert x is not y and x == y and hash(x) == hash(y), f
+        raw = copy.deepcopy(a.raw)
+        raw["tracking"]["K_r"] = [0.05, 0.05, 0.06]
+        assert scenario_from_dict(raw).tracking != a.tracking
+        for i, m in enumerate(a.raw["constraints"]["members"]):
+            raw = copy.deepcopy(a.raw)
+            key = "normal" if m["type"] == "plane" else "velocity"
+            vec = raw["constraints"]["members"][i][key]
+            # the smallest entry, so that a normal also turns
+            vec[min(range(3), key=lambda k: abs(vec[k]))] += 0.01
+            assert scenario_from_dict(raw).cset != a.cset, (i, key)
+
     def test_sections_of_other_modes_accepted(self):
         raw = make_raw(notes={"any": ["thing"]})
         for base, section in (("fig5", "extended"), ("fig5", "backstepping"), ("fig6", "modelfree")):
@@ -266,13 +286,14 @@ class TestIntegrate:
 # Upper bounds on the fwrta Python frames a control step enters, and on the
 # comprehension frames among them, on a 2 s horizon (a generator counts once per
 # resume).  Measured on CPython 3.11 with the per-step vectors and inner products
-# written as explicit components: fig3 40.03 / 3.04, fig4 38.03 / 3.04, fig5
-# 69.03 / 6.04, fig6 67.03 / 14.04, step_offset 25.01 / 2.01; the fractions are the run's own frames
+# written as explicit components and the goal evaluated by one method call:
+# fig3 38.03 / 3.04, fig4 36.03 / 3.04, fig5 67.03 / 6.04, fig6 65.03 / 14.04,
+# step_offset 23.01 / 2.01; the fractions are the run's own frames
 # (``integrate``, ``make_controller`` and the log's arrays) spread over its steps.
 # What is left of the comprehensions loops over constraint members.  CPython 3.10
 # enters the same frames; from 3.12 on, list comprehensions are inlined (PEP 709),
 # so the counts can only read lower.
-STEP_FRAME_BOUNDS = {"fig3": (41, 4), "fig4": (39, 4), "fig5": (70, 7), "fig6": (68, 15), "step_offset": (26, 3)}
+STEP_FRAME_BOUNDS = {"fig3": (39, 4), "fig4": (37, 4), "fig5": (68, 7), "fig6": (66, 15), "step_offset": (24, 3)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
 

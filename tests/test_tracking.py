@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    AcceleratingGoal,
+    AcceleratingObstacle,
     accel_matrix,
     certificate_duals,
     desired_velocity,
@@ -31,8 +33,8 @@ from fwrta.tracking import (
 )
 
 TABLE = tracking_params(0.05, 0.3, 1e-5, 0.2)
-EAST_GOAL = GoalTrajectory.linear([0.0, 161.32, 0.0])
-NORTH_GOAL = GoalTrajectory.linear([120.0, 0.0, 0.0])
+EAST_GOAL = GoalTrajectory([0.0, 161.32, 0.0])
+NORTH_GOAL = GoalTrajectory([120.0, 0.0, 0.0])
 
 
 def goal_through(st, a):
@@ -41,8 +43,7 @@ def goal_through(st, a):
     Tracking it leaves no velocity error at t = 0, so the tracker's
     desired acceleration is exactly ``a``.
     """
-    r0, v0, a = st.r, velocity(st), np.asarray(a, dtype=float)
-    return GoalTrajectory(lambda t: r0 + v0 * t + 0.5 * a * t * t, lambda t: v0 + a * t, lambda t: a)
+    return AcceleratingGoal(st.r, velocity(st), a)
 
 
 def tracked_accel(st, t, cmd, g):
@@ -69,7 +70,7 @@ def roll_qp_oracle(a, b, grid=2_000_001):
 
 class TestDesiredVelocity:
     def test_zero_position_error(self):
-        r = EAST_GOAL.position(7.0)
+        r = EAST_GOAL.eval(7.0)[0]
         np.testing.assert_allclose(desired_velocity(r, 7.0, EAST_GOAL, TABLE), [0, 161.32, 0], atol=1e-12)
 
     def test_table_numbers_at_origin(self):
@@ -78,20 +79,21 @@ class TestDesiredVelocity:
     def test_offset_linearity(self, rng):
         delta = rng.normal(size=3) * 40
         t = 3.0
-        v = desired_velocity(EAST_GOAL.position(t) - delta, t, EAST_GOAL, TABLE)
-        np.testing.assert_allclose(v, EAST_GOAL.velocity(t) + TABLE.K_r @ delta, rtol=1e-13)
+        r_g, v_g, _ = EAST_GOAL.eval(t)
+        v = desired_velocity(np.subtract(r_g, delta), t, EAST_GOAL, TABLE)
+        np.testing.assert_allclose(v, np.asarray(v_g) + np.asarray(TABLE.K_r) @ delta, rtol=1e-13)
 
 
 class TestDesiredAccel:
     def test_converged(self, gravity):
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 120.0)
-        cmd = GoalCommand(GoalTrajectory.linear([120.0, 0.0, 0.0]), TABLE)
+        cmd = GoalCommand(GoalTrajectory([120.0, 0.0, 0.0]), TABLE)
         np.testing.assert_allclose(tracked_accel(st, 0.0, cmd, gravity), np.zeros(3), atol=1e-13)
 
     def test_half_gain_on_error(self, gravity):
         # unit velocity error through K_v = 0.3 I gives 0.15
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 119.0)
-        cmd = GoalCommand(GoalTrajectory.linear([120.0, 0.0, 0.0]), TABLE)
+        cmd = GoalCommand(GoalTrajectory([120.0, 0.0, 0.0]), TABLE)
         a_d = tracked_accel(st, 0.0, cmd, gravity)
         # a_c = K_r (v_g - v) contributes too; subtract it for the check
         a_c = TABLE.K_r @ (np.array([120.0, 0, 0]) - velocity(st))
@@ -198,7 +200,7 @@ class TestTrack:
 
 
 def planar_cset():
-    obs = MovingObstacle.constant_velocity([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
+    obs = MovingObstacle([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
     p2 = GeofencePlane([0.0, 11901.0, 0.0], [-4.0, -1.0, 0.0], 15.0)
     p3 = GeofencePlane([0.0, 11901.0, 0.0], [-2.0, -1.0, 0.0], 15.0)
     return ConstraintSet([obs, p2, p3], kappa=0.007)
@@ -314,7 +316,7 @@ def _member_near(rng, kind, r, t, v_d):
     if kind == "obstacle":
         rho = rng.uniform(10.0, 80.0)
         c, v, a = r + direction * (rho + gap), rng.uniform(-100, 100, 3), rng.normal(size=3) * 5.0
-        return MovingObstacle(lambda s: (c + v * (s - t) + 0.5 * a * (s - t) ** 2, v + a * (s - t), a), rho)
+        return AcceleratingObstacle(c, t, v, a, rho)
     margin = rng.uniform(0.0, 30.0)
     return GeofencePlane(r + direction * (gap + margin), -direction, margin)
 
@@ -353,7 +355,7 @@ def test_safe_command_jet_matches_curvature_oracle(rng):
         a_g = rng.normal(size=3) * 2.0
         v0 = _unit(rng) * rng.uniform(60.0, 250.0)
         r0 = st.r + rng.normal(size=3) * 100.0 - v0 * t - 0.5 * a_g * t * t
-        goal = GoalTrajectory(lambda s: r0 + v0 * s + 0.5 * a_g * s * s, lambda s: v0 + a_g * s, lambda s: a_g)
+        goal = AcceleratingGoal(r0, v0, a_g)
         v_d = desired_velocity(st.r, t, goal, TABLE)
         kind = list(kinds)[int(rng.integers(len(kinds)))]
         members = [_member_near(rng, m, st.r, t, v_d) for m in kinds[kind]]
@@ -386,8 +388,8 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     far = GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)
     # 1e-10 m off the center: inside the guard
-    on_top = MovingObstacle.constant_velocity(np.add(st.r, [1e-10, 0.0, 0.0]), [10.0, 0.0, 0.0], 30.0)
-    parked = GoalTrajectory.linear([0.0, 0.0, 0.0], r0=st.r)
+    on_top = MovingObstacle(np.add(st.r, [1e-10, 0.0, 0.0]), [10.0, 0.0, 0.0], 30.0)
+    parked = GoalTrajectory([0.0, 0.0, 0.0], r0=st.r)
     cases = [
         (EAST_GOAL, [on_top, far], 0.0, CoincidentPosition, "within 1e-09 m of obstacle center"),
         (parked, [far], 3.0, ZeroDesiredVelocity, "desired velocity too small for the direction projector"),
@@ -428,7 +430,7 @@ def test_frame_keeps_the_composition_of_its_constraint_set(rng, gravity, monkeyp
     # kept set returns the kept BarrierEval and evaluates no member again
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     cset = planar_cset()
-    other = ConstraintSet([MovingObstacle.constant_velocity([2000.0, -1500.0, -300.0], [-50.0, 80.0, 0.0], 40.0),
+    other = ConstraintSet([MovingObstacle([2000.0, -1500.0, -300.0], [-50.0, 80.0, 0.0], 40.0),
                            GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.02)
     separation, separations = constraints._separation, []
 
