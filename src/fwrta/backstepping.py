@@ -1,9 +1,9 @@
 """Backstepping barrier assurance (strategy 2).
 
 The barrier builds on the extended layer: ``h_e``, its rate at fixed
-velocity ``D`` and its velocity gradient ``gv`` come from
-:func:`~fwrta.extended.compose_extended_terms`, the extension gain and the
-outer filter's gains from ``BacksteppingParams.ext``.  The smooth filter
+velocity ``D`` and its velocity gradient ``gv`` compose the members'
+:func:`~fwrta.extended.member_extended_terms`, and the extension gain and
+the outer filter's gains come from ``BacksteppingParams.ext``.  The smooth filter
 step of :mod:`fwrta.filters`, run over accelerations from zero against
 ``D + gamma_e h_e`` and the row ``W_e^T gv``, yields a safe acceleration
 ``a_s`` and turn rate ``R_s = c1 . a_s / V_T``.
@@ -13,12 +13,19 @@ filter (:func:`~fwrta.filters.filter_input`) commands all three inputs;
 :func:`rta_backstepping` returns ``h_b`` with its
 :class:`~fwrta.filters.FilterResult`.
 
-The rate of ``h_b`` is one scalar pass along the drift and the ``A_T``
-and ``Q`` columns: the members' rates from frame projections
-(:func:`~fwrta.extended.member_frame_rates`), composed by the softmin,
-and ``gv'`` only through the two contractions ``c1 . a_s'`` reads.  The
-frame's rates are closed form: ``c1_dot = -R c0 + P c2``, ``V_dot = A_T``
-and the turn rate's, so ``P`` enters only through them.
+A step takes one softmin of the members' ``E_i`` and then walks the
+members once.  The walk composes ``D`` and ``gv`` and, along the drift
+and the ``A_T`` and ``Q`` columns, sums what the rate of ``h_b`` reads of
+each member's rates (:func:`~fwrta.extended.member_frame_rates`): by the
+softmin identity ``w_i' = kappa w_i (h' - E_i')``, a composed rate
+``sum w_i' z_i + w_i z_i'`` is ``kappa (h' sum w z - sum w E' z) + sum w z'``,
+with ``h' = sum w E'`` (Molnar & Ames, L-CSS 2023).  The velocity
+gradient's rate ``gv'`` enters only through the two contractions
+``c1 . a_s'`` reads, and the smooth multiplier's rate is linear in
+``(a', |b|')`` with two coefficients taken once per step
+(:func:`~fwrta.filters.lambda_smooth_coefficients`).  The frame's rates are closed form:
+``c1_dot = -R c0 + P c2``, ``V_dot = A_T`` and the turn rate's, so ``P``
+enters only through them.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import ZERO3, ConstraintSet, frame_jets
-from .extended import ExtendedParams, compose_extended_terms, member_frame_rates
-from .filters import FilterResult, WeightFactor, check_positive, filter_input, filter_step, lambda_smooth_rate
+from .constraints import ZERO3, ConstraintSet, frame_jets, softmin_weights
+from .extended import ExtendedParams, member_extended_terms, member_frame_rates
+from .filters import FilterResult, WeightFactor, check_positive, filter_input, filter_step, lambda_smooth_coefficients
 from .model import ControlInput, TrackContext
 
 
@@ -48,18 +55,45 @@ class BacksteppingParams:
 
 
 def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
-    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)``, then the members' jets,
-    terms and weights, ``a_e``, ``b`` and the step's result."""
+    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)``, then the walk's sums
+    (:func:`_affine_terms` reads them), ``a_e``, ``b`` and the step's result.
+
+    The walk's sums are the composed ``D`` and ``gv``, ``sum w n'`` and, per
+    direction (drift, ``A_T``, ``Q``), ``(sum w e, sum w d, sum w e D_i, *sum w e gv_i)``
+    with ``(e, d)`` the member's ``(E', D')``.
+    """
     jets = frame_jets(ctx, cset)
-    h_e, D, gv, _, w, terms = compose_extended_terms(jets, ctx.v, cset.kappa, p.ext.gamma_p)
+    gamma_p = p.ext.gamma_p
+    terms = [member_extended_terms(j, ctx.v, gamma_p) for j in jets]
+    h_e, w = softmin_weights([t[0] for t in terms], cset.kappa)
+    D = gx = gy = gz = mx = my = mz = 0.0
+    # per direction, f (drift), a (A_T) and q (Q): sum w e, sum w d, sum w e D_i, sum w e gv_i
+    fe = fd = fD = fx = fy = fz = ae = ad = aD = ax = ay = az = qe = qd = qD = qx = qy = qz = 0.0
+    for x, (_, Di, vx, vy, vz), j in zip(w, terms, jets):
+        (ef, df), (ea, da), (eq, dq) = member_frame_rates(j, gamma_p, ctx)
+        m = j[1][1]  # the gradient's rate n' along (v, 1)
+        D += x * Di
+        gx, gy, gz = gx + x * vx, gy + x * vy, gz + x * vz
+        mx, my, mz = mx + x * m[0], my + x * m[1], mz + x * m[2]
+        y = x * ef
+        fe, fd, fD = fe + y, fd + x * df, fD + y * Di
+        fx, fy, fz = fx + y * vx, fy + y * vy, fz + y * vz
+        y = x * ea
+        ae, ad, aD = ae + y, ad + x * da, aD + y * Di
+        ax, ay, az = ax + y * vx, ay + y * vy, az + y * vz
+        y = x * eq
+        qe, qd, qD = qe + y, qd + x * dq, qD + y * Di
+        qx, qy, qz = qx + y * vx, qy + y * vy, qz + y * vz
     # barrier rate at zero acceleration plus decay
     a_e = D + p.gamma_e * h_e
-    b = p.W_e.apply_t(gv)
+    b = p.W_e.apply_t((gx, gy, gz))
     res = filter_step(ZERO3, a_e, b, p.W_e.apply, p.nu_e)
     c1, a_s = ctx.c1, res.u
     R_s = (c1[0] * a_s[0] + c1[1] * a_s[1] + c1[2] * a_s[2]) / ctx.V_T
     gap = R_s - ctx.R
-    return (h_e, a_s, R_s, h_e - gap * gap * (0.5 / p.mu_e)), (jets, terms, w, a_e, b, res)
+    sums = (D, (gx, gy, gz), (mx, my, mz),
+            ((fe, fd, fD, fx, fy, fz), (ae, ad, aD, ax, ay, az), (qe, qd, qD, qx, qy, qz)))
+    return (h_e, a_s, R_s, h_e - gap * gap * (0.5 / p.mu_e)), (sums, a_e, b, res)
 
 
 def h_b(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams) -> float:
@@ -69,46 +103,44 @@ def h_b(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams) -> float:
 
 def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
     """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
-    c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
     V, R = ctx.V_T, ctx.R
-    (h_e, a_s, R_s, hb), (jets, terms, w, a_e, b, res) = _pipeline(ctx, cset, p)
-    rates = [member_frame_rates(j, p.ext.gamma_p, ctx) for j in jets]
-    # c1 . a_s' reads gv' = sum w_i' gv_i (+ w_i n_i'/gamma_p on the drift) only
-    # through W_b . gv' (|b|') and gam . gv', with W_b = W_e b and gam = W_e W_e^T c1
-    W_e, kappa, lam = p.W_e, cset.kappa, res.lam
-    (bx, by, bz), (gx, gy, gz) = W_e.apply(b), W_e.apply(W_e.apply_t(c1))
-    b_norm, c1_Wb = math.sqrt(res.bn2), (c1[0] * bx + c1[1] * by + c1[2] * bz)
-    proj, b_f, g_f = [], 0.0, 0.0
-    for x, (_, _, vx, vy, vz), (_, (_, (mx, my, mz)), _, _) in zip(w, terms, jets):
-        proj.append(((bx * vx + by * vy + bz * vz), (gx * vx + gy * vy + gz * vz)))
-        b_f, g_f = b_f + x * (bx * mx + by * my + bz * mz), g_f + x * (gx * mx + gy * my + gz * mz)
-    g = 1.0 / p.ext.gamma_p
-    D_he, D_as = [], []
-    for along, (b_o, g_o) in zip(zip(*rates), ((b_f * g, g_f * g), (0.0, 0.0), (0.0, 0.0))):
-        # the softmin along the direction: h' = sum w_i E_i', w_i' = kappa w_i (h' - E_i')
-        h_o = D_o = 0.0
-        for x, (e, _) in zip(w, along):
-            h_o += x * e
-        for x, t, (e, d), (pb, pg) in zip(w, terms, along, proj):
-            y = kappa * x * (h_o - e)
-            D_o, b_o, g_o = D_o + (y * t[1] + x * d), b_o + y * pb, g_o + y * pg
+    (h_e, a_s, R_s, hb), ((D, (gx, gy, gz), (mx, my, mz), along), a_e, b, res) = _pipeline(ctx, cset, p)
+    (fe, fd, fD, fx, fy, fz), (ae, ad, aD, ax, ay, az), (qe, qd, qD, qx, qy, qz) = along
+    c1, lam, b_norm = ctx.c1, res.lam, math.sqrt(res.bn2)
+    if b_norm:
+        # c1 . a_s' reads gv' = sum w_i' gv_i (+ sum w n'/gamma_p on the drift) only
+        # through W_b . gv' (|b|') and gam . gv', with W_b = W_e b and gam = W_e W_e^T c1
+        W_e, k, g, ge = p.W_e, cset.kappa, 1.0 / p.ext.gamma_p, p.gamma_e
+        (bx, by, bz), (cx, cy, cz) = W_e.apply(b), W_e.apply(W_e.apply_t(c1))
+        b_gv, c_gv = (bx * gx + by * gy + bz * gz), (cx * gx + cy * gy + cz * gz)
+        # along a direction, with h' = sum w e and w_i' = kappa w_i (h' - e_i), a composed
+        # rate sum w_i' z_i + w_i z_i' is kappa (h' sum w z - sum w e z) + sum w z'
+        Df = k * (fe * D - fD) + fd
+        bf = (bx * mx + by * my + bz * mz) * g + k * (fe * b_gv - (bx * fx + by * fy + bz * fz))
+        cf = (cx * mx + cy * my + cz * mz) * g + k * (fe * c_gv - (cx * fx + cy * fy + cz * fz))
+        Da = k * (ae * D - aD) + ad
+        ba, ca = k * (ae * b_gv - (bx * ax + by * ay + bz * az)), k * (ae * c_gv - (cx * ax + cy * ay + cz * az))
+        Dq = k * (qe * D - qD) + qd
+        bq, cq = k * (qe * b_gv - (bx * qx + by * qy + bz * qz)), k * (qe * c_gv - (cx * qx + cy * qy + cz * qz))
+        # c1 . a_s' = lam' c1 . W_b + lam gam . gv', lam' = (A a' + B |b|') / |b| with
+        # a' = D' + gamma_e h' and |b|' = W_b . gv' / |b|
+        A, B = lambda_smooth_coefficients(a_e, b_norm, p.nu_e, lam, res.slope)
+        c1_Wb = (c1[0] * bx + c1[1] * by + c1[2] * bz)
+        as_f = (A * (Df + ge * fe) + B * (bf / b_norm)) / b_norm * c1_Wb + lam * cf
+        as_a = (A * (Da + ge * ae) + B * (ba / b_norm)) / b_norm * c1_Wb + lam * ca
+        as_q = (A * (Dq + ge * qe) + B * (bq / b_norm)) / b_norm * c1_Wb + lam * cq
+    else:
         # a zero row is the step's no-authority branch: a_s = 0, taken as constant
-        a_o = D_o + p.gamma_e * h_o
-        lam_o = lambda_smooth_rate(a_e, b_norm, p.nu_e, lam, res.slope, a_o, b_o / b_norm) if b_norm else 0.0
-        D_he.append(h_o)
-        D_as.append(lam_o * c1_Wb + lam * g_o)
-    (he_f, he_a, he_q), (as_f, as_a, as_q) = D_he, D_as
-    # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and
-    # D V_T = (0, 1, 0, 0): D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T
-    D_he = (he_f, he_a, 0.0, he_q)
-    ax, ay, az = a_s
-    D_Rs = ((as_f - R * (c0[0] * ax + c0[1] * ay + c0[2] * az)) / V, (as_a - R_s) / V,
-            (c2[0] * ax + c2[1] * ay + c2[2] * az) / V, as_q / V)
-    D_R = (ctx.g_over_V * ctx.s_th * R, -R / V, ctx.g_over_V * ctx.c_ph * ctx.c_th, 0.0)
+        as_f = as_a = as_q = 0.0
+    # rates over (drift, A_T, P, Q) with D c1 = (-R c0, 0, c2, 0) and D V_T = (0, 1, 0, 0):
+    # D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T, and R's are closed form
+    c0, c2 = ctx.c0, ctx.c2
+    sx, sy, sz = a_s
     gap, mu = R_s - R, p.mu_e
-    drift = D_he[0] - gap * (D_Rs[0] - D_R[0]) / mu
-    row = (D_he[1] - gap * (D_Rs[1] - D_R[1]) / mu, D_he[2] - gap * (D_Rs[2] - D_R[2]) / mu,
-           D_he[3] - gap * (D_Rs[3] - D_R[3]) / mu)
+    drift = fe - gap * ((as_f - R * (c0[0] * sx + c0[1] * sy + c0[2] * sz)) / V - ctx.g_over_V * ctx.s_th * R) / mu
+    row = (ae - gap * ((as_a - R_s) / V + R / V) / mu,
+           -gap * ((c2[0] * sx + c2[1] * sy + c2[2] * sz) / V - ctx.g_over_V * ctx.c_ph * ctx.c_th) / mu,
+           qe - gap * (as_q / V) / mu)
     return h_e, hb, drift, row
 
 

@@ -8,6 +8,7 @@ abort (``check`` included, unless the scenario sets ``allow_abort``).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -18,8 +19,9 @@ from .scenario import load_scenario, scenario_from_dict
 from .simulate import evaluate_checks, run_scenario, sweep
 
 
-def _default_out() -> str:
-    return os.environ.get("RTA_OUT_DIR", "out")
+def _out_dir(args) -> str:
+    """``--out`` if given, else ``RTA_OUT_DIR``, else ``out``."""
+    return os.environ.get("RTA_OUT_DIR", "out") if args.out is None else args.out
 
 
 def _cmd_run(args) -> int:
@@ -29,7 +31,7 @@ def _cmd_run(args) -> int:
         # rebuild so the overrides pass the loader's validation
         scn = scenario_from_dict({**scn.raw, **overrides}, origin=args.scenario)
     log, met = run_scenario(scn)
-    path = export(log, met, scn, args.format, args.out)
+    path = export(log, met, scn, args.format, _out_dir(args))
     print(f"wrote {path}")
     print(
         f"{scn.name} [{scn.mode}]  min h_p = {met.min_h_p:.4g}  "
@@ -62,7 +64,7 @@ def _cmd_sweep(args) -> int:
     scn_path = args.scenario
     scn = load_scenario(scn_path)
     rows = sweep(scn.raw, args.param, args.min, args.max, args.steps)
-    out = Path(args.out)
+    out = Path(_out_dir(args))
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scn.name}_sweep_{args.param.replace('.', '_').replace('[', '_').replace(']', '')}.csv"
     header = (
@@ -83,13 +85,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; the output root's
+    default is resolved per command (:func:`_out_dir`), so the parser holds no
+    environment."""
     ap = argparse.ArgumentParser(prog="fwrta", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate a scenario and export the log")
     run_p.add_argument("--scenario", required=True, help="path or bundled name (fig3..fig6)")
-    run_p.add_argument("--out", default=_default_out(), help="output directory")
+    run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     run_p.add_argument("--dt", type=float, default=None, help="override step size (s)")
     run_p.add_argument("--horizon", type=float, default=None, help="override horizon (s)")
@@ -105,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--min", type=float, required=True)
     sw.add_argument("--max", type=float, required=True)
     sw.add_argument("--steps", type=int, required=True)
-    sw.add_argument("--out", default=_default_out())
+    sw.add_argument("--out", default=None)
     sw.set_defaults(func=_cmd_sweep)
     return ap
 

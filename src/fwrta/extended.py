@@ -3,10 +3,11 @@
 Each position constraint ``h`` is extended to ``h + hdot / gamma_p``, the
 first order of the member's jet the frame keeps
 (:func:`~fwrta.constraints.frame_jets`), so the barrier rate sees the
-acceleration channel.  :func:`compose_extended_terms` is the one
-composition of the extension, in the three quantities both input filters
-read: ``h_e``, its rate at fixed velocity ``D`` and its velocity gradient
-``gv``.  :class:`ExtendedParams` holds the extension
+acceleration channel.  :func:`compose_extended_terms` composes the
+extension in the three quantities both input filters read: ``h_e``, its
+rate at fixed velocity ``D`` and its velocity gradient ``gv``; the
+backstepping filter composes them in its one walk over the members, next
+to their :func:`member_frame_rates`.  :class:`ExtendedParams` holds the extension
 gain and the outer filter's gains, ``gamma``, ``W`` and the smoothing
 ``nu``.  Roll rate ``P`` never enters: the input row carries a
 structural zero in the ``P`` slot, and :func:`rta_extended` copies the

@@ -13,9 +13,10 @@ form for the velocity weight.
 filtered input, the multiplier, the achieved slack and the no-authority
 flag.  The input filters'
 :func:`filter_input` adds the linear decay ``gamma h`` to the barrier
-rate and weights the row.  The smooth multiplier's first derivative
-along a direction, :func:`lambda_smooth_rate`, reads the step's value and
-slope; the backstepping barrier's rate reads it.
+rate and weights the row.  The smooth multiplier's first derivative is
+linear in the rates of ``a`` and ``|b|``; its two coefficients,
+:func:`lambda_smooth_coefficients`, read the step's value and slope, and
+the backstepping barrier's rate takes them once per step.
 """
 
 from __future__ import annotations
@@ -121,13 +122,16 @@ def lambda_smooth(a, b_norm, nu: float):
     return sp / (nu * b_norm), slope
 
 
-def lambda_smooth_rate(a: float, b_norm: float, nu: float, lam: float, slope: float, a_o, b_norm_o):
-    """First derivative of ``lam``, where ``lambda_smooth(a, b_norm, nu) = (lam, slope)``,
-    as ``a`` moves by ``a_o`` and ``b_norm > 0`` by ``b_norm_o``: with ``x = -nu a/b``,
-    ``x' = -(nu a' + x b') / b`` and ``lam' = (slope x' - lam nu b') / (nu b)``."""
-    x = -nu * (a / b_norm)
-    x_o = -(nu * a_o + x * b_norm_o) / b_norm
-    return (slope * x_o - lam * nu * b_norm_o) / (nu * b_norm)
+def lambda_smooth_coefficients(a: float, b_norm: float, nu: float, lam: float, slope: float):
+    """``(A, B)`` of the first derivative of ``lam``, where
+    ``lambda_smooth(a, b_norm, nu) = (lam, slope)`` and ``b_norm > 0``:
+    ``lam' = (A a' + B b_norm') / b_norm`` with ``A = -slope / b_norm`` and
+    ``B = -(slope x / (nu b_norm) + lam)``, ``x = -nu a / b_norm``.
+
+    Scaled so that no power of ``b_norm`` beyond the first is formed:
+    ``|A| <= 1/b_norm``, and ``|B| <= 2 lam`` where ``x > 0``.
+    """
+    return -slope / b_norm, -(slope * (-nu * (a / b_norm)) / (nu * b_norm) + lam)
 
 
 def filter_step(u_d, a, b, W, nu: float | None = None) -> FilterResult:

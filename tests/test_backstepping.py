@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -25,9 +26,9 @@ from fwrta.backstepping import (
     h_b,
     rta_backstepping,
 )
-from fwrta.constraints import ConstraintSet, GeofencePlane, compose_h_p
+from fwrta.constraints import ConstraintSet, GeofencePlane, compose_h_p, member_jet1
 from fwrta.errors import CoincidentPosition
-from fwrta.extended import ExtendedParams, compose_extended_terms
+from fwrta.extended import ExtendedParams, compose_extended_terms, member_extended_terms
 from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import ModelFreeParams
@@ -300,6 +301,38 @@ def softplus_arg(st, t, cset, p, g):
     return -p.nu_e * (D + p.gamma_e * h) / np.linalg.norm(gv @ np.asarray(p.W_e.W))
 
 
+def acting_states(rng, g, per_branch, make_cset):
+    """``(st, t, cset, p)`` where the acceleration filter acts, ``per_branch`` in each
+    softplus branch, alternating the diagonal and the skew ``W_e``; ``make_cset(st, t)``
+    builds each set."""
+    p = table_params()
+    skew = dataclasses.replace(p, W_e=SKEW_W_E)
+    branches, cases = {True: 0, False: 0}, []
+    for i in range(3000):
+        if min(branches.values()) >= per_branch:
+            break
+        st = random_state(rng, v_range=(80.0, 250.0), theta_max=1.0, phi_max=1.2, pos_scale=200.0)
+        t = float(rng.uniform(0.0, 10.0))
+        cset = make_cset(st, t)
+        q = (p, skew)[i % 2]
+        x = softplus_arg(st, t, cset, q, g)
+        if abs(x) <= 8.0 and branches[x > 0.0] < per_branch:
+            branches[x > 0.0] += 1
+            cases.append((st, t, cset, q))
+    assert min(branches.values()) >= per_branch, branches
+    return cases
+
+
+def assert_rate_matches_oracle(st, t, cset, q, g):
+    """The closed-form rate of ``h_b`` against the gradient oracle, and ``h_b`` itself."""
+    ctx = TrackContext(st, t, g)
+    h_e, hb, drift, row = _affine_terms(ctx, cset, q)
+    ref_drift, ref_row = oracle_rate(st, t, cset, q, g)
+    got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert hb == h_b(ctx, cset, q)
+
+
 class TestRta:
     def test_rate_matches_gradient_oracle(self, rng, gravity):
         # the closed-form 3-direction chain plus the frame's closed-form
@@ -312,32 +345,46 @@ class TestRta:
             st = random_state(rng, theta_max=1.0, phi_max=1.2)
             cases.append((st, float(rng.uniform(0.0, 10.0)), random_constraint_set(rng, st.r), (p, skew)[i % 2]))
 
-        def acting(kinds, per_branch):
-            # states where the acceleration filter acts, in both softplus branches
-            branches = {True: 0, False: 0}
-            for i in range(3000):
-                if min(branches.values()) >= per_branch:
-                    break
-                st = random_state(rng, v_range=(80.0, 250.0), theta_max=1.0, phi_max=1.2, pos_scale=200.0)
-                t = float(rng.uniform(0.0, 10.0))
-                cset = near_constraint_set(rng, st, t, kinds[i % len(kinds)])
-                q = (p, skew)[i % 2]
-                x = softplus_arg(st, t, cset, q, gravity)
-                if abs(x) <= 8.0 and branches[x > 0.0] < per_branch:
-                    branches[x > 0.0] += 1
-                    cases.append((st, t, cset, q))
-            assert min(branches.values()) >= per_branch, (kinds, branches)
-
-        acting(("plane", "obstacle", "mixed"), 36)
+        kinds = itertools.cycle(("plane", "obstacle", "mixed"))
+        cases += acting_states(rng, gravity, 36, lambda st, t: near_constraint_set(rng, st, t, next(kinds)))
         # two obstacles compose two obstacle tangents: the softmin's cross-weight terms
-        acting(("obstacles",), 24)
-        for st, t, cset, q in cases:
-            ctx = TrackContext(st, t, gravity)
-            h_e, hb, drift, row = _affine_terms(ctx, cset, q)
-            ref_drift, ref_row = oracle_rate(st, t, cset, q, gravity)
-            got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
-            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-            assert hb == h_b(ctx, cset, q)
+        cases += acting_states(rng, gravity, 24, lambda st, t: near_constraint_set(rng, st, t, "obstacles"))
+        for case in cases:
+            assert_rate_matches_oracle(*case, gravity)
+
+    def test_rate_single_member_matches_gradient_oracle(self, rng, gravity):
+        # one member: its weight is exactly 1, so every w_i' term of the walk's sums vanishes
+        kinds = itertools.cycle(("plane", "obstacle"))
+        single = acting_states(rng, gravity, 16, lambda st, t: near_constraint_set(rng, st, t, next(kinds)))
+        for st, t, cset, q in single:
+            v = velocity(st)
+            assert compose_extended_terms(jets_at(st.r, t, v, cset), v, cset.kappa, q.ext.gamma_p)[4] == [1.0]
+            assert_rate_matches_oracle(st, t, cset, q, gravity)
+
+    def test_rate_with_a_dominant_member_matches_gradient_oracle(self, rng, gravity):
+        # an obstacle and a plane whose extension lies 28/kappa to 31/kappa above the
+        # obstacle's: the obstacle's weight is within 1e-12 of 1 and the plane's is not
+        # zero, where the walk's h_o sum w z - sum w e z cancels
+        gamma_p = table_params().ext.gamma_p
+
+        def dominated(st, t):
+            obstacle = near_constraint_set(rng, st, t, "obstacle").members[0]
+            kappa = float(rng.uniform(0.004, 0.05))
+            v = velocity(st)
+            E = member_extended_terms(member_jet1(st.r, t, v, obstacle), v, gamma_p)[0]
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            rho = float(rng.uniform(0.0, 30.0))
+            # the plane's extension n . (r - point) - rho + n . v / gamma_p is E + 28..31 / kappa
+            level = E + rng.uniform(28.0, 31.0) / kappa
+            plane = GeofencePlane(st.r - n * (level + rho - float(n @ v) / gamma_p), n, rho)
+            return ConstraintSet([obstacle, plane][:: int(rng.choice([-1, 1]))], kappa)
+
+        for st, t, cset, q in acting_states(rng, gravity, 16, dominated):
+            v = velocity(st)
+            w = compose_extended_terms(jets_at(st.r, t, v, cset), v, cset.kappa, q.ext.gamma_p)[4]
+            assert 0.0 < 1.0 - max(w) <= 1e-12 and min(w) > 0.0
+            assert_rate_matches_oracle(st, t, cset, q, gravity)
 
     def test_raises_at_obstacle_center(self, gravity):
         # fig5's start moved onto its obstacle's center: the closed-form

@@ -6,7 +6,7 @@ import pytest
 from conftest import apply_filter
 from fwrta.backstepping import BacksteppingParams
 from fwrta.extended import ExtendedParams
-from fwrta.filters import WeightFactor, filter_input, lambda_hard, lambda_smooth
+from fwrta.filters import WeightFactor, filter_input, lambda_hard, lambda_smooth, lambda_smooth_coefficients
 from fwrta.model import ControlInput
 
 
@@ -67,6 +67,36 @@ class TestLambdaSmooth:
     def test_requires_positive_nu(self):
         with pytest.raises(ValueError):
             lambda_smooth(1.0, 1.0, 0.0)
+
+
+def lambda_smooth_rate(a, b_norm, nu, lam, slope, a_o, b_norm_o):
+    """Reference: the first derivative of ``lam``, where ``lambda_smooth(a, b_norm, nu) =
+    (lam, slope)``, as ``a`` moves by ``a_o`` and ``b_norm`` by ``b_norm_o``, one direction
+    at a time: with ``x = -nu a/b``, ``x' = -(nu a' + x b') / b`` and
+    ``lam' = (slope x' - lam nu b') / (nu b)``."""
+    x = -nu * (a / b_norm)
+    x_o = -(nu * a_o + x * b_norm_o) / b_norm
+    return (slope * x_o - lam * nu * b_norm_o) / (nu * b_norm)
+
+
+class TestLambdaSmoothCoefficients:
+    def test_match_per_direction_rate_over_scales(self, rng):
+        # |b| from 1e-150 to 1e150, the softplus argument in both branches, and the
+        # rates (a', |b|') at unit scale and at the scale of |b|; the bound is relative
+        # to the two terms' magnitudes (measured: 1.3e-15)
+        for k in range(-150, 151, 5):
+            b = 10.0**k
+            for _ in range(20):
+                nu, x = float(rng.uniform(0.05, 50.0)), float(rng.uniform(-30.0, 30.0))
+                a = -x * b / nu
+                lam, slope = lambda_smooth(a, b, nu)
+                A, B = lambda_smooth_coefficients(a, b, nu, lam, slope)
+                for scale in (1.0, b):
+                    a_o, b_o = (float(v) * scale for v in rng.uniform(-1.0, 1.0, 2))
+                    got = (A * a_o + B * b_o) / b
+                    ref = lambda_smooth_rate(a, b, nu, lam, slope, a_o, b_o)
+                    assert math.isfinite(got) and math.isfinite(ref)
+                    assert abs(got - ref) <= 1e-14 * (abs(A * a_o) + abs(B * b_o)) / b
 
 
 class TestApplyFilter:
