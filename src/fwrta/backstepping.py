@@ -64,8 +64,12 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
     """
     jets = frame_jets(ctx, cset)
     gamma_p = p.ext.gamma_p
-    terms = [member_extended_terms(j, ctx.v, gamma_p) for j in jets]
-    h_e, w = softmin_weights([t[0] for t in terms], cset.kappa)
+    terms, per = [], []
+    for j in jets:
+        e = member_extended_terms(j, ctx.v, gamma_p)
+        terms.append(e)
+        per.append(e[0])
+    h_e, w = softmin_weights(per, cset.kappa)
     D = gx = gy = gz = mx = my = mz = 0.0
     # per direction, f (drift), a (A_T) and q (Q): sum w e, sum w d, sum w e D_i, sum w e gv_i
     fe = fd = fD = fx = fy = fz = ae = ad = aD = ax = ay = az = qe = qd = qD = qx = qy = qz = 0.0

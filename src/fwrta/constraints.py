@@ -10,11 +10,15 @@ Each member is evaluated and the members composed once per control
 step: :func:`frame_jets` keeps each member's first-order Taylor jet
 along ``(v, 1)`` (:func:`member_jet1`) on the step's frame, next to
 the one composition of their zeroth orders, which :func:`compose_h_p`
-returns.  The extended member is their first order, and
-:func:`member_jet` adds the second order along the curve
-``(r + tau v + tau^2 r2 / 2, t + tau)``.  :func:`compose_jets` extends
-the composition: it sums the weighted member jets' first orders in
-place, and their second orders once ``r2`` is known.
+returns: one :func:`softmin_weights` of the members' values, then one
+walk over the members that sums the weighted gradients and
+time-partials.  The extended member is their first order, and
+:func:`member_jet` adds an obstacle's second order along the curve
+``(r + tau v + tau^2 r2 / 2, t + tau)``; a plane's is the constant
+``(n . r2, ZERO3, 0.0)``, which its callers write in place.
+:func:`compose_jets` extends the composition: it sums the weighted
+member jets' first orders in place, and their second orders once ``r2``
+is known.
 
 Vectors are float 3-sequences, and every fixed-size vector formula of a
 control step, across all modules, is written as explicit components:
@@ -22,10 +26,11 @@ each inner product is the parenthesized sum
 ``(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])`` at its call site, with no
 helper call, comprehension, generator or ``zip`` per vector, each
 component keeping the float operations in their order; only sums over
-constraint members loop.  Nothing at run time differentiates by
-evaluation: every derivative is written in closed form over Python
-floats (the model-free safe command's as a univariate Taylor jet along
-the flown curve; Griewank, Utke & Walther, Math. Comp. 2000).  The
+constraint members loop, as plain loops in member order.  Nothing at
+run time differentiates by evaluation: every derivative is written in
+closed form over Python floats (the model-free safe command's as a
+univariate Taylor jet along the flown curve; Griewank, Utke & Walther,
+Math. Comp. 2000).  The
 forward-mode dual numbers the tests use as the oracle of those closed
 forms live under ``tests/``.
 """
@@ -188,26 +193,37 @@ def member_jet1(r, t, v, member: Constraint):
 def frame_jets(ctx, cset: ConstraintSet):
     """:func:`member_jet1` of each member of ``cset`` at the frame, evaluated once:
     ``ctx.members`` keeps them keyed by ``cset``, next to the one composition of
-    their zeroth orders (the :class:`BarrierEval` :func:`compose_h_p` returns)."""
+    their zeroth orders (the :class:`BarrierEval` :func:`compose_h_p` returns).
+
+    The composition is one softmin of the members' values and one walk that sums
+    the weighted gradients and time-partials; the first member starts each sum.
+    """
     memo = ctx.members
     if memo is None or memo[0] is not cset:
-        jets = [member_jet1(ctx.r, ctx.t, ctx.v, m) for m in cset.members]
-        h, *grad, dtp, per, w = compose_members([[h[0], *n[0], d[0]] for h, n, d, _ in jets], cset.kappa)
-        memo = ctx.members = (cset, jets, BarrierEval(h, grad, dtp, per, w))
+        r, t, v = ctx.r, ctx.t, ctx.v
+        jets, per = [], []
+        for m in cset.members:
+            jet = member_jet1(r, t, v, m)
+            jets.append(jet)
+            per.append(jet[0][0])
+        h, w = (per[0], [1.0]) if len(per) == 1 else softmin_weights(per, cset.kappa)
+        x, (_, ((nx, ny, nz), _), (d, _), _) = w[0], jets[0]
+        gx, gy, gz, dt = x * nx, x * ny, x * nz, x * d
+        for i in range(1, len(jets)):
+            x, (_, ((nx, ny, nz), _), (d, _), _) = w[i], jets[i]
+            gx, gy, gz, dt = gx + x * nx, gy + x * ny, gz + x * nz, dt + x * d
+        memo = ctx.members = (cset, jets, BarrierEval(h, [gx, gy, gz], dt, per, w))
     return memo[1]
 
 
 def member_jet(jet1, r2):
-    """Second orders ``(h'', n'', d'')`` of a :func:`member_jet1` result along the curve
-    ``(r + tau v + tau^2 r2 / 2, t + tau)``, which leaves its first orders as they are.
+    """Second orders ``(h'', n'', d'')`` of an obstacle's :func:`member_jet1` result along
+    the curve ``(r + tau v + tau^2 r2 / 2, t + tau)``, which leaves its first orders as
+    they are: the separation has second derivative ``r2 - a_i``.
 
-    A plane's gradient and time-partial are constant and ``h'' = n . r2``; an
-    obstacle's separation has second derivative ``r2 - a_i``.
+    A plane's are ``(n . r2, ZERO3, 0.0)``, which its callers write in place.
     """
-    (_, q1), ((nx, ny, nz), (mx, my, mz)), _, sep = jet1
-    if sep is None:
-        return (nx * r2[0] + ny * r2[1] + nz * r2[2]), ZERO3, 0.0
-    q, (lx, ly, lz), v_i, a_i = sep
+    (_, q1), ((nx, ny, nz), (mx, my, mz)), _, (q, (lx, ly, lz), v_i, a_i) = jet1
     ex, ey, ez = r2[0] - a_i[0], r2[1] - a_i[1], r2[2] - a_i[2]
     q2 = ((lx * lx + ly * ly + lz * lz) - q1 * q1) / q + (nx * ex + ny * ey + nz * ez)
     n2x, n2y, n2z = n2 = [(ex - 2.0 * mx * q1 - nx * q2) / q, (ey - 2.0 * my * q1 - ny * q2) / q,
@@ -231,27 +247,10 @@ def softmin_weights(values, kappa: float):
     for v in vals:
         acc = acc + math.exp((m - v) * kappa)
     h = m - math.log(acc) / kappa
-    return h, [math.exp((h - v) * kappa) for v in vals]
-
-
-def compose_members(terms, kappa: float):
-    """Softmin of the members' values with their other entries weight-averaged.
-
-    ``terms`` holds one flat float list ``[value, *derivatives]`` per member; returns
-    ``(h, *averaged derivatives, per-member values, weights)``.
-    """
-    if len(terms) == 1:
-        return (*terms[0], [terms[0][0]], [1.0])
-    cols = list(zip(*terms))
-    per = list(cols[0])
-    h, w = softmin_weights(per, kappa)
-    out = [h]
-    for col in cols[1:]:
-        acc = w[0] * col[0]
-        for i in range(1, len(per)):
-            acc = acc + w[i] * col[i]
-        out.append(acc)
-    return (*out, per, w)
+    w = []
+    for v in vals:
+        w.append(math.exp((h - v) * kappa))
+    return h, w
 
 
 def compose_jets(jets, pos: BarrierEval, kappa: float):
@@ -261,26 +260,36 @@ def compose_jets(jets, pos: BarrierEval, kappa: float):
     (:func:`compose_h_p`), which this extends.
 
     Along the curve ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``, and
-    likewise one order up; the weighted gradient and time-partial jets are summed
-    in place, member by member.
+    likewise one order up; each order walks the members twice in member order, once
+    for ``h'`` and once for the weights' jets and the weighted gradient and
+    time-partial jets, summed in place.
     """
     w = pos.weights
-    h1 = sum(x * j[0][1] for x, j in zip(w, jets))
-    w1 = [kappa * x * (h1 - j[0][1]) for x, j in zip(w, jets)]
+    h1 = 0.0
+    for x0, ((_, hi1), _, _, _) in zip(w, jets):
+        h1 += x0 * hi1
     # the weight jet times the gradient's jet (a, b) and the time-partial's (e),
     # added straight into each first-order component in member order
+    w1 = []
     g1x = g1y = g1z = d1 = 0.0
-    for x0, x1, (_, ((ax, ay, az), (bx, by, bz)), (e0, e1), _) in zip(w, w1, jets):
+    for x0, ((_, hi1), ((ax, ay, az), (bx, by, bz)), (e0, e1), _) in zip(w, jets):
+        x1 = kappa * x0 * (h1 - hi1)
+        w1.append(x1)
         g1x, g1y, g1z = g1x + (x1 * ax + x0 * bx), g1y + (x1 * ay + x0 * by), g1z + (x1 * az + x0 * bz)
         d1 += x1 * e0 + x0 * e1
 
     def second(r2):
-        jets2 = [member_jet(j, r2) for j in jets]
-        h2 = sum(x * j[0][1] + y * j2[0] for x, y, j, j2 in zip(w1, w, jets, jets2))
-        w2 = [kappa * (x * (h1 - j[0][1]) + y * (h2 - j2[0])) for x, y, j, j2 in zip(w1, w, jets, jets2)]
+        jets2 = []
+        h2 = 0.0
+        for x0, x1, jet in zip(w, w1, jets):
+            (_, hi1), (n, _), _, sep = jet
+            jet2 = ((n[0] * r2[0] + n[1] * r2[1] + n[2] * r2[2]), ZERO3, 0.0) if sep is None else member_jet(jet, r2)
+            jets2.append(jet2)
+            h2 += x1 * hi1 + x0 * jet2[0]
         g2x = g2y = g2z = d2 = 0.0
-        for x0, x1, x2, (_, ((ax, ay, az), (bx, by, bz)), (e0, e1), _), (_, (cx, cy, cz), e2) in zip(
-                w, w1, w2, jets, jets2):
+        for x0, x1, ((_, hi1), ((ax, ay, az), (bx, by, bz)), (e0, e1), _), (hi2, (cx, cy, cz), e2) in zip(
+                w, w1, jets, jets2):
+            x2 = kappa * (x1 * (h1 - hi1) + x0 * (h2 - hi2))
             y1 = 2.0 * x1
             g2x += x2 * ax + y1 * bx + x0 * cx
             g2y += x2 * ay + y1 * by + x0 * cy

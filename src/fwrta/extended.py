@@ -5,9 +5,10 @@ first order of the member's jet the frame keeps
 (:func:`~fwrta.constraints.frame_jets`), so the barrier rate sees the
 acceleration channel.  :func:`compose_extended_terms` composes the
 extension in the three quantities both input filters read: ``h_e``, its
-rate at fixed velocity ``D`` and its velocity gradient ``gv``; the
-backstepping filter composes them in its one walk over the members, next
-to their :func:`member_frame_rates`.  :class:`ExtendedParams` holds the extension
+rate at fixed velocity ``D`` and its velocity gradient ``gv``, by one
+softmin of the members' values and one walk over the members; the
+backstepping filter composes them in its own walk, next to their
+:func:`member_frame_rates`.  :class:`ExtendedParams` holds the extension
 gain and the outer filter's gains, ``gamma``, ``W`` and the smoothing
 ``nu``.  Roll rate ``P`` never enters: the input row carries a
 structural zero in the ``P`` slot, and :func:`rta_extended` copies the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ZERO3, ConstraintSet, compose_members, frame_jets, member_jet
+from .constraints import ZERO3, ConstraintSet, frame_jets, member_jet, softmin_weights
 from .filters import FilterResult, WeightFactor, check_positive, filter_input
 from .model import ControlInput, TrackContext
 
@@ -68,14 +69,17 @@ def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
     """
     g = 1.0 / gamma_p
     (_, h1), (n0, n1), (_, d1), sep = jet1
-    h2, n2, d2 = member_jet(jet1, ZERO3)
     v = ctx.v
     (ax, ay, az), (fx, fy, fz), (qx, qy, qz) = ctx.c0, ctx.c1, ctx.c2
     (nx, ny, nz), (mx, my, mz) = n0, n1
     gx, gy, gz = nx + mx * g, ny + my * g, nz + mz * g
     n_a, n_f, n_q = (nx * ax + ny * ay + nz * az), (nx * fx + ny * fy + nz * fz), (nx * qx + ny * qy + nz * qz)
     r_a, r_f, r_q = (gx * ax + gy * ay + gz * az), (gx * fx + gy * fy + gz * fz), (gx * qx + gy * qy + gz * qz)
-    if sep is not None:
+    if sep is None:
+        # a plane's second order at r2 = 0, (n . r2, ZERO3, 0.0), the sign of its zero kept
+        h2, n2, d2 = (nx * 0.0 + ny * 0.0 + nz * 0.0), ZERO3, 0.0
+    else:
+        h2, n2, d2 = member_jet(jet1, ZERO3)
         k, (lx, ly, lz) = g / sep[0], sep[1]
         r_a += ((lx * ax + ly * ay + lz * az) - n_a * h1) * k
         r_f += ((lx * fx + ly * fy + lz * fz) - n_f * h1) * k
@@ -87,10 +91,21 @@ def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
 
 def compose_extended_terms(jets, v, kappa: float, gamma_p: float):
     """Composed extension of :func:`~fwrta.constraints.member_jet1` results along ``(v, 1)``:
-    ``(h_e, D, gv, per-member values, weights, per-member terms)``."""
-    terms = [member_extended_terms(j, v, gamma_p) for j in jets]
-    h, D, *gv, per, w = compose_members(terms, kappa)
-    return h, D, gv, per, w, terms
+    ``(h_e, D, gv, per-member values, weights, per-member terms)``, from one softmin of
+    the members' values and one walk that sums the weighted ``D`` and ``gv``, the
+    first member starting each sum."""
+    terms, per = [], []
+    for jet in jets:
+        e = member_extended_terms(jet, v, gamma_p)
+        terms.append(e)
+        per.append(e[0])
+    h, w = (per[0], [1.0]) if len(per) == 1 else softmin_weights(per, kappa)
+    x, (_, Di, vx, vy, vz) = w[0], terms[0]
+    D, gx, gy, gz = x * Di, x * vx, x * vy, x * vz
+    for i in range(1, len(terms)):
+        x, (_, Di, vx, vy, vz) = w[i], terms[i]
+        D, gx, gy, gz = D + x * Di, gx + x * vx, gy + x * vy, gz + x * vz
+    return h, D, [gx, gy, gz], per, w, terms
 
 
 def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams):

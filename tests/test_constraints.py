@@ -14,11 +14,13 @@ from fwrta.constraints import (
     MovingObstacle,
     compose_h_p,
     compose_jets,
+    frame_jets,
     h_geofence,
     member_jet1,
     softmin_weights,
 )
 from fwrta.errors import CoincidentPosition
+from fwrta.extended import compose_extended_terms, member_extended_terms
 from fwrta.tracking import GoalTrajectory
 
 TABLE_OBSTACLE = MovingObstacle([-3048.0, 0.0, 0.0], [121.92, 161.32, 0.0], 30.0)
@@ -212,12 +214,15 @@ def _curve_orders(x, r2):
     return x.e[..., 0], x.h[..., 0] + x.e[..., 1:] @ r2
 
 
-@pytest.mark.parametrize(
+MEMBER_KINDS = pytest.mark.parametrize(
     "kinds",
     [("obstacle",), ("plane",), ("obstacle", "plane"), ("plane", "obstacle", "plane"),
      ("obstacle", "obstacle", "plane"), ("plane", "obstacle", "plane", "obstacle")],
     ids=["1-obstacle", "1-plane", "2", "3-one-obstacle", "3-two-obstacles", "4"],
 )
+
+
+@MEMBER_KINDS
 def test_compose_jets_match_dual_oracle(rng, kinds):
     # the summed jets against the curvature Dual along w = (v, 1) and its
     # r-Jacobian: the first order is e[..., 0], the deferred second order along
@@ -235,6 +240,44 @@ def test_compose_jets_match_dual_oracle(rng, kinds):
             for part, x, y in zip(("first", "second"), (jet[1], jet2), _curve_orders(dual, r2)):
                 assert np.linalg.norm(np.subtract(x, y)) <= 1e-9 * np.linalg.norm(y), (name, part)
         assert len(kinds) == 1 or max(pos.weights) < 1.0 - 1e-6  # no member dominates to rounding
+
+
+def _column_sums(terms, kappa):
+    """Softmin of the members' values with each other column of ``terms`` weight-summed
+    from ``w[0] * col[0]`` in member order: the column-by-column composition the
+    one-walk compositions replace, the reference for their float operation order."""
+    if len(terms) == 1:
+        return (*terms[0], [terms[0][0]], [1.0])
+    cols = list(zip(*terms))
+    per = list(cols[0])
+    h, w = softmin_weights(per, kappa)
+    out = [h]
+    for col in cols[1:]:
+        acc = w[0] * col[0]
+        for i in range(1, len(per)):
+            acc = acc + w[i] * col[i]
+        out.append(acc)
+    return (*out, per, w)
+
+
+@MEMBER_KINDS
+def test_compositions_match_column_sums_bit_for_bit(rng, kinds):
+    # the member sets of test_compose_jets_match_dual_oracle, drawn in the same order;
+    # each walk keeps the float operations of the column sums, so == holds
+    for _ in range(25):
+        r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
+        cset = ConstraintSet([_member_ahead(rng, k, r, t) for k in kinds], float(rng.uniform(0.004, 0.05)))
+        gamma_p = float(rng.uniform(0.5, 5.0))
+        ctx = frame_at(r.tolist(), t)
+        pos = compose_h_p(ctx, cset)
+        zeroth = [[jh[0], *jn[0], jd[0]] for jh, jn, jd, _ in frame_jets(ctx, cset)]
+        h, *grad, dtp, per, w = _column_sums(zeroth, cset.kappa)
+        assert pos.value == h and pos.gradient_r == grad and pos.dt_partial == dtp
+        assert pos.per_constraint == per and pos.weights == w
+        jets = jets_at(r.tolist(), t, v.tolist(), cset)
+        terms = [member_extended_terms(j, v.tolist(), gamma_p) for j in jets]
+        h, D, *gv, per, w = _column_sums(terms, cset.kappa)
+        assert compose_extended_terms(jets, v.tolist(), cset.kappa, gamma_p) == (h, D, gv, per, w, terms)
 
 
 @pytest.mark.parametrize(

@@ -286,15 +286,15 @@ class TestIntegrate:
 # Upper bounds on the fwrta Python frames a control step enters, and on the
 # comprehension frames among them, on a 2 s horizon (a generator counts once per
 # resume).  Measured on CPython 3.11 with the per-step vectors and inner products
-# written as explicit components and the goal evaluated by one method call:
-# fig3 38.03 / 3.04, fig4 36.03 / 3.04, fig5 63.03 / 6.04 (the backstepping rate
-# in one walk over the members), fig6 65.03 / 14.04, step_offset 23.01 / 2.01;
-# the fractions are the run's own frames
+# written as explicit components, the goal evaluated by one method call and every
+# composition of the members one softmin plus plain loops in member order:
+# fig3 33.03 / 0.04, fig4 31.03 / 0.04, fig5 54.03 / 0.04, fig6 48.03 / 0.04,
+# step_offset 20.01 / 0.01; the fractions are the run's own frames
 # (``integrate``, ``make_controller`` and the log's arrays) spread over its steps.
-# What is left of the comprehensions loops over constraint members.  CPython 3.10
-# enters the same frames; from 3.12 on, list comprehensions are inlined (PEP 709),
-# so the counts can only read lower.
-STEP_FRAME_BOUNDS = {"fig3": (39, 4), "fig4": (37, 4), "fig5": (64, 7), "fig6": (66, 15), "step_offset": (24, 3)}
+# No comprehension is left in a step.  CPython 3.10 enters the same frames; from
+# 3.12 on, list comprehensions are inlined (PEP 709), so the counts can only read
+# lower.
+STEP_FRAME_BOUNDS = {"fig3": (34, 1), "fig4": (32, 1), "fig5": (55, 1), "fig6": (49, 1), "step_offset": (21, 1)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
 
