@@ -78,17 +78,23 @@ class _Panel:
         self.title = title
         self.parts: list[str] = []
 
-    def px(self, x):
-        return self.x0 + (x - self.xmin) / (self.xmax - self.xmin) * self.w
-
-    def py(self, y):
-        return self.y0 + self.h - (y - self.ymin) / (self.ymax - self.ymin) * self.h
-
     def line(self, xs, ys, color, width=1.2, dash=None):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        """A polyline through the points, each pixel position taken once: a point is
+        kept only when it lies at least half a pixel from the last point kept."""
+        px = (self.x0 + (np.asarray(xs, dtype=float) - self.xmin) / (self.xmax - self.xmin) * self.w).tolist()
+        py = (self.y0 + self.h - (np.asarray(ys, dtype=float) - self.ymin) / (self.ymax - self.ymin) * self.h).tolist()
+        pts = []
+        if px:
+            kx, ky = px[0], py[0]
+            pts.append(f"{kx:.2f},{ky:.2f}")
+            for x, y in zip(px, py):
+                dx, dy = x - kx, y - ky
+                if dx * dx + dy * dy >= 0.25:
+                    kx, ky = x, y
+                    pts.append(f"{x:.2f},{y:.2f}")
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{d} points="{pts}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{d} points="{" ".join(pts)}"/>'
         )
 
     def hline(self, y, color, dash="4 3"):

@@ -51,8 +51,11 @@ def member_extended_terms(jet1, v, gamma_p: float):
     ``D = gr . v + d + d'/gamma_p`` and its velocity gradient ``gv = n/gamma_p``.
     """
     g = 1.0 / gamma_p
-    (h0, h1), (n0, n1), (d0, d1), _ = jet1
+    (h0, h1), (n0, n1), (d0, d1), sep = jet1
     nx, ny, nz = n0
+    if sep is None:
+        # a plane: n' = 0 and d = (0, 0), so gr = n and D = h'
+        return [h0 + h1 * g, h1, nx * g, ny * g, nz * g]
     gx, gy, gz = nx + n1[0] * g, ny + n1[1] * g, nz + n1[2] * g
     return [h0 + h1 * g, (gx * v[0] + gy * v[1] + gz * v[2]) + (d0 + d1 * g), nx * g, ny * g, nz * g]
 
@@ -65,26 +68,28 @@ def member_frame_rates(jet1, gamma_p: float, ctx: TrackContext):
     With :func:`~fwrta.constraints.member_jet`'s second orders at ``r2 = 0``,
     ``E' = tau (h' + h''/gamma_p) + n . dv/gamma_p`` and
     ``D' = tau ((n' + n''/gamma_p) . v + d' + d''/gamma_p) + gr . dv + x``,
-    ``x = (dv . delta - (n . dv) q') / (q gamma_p)`` for an obstacle, 0 for a plane.
+    ``x = (dv . delta - (n . dv) q') / (q gamma_p)`` for an obstacle.  A plane's
+    barrier is affine in ``r``: ``n`` is constant and ``d``, ``h''`` vanish, so its
+    rates are ``(h' + V R n . c1/gamma_p, V R n . c1)``, ``(n . c0/gamma_p, n . c0)``
+    and ``(-V n . c2/gamma_p, -V n . c2)``.
     """
     g = 1.0 / gamma_p
     (_, h1), (n0, n1), (_, d1), sep = jet1
-    v = ctx.v
     (ax, ay, az), (fx, fy, fz), (qx, qy, qz) = ctx.c0, ctx.c1, ctx.c2
-    (nx, ny, nz), (mx, my, mz) = n0, n1
-    gx, gy, gz = nx + mx * g, ny + my * g, nz + mz * g
+    nx, ny, nz = n0
     n_a, n_f, n_q = (nx * ax + ny * ay + nz * az), (nx * fx + ny * fy + nz * fz), (nx * qx + ny * qy + nz * qz)
-    r_a, r_f, r_q = (gx * ax + gy * ay + gz * az), (gx * fx + gy * fy + gz * fz), (gx * qx + gy * qy + gz * qz)
-    if sep is None:
-        # a plane's second order at r2 = 0, (n . r2, ZERO3, 0.0), the sign of its zero kept
-        h2, n2, d2 = (nx * 0.0 + ny * 0.0 + nz * 0.0), ZERO3, 0.0
-    else:
-        h2, n2, d2 = member_jet(jet1, ZERO3)
-        k, (lx, ly, lz) = g / sep[0], sep[1]
-        r_a += ((lx * ax + ly * ay + lz * az) - n_a * h1) * k
-        r_f += ((lx * fx + ly * fy + lz * fz) - n_f * h1) * k
-        r_q += ((lx * qx + ly * qy + lz * qz) - n_q * h1) * k
     V, VR = ctx.V_T, ctx.V_T * ctx.R
+    if sep is None:
+        return (h1 + VR * n_f * g, VR * n_f), (n_a * g, n_a), (-V * n_q * g, -V * n_q)
+    v = ctx.v
+    mx, my, mz = n1
+    gx, gy, gz = nx + mx * g, ny + my * g, nz + mz * g
+    r_a, r_f, r_q = (gx * ax + gy * ay + gz * az), (gx * fx + gy * fy + gz * fz), (gx * qx + gy * qy + gz * qz)
+    h2, n2, d2 = member_jet(jet1, ZERO3)
+    k, (lx, ly, lz) = g / sep[0], sep[1]
+    r_a += ((lx * ax + ly * ay + lz * az) - n_a * h1) * k
+    r_f += ((lx * fx + ly * fy + lz * fz) - n_f * h1) * k
+    r_q += ((lx * qx + ly * qy + lz * qz) - n_q * h1) * k
     e_d = ((mx + n2[0] * g) * v[0] + (my + n2[1] * g) * v[1] + (mz + n2[2] * g) * v[2]) + d1 + d2 * g
     return (h1 + h2 * g + VR * n_f * g, e_d + VR * r_f), (n_a * g, r_a), (-V * n_q * g, -V * r_q)
 

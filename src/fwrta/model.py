@@ -82,20 +82,30 @@ class AircraftState:
         return [self.n, self.e, self.d]
 
 
-@dataclass(frozen=True)
 class ControlInput:
-    """Longitudinal acceleration (m/s^2), roll rate and pitch rate (rad/s)."""
+    """Longitudinal acceleration (m/s^2), roll rate and pitch rate (rad/s).
 
-    A_T: float
-    P: float
-    Q: float
+    A value: it compares by its fields, and construction requires them finite.
+    """
 
-    def __post_init__(self):
-        if math.isfinite(self.A_T) and math.isfinite(self.P) and math.isfinite(self.Q):
-            return
-        for name in ("A_T", "P", "Q"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteValue(f"ControlInput.{name} must be finite")
+    __slots__ = ("A_T", "P", "Q")
+
+    def __init__(self, A_T: float, P: float, Q: float):
+        if not (math.isfinite(A_T) and math.isfinite(P) and math.isfinite(Q)):
+            for name, x in (("A_T", A_T), ("P", P), ("Q", Q)):
+                if not math.isfinite(x):
+                    raise NonFiniteValue(f"ControlInput.{name} must be finite")
+        self.A_T = A_T
+        self.P = P
+        self.Q = Q
+
+    def __eq__(self, other):
+        if other.__class__ is not ControlInput:
+            return NotImplemented
+        return (self.A_T, self.P, self.Q) == (other.A_T, other.P, other.Q)
+
+    def __repr__(self):
+        return f"ControlInput(A_T={self.A_T!r}, P={self.P!r}, Q={self.Q!r})"
 
     def as_tuple(self) -> tuple:
         return (self.A_T, self.P, self.Q)

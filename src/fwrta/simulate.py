@@ -34,16 +34,21 @@ from .scenario import MAX_SWEEP_STEPS, Scenario, scenario_from_dict
 from .tracking import GoalCommand, SafeVelocityCommand, track
 
 
-@dataclass
-class StepRecord:
-    u_d: tuple
-    u: tuple
-    h_p: float
-    h_members: tuple
-    h_mode: float
-    residual: float
-    warn: bool
-    intervening: bool
+def row_columns(m: int):
+    """Where each log column sits in the flat row a control step returns, for ``m``
+    constraint members, and the row's width: ``(columns, width)``, ``columns``
+    mapping each name to an index (a scalar) or a slice (a vector).
+
+    This is the one spelling of the row's order: ``u_d`` and ``u`` (3 each),
+    ``h_p``, the members' values, ``h_mode``, ``residual``, ``warn`` and
+    ``intervening``, the two flags as bools.
+    """
+    cols, i = {}, 0
+    for name, width in (("u_d", 3), ("u", 3), ("h_p", None), ("h_members", m), ("h_mode", None),
+                        ("residual", None), ("warn", None), ("intervening", None)):
+        cols[name] = i if width is None else slice(i, i + width)
+        i += 1 if width is None else width
+    return cols, i
 
 
 @dataclass
@@ -89,13 +94,14 @@ class Metrics:
 
 
 def make_controller(scn: Scenario):
-    """Per-step control law of the scenario: ``(x, t) -> StepRecord``, ``x`` a float 7-sequence."""
+    """Per-step control law of the scenario: ``(x, t) -> row``, ``x`` a float 7-sequence
+    and ``row`` the step's flat log row, in the order of :func:`row_columns`."""
     g = scn.gravity
     goal_cmd = GoalCommand(scn.goal, scn.tracking)
     if scn.mode == "modelfree":
         safe_cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
 
-    def control(x, t: float) -> StepRecord:
+    def control(x, t: float) -> tuple:
         # one frame per step: track builds it and hands it on in its result, which
         # the position barrier and the input filters read; modelfree builds it here
         # for its two tracks, which also share the goal jet the frame keeps
@@ -115,17 +121,10 @@ def make_controller(scn: Scenario):
             else:
                 h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
-        u_d, u = (tr_d.u.A_T, tr_d.u.P, tr_d.u.Q), (u.A_T, u.P, u.Q)
-        return StepRecord(
-            u_d=u_d,
-            u=u,
-            h_p=pos.value,
-            h_members=tuple(pos.per_constraint),
-            h_mode=h_mode,
-            residual=residual,
-            warn=warn,
-            intervening=u != u_d,
-        )
+        u_d = tr_d.u
+        A_T_d, P_d, Q_d, A_T, P, Q = u_d.A_T, u_d.P, u_d.Q, u.A_T, u.P, u.Q
+        intervening = A_T != A_T_d or P != P_d or Q != Q_d
+        return (A_T_d, P_d, Q_d, A_T, P, Q, pos.value, *pos.per_constraint, h_mode, residual, warn, intervening)
 
     return control
 
@@ -134,14 +133,18 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     """Run the scenario to its horizon (or abort) and return the log.
 
     Rows cover every control step plus one final row evaluated (but not
-    applied) at the horizon state.
+    applied) at the horizon state.  The rows become one float array at the
+    end of the run, and the log's columns are its slices.
     """
     control = make_controller(scn)
     n_steps = int(round(scn.t_final / scn.dt))
     dt = scn.dt
     g_d = scn.gravity.g_d
+    m = len(scn.cset.members)
+    cols, width = row_columns(m)
+    u_at = cols["u"]
 
-    rows: list[StepRecord] = []
+    rows: list[tuple] = []
     times: list[float] = []
     states: list[tuple] = []
     abort = None
@@ -153,18 +156,18 @@ def integrate(scn: Scenario) -> TrajectoryLog:
             abort = "non-finite state"
             break
         try:
-            rec = control(x, t)
+            row = control(x, t)
         except FwrtaError as exc:
             abort = f"{type(exc).__name__}: {exc}"
             break
         times.append(t)
         states.append(x)
-        rows.append(rec)
+        rows.append(row)
         if k == n_steps:
             break
-        x = kernels.rk4_step(x, rec.u, dt, g_d)
+        x = kernels.rk4_step(x, row[u_at], dt, g_d)
 
-    m = len(scn.cset.members)
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
     return TrajectoryLog(
         scenario=scn.name,
         mode=scn.mode,
@@ -172,14 +175,14 @@ def integrate(scn: Scenario) -> TrajectoryLog:
         member_count=m,
         t=np.asarray(times),
         x=np.asarray(states).reshape(-1, 7),
-        u_d=np.asarray([r.u_d for r in rows]).reshape(-1, 3),
-        u=np.asarray([r.u for r in rows]).reshape(-1, 3),
-        h_p=np.asarray([r.h_p for r in rows]),
-        h_members=np.asarray([r.h_members for r in rows]).reshape(-1, m),
-        h_mode=np.asarray([r.h_mode for r in rows]),
-        residual=np.asarray([r.residual for r in rows]),
-        warn=np.asarray([r.warn for r in rows], dtype=bool),
-        intervening=np.asarray([r.intervening for r in rows], dtype=bool),
+        u_d=table[:, cols["u_d"]],
+        u=table[:, u_at],
+        h_p=table[:, cols["h_p"]],
+        h_members=table[:, cols["h_members"]],
+        h_mode=table[:, cols["h_mode"]],
+        residual=table[:, cols["residual"]],
+        warn=table[:, cols["warn"]] != 0.0,
+        intervening=table[:, cols["intervening"]] != 0.0,
         abort=abort,
     )
 

@@ -8,7 +8,7 @@ from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, comp
 from fwrta.filters import filter_step
 from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.modelfree import safe_velocity_from_terms
-from fwrta.simulate import make_controller
+from fwrta.simulate import make_controller, row_columns
 from fwrta.tracking import SafeVelocityCommand, TrackingParams
 
 
@@ -106,9 +106,10 @@ def integrate_stage_controlled(scn, dt, t_final):
     """
     control = make_controller(scn)
     g_d = scn.gravity.g_d
+    u_at = row_columns(len(scn.cset.members))[0]["u"]
 
     def f(x, t):
-        return np.array(kernels.dubins_rhs(x, control(x, t).u, g_d))
+        return np.array(kernels.dubins_rhs(x, control(x, t)[u_at], g_d))
 
     x = scn.x0.as_array()
     for k in range(int(round(t_final / dt))):

@@ -56,6 +56,51 @@ class TestMember:
         assert got == pytest.approx(expected, rel=1e-14)
 
 
+def generic_extended_terms(jet1, v, gamma_p):
+    """:func:`member_extended_terms` as every member ran it before planes took their closed form."""
+    g = 1.0 / gamma_p
+    (h0, h1), (n0, n1), (d0, d1), _ = jet1
+    nx, ny, nz = n0
+    gx, gy, gz = nx + n1[0] * g, ny + n1[1] * g, nz + n1[2] * g
+    return [h0 + h1 * g, (gx * v[0] + gy * v[1] + gz * v[2]) + (d0 + d1 * g), nx * g, ny * g, nz * g]
+
+
+def generic_plane_frame_rates(jet1, gamma_p, ctx):
+    """:func:`member_frame_rates` of a plane as it ran before its closed form: the obstacle
+    formulas with the plane's second order ``(n . 0, ZERO3, 0.0)``."""
+    g = 1.0 / gamma_p
+    (_, h1), (n0, n1), (_, d1), _ = jet1
+    v = ctx.v
+    (ax, ay, az), (fx, fy, fz), (qx, qy, qz) = ctx.c0, ctx.c1, ctx.c2
+    (nx, ny, nz), (mx, my, mz) = n0, n1
+    gx, gy, gz = nx + mx * g, ny + my * g, nz + mz * g
+    n_a, n_f, n_q = (nx * ax + ny * ay + nz * az), (nx * fx + ny * fy + nz * fz), (nx * qx + ny * qy + nz * qz)
+    r_a, r_f, r_q = (gx * ax + gy * ay + gz * az), (gx * fx + gy * fy + gz * fz), (gx * qx + gy * qy + gz * qz)
+    h2, n2, d2 = (nx * 0.0 + ny * 0.0 + nz * 0.0), ZERO3, 0.0
+    V, VR = ctx.V_T, ctx.V_T * ctx.R
+    e_d = ((mx + n2[0] * g) * v[0] + (my + n2[1] * g) * v[1] + (mz + n2[2] * g) * v[2]) + d1 + d2 * g
+    return (h1 + h2 * g + VR * n_f * g, e_d + VR * r_f), (n_a * g, r_a), (-V * n_q * g, -V * r_q)
+
+
+def test_plane_closed_forms_match_generic_formulas(rng, gravity):
+    # a plane's gradient is constant and its time-partial zero: its closed-form terms and
+    # frame rates equal the obstacle formulas run with n' = 0, d = (0, 0) and a zero
+    # second order
+    planes = [TABLE_PLANE_2, GeofencePlane([0.0, 0.0, -50.0], [0.0, 0.0, 1.0], 0.0)]
+    for _ in range(20):
+        normal = rng.normal(size=3)
+        planes.append(GeofencePlane(rng.uniform(-3000, 3000, size=3), normal / np.linalg.norm(normal),
+                                    rng.uniform(0.0, 30.0)))
+    for plane in planes:
+        for _ in range(10):
+            ctx = TrackContext(random_state(rng), float(rng.uniform(0.0, 60.0)), gravity)
+            gamma_p = float(rng.uniform(0.05, 2.0))
+            jet = member_jet1(ctx.r, ctx.t, ctx.v, plane)
+            assert jet[1][1] == ZERO3 and jet[2] == (0.0, 0.0) and jet[3] is None
+            assert member_extended_terms(jet, ctx.v, gamma_p) == generic_extended_terms(jet, ctx.v, gamma_p)
+            assert member_frame_rates(jet, gamma_p, ctx) == generic_plane_frame_rates(jet, gamma_p, ctx)
+
+
 class TestComposed:
     def test_single_member_identity(self):
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)

@@ -11,8 +11,8 @@ import pytest
 from conftest import desired_velocity, safe_velocity, velocity
 from fwrta import constraints, filters, kernels, simulate, tracking
 from fwrta.cli import main as cli_main
-from fwrta.errors import FwrtaError, ScenarioError
-from fwrta.export import csv_header, write_csv, write_json, write_svg
+from fwrta.errors import FwrtaError, ScenarioError, SingularSpeed
+from fwrta.export import _Panel, csv_header, write_csv, write_json, write_svg
 from fwrta.backstepping import h_b, rta_backstepping
 from fwrta.constraints import compose_h_p
 from fwrta.extended import rta_extended
@@ -283,28 +283,35 @@ class TestIntegrate:
             assert np.linalg.norm(velocity(st)) == pytest.approx(st.V_T, rel=1e-12)
 
 
-# Upper bounds on the fwrta Python frames a control step enters, and on the
-# comprehension frames among them, on a 2 s horizon (a generator counts once per
-# resume).  Measured on CPython 3.11 with the per-step vectors and inner products
-# written as explicit components, the goal evaluated by one method call and every
-# composition of the members one softmin plus plain loops in member order:
-# fig3 33.03 / 0.04, fig4 31.03 / 0.04, fig5 54.03 / 0.04, fig6 48.03 / 0.04,
-# step_offset 20.01 / 0.01; the fractions are the run's own frames
-# (``integrate``, ``make_controller`` and the log's arrays) spread over its steps.
-# No comprehension is left in a step.  CPython 3.10 enters the same frames; from
+# Upper bounds on the fwrta Python frames a control step enters, on the
+# comprehension frames among them and on all Python frames it enters (the
+# dataclass-generated ``__init__``s, which live in "<string>", included), on a
+# 2 s horizon (a generator counts once per resume).  Measured on CPython 3.11
+# with the per-step vectors and inner products written as explicit components,
+# the goal evaluated by one method call, every composition of the members one
+# softmin plus plain loops in member order, ``ControlInput`` a slotted class and
+# the log row a flat tuple: fig3 33.00 / 0.00 / 36.00, fig4 31.00 / 0.00 / 34.00,
+# fig5 54.00 / 0.00 / 58.00, fig6 48.00 / 0.00 / 53.01, step_offset
+# 20.00 / 0.00 / 22.00; the fractions are the run's own frames (``integrate``,
+# ``make_controller`` and ``row_columns``) spread over its steps.  No
+# comprehension is left in a step.  CPython 3.10 enters the same frames; from
 # 3.12 on, list comprehensions are inlined (PEP 709), so the counts can only read
 # lower.
-STEP_FRAME_BOUNDS = {"fig3": (34, 1), "fig4": (32, 1), "fig5": (55, 1), "fig6": (49, 1), "step_offset": (21, 1)}
+STEP_FRAME_BOUNDS = {"fig3": (34, 1, 37), "fig4": (32, 1, 35), "fig5": (55, 1, 59), "fig6": (49, 1, 54),
+                     "step_offset": (21, 1, 23)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
 
 class TestStepRecord:
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_record_per_mode(self, name):
-        # the record at (x0, 0) is what the mode's production calls give
+        # the row at (x0, 0) is what the mode's production calls give
         scn = load_scenario(name)
         st, g = scn.x0, scn.gravity
-        rec = make_controller(scn)(st.as_array(), 0.0)
+        row = make_controller(scn)(st.as_array(), 0.0)
+        cols, width = simulate.row_columns(len(scn.cset.members))
+        assert type(row) is tuple and len(row) == width
+        rec = {name: row[at] for name, at in cols.items()}
         tr_d = track(st, 0.0, GoalCommand(scn.goal, scn.tracking), scn.tracking, g)
         pos = compose_h_p(tr_d.ctx, scn.cset)
         if scn.mode == "off":
@@ -322,15 +329,35 @@ class TestStepRecord:
                 _, res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep)
                 h_mode = h_b(ctx, scn.cset, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
-        np.testing.assert_array_equal(rec.u_d, tr_d.u.as_array())
-        np.testing.assert_array_equal(rec.u, u.as_array())
-        assert (rec.h_p, rec.h_members) == (pos.value, tuple(pos.per_constraint))
-        assert (rec.h_mode, rec.residual, rec.warn) == (h_mode, residual, warn)
-        assert rec.intervening == bool(np.any(np.array(rec.u) != np.array(rec.u_d)))
-        # the record holds Python floats, not numpy scalars or arrays
-        assert type(rec.u) is tuple and type(rec.u_d) is tuple
-        assert all(type(v) is float for v in (*rec.u, *rec.u_d, *rec.h_members))
-        assert all(type(v) is float for v in (rec.h_p, rec.h_mode, rec.residual))
+        np.testing.assert_array_equal(rec["u_d"], tr_d.u.as_array())
+        np.testing.assert_array_equal(rec["u"], u.as_array())
+        assert (rec["h_p"], rec["h_members"]) == (pos.value, tuple(pos.per_constraint))
+        assert (rec["h_mode"], rec["residual"], rec["warn"]) == (h_mode, residual, warn)
+        assert rec["intervening"] == bool(np.any(np.array(rec["u"]) != np.array(rec["u_d"])))
+        # the row holds Python floats and bools, not numpy scalars or arrays
+        assert all(type(v) is float for v in (*rec["u"], *rec["u_d"], *rec["h_members"]))
+        assert all(type(v) is float for v in (rec["h_p"], rec["h_mode"], rec["residual"]))
+        assert type(rec["warn"]) is bool and type(rec["intervening"]) is bool
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5", "fig6"])
+    def test_abort_at_step_zero_keeps_column_widths(self, name, monkeypatch):
+        # a run whose first control step fails logs no rows, with every column its width
+        scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 1.0})
+
+        def singular_track(*args, **kwargs):
+            raise SingularSpeed("V_T at the floor")
+
+        monkeypatch.setattr(simulate, "track", singular_track)
+        log = integrate(scn)
+        m = len(scn.cset.members)
+        assert log.abort == "SingularSpeed: V_T at the floor"
+        assert log.t.shape == log.h_p.shape == log.h_mode.shape == log.residual.shape == (0,)
+        assert log.warn.shape == log.intervening.shape == (0,)
+        assert log.warn.dtype == log.intervening.dtype == bool
+        assert log.x.shape == (0, 7) and log.u.shape == log.u_d.shape == (0, 3)
+        assert log.h_members.shape == (0, m)
+        with pytest.raises(FwrtaError, match="run produced no steps"):
+            metrics_from_log(log, scn)
 
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_frame_per_step(self, name, monkeypatch):
@@ -372,15 +399,17 @@ class TestStepRecord:
         monkeypatch.setattr(constraints, "h_geofence", counted_distance)
         # calls by code object, whatever name the caller imported them under
         watched = {f.__code__: f.__name__ for f in (constraints._unit_along, filters.softplus,
-                                                     constraints.softmin_weights)}
+                                                     constraints.softmin_weights, constraints.member_jet)}
         calls = dict.fromkeys(watched.values(), 0)
         package = os.path.dirname(constraints.__file__) + os.sep
-        frames = comprehensions = 0
+        frames = comprehensions = python_frames = 0
 
         def profile(frame, event, arg):
-            nonlocal frames, comprehensions
+            nonlocal frames, comprehensions, python_frames
             if event == "call":
                 code = frame.f_code
+                # every frame but this test's own counting wrappers
+                python_frames += code.co_filename != __file__
                 if code in watched:
                     calls[watched[code]] += 1
                 if code.co_filename.startswith(package):
@@ -401,22 +430,25 @@ class TestStepRecord:
         assert len(distances) == planes * len(log.t)
         n = len(log.t)
         # no per-element comprehension builds a 3- or 7-vector of the step
-        frame_bound, comprehension_bound = STEP_FRAME_BOUNDS[name]
+        frame_bound, comprehension_bound, python_bound = STEP_FRAME_BOUNDS[name]
         assert frames / n <= frame_bound
         assert comprehensions / n <= comprehension_bound
+        assert python_frames / n <= python_bound
         if name == "fig5":
-            # the backstepping rate reads each obstacle's jet through frame projections
-            # and the filter step's one softplus; the softmin composes the position
-            # barrier and the extension
-            assert calls == {"_unit_along": (len(scn.cset.members) - planes) * n, "softplus": n,
-                             "softmin_weights": 2 * n}
+            # the backstepping rate reads each obstacle's jet and second order through
+            # frame projections (a plane's rates are closed form) and the filter step's
+            # one softplus; the softmin composes the position barrier and the extension
+            obstacles = len(scn.cset.members) - planes
+            assert calls == {"_unit_along": obstacles * n, "softplus": n, "softmin_weights": 2 * n,
+                             "member_jet": obstacles * n}
         if name == "fig6":
-            # the safe command's second order extends each obstacle's frame jet
+            # the safe command's second order extends each obstacle's frame jet once,
             # without another tangent of its separation, and its first order the
             # frame's composition; the safe track's filter and the step's filter
             # each evaluate one softplus
-            assert calls == {"_unit_along": (len(scn.cset.members) - planes) * n, "softplus": 2 * n,
-                             "softmin_weights": n}
+            obstacles = len(scn.cset.members) - planes
+            assert calls == {"_unit_along": obstacles * n, "softplus": 2 * n, "softmin_weights": n,
+                             "member_jet": obstacles * n}
 
 
 class TestExport:
@@ -452,6 +484,19 @@ class TestExport:
         text = p.read_text()
         assert text.startswith("<svg") and text.endswith("</svg>")
         assert "polyline" in text
+
+
+    def test_svg_lines_at_pixel_resolution(self):
+        # a point is drawn only when it lies half a pixel or more from the last point drawn
+        panel = _Panel(10, 20, 100, 50, (0.0, 100.0), (0.0, 50.0), "panel")
+        xs = np.arange(0.0, 20.0, 0.125)
+        panel.line(xs, np.zeros_like(xs), "#000")
+        points = panel.parts[0].split('points="')[1].split('"')[0].split(" ")
+        assert points == [f"{10.0 + x:.2f},70.00" for x in np.arange(0.0, 20.0, 0.5)]
+        # a diagonal step of 0.3 px in each axis (0.42 px) is dropped, two of them are not
+        panel.parts.clear()
+        panel.line([0.0, 0.3, 0.6], [0.0, 0.3, 0.6], "#000")
+        assert 'points="10.00,70.00 10.60,69.40"' in panel.parts[0]
 
 
 class TestChecks:
