@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +84,11 @@ class _Panel:
         kept only when it lies at least half a pixel from the last point kept."""
         px = (self.x0 + (np.asarray(xs, dtype=float) - self.xmin) / (self.xmax - self.xmin) * self.w).tolist()
         py = (self.y0 + self.h - (np.asarray(ys, dtype=float) - self.ymin) / (self.ymax - self.ymin) * self.h).tolist()
-        pts = []
-        if px:
-            kx, ky = px[0], py[0]
-            pts.append(f"{kx:.2f},{ky:.2f}")
-            for x, y in zip(px, py):
-                dx, dy = x - kx, y - ky
-                if dx * dx + dy * dy >= 0.25:
-                    kx, ky = x, y
-                    pts.append(f"{x:.2f},{y:.2f}")
+        pts, kx, ky = [], math.inf, math.inf  # the first point is always kept
+        for x, y in zip(px, py):
+            if (x - kx) * (x - kx) + (y - ky) * (y - ky) >= 0.25:
+                kx, ky = x, y
+                pts.append(f"{x:.2f},{y:.2f}")
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{d} points="{" ".join(pts)}"/>'

@@ -16,9 +16,9 @@ columns and determinant (``det M_a = V_T^2``); its inverse has the rows
 columns, velocity and turn rate) on plain floats, its vectors held as
 float 3-lists; the whole control step reads it, and the filters and the
 tracking controller write its rates in closed form.  A control step
-reads the state as the integrator's float 7-tuple and the input
-dataclass field by field; their ``as_array`` spellings serve the edges
-(tests and analysis).
+reads the state as the integrator's float 7-tuple and the input, a
+slotted :class:`ControlInput`, field by field; their ``as_array``
+spellings serve the edges (tests and analysis).
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ command for ``u_d`` first, then reads the position barrier and its
 filter in that track's frame, and yields the applied input, its barrier,
 the filter's slack and warning flag; the filtered modes read the last
 two from the one :class:`~fwrta.filters.FilterResult` their filter
-returns, and one :class:`StepRecord` is built from them.  The state
-advances with the classic fourth-order step from
-:mod:`fwrta.kernels`.  The whole step runs over Python floats: the state
-travels as a float 7-tuple, the frame and every per-step formula hold
-float 3-lists, and the log's rows become arrays once, at the end of the
-run.  Runs are fully deterministic.  Singularities and a non-finite
+returns.  The step returns its log row as one flat tuple, in the column
+order :func:`row_columns` spells once.  The state advances with the
+classic fourth-order step from :mod:`fwrta.kernels`.  The whole step
+runs over Python floats: the state travels as a float 7-tuple, the frame
+and every per-step formula hold float 3-lists, and the log's rows become
+one float array once, at the end of the run, whose slices are the log's
+columns.  Runs are fully deterministic.  Singularities and a non-finite
 state abort the run with a partial log and a recorded reason.
 """
 

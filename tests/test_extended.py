@@ -57,7 +57,7 @@ class TestMember:
 
 
 def generic_extended_terms(jet1, v, gamma_p):
-    """:func:`member_extended_terms` as every member ran it before planes took their closed form."""
+    """:func:`member_extended_terms`' general (obstacle) formula, run on any member's jet."""
     g = 1.0 / gamma_p
     (h0, h1), (n0, n1), (d0, d1), _ = jet1
     nx, ny, nz = n0
@@ -66,8 +66,8 @@ def generic_extended_terms(jet1, v, gamma_p):
 
 
 def generic_plane_frame_rates(jet1, gamma_p, ctx):
-    """:func:`member_frame_rates` of a plane as it ran before its closed form: the obstacle
-    formulas with the plane's second order ``(n . 0, ZERO3, 0.0)``."""
+    """:func:`member_frame_rates`' general formulas run on a plane's jet, with the plane's
+    second order ``(n . 0, ZERO3, 0.0)`` and no separation term."""
     g = 1.0 / gamma_p
     (_, h1), (n0, n1), (_, d1), _ = jet1
     v = ctx.v

@@ -426,7 +426,8 @@ class TestStepRecord:
         assert len(builds) == len(jets) == len(log.t)
         assert states == []
         planes = sum(isinstance(m, constraints.GeofencePlane) for m in scn.cset.members)
-        assert len(separations) == (len(scn.cset.members) - planes) * len(log.t)
+        obstacles = len(scn.cset.members) - planes
+        assert len(separations) == obstacles * len(log.t)
         assert len(distances) == planes * len(log.t)
         n = len(log.t)
         # no per-element comprehension builds a 3- or 7-vector of the step
@@ -438,7 +439,6 @@ class TestStepRecord:
             # the backstepping rate reads each obstacle's jet and second order through
             # frame projections (a plane's rates are closed form) and the filter step's
             # one softplus; the softmin composes the position barrier and the extension
-            obstacles = len(scn.cset.members) - planes
             assert calls == {"_unit_along": obstacles * n, "softplus": n, "softmin_weights": 2 * n,
                              "member_jet": obstacles * n}
         if name == "fig6":
@@ -446,7 +446,6 @@ class TestStepRecord:
             # without another tangent of its separation, and its first order the
             # frame's composition; the safe track's filter and the step's filter
             # each evaluate one softplus
-            obstacles = len(scn.cset.members) - planes
             assert calls == {"_unit_along": obstacles * n, "softplus": 2 * n, "softmin_weights": n,
                              "member_jet": obstacles * n}
 
