@@ -1,15 +1,16 @@
 """Plain-float dynamics RHS and RK4 step of the seven-state model.
 
-``dubins_rhs`` is the one implementation of the state derivative: the
-integrator and the stage-controlled integrator both evaluate it.  Both
-functions run over Python floats: the state and the input are float
-sequences and the results are 7-tuples.  The RK4 stage states and the
-final combination are written out component by component, with no
-per-element comprehension, in the operation order of the classic array
-tableau, so they equal it bit for bit.  ``dubins_rhs`` reads only the
-attitude and speed, so the stage states carry the start position
-unchanged instead of advancing entries nothing reads.  The control laws
-read the same kinematics from the plain-float frame of
+The state derivative is written once, in :func:`_rhs`, over scalars: the
+attitude, the speed and the input as floats.  ``dubins_rhs`` is its entry
+point on a state and an input sequence, and ``rk4_step`` evaluates its
+four stages through ``_rhs`` directly, so no stage state is built or
+indexed.  Both run over Python floats and return 7-tuples.  The RK4 stage
+states and the final combination are written out component by
+component, with no per-element comprehension, in the operation order of
+the classic array tableau, so they equal it bit for bit.  The derivative
+reads only the attitude and speed, so the stages carry the start
+position unchanged instead of advancing entries nothing reads.  The
+control laws read the same kinematics from the plain-float frame of
 :class:`fwrta.model.TrackContext` and write its rates in closed form.
 """
 
@@ -18,9 +19,8 @@ from __future__ import annotations
 import math
 
 
-def dubins_rhs(x, u, g_d):
-    """State derivative of the seven-state kinematic fixed-wing model."""
-    phi, theta, psi, V_T = x[3], x[4], x[5], x[6]
+def _rhs(phi, theta, psi, V_T, A_T, P, Q, g_d):
+    """State derivative at the attitude, speed and input ``(A_T, P, Q)``, all floats."""
     s_phi, c_phi = math.sin(phi), math.cos(phi)
     s_th, c_th = math.sin(theta), math.cos(theta)
     s_psi, c_psi = math.sin(psi), math.cos(psi)
@@ -30,29 +30,35 @@ def dubins_rhs(x, u, g_d):
         V_T * c_th * c_psi,
         V_T * c_th * s_psi,
         -V_T * s_th,
-        u[1] + s_phi * t_th * u[2] + c_phi * t_th * R,
-        c_phi * u[2] - s_phi * R,
-        (s_phi * u[2] + c_phi * R) / c_th,
-        u[0],
+        P + s_phi * t_th * Q + c_phi * t_th * R,
+        c_phi * Q - s_phi * R,
+        (s_phi * Q + c_phi * R) / c_th,
+        A_T,
     )
+
+
+def dubins_rhs(x, u, g_d):
+    """State derivative of the seven-state kinematic fixed-wing model."""
+    return _rhs(x[3], x[4], x[5], x[6], u[0], u[1], u[2], g_d)
 
 
 def rk4_step(x, u, dt, g_d):
     """Classic fourth-order step with the input held constant."""
     h = 0.5 * dt
     x0, x1, x2, x3, x4, x5, x6 = x
-    a = dubins_rhs(x, u, g_d)
-    # dubins_rhs never reads the position, so the stages carry x0, x1, x2 as they are
-    b = dubins_rhs((x0, x1, x2, x3 + h * a[3], x4 + h * a[4], x5 + h * a[5], x6 + h * a[6]), u, g_d)
-    c = dubins_rhs((x0, x1, x2, x3 + h * b[3], x4 + h * b[4], x5 + h * b[5], x6 + h * b[6]), u, g_d)
-    d = dubins_rhs((x0, x1, x2, x3 + dt * c[3], x4 + dt * c[4], x5 + dt * c[5], x6 + dt * c[6]), u, g_d)
+    A_T, P, Q = u
+    a0, a1, a2, a3, a4, a5, a6 = _rhs(x3, x4, x5, x6, A_T, P, Q, g_d)
+    # the derivative never reads the position, so the stages carry x0, x1, x2 as they are
+    b0, b1, b2, b3, b4, b5, b6 = _rhs(x3 + h * a3, x4 + h * a4, x5 + h * a5, x6 + h * a6, A_T, P, Q, g_d)
+    c0, c1, c2, c3, c4, c5, c6 = _rhs(x3 + h * b3, x4 + h * b4, x5 + h * b5, x6 + h * b6, A_T, P, Q, g_d)
+    d0, d1, d2, d3, d4, d5, d6 = _rhs(x3 + dt * c3, x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, A_T, P, Q, g_d)
     s = dt / 6.0
     return (
-        x0 + s * (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0]),
-        x1 + s * (a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1]),
-        x2 + s * (a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2]),
-        x3 + s * (a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3]),
-        x4 + s * (a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4]),
-        x5 + s * (a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5]),
-        x6 + s * (a[6] + 2.0 * b[6] + 2.0 * c[6] + d[6]),
+        x0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+        x1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        x2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+        x3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+        x4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+        x5 + s * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+        x6 + s * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
     )

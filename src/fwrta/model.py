@@ -124,16 +124,20 @@ class TrackContext:
     earth frame), the inertial velocity and the coordinated turn rate,
     all from sines computed once here; the vectors ``r``, ``v``, ``c0``,
     ``c1`` and ``c2`` are float 3-lists.  Construction enforces the pitch
-    guard and the speed floor.  ``goal_jet`` and ``members`` start empty.
-    ``goal_jet`` keeps the step's goal jet once a command has built it;
-    ``members`` keeps the constraint members' jets and their one
-    composition once :func:`~fwrta.constraints.frame_jets` has built them.
+    guard and the speed floor.  The three per-frame memos ``goal_jet``,
+    ``members`` and ``filter0`` start empty.  ``goal_jet`` keeps the step's
+    goal jet once a command has built it; ``members`` keeps the constraint
+    members' jets and their one composition once
+    :func:`~fwrta.constraints.frame_jets` has built them; ``filter0`` keeps
+    the model-free filter's zeroth order of the goal command's ``v_d``
+    against that composition once :func:`~fwrta.modelfree.step_filter0`
+    has evaluated it.
     """
 
     __slots__ = (
         "t", "r", "V_T", "g_over_V",
         "s_ph", "c_ph", "s_th", "c_th", "t_th",
-        "c0", "c1", "c2", "v", "R", "goal_jet", "members",
+        "c0", "c1", "c2", "v", "R", "goal_jet", "members", "filter0",
     )
 
     def __init__(self, state, t: float, g: GravityParam):
@@ -159,3 +163,4 @@ class TrackContext:
         self.R = self.g_over_V * s_ph * c_th
         self.goal_jet = None
         self.members = None
+        self.filter0 = None

@@ -11,12 +11,16 @@ form in ``s``, ``g`` and ``v_d`` (:func:`filter_jet`).  The tracker
 flies it as a plain-float Taylor jet along the flown curve, written in
 scalar formulas: orders 0 and 1 when the command is built, the second
 order once the curve's acceleration is known.  The zeroth order is
-written once: :func:`safe_velocity_from_terms` returns it as a
+written once (:func:`_filter0`) and evaluated once per control step:
+:func:`step_filter0` keeps it on the step's
+:class:`~fwrta.model.TrackContext`, keyed by the composition, ``v_d``
+and the parameters it was evaluated for.
+:func:`safe_velocity_from_terms` returns it as a
 :class:`~fwrta.filters.FilterResult` (the safe velocity is its ``u``,
 the achieved margin its ``slack``), and :func:`filter_jet` extends its
-terms.  The
-Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
-certifies the tracked closed loop and is logged, not enforced.
+terms.  The Lyapunov-coupled monitor
+``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
+closed loop and is logged, not enforced.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ class ModelFreeParams:
 
 
 def _filter0(h0, g0, d0, u0, p: ModelFreeParams):
-    """The filter's zeroth order, for both :func:`safe_velocity_from_terms` and
-    :func:`filter_jet`: its :class:`~fwrta.filters.FilterResult` and, unless the
-    row is zero, the terms ``(P, gu, s, beta, q, softplus, m, k)`` the jet extends."""
+    """The filter's zeroth order, which :func:`filter_jet` extends: its
+    :class:`~fwrta.filters.FilterResult` and, unless the row is zero, the terms
+    ``(P, gu, s, beta, q, softplus, m, k)`` the jet extends."""
     ux, uy, uz = u0
     gx, gy, gz = g0
     P = ux * ux + uy * uy + uz * uz
@@ -71,18 +75,19 @@ def _filter0(h0, g0, d0, u0, p: ModelFreeParams):
     return FilterResult(v_s, a, lam, sp[1], bn2, a + lam * bn2, False), (P, gu, s, beta, q, sp, m, k)
 
 
-def filter_jet(u, h, g, d, p: ModelFreeParams):
+def filter_jet(zeroth, u, h, g, d, p: ModelFreeParams):
     """:func:`safe_velocity_from_terms`'s ``v_s`` as a vector jet ``(v_s, v_s')`` from the
     first-order jets of ``v_d``, ``h``, ``grad`` and ``dtp``, plus
     ``second(u2, h2, g2, d2)``, which maps their second orders to ``v_s''``.
 
-    With ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v``, the part of ``g``
-    across ``v_d`` is ``g - s v_d``, so ``|b|^2 = c |g|^2 + (1 - c) s (g . v_d)``
-    and ``v_s = v_d + lam ((1 - c) s v_d + c g)``; ``|g|^2`` is the rate
-    condition's.  Orders 1 and 2 extend the zeroth order's terms.
+    ``zeroth`` is :func:`_filter0` of the jets' zeroth orders (the step's is
+    :func:`step_filter0`'s); orders 1 and 2 extend its terms.  With
+    ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v``, the part of ``g`` across
+    ``v_d`` is ``g - s v_d``, so ``|b|^2 = c |g|^2 + (1 - c) s (g . v_d)`` and
+    ``v_s = v_d + lam ((1 - c) s v_d + c g)``; ``|g|^2`` is the rate condition's.
     """
-    (u0, u1), (h0, h1), (g0, g1), (d0, d1) = u, h, g, d
-    res, terms = _filter0(h0, g0, d0, u0, p)
+    (u0, u1), (_, h1), (g0, g1), (_, d1) = u, h, g, d
+    res, terms = zeroth
     if terms is None:
         return u, lambda u2, h2, g2, d2: u2
     P, gu, s, beta, q, (_, sl, cv), m, k = terms
@@ -122,14 +127,26 @@ def filter_jet(u, h, g, d, p: ModelFreeParams):
     return v_s, second
 
 
-def safe_velocity_from_terms(h_p_val: float, grad, dtp: float, v_d, p: ModelFreeParams) -> FilterResult:
-    """Filter a desired velocity (a float 3-sequence) given an already-composed barrier:
-    the zeroth order of :func:`filter_jet`.
+def step_filter0(ctx, pos, v_d, p: ModelFreeParams):
+    """:func:`_filter0` of the desired velocity ``v_d`` (a float 3-sequence) against the
+    composed barrier ``pos`` (a :class:`~fwrta.constraints.BarrierEval`), evaluated
+    once per frame: ``ctx.filter0`` keeps it with the ``pos``, ``v_d`` and ``p`` it
+    was evaluated for, and a later call on the same three reads it back."""
+    memo = ctx.filter0
+    if memo is None or memo[0] is not pos or memo[1] is not v_d or memo[2] is not p:
+        memo = ctx.filter0 = (pos, v_d, p, _filter0(pos.value, pos.gradient_r, pos.dt_partial, v_d, p))
+    return memo[3]
+
+
+def safe_velocity_from_terms(ctx, pos, v_d, p: ModelFreeParams) -> FilterResult:
+    """Filter a desired velocity (a float 3-sequence) against the frame's composed
+    barrier ``pos``: the zeroth order of :func:`filter_jet`, which the frame keeps
+    (:func:`step_filter0`).
 
     The result's ``u`` is the safe velocity ``v_s``, ``a`` the margin-reduced
     rate condition at ``v_d`` and ``slack`` the achieved margin.
     """
-    return _filter0(h_p_val, grad, dtp, v_d, p)[0]
+    return step_filter0(ctx, pos, v_d, p)[0]
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

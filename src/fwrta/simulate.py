@@ -105,15 +105,17 @@ def make_controller(scn: Scenario):
     def control(x, t: float) -> tuple:
         # one frame per step: track builds it and hands it on in its result, which
         # the position barrier and the input filters read; modelfree builds it here
-        # for its two tracks, which also share the goal jet the frame keeps
+        # for its two tracks, which also share the goal jet and the filter's zeroth
+        # order the frame keeps
         ctx = TrackContext(x, t, g) if scn.mode == "modelfree" else None
         tr_d = track(x, t, goal_cmd, scn.tracking, g, ctx=ctx)
         pos = compose_h_p(tr_d.ctx, scn.cset)
         if scn.mode == "off":
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":
+            # before the safe track, whose jet extends the zeroth order the frame keeps
+            res = safe_velocity_from_terms(ctx, pos, tr_d.v_c, scn.mf)
             tr = track(x, t, safe_cmd, scn.tracking, g, ctx=ctx)
-            res = safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, tr_d.v_c, scn.mf)
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
             residual, warn = res.slack, res.infeasible
         else:

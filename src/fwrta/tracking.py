@@ -29,7 +29,11 @@ softmin stages start from what the step's
 the goal command's own jet, each member's first-order jet
 (:func:`~fwrta.constraints.frame_jets`) and the position barrier's
 composition (:func:`~fwrta.constraints.compose_h_p`), whose zeroth
-orders and weights the softmin stage extends.
+orders and weights the softmin stage extends.  The filter stage extends
+the filter's zeroth order the frame keeps
+(:func:`~fwrta.modelfree.step_filter0`), which the step's
+``safe_velocity_from_terms`` has already evaluated.  :class:`TrackResult`
+is built positionally.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from .constraints import ZERO3, ConstraintSet, compose_h_p, compose_jets, finite_vec3, frame_jets
 from .filters import check_positive
 from .model import ControlInput, GravityParam, TrackContext
-from .modelfree import ModelFreeParams, filter_jet
+from .modelfree import ModelFreeParams, filter_jet, step_filter0
 
 
 @dataclass(frozen=True)
@@ -166,11 +170,11 @@ class SafeVelocityCommand:
     def command_jet(self, ctx: TrackContext):
         # orders 0 and 1 along (r + tau v + tau^2 v_dot / 2, t + tau) now; the
         # second order waits in the rate map until the tracker knows v_dot
-        K_r = self.params.K_r
+        K_r, cset, mf = self.params.K_r, self.cset, self.mf
         v_d = _step_goal_jet(self.goal, K_r, ctx)
-        cset = self.cset
-        h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), compose_h_p(ctx, cset), cset.kappa)
-        v_s, filter_second = filter_jet(v_d[:2], h, grad, dtp, self.mf)
+        pos = compose_h_p(ctx, cset)
+        h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), pos, cset.kappa)
+        v_s, filter_second = filter_jet(step_filter0(ctx, pos, v_d[0], mf), v_d[:2], h, grad, dtp, mf)
         (kx, ky, kz), ((k00, k01, k02), (k10, k11, k12), (k20, k21, k22)) = v_d[2], K_r
 
         def rate(v_dot):
@@ -197,7 +201,29 @@ class TrackResult:
     ctx: TrackContext
 
 
-def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams) -> TrackResult:
+def solve_roll_qp(a_P: float, b_P: float) -> float:
+    """Minimum-magnitude roll rate with ``a_P + b_P P <= 0``."""
+    if b_P == 0.0:
+        return 0.0
+    return min(0.0, -a_P) / b_P
+
+
+def track(
+    state,
+    t: float,
+    cmd: VelocityCommand,
+    params: TrackingParams,
+    g: GravityParam,
+    ctx: TrackContext | None = None,
+) -> TrackResult:
+    """Full control input ``(A_T, P, Q)`` tracking the velocity command from the 7-sequence ``state``.
+
+    Pass a prebuilt :class:`TrackContext` to share the state-side work
+    when tracking several commands at the same ``(x, t)``; the result
+    carries the frame, which the input filters read.
+    """
+    if ctx is None:
+        ctx = TrackContext(state, t, g)
     v_c, a_c, rate = cmd.command_jet(ctx)
     (c0x, c0y, c0z), (c1x, c1y, c1z), (c2x, c2y, c2z) = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
@@ -243,40 +269,5 @@ def _track_with(ctx: TrackContext, cmd: VelocityCommand, params: TrackingParams)
     b_P = gap * (g_Rd - g_R) / mu
     P = solve_roll_qp(a_P, b_P)
     V = 0.5 * e_v_sq + gap * gap / (2.0 * mu)
-    return TrackResult(
-        u=ControlInput(A_T, P, Q),
-        V=V,
-        R_d=R_d,
-        residual=a_P + b_P * P,
-        v_c=v_c,
-        a_c=a_c,
-        a_P=a_P,
-        b_P=b_P,
-        ctx=ctx,
-    )
-
-
-def solve_roll_qp(a_P: float, b_P: float) -> float:
-    """Minimum-magnitude roll rate with ``a_P + b_P P <= 0``."""
-    if b_P == 0.0:
-        return 0.0
-    return min(0.0, -a_P) / b_P
-
-
-def track(
-    state,
-    t: float,
-    cmd: VelocityCommand,
-    params: TrackingParams,
-    g: GravityParam,
-    ctx: TrackContext | None = None,
-) -> TrackResult:
-    """Full control input ``(A_T, P, Q)`` tracking the velocity command from the 7-sequence ``state``.
-
-    Pass a prebuilt :class:`TrackContext` to share the state-side work
-    when tracking several commands at the same ``(x, t)``; the result
-    carries the frame, which the input filters read.
-    """
-    if ctx is None:
-        ctx = TrackContext(state, t, g)
-    return _track_with(ctx, cmd, params)
+    # positional: keyword arguments cost a dataclass __init__ three times as much
+    return TrackResult(ControlInput(A_T, P, Q), V, R_d, a_P + b_P * P, v_c, a_c, a_P, b_P, ctx)

@@ -93,8 +93,8 @@ def apply_filter(u_d, a, b_raw, weight, nu=None):
 
 def safe_velocity(r, t, v_d, cset, p):
     """The model-free filter of ``v_d`` against the composed position barrier at ``(r, t)``."""
-    pos = compose_h_p(frame_at(r, t), cset)
-    return safe_velocity_from_terms(pos.value, pos.gradient_r, pos.dt_partial, v_d, p)
+    ctx = frame_at(r, t)
+    return safe_velocity_from_terms(ctx, compose_h_p(ctx, cset), v_d, p)
 
 
 def integrate_stage_controlled(scn, dt, t_final):

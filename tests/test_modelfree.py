@@ -8,7 +8,7 @@ import dualnum as dm
 from conftest import frame_at, random_constraint_set, safe_velocity
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.errors import InvalidGainOrdering, ZeroDesiredVelocity
-from fwrta.modelfree import ModelFreeParams, filter_jet, h_V, safe_velocity_from_terms
+from fwrta.modelfree import ModelFreeParams, _filter0, filter_jet, h_V
 
 TABLE = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=4.0, nu_v=0.007)
 
@@ -148,8 +148,8 @@ def _filter_oracle(jets, tangents, p):
 @pytest.mark.parametrize("Gamma_v", [0.25, 1.0, 4.0], ids=["c-above-1", "c-1", "c-below-1"])
 def test_filter_jet_matches_terms_and_dual_oracle(rng, Gamma_v):
     # c = 1/Gamma_v on either side of 1 and at 1, in both softplus branches:
-    # the value is safe_velocity_from_terms', the one zeroth order; the first order and
-    # the deferred second order along the curve against the curvature Dual of
+    # the value is the zeroth order's the jet extends; the first order and the
+    # deferred second order along the curve against the curvature Dual of
     # dual_formulas.filter_core, h[:, 0] + e[:, 1:] @ [1]
     p = ModelFreeParams(gamma_p=0.1, sigma=3.0, Gamma_v=Gamma_v, nu_v=0.007)
     seen = {True: 0, False: 0}
@@ -157,9 +157,9 @@ def test_filter_jet_matches_terms_and_dual_oracle(rng, Gamma_v):
         jets, tangents, a = _random_filter_jets(rng, p)
         seen[a < 0.0] += 1
         (u, h, g, d), second_orders = _curve_jets(jets, tangents)
-        v_s, second = filter_jet(u, h, g, d, p)
-        plain = safe_velocity_from_terms(h[0], g[0], d[0], u[0], p)
-        assert v_s[0] == plain.u
+        zeroth = _filter0(h[0], g[0], d[0], u[0], p)
+        v_s, second = filter_jet(zeroth, u, h, g, d, p)
+        assert v_s[0] is zeroth[0].u
         ref = _filter_oracle(jets, tangents, p)
         got = (v_s[1], second(*second_orders))
         for part, x, y in zip(("first", "second"), got, (ref.e[:, 0], ref.h[:, 0] + ref.e[:, 1:] @ [1.0])):
@@ -175,10 +175,11 @@ def test_filter_jet_zero_row_returns_the_desired_jet(rng, Gamma_v):
     for _ in range(10):
         jets, tangents, _ = _random_filter_jets(rng, p, zero_row=True)
         (u, h, g, d), second_orders = _curve_jets(jets, tangents)
-        v_s, second = filter_jet(u, h, g, d, p)
+        zeroth = _filter0(h[0], g[0], d[0], u[0], p)
+        v_s, second = filter_jet(zeroth, u, h, g, d, p)
         assert v_s is u
         assert second(*second_orders) == second_orders[0]
-        assert safe_velocity_from_terms(h[0], g[0], d[0], u[0], p).u == u[0]
+        assert zeroth[0].u == u[0]
         ref = _filter_oracle(jets, tangents, p)
         np.testing.assert_array_equal(ref.v, u[0])
         np.testing.assert_array_equal(ref.h[:, 0] + ref.e[:, 1:] @ [1.0], second_orders[0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import desired_velocity, safe_velocity, velocity
-from fwrta import constraints, filters, kernels, simulate, tracking
+from fwrta import constraints, filters, kernels, modelfree, simulate, tracking
 from fwrta.cli import main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError, SingularSpeed
 from fwrta.export import _Panel, csv_header, write_csv, write_json, write_svg
@@ -289,16 +289,17 @@ class TestIntegrate:
 # 2 s horizon (a generator counts once per resume).  Measured on CPython 3.11
 # with the per-step vectors and inner products written as explicit components,
 # the goal evaluated by one method call, every composition of the members one
-# softmin plus plain loops in member order, ``ControlInput`` a slotted class and
-# the log row a flat tuple: fig3 33.00 / 0.00 / 36.00, fig4 31.00 / 0.00 / 34.00,
-# fig5 54.00 / 0.00 / 58.00, fig6 48.00 / 0.00 / 53.01, step_offset
-# 20.00 / 0.00 / 22.00; the fractions are the run's own frames (``integrate``,
-# ``make_controller`` and ``row_columns``) spread over its steps.  No
-# comprehension is left in a step.  CPython 3.10 enters the same frames; from
-# 3.12 on, list comprehensions are inlined (PEP 709), so the counts can only read
-# lower.
-STEP_FRAME_BOUNDS = {"fig3": (34, 1, 37), "fig4": (32, 1, 35), "fig5": (55, 1, 59), "fig6": (49, 1, 54),
-                     "step_offset": (21, 1, 23)}
+# softmin plus plain loops in member order, ``ControlInput`` a slotted class,
+# the log row a flat tuple, ``track`` one frame per call and one model-free
+# filter zeroth order per step (so one ``FilterResult.__init__``): fig3
+# 32.00 / 0.00 / 35.00, fig4 30.00 / 0.00 / 33.00, fig5 53.00 / 0.00 / 57.00,
+# fig6 46.00 / 0.00 / 50.01, step_offset 19.00 / 0.00 / 21.00; the fractions are
+# the run's own frames (``integrate``, ``make_controller`` and ``row_columns``)
+# spread over its steps.  No comprehension is left in a step.  CPython 3.10
+# enters the same frames; from 3.12 on, list comprehensions are inlined
+# (PEP 709), so the counts can only read lower.
+STEP_FRAME_BOUNDS = {"fig3": (33, 1, 36), "fig4": (31, 1, 34), "fig5": (54, 1, 58), "fig6": (47, 1, 51),
+                     "step_offset": (20, 1, 22)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
 
@@ -399,7 +400,8 @@ class TestStepRecord:
         monkeypatch.setattr(constraints, "h_geofence", counted_distance)
         # calls by code object, whatever name the caller imported them under
         watched = {f.__code__: f.__name__ for f in (constraints._unit_along, filters.softplus,
-                                                     constraints.softmin_weights, constraints.member_jet)}
+                                                     constraints.softmin_weights, constraints.member_jet,
+                                                     modelfree._filter0)}
         calls = dict.fromkeys(watched.values(), 0)
         package = os.path.dirname(constraints.__file__) + os.sep
         frames = comprehensions = python_frames = 0
@@ -440,14 +442,17 @@ class TestStepRecord:
             # frame projections (a plane's rates are closed form) and the filter step's
             # one softplus; the softmin composes the position barrier and the extension
             assert calls == {"_unit_along": obstacles * n, "softplus": n, "softmin_weights": 2 * n,
-                             "member_jet": obstacles * n}
-        if name == "fig6":
+                             "member_jet": obstacles * n, "_filter0": 0}
+        elif name == "fig6":
             # the safe command's second order extends each obstacle's frame jet once,
             # without another tangent of its separation, and its first order the
-            # frame's composition; the safe track's filter and the step's filter
-            # each evaluate one softplus
-            assert calls == {"_unit_along": obstacles * n, "softplus": 2 * n, "softmin_weights": n,
-                             "member_jet": obstacles * n}
+            # frame's composition; the filter's zeroth order, with its one softplus,
+            # is evaluated once, by the step's filter, and the safe track's jet
+            # extends the one the frame keeps
+            assert calls == {"_unit_along": obstacles * n, "softplus": n, "softmin_weights": n,
+                             "member_jet": obstacles * n, "_filter0": n}
+        else:
+            assert calls["_filter0"] == 0
 
 
 class TestExport:

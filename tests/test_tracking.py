@@ -18,11 +18,11 @@ from conftest import (
     turn_rate,
     velocity,
 )
-from fwrta import constraints, kernels
+from fwrta import constraints, kernels, modelfree
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.errors import CoincidentPosition, ZeroDesiredVelocity
 from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
-from fwrta.modelfree import ModelFreeParams
+from fwrta.modelfree import ModelFreeParams, safe_velocity_from_terms
 from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
@@ -456,6 +456,43 @@ def test_frame_keeps_the_composition_of_its_constraint_set(rng, gravity, monkeyp
         assert compose_h_p(shared, cset) is kept
         assert cmd.command_jet(shared)[:2] == got[:2]
         assert len(separations) == evaluated
+
+
+def test_frame_keeps_one_filter_zeroth_order_per_key(rng, gravity, monkeypatch):
+    # the step's safe_velocity_from_terms and the safe command's jet on one frame
+    # read one zeroth order, the same FilterResult, evaluated once; a second v_d or
+    # second ModelFreeParams on that frame evaluates its own, as on a fresh frame
+    mf, other_mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007), ModelFreeParams(0.1, 2.0, 4.0, 0.007)
+    cset = planar_cset()
+    goal_cmd, safe = GoalCommand(EAST_GOAL, TABLE), SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf)
+    zeroth, evaluated = modelfree._filter0, []
+
+    def counted(*args):
+        evaluated.append(args)
+        return zeroth(*args)
+
+    def fresh(st, t, v_d, p):
+        ctx = TrackContext(st, t, gravity)
+        return safe_velocity_from_terms(ctx, compose_h_p(ctx, cset), v_d, p)
+
+    monkeypatch.setattr(modelfree, "_filter0", counted)
+    for _ in range(20):
+        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
+        t = float(rng.uniform(0.0, 10.0))
+        shared = TrackContext(st, t, gravity)
+        v_d = goal_cmd.command_jet(shared)[0]
+        pos = compose_h_p(shared, cset)
+        evaluated.clear()
+        res = safe_velocity_from_terms(shared, pos, v_d, mf)
+        v_s = safe.command_jet(shared)[0]
+        assert len(evaluated) == 1
+        assert v_s is res.u and safe_velocity_from_terms(shared, pos, v_d, mf) is res
+        assert len(evaluated) == 1
+        keys = (([1.1 * v_d[0], v_d[1] - 5.0, v_d[2]], mf), (v_d, other_mf))
+        got = [safe_velocity_from_terms(shared, pos, v, p) for v, p in keys]
+        assert len(evaluated) == 3
+        for (v, p), own in zip(keys, got):
+            assert own != res and own == fresh(st, t, v, p)
 
 
 def test_tracking_params_validation():
