@@ -60,6 +60,12 @@ def _cmd_check(args) -> int:
     return 0 if passed else 1
 
 
+# the Metrics fields a sweep row gives after the swept value, in column order; the
+# aborted flag is written as 0/1
+SWEEP_FIELDS = ("min_h_p", "min_h_mode", "intervention_time", "max_abs_A_T", "max_abs_P", "max_abs_Q",
+                "final_pos_err", "warning_count", "aborted")
+
+
 def _cmd_sweep(args) -> int:
     scn_path = args.scenario
     scn = load_scenario(scn_path)
@@ -67,17 +73,10 @@ def _cmd_sweep(args) -> int:
     out = Path(_out_dir(args))
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scn.name}_sweep_{args.param.replace('.', '_').replace('[', '_').replace(']', '')}.csv"
-    header = (
-        "value,min_h_p,min_h_mode,intervention_time,max_abs_A_T,max_abs_P,max_abs_Q,"
-        "final_pos_err,warning_count,aborted"
-    )
-    lines = [header]
+    lines = [",".join(("value", *SWEEP_FIELDS))]
     for v, met in rows:
-        lines.append(
-            f"{v!r},{met.min_h_p!r},{met.min_h_mode!r},{met.intervention_time!r},"
-            f"{met.max_abs_A_T!r},{met.max_abs_P!r},{met.max_abs_Q!r},"
-            f"{met.final_pos_err!r},{met.warning_count},{int(met.aborted)}"
-        )
+        cells = (v, *(getattr(met, name) for name in SWEEP_FIELDS))
+        lines.append(",".join(repr(int(c) if type(c) is bool else c) for c in cells))
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     for line in lines:

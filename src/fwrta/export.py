@@ -1,12 +1,16 @@
 """Trajectory log export: CSV (fixed column contract), JSON and SVG.
 
-CSV columns, in order::
+The CSV and the JSON follow :data:`~fwrta.simulate.LOG_COLUMNS`, the one
+table of the log's columns: each writes ``t`` and ``x`` first and then the
+table's columns in its order, the CSV only those that carry a CSV header.
+The CSV's columns, in order::
 
     t,n,e,d,phi,theta,psi,V_T,A_T_d,P_d,Q_d,A_T,P,Q,h_p,h_1..h_N,h_mode,intervening
 
-Floats are written with shortest round-trip ``repr``, so identical runs
-produce byte-identical files.  The JSON log is one line, written by the
-standard library's C encoder.
+The JSON's ``columns`` hold every column of the log by its table name.
+Flags are written as 0/1, and floats with shortest round-trip ``repr``
+(the JSON's by the standard library's C encoder, on one line), so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,23 +24,29 @@ import numpy as np
 
 from .constraints import GeofencePlane, MovingObstacle
 from .scenario import Scenario
-from .simulate import Metrics, TrajectoryLog
+from .simulate import LOG_COLUMNS, MEMBERS, Metrics, TrajectoryLog
+
+
+def _written(column: np.ndarray) -> np.ndarray:
+    """A log column as the exports write it: a flag as 0/1."""
+    return column.astype(int) if column.dtype == bool else column
 
 
 def csv_header(member_count: int) -> str:
-    mems = ",".join(f"h_{i + 1}" for i in range(member_count))
-    return f"t,n,e,d,phi,theta,psi,V_T,A_T_d,P_d,Q_d,A_T,P,Q,h_p,{mems},h_mode,intervening"
+    names = ["t,n,e,d,phi,theta,psi,V_T"]
+    for _, width, _, csv in LOG_COLUMNS:
+        if csv is not None:
+            names.append(",".join(csv.format(i + 1) for i in range(member_count)) if width is MEMBERS else csv)
+    return ",".join(names)
 
 
 def write_csv(log: TrajectoryLog, path: str | Path) -> Path:
     path = Path(path)
-    lines = [csv_header(log.member_count)]
-    # one tolist() per column: the rows hold Python floats, whose repr is the format
-    cols = (log.t, log.x, log.u_d, log.u, log.h_p, log.h_members, log.h_mode, log.intervening)
-    for t, x, u_d, u, h_p, h_m, h_mode, flag in zip(*(c.tolist() for c in cols)):
-        row = ",".join(map(repr, [t, *x, *u_d, *u, h_p, *h_m, h_mode]))
-        lines.append(row + (",1" if flag else ",0"))
-    path.write_text("\n".join(lines) + "\n")
+    arrays = [log.t, log.x] + [_written(log.columns[name]) for name, _, _, csv in LOG_COLUMNS if csv is not None]
+    # one tolist() per CSV column: its values are Python floats and ints, whose repr
+    # is the format
+    fields = [map(repr, c) for a in arrays for c in (a.T.tolist() if a.ndim == 2 else [a.tolist()])]
+    path.write_text("\n".join([csv_header(log.member_count), *map(",".join, zip(*fields))]) + "\n")
     return path
 
 
@@ -48,17 +58,8 @@ def write_json(log: TrajectoryLog, met: Metrics, path: str | Path) -> Path:
         "mode": log.mode,
         "dt": log.dt,
         "abort": log.abort,
-        "columns": {
-            "t": log.t.tolist(),
-            "x": log.x.tolist(),
-            "u_d": log.u_d.tolist(),
-            "u": log.u.tolist(),
-            "h_p": log.h_p.tolist(),
-            "h_members": log.h_members.tolist(),
-            "h_mode": log.h_mode.tolist(),
-            "intervening": log.intervening.astype(int).tolist(),
-            "warn": log.warn.astype(int).tolist(),
-        },
+        "columns": {"t": log.t.tolist(), "x": log.x.tolist(),
+                    **{name: _written(c).tolist() for name, c in log.columns.items()}},
         "metrics": {k: v for k, v in dataclasses.asdict(met).items() if k != "p_dev_bit_exact"},
     }
     path.write_text(json.dumps(doc))

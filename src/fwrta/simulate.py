@@ -7,8 +7,9 @@ command for ``u_d`` first, then reads the position barrier and its
 filter in that track's frame, and yields the applied input, its barrier,
 the filter's slack and warning flag; the filtered modes read the last
 two from the one :class:`~fwrta.filters.FilterResult` their filter
-returns.  The step returns its log row as one flat tuple, in the column
-order :func:`row_columns` spells once.  The state advances with the
+returns.  The step returns its log row as one flat tuple, in the order of
+:data:`LOG_COLUMNS`, the one table of the log's columns, which the log
+and its CSV and JSON exports follow too.  The state advances with the
 classic fourth-order step from :mod:`fwrta.kernels`.  The whole step
 runs over Python floats: the state travels as a float 7-tuple, the frame
 and every per-step formula hold float 3-lists, and the log's rows become
@@ -35,26 +36,44 @@ from .scenario import MAX_SWEEP_STEPS, Scenario, scenario_from_dict
 from .tracking import GoalCommand, SafeVelocityCommand, track
 
 
-def row_columns(m: int):
-    """Where each log column sits in the flat row a control step returns, for ``m``
-    constraint members, and the row's width: ``(columns, width)``, ``columns``
-    mapping each name to an index (a scalar) or a slice (a vector).
+# The log's columns after ``t`` and ``x``, in the order of a control step's row: each
+# column's name, its width (1 for a scalar, 3, or MEMBERS for one per constraint
+# member), its dtype (bool for a flag) and its CSV header (None where the CSV does
+# not carry it; a per-member column numbers its members' names from 1).  This table
+# is the one spelling of the log's layout: the row, TrajectoryLog's columns, the CSV
+# and the JSON all follow it.
+MEMBERS = "members"
+LOG_COLUMNS = (
+    ("u_d", 3, float, "A_T_d,P_d,Q_d"),
+    ("u", 3, float, "A_T,P,Q"),
+    ("h_p", 1, float, "h_p"),
+    ("h_members", MEMBERS, float, "h_{}"),
+    ("h_mode", 1, float, "h_mode"),
+    ("residual", 1, float, None),
+    ("intervening", 1, bool, "intervening"),
+    ("warn", 1, bool, None),
+)
 
-    This is the one spelling of the row's order: ``u_d`` and ``u`` (3 each),
-    ``h_p``, the members' values, ``h_mode``, ``residual``, ``warn`` and
-    ``intervening``, the two flags as bools.
-    """
+
+def row_columns(m: int):
+    """Where each :data:`LOG_COLUMNS` column sits in the flat row a control step
+    returns, for ``m`` constraint members, and the row's width: ``(columns, width)``,
+    ``columns`` mapping each name to an index (a scalar) or a slice (a vector)."""
     cols, i = {}, 0
-    for name, width in (("u_d", 3), ("u", 3), ("h_p", None), ("h_members", m), ("h_mode", None),
-                        ("residual", None), ("warn", None), ("intervening", None)):
-        cols[name] = i if width is None else slice(i, i + width)
-        i += 1 if width is None else width
+    for name, width, _, _ in LOG_COLUMNS:
+        w = m if width is MEMBERS else width
+        cols[name] = i if width == 1 else slice(i, i + w)
+        i += w
     return cols, i
 
 
 @dataclass
 class TrajectoryLog:
-    """Time-indexed record of one run (fixed cadence, monotone time)."""
+    """Time-indexed record of one run (fixed cadence, monotone time).
+
+    ``columns`` holds the row's columns by their :data:`LOG_COLUMNS` names, in
+    its order, and each reads as an attribute too (``log.u``, ``log.warn``).
+    """
 
     scenario: str
     mode: str
@@ -62,15 +81,15 @@ class TrajectoryLog:
     member_count: int
     t: np.ndarray
     x: np.ndarray
-    u_d: np.ndarray
-    u: np.ndarray
-    h_p: np.ndarray
-    h_members: np.ndarray
-    h_mode: np.ndarray
-    residual: np.ndarray
-    warn: np.ndarray
-    intervening: np.ndarray
+    columns: dict
     abort: str | None = None
+
+    def __getattr__(self, name: str):
+        # reached only for names that are not fields
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 @dataclass
@@ -96,7 +115,7 @@ class Metrics:
 
 def make_controller(scn: Scenario):
     """Per-step control law of the scenario: ``(x, t) -> row``, ``x`` a float 7-sequence
-    and ``row`` the step's flat log row, in the order of :func:`row_columns`."""
+    and ``row`` the step's flat log row, in the order of :data:`LOG_COLUMNS`."""
     g = scn.gravity
     goal_cmd = GoalCommand(scn.goal, scn.tracking)
     if scn.mode == "modelfree":
@@ -127,7 +146,7 @@ def make_controller(scn: Scenario):
         u_d = tr_d.u
         A_T_d, P_d, Q_d, A_T, P, Q = u_d.A_T, u_d.P, u_d.Q, u.A_T, u.P, u.Q
         intervening = A_T != A_T_d or P != P_d or Q != Q_d
-        return (A_T_d, P_d, Q_d, A_T, P, Q, pos.value, *pos.per_constraint, h_mode, residual, warn, intervening)
+        return (A_T_d, P_d, Q_d, A_T, P, Q, pos.value, *pos.per_constraint, h_mode, residual, intervening, warn)
 
     return control
 
@@ -148,7 +167,6 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     u_at = cols["u"]
 
     rows: list[tuple] = []
-    times: list[float] = []
     states: list[tuple] = []
     abort = None
 
@@ -163,29 +181,23 @@ def integrate(scn: Scenario) -> TrajectoryLog:
         except FwrtaError as exc:
             abort = f"{type(exc).__name__}: {exc}"
             break
-        times.append(t)
         states.append(x)
         rows.append(row)
         if k == n_steps:
             break
         x = kernels.rk4_step(x, row[u_at], dt, g_d)
 
-    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    n = len(rows)
+    table = np.array(rows, dtype=float).reshape(n, width)
     return TrajectoryLog(
         scenario=scn.name,
         mode=scn.mode,
         dt=dt,
         member_count=m,
-        t=np.asarray(times),
+        # float(k) * dt rounded once, as the loop's k * dt: the same bits
+        t=np.arange(n) * dt,
         x=np.asarray(states).reshape(-1, 7),
-        u_d=table[:, cols["u_d"]],
-        u=table[:, u_at],
-        h_p=table[:, cols["h_p"]],
-        h_members=table[:, cols["h_members"]],
-        h_mode=table[:, cols["h_mode"]],
-        residual=table[:, cols["residual"]],
-        warn=table[:, cols["warn"]] != 0.0,
-        intervening=table[:, cols["intervening"]] != 0.0,
+        columns={name: table[:, cols[name]].astype(dtype, copy=False) for name, _, dtype, _ in LOG_COLUMNS},
         abort=abort,
     )
 

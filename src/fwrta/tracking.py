@@ -43,7 +43,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .constraints import ZERO3, ConstraintSet, compose_h_p, compose_jets, finite_vec3, frame_jets
+from .constraints import ZERO3, ConstraintSet, compose_jets, finite_vec3, frame_jets
 from .filters import check_positive
 from .model import ControlInput, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, filter_jet, step_filter0
@@ -172,8 +172,9 @@ class SafeVelocityCommand:
         # second order waits in the rate map until the tracker knows v_dot
         K_r, cset, mf = self.params.K_r, self.cset, self.mf
         v_d = _step_goal_jet(self.goal, K_r, ctx)
-        pos = compose_h_p(ctx, cset)
-        h, grad, dtp, pos_second = compose_jets(frame_jets(ctx, cset), pos, cset.kappa)
+        jets = frame_jets(ctx, cset)
+        pos = ctx.members[2]  # the composition frame_jets keeps next to the jets
+        h, grad, dtp, pos_second = compose_jets(jets, pos, cset.kappa)
         v_s, filter_second = filter_jet(step_filter0(ctx, pos, v_d[0], mf), v_d[:2], h, grad, dtp, mf)
         (kx, ky, kz), ((k00, k01, k02), (k10, k11, k12), (k20, k21, k22)) = v_d[2], K_r
 

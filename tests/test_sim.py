@@ -186,6 +186,22 @@ class TestIntegrate:
         assert log.t[-1] == pytest.approx(1.0)
         np.testing.assert_allclose(np.diff(log.t), 0.01, rtol=1e-12)
 
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset", "aborted"])
+    def test_time_column_is_k_dt(self, name):
+        # t[k] is k * dt to the bit, on a full and on an aborted run
+        if name == "aborted":
+            # the speed floor's abort below
+            raw = make_raw(t_final=30.0, dt=0.01)
+            raw["initial_state"] = {"n": 0.0, "e": 0.0, "d": 0.0, "phi": 0.0, "theta": 0.0,
+                                    "psi": 0.0, "V_T": 2.0}
+            raw["goal"] = {"type": "linear", "v_g": [0.5, 0.0, 0.0], "r0": [0.0, 0.0, 0.0]}
+        else:
+            raw = {**load_scenario(name).raw, "t_final": 1.0}
+        scn = scenario_from_dict(raw)
+        log = integrate(scn)
+        assert (log.abort is not None) == (name == "aborted")
+        assert list(map(float.hex, log.t.tolist())) == [float.hex(k * scn.dt) for k in range(len(log.t))]
+
     def test_speed_floor_abort_partial_log(self):
         raw = make_raw(t_final=30.0, dt=0.01)
         raw["initial_state"] = {"n": 0.0, "e": 0.0, "d": 0.0, "phi": 0.0, "theta": 0.0,
@@ -291,14 +307,15 @@ class TestIntegrate:
 # the goal evaluated by one method call, every composition of the members one
 # softmin plus plain loops in member order, ``ControlInput`` a slotted class,
 # the log row a flat tuple, ``track`` one frame per call and one model-free
-# filter zeroth order per step (so one ``FilterResult.__init__``): fig3
-# 32.00 / 0.00 / 35.00, fig4 30.00 / 0.00 / 33.00, fig5 53.00 / 0.00 / 57.00,
-# fig6 46.00 / 0.00 / 50.01, step_offset 19.00 / 0.00 / 21.00; the fractions are
+# filter zeroth order per step (so one ``FilterResult.__init__``), and the
+# model-free safe command reading the frame's members once: fig3
+# 32.00 / 0.00 / 35.01, fig4 30.00 / 0.00 / 33.01, fig5 53.00 / 0.00 / 57.01,
+# fig6 44.00 / 0.00 / 48.01, step_offset 19.00 / 0.00 / 21.00; the fractions are
 # the run's own frames (``integrate``, ``make_controller`` and ``row_columns``)
 # spread over its steps.  No comprehension is left in a step.  CPython 3.10
 # enters the same frames; from 3.12 on, list comprehensions are inlined
 # (PEP 709), so the counts can only read lower.
-STEP_FRAME_BOUNDS = {"fig3": (33, 1, 36), "fig4": (31, 1, 34), "fig5": (54, 1, 58), "fig6": (47, 1, 51),
+STEP_FRAME_BOUNDS = {"fig3": (33, 1, 36), "fig4": (31, 1, 34), "fig5": (54, 1, 58), "fig6": (45, 1, 49),
                      "step_offset": (20, 1, 22)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
@@ -352,11 +369,12 @@ class TestStepRecord:
         log = integrate(scn)
         m = len(scn.cset.members)
         assert log.abort == "SingularSpeed: V_T at the floor"
-        assert log.t.shape == log.h_p.shape == log.h_mode.shape == log.residual.shape == (0,)
-        assert log.warn.shape == log.intervening.shape == (0,)
-        assert log.warn.dtype == log.intervening.dtype == bool
-        assert log.x.shape == (0, 7) and log.u.shape == log.u_d.shape == (0, 3)
-        assert log.h_members.shape == (0, m)
+        assert log.t.shape == (0,) and log.x.shape == (0, 7)
+        assert list(log.columns) == [name for name, _, _, _ in simulate.LOG_COLUMNS]
+        for name, width, dtype, _ in simulate.LOG_COLUMNS:
+            shape = (0,) if width == 1 else (0, m if width is simulate.MEMBERS else width)
+            column = getattr(log, name)
+            assert column.shape == shape and column.dtype == dtype, name
         with pytest.raises(FwrtaError, match="run produced no steps"):
             metrics_from_log(log, scn)
 
@@ -479,6 +497,21 @@ class TestExport:
         assert doc["schema"] == "fwrta-log/1"
         assert len(doc["columns"]["t"]) == len(log.t)
         assert doc["metrics"]["aborted"] is False
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6", "step_offset"])
+    def test_json_columns_follow_the_table(self, name, tmp_path):
+        # t and x, then every log column by its table name in the table's order; the
+        # filter's slack (the tracker's residual when off) as logged, the flags as 0/1
+        scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 0.5})
+        log, met = run_scenario(scn)
+        cols = json.loads(write_json(log, met, tmp_path / "log.json").read_text())["columns"]
+        assert list(cols) == ["t", "x", *(column for column, _, _, _ in simulate.LOG_COLUMNS)]
+        assert cols["residual"] == log.residual.tolist()
+        for flag in ("intervening", "warn"):
+            assert all(type(v) is int for v in cols[flag])
+            assert cols[flag] == [int(v) for v in getattr(log, flag)]
+        if name == "fig6":
+            assert set(cols["intervening"]) == {1}
 
     def test_svg_smoke(self, tmp_path):
         scn = load_scenario("fig3")
