@@ -1,9 +1,16 @@
 """Scenario files: a versioned JSON schema describing one closed-loop run.
 
 A scenario pins the initial state, horizon and step, the assurance mode,
-the constraint geometry, the goal trajectory and every gain.  Loading
-validates field by field (errors name the offending field) and rejects
-initial states whose mode-relevant barriers start negative.
+the constraint geometry, the goal trajectory and every gain.  ``SCHEMA``
+declares the file once: every object's fields, in the order its
+constructor takes them, each with its parser and its default (``REQUIRED``
+where it has none), and the constraint thresholds.  An object whose kind
+field picks its fields (the file's ``schema``, a member's or the goal's
+``type``, the safety filter's ``mode``) lists them per kind.  One reader,
+``_object``, walks the table: errors name the offending field, and a
+section's parser or constructor error names the section.  Loading then
+applies the rules across fields and rejects initial states whose
+mode-relevant barriers start negative.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +28,7 @@ from .backstepping import BacksteppingParams, h_b
 from .constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, frame_jets
 from .errors import FwrtaError, ScenarioError
 from .extended import ExtendedParams, compose_extended_terms
-from .filters import WeightFactor
+from .filters import WeightFactor, check_positive
 from .model import AircraftState, GravityParam, TrackContext
 from .modelfree import ModelFreeParams, h_V
 from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, TrackingParams, track
@@ -29,30 +37,7 @@ SCHEMA_ID = "fwrta-scenario/1"
 MODES = ("off", "extended", "backstepping", "modelfree")
 MAX_STEPS = 1_000_000  # control steps per run, t_final / dt
 MAX_SWEEP_STEPS = 10_000  # runs per sweep, --steps
-
-NUMERIC_CHECKS = (
-    "min_h_p",
-    "min_h_members",
-    "min_h_mode",
-    "roll_intervention_exceeds",
-    "v_t_drops_below",
-    "max_abs_down",
-    "max_final_pos_err",
-)
-FLAG_CHECKS = ("p_transparent", "no_warnings", "allow_abort")
-# the fields each object may hold; the sections of every mode are accepted
-SECTIONS = {
-    "initial_state": ("n", "e", "d", "phi", "theta", "psi", "V_T"),
-    "goal": ("type", "v_g", "r0"),
-    "tracking": ("K_r", "K_v", "mu", "lambda"),
-    "constraints": ("members", "kappa"),
-    "safety_filter": ("gamma", "W", "mode", "nu"),
-    "extended": ("gamma_p",),
-    "backstepping": ("gamma_e", "W_e", "nu_e", "mu_e"),
-    "modelfree": ("gamma_p", "sigma", "Gamma_v", "nu_v"),
-}
-TOP_FIELDS = ("schema", "notes", "name", "dt", "t_final", "rta_mode", "gravity", "checks", *SECTIONS)
-MEMBER_FIELDS = {"obstacle": ("type", "center", "velocity", "radius"), "plane": ("type", "point", "normal", "margin")}
+REQUIRED = object()  # the default of a field that must be given
 
 
 @dataclass
@@ -75,24 +60,22 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
-def _get(d: dict, key: str, path: str):
-    if key not in d:
-        raise ScenarioError(f"missing field '{path}{key}'")
-    return d[key]
+class Obj(NamedTuple):
+    """An object: its constructor, its fields (field -> (parser, default)) in the order the
+    constructor takes them, and the earlier sections whose values the constructor takes first."""
+
+    ctor: Callable | None
+    fields: dict
+    before: tuple = ()
 
 
-def _known(d: dict, fields, path: str) -> None:
-    for key in d:
-        if key not in fields:
-            raise ScenarioError(f"field '{path}{key}' is not a known field")
+class Kinds(NamedTuple):
+    """An object whose field ``key`` (``default`` when absent) picks its ``Obj`` from ``kinds``."""
 
-
-def _section(d: dict, key: str, path: str) -> dict:
-    v = _get(d, key, path)
-    if not isinstance(v, dict):
-        raise ScenarioError(f"field '{path}{key}' must be an object")
-    _known(v, SECTIONS[key], f"{path}{key}.")
-    return v
+    key: str
+    default: object
+    kinds: dict
+    before: tuple = ()
 
 
 def _is_finite_number(x) -> bool:
@@ -105,208 +88,206 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def _num(d: dict, key: str, path: str) -> float:
-    v = _get(d, key, path)
+def _number(v, name: str) -> float:
     if not _is_finite_number(v):
-        raise ScenarioError(f"field '{path}{key}' must be a finite number")
+        raise ScenarioError(f"field '{name}' must be a finite number")
     return float(v)
 
 
-def _vec3(d: dict, key: str, path: str) -> np.ndarray:
-    v = _get(d, key, path)
-    if not (isinstance(v, list) and len(v) == 3 and all(_is_finite_number(x) for x in v)):
-        raise ScenarioError(f"field '{path}{key}' must be a list of 3 finite numbers")
+def _positive(v, name: str) -> float:
+    if _number(v, name) <= 0.0:
+        raise ScenarioError(f"field '{name}' must be positive")
+    return float(v)
+
+
+def _vector(v, name: str) -> np.ndarray:
+    if not (isinstance(v, list) and len(v) == 3 and all(map(_is_finite_number, v))):
+        raise ScenarioError(f"field '{name}' must be a list of 3 finite numbers")
     return np.asarray(v, dtype=float)
 
 
-def _gain_matrix(v, name: str) -> np.ndarray:
+def _gain(v, name: str) -> np.ndarray:
+    """A scalar gain ``k`` as ``k I``, or a diagonal one from its 3 entries."""
     if _is_finite_number(v):
         return float(v) * np.eye(3)
-    if isinstance(v, list) and len(v) == 3 and all(_is_finite_number(x) for x in v):
+    if isinstance(v, list) and len(v) == 3 and all(map(_is_finite_number, v)):
         return np.diag(np.asarray(v, dtype=float))
     raise ScenarioError(f"field '{name}' must be a finite scalar or a list of 3 finite diagonal entries")
 
 
-def _weight(d: dict, key: str, path: str) -> WeightFactor:
-    """Diagonal weight factor of field ``key``; a singular one names the field."""
+def _weight(v, name: str) -> WeightFactor:
+    """Diagonal weight factor; a singular one is its section's error."""
     try:
-        return WeightFactor.diagonal(_vec3(d, key, path))
+        return WeightFactor.diagonal(_vector(v, name))
     except ValueError:
-        raise ValueError(f"{key} must be invertible") from None
+        raise ValueError(f"{name.rpartition('.')[2]} must be invertible") from None
 
 
-def _state(d: dict, path: str) -> AircraftState:
-    return AircraftState(*(_num(d, key, path) for key in SECTIONS["initial_state"]))
+def _choice(*options, rule: str = ""):
+    """Parser of a field that holds one of ``options`` (compared, so an unhashable value is only unequal)."""
+
+    def parse(v, name: str):
+        if v not in options:
+            raise ScenarioError(f"field '{name}' must be {rule or ' or '.join(map(repr, options))}")
+        return v
+
+    return parse
 
 
-def _members(items, path: str):
-    if not isinstance(items, list) or not items:
-        raise ScenarioError(f"field '{path}' must be a non-empty list")
-    out = []
-    for i, m in enumerate(items):
-        if not isinstance(m, dict):
-            raise ScenarioError(f"field '{path}[{i}]' must be an object")
-        p = f"{path}[{i}]."
-        kind = _get(m, "type", p)
-        if kind in ("obstacle", "plane"):
-            _known(m, MEMBER_FIELDS[kind], p)
-        if kind == "obstacle":
-            out.append(MovingObstacle(_vec3(m, "center", p), _vec3(m, "velocity", p), _num(m, "radius", p)))
-        elif kind == "plane":
-            out.append(GeofencePlane(_vec3(m, "point", p), _vec3(m, "normal", p), _num(m, "margin", p)))
-        else:
-            raise ScenarioError(f"field '{p}type' must be 'obstacle' or 'plane'")
-    return out
+def _flag(v, name: str) -> bool:
+    if not isinstance(v, bool):
+        raise ScenarioError(f"field '{name}' must be true or false")
+    return v
+
+
+def _name(v, name: str) -> str:
+    # the name is the file stem of every export
+    if not isinstance(v, str) or v in ("", ".", "..") or any(c in v for c in "/\\\0"):
+        raise ScenarioError(f"field '{name}' must be a non-empty string without '/', '\\' or NUL, and not '.' or '..'")
+    return v
+
+
+def _members(spec: Kinds):
+    """Parser of a non-empty list of objects read by ``spec``."""
+
+    def parse(items, name: str) -> list:
+        if not isinstance(items, list) or not items:
+            raise ScenarioError(f"field '{name}' must be a non-empty list")
+        return [_object(m, spec, f"{name}[{i}]") for i, m in enumerate(items)]
+
+    return parse
+
+
+def _thresholds(d, name: str) -> dict:
+    """The thresholds of ``THRESHOLDS`` that ``d`` sets, each checked by its parser and kept as given."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"field '{name}' must be an object")
+    for key, v in d.items():
+        if key not in THRESHOLDS:
+            raise ScenarioError(f"field '{name}.{key}' is not a known threshold")
+        THRESHOLDS[key](v, f"{name}.{key}")
+    return dict(d)
+
+
+def _outer_gains(gamma: float, W: WeightFactor, nu: float | None) -> tuple:
+    """The safety filter's gains, which the extended layer's outer filter takes."""
+    check_positive(gamma=gamma)
+    return gamma, W, nu
+
+
+def _safety_filter(nu: tuple) -> Obj:
+    """The safety filter's fields, with ``nu``'s parser and default."""
+    return Obj(_outer_gains, {"gamma": (_number, REQUIRED), "W": (_weight, REQUIRED), "nu": nu})
+
+
+# the thresholds a scenario's checks may set, each with its parser
+THRESHOLDS = {
+    **dict.fromkeys(("min_h_p", "min_h_members", "min_h_mode", "roll_intervention_exceeds", "v_t_drops_below",
+                     "max_abs_down", "max_final_pos_err"), _number),
+    **dict.fromkeys(("p_transparent", "no_warnings", "allow_abort"), _flag),
+}
+NUMBER, VECTOR = (_number, REQUIRED), (_vector, REQUIRED)
+# The scenario file.  A field of the top level read by an Obj or Kinds is a
+# section: its constructor builds it, and a parser's or constructor's
+# ValueError in it names the section.
+SCHEMA = Kinds("schema", None, {SCHEMA_ID: Obj(None, {
+    "notes": (lambda v, name: v, None),
+    "name": (_name, REQUIRED),
+    "dt": (_positive, REQUIRED),
+    "t_final": NUMBER,
+    "rta_mode": (_choice(*MODES, rule=f"one of {MODES}"), REQUIRED),
+    "gravity": (lambda v, name: GravityParam(_number(v, name)), GravityParam()),
+    "initial_state": (Obj(AircraftState, dict.fromkeys(("n", "e", "d", "phi", "theta", "psi", "V_T"), NUMBER)),
+                      REQUIRED),
+    "goal": (Kinds("type", REQUIRED, {"linear": Obj(GoalTrajectory, {"v_g": VECTOR, "r0": (_vector, ZERO3)})}),
+             REQUIRED),
+    "tracking": (Obj(TrackingParams, {"K_r": (_gain, REQUIRED), "K_v": (_gain, REQUIRED), "mu": NUMBER,
+                                      "lambda": NUMBER}), REQUIRED),
+    "constraints": (Obj(ConstraintSet, {
+        "members": (_members(Kinds("type", REQUIRED, {
+            "obstacle": Obj(MovingObstacle, {"center": VECTOR, "velocity": VECTOR, "radius": NUMBER}),
+            "plane": Obj(GeofencePlane, {"point": VECTOR, "normal": VECTOR, "margin": NUMBER}),
+        })), REQUIRED),
+        "kappa": NUMBER,
+    }), REQUIRED),
+    # a hard filter reads no nu
+    "safety_filter": (Kinds("mode", "hard", {
+        "hard": _safety_filter((lambda v, name: None, None)),
+        "smooth": _safety_filter((_positive, REQUIRED)),
+    }), REQUIRED),
+    "extended": (Obj(lambda gains, gamma_p: ExtendedParams(gamma_p, *gains), {"gamma_p": NUMBER},
+                     before=("safety_filter",)), None),
+    "backstepping": (Obj(BacksteppingParams, {"gamma_e": NUMBER, "W_e": (_weight, REQUIRED), "nu_e": NUMBER,
+                                              "mu_e": NUMBER}, before=("extended",)), None),
+    "modelfree": (Obj(ModelFreeParams, {"gamma_p": NUMBER, "sigma": NUMBER, "Gamma_v": NUMBER, "nu_v": NUMBER}),
+                  None),
+    "checks": (_thresholds, {}),
+})})
+
+
+def _object(d, spec, name: str, *before):
+    """Object ``d`` read by ``spec``: its constructor called with ``before`` and then its fields in
+    table order, or the fields by name where it has none.
+
+    Rejects a non-object, a missing or unknown kind, an unknown field and a
+    missing required field.  A section (a field of the top level read by a
+    spec) gets the values of the earlier sections it takes, and a
+    ``ValueError`` raised in it names the section.
+    """
+    if not isinstance(d, dict):
+        raise ScenarioError(f"field '{name}' must be an object")
+    prefix = f"{name}." if name else ""
+    kind = ()
+    if isinstance(spec, Kinds):
+        kind = (spec.key,)
+        v = d.get(spec.key, spec.default)
+        if v is REQUIRED:
+            raise ScenarioError(f"missing field '{prefix}{spec.key}'")
+        spec = spec.kinds[_choice(*spec.kinds)(v, prefix + spec.key)]
+    for key in d:
+        if key not in spec.fields and key not in kind:
+            raise ScenarioError(f"field '{prefix}{key}' is not a known field")
+    values = {}
+    for key, (parse, default) in spec.fields.items():
+        if key not in d:
+            if default is REQUIRED:
+                raise ScenarioError(f"missing field '{prefix}{key}'")
+            values[key] = default
+            continue
+        try:
+            if not isinstance(parse, (Obj, Kinds)):
+                values[key] = parse(d[key], prefix + key)
+                continue
+            for dep in parse.before:
+                if values[dep] is None:
+                    needs = ", ".join(spec.fields[dep][0].fields)
+                    raise ScenarioError(f"field '{key}' requires the '{dep}' section ({needs})")
+            values[key] = _object(d[key], parse, prefix + key, *(values[dep] for dep in parse.before))
+        except ValueError as exc:
+            if prefix:  # a field within a section: the section names the error
+                raise
+            raise ScenarioError(f"field '{key}': {exc}") from exc
+    return values if spec.ctor is None else spec.ctor(*before, *values.values())
 
 
 def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{origin}: scenario must be a JSON object")
-    if raw.get("schema") != SCHEMA_ID:
-        raise ScenarioError(f"field 'schema' must be '{SCHEMA_ID}'")
-    _known(raw, TOP_FIELDS, "")
-    name = _get(raw, "name", "")
-    # the name is the file stem of every export
-    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        raise ScenarioError("field 'name' must be a non-empty string without '/', '\\' or NUL, and not '.' or '..'")
-    dt = _num(raw, "dt", "")
-    t_final = _num(raw, "t_final", "")
-    if dt <= 0.0:
-        raise ScenarioError("field 'dt' must be positive")
+    top = _object(raw, SCHEMA, "")
+    _, name, dt, t_final, mode, gravity, x0, goal, tracking, cset, _, extended, backstep, mf, checks = top.values()
     if t_final <= dt:
         raise ScenarioError("field 't_final' must exceed 'dt'")
     if t_final / dt > MAX_STEPS:
         raise ScenarioError(f"fields 't_final' / 'dt' give more than {MAX_STEPS} steps")
-    mode = _get(raw, "rta_mode", "")
-    if mode not in MODES:
-        raise ScenarioError(f"field 'rta_mode' must be one of {MODES}")
-    try:
-        gravity = GravityParam(_num(raw, "gravity", "") if "gravity" in raw else 9.81)
-    except ValueError as exc:
-        raise ScenarioError(f"field 'gravity': {exc}") from exc
-
-    x0 = _state(_section(raw, "initial_state", ""), "initial_state.")
-
-    goal_d = _section(raw, "goal", "")
-    if _get(goal_d, "type", "goal.") != "linear":
-        raise ScenarioError("field 'goal.type' must be 'linear'")
-    goal = GoalTrajectory(_vec3(goal_d, "v_g", "goal."), _vec3(goal_d, "r0", "goal.") if "r0" in goal_d else ZERO3)
-
-    tr_d = _section(raw, "tracking", "")
-    try:
-        tracking = TrackingParams(
-            K_r=_gain_matrix(_get(tr_d, "K_r", "tracking."), "tracking.K_r"),
-            K_v=_gain_matrix(_get(tr_d, "K_v", "tracking."), "tracking.K_v"),
-            mu=_num(tr_d, "mu", "tracking."),
-            lam=_num(tr_d, "lambda", "tracking."),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"field 'tracking': {exc}") from exc
-
-    c_d = _section(raw, "constraints", "")
-    try:
-        cset = ConstraintSet(
-            members=_members(_get(c_d, "members", "constraints."), "constraints.members"),
-            kappa=_num(c_d, "kappa", "constraints."),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"field 'constraints': {exc}") from exc
-
-    sf = _section(raw, "safety_filter", "")
-    try:
-        gamma = _num(sf, "gamma", "safety_filter.")
-        if not gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        W = _weight(sf, "W", "safety_filter.")
-    except ValueError as exc:
-        raise ScenarioError(f"field 'safety_filter': {exc}") from exc
-    sf_mode = sf.get("mode", "hard")
-    if sf_mode not in ("hard", "smooth"):
-        raise ScenarioError("field 'safety_filter.mode' must be 'hard' or 'smooth'")
-    nu = None
-    if sf_mode == "smooth":
-        nu = _num(sf, "nu", "safety_filter.")
-        if nu <= 0.0:
-            raise ScenarioError("field 'safety_filter.nu' must be positive")
-
-    extended = None
-    if "extended" in raw:
-        e_d = _section(raw, "extended", "")
-        try:
-            extended = ExtendedParams(gamma_p=_num(e_d, "gamma_p", "extended."), gamma=gamma, W=W, nu=nu)
-        except ValueError as exc:
-            raise ScenarioError(f"field 'extended': {exc}") from exc
-
-    backstep = None
-    if "backstepping" in raw:
-        b_d = _section(raw, "backstepping", "")
-        if extended is None:
-            raise ScenarioError("field 'backstepping' requires the 'extended' section (gamma_p)")
-        try:
-            backstep = BacksteppingParams(
-                ext=extended,
-                gamma_e=_num(b_d, "gamma_e", "backstepping."),
-                W_e=_weight(b_d, "W_e", "backstepping."),
-                nu_e=_num(b_d, "nu_e", "backstepping."),
-                mu_e=_num(b_d, "mu_e", "backstepping."),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"field 'backstepping': {exc}") from exc
-
-    mf = None
-    if "modelfree" in raw:
-        m_d = _section(raw, "modelfree", "")
-        try:
-            mf = ModelFreeParams(
-                gamma_p=_num(m_d, "gamma_p", "modelfree."),
-                sigma=_num(m_d, "sigma", "modelfree."),
-                Gamma_v=_num(m_d, "Gamma_v", "modelfree."),
-                nu_v=_num(m_d, "nu_v", "modelfree."),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"field 'modelfree': {exc}") from exc
-
-    if mode == "extended" and extended is None:
-        raise ScenarioError("rta_mode 'extended' requires the 'extended' section")
-    if mode == "backstepping" and backstep is None:
-        raise ScenarioError("rta_mode 'backstepping' requires the 'backstepping' section")
-    if mode == "modelfree" and mf is None:
-        raise ScenarioError("rta_mode 'modelfree' requires the 'modelfree' section")
+    # a mode's section is named after it
+    if mode != "off" and top[mode] is None:
+        raise ScenarioError(f"rta_mode '{mode}' requires the '{mode}' section")
     # the monitor h_V divides by lambda - gamma_p
     if mode == "modelfree" and not mf.gamma_p < tracking.lam:
         raise ScenarioError(
             f"field 'modelfree.gamma_p' = {mf.gamma_p} must be below 'tracking.lambda' = {tracking.lam}"
         )
-
-    checks = raw.get("checks", {})
-    if not isinstance(checks, dict):
-        raise ScenarioError("field 'checks' must be an object")
-    for key, v in checks.items():
-        if key in NUMERIC_CHECKS:
-            if not _is_finite_number(v):
-                raise ScenarioError(f"field 'checks.{key}' must be a finite number")
-        elif key in FLAG_CHECKS:
-            if not isinstance(v, bool):
-                raise ScenarioError(f"field 'checks.{key}' must be true or false")
-        else:
-            raise ScenarioError(f"field 'checks.{key}' is not a known threshold")
-
-    scn = Scenario(
-        name=name,
-        dt=dt,
-        t_final=t_final,
-        mode=mode,
-        gravity=gravity,
-        x0=x0,
-        goal=goal,
-        tracking=tracking,
-        cset=cset,
-        extended=extended,
-        backstep=backstep,
-        mf=mf,
-        checks=dict(checks),
-        raw=raw,
-    )
+    scn = Scenario(name, dt, t_final, mode, gravity, x0, goal, tracking, cset, extended, backstep, mf, checks, raw)
     _validate_initial_barriers(scn)
     return scn
 

@@ -95,7 +95,8 @@ MESSAGES = [
     ("step_offset", [(("rta_mode",), "extended")], "rta_mode 'extended' requires the 'extended' section"),
     ("fig3", [(("rta_mode",), "backstepping")], "rta_mode 'backstepping' requires the 'backstepping' section"),
     ("fig3", [(("rta_mode",), "modelfree")], "rta_mode 'modelfree' requires the 'modelfree' section"),
-    ("fig6", [(("modelfree", "gamma_p"), 0.5)], "field 'modelfree.gamma_p' = 0.5 must be below 'tracking.lambda' = 0.2"),
+    ("fig6", [(("modelfree", "gamma_p"), 0.5)],
+     "field 'modelfree.gamma_p' = 0.5 must be below 'tracking.lambda' = 0.2"),
     # each kind of threshold
     ("fig3", [(("checks",), [])], "field 'checks' must be an object"),
     ("fig3", [(("checks", "min_h_p"), "x")], "field 'checks.min_h_p' must be a finite number"),
@@ -148,7 +149,7 @@ def test_no_exception_escapes(name):
     assert not escapes
 
 
-THRESHOLDS = {key: 0.0 for key in scenario.NUMERIC_CHECKS} | {key: True for key in scenario.FLAG_CHECKS}
+THRESHOLDS = {key: True if parse is scenario._flag else 0.0 for key, parse in scenario.THRESHOLDS.items()}
 
 
 def test_every_threshold_yields_one_check_line():
