@@ -4,13 +4,13 @@ A scenario pins the initial state, horizon and step, the assurance mode,
 the constraint geometry, the goal trajectory and every gain.  ``SCHEMA``
 declares the file once: every object's fields, in the order its
 constructor takes them, each with its parser and its default (``REQUIRED``
-where it has none), and the constraint thresholds.  An object whose kind
-field picks its fields (the file's ``schema``, a member's or the goal's
-``type``, the safety filter's ``mode``) lists them per kind.  One reader,
-``_object``, walks the table: errors name the offending field, and a
-section's parser or constructor error names the section.  Loading then
-applies the rules across fields and rejects initial states whose
-mode-relevant barriers start negative.
+where it has none); ``THRESHOLDS`` lists what ``checks`` may set.  An
+object whose kind field picks its fields (the file's ``schema``, a
+member's or the goal's ``type``, the safety filter's ``mode``) lists
+them per kind.  One reader, ``_object``, walks the table: errors name
+the offending field, and a section's parser or constructor error names
+the section.  Loading then applies the rules across fields and rejects
+initial states whose mode-relevant barriers start negative.
 """
 
 from __future__ import annotations
@@ -255,14 +255,14 @@ def _object(d, spec, name: str, *before):
             values[key] = default
             continue
         try:
-            if not isinstance(parse, (Obj, Kinds)):
+            if isinstance(parse, (Obj, Kinds)):
+                for dep in parse.before:
+                    if values[dep] is None:
+                        needs = ", ".join(spec.fields[dep][0].fields)
+                        raise ScenarioError(f"field '{key}' requires the '{dep}' section ({needs})")
+                values[key] = _object(d[key], parse, prefix + key, *(values[dep] for dep in parse.before))
+            else:
                 values[key] = parse(d[key], prefix + key)
-                continue
-            for dep in parse.before:
-                if values[dep] is None:
-                    needs = ", ".join(spec.fields[dep][0].fields)
-                    raise ScenarioError(f"field '{key}' requires the '{dep}' section ({needs})")
-            values[key] = _object(d[key], parse, prefix + key, *(values[dep] for dep in parse.before))
         except ValueError as exc:
             if prefix:  # a field within a section: the section names the error
                 raise
