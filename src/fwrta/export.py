@@ -11,6 +11,13 @@ The JSON's ``columns`` hold every column of the log by its table name.
 Flags are written as 0/1, and floats with shortest round-trip ``repr``
 (the JSON's by the standard library's C encoder, on one line), so
 identical runs produce byte-identical files.
+
+Both writers open the file once and format and write
+:data:`~fwrta.simulate.BLOCK` rows at a time, each chunk as soon as it is
+formatted, so neither holds the whole file, or a Python object per value of
+the log, at once.  The JSON is the bytes ``json.dumps`` gives for the whole
+document: the envelope and each column chunk are encoded by it, and a
+column's chunks are joined by its item separator ``", "``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .constraints import GeofencePlane, MovingObstacle
 from .scenario import Scenario
-from .simulate import LOG_COLUMNS, MEMBERS, Metrics, TrajectoryLog
+from .simulate import BLOCK, LOG_COLUMNS, MEMBERS, Metrics, TrajectoryLog
 
 
 def _written(column: np.ndarray) -> np.ndarray:
@@ -42,27 +49,31 @@ def csv_header(member_count: int) -> str:
 
 def write_csv(log: TrajectoryLog, path: str | Path) -> Path:
     path = Path(path)
-    arrays = [log.t, log.x] + [_written(log.columns[name]) for name, _, _, csv in LOG_COLUMNS if csv is not None]
-    # one tolist() per CSV column: its values are Python floats and ints, whose repr
-    # is the format
-    fields = [map(repr, c) for a in arrays for c in (a.T.tolist() if a.ndim == 2 else [a.tolist()])]
-    path.write_text("\n".join([csv_header(log.member_count), *map(",".join, zip(*fields))]) + "\n")
+    arrays = [log.t, log.x] + [log.columns[name] for name, _, _, csv in LOG_COLUMNS if csv is not None]
+    with path.open("w") as fh:
+        fh.write(csv_header(log.member_count) + "\n")
+        for i in range(0, len(log.t), BLOCK):
+            # one tolist() per CSV column of the block: its values are Python floats
+            # and ints, whose repr is the format
+            chunks = [_written(a[i:i + BLOCK]) for a in arrays]
+            fields = [map(repr, c) for a in chunks for c in (a.T.tolist() if a.ndim == 2 else [a.tolist()])]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return path
 
 
 def write_json(log: TrajectoryLog, met: Metrics, path: str | Path) -> Path:
     path = Path(path)
-    doc = {
-        "schema": "fwrta-log/1",
-        "scenario": log.scenario,
-        "mode": log.mode,
-        "dt": log.dt,
-        "abort": log.abort,
-        "columns": {"t": log.t.tolist(), "x": log.x.tolist(),
-                    **{name: _written(c).tolist() for name, c in log.columns.items()}},
-        "metrics": {k: v for k, v in dataclasses.asdict(met).items() if k != "p_dev_bit_exact"},
-    }
-    path.write_text(json.dumps(doc))
+    head = {"schema": "fwrta-log/1", "scenario": log.scenario, "mode": log.mode, "dt": log.dt, "abort": log.abort}
+    metrics = {k: v for k, v in dataclasses.asdict(met).items() if k != "p_dev_bit_exact"}
+    with path.open("w") as fh:
+        # the document {**head, "columns": {...}, "metrics": metrics}, one column chunk at a time
+        fh.write(json.dumps(head)[:-1] + ', "columns": {')
+        for j, (name, column) in enumerate({"t": log.t, "x": log.x, **log.columns}.items()):
+            fh.write(f'{", " if j else ""}{json.dumps(name)}: [')
+            for i in range(0, len(column), BLOCK):
+                fh.write((", " if i else "") + json.dumps(_written(column[i:i + BLOCK]).tolist())[1:-1])
+            fh.write("]")
+        fh.write('}, "metrics": ' + json.dumps(metrics) + "}")
     return path
 
 

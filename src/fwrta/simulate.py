@@ -12,10 +12,13 @@ returns.  The step returns its log row as one flat tuple, in the order of
 and its CSV and JSON exports follow too.  The state advances with the
 classic fourth-order step from :mod:`fwrta.kernels`.  The whole step
 runs over Python floats: the state travels as a float 7-tuple, the frame
-and every per-step formula hold float 3-lists, and the log's rows become
-one float array once, at the end of the run, whose slices are the log's
-columns.  Runs are fully deterministic.  Singularities and a non-finite
-state abort the run with a partial log and a recorded reason.
+and every per-step formula hold float 3-lists.  The log's arrays are
+allocated for the whole horizon when the run starts; the loop keeps at most
+:data:`BLOCK` rows and states as tuples and copies each full block into the
+arrays' next slice, so a run holds its arrays and one block, and the log's
+columns are the row array's slices.  Runs are fully deterministic.
+Singularities and a non-finite state abort the run with a partial log and a
+recorded reason.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ LOG_COLUMNS = (
     ("intervening", 1, bool, "intervening"),
     ("warn", 1, bool, None),
 )
+
+
+# Rows a run keeps as Python tuples before copying them into its arrays, and rows
+# an export formats and writes at a time (fwrta.export): the memory of a run and of
+# its exports beyond the log's arrays is bounded by one block.
+BLOCK = 1024
 
 
 def row_columns(m: int):
@@ -155,8 +164,10 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     """Run the scenario to its horizon (or abort) and return the log.
 
     Rows cover every control step plus one final row evaluated (but not
-    applied) at the horizon state.  The rows become one float array at the
-    end of the run, and the log's columns are its slices.
+    applied) at the horizon state.  Each full block of :data:`BLOCK` rows and
+    states is copied into the next slice of the arrays allocated for the
+    horizon, and the log's columns are the row array's slices.  An aborted
+    run's arrays are copies of their filled rows.
     """
     control = make_controller(scn)
     n_steps = int(round(scn.t_final / scn.dt))
@@ -166,8 +177,11 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     cols, width = row_columns(m)
     u_at = cols["u"]
 
+    table = np.empty((n_steps + 1, width))
+    x_all = np.empty((n_steps + 1, 7))
     rows: list[tuple] = []
     states: list[tuple] = []
+    n = 0  # rows already copied into the arrays
     abort = None
 
     x = tuple(scn.x0)
@@ -183,12 +197,23 @@ def integrate(scn: Scenario) -> TrajectoryLog:
             break
         states.append(x)
         rows.append(row)
+        if len(rows) == BLOCK:
+            table[n:n + BLOCK] = rows
+            x_all[n:n + BLOCK] = states
+            n += BLOCK
+            rows.clear()
+            states.clear()
         if k == n_steps:
             break
         x = kernels.rk4_step(x, row[u_at], dt, g_d)
 
-    n = len(rows)
-    table = np.array(rows, dtype=float).reshape(n, width)
+    if rows:
+        table[n:n + len(rows)] = rows
+        x_all[n:n + len(rows)] = states
+        n += len(rows)
+    if n <= n_steps:
+        # aborted: the log holds its own rows, not the unfilled rest of the horizon's
+        table, x_all = table[:n].copy(), x_all[:n].copy()
     return TrajectoryLog(
         scenario=scn.name,
         mode=scn.mode,
@@ -196,7 +221,7 @@ def integrate(scn: Scenario) -> TrajectoryLog:
         member_count=m,
         # float(k) * dt rounded once, as the loop's k * dt: the same bits
         t=np.arange(n) * dt,
-        x=np.asarray(states).reshape(-1, 7),
+        x=x_all,
         columns={name: table[:, cols[name]].astype(dtype, copy=False) for name, _, dtype, _ in LOG_COLUMNS},
         abort=abort,
     )
@@ -330,9 +355,13 @@ def sweep(scn_raw: dict, param: str, lo: float, hi: float, steps: int):
             raise ScenarioError(f"sweep {flag} must be finite, got {bound!r}")
     values = np.linspace(lo, hi, steps)
     rows = []
-    for v in values:
-        raw = set_by_path(scn_raw, param, float(v))
-        scn = scenario_from_dict(raw, origin=f"sweep({param}={v})")
+    for v in map(float, values):
+        raw = set_by_path(scn_raw, param, v)
+        origin = f"sweep({param}={v})"
+        try:
+            scn = scenario_from_dict(raw, origin=origin)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{origin}: {exc}") from None
         _, met = run_scenario(scn)
-        rows.append((float(v), met))
+        rows.append((v, met))
     return rows

@@ -874,6 +874,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "modelfree.gamma_p" in err and "tracking.lambda" in err
 
+    def test_sweep_error_names_the_value(self, tmp_path, capsys):
+        # fig6 does not load at nu_v = 0.001 (nor at 0.002): the sweep stops at the first
+        # value and says which one
+        argv = ["sweep", "--scenario", "fig6", "--param", "modelfree.nu_v", "--min", "0.001", "--max", "0.002"]
+        assert cli_main([*argv, "--steps", "2", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "scenario error: sweep(modelfree.nu_v=0.001): "
+            "initial state violates the monitor barrier: h_V(0) = -64380.2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("base", ["fig3", "fig5", "fig6"])
     def test_start_on_obstacle_center_exit_code(self, base, command, tmp_path, capsys):
