@@ -150,10 +150,27 @@ def test_no_exception_escapes(name):
 
 
 THRESHOLDS = {key: True if parse is scenario._flag else 0.0 for key, parse in scenario.THRESHOLDS.items()}
+SPEED_FLOOR = "SingularSpeed: V_T = 0.999262 m/s at or below floor 1.0 m/s"
+# each key's one line at the value above, in the order evaluate_checks gives them: on
+# the 1 s fig3 run, allow_abort's on the speed-floor abort
+THRESHOLD_LINES = {
+    "allow_abort": ("allow_abort", True, f"aborted as expected: {SPEED_FLOOR}"),
+    "min_h_p": ("min_h_p", True, "min h_p = 2896.5 (floor 0.0)"),
+    "min_h_members": ("min_h_members", True, "worst member min = 2896.5 (floor 0.0)"),
+    "min_h_mode": ("min_h_mode", True, "min mode barrier = 1677.42 (floor 0.0)"),
+    "p_transparent": ("p_transparent", True, "max |P - P_d| = 0"),
+    "roll_intervention_exceeds": ("roll_intervention", False, "max |P - P_d| = 0 (> 0.0)"),
+    "v_t_drops_below": ("v_t_drops_below", False, "min V_T = 161.32 (< 0.0)"),
+    "max_abs_down": ("max_abs_down", False, "max |d| = 50 (<= 0.0)"),
+    "no_warnings": ("no_warnings", True, "0 warning steps"),
+    "max_final_pos_err": ("max_final_pos_err", False, "final error = 49.8243 m"),
+}
 
 
 def test_every_threshold_yields_one_check_line():
-    """Each threshold key the loader accepts is evaluated: one line of ``evaluate_checks`` per key."""
+    """Each threshold key the loader accepts yields its one line of ``evaluate_checks``; set
+    together they keep the table's order, and an abort the scenario does not allow
+    yields the ``no_abort`` line."""
     fig3 = edited("fig3", (("t_final",), 1.0))
     aborting = edited("step_offset", (("t_final",), 30.0), (("initial_state", "psi"), 0.0),
                       (("initial_state", "V_T"), 2.0), (("goal", "v_g"), [0.5, 0.0, 0.0]))
@@ -162,9 +179,17 @@ def test_every_threshold_yields_one_check_line():
         log, met = run_scenario(scenario_from_dict(raw))
         runs[met.aborted] = (log, met)
     assert set(runs) == {False, True}
+    assert set(THRESHOLDS) == set(THRESHOLD_LINES)
+
+    def lines_of(base, checks, aborted):
+        raw = copy.deepcopy(base)
+        raw["checks"] = checks
+        return evaluate_checks(scenario_from_dict(raw), *runs[aborted])[1]
+
     for key, value in THRESHOLDS.items():
-        log, met = runs[key == "allow_abort"]
-        raw = copy.deepcopy(fig3 if not met.aborted else aborting)
-        raw["checks"] = {key: value}
-        _, lines = evaluate_checks(scenario_from_dict(raw), log, met)
-        assert len(lines) == 1, (key, lines)
+        aborted = key == "allow_abort"
+        assert lines_of(aborting if aborted else fig3, {key: value}, aborted) == [THRESHOLD_LINES[key]], key
+    together = [key for key in THRESHOLD_LINES if key != "allow_abort"]
+    lines = lines_of(fig3, {key: THRESHOLDS[key] for key in together}, False)
+    assert lines == [THRESHOLD_LINES[key] for key in together]
+    assert lines_of(aborting, {}, True) == [("no_abort", False, f"run aborted: {SPEED_FLOOR}")]
