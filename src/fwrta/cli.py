@@ -67,20 +67,23 @@ SWEEP_FIELDS = ("min_h_p", "min_h_mode", "intervention_time", "max_abs_A_T", "ma
 
 
 def _cmd_sweep(args) -> int:
-    scn_path = args.scenario
-    scn = load_scenario(scn_path)
+    scn = load_scenario(args.scenario)
     rows = sweep(scn.raw, args.param, args.min, args.max, args.steps)
-    out = Path(_out_dir(args))
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{scn.name}_sweep_{args.param.replace('.', '_').replace('[', '_').replace(']', '')}.csv"
     lines = [",".join(("value", *SWEEP_FIELDS))]
-    for v, met in rows:
-        cells = (v, *(getattr(met, name) for name in SWEEP_FIELDS))
-        lines.append(",".join(repr(int(c) if type(c) is bool else c) for c in cells))
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path}")
-    for line in lines:
-        print(line)
+    try:
+        for v, met in rows:
+            cells = (v, *(getattr(met, name) for name in SWEEP_FIELDS))
+            lines.append(",".join(repr(int(c) if type(c) is bool else c) for c in cells))
+    finally:
+        # the values that ran are written also when a later one fails
+        if len(lines) > 1:
+            out = Path(_out_dir(args))
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / f"{scn.name}_sweep_{args.param.replace('.', '_').replace('[', '_').replace(']', '')}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            print(f"wrote {path}")
+            for line in lines:
+                print(line)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Trajectory log export: CSV (fixed column contract), JSON and SVG.
 
 The CSV and the JSON follow :data:`~fwrta.simulate.LOG_COLUMNS`, the one
-table of the log's columns: each writes ``t`` and ``x`` first and then the
-table's columns in its order, the CSV only those that carry a CSV header.
+table of the log's columns: each writes ``t`` first and then the table's
+columns in its order, the state ``x`` first, the CSV only those that carry
+a CSV header.
 The CSV's columns, in order::
 
     t,n,e,d,phi,theta,psi,V_T,A_T_d,P_d,Q_d,A_T,P,Q,h_p,h_1..h_N,h_mode,intervening
@@ -40,7 +41,7 @@ def _written(column: np.ndarray) -> np.ndarray:
 
 
 def csv_header(member_count: int) -> str:
-    names = ["t,n,e,d,phi,theta,psi,V_T"]
+    names = ["t"]
     for _, width, _, csv in LOG_COLUMNS:
         if csv is not None:
             names.append(",".join(csv.format(i + 1) for i in range(member_count)) if width is MEMBERS else csv)
@@ -49,7 +50,7 @@ def csv_header(member_count: int) -> str:
 
 def write_csv(log: TrajectoryLog, path: str | Path) -> Path:
     path = Path(path)
-    arrays = [log.t, log.x] + [log.columns[name] for name, _, _, csv in LOG_COLUMNS if csv is not None]
+    arrays = [log.t] + [log.columns[name] for name, _, _, csv in LOG_COLUMNS if csv is not None]
     with path.open("w") as fh:
         fh.write(csv_header(log.member_count) + "\n")
         for i in range(0, len(log.t), BLOCK):
@@ -68,7 +69,7 @@ def write_json(log: TrajectoryLog, met: Metrics, path: str | Path) -> Path:
     with path.open("w") as fh:
         # the document {**head, "columns": {...}, "metrics": metrics}, one column chunk at a time
         fh.write(json.dumps(head)[:-1] + ', "columns": {')
-        for j, (name, column) in enumerate({"t": log.t, "x": log.x, **log.columns}.items()):
+        for j, (name, column) in enumerate({"t": log.t, **log.columns}.items()):
             fh.write(f'{", " if j else ""}{json.dumps(name)}: [')
             for i in range(0, len(column), BLOCK):
                 fh.write((", " if i else "") + json.dumps(_written(column[i:i + BLOCK]).tolist())[1:-1])

@@ -4,10 +4,10 @@ A scenario pins the initial state, horizon and step, the assurance mode,
 the constraint geometry, the goal trajectory and every gain.  ``SCHEMA``
 declares the file once: every object's fields, in the order its
 constructor takes them, each with its parser and its default (``REQUIRED``
-where it has none); ``THRESHOLDS`` lists what ``checks`` may set.  An
-object whose kind field picks its fields (the file's ``schema``, a
-member's or the goal's ``type``, the safety filter's ``mode``) lists
-them per kind.  One reader, ``_object``, walks the table: errors name
+where it has none); ``THRESHOLDS`` lists what ``checks`` may set, each key
+with its parser and the check line it yields.  An object whose kind field
+picks its fields (the file's ``schema``, a member's or the goal's
+``type``, the safety filter's ``mode``) lists them per kind.  One reader, ``_object``, walks the table: errors name
 the offending field, and a section's parser or constructor error names
 the section.  Loading then applies the rules across fields and rejects
 initial states whose mode-relevant barriers start negative.
@@ -76,6 +76,16 @@ class Kinds(NamedTuple):
     default: object
     kinds: dict
     before: tuple = ()
+
+
+class Threshold(NamedTuple):
+    """A key of ``checks``: its parser, and the name and test of the check line it yields,
+    ``test(met, v) -> (ok, detail)`` against the run's metrics (none for ``allow_abort``,
+    which the abort line reads)."""
+
+    parse: Callable
+    line: str | None = None
+    test: Callable | None = None
 
 
 def _is_finite_number(x) -> bool:
@@ -165,7 +175,7 @@ def _thresholds(d, name: str) -> dict:
     for key, v in d.items():
         if key not in THRESHOLDS:
             raise ScenarioError(f"field '{name}.{key}' is not a known threshold")
-        THRESHOLDS[key](v, f"{name}.{key}")
+        THRESHOLDS[key].parse(v, f"{name}.{key}")
     return dict(d)
 
 
@@ -180,11 +190,29 @@ def _safety_filter(nu: tuple) -> Obj:
     return Obj(_outer_gains, {"gamma": (_number, REQUIRED), "W": (_weight, REQUIRED), "nu": nu})
 
 
-# the thresholds a scenario's checks may set, each with its parser
+# The thresholds a scenario's checks may set, each with its parser and its check
+# line, in the order fwrta.simulate.evaluate_checks gives the lines (the abort line
+# first): a number bounds a metric, a flag asks for its line only when true.
 THRESHOLDS = {
-    **dict.fromkeys(("min_h_p", "min_h_members", "min_h_mode", "roll_intervention_exceeds", "v_t_drops_below",
-                     "max_abs_down", "max_final_pos_err"), _number),
-    **dict.fromkeys(("p_transparent", "no_warnings", "allow_abort"), _flag),
+    "allow_abort": Threshold(_flag),
+    "min_h_p": Threshold(_number, "min_h_p", lambda met, v: (
+        met.min_h_p >= v, f"min h_p = {met.min_h_p:.6g} (floor {v})")),
+    "min_h_members": Threshold(_number, "min_h_members", lambda met, v: (
+        min(met.min_h_members) >= v, f"worst member min = {min(met.min_h_members):.6g} (floor {v})")),
+    "min_h_mode": Threshold(_number, "min_h_mode", lambda met, v: (
+        met.min_h_mode >= v, f"min mode barrier = {met.min_h_mode:.6g} (floor {v})")),
+    "p_transparent": Threshold(_flag, "p_transparent", lambda met, v: (
+        met.p_dev_bit_exact, f"max |P - P_d| = {met.max_p_dev:.6g}")),
+    "roll_intervention_exceeds": Threshold(_number, "roll_intervention", lambda met, v: (
+        met.max_p_dev > v, f"max |P - P_d| = {met.max_p_dev:.6g} (> {v})")),
+    "v_t_drops_below": Threshold(_number, "v_t_drops_below", lambda met, v: (
+        met.min_V_T < v, f"min V_T = {met.min_V_T:.6g} (< {v})")),
+    "max_abs_down": Threshold(_number, "max_abs_down", lambda met, v: (
+        met.max_abs_d <= v, f"max |d| = {met.max_abs_d:.6g} (<= {v})")),
+    "no_warnings": Threshold(_flag, "no_warnings", lambda met, v: (
+        met.warning_count == 0, f"{met.warning_count} warning steps")),
+    "max_final_pos_err": Threshold(_number, "max_final_pos_err", lambda met, v: (
+        met.final_pos_err <= v, f"final error = {met.final_pos_err:.6g} m")),
 }
 NUMBER, VECTOR = (_number, REQUIRED), (_vector, REQUIRED)
 # The scenario file.  A field of the top level read by an Obj or Kinds is a

@@ -7,15 +7,15 @@ command for ``u_d`` first, then reads the position barrier and its
 filter in that track's frame, and yields the applied input, its barrier,
 the filter's slack and warning flag; the filtered modes read the last
 two from the one :class:`~fwrta.filters.FilterResult` their filter
-returns.  The step returns its log row as one flat tuple, in the order of
-:data:`LOG_COLUMNS`, the one table of the log's columns, which the log
-and its CSV and JSON exports follow too.  The state advances with the
-classic fourth-order step from :mod:`fwrta.kernels`.  The whole step
-runs over Python floats: the state travels as a float 7-tuple, the frame
-and every per-step formula hold float 3-lists.  The log's arrays are
-allocated for the whole horizon when the run starts; the loop keeps at most
-:data:`BLOCK` rows and states as tuples and copies each full block into the
-arrays' next slice, so a run holds its arrays and one block, and the log's
+returns.  The step returns its log row as one flat tuple, its state first,
+in the order of :data:`LOG_COLUMNS`, the one table of the log's columns,
+which the log and its CSV and JSON exports follow too.  The state advances
+with the classic fourth-order step from :mod:`fwrta.kernels`.  The whole
+step runs over Python floats: the state travels as a float 7-tuple, the
+frame and every per-step formula hold float 3-lists.  The log's row array
+is allocated for the whole horizon when the run starts; the loop keeps at
+most :data:`BLOCK` rows as tuples and copies each full block into the
+array's next slice, so a run holds its arrays and one block, and the log's
 columns are the row array's slices.  Runs are fully deterministic.
 Singularities and a non-finite state abort the run with a partial log and a
 recorded reason.
@@ -35,18 +35,19 @@ from .errors import FwrtaError, ScenarioError
 from .extended import rta_extended
 from .model import TrackContext
 from .modelfree import h_V, safe_velocity_from_terms
-from .scenario import MAX_SWEEP_STEPS, Scenario, scenario_from_dict
+from .scenario import MAX_SWEEP_STEPS, THRESHOLDS, Scenario, scenario_from_dict
 from .tracking import GoalCommand, SafeVelocityCommand, track
 
 
-# The log's columns after ``t`` and ``x``, in the order of a control step's row: each
-# column's name, its width (1 for a scalar, 3, or MEMBERS for one per constraint
-# member), its dtype (bool for a flag) and its CSV header (None where the CSV does
-# not carry it; a per-member column numbers its members' names from 1).  This table
-# is the one spelling of the log's layout: the row, TrajectoryLog's columns, the CSV
-# and the JSON all follow it.
+# The log's columns after ``t``, in the order of a control step's row, the step's
+# state first: each column's name, its width (1 for a scalar, 3, 7, or MEMBERS for one
+# per constraint member), its dtype (bool for a flag) and its CSV header (None where
+# the CSV does not carry it; a per-member column numbers its members' names from 1).
+# This table is the one spelling of the log's layout: the row, TrajectoryLog's
+# columns, the CSV and the JSON all follow it.
 MEMBERS = "members"
 LOG_COLUMNS = (
+    ("x", 7, float, "n,e,d,phi,theta,psi,V_T"),
     ("u_d", 3, float, "A_T_d,P_d,Q_d"),
     ("u", 3, float, "A_T,P,Q"),
     ("h_p", 1, float, "h_p"),
@@ -58,7 +59,7 @@ LOG_COLUMNS = (
 )
 
 
-# Rows a run keeps as Python tuples before copying them into its arrays, and rows
+# Rows a run keeps as Python tuples before copying them into its row array, and rows
 # an export formats and writes at a time (fwrta.export): the memory of a run and of
 # its exports beyond the log's arrays is bounded by one block.
 BLOCK = 1024
@@ -81,7 +82,8 @@ class TrajectoryLog:
     """Time-indexed record of one run (fixed cadence, monotone time).
 
     ``columns`` holds the row's columns by their :data:`LOG_COLUMNS` names, in
-    its order, and each reads as an attribute too (``log.u``, ``log.warn``).
+    its order, and each reads as an attribute too (``log.x``, ``log.u``,
+    ``log.warn``).
     """
 
     scenario: str
@@ -89,7 +91,6 @@ class TrajectoryLog:
     dt: float
     member_count: int
     t: np.ndarray
-    x: np.ndarray
     columns: dict
     abort: str | None = None
 
@@ -124,7 +125,8 @@ class Metrics:
 
 def make_controller(scn: Scenario):
     """Per-step control law of the scenario: ``(x, t) -> row``, ``x`` a float 7-sequence
-    and ``row`` the step's flat log row, in the order of :data:`LOG_COLUMNS`."""
+    and ``row`` the step's flat log row, in the order of :data:`LOG_COLUMNS` (``x``
+    first)."""
     g = scn.gravity
     goal_cmd = GoalCommand(scn.goal, scn.tracking)
     if scn.mode == "modelfree":
@@ -155,7 +157,7 @@ def make_controller(scn: Scenario):
         u_d = tr_d.u
         A_T_d, P_d, Q_d, A_T, P, Q = u_d.A_T, u_d.P, u_d.Q, u.A_T, u.P, u.Q
         intervening = A_T != A_T_d or P != P_d or Q != Q_d
-        return (A_T_d, P_d, Q_d, A_T, P, Q, pos.value, *pos.per_constraint, h_mode, residual, intervening, warn)
+        return (*x, A_T_d, P_d, Q_d, A_T, P, Q, pos.value, *pos.per_constraint, h_mode, residual, intervening, warn)
 
     return control
 
@@ -164,10 +166,10 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     """Run the scenario to its horizon (or abort) and return the log.
 
     Rows cover every control step plus one final row evaluated (but not
-    applied) at the horizon state.  Each full block of :data:`BLOCK` rows and
-    states is copied into the next slice of the arrays allocated for the
-    horizon, and the log's columns are the row array's slices.  An aborted
-    run's arrays are copies of their filled rows.
+    applied) at the horizon state; each row starts with its step's state.
+    Each full block of :data:`BLOCK` rows is copied into the next slice of the
+    row array allocated for the horizon, and the log's columns are its slices.
+    An aborted run's row array is a copy of its filled rows.
     """
     control = make_controller(scn)
     n_steps = int(round(scn.t_final / scn.dt))
@@ -178,10 +180,8 @@ def integrate(scn: Scenario) -> TrajectoryLog:
     u_at = cols["u"]
 
     table = np.empty((n_steps + 1, width))
-    x_all = np.empty((n_steps + 1, 7))
     rows: list[tuple] = []
-    states: list[tuple] = []
-    n = 0  # rows already copied into the arrays
+    n = 0  # rows already copied into the table
     abort = None
 
     x = tuple(scn.x0)
@@ -195,25 +195,21 @@ def integrate(scn: Scenario) -> TrajectoryLog:
         except FwrtaError as exc:
             abort = f"{type(exc).__name__}: {exc}"
             break
-        states.append(x)
         rows.append(row)
         if len(rows) == BLOCK:
             table[n:n + BLOCK] = rows
-            x_all[n:n + BLOCK] = states
             n += BLOCK
             rows.clear()
-            states.clear()
         if k == n_steps:
             break
         x = kernels.rk4_step(x, row[u_at], dt, g_d)
 
     if rows:
         table[n:n + len(rows)] = rows
-        x_all[n:n + len(rows)] = states
         n += len(rows)
     if n <= n_steps:
         # aborted: the log holds its own rows, not the unfilled rest of the horizon's
-        table, x_all = table[:n].copy(), x_all[:n].copy()
+        table = table[:n].copy()
     return TrajectoryLog(
         scenario=scn.name,
         mode=scn.mode,
@@ -221,7 +217,6 @@ def integrate(scn: Scenario) -> TrajectoryLog:
         member_count=m,
         # float(k) * dt rounded once, as the loop's k * dt: the same bits
         t=np.arange(n) * dt,
-        x=x_all,
         columns={name: table[:, cols[name]].astype(dtype, copy=False) for name, _, dtype, _ in LOG_COLUMNS},
         abort=abort,
     )
@@ -264,47 +259,23 @@ def run_scenario(scn: Scenario):
 
 
 def evaluate_checks(scn: Scenario, log: TrajectoryLog, met: Metrics):
-    """Evaluate the scenario's embedded thresholds.
+    """Evaluate the scenario's embedded thresholds: an aborted run's line first,
+    then the line of each threshold the scenario sets, in the order of
+    :data:`~fwrta.scenario.THRESHOLDS`.
 
     Returns ``(passed, lines)`` where each line is ``(name, ok, detail)``.
     """
     checks = scn.checks
     lines = []
-
-    def add(name: str, ok: bool, detail: str):
-        lines.append((name, bool(ok), detail))
-
     if met.aborted and not checks.get("allow_abort", False):
-        add("no_abort", False, f"run aborted: {met.abort_reason}")
+        lines.append(("no_abort", False, f"run aborted: {met.abort_reason}"))
     elif met.aborted:
-        add("allow_abort", True, f"aborted as expected: {met.abort_reason}")
-
-    if "min_h_p" in checks:
-        v = checks["min_h_p"]
-        add("min_h_p", met.min_h_p >= v, f"min h_p = {met.min_h_p:.6g} (floor {v})")
-    if "min_h_members" in checks:
-        v = checks["min_h_members"]
-        worst = min(met.min_h_members)
-        add("min_h_members", worst >= v, f"worst member min = {worst:.6g} (floor {v})")
-    if "min_h_mode" in checks:
-        v = checks["min_h_mode"]
-        add("min_h_mode", met.min_h_mode >= v, f"min mode barrier = {met.min_h_mode:.6g} (floor {v})")
-    if checks.get("p_transparent", False):
-        add("p_transparent", met.p_dev_bit_exact, f"max |P - P_d| = {met.max_p_dev:.6g}")
-    if "roll_intervention_exceeds" in checks:
-        v = checks["roll_intervention_exceeds"]
-        add("roll_intervention", met.max_p_dev > v, f"max |P - P_d| = {met.max_p_dev:.6g} (> {v})")
-    if "v_t_drops_below" in checks:
-        v = checks["v_t_drops_below"]
-        add("v_t_drops_below", met.min_V_T < v, f"min V_T = {met.min_V_T:.6g} (< {v})")
-    if "max_abs_down" in checks:
-        v = checks["max_abs_down"]
-        add("max_abs_down", met.max_abs_d <= v, f"max |d| = {met.max_abs_d:.6g} (<= {v})")
-    if checks.get("no_warnings", False):
-        add("no_warnings", met.warning_count == 0, f"{met.warning_count} warning steps")
-    if "max_final_pos_err" in checks:
-        v = checks["max_final_pos_err"]
-        add("max_final_pos_err", met.final_pos_err <= v, f"final error = {met.final_pos_err:.6g} m")
+        lines.append(("allow_abort", True, f"aborted as expected: {met.abort_reason}"))
+    for key, (_, name, test) in THRESHOLDS.items():
+        v = checks.get(key, False)  # a number is never False, a flag counts when true
+        if test is not None and v is not False:
+            ok, detail = test(met, v)
+            lines.append((name, bool(ok), detail))
 
     passed = all(ok for _, ok, _ in lines)
     return passed, lines
@@ -345,7 +316,9 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
 
 
 def sweep(scn_raw: dict, param: str, lo: float, hi: float, steps: int):
-    """Run the raw scenario dict across a parameter range; returns metric rows."""
+    """Run the raw scenario dict across a parameter range: an iterator of ``(value,
+    metrics)`` rows that loads and runs each value as it is reached, so a reader keeps
+    the rows before a value that fails.  The range is checked when called."""
     if steps < 2:
         raise ScenarioError("sweep needs at least 2 steps")
     if steps > MAX_SWEEP_STEPS:
@@ -353,15 +326,14 @@ def sweep(scn_raw: dict, param: str, lo: float, hi: float, steps: int):
     for flag, bound in (("--min", lo), ("--max", hi)):
         if not math.isfinite(bound):
             raise ScenarioError(f"sweep {flag} must be finite, got {bound!r}")
-    values = np.linspace(lo, hi, steps)
-    rows = []
-    for v in map(float, values):
-        raw = set_by_path(scn_raw, param, v)
-        origin = f"sweep({param}={v})"
-        try:
-            scn = scenario_from_dict(raw, origin=origin)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{origin}: {exc}") from None
-        _, met = run_scenario(scn)
-        rows.append((v, met))
-    return rows
+    return (_sweep_row(scn_raw, param, v) for v in map(float, np.linspace(lo, hi, steps)))
+
+
+def _sweep_row(scn_raw: dict, param: str, v: float):
+    raw = set_by_path(scn_raw, param, v)  # a bad path keeps its own message
+    origin = f"sweep({param}={v})"
+    try:
+        scn = scenario_from_dict(raw, origin=origin)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{origin}: {exc}") from None
+    return v, run_scenario(scn)[1]

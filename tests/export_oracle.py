@@ -17,7 +17,7 @@ from fwrta.simulate import LOG_COLUMNS
 
 
 def csv_text(log) -> str:
-    arrays = [log.t, log.x] + [_written(log.columns[name]) for name, _, _, csv in LOG_COLUMNS if csv is not None]
+    arrays = [log.t] + [_written(log.columns[name]) for name, _, _, csv in LOG_COLUMNS if csv is not None]
     fields = [map(repr, c) for a in arrays for c in (a.T.tolist() if a.ndim == 2 else [a.tolist()])]
     return "\n".join([csv_header(log.member_count), *map(",".join, zip(*fields))]) + "\n"
 
@@ -29,8 +29,7 @@ def json_text(log, met) -> str:
         "mode": log.mode,
         "dt": log.dt,
         "abort": log.abort,
-        "columns": {"t": log.t.tolist(), "x": log.x.tolist(),
-                    **{name: _written(c).tolist() for name, c in log.columns.items()}},
+        "columns": {"t": log.t.tolist(), **{name: _written(c).tolist() for name, c in log.columns.items()}},
         "metrics": {k: v for k, v in dataclasses.asdict(met).items() if k != "p_dev_bit_exact"},
     }
     return json.dumps(doc)

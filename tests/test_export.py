@@ -36,7 +36,7 @@ def fig3(rows: int):
 
 def head(log: TrajectoryLog, n: int) -> TrajectoryLog:
     """The log's first ``n`` rows."""
-    return dataclasses.replace(log, t=log.t[:n], x=log.x[:n], columns={k: c[:n] for k, c in log.columns.items()})
+    return dataclasses.replace(log, t=log.t[:n], columns={k: c[:n] for k, c in log.columns.items()})
 
 
 def owner(a: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ class TestChunks:
         # the JSON)
         log, met = run
         log = head(log, BLOCK + 2)
-        log = dataclasses.replace(log, x=log.x.copy(), columns={k: c.copy() for k, c in log.columns.items()},
+        log = dataclasses.replace(log, columns={k: c.copy() for k, c in log.columns.items()},
                                   abort='SingularSpeed: "V_T" below the floor')
         for k, v in ((0, math.nan), (BLOCK - 1, math.inf), (BLOCK, -math.inf), (BLOCK + 1, math.nan)):
             log.h_p[k] = v
@@ -113,7 +113,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(log.t) == rows and log.abort is None
-        owners = {id(a): a for a in map(owner, (log.t, log.x, *log.columns.values()))}
+        owners = {id(a): a for a in map(owner, (log.t, *log.columns.values()))}
+        # the float columns, the state included, are views of the one row array
+        assert len({id(owner(c)) for c in log.columns.values() if c.dtype == float}) == 1
         return np.array([run, csv, json]), sum(a.nbytes for a in owners.values()) / rows
 
     def test_peak_per_step(self, monkeypatch, tmp_path):
@@ -130,7 +132,7 @@ class TestMemory:
         full = integrate(fig3(301))
         monkeypatch.setattr(simulate, "BLOCK", self.SMALL)
         blocks = integrate(fig3(301))
-        for name in ("t", "x", *full.columns):
+        for name in ("t", *full.columns):
             a, b = getattr(full, name), getattr(blocks, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
@@ -153,6 +155,6 @@ class TestMemory:
         for log in logs:
             assert "SingularSpeed" in log.abort
             n = len(log.t)
-            for a in (log.t, log.x, *log.columns.values()):
+            for a in (log.t, *log.columns.values()):
                 assert owner(a).shape[0] == n
         assert len(logs[0].t) == 484 and len(logs[1].t) == 0

@@ -149,7 +149,7 @@ def test_no_exception_escapes(name):
     assert not escapes
 
 
-THRESHOLDS = {key: True if parse is scenario._flag else 0.0 for key, parse in scenario.THRESHOLDS.items()}
+THRESHOLDS = {key: True if th.parse is scenario._flag else 0.0 for key, th in scenario.THRESHOLDS.items()}
 SPEED_FLOOR = "SingularSpeed: V_T = 0.999262 m/s at or below floor 1.0 m/s"
 # each key's one line at the value above, in the order evaluate_checks gives them: on
 # the 1 s fig3 run, allow_abort's on the speed-floor abort

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import desired_velocity, safe_velocity, velocity
 from fwrta import constraints, filters, kernels, modelfree, simulate, tracking
-from fwrta.cli import main as cli_main
+from fwrta.cli import SWEEP_FIELDS, main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError, SingularSpeed
 from fwrta.export import _Panel, csv_header, write_csv, write_json, write_svg
 from fwrta.backstepping import h_b, rta_backstepping
@@ -500,12 +500,12 @@ class TestExport:
 
     @pytest.mark.parametrize("name", ["fig5", "fig6", "step_offset"])
     def test_json_columns_follow_the_table(self, name, tmp_path):
-        # t and x, then every log column by its table name in the table's order; the
+        # t, then every log column by its table name in the table's order (x first); the
         # filter's slack (the tracker's residual when off) as logged, the flags as 0/1
         scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 0.5})
         log, met = run_scenario(scn)
         cols = json.loads(write_json(log, met, tmp_path / "log.json").read_text())["columns"]
-        assert list(cols) == ["t", "x", *(column for column, _, _, _ in simulate.LOG_COLUMNS)]
+        assert list(cols) == ["t", *(column for column, _, _, _ in simulate.LOG_COLUMNS)]
         assert cols["residual"] == log.residual.tolist()
         for flag in ("intervening", "warn"):
             assert all(type(v) is int for v in cols[flag])
@@ -568,10 +568,27 @@ class TestChecks:
 class TestSweep:
     def test_parameter_range(self):
         raw = make_raw(t_final=1.0)
-        rows = sweep(raw, "constraints.kappa", 0.005, 0.01, 2)
+        rows = list(sweep(raw, "constraints.kappa", 0.005, 0.01, 2))
         assert len(rows) == 2
         assert rows[0][0] == pytest.approx(0.005)
         assert rows[1][0] == pytest.approx(0.01)
+
+    def test_failing_value_keeps_the_rows_that_ran(self, tmp_path, capsys):
+        # fig6 does not load at nu_v = 0.001: the three values before it are written,
+        # and the sweep exits with the value's message
+        raw = json.loads(bundled_scenario_path("fig6").read_text())
+        src = tmp_path / "fig6.json"
+        src.write_text(json.dumps({**raw, "t_final": 1.0}))
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", str(src), "--param", "modelfree.nu_v", "--min", "0.007", "--max", "0.001"]
+        assert cli_main([*argv, "--steps", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "scenario error: sweep(modelfree.nu_v=0.001): "
+            "initial state violates the monitor barrier: h_V(0) = -64380.2\n"
+        )
+        table = (out / "fig6_sweep_modelfree_nu_v.csv").read_text().splitlines()
+        assert table[0] == ",".join(("value", *SWEEP_FIELDS))
+        assert [float(line.split(",")[0]) for line in table[1:]] == pytest.approx([0.007, 0.005, 0.003])
 
     def test_list_index_path(self):
         raw = make_raw(t_final=1.0)
