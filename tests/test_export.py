@@ -1,14 +1,17 @@
-"""The exports are written a block of rows at a time, and a run and its exports
-hold one block beyond the log's arrays.
+"""A run holds the log's own arrays and no row beyond them, and the exports are
+written a block of rows at a time, holding one block beyond the log's arrays.
 
-``export_oracle`` keeps the one-shot writers: every chunk boundary must give
-their bytes.  The memory bounds were measured first, with tracemalloc on
-fig3.  Between 3001 and 12001 steps, ``integrate``'s peak grows by 137 B per
-step (the log's own arrays are 162 B per row) and each export's peak by
-under 2 B per row.  At the smaller blocks and horizons of
-:class:`TestMemory` they grow by 125, -3 (CSV) and 5 (JSON) B.  A run that
-keeps every row as a tuple until its end, and the one-shot writers, grow by
-751, 1152 (CSV) and 1269 (JSON) B.
+``log_oracle`` keeps the one-shot run and ``export_oracle`` the one-shot
+writers: the log must equal the first's in every array, and every chunk
+boundary must give the second's bytes.  The memory bounds were measured
+first, with tracemalloc on fig3.  Between 3001 and 12001 steps,
+``integrate``'s peak grows by 162 B per step, the log's own bytes per row,
+and each export's peak by at most 2 B per row; at 3001 steps the peaks are
+0.49 MB (``integrate``), 1.19 MB (CSV) and 1.04 MB (JSON).  At the smaller
+export blocks and horizons of :class:`TestMemory` they grow by 161.2 to
+162.0, -4 to 0 (CSV) and 5 to 7 (JSON) B, run alone, in this module and in
+the whole suite.  A run that keeps every row as a tuple until its end, and
+the one-shot writers, grow by 751, 1152 (CSV) and 1269 (JSON) B.
 """
 
 from __future__ import annotations
@@ -21,17 +24,31 @@ import numpy as np
 import pytest
 
 import export_oracle
+import log_oracle
 from fwrta import export, simulate
 from fwrta.errors import SingularSpeed
-from fwrta.export import write_csv, write_json
+from fwrta.export import BLOCK, write_csv, write_json
 from fwrta.scenario import load_scenario, scenario_from_dict
-from fwrta.simulate import BLOCK, TrajectoryLog, integrate, metrics_from_log
+from fwrta.simulate import TrajectoryLog, integrate, metrics_from_log
 
 
 def fig3(rows: int):
     """fig3 cut to a horizon of ``rows`` logged rows."""
     scn = load_scenario("fig3")
     return scenario_from_dict({**scn.raw, "t_final": (rows - 1) * scn.dt})
+
+
+def speed_floor():
+    """step_offset braking from V_T = 2 against a slow goal: the speed floor aborts it
+    after 484 rows."""
+    raw = load_scenario("step_offset").raw
+    raw = {**raw, "t_final": 30.0, "dt": 0.01, "goal": {"type": "linear", "v_g": [0.5, 0.0, 0.0], "r0": [0.0, 0.0, 0.0]},
+           "initial_state": {"n": 0.0, "e": 0.0, "d": 0.0, "phi": 0.0, "theta": 0.0, "psi": 0.0, "V_T": 2.0}}
+    return scenario_from_dict(raw)
+
+
+def singular_track(*args, **kwargs):
+    raise SingularSpeed("V_T at the floor")
 
 
 def head(log: TrajectoryLog, n: int) -> TrajectoryLog:
@@ -89,8 +106,8 @@ class TestChunks:
 
 class TestMemory:
     # At the real BLOCK, fig3's 3001- and 12001-step runs show the same slopes (module
-    # docstring), but traced they take about 12 s; here the blocks are smaller and the
-    # horizons whole multiples of them.
+    # docstring), but traced they take about 12 s; here the export blocks are smaller
+    # and the horizons whole multiples of them.
     SMALL = 64
 
     def peaks(self, rows, tmp_path):
@@ -119,7 +136,6 @@ class TestMemory:
         return np.array([run, csv, json]), sum(a.nbytes for a in owners.values()) / rows
 
     def test_peak_per_step(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(simulate, "BLOCK", self.SMALL)
         monkeypatch.setattr(export, "BLOCK", self.SMALL)
         short, long = 2 * self.SMALL + 1, 10 * self.SMALL + 1
         (p0, _), (p1, retained) = self.peaks(short, tmp_path), self.peaks(long, tmp_path)
@@ -128,28 +144,10 @@ class TestMemory:
         assert run <= retained, f"integrate's peak grows {run:.0f} B/step"
         assert csv < 16 and json < 16, f"export peaks grow {csv:.0f} (CSV) and {json:.0f} (JSON) B/row"
 
-    def test_log_independent_of_block(self, monkeypatch):
-        full = integrate(fig3(301))
-        monkeypatch.setattr(simulate, "BLOCK", self.SMALL)
-        blocks = integrate(fig3(301))
-        for name in ("t", *full.columns):
-            a, b = getattr(full, name), getattr(blocks, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-
-    @pytest.mark.parametrize("block", [BLOCK, 100])
-    def test_aborted_run_holds_its_rows(self, block, monkeypatch):
-        # the speed floor's abort after 484 rows (within the first block, or after four
-        # whole blocks of 100) and an abort at step 0: the arrays hold the run's rows, not
-        # the horizon's
-        monkeypatch.setattr(simulate, "BLOCK", block)
-        raw = load_scenario("step_offset").raw
-        raw = {**raw, "t_final": 30.0, "dt": 0.01, "goal": {"type": "linear", "v_g": [0.5, 0.0, 0.0], "r0": [0.0, 0.0, 0.0]},
-               "initial_state": {"n": 0.0, "e": 0.0, "d": 0.0, "phi": 0.0, "theta": 0.0, "psi": 0.0, "V_T": 2.0}}
-        logs = [integrate(scenario_from_dict(raw))]
-
-        def singular_track(*args, **kwargs):
-            raise SingularSpeed("V_T at the floor")
-
+    def test_aborted_run_holds_its_rows(self, monkeypatch):
+        # the speed floor's abort after 484 rows and an abort at step 0: the arrays hold
+        # the run's rows, not the horizon's
+        logs = [integrate(speed_floor())]
         monkeypatch.setattr(simulate, "track", singular_track)
         logs.append(integrate(fig3(3001)))
         for log in logs:
@@ -158,3 +156,23 @@ class TestMemory:
             for a in (log.t, *log.columns.values()):
                 assert owner(a).shape[0] == n
         assert len(logs[0].t) == 484 and len(logs[1].t) == 0
+
+
+class TestLog:
+    @pytest.mark.parametrize("run", ["fig3", "fig4", "fig5", "fig6", "step_offset", "speed floor", "step 0"])
+    def test_log_equals_one_shot_oracle(self, run, monkeypatch):
+        # every array of the log, in dtype, shape and bytes, and the abort: the bundled
+        # scenarios at 2 s horizons, the speed floor's abort and an abort at step 0
+        if run == "speed floor":
+            scn = speed_floor()
+        elif run == "step 0":
+            monkeypatch.setattr(simulate, "track", singular_track)
+            scn = fig3(3001)
+        else:
+            scn = scenario_from_dict({**load_scenario(run).raw, "t_final": 2.0})
+        log = integrate(scn)
+        t, columns, abort = log_oracle.log_arrays(scn)
+        assert log.abort == abort and (abort is None) == (run not in ("speed floor", "step 0"))
+        assert list(log.columns) == list(columns)
+        for name, a, b in (("t", log.t, t), *((name, log.columns[name], c) for name, c in columns.items())):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

@@ -590,6 +590,20 @@ class TestSweep:
         assert table[0] == ",".join(("value", *SWEEP_FIELDS))
         assert [float(line.split(",")[0]) for line in table[1:]] == pytest.approx([0.007, 0.005, 0.003])
 
+    @pytest.mark.parametrize("param, stem", [("notes.a/b", "notes_a_b"), ("notes.a b\\c:é", "notes_a_b_c__"),
+                                             ("constraints.members[0].margin", "constraints_members_0_margin"),
+                                             ("dt", "dt")])
+    def test_param_path_as_file_name(self, param, stem, tmp_path):
+        # a notes key is free-form: a character outside [A-Za-z0-9_] is written as "_",
+        # so every value runs and its rows are written, not lost to an io error
+        src = tmp_path / "scn.json"
+        src.write_text(json.dumps(make_raw(t_final=0.05, notes={"a/b": 1.0, "a b\\c:é": 1.0})))
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", str(src), "--param", param, "--min", "0.01", "--max", "0.02"]
+        assert cli_main([*argv, "--steps", "2", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [f"step_offset_sweep_{stem}.csv"]
+        assert len((out / f"step_offset_sweep_{stem}.csv").read_text().splitlines()) == 3
+
     def test_list_index_path(self):
         raw = make_raw(t_final=1.0)
         out = set_by_path(raw, "constraints.members[0].margin", 5.0)
@@ -844,17 +858,22 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["check", "--scenario", str(tmp_path / "nope.json")]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "check"])
-    def test_run_abort_exit_code(self, command, tmp_path):
-        # the abort comes after step 0; both commands report its kind
-        raw = make_raw(t_final=30.0, dt=0.01)
+    @pytest.mark.parametrize("command, checks, code", [
+        pytest.param("run", {}, 3, id="run"),
+        pytest.param("check", {}, 3, id="check"),
+        pytest.param("check", {"allow_abort": True}, 0, id="check-allow_abort"),
+    ])
+    def test_run_abort_exit_code(self, command, checks, code, tmp_path):
+        # the abort comes after step 0; both commands report its kind, and check exits 3
+        # on its failing no_abort line, which allow_abort replaces with a passing one
+        raw = make_raw(t_final=30.0, dt=0.01, checks=checks)
         raw["initial_state"]["psi"] = 0.0
         raw["initial_state"]["V_T"] = 2.0
         raw["goal"]["v_g"] = [0.5, 0.0, 0.0]
         src = tmp_path / "brake.json"
         src.write_text(json.dumps(raw))
         out = ["--out", str(tmp_path)] if command == "run" else []
-        assert cli_main([command, "--scenario", str(src), *out]) == 3
+        assert cli_main([command, "--scenario", str(src), *out]) == code
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RTA_OUT_DIR", str(tmp_path / "envout"))
