@@ -144,12 +144,20 @@ class TestMemory:
         assert run <= retained, f"integrate's peak grows {run:.0f} B/step"
         assert csv < 16 and json < 16, f"export peaks grow {csv:.0f} (CSV) and {json:.0f} (JSON) B/row"
 
-    def test_aborted_run_holds_its_rows(self, monkeypatch):
+    @pytest.mark.parametrize("block", [BLOCK, 100])
+    def test_aborted_run_holds_its_rows(self, block, monkeypatch, tmp_path):
         # the speed floor's abort after 484 rows and an abort at step 0: the arrays hold
-        # the run's rows, not the horizon's
-        logs = [integrate(speed_floor())]
+        # the run's rows, not the horizon's, and export blocks of ``block`` rows (the 484
+        # within the first block, or after four whole blocks of 100) give the one-shot
+        # writers' bytes
+        monkeypatch.setattr(export, "BLOCK", block)
+        scn = speed_floor()
+        logs = [integrate(scn)]
+        met = metrics_from_log(logs[0], scn)
+        assert written(logs[0], met, tmp_path) == (export_oracle.csv_text(logs[0]), export_oracle.json_text(logs[0], met))
         monkeypatch.setattr(simulate, "track", singular_track)
         logs.append(integrate(fig3(3001)))
+        assert write_csv(logs[1], tmp_path / "empty.csv").read_text() == export_oracle.csv_text(logs[1])
         for log in logs:
             assert "SingularSpeed" in log.abort
             n = len(log.t)
