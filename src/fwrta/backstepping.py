@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import ZERO3, ConstraintSet, frame_jets, softmin_weights
+from .constraints import ZERO3, BarrierEval, softmin_weights
 from .extended import ExtendedParams, member_extended_terms, member_frame_rates
 from .filters import FilterResult, WeightFactor, check_positive, filter_input, filter_step, lambda_smooth_coefficients
 from .model import ControlInput, TrackContext
@@ -54,22 +54,23 @@ class BacksteppingParams:
         check_positive(gamma_e=self.gamma_e, nu_e=self.nu_e, mu_e=self.mu_e)
 
 
-def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
-    """``(h_e, a_s, R_s, h_b)`` at the frame's ``(x, t)``, then the walk's sums
+def _pipeline(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
+    """``(h_e, a_s, R_s, h_b)`` of the composition ``pos``'s member jets at the
+    frame's ``(x, t)``, then the walk's sums
     (:func:`_affine_terms` reads them), ``a_e``, ``b`` and the step's result.
 
     The walk's sums are the composed ``D`` and ``gv``, ``sum w n'`` and, per
     direction (drift, ``A_T``, ``Q``), ``(sum w e, sum w d, sum w e D_i, *sum w e gv_i)``
     with ``(e, d)`` the member's ``(E', D')``.
     """
-    jets = frame_jets(ctx, cset)
+    jets = pos.jets
     gamma_p = p.ext.gamma_p
     terms, per = [], []
     for j in jets:
         e = member_extended_terms(j, ctx.v, gamma_p)
         terms.append(e)
         per.append(e[0])
-    h_e, w = softmin_weights(per, cset.kappa)
+    h_e, w = softmin_weights(per, pos.kappa)
     D = gx = gy = gz = mx = my = mz = 0.0
     # per direction, f (drift), a (A_T) and q (Q): sum w e, sum w d, sum w e D_i, sum w e gv_i
     fe = fd = fD = fx = fy = fz = ae = ad = aD = ax = ay = az = qe = qd = qD = qx = qy = qz = 0.0
@@ -100,21 +101,22 @@ def _pipeline(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
     return (h_e, a_s, R_s, h_e - gap * gap * (0.5 / p.mu_e)), (sums, a_e, b, res)
 
 
-def h_b(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams) -> float:
-    """Penalized barrier at the frame's ``(x, t)``; never exceeds the composed extension."""
-    return _pipeline(ctx, cset, p)[0][3]
+def h_b(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams) -> float:
+    """Penalized barrier of the composition ``pos`` at the frame's ``(x, t)``; never
+    exceeds the composed extension."""
+    return _pipeline(ctx, pos, p)[0][3]
 
 
-def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams):
+def _affine_terms(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
     """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
     V, R = ctx.V_T, ctx.R
-    (h_e, a_s, R_s, hb), ((D, (gx, gy, gz), (mx, my, mz), along), a_e, b, res) = _pipeline(ctx, cset, p)
+    (h_e, a_s, R_s, hb), ((D, (gx, gy, gz), (mx, my, mz), along), a_e, b, res) = _pipeline(ctx, pos, p)
     (fe, fd, fD, fx, fy, fz), (ae, ad, aD, ax, ay, az), (qe, qd, qD, qx, qy, qz) = along
     c1, lam, b_norm = ctx.c1, res.lam, math.sqrt(res.bn2)
     if b_norm:
         # c1 . a_s' reads gv' = sum w_i' gv_i (+ sum w n'/gamma_p on the drift) only
         # through W_b . gv' (|b|') and gam . gv', with W_b = W_e b and gam = W_e W_e^T c1
-        W_e, k, g, ge = p.W_e, cset.kappa, 1.0 / p.ext.gamma_p, p.gamma_e
+        W_e, k, g, ge = p.W_e, pos.kappa, 1.0 / p.ext.gamma_p, p.gamma_e
         (bx, by, bz), (cx, cy, cz) = W_e.apply(b), W_e.apply(W_e.apply_t(c1))
         b_gv, c_gv = (bx * gx + by * gy + bz * gz), (cx * gx + cy * gy + cz * gz)
         # along a direction, with h' = sum w e and w_i' = kappa w_i (h' - e_i), a composed
@@ -149,16 +151,17 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, p: BacksteppingParams)
 
 
 def rta_backstepping(
-    ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, p: BacksteppingParams
+    ctx: TrackContext, u_d: ControlInput, pos: BarrierEval, p: BacksteppingParams
 ) -> tuple[float, FilterResult]:
-    """Filter the desired input against the penalized barrier at the frame's ``(x, t)``;
-    returns ``h_b`` and the filter's result, its ``u`` a :class:`ControlInput`.
+    """Filter the desired input against the penalized barrier of the composition ``pos``
+    (:func:`~fwrta.constraints.compose_h_p`) at the frame's ``(x, t)``; returns ``h_b``
+    and the filter's result, its ``u`` a :class:`ControlInput`.
 
     The constraint row is the barrier's rate along the input columns;
     its roll entry is generically nonzero, so all three channels
     participate.
     """
-    _, hb, drift, row = _affine_terms(ctx, cset, p)
+    _, hb, drift, row = _affine_terms(ctx, pos, p)
     res = filter_input(u_d, hb, drift, row, p.ext)
     res.u = ControlInput(*res.u)
     return hb, res

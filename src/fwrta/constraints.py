@@ -7,18 +7,18 @@ into a single barrier value by a stabilized log-sum-exp smooth minimum
 (every member must hold, so there is no union-style smooth maximum).
 
 Each member is evaluated and the members composed once per control
-step: :func:`frame_jets` keeps each member's first-order Taylor jet
-along ``(v, 1)`` (:func:`member_jet1`) on the step's frame, next to
-the one composition of their zeroth orders, which :func:`compose_h_p`
-returns: one :func:`softmin_weights` of the members' values, then one
-walk over the members that sums the weighted gradients and
-time-partials.  The extended member is their first order, and
-:func:`member_jet` adds an obstacle's second order along the curve
-``(r + tau v + tau^2 r2 / 2, t + tau)``; a plane's is the constant
-``(n . r2, ZERO3, 0.0)``, which its callers write in place.
-:func:`compose_jets` extends the composition: it sums the weighted
-member jets' first orders in place, and their second orders once ``r2``
-is known.
+step, by :func:`compose_h_p`: each member's first-order Taylor jet along
+``(v, 1)`` (:func:`member_jet1`), one :func:`softmin_weights` of the
+members' values, then one walk over the members that sums the weighted
+gradients and time-partials.  The :class:`BarrierEval` it returns holds
+the member jets and ``kappa`` next to the composition, and the step
+passes it on to every layer that reads the members.  The extended
+member is their first order, and :func:`member_jet` adds an obstacle's
+second order along the curve ``(r + tau v + tau^2 r2 / 2, t + tau)``; a
+plane's is the constant ``(n . r2, ZERO3, 0.0)``, which its callers
+write in place.  :func:`compose_jets` extends the composition: it sums
+the weighted member jets' first orders in place, and their second orders
+once ``r2`` is known.
 
 Vectors are float 3-sequences, and every fixed-size vector formula of a
 control step, across all modules, is written as explicit components:
@@ -38,7 +38,7 @@ forms live under ``tests/``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -135,13 +135,16 @@ class ConstraintSet:
 
 @dataclass
 class BarrierEval:
-    """Composed barrier value with gradient, time-partial and weights."""
+    """Composed barrier value with gradient, time-partial, the members' values and
+    weights, and the member jets and sharpness ``kappa`` it is composed from."""
 
     value: float
     gradient_r: list
     dt_partial: float
-    per_constraint: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
+    per_constraint: list
+    weights: list
+    jets: list
+    kappa: float
 
 
 def _separation(r, t, obs: MovingObstacle):
@@ -190,32 +193,6 @@ def member_jet1(r, t, v, member: Constraint):
     return (q - member.rho, q1), (n, n1), (d0, d1), (q, dl, v_i, a_i)
 
 
-def frame_jets(ctx, cset: ConstraintSet):
-    """:func:`member_jet1` of each member of ``cset`` at the frame, evaluated once:
-    ``ctx.members`` keeps them keyed by ``cset``, next to the one composition of
-    their zeroth orders (the :class:`BarrierEval` :func:`compose_h_p` returns).
-
-    The composition is one softmin of the members' values and one walk that sums
-    the weighted gradients and time-partials; the first member starts each sum.
-    """
-    memo = ctx.members
-    if memo is None or memo[0] is not cset:
-        r, t, v = ctx.r, ctx.t, ctx.v
-        jets, per = [], []
-        for m in cset.members:
-            jet = member_jet1(r, t, v, m)
-            jets.append(jet)
-            per.append(jet[0][0])
-        h, w = (per[0], [1.0]) if len(per) == 1 else softmin_weights(per, cset.kappa)
-        x, (_, ((nx, ny, nz), _), (d, _), _) = w[0], jets[0]
-        gx, gy, gz, dt = x * nx, x * ny, x * nz, x * d
-        for i in range(1, len(jets)):
-            x, (_, ((nx, ny, nz), _), (d, _), _) = w[i], jets[i]
-            gx, gy, gz, dt = gx + x * nx, gy + x * ny, gz + x * nz, dt + x * d
-        memo = ctx.members = (cset, jets, BarrierEval(h, [gx, gy, gz], dt, per, w))
-    return memo[1]
-
-
 def member_jet(jet1, r2):
     """Second orders ``(h'', n'', d'')`` of an obstacle's :func:`member_jet1` result along
     the curve ``(r + tau v + tau^2 r2 / 2, t + tau)``, which leaves its first orders as
@@ -253,18 +230,18 @@ def softmin_weights(values, kappa: float):
     return h, w
 
 
-def compose_jets(jets, pos: BarrierEval, kappa: float):
-    """:func:`member_jet1` results composed as one member's jets ``(h, n, d)`` up to the
-    first order plus ``second(r2)``, their second orders along the curve of
-    :func:`member_jet`; the zeroth orders and weights are their composition ``pos``
-    (:func:`compose_h_p`), which this extends.
+def compose_jets(pos: BarrierEval):
+    """The composition ``pos`` (:func:`compose_h_p`) as one member's jets ``(h, n, d)`` up
+    to the first order plus ``second(r2)``, their second orders along the curve of
+    :func:`member_jet`: its member jets' first and second orders, weighted and summed;
+    its zeroth orders and weights are the composition's.
 
     Along the curve ``h' = sum w_i h_i'`` and ``w_i' = -kappa w_i (h_i' - h')``, and
     likewise one order up; each order walks the members twice in member order, once
     for ``h'`` and once for the weights' jets and the weighted gradient and
     time-partial jets, summed in place.
     """
-    w = pos.weights
+    w, jets, kappa = pos.weights, pos.jets, pos.kappa
     h1 = 0.0
     for x0, ((_, hi1), _, _, _) in zip(w, jets):
         h1 += x0 * hi1
@@ -301,6 +278,20 @@ def compose_jets(jets, pos: BarrierEval, kappa: float):
 
 
 def compose_h_p(ctx, cset: ConstraintSet) -> BarrierEval:
-    """Composed position barrier at the frame: the composition :func:`frame_jets` keeps."""
-    frame_jets(ctx, cset)
-    return ctx.members[2]
+    """Composed position barrier at the frame, with the member jets it is built from:
+    :func:`member_jet1` of each member of ``cset``, one softmin of their values and
+    one walk that sums the weighted gradients and time-partials, the first member
+    starting each sum."""
+    r, t, v = ctx.r, ctx.t, ctx.v
+    jets, per = [], []
+    for m in cset.members:
+        jet = member_jet1(r, t, v, m)
+        jets.append(jet)
+        per.append(jet[0][0])
+    h, w = (per[0], [1.0]) if len(per) == 1 else softmin_weights(per, cset.kappa)
+    x, (_, ((nx, ny, nz), _), (d, _), _) = w[0], jets[0]
+    gx, gy, gz, dt = x * nx, x * ny, x * nz, x * d
+    for i in range(1, len(jets)):
+        x, (_, ((nx, ny, nz), _), (d, _), _) = w[i], jets[i]
+        gx, gy, gz, dt = gx + x * nx, gy + x * ny, gz + x * nz, dt + x * d
+    return BarrierEval(h, [gx, gy, gz], dt, per, w, jets, cset.kappa)

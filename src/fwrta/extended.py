@@ -1,8 +1,8 @@
 """Velocity-extended barrier assurance (strategy 1).
 
 Each position constraint ``h`` is extended to ``h + hdot / gamma_p``, the
-first order of the member's jet the frame keeps
-(:func:`~fwrta.constraints.frame_jets`), so the barrier rate sees the
+first order of the member's jet that the step's composition holds
+(:func:`~fwrta.constraints.compose_h_p`), so the barrier rate sees the
 acceleration channel.  :func:`compose_extended_terms` composes the
 extension in the three quantities both input filters read: ``h_e``, its
 rate at fixed velocity ``D`` and its velocity gradient ``gv``, by one
@@ -16,14 +16,15 @@ gain and the outer filter's gains, ``gamma``, ``W`` and the smoothing
 ``nu``.  Roll rate ``P`` never enters: the input row carries a
 structural zero in the ``P`` slot, and :func:`rta_extended` copies the
 desired ``P`` bit for bit into the one :class:`~fwrta.model.ControlInput`
-it builds, reading the frame the tracker computed the step in.
+it builds, reading the frame the tracker computed the step in and the
+composition the step passes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ZERO3, ConstraintSet, frame_jets, member_jet, softmin_weights
+from .constraints import ZERO3, BarrierEval, member_jet, softmin_weights
 from .filters import FilterResult, WeightFactor, check_positive, filter_input
 from .model import ControlInput, TrackContext
 
@@ -116,12 +117,13 @@ def compose_extended_terms(jets, v, kappa: float, gamma_p: float):
     return h, D, [gx, gy, gz], per, w, terms
 
 
-def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams):
-    """Composed extension ``h`` at the frame's ``(x, t)`` and its rate as ``drift + row . u``.
+def _affine_terms(ctx: TrackContext, pos: BarrierEval, params: ExtendedParams):
+    """Composed extension ``h`` of the composition ``pos``'s member jets at the frame's
+    ``(x, t)`` and its rate as ``drift + row . u``.
 
     The ``P`` entry of ``row`` is a structural zero.
     """
-    h, D, gv, _, _, _ = compose_extended_terms(frame_jets(ctx, cset), ctx.v, cset.kappa, params.gamma_p)
+    h, D, gv, _, _, _ = compose_extended_terms(pos.jets, ctx.v, pos.kappa, params.gamma_p)
     V = ctx.V_T
     gx, gy, gz = gv
     c0, c1, c2 = ctx.c0, ctx.c1, ctx.c2
@@ -131,11 +133,12 @@ def _affine_terms(ctx: TrackContext, cset: ConstraintSet, params: ExtendedParams
 
 
 def rta_extended(
-    ctx: TrackContext, u_d: ControlInput, cset: ConstraintSet, params: ExtendedParams
+    ctx: TrackContext, u_d: ControlInput, pos: BarrierEval, params: ExtendedParams
 ) -> tuple[float, FilterResult]:
-    """Filter the desired input against the composed extended barrier at the frame's ``(x, t)``;
-    returns the barrier ``h_e`` and the filter's result, its ``u`` a :class:`ControlInput`."""
-    h, drift, row = _affine_terms(ctx, cset, params)
+    """Filter the desired input against the extension of the composition ``pos``
+    (:func:`~fwrta.constraints.compose_h_p`) at the frame's ``(x, t)``; returns the
+    barrier ``h_e`` and the filter's result, its ``u`` a :class:`ControlInput`."""
+    h, drift, row = _affine_terms(ctx, pos, params)
     res = filter_input(u_d, h, drift, row, params)
     # carry the desired roll rate through verbatim (bit-exact transparency)
     res.u = ControlInput(res.u[0], u_d.P, res.u[2])

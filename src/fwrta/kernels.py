@@ -1,10 +1,9 @@
 """Plain-float dynamics RHS and RK4 step of the seven-state model.
 
 The state derivative is written once, in :func:`_rhs`, over scalars: the
-attitude, the speed and the input as floats.  ``dubins_rhs`` is its entry
-point on a state and an input sequence, and ``rk4_step`` evaluates its
+attitude, the speed and the input as floats.  ``rk4_step`` evaluates its
 four stages through ``_rhs`` directly, so no stage state is built or
-indexed.  Both run over Python floats and return 7-tuples.  The RK4 stage
+indexed; both run over Python floats and return 7-tuples.  The RK4 stage
 states and the final combination are written out component by
 component, with no per-element comprehension, in the operation order of
 the classic array tableau, so they equal it bit for bit.  The derivative
@@ -35,11 +34,6 @@ def _rhs(phi, theta, psi, V_T, A_T, P, Q, g_d):
         (s_phi * Q + c_phi * R) / c_th,
         A_T,
     )
-
-
-def dubins_rhs(x, u, g_d):
-    """State derivative of the seven-state kinematic fixed-wing model."""
-    return _rhs(x[3], x[4], x[5], x[6], u[0], u[1], u[2], g_d)
 
 
 def rk4_step(x, u, dt, g_d):

@@ -4,8 +4,8 @@ The seven states are north/east/down position, roll/pitch/yaw Euler
 angles and speed; inputs are longitudinal acceleration plus roll and
 pitch rates, ``u = (A_T, P, Q)``.  Turning requires rolling: the yaw
 rate ``R = (g_D / V_T) sin(phi) cos(theta)`` is a state function, not an
-input.  The state derivative has one implementation,
-:func:`fwrta.kernels.dubins_rhs`.
+input.  The state derivative has one implementation, in
+:mod:`fwrta.kernels`.
 
 The map from ``(A_T, Q, R)`` to inertial acceleration factors as
 ``M_a = R_eb(phi, theta, psi) @ C(V_T)`` with
@@ -14,8 +14,9 @@ columns and determinant (``det M_a = V_T^2``); its inverse has the rows
 ``c0``, ``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns.
 :class:`TrackContext` is the one spelling of that frame (rotation
 columns, velocity and turn rate) on plain floats, its vectors held as
-float 3-lists; the whole control step reads it, and the filters and the
-tracking controller write its rates in closed form.  A control step
+float 3-lists; it holds the frame's geometry and nothing the step
+computes from it.  The whole control step reads it, and the filters and
+the tracking controller write its rates in closed form.  A control step
 reads the state as the integrator's float 7-tuple and the input, a
 slotted :class:`ControlInput`, field by field; their ``as_array``
 spellings serve the edges (tests and analysis).
@@ -66,10 +67,6 @@ class AircraftState:
         for name in ("n", "e", "d", "phi", "theta", "psi", "V_T"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteValue(f"AircraftState.{name} must be finite")
-
-    @classmethod
-    def from_array(cls, x) -> "AircraftState":
-        return cls(*(float(v) for v in x))
 
     def __iter__(self):
         return iter((self.n, self.e, self.d, self.phi, self.theta, self.psi, self.V_T))
@@ -124,20 +121,16 @@ class TrackContext:
     earth frame), the inertial velocity and the coordinated turn rate,
     all from sines computed once here; the vectors ``r``, ``v``, ``c0``,
     ``c1`` and ``c2`` are float 3-lists.  Construction enforces the pitch
-    guard and the speed floor.  The three per-frame memos ``goal_jet``,
-    ``members`` and ``filter0`` start empty.  ``goal_jet`` keeps the step's
-    goal jet once a command has built it; ``members`` keeps the constraint
-    members' jets and their one composition once
-    :func:`~fwrta.constraints.frame_jets` has built them; ``filter0`` keeps
-    the model-free filter's zeroth order of the goal command's ``v_d``
-    against that composition once :func:`~fwrta.modelfree.step_filter0`
-    has evaluated it.
+    guard and the speed floor.  The frame holds only this geometry: what a
+    step computes from it (the goal jet, the constraint composition, the
+    model-free filter's zeroth order) is returned by the function that
+    computes it and passed on as an argument.
     """
 
     __slots__ = (
         "t", "r", "V_T", "g_over_V",
         "s_ph", "c_ph", "s_th", "c_th", "t_th",
-        "c0", "c1", "c2", "v", "R", "goal_jet", "members", "filter0",
+        "c0", "c1", "c2", "v", "R",
     )
 
     def __init__(self, state, t: float, g: GravityParam):
@@ -161,6 +154,3 @@ class TrackContext:
         self.c2 = [c_ps * s_th * c_ph + s_ps * s_ph, s_ps * s_th * c_ph - c_ps * s_ph, c_th * c_ph]
         self.v = [V_T * c_th * c_ps, V_T * c_th * s_ps, -V_T * s_th]
         self.R = self.g_over_V * s_ph * c_th
-        self.goal_jet = None
-        self.members = None
-        self.filter0 = None

@@ -11,16 +11,13 @@ form in ``s``, ``g`` and ``v_d`` (:func:`filter_jet`).  The tracker
 flies it as a plain-float Taylor jet along the flown curve, written in
 scalar formulas: orders 0 and 1 when the command is built, the second
 order once the curve's acceleration is known.  The zeroth order is
-written once (:func:`_filter0`) and evaluated once per control step:
-:func:`step_filter0` keeps it on the step's
-:class:`~fwrta.model.TrackContext`, keyed by the composition, ``v_d``
-and the parameters it was evaluated for.
-:func:`safe_velocity_from_terms` returns it as a
+written once (:func:`_filter0`) and evaluated once per control step, by
+:func:`safe_velocity_from_terms`, which returns it: its
 :class:`~fwrta.filters.FilterResult` (the safe velocity is its ``u``,
-the achieved margin its ``slack``), and :func:`filter_jet` extends its
-terms.  The Lyapunov-coupled monitor
-``h_V = h_p - V / (2 sigma (lambda - gamma_p))`` certifies the tracked
-closed loop and is logged, not enforced.
+the achieved margin its ``slack``) and the terms :func:`filter_jet`
+extends; the step passes it on to the safe command's jet.  The
+Lyapunov-coupled monitor ``h_V = h_p - V / (2 sigma (lambda - gamma_p))``
+certifies the tracked closed loop and is logged, not enforced.
 """
 
 from __future__ import annotations
@@ -80,8 +77,8 @@ def filter_jet(zeroth, u, h, g, d, p: ModelFreeParams):
     first-order jets of ``v_d``, ``h``, ``grad`` and ``dtp``, plus
     ``second(u2, h2, g2, d2)``, which maps their second orders to ``v_s''``.
 
-    ``zeroth`` is :func:`_filter0` of the jets' zeroth orders (the step's is
-    :func:`step_filter0`'s); orders 1 and 2 extend its terms.  With
+    ``zeroth`` is :func:`_filter0` of the jets' zeroth orders, as
+    :func:`safe_velocity_from_terms` returns it; orders 1 and 2 extend its terms.  With
     ``s = g . v_d / |v_d|^2`` and ``c = 1 / Gamma_v``, the part of ``g`` across
     ``v_d`` is ``g - s v_d``, so ``|b|^2 = c |g|^2 + (1 - c) s (g . v_d)`` and
     ``v_s = v_d + lam ((1 - c) s v_d + c g)``; ``|g|^2`` is the rate condition's.
@@ -127,26 +124,15 @@ def filter_jet(zeroth, u, h, g, d, p: ModelFreeParams):
     return v_s, second
 
 
-def step_filter0(ctx, pos, v_d, p: ModelFreeParams):
-    """:func:`_filter0` of the desired velocity ``v_d`` (a float 3-sequence) against the
-    composed barrier ``pos`` (a :class:`~fwrta.constraints.BarrierEval`), evaluated
-    once per frame: ``ctx.filter0`` keeps it with the ``pos``, ``v_d`` and ``p`` it
-    was evaluated for, and a later call on the same three reads it back."""
-    memo = ctx.filter0
-    if memo is None or memo[0] is not pos or memo[1] is not v_d or memo[2] is not p:
-        memo = ctx.filter0 = (pos, v_d, p, _filter0(pos.value, pos.gradient_r, pos.dt_partial, v_d, p))
-    return memo[3]
-
-
-def safe_velocity_from_terms(ctx, pos, v_d, p: ModelFreeParams) -> FilterResult:
-    """Filter a desired velocity (a float 3-sequence) against the frame's composed
-    barrier ``pos``: the zeroth order of :func:`filter_jet`, which the frame keeps
-    (:func:`step_filter0`).
+def safe_velocity_from_terms(pos, v_d, p: ModelFreeParams):
+    """Filter a desired velocity (a float 3-sequence) against the composed barrier
+    ``pos`` (a :class:`~fwrta.constraints.BarrierEval`): the zeroth order of
+    :func:`filter_jet`, ``(result, terms)`` as :func:`_filter0` returns it.
 
     The result's ``u`` is the safe velocity ``v_s``, ``a`` the margin-reduced
     rate condition at ``v_d`` and ``slack`` the achieved margin.
     """
-    return step_filter0(ctx, pos, v_d, p)[0]
+    return _filter0(pos.value, pos.gradient_r, pos.dt_partial, v_d, p)
 
 
 def h_V(V_lyap: float, h_p_val: float, p: ModelFreeParams, lam: float) -> float:

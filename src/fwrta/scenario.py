@@ -25,12 +25,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .backstepping import BacksteppingParams, h_b
-from .constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, frame_jets
+from .constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from .errors import FwrtaError, ScenarioError
 from .extended import ExtendedParams, compose_extended_terms
 from .filters import WeightFactor, check_positive
 from .model import AircraftState, GravityParam, TrackContext
-from .modelfree import ModelFreeParams, h_V
+from .modelfree import ModelFreeParams, h_V, safe_velocity_from_terms
 from .tracking import GoalCommand, GoalTrajectory, SafeVelocityCommand, TrackingParams, track
 
 SCHEMA_ID = "fwrta-scenario/1"
@@ -323,38 +323,40 @@ def scenario_from_dict(raw: dict, origin: str = "<dict>") -> Scenario:
 def _validate_initial_barriers(scn: Scenario) -> None:
     """Reject scenarios whose mode-relevant barriers start negative.
 
-    Every barrier and the tracking certificate read one frame of ``(x0, 0)``.
+    Every barrier and the tracking certificate read one frame of ``(x0, 0)`` and
+    the one composition of the members there, passed on as a control step passes
+    them.
     """
     try:
         # the frame enforces the speed floor and the pitch guard; a start
         # at an obstacle's center lies inside it
         ctx = TrackContext(scn.x0, 0.0, scn.gravity)
-        h_p0 = compose_h_p(ctx, scn.cset).value
+        pos = compose_h_p(ctx, scn.cset)
     except FwrtaError as exc:
         raise ScenarioError(f"initial_state invalid: {exc}") from exc
-    if h_p0 < 0.0:
-        raise ScenarioError(f"initial state violates the position barrier: h_p(0) = {h_p0:.6g}")
+    if pos.value < 0.0:
+        raise ScenarioError(f"initial state violates the position barrier: h_p(0) = {pos.value:.6g}")
     if scn.mode in ("extended", "backstepping"):
-        he = compose_extended_terms(frame_jets(ctx, scn.cset), ctx.v, scn.cset.kappa, scn.extended.gamma_p)[0]
+        he = compose_extended_terms(pos.jets, ctx.v, pos.kappa, scn.extended.gamma_p)[0]
         if he < 0.0:
             raise ScenarioError(f"initial state violates the extended barrier: h_e(0) = {he:.6g}")
     if scn.mode == "backstepping":
-        hb = h_b(ctx, scn.cset, scn.backstep)
+        hb = h_b(ctx, pos, scn.backstep)
         if hb < 0.0:
             raise ScenarioError(f"initial state violates the penalized barrier: h_b(0) = {hb:.6g}")
     # the certificate of the command the mode flies, finite from the start
-    if scn.mode == "modelfree":
-        cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
-    else:
-        cmd = GoalCommand(scn.goal, scn.tracking)
+    cmd = GoalCommand(scn.goal, scn.tracking)
     try:
+        if scn.mode == "modelfree":
+            v_d = cmd.command_jet(ctx)
+            cmd = SafeVelocityCommand(v_d, pos, safe_velocity_from_terms(pos, v_d[0], scn.mf), scn.mf)
         V0 = track(scn.x0, 0.0, cmd, scn.tracking, scn.gravity, ctx=ctx).V
     except (FwrtaError, ValueError) as exc:
         raise ScenarioError(f"initial tracking certificate cannot be evaluated: {exc}") from exc
     if not math.isfinite(V0):
         raise ScenarioError(f"initial tracking certificate is not finite: V(0) = {V0}")
     if scn.mode == "modelfree":
-        hv = h_V(V0, h_p0, scn.mf, scn.tracking.lam)
+        hv = h_V(V0, pos.value, scn.mf, scn.tracking.lam)
         if hv < 0.0:
             raise ScenarioError(f"initial state violates the monitor barrier: h_V(0) = {hv:.6g}")
 

@@ -3,11 +3,15 @@ trajectory/barrier logging, metrics and threshold checking.
 
 The control input is computed once per step at the step's start state
 and held over the step (zero-order hold).  Every mode tracks the goal
-command for ``u_d`` first, then reads the position barrier and its
-filter in that track's frame, and yields the applied input, its barrier,
-the filter's slack and warning flag; the filtered modes read the last
-two from the one :class:`~fwrta.filters.FilterResult` their filter
-returns.  The step returns its log row as one flat tuple, its state first,
+command for ``u_d`` first, then composes the position barrier in that
+track's frame and passes the composition to its filter, and yields the
+applied input, its barrier, the filter's slack and warning flag; the
+filtered modes read the last two from the one
+:class:`~fwrta.filters.FilterResult` their filter returns.  Each value
+of the step is computed once and passed on as an argument: the goal
+track's jet, the composition with its member jets and, in modelfree,
+the filter's zeroth order, which the safe track extends in the same
+frame.  The step returns its log row as one flat tuple, its state first,
 in the order of :data:`LOG_COLUMNS`, the one table of the log's columns,
 which the log and its CSV and JSON exports follow too.  The state advances
 with the classic fourth-order step from :mod:`fwrta.kernels`.  The whole
@@ -126,30 +130,29 @@ def make_controller(scn: Scenario):
     first)."""
     g = scn.gravity
     goal_cmd = GoalCommand(scn.goal, scn.tracking)
-    if scn.mode == "modelfree":
-        safe_cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
 
     def control(x, t: float) -> tuple:
         # one frame per step: track builds it and hands it on in its result, which
         # the position barrier and the input filters read; modelfree builds it here
-        # for its two tracks, which also share the goal jet and the filter's zeroth
-        # order the frame keeps
+        # for its two tracks.  Each value is computed once and passed on: the goal
+        # track's jet, the composition with its member jets and, in modelfree, the
+        # filter's zeroth order, which the safe track's jet extends
         ctx = TrackContext(x, t, g) if scn.mode == "modelfree" else None
         tr_d = track(x, t, goal_cmd, scn.tracking, g, ctx=ctx)
         pos = compose_h_p(tr_d.ctx, scn.cset)
         if scn.mode == "off":
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":
-            # before the safe track, whose jet extends the zeroth order the frame keeps
-            res = safe_velocity_from_terms(ctx, pos, tr_d.v_c, scn.mf)
-            tr = track(x, t, safe_cmd, scn.tracking, g, ctx=ctx)
+            zeroth = safe_velocity_from_terms(pos, tr_d.jet[0], scn.mf)
+            res = zeroth[0]
+            tr = track(x, t, SafeVelocityCommand(tr_d.jet, pos, zeroth, scn.mf), scn.tracking, g, ctx=ctx)
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
             residual, warn = res.slack, res.infeasible
         else:
             if scn.mode == "extended":
-                h_mode, res = rta_extended(tr_d.ctx, tr_d.u, scn.cset, scn.extended)
+                h_mode, res = rta_extended(tr_d.ctx, tr_d.u, pos, scn.extended)
             else:
-                h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, scn.cset, scn.backstep)
+                h_mode, res = rta_backstepping(tr_d.ctx, tr_d.u, pos, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
         u_d = tr_d.u
         A_T_d, P_d, Q_d, A_T, P, Q = u_d.A_T, u_d.P, u_d.Q, u.A_T, u.P, u.Q

@@ -23,17 +23,15 @@ second derivative along the flown curve ``(r + tau v + tau^2 v_dot / 2,
 t + tau)``.  One plain-float Taylor jet along that curve gives it stage
 by stage (goal, members, softmin, filter): orders 0 and 1 when the
 command is built, and the second order once ``v_dot`` is known, each
-stage's formula fed the curve's ``r'' = v_dot``.  The goal, member and
-softmin stages start from what the step's
-:class:`~fwrta.model.TrackContext` keeps, each built once per frame:
-the goal command's own jet, each member's first-order jet
-(:func:`~fwrta.constraints.frame_jets`) and the position barrier's
-composition (:func:`~fwrta.constraints.compose_h_p`), whose zeroth
-orders and weights the softmin stage extends.  The filter stage extends
-the filter's zeroth order the frame keeps
-(:func:`~fwrta.modelfree.step_filter0`), which the step's
-``safe_velocity_from_terms`` has already evaluated.  :class:`TrackResult`
-is built positionally.
+stage's formula fed the curve's ``r'' = v_dot``.  The step evaluates
+each stage's zeroth order once and passes it on:
+:class:`SafeVelocityCommand` holds the goal command's jet, which the
+goal track returns in its :class:`TrackResult`, the position barrier's
+composition with its member jets
+(:func:`~fwrta.constraints.compose_h_p`), whose zeroth orders and
+weights the softmin stage extends, and the filter's zeroth order
+(:func:`~fwrta.modelfree.safe_velocity_from_terms`), which the filter
+stage extends.  :class:`TrackResult` is built positionally.
 """
 
 from __future__ import annotations
@@ -43,10 +41,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .constraints import ZERO3, ConstraintSet, compose_jets, finite_vec3, frame_jets
+from .constraints import ZERO3, BarrierEval, compose_jets, finite_vec3
 from .filters import check_positive
 from .model import ControlInput, GravityParam, TrackContext
-from .modelfree import ModelFreeParams, filter_jet, step_filter0
+from .modelfree import ModelFreeParams, filter_jet
 
 
 @dataclass(frozen=True)
@@ -132,16 +130,6 @@ def _goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
     )
 
 
-def _step_goal_jet(goal: GoalTrajectory, K_r, ctx: TrackContext):
-    """:func:`_goal_jet`, evaluated once per frame: ``ctx.goal_jet`` keeps it with
-    the goal and gain rows it was built from, and a later command of the
-    step on the same pair reads it back."""
-    memo = ctx.goal_jet
-    if memo is None or memo[0] is not goal or memo[1] is not K_r:
-        memo = ctx.goal_jet = (goal, K_r, _goal_jet(goal, K_r, ctx))
-    return memo[2]
-
-
 @dataclass(frozen=True)
 class GoalCommand:
     """Track a goal trajectory: ``v_c = v_g + K_r (r_g - r)``."""
@@ -151,7 +139,7 @@ class GoalCommand:
 
     def command_jet(self, ctx: TrackContext):
         K_r = self.params.K_r
-        v_c, a_c, (kx, ky, kz) = _step_goal_jet(self.goal, K_r, ctx)
+        v_c, a_c, (kx, ky, kz) = _goal_jet(self.goal, K_r, ctx)
         (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K_r
         return v_c, a_c, lambda v: [kx - (k00 * v[0] + k01 * v[1] + k02 * v[2]),
                                     ky - (k10 * v[0] + k11 * v[1] + k12 * v[2]),
@@ -160,43 +148,35 @@ class GoalCommand:
 
 @dataclass(frozen=True)
 class SafeVelocityCommand:
-    """Track the model-free safe velocity built on the goal command."""
+    """Track the model-free safe velocity at one frame: the filter's zeroth order
+    ``zeroth`` (:func:`~fwrta.modelfree.safe_velocity_from_terms`) of the goal command's
+    jet ``goal`` against the composition ``pos`` (:func:`~fwrta.constraints.compose_h_p`),
+    all at that frame, extended to orders 1 and 2."""
 
-    goal: GoalTrajectory
-    params: TrackingParams
-    cset: ConstraintSet
+    goal: tuple
+    pos: BarrierEval
+    zeroth: tuple
     mf: ModelFreeParams
 
     def command_jet(self, ctx: TrackContext):
         # orders 0 and 1 along (r + tau v + tau^2 v_dot / 2, t + tau) now; the
         # second order waits in the rate map until the tracker knows v_dot
-        K_r, cset, mf = self.params.K_r, self.cset, self.mf
-        v_d = _step_goal_jet(self.goal, K_r, ctx)
-        jets = frame_jets(ctx, cset)
-        pos = ctx.members[2]  # the composition frame_jets keeps next to the jets
-        h, grad, dtp, pos_second = compose_jets(jets, pos, cset.kappa)
-        v_s, filter_second = filter_jet(step_filter0(ctx, pos, v_d[0], mf), v_d[:2], h, grad, dtp, mf)
-        (kx, ky, kz), ((k00, k01, k02), (k10, k11, k12), (k20, k21, k22)) = v_d[2], K_r
-
-        def rate(v_dot):
-            x, y, z = v_dot
-            u2 = [kx - (k00 * x + k01 * y + k02 * z), ky - (k10 * x + k11 * y + k12 * z),
-                  kz - (k20 * x + k21 * y + k22 * z)]
-            return filter_second(u2, *pos_second(v_dot))
-
-        return v_s[0], v_s[1], rate
+        v_d, a_d, goal_rate = self.goal
+        h, grad, dtp, pos_second = compose_jets(self.pos)
+        v_s, filter_second = filter_jet(self.zeroth, (v_d, a_d), h, grad, dtp, self.mf)
+        return v_s[0], v_s[1], lambda v_dot: filter_second(goal_rate(v_dot), *pos_second(v_dot))
 
 
 @dataclass
 class TrackResult:
-    """Assembled input with the certificate diagnostics and the frame it was computed in."""
+    """Assembled input with the certificate diagnostics, the command's jet ``(v_c, a_c,
+    rate)`` and the frame it was computed in."""
 
     u: ControlInput
     V: float
     R_d: float
     residual: float
-    v_c: list
-    a_c: list
+    jet: tuple
     a_P: float
     b_P: float
     ctx: TrackContext
@@ -225,7 +205,8 @@ def track(
     """
     if ctx is None:
         ctx = TrackContext(state, t, g)
-    v_c, a_c, rate = cmd.command_jet(ctx)
+    jet = cmd.command_jet(ctx)
+    v_c, a_c, rate = jet
     (c0x, c0y, c0z), (c1x, c1y, c1z), (c2x, c2y, c2z) = ctx.c0, ctx.c1, ctx.c2
     V_T = ctx.V_T
     R = ctx.R
@@ -271,4 +252,4 @@ def track(
     P = solve_roll_qp(a_P, b_P)
     V = 0.5 * e_v_sq + gap * gap / (2.0 * mu)
     # positional: keyword arguments cost a dataclass __init__ three times as much
-    return TrackResult(ControlInput(A_T, P, Q), V, R_d, a_P + b_P * P, v_c, a_c, a_P, b_P, ctx)
+    return TrackResult(ControlInput(A_T, P, Q), V, R_d, a_P + b_P * P, jet, a_P, b_P, ctx)

@@ -1,15 +1,18 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import dualnum as dm
 from dual_formulas import compose_terms, filter_core, pipeline
 from fwrta import kernels
+from fwrta.backstepping import BacksteppingParams, h_b
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p, member_jet1
 from fwrta.filters import filter_step
 from fwrta.model import AircraftState, GravityParam, TrackContext
-from fwrta.modelfree import safe_velocity_from_terms
+from fwrta.modelfree import ModelFreeParams, safe_velocity_from_terms
 from fwrta.simulate import make_controller, row_columns
-from fwrta.tracking import SafeVelocityCommand, TrackingParams
+from fwrta.tracking import GoalCommand, SafeVelocityCommand, TrackingParams
 
 
 @pytest.fixture
@@ -48,6 +51,47 @@ class AcceleratingGoal:
         return self.r0 + self.v0 * t + 0.5 * self.a * t * t, self.v0 + self.a * t, self.a
 
 
+def state_from_array(x) -> AircraftState:
+    """The :class:`AircraftState` of a 7-sequence of its fields."""
+    return AircraftState(*(float(v) for v in x))
+
+
+def dubins_rhs(x, u, g_d):
+    """State derivative of the seven-state model at the 7-sequence ``x`` and the input
+    sequence ``u``: :func:`fwrta.kernels.rk4_step`'s one RHS formula."""
+    return kernels._rhs(x[3], x[4], x[5], x[6], u[0], u[1], u[2], g_d)
+
+
+@dataclass(frozen=True)
+class SafeCommand:
+    """The model-free safe velocity command of a goal, gains, constraint set and filter
+    parameters at any frame: the values a control step passes on (the goal command's
+    jet, the composition and the filter's zeroth order), then
+    :class:`fwrta.tracking.SafeVelocityCommand`'s jet of them."""
+
+    goal: object
+    params: TrackingParams
+    cset: ConstraintSet
+    mf: ModelFreeParams
+
+    def command_jet(self, ctx):
+        v_d = GoalCommand(self.goal, self.params).command_jet(ctx)
+        pos = compose_h_p(ctx, self.cset)
+        return SafeVelocityCommand(v_d, pos, safe_velocity_from_terms(pos, v_d[0], self.mf), self.mf).command_jet(ctx)
+
+
+def composed(st, t, cset, g):
+    """The frame of ``(st, t)`` and the composition of ``cset`` there, as a control step
+    passes them on."""
+    ctx = TrackContext(st, t, g)
+    return ctx, compose_h_p(ctx, cset)
+
+
+def penalized_barrier(st, t, cset, p: BacksteppingParams, g):
+    """:func:`fwrta.backstepping.h_b` at the frame of ``(st, t)``, on the composition there."""
+    return h_b(*composed(st, t, cset, g), p)
+
+
 def frame_at(r, t):
     """The :class:`TrackContext` of level flight north at 100 m/s through position ``r`` at time ``t``,
     for the formulas that read a frame at a free position."""
@@ -71,8 +115,8 @@ def turn_rate(st, g):
 
 
 def dynamics(st, u, g):
-    """State derivative ``f(x) + g(x) u``: the one RHS, :func:`fwrta.kernels.dubins_rhs`."""
-    return np.array(kernels.dubins_rhs(st.as_array(), u.as_array(), g.g_d))
+    """State derivative ``f(x) + g(x) u``: the one RHS, :func:`dubins_rhs`."""
+    return np.array(dubins_rhs(st.as_array(), u.as_array(), g.g_d))
 
 
 def tracking_params(k_r, k_v, mu, lam):
@@ -93,8 +137,7 @@ def apply_filter(u_d, a, b_raw, weight, nu=None):
 
 def safe_velocity(r, t, v_d, cset, p):
     """The model-free filter of ``v_d`` against the composed position barrier at ``(r, t)``."""
-    ctx = frame_at(r, t)
-    return safe_velocity_from_terms(ctx, compose_h_p(ctx, cset), v_d, p)
+    return safe_velocity_from_terms(compose_h_p(frame_at(r, t), cset), v_d, p)[0]
 
 
 def integrate_stage_controlled(scn, dt, t_final):
@@ -109,7 +152,7 @@ def integrate_stage_controlled(scn, dt, t_final):
     u_at = row_columns(len(scn.cset.members))[0]["u"]
 
     def f(x, t):
-        return np.array(kernels.dubins_rhs(x, control(x, t)[u_at], g_d))
+        return np.array(dubins_rhs(x, control(x, t)[u_at], g_d))
 
     x = scn.x0.as_array()
     for k in range(int(round(t_final / dt))):
@@ -262,7 +305,7 @@ def command_duals(cmd, st, t):
     parts = seed_state_time(st.as_array(), t)
     r, _, theta, psi, V_T, td = parts
     v = velocity_vec(theta, psi, V_T)
-    if isinstance(cmd, SafeVelocityCommand):
+    if isinstance(cmd, SafeCommand):
         to_state = np.zeros((4, 8))
         to_state[0, 0] = to_state[1, 1] = to_state[2, 2] = to_state[3, 7] = 1.0
         v_s = safe_velocity_seeded(cmd, st.r, t, v.v)

@@ -18,12 +18,15 @@ from conftest import (
     grad_h_b,
     integrate_stage_controlled,
     jets_at,
+    penalized_barrier,
     random_constraint_set,
     random_state,
+    SafeCommand,
     safe_velocity,
     safe_velocity_seeded,
     safe_velocity_terms,
     seed_pos_time,
+    state_from_array,
     tracking_params,
     velocity,
 )
@@ -32,16 +35,15 @@ import dualnum as dm
 from fwrta.constraints import compose_h_p, softmin_weights
 from fwrta.export import csv_header, write_csv
 from fwrta.extended import ExtendedParams, compose_extended_terms
-from fwrta.backstepping import BacksteppingParams, h_b
+from fwrta.backstepping import BacksteppingParams
 from fwrta.filters import WeightFactor
-from fwrta.model import AircraftState, GravityParam, TrackContext
+from fwrta.model import AircraftState, GravityParam
 from fwrta.modelfree import ModelFreeParams
 from fwrta.scenario import load_scenario
 from fwrta.simulate import integrate, metrics_from_log
 from fwrta.tracking import (
     GoalCommand,
     GoalTrajectory,
-    SafeVelocityCommand,
     solve_roll_qp,
     track,
 )
@@ -130,7 +132,7 @@ def test_criterion_3_backstepping_combined(fig5_run):
     # barrier chain: the penalized barrier floor implies the extension floor
     h_e_min = math.inf
     for i in range(0, len(log.t), 5):
-        st = AircraftState.from_array(log.x[i])
+        st = state_from_array(log.x[i])
         v = velocity(st)
         h_e_min = min(
             h_e_min,
@@ -369,12 +371,12 @@ def test_criterion_7_gradient_certification(rng):
                 xp[k] += h_fd
                 xm[k] -= h_fd
                 fd8[k] = (
-                    h_b(TrackContext(AircraftState.from_array(xp), t0, G), cset, p)
-                    - h_b(TrackContext(AircraftState.from_array(xm), t0, G), cset, p)
+                    penalized_barrier(state_from_array(xp), t0, cset, p, G)
+                    - penalized_barrier(state_from_array(xm), t0, cset, p, G)
                 ) / (2 * h_fd)
             else:
                 fd8[k] = (
-                    h_b(TrackContext(st, t0 + h_fd, G), cset, p) - h_b(TrackContext(st, t0 - h_fd, G), cset, p)
+                    penalized_barrier(st, t0 + h_fd, cset, p, G) - penalized_barrier(st, t0 - h_fd, cset, p, G)
                 ) / (2 * h_fd)
         worst["h_b"] = max(worst["h_b"], _rel_err(np.append(dhdx, dhdt), fd8))
 
@@ -403,8 +405,8 @@ def test_criterion_7_gradient_certification(rng):
                 xp[k] += h_fd
                 xm[k] -= h_fd
                 fdV[k] = (
-                    track(AircraftState.from_array(xp), t0, cmd, tp, G).V
-                    - track(AircraftState.from_array(xm), t0, cmd, tp, G).V
+                    track(state_from_array(xp), t0, cmd, tp, G).V
+                    - track(state_from_array(xm), t0, cmd, tp, G).V
                 ) / (2 * h_fd)
             else:
                 fdV[k] = (track(st, t0 + h_fd, cmd, tp, G).V - track(st, t0 - h_fd, cmd, tp, G).V) / (2 * h_fd)
@@ -419,7 +421,7 @@ def test_criterion_7_gradient_certification(rng):
 def _clf_series(scn, log, cmd):
     return np.array(
         [
-            track(AircraftState.from_array(log.x[i]), log.t[i], cmd, scn.tracking, scn.gravity).V
+            track(state_from_array(log.x[i]), log.t[i], cmd, scn.tracking, scn.gravity).V
             for i in range(len(log.t))
         ]
     )
@@ -498,7 +500,7 @@ def test_curvature_pass_matches_first_order_differences(fig6_run):
     # of the first-order rate J_r v + J_t along the same line; the oracle
     # shares no curvature arithmetic with the pass
     scn, log, _ = fig6_run
-    cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
+    cmd = SafeCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
     tau = 3e-3
 
     def line_rate(r, t, v, s):
@@ -510,7 +512,7 @@ def test_curvature_pass_matches_first_order_differences(fig6_run):
 
     worst = 0.0
     for k in range(0, len(log.t) - 1, 200):
-        st = AircraftState.from_array(log.x[k])
+        st = state_from_array(log.x[k])
         r, t, v = st.r, float(log.t[k]), velocity(st)
         oracle = (4.0 * central(r, t, v, 0.5 * tau) - central(r, t, v, tau)) / 3.0
         got = safe_velocity_seeded(cmd, r, t, v).h[:, 0]
@@ -533,7 +535,7 @@ def test_invariant_clf_decrease_when_tracking(fig3_run, fig4_run, fig5_run, fig6
         assert float((resid - bound)[free].max()) <= 0.0, scn.name
 
     scn, log, _ = fig6_run
-    cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
+    cmd = SafeCommand(scn.goal, scn.tracking, scn.cset, scn.mf)
     V = _clf_series(scn, log, cmd)
     resid = (V[1:] - V[:-1]) / scn.dt + scn.tracking.lam * V[:-1]
     bound = (scn.dt / 0.0025) ** 2 * 1e-3 * np.maximum(1.0, V[:-1])

@@ -9,16 +9,19 @@ import dual_formulas as df
 from conftest import (
     AcceleratingObstacle,
     apply_filter,
+    dubins_rhs,
     grad_h_b,
     jets_at,
+    penalized_barrier,
     random_constraint_set,
     random_state,
+    SafeCommand,
     safe_velocity_seeded,
     seed_state_time,
+    state_from_array,
     velocity,
     velocity_vec,
 )
-from fwrta import kernels
 from fwrta.backstepping import (
     BacksteppingParams,
     _affine_terms,
@@ -33,7 +36,6 @@ from fwrta.filters import WeightFactor
 from fwrta.model import AircraftState, ControlInput, TrackContext
 from fwrta.modelfree import ModelFreeParams
 from fwrta.scenario import load_scenario
-from fwrta.tracking import SafeVelocityCommand
 
 
 def table_params(mu_e=1e-4):
@@ -48,7 +50,8 @@ def table_params(mu_e=1e-4):
 
 def safe_pieces(st, t, cset, p, g):
     """``(a_s, R_s)``: the safe acceleration and turn rate of the barrier chain."""
-    _, a_s, R_s, _ = _pipeline(TrackContext(st, t, g), cset, p)[0]
+    ctx = TrackContext(st, t, g)
+    _, a_s, R_s, _ = _pipeline(ctx, compose_h_p(ctx, cset), p)[0]
     return a_s, R_s
 
 
@@ -172,7 +175,7 @@ class TestPenalizedBarrier:
         for _ in range(2000):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            hb = h_b(TrackContext(st, 0.0, gravity), cset, p)
+            hb = penalized_barrier(st, 0.0, cset, p, gravity)
             he = h_e_at(st, cset, p)
             assert hb <= he + 1e-12
 
@@ -180,7 +183,7 @@ class TestPenalizedBarrier:
         for _ in range(30):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            hb = h_b(TrackContext(st, 0.0, gravity), cset, table_params(mu_e=1e12))
+            hb = penalized_barrier(st, 0.0, cset, table_params(mu_e=1e12), gravity)
             he = h_e_at(st, cset, table_params())
             assert hb == pytest.approx(he, rel=1e-9, abs=1e-8)
 
@@ -189,7 +192,7 @@ class TestPenalizedBarrier:
         cset = canceling_planes()
         p = table_params()
         st = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 2, 150.0)
-        hb = h_b(TrackContext(st, 0.0, gravity), cset, p)
+        hb = penalized_barrier(st, 0.0, cset, p, gravity)
         he = h_e_at(st, cset, p)
         assert hb == he
 
@@ -203,10 +206,10 @@ def _fd_grad_h_b(st, t, cset, p, g, h=1e-5):
         xp[i] += h
         xm[i] -= h
         grad[i] = (
-            h_b(TrackContext(AircraftState.from_array(xp), t, g), cset, p)
-            - h_b(TrackContext(AircraftState.from_array(xm), t, g), cset, p)
+            penalized_barrier(state_from_array(xp), t, cset, p, g)
+            - penalized_barrier(state_from_array(xm), t, cset, p, g)
         ) / (2 * h)
-    dt = (h_b(TrackContext(st, t + h, g), cset, p) - h_b(TrackContext(st, t - h, g), cset, p)) / (2 * h)
+    dt = (penalized_barrier(st, t + h, cset, p, g) - penalized_barrier(st, t - h, cset, p, g)) / (2 * h)
     return grad, dt
 
 
@@ -251,8 +254,8 @@ def oracle_rate(st, t, cset, p, g):
     """``(drift, row)`` as the 8-seed gradient contracted with ``f`` and the input columns ``G``."""
     dhdx, dhdt = grad_h_b(st, t, cset, p, g)
     x = st.as_array()
-    f = np.array(kernels.dubins_rhs(x, (0.0, 0.0, 0.0), g.g_d))
-    G = np.column_stack([np.array(kernels.dubins_rhs(x, e, g.g_d)) - f for e in np.eye(3)])
+    f = np.array(dubins_rhs(x, (0.0, 0.0, 0.0), g.g_d))
+    G = np.column_stack([np.array(dubins_rhs(x, e, g.g_d)) - f for e in np.eye(3)])
     return dhdt + float(dhdx @ f), dhdx @ G
 
 
@@ -326,11 +329,12 @@ def acting_states(rng, g, per_branch, make_cset):
 def assert_rate_matches_oracle(st, t, cset, q, g):
     """The closed-form rate of ``h_b`` against the gradient oracle, and ``h_b`` itself."""
     ctx = TrackContext(st, t, g)
-    h_e, hb, drift, row = _affine_terms(ctx, cset, q)
+    pos = compose_h_p(ctx, cset)
+    h_e, hb, drift, row = _affine_terms(ctx, pos, q)
     ref_drift, ref_row = oracle_rate(st, t, cset, q, g)
     got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
     assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-    assert hb == h_b(ctx, cset, q)
+    assert hb == h_b(ctx, pos, q)
 
 
 class TestRta:
@@ -388,18 +392,17 @@ class TestRta:
 
     def test_raises_at_obstacle_center(self, gravity):
         # fig5's start moved onto its obstacle's center: the closed-form
-        # chain and the dual oracles stop before dividing by the distance
+        # chain (the composition rta_backstepping reads) and the dual oracles
+        # stop before dividing by the distance
         scn = load_scenario("fig5")
         center = scn.cset.members[0].trajectory(0.0)[0]
         st = dataclasses.replace(scn.x0, n=float(center[0]), e=float(center[1]), d=float(center[2]))
+        ctx = TrackContext(st, 0.0, scn.gravity)
         with pytest.raises(CoincidentPosition) as expected:
-            compose_h_p(TrackContext(st, 0.0, scn.gravity), scn.cset)
-        with pytest.raises(CoincidentPosition) as got:
-            rta_backstepping(TrackContext(st, 0.0, scn.gravity), ControlInput(0.0, 0.0, 0.0), scn.cset, scn.backstep)
-        assert str(got.value) == str(expected.value)
+            rta_backstepping(ctx, ControlInput(0.0, 0.0, 0.0), compose_h_p(ctx, scn.cset), scn.backstep)
         with pytest.raises(CoincidentPosition, match=str(expected.value)):
             grad_h_b(st, 0.0, scn.cset, scn.backstep, scn.gravity)
-        cmd = SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, ModelFreeParams(0.1, 3.0, 4.0, 0.007))
+        cmd = SafeCommand(scn.goal, scn.tracking, scn.cset, ModelFreeParams(0.1, 3.0, 4.0, 0.007))
         with pytest.raises(CoincidentPosition, match=str(expected.value)):
             safe_velocity_seeded(cmd, st.r, 0.0, velocity(st))
 
@@ -410,9 +413,10 @@ class TestRta:
         st = AircraftState(0.0, 0.0, 0.0, 0.05, 0.02, math.pi / 2, 160.0)
         u_d = ControlInput(0.4, -0.02, 0.01)
         ctx = TrackContext(st, 0.0, gravity)
-        hb, res = rta_backstepping(ctx, u_d, cset, p)
+        pos = compose_h_p(ctx, cset)
+        hb, res = rta_backstepping(ctx, u_d, pos, p)
         assert res.u == u_d
-        assert hb <= _affine_terms(ctx, cset, p)[0]
+        assert hb <= _affine_terms(ctx, pos, p)[0]
 
     def test_all_channels_respond_when_active(self, rng, gravity):
         p = table_params()
@@ -420,7 +424,8 @@ class TestRta:
         cset = ConstraintSet([plane], kappa=0.007)
         st = AircraftState(0.0, 0.0, 0.0, 0.2, 0.05, math.pi / 2, 250.0)
         u_d = ControlInput(0.0, 0.0, 0.0)
-        _, res = rta_backstepping(TrackContext(st, 0.0, gravity), u_d, cset, p)
+        ctx = TrackContext(st, 0.0, gravity)
+        _, res = rta_backstepping(ctx, u_d, compose_h_p(ctx, cset), p)
         u = res.u.as_array()
         assert res.slack >= -1e-6
         assert np.all(u != 0.0)

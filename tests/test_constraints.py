@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from fwrta.constraints import (
     MovingObstacle,
     compose_h_p,
     compose_jets,
-    frame_jets,
     h_geofence,
     member_jet1,
     softmin_weights,
@@ -227,12 +227,13 @@ def test_compose_jets_match_dual_oracle(rng, kinds):
     # the summed jets against the curvature Dual along w = (v, 1) and its
     # r-Jacobian: the first order is e[..., 0], the deferred second order along
     # the curve (r + tau v + tau^2 r2 / 2, t + tau) is h[..., 0] + e[..., 1:] @ r2;
-    # the zeroth orders are compose_h_p's composition, which the jets extend
+    # the zeroth orders are compose_h_p's composition, which the jets extend, its
+    # member jets replaced by those along v
     for _ in range(25):
         r, v, t = rng.uniform(-500.0, 500.0, 3), rng.uniform(-150.0, 150.0, 3), float(rng.uniform(0.0, 10.0))
         cset = ConstraintSet([_member_ahead(rng, k, r, t) for k in kinds], float(rng.uniform(0.004, 0.05)))
         pos = compose_h_p(frame_at(r.tolist(), t), cset)
-        h, g, d, second = compose_jets(jets_at(r.tolist(), t, v.tolist(), cset), pos, cset.kappa)
+        h, g, d, second = compose_jets(dataclasses.replace(pos, jets=jets_at(r.tolist(), t, v.tolist(), cset)))
         assert h[0] is pos.value and g[0] is pos.gradient_r and d[0] is pos.dt_partial
         r2 = rng.normal(size=3) * 20.0
         ref = df.compose_terms(*seed_line(r, t, v), cset)[:3]
@@ -270,10 +271,12 @@ def test_compositions_match_column_sums_bit_for_bit(rng, kinds):
         gamma_p = float(rng.uniform(0.5, 5.0))
         ctx = frame_at(r.tolist(), t)
         pos = compose_h_p(ctx, cset)
-        zeroth = [[jh[0], *jn[0], jd[0]] for jh, jn, jd, _ in frame_jets(ctx, cset)]
+        zeroth = [[jh[0], *jn[0], jd[0]] for jh, jn, jd, _ in pos.jets]
         h, *grad, dtp, per, w = _column_sums(zeroth, cset.kappa)
         assert pos.value == h and pos.gradient_r == grad and pos.dt_partial == dtp
         assert pos.per_constraint == per and pos.weights == w
+        # next to the member jets at the frame it composes, and the sharpness
+        assert pos.jets == jets_at(ctx.r, t, ctx.v, cset) and pos.kappa == cset.kappa
         jets = jets_at(r.tolist(), t, v.tolist(), cset)
         terms = [member_extended_terms(j, v.tolist(), gamma_p) for j in jets]
         h, D, *gv, per, w = _column_sums(terms, cset.kappa)

@@ -6,7 +6,15 @@ import pytest
 
 import dual_formulas as df
 import dualnum as dm
-from conftest import AcceleratingObstacle, jets_at, random_constraint_set, random_state, velocity
+from conftest import (
+    AcceleratingObstacle,
+    composed,
+    jets_at,
+    random_constraint_set,
+    random_state,
+    state_from_array,
+    velocity,
+)
 from fwrta.constraints import ZERO3, ConstraintSet, GeofencePlane, MovingObstacle, h_geofence, member_jet1
 from fwrta.extended import (
     ExtendedParams,
@@ -149,7 +157,7 @@ class TestAffine:
         for _ in range(100):
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
-            _, _, row = _affine_terms(TrackContext(st, 0.5, gravity), cset, p)
+            _, _, row = _affine_terms(*composed(st, 0.5, cset, gravity), p)
             assert row[1] == 0.0
 
     def test_rate_matches_trajectory_finite_difference(self, rng, gravity):
@@ -159,11 +167,11 @@ class TestAffine:
             cset = random_constraint_set(rng, st.r)
             u = rng.uniform(-2, 2, size=3)
             t0 = float(rng.uniform(0, 5))
-            _, drift, row = _affine_terms(TrackContext(st, t0, gravity), cset, p)
+            _, drift, row = _affine_terms(*composed(st, t0, cset, gravity), p)
             rate = drift + row @ u
 
             def h_at(x_arr, t):
-                s = AircraftState.from_array(x_arr)
+                s = state_from_array(x_arr)
                 v = velocity(s)
                 return compose_extended_terms(jets_at(s.r, t, v, cset), v, cset.kappa, p.gamma_p)[0]
 
@@ -188,7 +196,7 @@ class TestAffine:
                 V_T=float(rng.uniform(80, 250)),
             )
             cset = random_constraint_set(rng, st.r)
-            _, _, row = _affine_terms(TrackContext(st, 0.0, gravity), cset, p)
+            _, _, row = _affine_terms(*composed(st, 0.0, cset, gravity), p)
             v = velocity(st)
             gv = compose_extended_terms(jets_at(st.r, 0.0, v, cset), v, cset.kappa, p.gamma_p)[2]
             v_hat = velocity(st) / st.V_T
@@ -213,7 +221,8 @@ class TestRta:
         st = AircraftState(0, 0, 0, 0.05, 0.02, 1.2, 160.0)
         cset = ConstraintSet([TABLE_PLANE_2], kappa=0.007)
         u_d = ControlInput(0.5, -0.01, 0.02)
-        _, res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
+        ctx, pos = composed(st, 0.0, cset, gravity)
+        _, res = rta_extended(ctx, u_d, pos, p)
         assert res.u == u_d
         assert not res.infeasible
 
@@ -224,10 +233,10 @@ class TestRta:
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
             u_d = ControlInput(*rng.uniform(-5, 5, size=3))
-            ctx = TrackContext(st, float(rng.uniform(0, 10)), gravity)
+            ctx, pos = composed(st, float(rng.uniform(0, 10)), cset, gravity)
             # signed zeros too: where the filter acts, P_d + lam * 0.0 would turn -0.0 into +0.0
             for P_d in (u_d.P, -0.0, 0.0):
-                _, res = rta_extended(ctx, ControlInput(u_d.A_T, P_d, u_d.Q), cset, p)
+                _, res = rta_extended(ctx, ControlInput(u_d.A_T, P_d, u_d.Q), pos, p)
                 assert res.u.P == P_d
                 assert math.copysign(1.0, res.u.P) == math.copysign(1.0, P_d)
             active += res.lam > 0
@@ -241,7 +250,8 @@ class TestRta:
             st = random_state(rng)
             cset = random_constraint_set(rng, st.r)
             u_d = ControlInput(*rng.uniform(-5, 5, size=3))
-            _, res = rta_extended(TrackContext(st, 0.0, gravity), u_d, cset, p)
+            ctx, pos = composed(st, 0.0, cset, gravity)
+            _, res = rta_extended(ctx, u_d, pos, p)
             if not res.infeasible:
                 assert res.slack >= -1e-6
             if res.lam > 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dubins_rhs
 from fwrta import kernels
 
 
@@ -28,7 +29,7 @@ def array_rk4(x, u, dt, g_d):
     """The classic tableau over numpy arrays: the oracle of the float kernel."""
 
     def f(z):
-        return np.array(kernels.dubins_rhs(z, u, g_d))
+        return np.array(dubins_rhs(z, u, g_d))
 
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
@@ -54,5 +55,5 @@ def test_rhs_reads_no_position(cases):
     for x, u in cases:
         x = tuple(x.tolist())
         u = tuple(u.tolist())
-        got = kernels.dubins_rhs((nan, nan, nan, *x[3:]), u, 9.81)
-        assert list(map(float.hex, got)) == list(map(float.hex, kernels.dubins_rhs(x, u, 9.81)))
+        got = dubins_rhs((nan, nan, nan, *x[3:]), u, 9.81)
+        assert list(map(float.hex, got)) == list(map(float.hex, dubins_rhs(x, u, 9.81)))

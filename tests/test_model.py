@@ -5,9 +5,11 @@ import pytest
 
 from conftest import (
     accel_matrix,
+    dubins_rhs,
     dynamics,
     euler_cols,
     random_state,
+    state_from_array,
     turn_rate,
     turn_rate_raw,
     velocity,
@@ -115,8 +117,8 @@ class TestDynamics:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
             # the RHS is affine in the input: drift plus input columns
             x = st.as_array()
-            f = np.array(kernels.dubins_rhs(x, (0.0, 0.0, 0.0), gravity.g_d))
-            G = np.column_stack([np.array(kernels.dubins_rhs(x, e, gravity.g_d)) - f for e in np.eye(3)])
+            f = np.array(dubins_rhs(x, (0.0, 0.0, 0.0), gravity.g_d))
+            G = np.column_stack([np.array(dubins_rhs(x, e, gravity.g_d)) - f for e in np.eye(3)])
             np.testing.assert_allclose(f + G @ u.as_array(), got, rtol=1e-12, atol=1e-12)
 
     def test_pitch_guard(self, gravity):
@@ -164,7 +166,7 @@ class TestAccelMatrix:
             x0 = st.as_array()
             xp = kernels.rk4_step(x0, u.as_array(), dt, gravity.g_d)
             xm = kernels.rk4_step(x0, u.as_array(), -dt, gravity.g_d)
-            v_dot_fd = (velocity(AircraftState.from_array(xp)) - velocity(AircraftState.from_array(xm))) / (2 * dt)
+            v_dot_fd = (velocity(state_from_array(xp)) - velocity(state_from_array(xm))) / (2 * dt)
             rates = np.array([u.A_T, u.Q, turn_rate(st, gravity)])
             v_dot = accel_matrix(st) @ rates
             np.testing.assert_allclose(v_dot_fd, v_dot, rtol=1e-6, atol=1e-6)

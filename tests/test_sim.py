@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import desired_velocity, safe_velocity, velocity
+from conftest import SafeCommand, composed, desired_velocity, safe_velocity, state_from_array, velocity
 from fwrta import constraints, filters, kernels, modelfree, simulate, tracking
 from fwrta.cli import SWEEP_FIELDS, main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError, SingularSpeed
@@ -28,7 +28,7 @@ from fwrta.simulate import (
     set_by_path,
     sweep,
 )
-from fwrta.tracking import GoalCommand, SafeVelocityCommand, track
+from fwrta.tracking import GoalCommand, track
 
 BASE = json.loads(bundled_scenario_path("step_offset").read_text())
 
@@ -295,7 +295,7 @@ class TestIntegrate:
         scn = scenario_from_dict(make_raw(t_final=2.0))
         log = integrate(scn)
         for row in log.x[::50]:
-            st = AircraftState.from_array(row)
+            st = state_from_array(row)
             assert np.linalg.norm(velocity(st)) == pytest.approx(st.V_T, rel=1e-12)
 
 
@@ -306,17 +306,20 @@ class TestIntegrate:
 # with the per-step vectors and inner products written as explicit components,
 # the goal evaluated by one method call, every composition of the members one
 # softmin plus plain loops in member order, ``ControlInput`` a slotted class,
-# the log row a flat tuple, ``track`` one frame per call and one model-free
-# filter zeroth order per step (so one ``FilterResult.__init__``), and the
-# model-free safe command reading the frame's members once: fig3
-# 32.00 / 0.00 / 35.01, fig4 30.00 / 0.00 / 33.01, fig5 53.00 / 0.00 / 57.01,
-# fig6 44.00 / 0.00 / 48.01, step_offset 19.00 / 0.00 / 21.00; the fractions are
-# the run's own frames (``integrate``, ``make_controller`` and ``row_columns``)
-# spread over its steps.  No comprehension is left in a step.  CPython 3.10
-# enters the same frames; from 3.12 on, list comprehensions are inlined
-# (PEP 709), so the counts can only read lower.
-STEP_FRAME_BOUNDS = {"fig3": (33, 1, 36), "fig4": (31, 1, 34), "fig5": (54, 1, 58), "fig6": (45, 1, 49),
-                     "step_offset": (20, 1, 22)}
+# the log row a flat tuple, ``track`` one frame per call, and each per-step
+# value computed once and passed on as an argument: the goal track's jet, the
+# composition with its member jets (which the filters and the model-free safe
+# command read) and the model-free filter's zeroth order (one
+# ``FilterResult.__init__``), which the safe command, one dataclass per step,
+# extends: fig3 29.00 / 0.00 / 32.01, fig4 27.00 / 0.00 / 30.01, fig5
+# 50.00 / 0.00 / 54.01, fig6 39.00 / 0.00 / 44.01, step_offset
+# 17.00 / 0.00 / 19.00; the fractions are the run's own frames (``integrate``,
+# ``make_controller`` and ``row_columns``) spread over its steps.  Each bound is
+# the measured count's whole part plus one.  No comprehension is left in a
+# step.  CPython 3.10 enters the same frames; from 3.12 on, list comprehensions
+# are inlined (PEP 709), so the counts can only read lower.
+STEP_FRAME_BOUNDS = {"fig3": (30, 1, 33), "fig4": (28, 1, 31), "fig5": (51, 1, 55), "fig6": (40, 1, 45),
+                     "step_offset": (18, 1, 20)}
 COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>")
 
 
@@ -335,17 +338,17 @@ class TestStepRecord:
         if scn.mode == "off":
             u, h_mode, residual, warn = tr_d.u, pos.value, tr_d.residual, False
         elif scn.mode == "modelfree":
-            tr = track(st, 0.0, SafeVelocityCommand(scn.goal, scn.tracking, scn.cset, scn.mf), scn.tracking, g)
+            tr = track(st, 0.0, SafeCommand(scn.goal, scn.tracking, scn.cset, scn.mf), scn.tracking, g)
             sv = safe_velocity(st.r, 0.0, desired_velocity(st.r, 0.0, scn.goal, scn.tracking), scn.cset, scn.mf)
             u, h_mode = tr.u, h_V(tr.V, pos.value, scn.mf, scn.tracking.lam)
             residual, warn = sv.slack, sv.infeasible
         else:
-            ctx = TrackContext(st, 0.0, g)
+            ctx, fresh = composed(st, 0.0, scn.cset, g)
             if scn.mode == "extended":
-                h_mode, res = rta_extended(ctx, tr_d.u, scn.cset, scn.extended)
+                h_mode, res = rta_extended(ctx, tr_d.u, fresh, scn.extended)
             else:
-                _, res = rta_backstepping(ctx, tr_d.u, scn.cset, scn.backstep)
-                h_mode = h_b(ctx, scn.cset, scn.backstep)
+                _, res = rta_backstepping(ctx, tr_d.u, fresh, scn.backstep)
+                h_mode = h_b(ctx, fresh, scn.backstep)
             u, residual, warn = res.u, res.slack, res.infeasible
         np.testing.assert_array_equal(rec["u_d"], tr_d.u.as_array())
         np.testing.assert_array_equal(rec["u"], u.as_array())
@@ -381,10 +384,10 @@ class TestStepRecord:
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "step_offset"])
     def test_one_frame_per_step(self, name, monkeypatch):
         # the tracker and the mode's filter read one TrackContext per control step,
-        # and the frame holds one goal jet (modelfree's two tracks share it), one
-        # evaluation of each constraint member and one composition of them, which
-        # every layer reads; the state travels as the integrator's tuple, never as
-        # an AircraftState
+        # and the step computes one goal jet (modelfree's safe track extends the
+        # goal track's), one evaluation of each constraint member and one
+        # composition of them, each passed on to every layer that reads it; the
+        # state travels as the integrator's tuple, never as an AircraftState
         scn = scenario_from_dict({**load_scenario(name).raw, "t_final": 2.0})
         init, goal_jet = TrackContext.__init__, tracking._goal_jet
         state_init = AircraftState.__init__
@@ -462,11 +465,11 @@ class TestStepRecord:
             assert calls == {"_unit_along": obstacles * n, "softplus": n, "softmin_weights": 2 * n,
                              "member_jet": obstacles * n, "_filter0": 0}
         elif name == "fig6":
-            # the safe command's second order extends each obstacle's frame jet once,
+            # the safe command's second order extends each obstacle's member jet once,
             # without another tangent of its separation, and its first order the
-            # frame's composition; the filter's zeroth order, with its one softplus,
+            # step's composition; the filter's zeroth order, with its one softplus,
             # is evaluated once, by the step's filter, and the safe track's jet
-            # extends the one the frame keeps
+            # extends the one the step passes it
             assert calls == {"_unit_along": obstacles * n, "softplus": n, "softmin_weights": n,
                              "member_jet": obstacles * n, "_filter0": n}
         else:

@@ -7,18 +7,21 @@ import pytest
 from conftest import (
     AcceleratingGoal,
     AcceleratingObstacle,
+    SafeCommand,
     accel_matrix,
     certificate_duals,
     desired_velocity,
+    dubins_rhs,
     dynamics,
     random_state,
     safe_velocity,
     safe_velocity_seeded,
+    state_from_array,
     tracking_params,
     turn_rate,
     velocity,
 )
-from fwrta import constraints, kernels, modelfree
+from fwrta import kernels
 from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, compose_h_p
 from fwrta.errors import CoincidentPosition, ZeroDesiredVelocity
 from fwrta.model import AircraftState, ControlInput, GravityParam, TrackContext
@@ -107,7 +110,7 @@ class TestDesiredAccel:
             st = random_state(rng)
             res = track(st, 1.0, cmd, TABLE, gravity)
             a_d = tracked_accel(st, 1.0, cmd, gravity)
-            v_c, a_c, v = np.array(res.v_c), np.array(res.a_c), velocity(st)
+            v_c, a_c, v = np.array(res.jet[0]), np.array(res.jet[1]), velocity(st)
             V0 = 0.5 * float((v_c - v) @ (v_c - v))
             h = 1e-6
             e1 = (v_c + h * a_c) - (v + h * a_d)
@@ -207,7 +210,7 @@ def planar_cset():
 
 
 def safe_cmd():
-    return SafeVelocityCommand(EAST_GOAL, TABLE, planar_cset(), ModelFreeParams(0.1, 3.0, 4.0, 0.007))
+    return SafeCommand(EAST_GOAL, TABLE, planar_cset(), ModelFreeParams(0.1, 3.0, 4.0, 0.007))
 
 
 def fd_command_rate(cmd, st, t, g, h=1e-4):
@@ -215,8 +218,8 @@ def fd_command_rate(cmd, st, t, g, h=1e-4):
     u = track(st, t, cmd, TABLE, g).u.as_array()
     xp = kernels.rk4_step(st.as_array(), u, h, g.g_d)
     xm = kernels.rk4_step(st.as_array(), u, -h, g.g_d)
-    vp, _ = command_at(cmd, AircraftState.from_array(xp), t + h, g)
-    vm, _ = command_at(cmd, AircraftState.from_array(xm), t - h, g)
+    vp, _ = command_at(cmd, state_from_array(xp), t + h, g)
+    vm, _ = command_at(cmd, state_from_array(xm), t - h, g)
     return (vp - vm) / (2 * h)
 
 
@@ -261,8 +264,8 @@ class TestCommandRates:
             h = 1e-5
             x0 = st.as_array()
             x_dot = dynamics(st, u, gravity)
-            vp, ap = command_at(cmd, AircraftState.from_array(x0 + h * x_dot), t + h, gravity)
-            vm, am = command_at(cmd, AircraftState.from_array(x0 - h * x_dot), t - h, gravity)
+            vp, ap = command_at(cmd, state_from_array(x0 + h * x_dot), t + h, gravity)
+            vm, am = command_at(cmd, state_from_array(x0 - h * x_dot), t - h, gravity)
             np.testing.assert_allclose(a_c, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-6)
             np.testing.assert_allclose(rate(v_dot), (ap - am) / (2 * h), rtol=1e-4, atol=5e-5)
 
@@ -273,7 +276,7 @@ def dual_track_oracle(cmd, st, t, g):
     A_T, Q, R_d, R = A_T_dual.v, Q_dual.v, R_d_dual.v, R_dual.v
     e_v = e_v_dual.v
     gap = R_d - R
-    xdot0 = kernels.dubins_rhs(st.as_array(), (A_T, 0.0, Q), g.g_d)
+    xdot0 = dubins_rhs(st.as_array(), (A_T, 0.0, Q), g.g_d)
     f_R = float(R_dual.e[:7] @ xdot0) + float(R_dual.e[7])
     f_Rd = float(R_d_dual.e[:7] @ xdot0) + float(R_d_dual.e[7])
     g_R, g_Rd = float(R_dual.e[3]), float(R_d_dual.e[3])
@@ -359,7 +362,7 @@ def test_safe_command_jet_matches_curvature_oracle(rng):
         v_d = desired_velocity(st.r, t, goal, TABLE)
         kind = list(kinds)[int(rng.integers(len(kinds)))]
         members = [_member_near(rng, m, st.r, t, v_d) for m in kinds[kind]]
-        cmd = SafeVelocityCommand(goal, TABLE, ConstraintSet(members, float(rng.uniform(0.004, 0.05))), mf)
+        cmd = SafeCommand(goal, TABLE, ConstraintSet(members, float(rng.uniform(0.004, 0.05))), mf)
         plain = safe_velocity(st.r, t, v_d, cmd.cset, mf)
         if np.linalg.norm(plain.u - v_d) < 1e-3 * np.linalg.norm(v_d):
             continue  # the filter barely acts here
@@ -377,7 +380,7 @@ def test_safe_command_jet_zero_row_matches_oracle(rng):
         planes = [GeofencePlane(-n * D, n, 10.0), GeofencePlane(n * D, -n, 10.0)]
         st = dataclasses.replace(random_state(rng, v_range=(80.0, 250.0), theta_max=0.6), n=0.0, e=0.0, d=0.0)
         mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
-        cmd = SafeVelocityCommand(NORTH_GOAL, TABLE, ConstraintSet(planes, 0.01), mf)
+        cmd = SafeCommand(NORTH_GOAL, TABLE, ConstraintSet(planes, 0.01), mf)
         got, ref = _jet_and_oracle(cmd, st, 2.0, rng.normal(size=3))
         np.testing.assert_array_equal(got[0], desired_velocity(st.r, 2.0, NORTH_GOAL, TABLE))
         _assert_rel(got, ref)
@@ -395,7 +398,7 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
         (parked, [far], 3.0, ZeroDesiredVelocity, "desired velocity too small for the direction projector"),
     ]
     for goal, members, t, exc, message in cases:
-        cmd = SafeVelocityCommand(goal, TABLE, ConstraintSet(members, 0.01), mf)
+        cmd = SafeCommand(goal, TABLE, ConstraintSet(members, 0.01), mf)
         with pytest.raises(exc, match=message):
             cmd.command_jet(TrackContext(st, t, gravity))
         with pytest.raises(exc, match=message):
@@ -403,16 +406,16 @@ def test_safe_command_jet_raises_like_the_oracle(gravity):
 
 
 def test_commands_sharing_a_frame_match_fresh_frames(rng, gravity):
-    # the first command tracked in a frame stores its goal jet there, and the
-    # first safe command its member jets: a later command on the same goal and
-    # gains, or the same constraint set, reads them back, one on another goal,
-    # other gains or another set builds its own
+    # a model-free step tracks two commands in one frame: the goal command, then the
+    # safe command of the goal track's jet, the composition and the filter's zeroth
+    # order, all at that frame.  Each track on the shared frame equals the same
+    # track on a fresh frame of the same (x, t), on other goals, gains and sets too
     mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
     cset = ConstraintSet([GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.01)
     other_cset = ConstraintSet([GeofencePlane([0.0, 4000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.01)
     other_gains = tracking_params(0.08, 0.3, 1e-5, 0.2)
-    cmds = [GoalCommand(EAST_GOAL, TABLE), SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf),
-            SafeVelocityCommand(EAST_GOAL, TABLE, other_cset, mf),
+    goal_cmd = GoalCommand(EAST_GOAL, TABLE)
+    cmds = [goal_cmd, SafeCommand(EAST_GOAL, TABLE, cset, mf), SafeCommand(EAST_GOAL, TABLE, other_cset, mf),
             GoalCommand(NORTH_GOAL, TABLE), GoalCommand(NORTH_GOAL, other_gains)]
     for _ in range(20):
         st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
@@ -420,79 +423,14 @@ def test_commands_sharing_a_frame_match_fresh_frames(rng, gravity):
         shared = TrackContext(st, t, gravity)
         for cmd in cmds:
             got, want = track(st, t, cmd, TABLE, gravity, ctx=shared), track(st, t, cmd, TABLE, gravity)
-            assert (got.u, got.v_c, got.a_c) == (want.u, want.v_c, want.a_c)
-
-
-def test_frame_keeps_the_composition_of_its_constraint_set(rng, gravity, monkeypatch):
-    # the frame keeps one set's member jets and composition at a time, keyed by the
-    # set: compose_h_p on a second set, then the safe command on the first, each
-    # read their own set's composition, as on fresh frames; a repeat call on the
-    # kept set returns the kept BarrierEval and evaluates no member again
-    mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007)
-    cset = planar_cset()
-    other = ConstraintSet([MovingObstacle([2000.0, -1500.0, -300.0], [-50.0, 80.0, 0.0], 40.0),
-                           GeofencePlane([0.0, 5000.0, 0.0], [0.0, -1.0, 0.0], 10.0)], 0.02)
-    separation, separations = constraints._separation, []
-
-    def counted(*args):
-        separations.append(args)
-        return separation(*args)
-
-    monkeypatch.setattr(constraints, "_separation", counted)
-    for _ in range(20):
-        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
-        t, v_dot = float(rng.uniform(0.0, 10.0)), rng.normal(size=3).tolist()
-        shared = TrackContext(st, t, gravity)
+            assert (got.u, got.jet[:2]) == (want.u, want.jet[:2])
+        # the step's chain on the shared frame: the safe track reads the zeroth order passed in
+        tr_d = track(st, t, goal_cmd, TABLE, gravity, ctx=shared)
         pos = compose_h_p(shared, cset)
-        assert pos == compose_h_p(TrackContext(st, t, gravity), cset)
-        other_pos = compose_h_p(shared, other)
-        assert other_pos == compose_h_p(TrackContext(st, t, gravity), other) and other_pos != pos
-        cmd = SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf)
-        got, want = cmd.command_jet(shared), cmd.command_jet(TrackContext(st, t, gravity))
-        assert (got[0], got[1], got[2](v_dot)) == (want[0], want[1], want[2](v_dot))
-        kept = compose_h_p(shared, cset)
-        assert kept == pos
-        evaluated = len(separations)
-        assert compose_h_p(shared, cset) is kept
-        assert cmd.command_jet(shared)[:2] == got[:2]
-        assert len(separations) == evaluated
-
-
-def test_frame_keeps_one_filter_zeroth_order_per_key(rng, gravity, monkeypatch):
-    # the step's safe_velocity_from_terms and the safe command's jet on one frame
-    # read one zeroth order, the same FilterResult, evaluated once; a second v_d or
-    # second ModelFreeParams on that frame evaluates its own, as on a fresh frame
-    mf, other_mf = ModelFreeParams(0.1, 3.0, 4.0, 0.007), ModelFreeParams(0.1, 2.0, 4.0, 0.007)
-    cset = planar_cset()
-    goal_cmd, safe = GoalCommand(EAST_GOAL, TABLE), SafeVelocityCommand(EAST_GOAL, TABLE, cset, mf)
-    zeroth, evaluated = modelfree._filter0, []
-
-    def counted(*args):
-        evaluated.append(args)
-        return zeroth(*args)
-
-    def fresh(st, t, v_d, p):
-        ctx = TrackContext(st, t, gravity)
-        return safe_velocity_from_terms(ctx, compose_h_p(ctx, cset), v_d, p)
-
-    monkeypatch.setattr(modelfree, "_filter0", counted)
-    for _ in range(20):
-        st = random_state(rng, v_range=(80.0, 250.0), theta_max=0.6, pos_scale=3000.0)
-        t = float(rng.uniform(0.0, 10.0))
-        shared = TrackContext(st, t, gravity)
-        v_d = goal_cmd.command_jet(shared)[0]
-        pos = compose_h_p(shared, cset)
-        evaluated.clear()
-        res = safe_velocity_from_terms(shared, pos, v_d, mf)
-        v_s = safe.command_jet(shared)[0]
-        assert len(evaluated) == 1
-        assert v_s is res.u and safe_velocity_from_terms(shared, pos, v_d, mf) is res
-        assert len(evaluated) == 1
-        keys = (([1.1 * v_d[0], v_d[1] - 5.0, v_d[2]], mf), (v_d, other_mf))
-        got = [safe_velocity_from_terms(shared, pos, v, p) for v, p in keys]
-        assert len(evaluated) == 3
-        for (v, p), own in zip(keys, got):
-            assert own != res and own == fresh(st, t, v, p)
+        zeroth = safe_velocity_from_terms(pos, tr_d.jet[0], mf)
+        got = track(st, t, SafeVelocityCommand(tr_d.jet, pos, zeroth, mf), TABLE, gravity, ctx=shared)
+        want = track(st, t, SafeCommand(EAST_GOAL, TABLE, cset, mf), TABLE, gravity)
+        assert (got.u, got.jet[:2]) == (want.u, want.jet[:2]) and got.jet[0] is zeroth[0].u
 
 
 def test_tracking_params_validation():
