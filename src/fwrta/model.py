@@ -14,9 +14,8 @@ columns and determinant (``det M_a = V_T^2``); its inverse has the rows
 ``c0``, ``-c2 / V_T`` and ``c1 / V_T`` of the rotation columns.
 :class:`TrackContext` is the one spelling of that frame (rotation
 columns, velocity and turn rate) on plain floats, its vectors held as
-float 3-lists; it holds the frame's geometry and nothing the step
-computes from it.  The whole control step reads it, and the filters and
-the tracking controller write its rates in closed form.  A control step
+float 3-lists; the whole control step reads it, and the filters and the
+tracking controller write its rates in closed form.  A control step
 reads the state as the integrator's float 7-tuple and the input, a
 slotted :class:`ControlInput`, field by field; their ``as_array``
 spellings serve the edges (tests and analysis).

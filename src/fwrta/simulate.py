@@ -134,9 +134,7 @@ def make_controller(scn: Scenario):
     def control(x, t: float) -> tuple:
         # one frame per step: track builds it and hands it on in its result, which
         # the position barrier and the input filters read; modelfree builds it here
-        # for its two tracks.  Each value is computed once and passed on: the goal
-        # track's jet, the composition with its member jets and, in modelfree, the
-        # filter's zeroth order, which the safe track's jet extends
+        # for its two tracks
         ctx = TrackContext(x, t, g) if scn.mode == "modelfree" else None
         tr_d = track(x, t, goal_cmd, scn.tracking, g, ctx=ctx)
         pos = compose_h_p(tr_d.ctx, scn.cset)
