@@ -1,22 +1,24 @@
 """Backstepping barrier assurance (strategy 2).
 
 The barrier builds on the extended layer: ``h_e``, its rate at fixed
-velocity ``D`` and its velocity gradient ``gv`` compose the members'
-:func:`~fwrta.extended.member_extended_terms`, and the extension gain and
-the outer filter's gains come from ``BacksteppingParams.ext``.  The smooth filter
-step of :mod:`fwrta.filters`, run over accelerations from zero against
-``D + gamma_e h_e`` and the row ``W_e^T gv``, yields a safe acceleration
-``a_s`` and turn rate ``R_s = c1 . a_s / V_T``.
+velocity ``D`` and its velocity gradient ``gv`` are the composition
+:func:`~fwrta.extended.compose_extended_terms` returns, and the extension
+gain and the outer filter's gains come from ``BacksteppingParams.ext``.
+The smooth filter step of :mod:`fwrta.filters`, run over accelerations
+from zero against ``D + gamma_e h_e`` and the row ``W_e^T gv``, yields a
+safe acceleration ``a_s`` and turn rate ``R_s = c1 . a_s / V_T``.
 ``h_b = h_e - (R_s - R)^2 / (2 mu_e)`` penalizes the gap to the actual
 turn rate, so its rate depends on the roll channel and the outer input
 filter (:func:`~fwrta.filters.filter_input`) commands all three inputs;
 :func:`rta_backstepping` returns ``h_b`` with its
 :class:`~fwrta.filters.FilterResult`.
 
-A step takes one softmin of the members' ``E_i`` and then walks the
-members once.  The walk composes ``D`` and ``gv`` and, along the drift
-and the ``A_T`` and ``Q`` columns, sums what the rate of ``h_b`` reads of
-each member's rates (:func:`~fwrta.extended.member_frame_rates`): by the
+One function, ``_affine_terms``, builds ``h_b`` and its rate.  It reads
+``h_e``, ``D``, ``gv``, the softmin weights and the member terms from
+:func:`~fwrta.extended.compose_extended_terms`, and walks the members
+again only for what the rate adds: ``sum w n'`` and, along the drift and
+the ``A_T`` and ``Q`` columns, what the rate of ``h_b`` reads of each
+member's rates (:func:`~fwrta.extended.member_frame_rates`).  By the
 softmin identity ``w_i' = kappa w_i (h' - E_i')``, a composed rate
 ``sum w_i' z_i + w_i z_i'`` is ``kappa (h' sum w z - sum w E' z) + sum w z'``,
 with ``h' = sum w E'`` (Molnar & Ames, L-CSS 2023).  The velocity
@@ -33,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constraints import ZERO3, BarrierEval, softmin_weights
-from .extended import ExtendedParams, member_extended_terms, member_frame_rates
+from .constraints import ZERO3, BarrierEval
+from .extended import ExtendedParams, compose_extended_terms, member_frame_rates
 from .filters import FilterResult, WeightFactor, check_positive, filter_input, filter_step, lambda_smooth_coefficients
 from .model import ControlInput, TrackContext
 
@@ -54,31 +56,31 @@ class BacksteppingParams:
         check_positive(gamma_e=self.gamma_e, nu_e=self.nu_e, mu_e=self.mu_e)
 
 
-def _pipeline(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
-    """``(h_e, a_s, R_s, h_b)`` of the composition ``pos``'s member jets at the
-    frame's ``(x, t)``, then the walk's sums
-    (:func:`_affine_terms` reads them), ``a_e``, ``b`` and the step's result.
+def _affine_terms(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
+    """``(h_e, a_s, R_s, h_b)`` of the composition ``pos``'s member jets at the frame's
+    ``(x, t)``, and the rate of ``h_b`` as ``drift + row . u``.
 
-    The walk's sums are the composed ``D`` and ``gv``, ``sum w n'`` and, per
-    direction (drift, ``A_T``, ``Q``), ``(sum w e, sum w d, sum w e D_i, *sum w e gv_i)``
+    ``h_e``, ``D``, ``gv``, the weights and the member terms come from
+    :func:`~fwrta.extended.compose_extended_terms`; the walk sums ``sum w n'`` and,
+    per direction (drift, ``A_T``, ``Q``), ``(sum w e, sum w d, sum w e D_i, *sum w e gv_i)``
     with ``(e, d)`` the member's ``(E', D')``.
     """
-    jets = pos.jets
-    gamma_p = p.ext.gamma_p
-    terms, per = [], []
-    for j in jets:
-        e = member_extended_terms(j, ctx.v, gamma_p)
-        terms.append(e)
-        per.append(e[0])
-    h_e, w = softmin_weights(per, pos.kappa)
-    D = gx = gy = gz = mx = my = mz = 0.0
+    V, R, gamma_p = ctx.V_T, ctx.R, p.ext.gamma_p
+    h_e, D, gv, _, w, terms = compose_extended_terms(pos.jets, ctx.v, pos.kappa, gamma_p)
+    # barrier rate at zero acceleration plus decay
+    a_e = D + p.gamma_e * h_e
+    b = p.W_e.apply_t(gv)
+    res = filter_step(ZERO3, a_e, b, p.W_e.apply, p.nu_e)
+    c1, a_s = ctx.c1, res.u
+    R_s = (c1[0] * a_s[0] + c1[1] * a_s[1] + c1[2] * a_s[2]) / V
+    gap, mu = R_s - R, p.mu_e
+    hb = h_e - gap * gap * (0.5 / mu)
+    mx = my = mz = 0.0
     # per direction, f (drift), a (A_T) and q (Q): sum w e, sum w d, sum w e D_i, sum w e gv_i
     fe = fd = fD = fx = fy = fz = ae = ad = aD = ax = ay = az = qe = qd = qD = qx = qy = qz = 0.0
-    for x, (_, Di, vx, vy, vz), j in zip(w, terms, jets):
+    for x, (_, Di, vx, vy, vz), j in zip(w, terms, pos.jets):
         (ef, df), (ea, da), (eq, dq) = member_frame_rates(j, gamma_p, ctx)
         m = j[1][1]  # the gradient's rate n' along (v, 1)
-        D += x * Di
-        gx, gy, gz = gx + x * vx, gy + x * vy, gz + x * vz
         mx, my, mz = mx + x * m[0], my + x * m[1], mz + x * m[2]
         y = x * ef
         fe, fd, fD = fe + y, fd + x * df, fD + y * Di
@@ -89,35 +91,12 @@ def _pipeline(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
         y = x * eq
         qe, qd, qD = qe + y, qd + x * dq, qD + y * Di
         qx, qy, qz = qx + y * vx, qy + y * vy, qz + y * vz
-    # barrier rate at zero acceleration plus decay
-    a_e = D + p.gamma_e * h_e
-    b = p.W_e.apply_t((gx, gy, gz))
-    res = filter_step(ZERO3, a_e, b, p.W_e.apply, p.nu_e)
-    c1, a_s = ctx.c1, res.u
-    R_s = (c1[0] * a_s[0] + c1[1] * a_s[1] + c1[2] * a_s[2]) / ctx.V_T
-    gap = R_s - ctx.R
-    sums = (D, (gx, gy, gz), (mx, my, mz),
-            ((fe, fd, fD, fx, fy, fz), (ae, ad, aD, ax, ay, az), (qe, qd, qD, qx, qy, qz)))
-    return (h_e, a_s, R_s, h_e - gap * gap * (0.5 / p.mu_e)), (sums, a_e, b, res)
-
-
-def h_b(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams) -> float:
-    """Penalized barrier of the composition ``pos`` at the frame's ``(x, t)``; never
-    exceeds the composed extension."""
-    return _pipeline(ctx, pos, p)[0][3]
-
-
-def _affine_terms(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
-    """``(h_e, h_b)`` at the frame's ``(x, t)`` and the rate of ``h_b`` as ``drift + row . u``."""
-    V, R = ctx.V_T, ctx.R
-    (h_e, a_s, R_s, hb), ((D, (gx, gy, gz), (mx, my, mz), along), a_e, b, res) = _pipeline(ctx, pos, p)
-    (fe, fd, fD, fx, fy, fz), (ae, ad, aD, ax, ay, az), (qe, qd, qD, qx, qy, qz) = along
-    c1, lam, b_norm = ctx.c1, res.lam, math.sqrt(res.bn2)
+    lam, b_norm = res.lam, math.sqrt(res.bn2)
     if b_norm:
         # c1 . a_s' reads gv' = sum w_i' gv_i (+ sum w n'/gamma_p on the drift) only
         # through W_b . gv' (|b|') and gam . gv', with W_b = W_e b and gam = W_e W_e^T c1
-        W_e, k, g, ge = p.W_e, pos.kappa, 1.0 / p.ext.gamma_p, p.gamma_e
-        (bx, by, bz), (cx, cy, cz) = W_e.apply(b), W_e.apply(W_e.apply_t(c1))
+        W_e, k, g, ge = p.W_e, pos.kappa, 1.0 / gamma_p, p.gamma_e
+        (gx, gy, gz), (bx, by, bz), (cx, cy, cz) = gv, W_e.apply(b), W_e.apply(W_e.apply_t(c1))
         b_gv, c_gv = (bx * gx + by * gy + bz * gz), (cx * gx + cy * gy + cz * gz)
         # along a direction, with h' = sum w e and w_i' = kappa w_i (h' - e_i), a composed
         # rate sum w_i' z_i + w_i z_i' is kappa (h' sum w z - sum w e z) + sum w z'
@@ -142,12 +121,17 @@ def _affine_terms(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams):
     # D R_s = (D c1 . a_s + c1 . D a_s - R_s D V_T) / V_T, and R's are closed form
     c0, c2 = ctx.c0, ctx.c2
     sx, sy, sz = a_s
-    gap, mu = R_s - R, p.mu_e
     drift = fe - gap * ((as_f - R * (c0[0] * sx + c0[1] * sy + c0[2] * sz)) / V - ctx.g_over_V * ctx.s_th * R) / mu
     row = (ae - gap * ((as_a - R_s) / V + R / V) / mu,
            -gap * ((c2[0] * sx + c2[1] * sy + c2[2] * sz) / V - ctx.g_over_V * ctx.c_ph * ctx.c_th) / mu,
            qe - gap * (as_q / V) / mu)
-    return h_e, hb, drift, row
+    return (h_e, a_s, R_s, hb), drift, row
+
+
+def h_b(ctx: TrackContext, pos: BarrierEval, p: BacksteppingParams) -> float:
+    """Penalized barrier of the composition ``pos`` at the frame's ``(x, t)``; never
+    exceeds the composed extension."""
+    return _affine_terms(ctx, pos, p)[0][3]
 
 
 def rta_backstepping(
@@ -161,7 +145,7 @@ def rta_backstepping(
     its roll entry is generically nonzero, so all three channels
     participate.
     """
-    _, hb, drift, row = _affine_terms(ctx, pos, p)
+    (_, _, _, hb), drift, row = _affine_terms(ctx, pos, p)
     res = filter_input(u_d, hb, drift, row, p.ext)
     res.u = ControlInput(*res.u)
     return hb, res

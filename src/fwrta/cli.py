@@ -81,8 +81,8 @@ def _cmd_sweep(args) -> int:
             out = Path(_out_dir(args))
             out.mkdir(parents=True, exist_ok=True)
             # the path's "]" dropped and each other character outside [A-Za-z0-9_] written as
-            # "_" ("constraints.members[0].radius" as "constraints_members_0_radius"; a notes
-            # key is free-form)
+            # "_" ("constraints.members[0].radius" as "constraints_members_0_radius"), one
+            # name per schema path (sweep refuses the free-form notes)
             path = out / f"{scn.name}_sweep_{re.sub(r'[^A-Za-z0-9_]', '_', args.param.replace(']', ''))}.csv"
             path.write_text("\n".join(lines) + "\n")
             print(f"wrote {path}")

@@ -212,20 +212,17 @@ def softmin_weights(values, kappa: float):
     """Smooth minimum ``-(1/kappa) ln sum(exp(-kappa h_i))`` plus the convex
     weights ``exp(-kappa (h_i - h))``, stabilized.
 
-    Under-approximates the true minimum by at most ``ln(N)/kappa``.
+    Under-approximates the true minimum by at most ``ln(N)/kappa``.  ``values``
+    is a non-empty sequence and ``kappa`` positive and finite, as
+    :class:`ConstraintSet` validates them once.
     """
-    vals = list(values)
-    if not vals:
-        raise ValueError("softmin of empty list")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    m = min(vals)
+    m = min(values)
     acc = 0.0
-    for v in vals:
+    for v in values:
         acc = acc + math.exp((m - v) * kappa)
     h = m - math.log(acc) / kappa
     w = []
-    for v in vals:
+    for v in values:
         w.append(math.exp((h - v) * kappa))
     return h, w
 

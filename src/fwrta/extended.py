@@ -7,13 +7,13 @@ acceleration channel.  :func:`compose_extended_terms` composes the
 extension in the three quantities both input filters read: ``h_e``, its
 rate at fixed velocity ``D`` and its velocity gradient ``gv``, by one
 softmin of the members' values and one walk over the members; the
-backstepping filter composes them in its own walk, next to their
-:func:`member_frame_rates`.  A geofence plane's barrier is affine in
-position (constant gradient, zero time-partial, no second order), so both
-functions return a plane's terms in closed form; an obstacle's run the
-general formulas.  :class:`ExtendedParams` holds the extension
-gain and the outer filter's gains, ``gamma``, ``W`` and the smoothing
-``nu``.  Roll rate ``P`` never enters: the input row carries a
+backstepping filter reads the same composition and walks the members
+again only for their :func:`member_frame_rates`.  A geofence plane's
+barrier is affine in position (constant gradient, zero time-partial, no
+second order), so both functions return a plane's terms in closed form;
+an obstacle's run the general formulas.  :class:`ExtendedParams` holds
+the extension gain and the outer filter's gains, ``gamma``, ``W`` and the
+smoothing ``nu``.  Roll rate ``P`` never enters: the input row carries a
 structural zero in the ``P`` slot, and :func:`rta_extended` copies the
 desired ``P`` bit for bit into the one :class:`~fwrta.model.ControlInput`
 it builds, reading the frame the tracker computed the step in and the

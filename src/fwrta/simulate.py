@@ -319,7 +319,11 @@ def set_by_path(raw: dict, dotted: str, value: float) -> dict:
 def sweep(scn_raw: dict, param: str, lo: float, hi: float, steps: int):
     """Run the raw scenario dict across a parameter range: an iterator of ``(value,
     metrics)`` rows that loads and runs each value as it is reached, so a reader keeps
-    the rows before a value that fails.  The range is checked when called."""
+    the rows before a value that fails.  The range is checked when called, and so is
+    the path's first segment: a path under ``notes``, which the run never reads, is
+    refused."""
+    if param.split(".", 1)[0].partition("[")[0] == "notes":
+        raise ScenarioError(f"sweep path {param!r} is under 'notes', which the run never reads")
     if steps < 2:
         raise ScenarioError("sweep needs at least 2 steps")
     if steps > MAX_SWEEP_STEPS:

@@ -11,6 +11,7 @@ from fwrta.constraints import ConstraintSet, GeofencePlane, MovingObstacle, comp
 from fwrta.filters import filter_step
 from fwrta.model import AircraftState, GravityParam, TrackContext
 from fwrta.modelfree import ModelFreeParams, safe_velocity_from_terms
+from fwrta.scenario import load_scenario, scenario_from_dict
 from fwrta.simulate import make_controller, row_columns
 from fwrta.tracking import GoalCommand, SafeVelocityCommand, TrackingParams
 
@@ -23,6 +24,15 @@ def rng():
 @pytest.fixture
 def gravity():
     return GravityParam()
+
+
+def speed_floor():
+    """step_offset braking from V_T = 2 against a slow goal: the speed floor aborts it
+    after 484 rows."""
+    raw = load_scenario("step_offset").raw
+    raw = {**raw, "t_final": 30.0, "dt": 0.01, "goal": {"type": "linear", "v_g": [0.5, 0.0, 0.0], "r0": [0.0, 0.0, 0.0]},
+           "initial_state": {"n": 0.0, "e": 0.0, "d": 0.0, "phi": 0.0, "theta": 0.0, "psi": 0.0, "V_T": 2.0}}
+    return scenario_from_dict(raw)
 
 
 class AcceleratingObstacle:

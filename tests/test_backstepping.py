@@ -25,7 +25,6 @@ from conftest import (
 from fwrta.backstepping import (
     BacksteppingParams,
     _affine_terms,
-    _pipeline,
     h_b,
     rta_backstepping,
 )
@@ -51,7 +50,7 @@ def table_params(mu_e=1e-4):
 def safe_pieces(st, t, cset, p, g):
     """``(a_s, R_s)``: the safe acceleration and turn rate of the barrier chain."""
     ctx = TrackContext(st, t, g)
-    _, a_s, R_s, _ = _pipeline(ctx, compose_h_p(ctx, cset), p)[0]
+    _, a_s, R_s, _ = _affine_terms(ctx, compose_h_p(ctx, cset), p)[0]
     return a_s, R_s
 
 
@@ -330,7 +329,7 @@ def assert_rate_matches_oracle(st, t, cset, q, g):
     """The closed-form rate of ``h_b`` against the gradient oracle, and ``h_b`` itself."""
     ctx = TrackContext(st, t, g)
     pos = compose_h_p(ctx, cset)
-    h_e, hb, drift, row = _affine_terms(ctx, pos, q)
+    (_, _, _, hb), drift, row = _affine_terms(ctx, pos, q)
     ref_drift, ref_row = oracle_rate(st, t, cset, q, g)
     got, ref = np.append(drift, row), np.append(ref_drift, ref_row)
     assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -390,6 +389,26 @@ class TestRta:
             assert 0.0 < 1.0 - max(w) <= 1e-12 and min(w) > 0.0
             assert_rate_matches_oracle(st, t, cset, q, gravity)
 
+    def test_sign_of_a_zero_composed_gradient_does_not_reach_the_rate(self, rng, gravity):
+        # compose_extended_terms starts each sum with the first member's term, so
+        # normals holding -0.0 give gv a -0.0 component: its sign must reach neither
+        # the barrier nor its rate
+        p = table_params()
+
+        def fences(z):
+            return ConstraintSet([GeofencePlane([0.0, 3000.0, 0.0], [z, -1.0, z], 15.0),
+                                  GeofencePlane([0.0, -3000.0, 0.0], [z, 1.0, z], 15.0)], kappa=0.007)
+
+        for _ in range(50):
+            st = AircraftState(rng.normal(0.0, 500.0), rng.normal(0.0, 1500.0), -1000.0, rng.normal(0.0, 0.3),
+                               rng.normal(0.0, 0.2), rng.uniform(-3.0, 3.0), 160.0)
+            ctx = TrackContext(st, 0.0, gravity)
+            pos = [compose_h_p(ctx, fences(z)) for z in (0.0, -0.0)]
+            gv = compose_extended_terms(pos[1].jets, ctx.v, pos[1].kappa, p.ext.gamma_p)[2]
+            assert math.copysign(1.0, gv[0]) == -1.0 and gv[0] == 0.0
+            # (h_e, a_s, R_s, h_b), drift and row, compared with the sign of zero
+            assert repr(_affine_terms(ctx, pos[0], p)) == repr(_affine_terms(ctx, pos[1], p))
+
     def test_raises_at_obstacle_center(self, gravity):
         # fig5's start moved onto its obstacle's center: the closed-form
         # chain (the composition rta_backstepping reads) and the dual oracles
@@ -416,7 +435,7 @@ class TestRta:
         pos = compose_h_p(ctx, cset)
         hb, res = rta_backstepping(ctx, u_d, pos, p)
         assert res.u == u_d
-        assert hb <= _affine_terms(ctx, pos, p)[0]
+        assert hb <= _affine_terms(ctx, pos, p)[0][0]
 
     def test_all_channels_respond_when_active(self, rng, gravity):
         p = table_params()

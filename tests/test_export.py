@@ -29,6 +29,7 @@ import pytest
 
 import export_oracle
 import log_oracle
+from conftest import speed_floor
 from fwrta import export, simulate
 from fwrta.errors import SingularSpeed
 from fwrta.export import BLOCK, write_csv, write_json
@@ -40,15 +41,6 @@ def fig3(rows: int):
     """fig3 cut to a horizon of ``rows`` logged rows."""
     scn = load_scenario("fig3")
     return scenario_from_dict({**scn.raw, "t_final": (rows - 1) * scn.dt})
-
-
-def speed_floor():
-    """step_offset braking from V_T = 2 against a slow goal: the speed floor aborts it
-    after 484 rows."""
-    raw = load_scenario("step_offset").raw
-    raw = {**raw, "t_final": 30.0, "dt": 0.01, "goal": {"type": "linear", "v_g": [0.5, 0.0, 0.0], "r0": [0.0, 0.0, 0.0]},
-           "initial_state": {"n": 0.0, "e": 0.0, "d": 0.0, "phi": 0.0, "theta": 0.0, "psi": 0.0, "V_T": 2.0}}
-    return scenario_from_dict(raw)
 
 
 def singular_track(*args, **kwargs):

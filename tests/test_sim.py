@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SafeCommand, composed, desired_velocity, safe_velocity, state_from_array, velocity
+from conftest import SafeCommand, composed, desired_velocity, safe_velocity, speed_floor, state_from_array, velocity
 from fwrta import constraints, filters, kernels, modelfree, simulate, tracking
 from fwrta.cli import SWEEP_FIELDS, main as cli_main
 from fwrta.errors import FwrtaError, ScenarioError, SingularSpeed
@@ -593,19 +593,34 @@ class TestSweep:
         assert table[0] == ",".join(("value", *SWEEP_FIELDS))
         assert [float(line.split(",")[0]) for line in table[1:]] == pytest.approx([0.007, 0.005, 0.003])
 
-    @pytest.mark.parametrize("param, stem", [("notes.a/b", "notes_a_b"), ("notes.a b\\c:é", "notes_a_b_c__"),
-                                             ("constraints.members[0].margin", "constraints_members_0_margin"),
+    @pytest.mark.parametrize("param, stem", [("constraints.members[0].margin", "constraints_members_0_margin"),
                                              ("dt", "dt")])
     def test_param_path_as_file_name(self, param, stem, tmp_path):
-        # a notes key is free-form: a character outside [A-Za-z0-9_] is written as "_",
-        # so every value runs and its rows are written, not lost to an io error
+        # the path's "]" dropped and each other character outside [A-Za-z0-9_] written as "_"
         src = tmp_path / "scn.json"
-        src.write_text(json.dumps(make_raw(t_final=0.05, notes={"a/b": 1.0, "a b\\c:é": 1.0})))
+        src.write_text(json.dumps(make_raw(t_final=0.05)))
         out = tmp_path / "out"
         argv = ["sweep", "--scenario", str(src), "--param", param, "--min", "0.01", "--max", "0.02"]
         assert cli_main([*argv, "--steps", "2", "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [f"step_offset_sweep_{stem}.csv"]
         assert len((out / f"step_offset_sweep_{stem}.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("params", [["notes.a/b"], ["notes.a b\\c:é"], ["notes.a/b", "notes.a_b"]],
+                             ids=["notes.a/b", "notes.a b\\c:é", "notes.a/b-then-notes.a_b"])
+    def test_notes_path_exit_code(self, params, tmp_path, capsys):
+        # the run never reads the free-form notes, so a notes sweep would repeat one run,
+        # and "a/b" and "a_b" would share one file name: each such sweep exits 2 before
+        # any value runs and writes no file
+        src = tmp_path / "scn.json"
+        src.write_text(json.dumps(make_raw(t_final=0.05, notes={"a/b": 1.0, "a_b": 2.0, "a b\\c:é": 1.0})))
+        out = tmp_path / "out"
+        for param in params:
+            argv = ["sweep", "--scenario", str(src), "--param", param, "--min", "0.01", "--max", "0.02"]
+            assert cli_main([*argv, "--steps", "2", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"scenario error: sweep path {param!r} is under 'notes', which the run never reads\n"
+            )
+        assert not out.exists()
 
     def test_list_index_path(self):
         raw = make_raw(t_final=1.0)
@@ -723,22 +738,24 @@ class TestCli:
         assert f"field '{path[0]}': {path[1]} must be invertible" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "base, path, scale",
-        [("fig5", ("backstepping", "W_e"), 1e-120), ("fig5", ("backstepping", "W_e"), 1e120),
-         ("fig3", ("safety_filter", "W"), 1e200)],
+        "base, path, scale, code",
+        [pytest.param("fig5", ("backstepping", "W_e"), 1e-120, 0, id="fig5-path0-1e-120"),
+         pytest.param("fig5", ("backstepping", "W_e"), 1e120, 2, id="fig5-path1-1e+120"),
+         pytest.param("fig3", ("safety_filter", "W"), 1e200, 3, id="fig3-path2-1e+200"),
+         pytest.param("fig5", ("backstepping", "W_e"), 1e-150, 0, id="fig5-path3-1e-150")],
     )
-    def test_weight_scale_exit_code(self, base, path, scale, tmp_path, capsys):
-        # invertibility does not depend on the factor's scale; an extreme scale
-        # fails as a schema or numerical error at worst, never with a traceback
+    def test_weight_scale_exit_code(self, base, path, scale, code, tmp_path, capsys):
+        # invertibility does not depend on the factor's scale: a tiny factor runs the
+        # bundled horizon and passes (the backstepping rate's multiplier coefficients
+        # are scaled by |b| once, so no power of |b| underflows), a huge one fails as a
+        # schema error (h_b(0) < 0) or a numerical one (step-0 abort), never with a traceback
         raw = json.loads(bundled_scenario_path(base).read_text())
-        raw["t_final"] = 1.0
         raw[path[0]][path[1]] = [scale] * 3
         src = tmp_path / "scaled.json"
         src.write_text(json.dumps(raw))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli_main(["check", "--scenario", str(src)])
-        assert code in (0, 1, 2, 3)
+            assert cli_main(["check", "--scenario", str(src)]) == code
         assert "must be invertible" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [5, None], ids=repr)
@@ -867,12 +884,11 @@ class TestCli:
         pytest.param("check", {"allow_abort": True}, 0, id="check-allow_abort"),
     ])
     def test_run_abort_exit_code(self, command, checks, code, tmp_path):
-        # the abort comes after step 0; both commands report its kind, and check exits 3
-        # on its failing no_abort line, which allow_abort replaces with a passing one
-        raw = make_raw(t_final=30.0, dt=0.01, checks=checks)
-        raw["initial_state"]["psi"] = 0.0
-        raw["initial_state"]["V_T"] = 2.0
-        raw["goal"]["v_g"] = [0.5, 0.0, 0.0]
+        # the speed-floor abort comes after step 0; both commands report its kind, and
+        # check exits 3 on its failing no_abort line, which allow_abort replaces with a
+        # passing one
+        raw = speed_floor().raw
+        raw = {**raw, "checks": {**raw["checks"], **checks}}
         src = tmp_path / "brake.json"
         src.write_text(json.dumps(raw))
         out = ["--out", str(tmp_path)] if command == "run" else []
